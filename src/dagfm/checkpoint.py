@@ -1,37 +1,37 @@
-"""Self-describing binary checkpoints.
+"""Self-describing binary checkpoints (format version 2) and the model registry.
 
 Layout: an 8-byte little-endian unsigned header length, a JSON header, then
 the raw parameter payload. The header carries the format version, the model
-kind, a config echo sufficient to rebuild the model (spec fields plus
-per-field vocabulary sizes), and a manifest of (name, shape, dtype) in
-payload order. The payload is the concatenation of each parameter's
-contiguous little-endian bytes in manifest order, so save -> load -> save
-reproduces the file byte for byte.
+kind, a config echo sufficient to rebuild the model, the per-field
+vocabulary sizes, and a manifest of (name, shape, dtype) in payload order.
+The config echo is the build spec's dataclass fields (``dataclasses.asdict``,
+so the DAG spec of ``dagfm+`` nests untagged under ``dagfm``) plus a
+``model`` tag naming the family; ``model.spec`` is that build spec for every
+family. The payload is the concatenation of each parameter's contiguous
+little-endian bytes in manifest order, so save -> load -> save reproduces the
+file byte for byte.
+
+Loading rebuilds the model from the header and checks every manifest entry
+against it (known and unique name, exact shape, float dtype) and the payload
+size against the file before reading any weights; non-finite weights are
+rejected. Every malformed file raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import struct
+import typing
 
 import numpy as np
 
-from .interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
+from .interactions import DagfmModel, DagfmPlusModel
 from .numcore import ConfigurationError
-from .teachers import (
-    CinModel,
-    CinSpec,
-    CrossNetModel,
-    CrossNetSpec,
-    FmfmModel,
-    FmfmSpec,
-    FwfmModel,
-    FwfmSpec,
-    TinyMlpModel,
-    TinyMlpSpec,
-)
+from .teachers import CinModel, CrossNetModel, FmfmModel, FwfmModel, TinyMlpModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _LEN = struct.Struct("<Q")
 
 
@@ -39,105 +39,51 @@ class CheckpointError(ValueError):
     """A checkpoint file is malformed, truncated, or of the wrong version."""
 
 
-_REGISTRY = {
-    "dagfm": DagfmModel,
-    "dagfm+": DagfmPlusModel,
-    "cin": CinModel,
-    "crossnet": CrossNetModel,
-    "fwfm": FwfmModel,
-    "fmfm": FmfmModel,
-    "tinymlp": TinyMlpModel,
-}
+MODELS = (DagfmModel, DagfmPlusModel, CinModel, CrossNetModel, FwfmModel, FmfmModel, TinyMlpModel)
+_BY_KIND = {cls.kind: cls for cls in MODELS}
+_BY_SPEC = {cls.spec_type: cls for cls in MODELS}
+
+
+def _model_class(spec):
+    if type(spec) not in _BY_SPEC:
+        raise ConfigurationError(f"no model family for spec type {type(spec).__name__}")
+    return _BY_SPEC[type(spec)]
 
 
 def spec_to_dict(spec) -> dict:
-    if isinstance(spec, DagfmPlusSpec):
-        return {
-            "model": "dagfm+",
-            "dagfm": spec_to_dict(spec.dagfm),
-            "mlp_hidden": list(spec.mlp_hidden),
-            "activation": spec.activation,
-            "mlp_feed": spec.mlp_feed,
-        }
-    if isinstance(spec, DagfmSpec):
-        return {
-            "model": "dagfm",
-            "fn": spec.kind,
-            "num_fields": spec.num_fields,
-            "embed_dim": spec.embed_dim,
-            "num_layers": spec.num_layers,
-            "edges": None if spec.edges is None else [list(e) for e in spec.edges],
-        }
-    if isinstance(spec, CinSpec):
-        return {
-            "model": "cin",
-            "num_fields": spec.num_fields,
-            "embed_dim": spec.embed_dim,
-            "layer_sizes": list(spec.layer_sizes),
-        }
-    if isinstance(spec, CrossNetSpec):
-        return {
-            "model": "crossnet",
-            "num_fields": spec.num_fields,
-            "embed_dim": spec.embed_dim,
-            "num_layers": spec.num_layers,
-        }
-    if isinstance(spec, FwfmSpec):
-        return {"model": "fwfm", "num_fields": spec.num_fields, "embed_dim": spec.embed_dim}
-    if isinstance(spec, FmfmSpec):
-        return {"model": "fmfm", "num_fields": spec.num_fields, "embed_dim": spec.embed_dim}
-    if isinstance(spec, TinyMlpSpec):
-        return {
-            "model": "tinymlp",
-            "num_fields": spec.num_fields,
-            "embed_dim": spec.embed_dim,
-            "hidden": list(spec.hidden),
-            "activation": spec.activation,
-        }
-    raise ConfigurationError(f"cannot serialize spec type {type(spec).__name__}")
+    return {"model": _model_class(spec).kind, **dataclasses.asdict(spec)}
+
+
+def _tuples(value):
+    """JSON lists back to tuples, so rebuilt specs stay hashable."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _construct(spec_type, fields: dict):
+    """Build a spec from JSON fields; a field typed as a spec dataclass recurses."""
+    hints = typing.get_type_hints(spec_type)
+    try:
+        return spec_type(**{
+            k: _construct(hints[k], v) if dataclasses.is_dataclass(hints.get(k)) else _tuples(v)
+            for k, v in fields.items()
+        })
+    except (AttributeError, TypeError, ValueError) as e:
+        raise CheckpointError(f"bad {spec_type.__name__} config: {e}") from e
 
 
 def spec_from_dict(d: dict):
-    kind = d.get("model")
-    if kind == "dagfm+":
-        return DagfmPlusSpec(
-            dagfm=spec_from_dict(d["dagfm"]),
-            mlp_hidden=tuple(d["mlp_hidden"]),
-            activation=d["activation"],
-            mlp_feed=d["mlp_feed"],
-        )
-    if kind == "dagfm":
-        edges = d.get("edges")
-        return DagfmSpec(
-            kind=d["fn"],
-            num_fields=d["num_fields"],
-            embed_dim=d["embed_dim"],
-            num_layers=d["num_layers"],
-            edges=None if edges is None else tuple(tuple(e) for e in edges),
-        )
-    if kind == "cin":
-        return CinSpec(d["num_fields"], d["embed_dim"], tuple(d["layer_sizes"]))
-    if kind == "crossnet":
-        return CrossNetSpec(d["num_fields"], d["embed_dim"], d["num_layers"])
-    if kind == "fwfm":
-        return FwfmSpec(d["num_fields"], d["embed_dim"])
-    if kind == "fmfm":
-        return FmfmSpec(d["num_fields"], d["embed_dim"])
-    if kind == "tinymlp":
-        return TinyMlpSpec(
-            d["num_fields"], d["embed_dim"], tuple(d["hidden"]), d["activation"]
-        )
-    raise CheckpointError(f"unknown model kind {kind!r}")
+    kind = d.get("model") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in _BY_KIND:
+        raise CheckpointError(f"unknown model kind {kind!r}")
+    return _construct(_BY_KIND[kind].spec_type, {k: v for k, v in d.items() if k != "model"})
 
 
 def build_model(spec, vocab_sizes, seed: int = 0):
     """Instantiate the model class matching a spec."""
-    kind = spec_to_dict(spec)["model"]
-    return _REGISTRY[kind](spec, vocab_sizes, seed=seed)
+    return _model_class(spec)(spec, vocab_sizes, seed=seed)
 
 
 def save_checkpoint(model, path) -> None:
-    spec = model.plus_spec if isinstance(model, DagfmPlusModel) else model.spec
     names = model.store.names()
     manifest = [
         {
@@ -150,7 +96,7 @@ def save_checkpoint(model, path) -> None:
     header = {
         "version": FORMAT_VERSION,
         "kind": model.kind,
-        "config": spec_to_dict(spec),
+        "config": spec_to_dict(model.spec),
         "vocab_sizes": list(model.vocab_sizes),
         "manifest": manifest,
     }
@@ -161,6 +107,36 @@ def save_checkpoint(model, path) -> None:
         for n in names:
             arr = model.store[n]
             fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+
+
+def _payload_plan(model, manifest) -> dict[str, tuple[np.dtype, int]]:
+    """{name: (dtype, nbytes)} in manifest order, checked against the model."""
+    if not isinstance(manifest, list):
+        raise CheckpointError("corrupt header: manifest is not a list")
+    plan = {}
+    for entry in manifest:
+        try:
+            name, shape, dtype = entry["name"], entry["shape"], np.dtype(entry["dtype"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"corrupt manifest entry {entry!r}") from e
+        if not isinstance(name, str) or name not in model.store:
+            raise CheckpointError(f"manifest names unknown parameter {name!r}")
+        if name in plan:
+            raise CheckpointError(f"manifest lists parameter {name!r} twice")
+        expected = model.store[name].shape
+        if not isinstance(shape, list) or any(type(n) is not int for n in shape) \
+                or tuple(shape) != expected:
+            raise CheckpointError(
+                f"parameter {name!r}: manifest shape {shape!r} does not match the model's "
+                f"{list(expected)}"
+            )
+        if not isinstance(entry["dtype"], str) or dtype.kind != "f":
+            raise CheckpointError(f"parameter {name!r}: dtype {entry['dtype']!r} is not a float")
+        plan[name] = dtype, int(np.prod(expected, dtype=np.int64)) * dtype.itemsize
+    missing = sorted(set(model.store.names()) - plan.keys())
+    if missing:
+        raise CheckpointError(f"manifest missing parameters {missing}")
+    return plan
 
 
 def load_checkpoint(path):
@@ -176,6 +152,8 @@ def load_checkpoint(path):
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"corrupt header: {e}") from e
+        if not isinstance(header, dict):
+            raise CheckpointError("corrupt header: not a JSON object")
         version = header.get("version")
         if version != FORMAT_VERSION:
             raise CheckpointError(
@@ -185,26 +163,22 @@ def load_checkpoint(path):
             if key not in header:
                 raise CheckpointError(f"corrupt header: missing {key!r}")
         spec = spec_from_dict(header["config"])
-        model = build_model(spec, header["vocab_sizes"], seed=0)
-        stored = set(model.store.names())
-        seen = set()
-        for entry in header["manifest"]:
-            try:
-                name, shape, dtype = entry["name"], tuple(entry["shape"]), entry["dtype"]
-            except (KeyError, TypeError) as e:
-                raise CheckpointError(f"corrupt manifest entry {entry!r}") from e
-            if name not in stored:
-                raise CheckpointError(f"manifest names unknown parameter {name!r}")
-            seen.add(name)
-            nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise CheckpointError(f"truncated payload at parameter {name!r}")
-            arr = np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape)
-            model.store.set(name, arr.astype(model.store.dtype))
-        if seen != stored:
-            missing = sorted(stored - seen)
-            raise CheckpointError(f"manifest missing parameters {missing}")
-        if fh.read(1):
+        try:
+            model = build_model(spec, header["vocab_sizes"], seed=0)
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"cannot rebuild the model from the header: {e}") from e
+        if header["kind"] != model.kind:
+            raise CheckpointError(f"header kind {header['kind']!r} != config {model.kind!r}")
+        plan = _payload_plan(model, header["manifest"])
+        expected = sum(nbytes for _, nbytes in plan.values())
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < expected:
+            raise CheckpointError(f"truncated payload: {available} of {expected} bytes")
+        if available > expected:
             raise CheckpointError("trailing bytes after payload")
+        for name, (dtype, nbytes) in plan.items():
+            arr = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(model.store[name].shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"non-finite weights in parameter {name!r}")
+            model.store.set(name, arr.astype(model.store.dtype))
     return model

@@ -259,6 +259,16 @@ def _run_stage(
     """
     t0 = time.perf_counter()
     report = TrainReport(stage=stage_name)
+
+    def diverged(what: str, epoch: int) -> TrainingDivergenceError:
+        report.wall_time_s = time.perf_counter() - t0
+        err = TrainingDivergenceError(f"{stage_name}: non-finite {what} at epoch {epoch}")
+        err.report = report
+        return err
+
+    bad = [n for n in model.store.names() if not np.isfinite(model.store[n]).all()]
+    if bad:
+        raise diverged(f"parameters {bad}", 0)
     start = evaluate(model, split.val)
     best_auc, best_epoch = start.auc, 0
     best_snap = model.store.snapshot() if restore_best else None
@@ -276,12 +286,7 @@ def _run_stage(
                 logits = model.forward(idx)
                 loss, dlogits = batch_loss_fn(logits, labels, rows)
                 if not np.isfinite(loss):
-                    report.wall_time_s = time.perf_counter() - t0
-                    err = TrainingDivergenceError(
-                        f"{stage_name}: non-finite loss at epoch {epoch}"
-                    )
-                    err.report = report
-                    raise err
+                    raise diverged("loss", epoch)
                 grads = model.backward(dlogits)
                 adam_step(model.store, grads, stage.lr, weight_decay=stage.weight_decay)
                 total += loss * len(labels)

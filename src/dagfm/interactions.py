@@ -189,9 +189,15 @@ class EmbeddingTable:
 
 
 class Model:
-    """Common surface: a ParamStore plus forward/backward over index batches."""
+    """Common surface: a ParamStore plus forward/backward over index batches.
+
+    ``kind`` tags the family in checkpoints; ``spec_type`` is the frozen
+    dataclass the model is built from, and ``spec`` is always that build
+    spec.
+    """
 
     kind = "?"
+    spec_type = None
 
     def __init__(self, spec, vocab_sizes, seed: int = 0, dtype=np.float64):
         if len(vocab_sizes) != spec.num_fields:
@@ -251,9 +257,15 @@ class DagfmModel(Model):
     """DAG-propagation factorization machine (the distillation student)."""
 
     kind = "dagfm"
+    spec_type = DagfmSpec
+
+    @property
+    def dag(self) -> DagfmSpec:
+        """The DAG part of the build spec (all of it for the plain student)."""
+        return self.spec
 
     def _build(self, rng) -> None:
-        spec = self.spec
+        spec = self.dag
         m, d, L = spec.num_fields, spec.embed_dim, spec.num_layers
         self.pairs = spec.pairs()
         self._jj = np.array([j for j, _ in self.pairs])
@@ -290,12 +302,12 @@ class DagfmModel(Model):
         ``outer`` combiner this only exists at d=1)."""
         d = self.embed_dim
         P = len(self.pairs)
-        for t in range(self.spec.num_layers):
-            if self.spec.kind == "inner":
+        for t in range(self.dag.num_layers):
+            if self.dag.kind == "inner":
                 self.store.set(f"dag.w{t}", np.ones((P, d)))
-            elif self.spec.kind == "kernel":
+            elif self.dag.kind == "kernel":
                 self.store.set(f"dag.K{t}", np.broadcast_to(np.eye(d), (P, d, d)).copy())
-            elif self.spec.kind == "outer":
+            elif self.dag.kind == "outer":
                 if d != 1:
                     raise ConfigurationError(
                         "outer weights are rank-1 and cannot express the identity "
@@ -308,15 +320,15 @@ class DagfmModel(Model):
 
     def propagate(self, states_t: np.ndarray, initial: np.ndarray, t: int) -> np.ndarray:
         """One propagation step: next state set from (current states, embeddings)."""
-        if not (0 <= t < self.spec.num_layers):
+        if not (0 <= t < self.dag.num_layers):
             raise ConfigurationError(
-                f"layer index {t} out of range [0, {self.spec.num_layers})"
+                f"layer index {t} out of range [0, {self.dag.num_layers})"
             )
         agg, _ = self._aggregate(states_t, t)
         return agg * initial
 
     def _aggregate(self, h: np.ndarray, t: int):
-        kind = self.spec.kind
+        kind = self.dag.kind
         if kind == "basic-inner":
             agg = np.einsum("bjd,ji->bid", h, self._maskf)
             return agg, None
@@ -338,7 +350,7 @@ class DagfmModel(Model):
         E = self.embedding.lookup(idx)
         states = [E]
         layer_caches = []
-        for t in range(self.spec.num_layers):
+        for t in range(self.dag.num_layers):
             agg, cache = self._aggregate(states[-1], t)
             states.append(agg * E)
             layer_caches.append((agg, cache))
@@ -367,17 +379,17 @@ class DagfmModel(Model):
             "head.b": np.array([dlogits.sum()], dtype=self.store.dtype),
         }
         dpool = (dlogits[:, None] * self.store["head.w"][None, :]).reshape(
-            B, self.spec.num_states, m
+            B, self.dag.num_states, m
         )
         dstates = [
-            np.repeat(dpool[:, t, :, None], d, axis=2) for t in range(self.spec.num_states)
+            np.repeat(dpool[:, t, :, None], d, axis=2) for t in range(self.dag.num_states)
         ]
         if extra_dstates is not None:
             for t, extra in enumerate(extra_dstates):
                 if extra is not None:
                     dstates[t] += extra
         dE = np.zeros_like(E)
-        for t in range(self.spec.num_layers - 1, -1, -1):
+        for t in range(self.dag.num_layers - 1, -1, -1):
             dh_next = dstates[t + 1]
             agg, cache = layer_caches[t]
             dU = dh_next * E
@@ -388,7 +400,7 @@ class DagfmModel(Model):
         return grads
 
     def _aggregate_backward(self, t, h, dU, cache, dh_out, grads) -> None:
-        kind = self.spec.kind
+        kind = self.dag.kind
         jj, ii = self._jj, self._ii
         if kind == "basic-inner":
             dh_out += np.einsum("bid,ji->bjd", dU, self._maskf)
@@ -437,8 +449,10 @@ class DagfmPlusSpec:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         if self.mlp_feed not in ("all-states", "final-state"):
             raise ConfigurationError(f"unknown mlp_feed {self.mlp_feed!r}")
-        if not self.mlp_hidden:
-            raise ConfigurationError("mlp_hidden must name at least one layer")
+        if not self.mlp_hidden or any(h < 1 for h in self.mlp_hidden):
+            raise ConfigurationError(
+                f"mlp_hidden must name layers of width >= 1, got {self.mlp_hidden}"
+            )
 
     @property
     def num_fields(self) -> int:
@@ -447,6 +461,10 @@ class DagfmPlusSpec:
     @property
     def embed_dim(self) -> int:
         return self.dagfm.embed_dim
+
+    @property
+    def num_layers(self) -> int:
+        return self.dagfm.num_layers
 
     @property
     def mlp_input_width(self) -> int:
@@ -517,29 +535,28 @@ class DagfmPlusModel(DagfmModel):
     teachers that also carry implicit interactions)."""
 
     kind = "dagfm+"
+    spec_type = DagfmPlusSpec
 
-    def __init__(self, spec: DagfmPlusSpec, vocab_sizes, seed: int = 0, dtype=np.float64):
-        self.plus_spec = spec
-        super().__init__(spec.dagfm, vocab_sizes, seed=seed, dtype=dtype)
+    @property
+    def dag(self) -> DagfmSpec:
+        return self.spec.dagfm
 
     def _build(self, rng) -> None:
         super()._build(rng)
-        self.mlp = MlpTower(
-            self.store, mlp_widths(self.plus_spec), self.plus_spec.activation, rng
-        )
+        self.mlp = MlpTower(self.store, mlp_widths(self.spec), self.spec.activation, rng)
 
     def _mlp_input(self, states: list[np.ndarray]) -> np.ndarray:
         B = states[0].shape[0]
-        if self.plus_spec.mlp_feed == "all-states":
+        if self.spec.mlp_feed == "all-states":
             return np.concatenate([s.reshape(B, -1) for s in states], axis=1)
         return states[-1].reshape(B, -1)
 
     def forward_trace(self, idx: np.ndarray):
         logits, trace = super().forward_trace(idx)
         x = self._mlp_input(trace.node_states)
-        if x.shape[1] != self.plus_spec.mlp_input_width:
+        if x.shape[1] != self.spec.mlp_input_width:
             raise ConfigurationError(
-                f"MLP input width {x.shape[1]} != configured {self.plus_spec.mlp_input_width}"
+                f"MLP input width {x.shape[1]} != configured {self.spec.mlp_input_width}"
             )
         logits = logits + self.mlp.forward(x)
         return logits, trace
@@ -549,9 +566,9 @@ class DagfmPlusModel(DagfmModel):
         B, m, d = E.shape
         grads: dict[str, np.ndarray] = {}
         dx = self.mlp.backward(np.asarray(dlogits, dtype=self.store.dtype), grads)
-        n_states = self.spec.num_states
+        n_states = self.dag.num_states
         extra = [None] * n_states
-        if self.plus_spec.mlp_feed == "all-states":
+        if self.spec.mlp_feed == "all-states":
             width = m * d
             for t in range(n_states):
                 extra[t] = dx[:, t * width : (t + 1) * width].reshape(B, m, d)

@@ -54,13 +54,19 @@ def auc(labels, scores) -> float:
     """Probability a random positive outranks a random negative (ties 0.5).
 
     Computed from rank sums with average ranks on tied scores, so it is
-    exact and invariant under strictly increasing score transforms.
+    exact and invariant under strictly increasing score transforms. Any NaN
+    or infinite score (the mark of a diverged model) raises
+    :class:`UndefinedMetricError`.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 1:
         raise ConfigurationError(
             f"labels {labels.shape} and scores {scores.shape} must be equal-length vectors"
+        )
+    if not np.isfinite(scores).all():
+        raise UndefinedMetricError(
+            f"AUC undefined: {int((~np.isfinite(scores)).sum())} non-finite scores"
         )
     pos = labels == 1
     n_pos = int(pos.sum())
@@ -116,35 +122,34 @@ def _mlp_param_count(widths) -> int:
 def count_params(spec, vocab_sizes) -> ParamCount:
     """Closed-form parameter counts for a model spec; must match an
     exhaustive walk of the built model's ParamStore exactly."""
-    known = (DagfmPlusSpec, DagfmSpec, CinSpec, CrossNetSpec, FwfmSpec, FmfmSpec, TinyMlpSpec)
-    if not isinstance(spec, known):
-        raise ConfigurationError(f"no parameter formula for spec type {type(spec).__name__}")
-    emb = int(sum(vocab_sizes)) * spec.embed_dim
+    return ParamCount(_non_embedding_params(spec), int(sum(vocab_sizes)) * spec.embed_dim)
+
+
+def _non_embedding_params(spec) -> int:
     if isinstance(spec, DagfmPlusSpec):
-        inner = count_params(spec.dagfm, vocab_sizes)
-        return ParamCount(inner.non_embedding + _mlp_param_count(mlp_widths(spec)), emb)
+        return _non_embedding_params(spec.dagfm) + _mlp_param_count(mlp_widths(spec))
     if isinstance(spec, DagfmSpec):
         P = len(spec.pairs())
         L, d, m = spec.num_layers, spec.embed_dim, spec.num_fields
         per_edge = {"basic-inner": 0, "inner": d, "kernel": d * d, "outer": 2 * d}[spec.kind]
-        return ParamCount(L * P * per_edge + m * (L + 1) + 1, emb)
+        return L * P * per_edge + m * (L + 1) + 1
     if isinstance(spec, CinSpec):
         sizes = (spec.num_fields, *spec.layer_sizes)
         kernels = sum(h * hp * spec.num_fields for hp, h in zip(sizes[:-1], sizes[1:]))
-        return ParamCount(kernels + spec.pooled_width + 1, emb)
+        return kernels + spec.pooled_width + 1
     if isinstance(spec, CrossNetSpec):
         n = spec.width
-        return ParamCount(spec.num_layers * (n * n + n) + n + 1, emb)
+        return spec.num_layers * (n * n + n) + n + 1
     if isinstance(spec, FwfmSpec):
         P = spec.num_fields * (spec.num_fields - 1) // 2
-        return ParamCount(P * spec.embed_dim + spec.num_fields * spec.embed_dim + 1, emb)
+        return P * spec.embed_dim + spec.num_fields * spec.embed_dim + 1
     if isinstance(spec, FmfmSpec):
         P = spec.num_fields * (spec.num_fields - 1) // 2
         d = spec.embed_dim
-        return ParamCount(P * d * d + spec.num_fields * d + 1, emb)
+        return P * d * d + spec.num_fields * d + 1
     if isinstance(spec, TinyMlpSpec):
         widths = [spec.num_fields * spec.embed_dim, *spec.hidden, 1]
-        return ParamCount(_mlp_param_count(widths), emb)
+        return _mlp_param_count(widths)
     raise ConfigurationError(f"no parameter formula for spec type {type(spec).__name__}")
 
 
@@ -293,7 +298,7 @@ def _instr_dagfm(model: DagfmModel, E: np.ndarray, cnt: OpCounter):
     Also returns the per-state node tensors so the MLP-augmented variant can
     reuse them.
     """
-    spec = model.spec
+    spec = model.dag
     m, d = E.shape
     pairs = model.pairs
     states = [E]
@@ -347,7 +352,7 @@ def instrumented_flops(model, idx_row: np.ndarray) -> tuple[float, FlopCount]:
     E = model.embedding.lookup(idx_row)[0]
     if isinstance(model, DagfmPlusModel):
         logit, states = _instr_dagfm(model, E, cnt)
-        feed = model.plus_spec.mlp_feed
+        feed = model.spec.mlp_feed
         x = (
             np.concatenate([s.reshape(-1) for s in states])
             if feed == "all-states"
@@ -469,8 +474,7 @@ class EfficiencyReport:
 
 def efficiency_report(model, with_latency: bool = False,
                       iterations: int = 1000) -> EfficiencyReport:
-    spec = model.plus_spec if isinstance(model, DagfmPlusModel) else model.spec
-    params = count_params(spec, model.vocab_sizes)
-    flops = count_flops(spec)
+    params = count_params(model.spec, model.vocab_sizes)
+    flops = count_flops(model.spec)
     latency = bench_latency(model, iterations=iterations) if with_latency else None
     return EfficiencyReport(params, flops, latency)

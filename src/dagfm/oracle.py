@@ -124,7 +124,7 @@ def oracle_node_state_weighted(
 def _model_edge_weights(model: DagfmModel) -> list[dict]:
     """Per-layer {1-based (j, i) pair -> combiner weights} wired for the
     weighted oracle."""
-    spec = model.spec
+    spec = model.dag
     pairs = spec.pairs()
     layers: list[dict] = []
     for t in range(spec.num_layers):

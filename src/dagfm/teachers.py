@@ -60,6 +60,7 @@ class CinSpec:
 
 class CinModel(Model):
     kind = "cin"
+    spec_type = CinSpec
 
     def _build(self, rng) -> None:
         spec = self.spec
@@ -153,6 +154,7 @@ class CrossNetSpec:
 
 class CrossNetModel(Model):
     kind = "crossnet"
+    spec_type = CrossNetSpec
 
     def _build(self, rng) -> None:
         spec = self.spec
@@ -254,6 +256,7 @@ class _PairwiseModel(Model):
 
 class FwfmModel(_PairwiseModel):
     kind = "fwfm"
+    spec_type = FwfmSpec
 
     def _build(self, rng) -> None:
         self._build_common(rng)
@@ -289,6 +292,7 @@ class FwfmModel(_PairwiseModel):
 
 class FmfmModel(_PairwiseModel):
     kind = "fmfm"
+    spec_type = FmfmSpec
 
     def _build(self, rng) -> None:
         self._build_common(rng)
@@ -333,14 +337,15 @@ class TinyMlpSpec:
             raise ConfigurationError(f"need at least 2 fields, got {self.num_fields}")
         if self.embed_dim < 1:
             raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if not self.hidden:
-            raise ConfigurationError("hidden must name at least one layer")
+        if not self.hidden or any(h < 1 for h in self.hidden):
+            raise ConfigurationError(f"hidden must name layers of width >= 1, got {self.hidden}")
         if self.activation not in ("relu", "tanh"):
             raise ConfigurationError(f"unknown activation {self.activation!r}")
 
 
 class TinyMlpModel(Model):
     kind = "tinymlp"
+    spec_type = TinyMlpSpec
 
     def _build(self, rng) -> None:
         spec = self.spec

@@ -1,6 +1,7 @@
 """Checkpoint format, INI config parsing, and the command-line interface."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from dagfm.cli import main
 from dagfm.config import RunConfig, load_config, parse_config
 from dagfm.data import build_vocab, load_dataset
 from dagfm.interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
+from dagfm.metrics import count_flops, efficiency_report
 from dagfm.numcore import ConfigurationError
 from dagfm.synthetic import generate_planted_dataset, write_csv
 from dagfm.teachers import (
@@ -45,14 +47,63 @@ ALL_SPECS = [
 ]
 
 
-def _mutate_header(path, mutate):
-    """Rewrite a checkpoint with an edited header (payload untouched)."""
+def _rewrite(path, edit):
+    """Rewrite a checkpoint through ``edit(header, payload) -> payload``."""
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[:8])
     header = json.loads(raw[8 : 8 + hlen])
-    mutate(header)
+    payload = edit(header, raw[8 + hlen :])
     blob = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + hlen :])
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + payload)
+
+
+def _header_edit(mutate):
+    def edit(header, payload):
+        mutate(header)
+        return payload
+
+    return edit
+
+
+def _mutate_header(path, mutate):
+    """Rewrite a checkpoint with an edited header (payload untouched)."""
+    _rewrite(path, _header_edit(mutate))
+
+
+def _duplicate_first_entry(header, payload):
+    """Repeat the first manifest entry and its bytes, so sizes still add up."""
+    first = header["manifest"][0]
+    header["manifest"].append(dict(first))
+    return payload + payload[: 8 * int(np.prod(first["shape"]))]
+
+
+def _nan_first_weight(header, payload):
+    return struct.pack("<d", float("nan")) + payload[8:]
+
+
+def _first_entry(**fields):
+    return _header_edit(lambda h: h["manifest"][0].update(fields))
+
+
+# crafted corruptions of a DagfmSpec("inner", 3, 2, 1) checkpoint whose first
+# parameter is emb.f0 of shape (3, 2): (edit, pattern the error must match)
+CORRUPTIONS = {
+    "duplicate-entry": (_duplicate_first_entry, "twice"),
+    "negative-shape": (_first_entry(shape=[-1, 2]), "shape"),
+    "shape-mismatch": (_first_entry(shape=[2, 3]), "shape"),
+    "object-dtype": (_first_entry(dtype="|O"), "dtype"),
+    "nan-weights": (_nan_first_weight, "non-finite"),
+    "string-num-fields": (_header_edit(lambda h: h["config"].update(num_fields="3")), "config"),
+    "v1-header": (_header_edit(lambda h: h.update(version=1)), "version"),
+    "kind-mismatch": (_header_edit(lambda h: h.update(kind="cin")), "kind"),
+}
+
+
+def _corrupted(tmp_path, edit):
+    path = tmp_path / "corrupt.ckpt"
+    save_checkpoint(DagfmModel(DagfmSpec("inner", 3, 2, 1), VOCAB, seed=0), path)
+    _rewrite(path, edit)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +115,9 @@ class TestSpecRoundTrip:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_dict_round_trip(self, spec):
         assert spec_from_dict(spec_to_dict(spec)) == spec
+        # JSON turns tuples into lists; the rebuilt spec must stay hashable
+        rebuilt = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+        assert rebuilt == spec and hash(rebuilt) == hash(spec)
 
     def test_unknown_model_kind(self):
         with pytest.raises(CheckpointError):
@@ -77,6 +131,15 @@ class TestSpecRoundTrip:
     def test_build_model_matches_registry(self, spec):
         model = build_model(spec, VOCAB, seed=1)
         assert model.kind == spec_to_dict(spec)["model"]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_model_spec_is_the_build_spec(self, spec):
+        model = build_model(spec, VOCAB, seed=1)
+        assert model.spec == spec
+        assert count_flops(model.spec) == efficiency_report(model).flops
+        rebuilt = build_model(model.spec, model.vocab_sizes)
+        shapes = [(n, model.store[n].shape) for n in model.store.names()]
+        assert [(n, rebuilt.store[n].shape) for n in rebuilt.store.names()] == shapes
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +219,12 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="missing parameters"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, pattern", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
+    def test_crafted_corruption_rejected(self, edit, pattern, tmp_path):
+        path = _corrupted(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=pattern):
+            load_checkpoint(path)
+
     def test_loaded_model_round_trips_plus_variant(self, tmp_path, rng):
         spec = DagfmPlusSpec(DagfmSpec("outer", 3, 2, 2), mlp_hidden=(6,))
         model = DagfmPlusModel(spec, VOCAB, seed=4)
@@ -163,7 +232,7 @@ class TestCheckpointFiles:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert isinstance(loaded, DagfmPlusModel)
-        assert loaded.plus_spec == spec
+        assert loaded.spec == spec
         idx = np.stack([rng.integers(0, v, size=3) for v in VOCAB], axis=1)
         assert np.array_equal(model.forward(idx), loaded.forward(idx))
 
@@ -413,6 +482,20 @@ class TestCli:
         )
         assert rc == 1
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("edit, pattern", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
+    def test_corrupt_checkpoint_exits_one(self, command, edit, pattern, cli_run, tmp_path,
+                                          capsys):
+        _, csv, _, _ = cli_run
+        path = _corrupted(tmp_path, edit)
+        extra = ["--iterations", "1"] if command == "bench" else []
+        rc = main([command, "--checkpoint", str(path), "--data", str(csv), *extra])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert re.search(pattern, err)
+        assert "Traceback" not in err
 
     def test_missing_data_exits_one(self, tmp_path, capsys):
         rc = main(["train-teacher", "--out", str(tmp_path)])

@@ -316,6 +316,10 @@ class TestDagfmPlus:
         with pytest.raises(ConfigurationError):
             DagfmPlusSpec(DagfmSpec("inner", 2, 2, 1), mlp_feed="two-streams")
 
+    def test_zero_width_layer_rejected(self):
+        with pytest.raises(ConfigurationError, match="width"):
+            DagfmPlusSpec(DagfmSpec("inner", 2, 2, 1), mlp_hidden=(3, 0))
+
     @pytest.mark.parametrize("feed", ["all-states", "final-state"])
     def test_gradients(self, feed, rng):
         # tanh keeps the loss smooth so central differences are well-posed;

@@ -76,6 +76,11 @@ class TestAuc:
         with pytest.raises(UndefinedMetricError):
             auc([0, 0, 0], [0.2, 0.4, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_undefined(self, bad):
+        with pytest.raises(UndefinedMetricError, match="non-finite"):
+            auc([0, 1, 0, 1], [0.1, bad, 0.3, 0.7])
+
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
             auc([1, 0], [0.5])

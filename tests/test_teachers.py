@@ -336,4 +336,6 @@ class TestTinyMlp:
         with pytest.raises(ConfigurationError):
             TinyMlpSpec(2, 2, hidden=())
         with pytest.raises(ConfigurationError):
+            TinyMlpSpec(2, 2, hidden=(4, 0))
+        with pytest.raises(ConfigurationError):
             TinyMlpSpec(2, 2, activation="gelu")
