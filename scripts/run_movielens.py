@@ -21,13 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dagfm.data import build_vocab, load_dataset, split_dataset
-from dagfm.distill import (
-    StageConfig,
-    distill_student,
-    evaluate,
-    finetune_student,
-    train_teacher,
-)
+from dagfm.distill import DistillPlan, StageConfig, run_pipeline
 from dagfm.interactions import DagfmModel, DagfmSpec
 from dagfm.movielens import convert_movielens_dir
 from dagfm.teachers import CrossNetModel, CrossNetSpec
@@ -67,53 +61,33 @@ def main(argv=None) -> int:
     print(f"split: train={len(split.train)} val={len(split.val)} test={len(split.test)}; "
           f"total vocabulary {sum(vocab)}")
 
+    plan = DistillPlan(
+        teacher_stage=StageConfig(epochs=args.teacher_epochs, lr=1e-3, batch_size=2048,
+                                  patience=3, weight_decay=3e-4),
+        distill_stages=(
+            StageConfig(epochs=args.distill_epochs, lr=3e-3, batch_size=2048, patience=0),
+        ),
+        finetune_stage=StageConfig(epochs=args.finetune_epochs, lr=1e-4, batch_size=2048,
+                                   patience=3),
+    )
     teacher = CrossNetModel(
         CrossNetSpec(NUM_FIELDS, args.embed_dim, args.depth), vocab, seed=args.seed
     )
-    train_teacher(
-        teacher,
-        split,
-        StageConfig(epochs=args.teacher_epochs, lr=1e-3, batch_size=2048,
-                    patience=3, weight_decay=3e-4),
-        log_path=args.out / "teacher_epochs.jsonl",
-    )
-    teacher_auc = evaluate(teacher, split.test).auc
-    print(f"teacher test AUC {teacher_auc:.4f}")
-
     student = DagfmModel(
         DagfmSpec("outer", NUM_FIELDS, args.embed_dim, args.depth), vocab, seed=args.seed
     )
-    distill_student(
-        student,
-        teacher,
-        split,
-        StageConfig(epochs=args.distill_epochs, lr=3e-3, batch_size=2048, patience=0),
-        log_path=args.out / "distill_epochs.jsonl",
-    )
-    distilled_auc = evaluate(student, split.test).auc
-    print(f"distilled test AUC {distilled_auc:.4f}")
-
-    finetune_student(
-        student,
-        split,
-        StageConfig(epochs=args.finetune_epochs, lr=1e-4, batch_size=2048, patience=3),
-        log_path=args.out / "finetune_epochs.jsonl",
-    )
-    final_auc = evaluate(student, split.test).auc
-    elapsed = time.perf_counter() - t0
-    gap = abs(final_auc - REFERENCE_AUC)
-
-    print(f"fine-tuned test AUC {final_auc:.4f}")
+    result = run_pipeline(teacher, student, split, plan, log_dir=args.out)
+    gap = abs(result.finetuned_auc - REFERENCE_AUC)
+    print(result.summary())
     print(f"|gap to reference {REFERENCE_AUC}| = {gap:.4f} (informational)")
-    print(f"wall time {elapsed/60:.1f} min")
 
     report = {
-        "teacher_auc": teacher_auc,
-        "distilled_auc": distilled_auc,
-        "finetuned_auc": final_auc,
+        "teacher_auc": result.teacher_auc,
+        "distilled_auc": result.distilled_auc,
+        "finetuned_auc": result.finetuned_auc,
         "reference_auc": REFERENCE_AUC,
         "abs_gap": gap,
-        "wall_time_s": elapsed,
+        "wall_time_s": time.perf_counter() - t0,
     }
     (args.out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"report written to {args.out / 'report.json'}")

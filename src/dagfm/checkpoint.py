@@ -11,10 +11,13 @@ family. The payload is the concatenation of each parameter's contiguous
 little-endian bytes in manifest order, so save -> load -> save reproduces the
 file byte for byte.
 
-Loading rebuilds the model from the header and checks every manifest entry
-against it (known and unique name, exact shape, float dtype) and the payload
-size against the file before reading any weights; non-finite weights are
-rejected. Every malformed file raises :class:`CheckpointError`.
+Loading first checks that the header's vocabulary sizes are positive ints
+whose embedding tables fit in the payload, so a small file cannot force a
+large allocation. It then rebuilds the model from the header and checks
+every manifest entry against it (known and unique name, exact shape, float
+dtype) and the payload size against the file before reading any weights;
+non-finite weights are rejected. Every malformed file raises
+:class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .teachers import CinModel, CrossNetModel, FmfmModel, FwfmModel, TinyMlpMode
 
 FORMAT_VERSION = 2
 _LEN = struct.Struct("<Q")
+# fewest bytes per weight: float16 is the narrowest float a manifest may name
+_NARROWEST_FLOAT = np.dtype(np.float16).itemsize
 
 
 class CheckpointError(ValueError):
@@ -163,15 +168,28 @@ def load_checkpoint(path):
             if key not in header:
                 raise CheckpointError(f"corrupt header: missing {key!r}")
         spec = spec_from_dict(header["config"])
+        vocab_sizes = header["vocab_sizes"]
+        if not isinstance(vocab_sizes, list) or \
+                any(type(v) is not int or v < 1 for v in vocab_sizes):
+            raise CheckpointError(
+                f"vocab_sizes must be a list of positive ints, got {vocab_sizes!r}"
+            )
+        # the tables are allocated before any payload is read, so a header may
+        # not claim more embedding rows than the file can hold
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if sum(vocab_sizes) * spec.embed_dim * _NARROWEST_FLOAT > available:
+            raise CheckpointError(
+                f"vocab_sizes claim {sum(vocab_sizes)} embedding rows of width "
+                f"{spec.embed_dim}, more than the {available}-byte payload holds"
+            )
         try:
-            model = build_model(spec, header["vocab_sizes"], seed=0)
+            model = build_model(spec, vocab_sizes, seed=0)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"cannot rebuild the model from the header: {e}") from e
         if header["kind"] != model.kind:
             raise CheckpointError(f"header kind {header['kind']!r} != config {model.kind!r}")
         plan = _payload_plan(model, header["manifest"])
         expected = sum(nbytes for _, nbytes in plan.values())
-        available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available < expected:
             raise CheckpointError(f"truncated payload: {available} of {expected} bytes")
         if available > expected:

@@ -12,7 +12,7 @@ Subcommands mirror the pipeline stages plus utilities::
 
 Exit codes: 0 success, 1 validation or oracle failure, 2 usage error.
 Settings come from an INI config (``--config``) with explicit flags taking
-precedence. Evaluation sharding is capped by the DAGFM_THREADS env var.
+precedence.
 """
 
 from __future__ import annotations
@@ -105,19 +105,27 @@ def _split(cfg: RunConfig, schema: FieldSchema):
     return split_dataset(dataset, ratios=cfg.split_ratios, seed=cfg.split_seed)
 
 
-def _report_dict(report, test_metrics=None) -> dict:
-    out = {
-        "stage": report.stage,
-        "epochs_run": len(report.epochs),
-        "best_epoch": report.best_epoch,
-        "best_val_auc": report.best_val_auc,
-        "wall_time_s": report.wall_time_s,
-        "checkpoint": report.checkpoint_path,
-    }
-    if test_metrics is not None:
-        out["test_auc"] = test_metrics.auc
-        out["test_logloss"] = test_metrics.logloss
-    return out
+def _finish_stage(model, report, split, out_dir: Path, ckpt_name: str) -> int:
+    """Save the checkpoint, record its path, score the test split and emit
+    ``<stage>_report.json``."""
+    ckpt = out_dir / ckpt_name
+    save_checkpoint(model, ckpt)
+    report.checkpoint_path = str(ckpt)
+    test = evaluate(model, split.test)
+    _emit(
+        {
+            "stage": report.stage,
+            "epochs_run": len(report.epochs),
+            "best_epoch": report.best_epoch,
+            "best_val_auc": report.best_val_auc,
+            "wall_time_s": report.wall_time_s,
+            "checkpoint": report.checkpoint_path,
+            "test_auc": test.auc,
+            "test_logloss": test.logloss,
+        },
+        out_dir / f"{report.stage}_report.json",
+    )
+    return 0
 
 
 def _emit(obj: dict, out_path=None) -> None:
@@ -156,11 +164,7 @@ def _cmd_train_teacher(args) -> int:
     model = build_model(cfg.teacher_spec(schema.m), schema.vocab_sizes(), seed=cfg.seed)
     stage = _stage_override(cfg.plan.teacher_stage, args)
     report = train_teacher(model, split, stage, log_path=out_dir / "teacher_epochs.jsonl")
-    ckpt = out_dir / "teacher.ckpt"
-    save_checkpoint(model, ckpt)
-    report.checkpoint_path = str(ckpt)
-    _emit(_report_dict(report, evaluate(model, split.test)), out_dir / "teacher_report.json")
-    return 0
+    return _finish_stage(model, report, split, out_dir, "teacher.ckpt")
 
 
 def _cmd_distill(args) -> int:
@@ -186,7 +190,8 @@ def _cmd_distill(args) -> int:
     student = build_model(spec, schema.vocab_sizes(), seed=cfg.seed)
     alpha = args.alpha if args.alpha is not None else cfg.plan.alpha
     beta = args.beta if args.beta is not None else cfg.plan.beta
-    stage = _stage_override(cfg.plan.distill_stage, args)
+    (stage,) = cfg.plan.distill_stages  # an INI config holds one chunk
+    stage = _stage_override(stage, args)
     report = distill_student(
         student,
         teacher,
@@ -197,11 +202,7 @@ def _cmd_distill(args) -> int:
         kd_space=cfg.plan.kd_space,
         log_path=out_dir / "distill_epochs.jsonl",
     )
-    ckpt = out_dir / "student.ckpt"
-    save_checkpoint(student, ckpt)
-    report.checkpoint_path = str(ckpt)
-    _emit(_report_dict(report, evaluate(student, split.test)), out_dir / "distill_report.json")
-    return 0
+    return _finish_stage(student, report, split, out_dir, "student.ckpt")
 
 
 def _cmd_finetune(args) -> int:
@@ -215,13 +216,7 @@ def _cmd_finetune(args) -> int:
     report = finetune_student(
         student, split, stage, log_path=out_dir / "finetune_epochs.jsonl"
     )
-    ckpt = out_dir / "student_finetuned.ckpt"
-    save_checkpoint(student, ckpt)
-    report.checkpoint_path = str(ckpt)
-    _emit(
-        _report_dict(report, evaluate(student, split.test)), out_dir / "finetune_report.json"
-    )
-    return 0
+    return _finish_stage(student, report, split, out_dir, "student_finetuned.ckpt")
 
 
 def _cmd_eval(args) -> int:

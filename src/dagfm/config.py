@@ -89,7 +89,7 @@ class RunConfig:
     plan: DistillPlan = field(
         default_factory=lambda: DistillPlan(
             teacher_stage=_STAGE_DEFAULTS["teacher"],
-            distill_stage=_STAGE_DEFAULTS["distill"],
+            distill_stages=(_STAGE_DEFAULTS["distill"],),
             finetune_stage=_STAGE_DEFAULTS["finetune"],
         )
     )
@@ -204,7 +204,7 @@ def parse_config(text: str) -> RunConfig:
         )
     cfg.plan = DistillPlan(
         teacher_stage=stages["teacher"],
-        distill_stage=stages["distill"],
+        distill_stages=(stages["distill"],),
         finetune_stage=stages["finetune"],
         alpha=get("kd", "alpha", 1.0, float),
         beta=get("kd", "beta", 0.0, float),

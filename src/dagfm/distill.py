@@ -4,7 +4,9 @@ Stage 1 trains a teacher on the CTR objective alone. Stage 2 copies the
 teacher's embedding tables into the student, freezes them (and never touches
 the teacher), and trains the remaining student parameters against
 ``alpha * kd + beta * ctr``. Stage 3 unfreezes everything and fine-tunes the
-student on the CTR objective.
+student on the CTR objective. :func:`run_pipeline` runs the three stages of
+a :class:`DistillPlan`, whose distill stage is a schedule of one or more
+chunks.
 
 Knowledge matching happens in logit space by default — mean squared error on
 pre-sigmoid outputs — because probability-space MSE saturates through the
@@ -18,9 +20,7 @@ produces byte-identical logs.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,11 +33,11 @@ from .numcore import (
     ConfigurationError,
     TrainingDivergenceError,
     adam_step,
+    check_int,
     stable_sigmoid,
 )
 
 CTR_CLIP = 1e-7
-THREADS_ENV = "DAGFM_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +120,37 @@ class StageConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        check_int("epochs", self.epochs, 0)
         if self.lr < 0:
             raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 0:
-            raise ConfigurationError(f"patience must be >= 0, got {self.patience}")
+        check_int("batch_size", self.batch_size, 1)
+        check_int("patience", self.patience, 0)
         if self.weight_decay < 0:
             raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
 class DistillPlan:
-    """Weights and per-stage settings of the full pipeline."""
+    """Weights and per-stage settings of the full pipeline.
+
+    ``distill_stages`` is the distillation schedule: one ``distill_student``
+    call per chunk, in order, so a learning-rate drop is two chunks.
+    """
 
     teacher_stage: StageConfig
-    distill_stage: StageConfig
+    distill_stages: tuple[StageConfig, ...]
     finetune_stage: StageConfig
     alpha: float = 1.0
     beta: float = 0.0
     kd_space: str = "logit"
 
     def __post_init__(self):
+        stages = self.distill_stages
+        if not isinstance(stages, tuple) or not stages \
+                or not all(isinstance(s, StageConfig) for s in stages):
+            raise ConfigurationError(
+                f"distill_stages must be a non-empty tuple of StageConfig, got {stages!r}"
+            )
         if self.alpha < 0 or self.beta < 0:
             raise ConfigurationError(
                 f"weights must be nonnegative, got alpha={self.alpha}, beta={self.beta}"
@@ -181,39 +188,17 @@ class TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# prediction / evaluation (optionally sharded across threads)
+# prediction / evaluation
 # ---------------------------------------------------------------------------
 
-def _num_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise ConfigurationError(f"{THREADS_ENV}={raw!r} is not an integer") from e
-    return max(1, n)
-
-
 def predict_logits(model, indices: np.ndarray, batch_size: int = 4096) -> np.ndarray:
-    """Forward passes over row batches, concatenated in input order.
-
-    With ``DAGFM_THREADS > 1`` the batches are sharded across a thread pool;
-    shards are reduced in index order, so the result is identical to the
-    single-threaded pass.
-    """
+    """Forward passes over row batches, concatenated in input order."""
     indices = np.asarray(indices)
-    spans = [
-        (start, min(start + batch_size, len(indices)))
+    chunks = [
+        model.forward(indices[start : start + batch_size])
         for start in range(0, len(indices), batch_size)
     ]
-    if not spans:
-        return np.zeros(0)
-    threads = _num_threads()
-    if threads == 1 or len(spans) == 1:
-        chunks = [model.forward(indices[a:b]) for a, b in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda ab: model.forward(indices[ab[0] : ab[1]]), spans))
-    return np.concatenate(chunks)
+    return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -399,9 +384,29 @@ def finetune_student(
 
 @dataclass
 class PipelineResult:
-    teacher: TrainReport
-    distill: TrainReport
-    finetune: TrainReport
+    """Stage reports keyed by log stem, plus test-split scores after each phase.
+
+    ``kd_train`` is the train-set teacher-vs-student logit MSE after
+    distillation; ``log_paths`` maps each stem to its ``*_epochs.jsonl`` file.
+    """
+
+    reports: dict[str, TrainReport]
+    teacher_auc: float
+    distilled_auc: float
+    finetuned_auc: float
+    kd_train: float
+    wall_time_s: float
+    log_paths: dict[str, Path]
+
+    def summary(self) -> str:
+        return (
+            f"teacher test AUC      {self.teacher_auc:.4f}\n"
+            f"distilled test AUC    {self.distilled_auc:.4f}"
+            f"  (gap {self.teacher_auc - self.distilled_auc:+.4f})\n"
+            f"fine-tuned test AUC   {self.finetuned_auc:.4f}\n"
+            f"KD loss on train set  {self.kd_train:.6f}\n"
+            f"wall time             {self.wall_time_s:.1f}s"
+        )
 
 
 def run_pipeline(
@@ -411,23 +416,53 @@ def run_pipeline(
     plan: DistillPlan,
     log_dir=None,
 ) -> PipelineResult:
-    """All three stages back to back, logging one JSONL file per stage."""
-    paths = {}
+    """Train the teacher, distill the student chunk by chunk, fine-tune it.
+
+    Log stems are ``teacher``, ``distill`` (``distill_phase1`` ...
+    ``distill_phase<k>`` for a k-chunk schedule) and ``finetune``; with
+    ``log_dir`` set, each stage writes ``<stem>_epochs.jsonl`` there.
+    """
+    t0 = time.perf_counter()
+    chunks = len(plan.distill_stages)
+    distill_stems = (
+        ["distill"] if chunks == 1 else [f"distill_phase{k}" for k in range(1, chunks + 1)]
+    )
+    log_paths: dict[str, Path] = {}
     if log_dir is not None:
         log_dir = Path(log_dir)
         log_dir.mkdir(parents=True, exist_ok=True)
-        for name in ("teacher", "distill", "finetune"):
-            paths[name] = log_dir / f"{name}_epochs.jsonl"
-    t_report = train_teacher(teacher, split, plan.teacher_stage, paths.get("teacher"))
-    d_report = distill_student(
-        student,
-        teacher,
-        split,
-        plan.distill_stage,
-        alpha=plan.alpha,
-        beta=plan.beta,
-        kd_space=plan.kd_space,
-        log_path=paths.get("distill"),
+        for stem in ("teacher", *distill_stems, "finetune"):
+            log_paths[stem] = log_dir / f"{stem}_epochs.jsonl"
+
+    reports = {
+        "teacher": train_teacher(teacher, split, plan.teacher_stage, log_paths.get("teacher"))
+    }
+    teacher_auc = evaluate(teacher, split.test).auc
+    for stem, stage in zip(distill_stems, plan.distill_stages):
+        reports[stem] = distill_student(
+            student,
+            teacher,
+            split,
+            stage,
+            alpha=plan.alpha,
+            beta=plan.beta,
+            kd_space=plan.kd_space,
+            log_path=log_paths.get(stem),
+        )
+    distilled_auc = evaluate(student, split.test).auc
+    kd_train = kd_loss(
+        predict_logits(teacher, split.train.indices),
+        predict_logits(student, split.train.indices),
     )
-    f_report = finetune_student(student, split, plan.finetune_stage, paths.get("finetune"))
-    return PipelineResult(t_report, d_report, f_report)
+    reports["finetune"] = finetune_student(
+        student, split, plan.finetune_stage, log_paths.get("finetune")
+    )
+    return PipelineResult(
+        reports=reports,
+        teacher_auc=teacher_auc,
+        distilled_auc=distilled_auc,
+        finetuned_auc=evaluate(student, split.test).auc,
+        kd_train=kd_train,
+        wall_time_s=time.perf_counter() - t0,
+        log_paths=log_paths,
+    )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import ConfigurationError, ParamStore, ShapeError, stable_sigmoid
+from .numcore import ConfigurationError, ParamStore, ShapeError, check_int, stable_sigmoid
 
 KINDS = ("basic-inner", "inner", "kernel", "outer")
 
@@ -107,16 +107,15 @@ class DagfmSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown interaction kind {self.kind!r}; pick from {KINDS}")
-        if self.num_fields < 2:
-            raise ConfigurationError(f"need at least 2 fields, got {self.num_fields}")
-        if self.embed_dim < 1:
-            raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.num_layers < 1:
-            raise ConfigurationError(f"need at least 1 propagation layer, got {self.num_layers}")
+        check_int("num_fields", self.num_fields, 2)
+        check_int("embed_dim", self.embed_dim, 1)
+        check_int("num_layers", self.num_layers, 1)
         if self.edges is not None:
             for j, i in self.edges:
-                if not (0 <= j <= i < self.num_fields):
-                    raise ConfigurationError(f"edge ({j}, {i}) is not forward-directed in range")
+                if type(j) is not int or type(i) is not int or not 0 <= j <= i < self.num_fields:
+                    raise ConfigurationError(
+                        f"edges: ({j!r}, {i!r}) is not a forward-directed int pair in range"
+                    )
             present = set(self.edges)
             for i in range(self.num_fields):
                 if (i, i) not in present:
@@ -449,10 +448,10 @@ class DagfmPlusSpec:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         if self.mlp_feed not in ("all-states", "final-state"):
             raise ConfigurationError(f"unknown mlp_feed {self.mlp_feed!r}")
-        if not self.mlp_hidden or any(h < 1 for h in self.mlp_hidden):
-            raise ConfigurationError(
-                f"mlp_hidden must name layers of width >= 1, got {self.mlp_hidden}"
-            )
+        if not self.mlp_hidden:
+            raise ConfigurationError("mlp_hidden must name at least one layer")
+        for h in self.mlp_hidden:
+            check_int("mlp_hidden width", h, 1)
 
     @property
     def num_fields(self) -> int:

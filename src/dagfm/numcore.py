@@ -37,6 +37,13 @@ class EvaluationError(RuntimeError):
     """A loss evaluation produced a non-finite value."""
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject anything but a plain ``int >= minimum`` (no bool, float, str or
+    numpy scalar, which would fail later or not serialise to JSON)."""
+    if type(value) is not int or value < minimum:
+        raise ConfigurationError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 def require_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise TrainingDivergenceError(f"non-finite values in '{name}'")

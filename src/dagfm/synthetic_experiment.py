@@ -20,21 +20,10 @@ Recipe notes, tuned once and then frozen:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import DatasetSplit, split_dataset
-from .distill import (
-    StageConfig,
-    TrainReport,
-    distill_student,
-    evaluate,
-    finetune_student,
-    kd_loss,
-    predict_logits,
-    train_teacher,
-)
+from .distill import DistillPlan, PipelineResult, StageConfig, run_pipeline
 from .interactions import DagfmModel, DagfmSpec
 from .synthetic import generate_planted_dataset
 from .teachers import CrossNetModel, CrossNetSpec
@@ -48,37 +37,15 @@ DATA_SEED = 0
 SPLIT_SEED = 42
 MODEL_SEED = 0
 
-TEACHER_STAGE = StageConfig(
-    epochs=16, lr=1e-3, batch_size=2048, patience=3, weight_decay=3e-4
+PLAN = DistillPlan(
+    teacher_stage=StageConfig(epochs=16, lr=1e-3, batch_size=2048, patience=3, weight_decay=3e-4),
+    # two distillation chunks = one schedule with a learning-rate drop
+    distill_stages=(
+        StageConfig(epochs=25, lr=3e-3, batch_size=2048, patience=0),
+        StageConfig(epochs=12, lr=1e-3, batch_size=2048, patience=0),
+    ),
+    finetune_stage=StageConfig(epochs=6, lr=1e-4, batch_size=2048, patience=3),
 )
-# two distillation chunks = one schedule with a learning-rate drop
-DISTILL_STAGES = (
-    StageConfig(epochs=25, lr=3e-3, batch_size=2048, patience=0),
-    StageConfig(epochs=12, lr=1e-3, batch_size=2048, patience=0),
-)
-FINETUNE_STAGE = StageConfig(epochs=6, lr=1e-4, batch_size=2048, patience=3)
-ALPHA, BETA = 1.0, 0.0
-
-
-@dataclass
-class ExperimentResult:
-    teacher_auc: float
-    distilled_auc: float
-    finetuned_auc: float
-    kd_train: float
-    wall_time_s: float
-    reports: dict[str, TrainReport] = field(default_factory=dict)
-    log_paths: dict[str, Path] = field(default_factory=dict)
-
-    def summary(self) -> str:
-        return (
-            f"teacher test AUC      {self.teacher_auc:.4f}\n"
-            f"distilled test AUC    {self.distilled_auc:.4f}"
-            f"  (gap {self.teacher_auc - self.distilled_auc:+.4f})\n"
-            f"fine-tuned test AUC   {self.finetuned_auc:.4f}\n"
-            f"KD loss on train set  {self.kd_train:.6f}\n"
-            f"wall time             {self.wall_time_s:.1f}s"
-        )
 
 
 def make_split() -> tuple[list[int], DatasetSplit]:
@@ -88,62 +55,18 @@ def make_split() -> tuple[list[int], DatasetSplit]:
     return schema.vocab_sizes(), split_dataset(dataset, seed=SPLIT_SEED)
 
 
-def run_experiment(log_dir: Path | str | None = None) -> ExperimentResult:
+def run_experiment(log_dir: Path | str | None = None) -> PipelineResult:
     """Run the full teacher -> distill -> fine-tune pipeline.
 
     With ``log_dir`` set, per-epoch JSONL reports are written there; they
     contain no timestamps, so two runs of this function produce
     byte-identical files.
     """
-    t0 = time.perf_counter()
-    log_dir = Path(log_dir) if log_dir is not None else None
-    paths: dict[str, Path] = {}
-    if log_dir is not None:
-        log_dir.mkdir(parents=True, exist_ok=True)
-        for stage in ("teacher", "distill_phase1", "distill_phase2", "finetune"):
-            paths[stage] = log_dir / f"{stage}_epochs.jsonl"
-
     vocab_sizes, split = make_split()
-    reports: dict[str, TrainReport] = {}
-
     teacher = CrossNetModel(
         CrossNetSpec(NUM_FIELDS, EMBED_DIM, DEPTH), vocab_sizes, seed=MODEL_SEED
     )
-    reports["teacher"] = train_teacher(
-        teacher, split, TEACHER_STAGE, log_path=paths.get("teacher")
-    )
-    teacher_auc = evaluate(teacher, split.test).auc
-
     student = DagfmModel(
         DagfmSpec("outer", NUM_FIELDS, EMBED_DIM, DEPTH), vocab_sizes, seed=MODEL_SEED
     )
-    for phase, stage in enumerate(DISTILL_STAGES, start=1):
-        reports[f"distill_phase{phase}"] = distill_student(
-            student,
-            teacher,
-            split,
-            stage,
-            alpha=ALPHA,
-            beta=BETA,
-            log_path=paths.get(f"distill_phase{phase}"),
-        )
-    distilled_auc = evaluate(student, split.test).auc
-    kd_train = kd_loss(
-        predict_logits(teacher, split.train.indices),
-        predict_logits(student, split.train.indices),
-    )
-
-    reports["finetune"] = finetune_student(
-        student, split, FINETUNE_STAGE, log_path=paths.get("finetune")
-    )
-    finetuned_auc = evaluate(student, split.test).auc
-
-    return ExperimentResult(
-        teacher_auc=teacher_auc,
-        distilled_auc=distilled_auc,
-        finetuned_auc=finetuned_auc,
-        kd_train=kd_train,
-        wall_time_s=time.perf_counter() - t0,
-        reports=reports,
-        log_paths=paths,
-    )
+    return run_pipeline(teacher, student, split, PLAN, log_dir)

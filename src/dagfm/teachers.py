@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interactions import EmbeddingTable, MlpTower, Model
-from .numcore import ConfigurationError
+from .numcore import ConfigurationError, check_int
 
 
 def upper_pairs(m: int) -> tuple[tuple[int, int], ...]:
@@ -42,12 +42,12 @@ class CinSpec:
     layer_sizes: tuple[int, ...] = (200, 200, 200)
 
     def __post_init__(self):
-        if self.num_fields < 2:
-            raise ConfigurationError(f"need at least 2 fields, got {self.num_fields}")
-        if self.embed_dim < 1:
-            raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if not self.layer_sizes or any(h < 1 for h in self.layer_sizes):
-            raise ConfigurationError(f"bad layer sizes {self.layer_sizes}")
+        check_int("num_fields", self.num_fields, 2)
+        check_int("embed_dim", self.embed_dim, 1)
+        if not self.layer_sizes:
+            raise ConfigurationError("layer_sizes must name at least one layer")
+        for h in self.layer_sizes:
+            check_int("layer_sizes width", h, 1)
 
     @property
     def num_layers(self) -> int:
@@ -140,12 +140,9 @@ class CrossNetSpec:
     num_layers: int = 3
 
     def __post_init__(self):
-        if self.num_fields < 2:
-            raise ConfigurationError(f"need at least 2 fields, got {self.num_fields}")
-        if self.embed_dim < 1:
-            raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.num_layers < 1:
-            raise ConfigurationError(f"need at least 1 layer, got {self.num_layers}")
+        check_int("num_fields", self.num_fields, 2)
+        check_int("embed_dim", self.embed_dim, 1)
+        check_int("num_layers", self.num_layers, 1)
 
     @property
     def width(self) -> int:
@@ -215,10 +212,8 @@ class FwfmSpec:
     embed_dim: int
 
     def __post_init__(self):
-        if self.num_fields < 2:
-            raise ConfigurationError(f"need at least 2 fields, got {self.num_fields}")
-        if self.embed_dim < 1:
-            raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        check_int("num_fields", self.num_fields, 2)
+        check_int("embed_dim", self.embed_dim, 1)
 
 
 @dataclass(frozen=True)
@@ -229,10 +224,8 @@ class FmfmSpec:
     embed_dim: int
 
     def __post_init__(self):
-        if self.num_fields < 2:
-            raise ConfigurationError(f"need at least 2 fields, got {self.num_fields}")
-        if self.embed_dim < 1:
-            raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        check_int("num_fields", self.num_fields, 2)
+        check_int("embed_dim", self.embed_dim, 1)
 
 
 class _PairwiseModel(Model):
@@ -333,12 +326,12 @@ class TinyMlpSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.num_fields < 2:
-            raise ConfigurationError(f"need at least 2 fields, got {self.num_fields}")
-        if self.embed_dim < 1:
-            raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ConfigurationError(f"hidden must name layers of width >= 1, got {self.hidden}")
+        check_int("num_fields", self.num_fields, 2)
+        check_int("embed_dim", self.embed_dim, 1)
+        if not self.hidden:
+            raise ConfigurationError("hidden must name at least one layer")
+        for h in self.hidden:
+            check_int("hidden width", h, 1)
         if self.activation not in ("relu", "tanh"):
             raise ConfigurationError(f"unknown activation {self.activation!r}")
 

@@ -1,8 +1,10 @@
 """Checkpoint format, INI config parsing, and the command-line interface."""
 
+import dataclasses
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +47,21 @@ ALL_SPECS = [
     FmfmSpec(3, 2),
     TinyMlpSpec(3, 2, hidden=(4,), activation="tanh"),
 ]
+
+
+def _bad_int_copies(spec, value):
+    """(field, changes) pairs: each set of changes puts ``value`` into one
+    integer field of ``spec``, the first element of an integer tuple, or the
+    first edge's source node."""
+    for f in dataclasses.fields(spec):
+        current = getattr(spec, f.name)
+        if type(current) is int:
+            yield f.name, {f.name: value}
+        elif isinstance(current, tuple) and current and type(current[0]) is int:
+            yield f.name, {f.name: (value, *current[1:])}
+        elif f.name == "edges" and current is not None:
+            (_, i), *rest = current
+            yield f.name, {f.name: ((value, i), *rest)}
 
 
 def _rewrite(path, edit):
@@ -93,7 +110,15 @@ CORRUPTIONS = {
     "shape-mismatch": (_first_entry(shape=[2, 3]), "shape"),
     "object-dtype": (_first_entry(dtype="|O"), "dtype"),
     "nan-weights": (_nan_first_weight, "non-finite"),
-    "string-num-fields": (_header_edit(lambda h: h["config"].update(num_fields="3")), "config"),
+    "string-num-fields": (
+        _header_edit(lambda h: h["config"].update(num_fields="3")), "config: num_fields"
+    ),
+    "nonpositive-vocab": (_header_edit(lambda h: h.update(vocab_sizes=[3, 0, 5])), "vocab_sizes"),
+    "float-vocab": (_header_edit(lambda h: h.update(vocab_sizes=[3, 4.0, 5])), "vocab_sizes"),
+    # three 2,000,000-row tables claimed by a file of a few hundred bytes
+    "oversized-vocab": (
+        _header_edit(lambda h: h.update(vocab_sizes=[2_000_000] * 3)), "embedding rows"
+    ),
     "v1-header": (_header_edit(lambda h: h.update(version=1)), "version"),
     "kind-mismatch": (_header_edit(lambda h: h.update(kind="cin")), "kind"),
 }
@@ -118,6 +143,15 @@ class TestSpecRoundTrip:
         # JSON turns tuples into lists; the rebuilt spec must stay hashable
         rebuilt = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert rebuilt == spec and hash(rebuilt) == hash(spec)
+
+    @pytest.mark.parametrize("value", [2.0, "3", True, np.int64(3)], ids=repr)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_integer_fields_reject_non_ints(self, spec, value):
+        cases = list(_bad_int_copies(spec, value))
+        assert cases
+        for name, changes in cases:
+            with pytest.raises(ConfigurationError, match=name):
+                dataclasses.replace(spec, **changes)
 
     def test_unknown_model_kind(self):
         with pytest.raises(CheckpointError):
@@ -225,6 +259,17 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match=pattern):
             load_checkpoint(path)
 
+    def test_oversized_vocab_is_rejected_before_allocating(self, tmp_path):
+        path = _corrupted(tmp_path, CORRUPTIONS["oversized-vocab"][0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="embedding rows"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_loaded_model_round_trips_plus_variant(self, tmp_path, rng):
         spec = DagfmPlusSpec(DagfmSpec("outer", 3, 2, 2), mlp_hidden=(6,))
         model = DagfmPlusModel(spec, VOCAB, seed=4)
@@ -295,7 +340,8 @@ class TestConfig:
         assert cfg.plan.beta == 0.1
         assert cfg.plan.teacher_stage.epochs == 3
         assert cfg.plan.teacher_stage.lr == 0.01
-        assert cfg.plan.distill_stage.patience == 0
+        (distill_stage,) = cfg.plan.distill_stages
+        assert distill_stage.patience == 0
         assert cfg.plan.finetune_stage.weight_decay == 1e-4
 
     def test_empty_config_is_all_defaults(self):

@@ -114,6 +114,9 @@ class TestConfigs:
             dict(epochs=1, lr=1e-3, batch_size=0),
             dict(epochs=1, lr=1e-3, patience=-1),
             dict(epochs=1, lr=1e-3, weight_decay=-1e-4),
+            dict(epochs=2.0, lr=1e-3),
+            dict(epochs=1, lr=1e-3, batch_size=True),
+            dict(epochs=1, lr=1e-3, patience=np.int64(3)),
         ],
     )
     def test_stage_validation(self, kwargs):
@@ -122,12 +125,19 @@ class TestConfigs:
 
     def test_plan_validation(self):
         stage = StageConfig(epochs=1, lr=1e-3)
-        with pytest.raises(ConfigurationError):
-            DistillPlan(stage, stage, stage, alpha=0.0, beta=0.0)
-        with pytest.raises(ConfigurationError):
-            DistillPlan(stage, stage, stage, alpha=-1.0)
-        with pytest.raises(ConfigurationError):
-            DistillPlan(stage, stage, stage, kd_space="banana")
+        with pytest.raises(ConfigurationError, match="both be zero"):
+            DistillPlan(stage, (stage,), stage, alpha=0.0, beta=0.0)
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            DistillPlan(stage, (stage,), stage, alpha=-1.0)
+        with pytest.raises(ConfigurationError, match="kd space"):
+            DistillPlan(stage, (stage,), stage, kd_space="banana")
+
+    def test_plan_needs_a_schedule_of_stages(self):
+        stage = StageConfig(epochs=1, lr=1e-3)
+        # empty, a bare stage, a list, and a tuple holding a non-stage
+        for bad in ((), stage, [stage, stage], (stage, 3)):
+            with pytest.raises(ConfigurationError, match="distill_stages"):
+                DistillPlan(stage, bad, stage)
 
     def test_epoch_record_dict(self):
         rec = EpochRecord(3, 0.5, 0.8, 0.45)
@@ -156,21 +166,6 @@ class TestPredict:
         vocab_sizes, _ = tiny
         model = fresh_student(vocab_sizes)
         assert predict_logits(model, np.zeros((0, 4), dtype=np.int64)).shape == (0,)
-
-    def test_thread_sharding_is_order_preserving(self, tiny, monkeypatch):
-        vocab_sizes, split = tiny
-        model = fresh_student(vocab_sizes)
-        idx = split.val.indices[:64]
-        solo = predict_logits(model, idx, batch_size=16)
-        monkeypatch.setenv("DAGFM_THREADS", "3")
-        assert np.array_equal(predict_logits(model, idx, batch_size=16), solo)
-
-    def test_bad_thread_env(self, tiny, monkeypatch):
-        vocab_sizes, split = tiny
-        model = fresh_student(vocab_sizes)
-        monkeypatch.setenv("DAGFM_THREADS", "lots")
-        with pytest.raises(ConfigurationError):
-            predict_logits(model, split.val.indices[:8])
 
     def test_evaluate_matches_metrics(self, tiny):
         from dagfm.metrics import auc, logloss
@@ -391,29 +386,65 @@ class TestPipeline:
         vocab_sizes, split = tiny
         plan = DistillPlan(
             teacher_stage=StageConfig(epochs=2, lr=0.03, batch_size=256, patience=0),
-            distill_stage=StageConfig(epochs=2, lr=0.02, batch_size=256, patience=0),
+            distill_stages=(StageConfig(epochs=2, lr=0.02, batch_size=256, patience=0),),
             finetune_stage=StageConfig(epochs=1, lr=0.003, batch_size=256, patience=0),
         )
         teacher = CrossNetModel(CrossNetSpec(4, 4, 2), vocab_sizes, seed=2)
         student = fresh_student(vocab_sizes)
         result = run_pipeline(teacher, student, split, plan, log_dir=tmp_path)
-        assert (result.teacher.stage, result.distill.stage, result.finetune.stage) == (
-            "teacher",
-            "distill",
-            "finetune",
-        )
-        for name, report in (
-            ("teacher", result.teacher),
-            ("distill", result.distill),
-            ("finetune", result.finetune),
-        ):
+        assert list(result.reports) == ["teacher", "distill", "finetune"]
+        for name, report in result.reports.items():
+            assert report.stage == name
             path = tmp_path / f"{name}_epochs.jsonl"
+            assert result.log_paths[name] == path
             lines = path.read_text().splitlines()
             assert len(lines) == len(report.epochs)
             for lineno, line in enumerate(lines, start=1):
                 payload = json.loads(line)
                 assert set(payload) == {"epoch", "loss", "val_auc", "val_logloss"}
                 assert payload["epoch"] == lineno
+
+    def test_run_pipeline_equals_the_stages_called_by_hand(self, tiny, tmp_path):
+        vocab_sizes, split = tiny
+        teacher_stage = StageConfig(epochs=2, lr=0.03, batch_size=256, patience=0)
+        chunks = (
+            StageConfig(epochs=2, lr=0.02, batch_size=256, patience=0),
+            StageConfig(epochs=1, lr=0.005, batch_size=256, patience=0, shuffle_seed=5),
+        )
+        finetune_stage = StageConfig(epochs=1, lr=0.003, batch_size=256, patience=0)
+        plan = DistillPlan(teacher_stage, chunks, finetune_stage, alpha=1.0, beta=0.5)
+        teacher = CrossNetModel(CrossNetSpec(4, 4, 2), vocab_sizes, seed=2)
+        student = fresh_student(vocab_sizes)
+        result = run_pipeline(teacher, student, split, plan, log_dir=tmp_path / "pipeline")
+
+        by_hand = tmp_path / "by_hand"
+        by_hand.mkdir()
+        h_teacher = CrossNetModel(CrossNetSpec(4, 4, 2), vocab_sizes, seed=2)
+        h_student = fresh_student(vocab_sizes)
+        train_teacher(h_teacher, split, teacher_stage, by_hand / "teacher_epochs.jsonl")
+        teacher_auc = evaluate(h_teacher, split.test).auc
+        for phase, stage in enumerate(chunks, start=1):
+            distill_student(h_student, h_teacher, split, stage, alpha=1.0, beta=0.5,
+                            log_path=by_hand / f"distill_phase{phase}_epochs.jsonl")
+        distilled_auc = evaluate(h_student, split.test).auc
+        kd_train = kd_loss(predict_logits(h_teacher, split.train.indices),
+                           predict_logits(h_student, split.train.indices))
+        finetune_student(h_student, split, finetune_stage, by_hand / "finetune_epochs.jsonl")
+
+        stems = ["teacher", "distill_phase1", "distill_phase2", "finetune"]
+        assert list(result.reports) == stems
+        assert sorted(p.name for p in (tmp_path / "pipeline").iterdir()) == sorted(
+            p.name for p in by_hand.iterdir()
+        )
+        for stem in stems:
+            name = f"{stem}_epochs.jsonl"
+            assert (tmp_path / "pipeline" / name).read_bytes() == (by_hand / name).read_bytes()
+        assert store_bytes(student) == store_bytes(h_student)
+        assert store_bytes(teacher) == store_bytes(h_teacher)
+        assert result.teacher_auc == teacher_auc
+        assert result.distilled_auc == distilled_auc
+        assert result.kd_train == kd_train
+        assert result.finetuned_auc == evaluate(h_student, split.test).auc
 
     def test_stage_logs_are_byte_identical_across_runs(self, tiny, tmp_path):
         vocab_sizes, split = tiny
