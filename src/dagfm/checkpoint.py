@@ -198,5 +198,5 @@ def load_checkpoint(path):
             arr = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(model.store[name].shape)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"non-finite weights in parameter {name!r}")
-            model.store.set(name, arr.astype(model.store.dtype))
+            model.store.set(name, arr)
     return model

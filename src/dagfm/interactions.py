@@ -12,6 +12,13 @@ where ``phi`` is one of four combiners: plain elementwise product
 which costs O(d) per edge instead of O(d^2)). Every state set is sum-pooled
 per node and a linear head maps the concatenated pooled vector to a logit.
 
+Parameters are stored compactly, one row per edge. Each layer scatters them
+into a dense (m, m, ...) array, zero off the edge list, and runs as batched
+BLAS GEMMs (``np.matmul``): per source node and then per target node for
+``outer``, per embedding dim for ``inner``, one (B, m*d) x (m*d, m*d) product
+for ``kernel`` and the transposed adjacency matrix for ``basic-inner``. The
+per-pair ``phi_*`` functions are the reference the layers are tested against.
+
 With identity-valued weights and the full lower-triangular edge set, node
 ``i`` at layer ``t`` is exactly the sum of all order-``t`` products of
 embeddings whose largest field index is ``i``; the ``oracle`` module checks
@@ -157,6 +164,7 @@ class EmbeddingTable:
             name = f"{prefix}.f{i}"
             store.add(name, rng.normal(scale=EMBED_INIT_STD, size=(rows, dim)))
             self.names.append(name)
+        self._rows = np.array(self.vocab_sizes)
 
     @property
     def num_fields(self) -> int:
@@ -166,24 +174,30 @@ class EmbeddingTable:
         idx = np.asarray(idx)
         if idx.ndim != 2 or idx.shape[1] != self.num_fields:
             raise ShapeError(f"index matrix must be (batch, {self.num_fields}), got {idx.shape}")
+        bad = (idx < 0) | (idx >= self._rows)
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            raise IndexError(
+                f"field {i}: index {idx[bad[:, i], i][0]} outside vocab range "
+                f"[0, {self._rows[i]})"
+            )
         out = np.empty((idx.shape[0], self.num_fields, self.dim), dtype=self.store.dtype)
         for i, name in enumerate(self.names):
-            table = self.store[name]
-            col = idx[:, i]
-            if col.size and (col.min() < 0 or col.max() >= table.shape[0]):
-                bad = col[(col < 0) | (col >= table.shape[0])][0]
-                raise IndexError(
-                    f"field {i}: index {bad} outside vocab range [0, {table.shape[0]})"
-                )
-            out[:, i, :] = table[col]
+            out[:, i, :] = self.store[name][idx[:, i]]
         return out
 
     def grads(self, idx: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
+        """Scatter-add ``d_emb`` into row gradients of the trainable tables;
+        frozen tables get none (``adam_step`` would ignore them)."""
+        d = self.dim
         out = {}
         for i, name in enumerate(self.names):
-            g = np.zeros_like(self.store[name])
-            np.add.at(g, idx[:, i], d_emb[:, i, :])
-            out[name] = g
+            if not self.store.is_trainable(name):
+                continue
+            rows = self._rows[i]
+            flat = (idx[:, i, None] * d + np.arange(d)).ravel()
+            g = np.bincount(flat, weights=d_emb[:, i, :].ravel(), minlength=rows * d)
+            out[name] = g.reshape(rows, d).astype(self.store.dtype, copy=False)
         return out
 
 
@@ -282,17 +296,15 @@ class DagfmModel(Model):
                 self.store.add(f"dag.q{t}", rng.normal(scale=scale, size=(P, d)))
         self.store.add("head.w", np.zeros(m * spec.num_states))
         self.store.add("head.b", np.zeros(1))
-        maskf = np.zeros((m, m))
-        maskf[self._jj, self._ii] = 1.0
-        self._maskf = maskf
         self._cache = None
 
-    # -- weight scatter helpers ------------------------------------------------
+    # -- weight scatter helper --------------------------------------------------
 
-    def _dense(self, compact: np.ndarray) -> np.ndarray:
-        m = self.num_fields
-        dense = np.zeros((m, m, *compact.shape[1:]), dtype=self.store.dtype)
-        dense[self._jj, self._ii] = compact
+    def _scatter(self, shape, index, values) -> np.ndarray:
+        """Zeros of ``shape`` with the per-edge ``values`` written at ``index``:
+        compact edge weights laid out for the GEMMs (zero off the edge list)."""
+        dense = np.zeros(shape, dtype=self.store.dtype)
+        dense[index] = values
         return dense
 
     def set_identity_edge_weights(self) -> None:
@@ -323,27 +335,40 @@ class DagfmModel(Model):
             raise ConfigurationError(
                 f"layer index {t} out of range [0, {self.dag.num_layers})"
             )
-        agg, _ = self._aggregate(states_t, t)
+        agg, _ = self._aggregate(np.asarray(states_t, dtype=self.store.dtype), t)
         return agg * initial
 
     def _aggregate(self, h: np.ndarray, t: int):
+        """``agg[b, i] = sum over edges j -> i of phi(h[b, j], .)`` without the
+        final ``* e_i``, as batched GEMMs. Returns ``(agg, cache)``; the cache
+        holds what the backward GEMMs read, in the layout they read it."""
+        B, m, d = h.shape
+        jj, ii = self._jj, self._ii
         kind = self.dag.kind
         if kind == "basic-inner":
-            agg = np.einsum("bjd,ji->bid", h, self._maskf)
-            return agg, None
+            A = self._scatter((m, m), (jj, ii), 1.0)  # A[j, i] = 1 on an edge
+            return A.T @ h, A
         if kind == "inner":
-            Wd = self._dense(self.store[f"dag.w{t}"])
-            agg = np.einsum("bjd,jid->bid", h, Wd)
-            return agg, Wd
+            # one (B, m) x (m, m) GEMM per embedding dim e
+            W = self._scatter((d, m, m), (slice(None), jj, ii), self.store[f"dag.w{t}"].T)
+            agg = np.matmul(np.ascontiguousarray(h.transpose(2, 0, 1)), W)  # (e, B, i)
+            return agg.transpose(1, 2, 0), W
         if kind == "kernel":
-            Kd = self._dense(self.store[f"dag.K{t}"])
-            agg = np.einsum("bjd,jide->bie", h, Kd, optimize=True)
-            return agg, Kd
-        pd = self._dense(self.store[f"dag.p{t}"])
-        qd = self._dense(self.store[f"dag.q{t}"])
-        S = np.einsum("bjd,jid->bji", h, pd)
-        agg = np.einsum("bji,jie->bie", S, qd)
-        return agg, (pd, qd, S)
+            # one (B, m*d) x (m*d, m*d) GEMM: rows are (j, d), columns (i, e)
+            K = self._scatter((m, d, m, d), (jj, slice(None), ii), self.store[f"dag.K{t}"])
+            K = K.reshape(m * d, m * d)
+            return (h.reshape(B, m * d) @ K).reshape(B, m, d), K
+        p = self._scatter((m, m, d), (jj, ii), self.store[f"dag.p{t}"])  # p[j, i]
+        q = self._scatter((m, m, d), (ii, jj), self.store[f"dag.q{t}"])  # q[i, j]
+        # S[i, j, b] = h[b, j] . p[j, i]: per source j a (B, d) x (d, m) GEMM,
+        # written with the batch axis innermost so that both the per-target
+        # GEMM below and the backward GEMMs read S without a copy
+        S = np.empty((m, m, B), dtype=h.dtype)
+        np.matmul(h.transpose(1, 0, 2), p.transpose(0, 2, 1), out=S.transpose(1, 2, 0))
+        # agg[b, i] = sum_j S[i, j, b] q[i, j]: per target i a (B, m) x (m, d) GEMM
+        agg = np.empty_like(h)
+        np.matmul(S.transpose(0, 2, 1), q, out=agg.transpose(1, 0, 2))
+        return agg, (p, q, S)
 
     def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
         E = self.embedding.lookup(idx)
@@ -378,51 +403,55 @@ class DagfmModel(Model):
             "head.b": np.array([dlogits.sum()], dtype=self.store.dtype),
         }
         dpool = (dlogits[:, None] * self.store["head.w"][None, :]).reshape(
-            B, self.dag.num_states, m
+            B, self.dag.num_states, m, 1
         )
-        dstates = [
-            np.repeat(dpool[:, t, :, None], d, axis=2) for t in range(self.dag.num_states)
-        ]
-        if extra_dstates is not None:
-            for t, extra in enumerate(extra_dstates):
-                if extra is not None:
-                    dstates[t] += extra
+        if extra_dstates is None:
+            extra_dstates = [None] * self.dag.num_states
+
+        def dstate(t, dh):
+            # d(loss)/d(state t): the head's share broadcast over d, plus the
+            # share that flows back from layer t (dh) and from a wrapper
+            out = dpool[:, t] if dh is None else dh + dpool[:, t]
+            return out if extra_dstates[t] is None else out + extra_dstates[t]
+
+        dh = dstate(self.dag.num_layers, None)
         dE = np.zeros_like(E)
         for t in range(self.dag.num_layers - 1, -1, -1):
-            dh_next = dstates[t + 1]
             agg, cache = layer_caches[t]
-            dU = dh_next * E
-            dE += dh_next * agg
-            self._aggregate_backward(t, states[t], dU, cache, dstates[t], grads)
-        dE += dstates[0]
+            dE += dh * agg
+            dh = dstate(t, self._aggregate_backward(t, states[t], dh * E, cache, grads))
+        dE += dh
         grads.update(self.embedding.grads(idx, dE))
         return grads
 
-    def _aggregate_backward(self, t, h, dU, cache, dh_out, grads) -> None:
-        kind = self.dag.kind
+    def _aggregate_backward(self, t, h, dU, cache, grads) -> np.ndarray:
+        """Store the edge-weight gradients of layer ``t`` and return
+        d(loss)/d(h), given ``dU`` = d(loss)/d(agg)."""
+        B, m, d = h.shape
         jj, ii = self._jj, self._ii
+        kind = self.dag.kind
         if kind == "basic-inner":
-            dh_out += np.einsum("bid,ji->bjd", dU, self._maskf)
-            return
+            return cache @ dU
         if kind == "inner":
-            Wd = cache
-            dh_out += np.einsum("bid,jid->bjd", dU, Wd)
-            dWd = np.einsum("bjd,bid->jid", h, dU)
-            grads[f"dag.w{t}"] = dWd[jj, ii]
-            return
+            W = cache
+            dU_e = np.ascontiguousarray(dU.transpose(2, 0, 1))  # (e, B, i)
+            h_e = np.ascontiguousarray(h.transpose(2, 0, 1))  # (e, B, j)
+            dW = np.matmul(h_e.transpose(0, 2, 1), dU_e)  # (e, j, i)
+            grads[f"dag.w{t}"] = dW[:, jj, ii].T
+            return np.matmul(dU_e, W.transpose(0, 2, 1)).transpose(1, 2, 0)
         if kind == "kernel":
-            Kd = cache
-            dh_out += np.einsum("bie,jide->bjd", dU, Kd, optimize=True)
-            dKd = np.einsum("bjd,bie->jide", h, dU, optimize=True)
-            grads[f"dag.K{t}"] = dKd[jj, ii]
-            return
-        pd, qd, S = cache
-        dS = np.einsum("bie,jie->bji", dU, qd)
-        dqd = np.einsum("bji,bie->jie", S, dU)
-        dh_out += np.einsum("bji,jid->bjd", dS, pd)
-        dpd = np.einsum("bji,bjd->jid", dS, h)
-        grads[f"dag.p{t}"] = dpd[jj, ii]
-        grads[f"dag.q{t}"] = dqd[jj, ii]
+            K = cache
+            dU2 = dU.reshape(B, m * d)
+            dK = (h.reshape(B, m * d).T @ dU2).reshape(m, d, m, d)
+            grads[f"dag.K{t}"] = dK[jj, :, ii]
+            return (dU2 @ K.T).reshape(B, m, d)
+        p, q, S = cache
+        dS = np.matmul(q, dU.transpose(1, 2, 0))  # dS[i, j, b] = q[i, j] . dU[b, i]
+        grads[f"dag.q{t}"] = np.matmul(S, dU.transpose(1, 0, 2))[ii, jj]  # (i, j, e)
+        grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h.transpose(1, 0, 2))[jj, ii]
+        dh = np.empty_like(h)
+        np.matmul(dS.transpose(1, 2, 0), p, out=dh.transpose(1, 0, 2))  # per source j
+        return dh
 
 
 # ---------------------------------------------------------------------------

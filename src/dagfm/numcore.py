@@ -96,8 +96,10 @@ class ParamStore:
         return self._values[name]
 
     def set(self, name: str, value: np.ndarray) -> None:
+        """Replace a parameter's value with a copy of ``value``, so the
+        store never shares an array with its caller (or another store)."""
         cur = self._values[name]
-        arr = np.ascontiguousarray(value, dtype=self.dtype)
+        arr = np.array(value, dtype=self.dtype, order="C")
         if arr.shape != cur.shape:
             raise ShapeError(
                 f"parameter '{name}': expected shape {cur.shape}, got {arr.shape}"

@@ -75,54 +75,63 @@ class CinModel(Model):
         self.store.add("head.b", np.zeros(1))
         self._cache = None
 
+    # Feature maps are kept embedding-dim-major, (d, B, H): layer k is one
+    # GEMM per embedding dim e, (B, H_prev*m) x (H_prev*m, H), over the pair
+    # products Z_e[b, i*m + j] = x^{k-1}[b, i, e] * x^0[b, j, e]. Backward takes
+    # dW from one GEMM over Z_e and dZ_e from another, then contracts dZ_e
+    # with each input as batched matrix-vector products. Z_e and dZ_e are
+    # formed one e at a time, so no intermediate grows past B*H_prev*m.
+
+    @staticmethod
+    def _pairs(prev_e: np.ndarray, E_e: np.ndarray) -> np.ndarray:
+        return prev_e[:, :, None] * E_e[:, None, :]
+
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
         B, m, d = E.shape
-        maps = [E]
+        E_d = np.ascontiguousarray(E.transpose(2, 0, 1))  # (d, B, m)
+        maps = [E_d]
         for k in range(self.spec.num_layers):
             W = self.store[f"cin.W{k}"]
+            W2 = W.reshape(W.shape[0], -1)
             prev = maps[-1]
-            nxt = np.empty((B, W.shape[0], d), dtype=self.store.dtype)
-            # slice over the embedding axis to keep the (B, H, m) intermediate small
+            nxt = np.empty((d, B, W.shape[0]), dtype=self.store.dtype)
             for e in range(d):
-                A = np.einsum("bi,hij->bhj", prev[:, :, e], W)
-                nxt[:, :, e] = np.einsum("bhj,bj->bh", A, E[:, :, e])
+                np.matmul(self._pairs(prev[e], E_d[e]).reshape(B, -1), W2.T, out=nxt[e])
             maps.append(nxt)
-        feats = np.concatenate([x.sum(axis=2) for x in maps[1:]], axis=1)
+        feats = np.concatenate([x.sum(axis=0) for x in maps[1:]], axis=1)
         logits = feats @ self.store["head.w"] + self.store["head.b"][0]
-        self._cache = (np.asarray(idx), E, maps, feats)
+        self._cache = (np.asarray(idx), maps, feats)
         return logits
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, E, maps, feats = self._cache
-        B, m, d = E.shape
+        idx, maps, feats = self._cache
+        E_d = maps[0]
+        d, B, m = E_d.shape
         dlogits = np.asarray(dlogits, dtype=self.store.dtype)
         grads = {
             "head.w": feats.T @ dlogits,
             "head.b": np.array([dlogits.sum()], dtype=self.store.dtype),
         }
         dfeat = dlogits[:, None] * self.store["head.w"][None, :]
-        sizes = self.spec.layer_sizes
-        offsets = np.cumsum((0, *sizes))
+        offsets = np.cumsum((0, *self.spec.layer_sizes))
         d_maps = [np.zeros_like(x) for x in maps]
         for k in range(self.spec.num_layers):
-            span = dfeat[:, offsets[k] : offsets[k + 1]]
-            d_maps[k + 1] += span[:, :, None]
-        dE = np.zeros_like(E)
+            d_maps[k + 1] += dfeat[:, offsets[k] : offsets[k + 1]]
+        dE = d_maps[0]  # the embeddings are map 0
         for k in range(self.spec.num_layers - 1, -1, -1):
             W = self.store[f"cin.W{k}"]
+            W2 = W.reshape(W.shape[0], -1)  # rows h, columns (i, j)
             prev = maps[k]
-            dW = np.zeros_like(W)
+            dW2 = np.zeros_like(W2)
             for e in range(d):
-                dn_e = d_maps[k + 1][:, :, e]
-                M = np.einsum("bh,bj->bhj", dn_e, E[:, :, e])
-                dW += np.einsum("bhj,bi->hij", M, prev[:, :, e])
-                A = np.einsum("bh,hij->bij", dn_e, W)
-                d_maps[k][:, :, e] += np.einsum("bij,bj->bi", A, E[:, :, e])
-                dE[:, :, e] += np.einsum("bij,bi->bj", A, prev[:, :, e])
-            grads[f"cin.W{k}"] = dW
-        dE += d_maps[0]
-        grads.update(self.embedding.grads(idx, dE))
+                dn = d_maps[k + 1][e]
+                dW2 += dn.T @ self._pairs(prev[e], E_d[e]).reshape(B, -1)
+                dZ = (dn @ W2).reshape(B, -1, m)  # d(loss)/d(pair products)
+                d_maps[k][e] += (dZ @ E_d[e][:, :, None])[:, :, 0]
+                dE[e] += (prev[e][:, None, :] @ dZ)[:, 0, :]
+            grads[f"cin.W{k}"] = dW2.reshape(W.shape)
+        grads.update(self.embedding.grads(idx, dE.transpose(1, 2, 0)))
         return grads
 
 

@@ -446,6 +446,29 @@ class TestPipeline:
         assert result.kd_train == kd_train
         assert result.finetuned_auc == evaluate(h_student, split.test).auc
 
+    def test_run_pipeline_leaves_the_trained_teacher_untouched(self, tiny, monkeypatch):
+        vocab_sizes, split = tiny
+        plan = DistillPlan(
+            teacher_stage=StageConfig(epochs=2, lr=0.03, batch_size=256, patience=0),
+            distill_stages=(StageConfig(epochs=1, lr=0.02, batch_size=256, patience=0),),
+            finetune_stage=StageConfig(epochs=2, lr=0.01, batch_size=256, patience=0),
+        )
+        trained = {}
+
+        def recording_train_teacher(model, *args, **kwargs):
+            report = train_teacher(model, *args, **kwargs)
+            trained.update(store_bytes(model))
+            return report
+
+        monkeypatch.setattr("dagfm.distill.train_teacher", recording_train_teacher)
+        teacher = CrossNetModel(CrossNetSpec(4, 4, 2), vocab_sizes, seed=2)
+        student = fresh_student(vocab_sizes)
+        run_pipeline(teacher, student, split, plan)
+        assert store_bytes(teacher) == trained
+        for sn, tn in zip(student.embedding_names(), teacher.embedding_names()):
+            assert student.store[sn] is not teacher.store[tn]
+            assert student.store.value_bytes(sn) != teacher.store.value_bytes(tn)
+
     def test_stage_logs_are_byte_identical_across_runs(self, tiny, tmp_path):
         vocab_sizes, split = tiny
         blobs = []

@@ -226,6 +226,29 @@ class TestPropagation:
         with pytest.raises(IndexError):
             model.forward(bad)
 
+    @pytest.mark.parametrize("rows,message", [
+        ([[0, 0, 1], [0, 5, 7]], r"field 1: index 5 outside vocab range \[0, 5\)"),
+        ([[0, 0, 9], [-2, 9, 9]], r"field 0: index -2 outside vocab range \[0, 3\)"),
+        ([[0, 4, 8], [0, 4, 9]], r"field 2: index 9 outside vocab range \[0, 9\)"),
+    ])
+    def test_out_of_range_index_names_field_and_index(self, rows, message):
+        model = DagfmModel(DagfmSpec("inner", 3, 2, 1), [3, 5, 9])
+        with pytest.raises(IndexError, match=message):
+            model.embedding.lookup(np.array(rows))
+
+    def test_embedding_grads_scatter_add_trainable_tables_only(self, rng):
+        vocab = [3, 7, 2, 9]
+        model = DagfmModel(DagfmSpec("outer", 4, 3, 1), vocab, seed=0)
+        idx = np.stack([rng.integers(0, v, size=200) for v in vocab], axis=1)
+        d_emb = rng.normal(size=(200, 4, 3))
+        model.store.freeze("emb.f1", "emb.f3")
+        grads = model.embedding.grads(idx, d_emb)
+        assert sorted(grads) == ["emb.f0", "emb.f2"]
+        for i in (0, 2):
+            expected = np.zeros((vocab[i], 3))
+            np.add.at(expected, idx[:, i], d_emb[:, i])
+            np.testing.assert_array_equal(grads[f"emb.f{i}"], expected)
+
     def test_outer_identity_only_at_d1(self):
         model = DagfmModel(DagfmSpec("outer", 3, 2, 1), [2] * 3)
         with pytest.raises(ConfigurationError):
@@ -272,6 +295,64 @@ class TestDagfmGradients:
             return loss, model.backward(dlogits)
 
         assert grad_check(fn, model.store) < 1e-4
+
+
+def loop_propagate(model, h, E, t):
+    """One propagation step as a per-edge, per-row Python loop over the
+    single-pair combiners: ``sum over edges j -> i of phi(h[b, j], e_i)``."""
+    kind, store = model.dag.kind, model.store
+    out = np.zeros_like(h)
+    for p, (j, i) in enumerate(model.dag.pairs()):
+        for b in range(h.shape[0]):
+            if kind == "basic-inner":
+                v = phi_basic_inner(h[b, j], E[b, i])
+            elif kind == "inner":
+                v = phi_inner(h[b, j], E[b, i], store[f"dag.w{t}"][p])
+            elif kind == "kernel":
+                v = phi_kernel(h[b, j], E[b, i], store[f"dag.K{t}"][p])
+            else:
+                v = phi_outer(h[b, j], E[b, i], store[f"dag.p{t}"][p], store[f"dag.q{t}"][p])
+            out[b, i] += v
+    return out
+
+
+def sparse_edges(m, rng, keep=0.3):
+    """A random edge list over ``m`` fields that keeps every self-edge."""
+    return tuple(
+        (j, i) for j, i in full_dag_pairs(m) if j == i or rng.random() < keep
+    )
+
+
+class TestPropagateAgainstEdgeLoop:
+    """The GEMM aggregate against the per-edge loop, far beyond the m <= 5
+    the enumeration oracle reaches, on the full DAG and on sparse edge lists."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_m39(self, kind, sparse, rng):
+        m, d, B = 39, 4, 3
+        edges = sparse_edges(m, rng) if sparse else None
+        model = DagfmModel(DagfmSpec(kind, m, d, 2, edges=edges), [2] * m, seed=4)
+        perturb_params(model, rng)
+        E = rng.normal(size=(B, m, d))
+        h = rng.normal(size=(B, m, d))
+        for t in range(2):
+            np.testing.assert_allclose(
+                model.propagate(h, E, t), loop_propagate(model, h, E, t),
+                rtol=1e-12, atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sparse_edge_gradients(self, kind, rng):
+        m = 6
+        model = DagfmModel(
+            DagfmSpec(kind, m, 3, 2, edges=sparse_edges(m, rng, keep=0.5)), [3] * m, seed=8
+        )
+        assert not model.dag.is_full_dag
+        perturb_params(model, rng)
+        idx = rng.integers(0, 3, size=(5, m))
+        targets = rng.normal(size=5)
+        assert grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng) < 1e-4
 
 
 class TestDagfmPlus:

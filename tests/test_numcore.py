@@ -39,6 +39,18 @@ class TestParamStore:
         with pytest.raises(ShapeError):
             store.set("a", np.zeros(3))
 
+    def test_set_copies_the_value(self):
+        store = make_store(a=[1.0, 2.0])
+        value = np.array([3.0, 4.0])
+        store.set("a", value)
+        assert store["a"] is not value
+        value[0] = 99.0
+        assert np.array_equal(store["a"], [3.0, 4.0])
+        other = make_store(a=[0.0, 0.0])
+        other.set("a", store["a"])  # same dtype and layout: still a copy
+        store["a"][1] = -1.0
+        assert np.array_equal(other["a"], [3.0, 4.0])
+
     def test_freeze_unfreeze(self):
         store = make_store(a=1.0, b=2.0)
         store.freeze("a")

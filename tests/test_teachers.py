@@ -111,6 +111,38 @@ class TestCin:
         err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
         assert err < 1e-5
 
+    @staticmethod
+    def naive_logits(model, idx):
+        """CIN by its defining triple sum, one (h, i, j) term at a time."""
+        E = model.embedding.lookup(idx)
+        maps, feats = [E], []
+        for k in range(model.spec.num_layers):
+            W, prev = model.store[f"cin.W{k}"], maps[-1]
+            nxt = np.zeros((len(idx), W.shape[0], E.shape[2]))
+            for h in range(W.shape[0]):
+                for i in range(W.shape[1]):
+                    for j in range(W.shape[2]):
+                        nxt[:, h] += W[h, i, j] * prev[:, i] * E[:, j]
+            maps.append(nxt)
+            feats.append(nxt.sum(axis=2))
+        return np.concatenate(feats, axis=1) @ model.store["head.w"] + model.store["head.b"][0]
+
+    def test_matches_triple_sum_reference(self, rng):
+        model = CinModel(CinSpec(9, 4, (7, 5)), [5] * 9, seed=6)
+        perturb_params(model, rng)
+        idx = rng.integers(0, 5, size=(6, 9))
+        np.testing.assert_allclose(
+            model.forward(idx), self.naive_logits(model, idx), rtol=1e-12, atol=1e-12
+        )
+
+    def test_gradients_at_reference_size(self, rng):
+        model = CinModel(CinSpec(9, 4, (7, 5)), [5] * 9, seed=6)
+        perturb_params(model, rng)
+        idx = rng.integers(0, 5, size=(6, 9))
+        targets = rng.normal(size=6)
+        err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
+        assert err < 1e-4
+
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             CinSpec(1, 2, (3,))
