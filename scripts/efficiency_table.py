@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Print a parameter/FLOPs/latency comparison table across all model families.
+"""Print a parameter/FLOPs comparison table across all model families.
 
-Builds each model at a production-like size (default m=39 fields, d=16
-embedding dims, as in large CTR benchmarks) and reports non-embedding
-parameters, per-instance forward FLOPs, and optionally measured
-single-instance latency.
+Takes each model family at a production-like size (default m=39 fields,
+d=16 embedding dims, as in large CTR benchmarks) and reports its closed-form
+non-embedding parameters and per-instance forward FLOPs. Measured time is
+the job of the ``perfbench/`` harness.
 
 Example:
-    python3 scripts/efficiency_table.py --latency --iterations 200
+    python3 scripts/efficiency_table.py --fields 39 --embed-dim 16
 """
 
 import argparse
@@ -16,9 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dagfm.checkpoint import build_model
 from dagfm.interactions import DagfmPlusSpec, DagfmSpec
-from dagfm.metrics import efficiency_report
+from dagfm.metrics import count_flops, count_params
 from dagfm.teachers import CinSpec, CrossNetSpec, FmfmSpec, FwfmSpec, TinyMlpSpec
 
 
@@ -44,38 +43,22 @@ def main(argv=None) -> int:
     parser.add_argument("--depth", type=int, default=3)
     parser.add_argument("--vocab", type=int, default=100,
                         help="per-field vocabulary size used for embedding counts")
-    parser.add_argument("--latency", action="store_true",
-                        help="also measure single-instance forward latency")
-    parser.add_argument("--iterations", type=int, default=200)
     args = parser.parse_args(argv)
 
     vocab = [args.vocab] * args.fields
     header = f"{'model':<22}{'params(non-emb)':>16}{'FLOPs/instance':>16}"
-    if args.latency:
-        header += f"{'mean us':>10}{'median us':>11}{'p99 us':>9}"
     print(f"m={args.fields} fields, d={args.embed_dim}, depth={args.depth}")
     print(header)
     print("-" * len(header))
 
-    baseline_flops = None
+    flops = {}
     for name, spec in model_zoo(args.fields, args.embed_dim, args.depth):
-        model = build_model(spec, vocab, seed=0)
-        rep = efficiency_report(model, with_latency=args.latency,
-                                iterations=args.iterations)
-        row = f"{name:<22}{rep.params.non_embedding:>16,}{rep.flops.total:>16,}"
-        if rep.latency is not None:
-            row += (f"{rep.latency.mean_us:>10.1f}{rep.latency.median_us:>11.1f}"
-                    f"{rep.latency.p99_us:>9.1f}")
-        if name == "DAGFM inner":
-            baseline_flops = rep.flops.total
-        print(row)
+        flops[name] = count_flops(spec).total
+        params = count_params(spec, vocab).non_embedding
+        print(f"{name:<22}{params:>16,}{flops[name]:>16,}")
 
-    if baseline_flops:
-        cin_total = efficiency_report(
-            build_model(CinSpec(args.fields, args.embed_dim, (200,) * args.depth),
-                        vocab, seed=0)
-        ).flops.total
-        print(f"\nCIN / DAGFM-inner FLOPs ratio: {cin_total / baseline_flops:.1f}x")
+    ratio = flops["CIN teacher (H=200)"] / flops["DAGFM inner"]
+    print(f"\nCIN / DAGFM-inner FLOPs ratio: {ratio:.1f}x")
     return 0
 
 

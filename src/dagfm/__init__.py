@@ -4,7 +4,7 @@ A numpy implementation of a DAG-propagation factorization machine student,
 explicit-interaction teachers (compressed interaction network, cross
 network), shallow baselines, a three-stage knowledge-distillation pipeline,
 an exact enumeration oracle for the propagation dynamics, and efficiency
-accounting (params / FLOPs / latency).
+accounting (closed-form params / FLOPs; timing lives in ``perfbench/``).
 """
 
 from .checkpoint import build_model, load_checkpoint, save_checkpoint
@@ -42,7 +42,6 @@ from .interactions import (
 )
 from .metrics import (
     auc,
-    bench_latency,
     count_flops,
     count_params,
     efficiency_report,

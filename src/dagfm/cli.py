@@ -5,8 +5,8 @@ Subcommands mirror the pipeline stages plus utilities::
     dagfm train-teacher     train a CIN or cross-network teacher
     dagfm distill           distill a student from a teacher checkpoint
     dagfm finetune          fine-tune a distilled student
-    dagfm eval              metrics report for a checkpoint on a CSV
-    dagfm bench             efficiency report (params, FLOPs, latency)
+    dagfm eval              params/FLOPs report for a checkpoint, plus AUC and
+                            log loss when a CSV is given
     dagfm oracle-check      propagation-vs-enumeration deviation table
     dagfm convert-movielens join ml-1m .dat files into the CSV layout
 
@@ -41,13 +41,7 @@ from .distill import (
     train_teacher,
 )
 from .interactions import KINDS
-from .metrics import (
-    UndefinedMetricError,
-    bench_latency,
-    count_flops,
-    count_params,
-    efficiency_report,
-)
+from .metrics import UndefinedMetricError, efficiency_report
 from .movielens import convert_movielens, convert_movielens_dir
 from .numcore import ConfigurationError, TrainingDivergenceError
 from .oracle import assert_dp_equivalence
@@ -78,7 +72,10 @@ def _config(args) -> RunConfig:
     if getattr(args, "min_freq", None) is not None:
         cfg.min_freq = args.min_freq
     if getattr(args, "split", None) is not None:
-        parts = tuple(float(p) for p in args.split.split(","))
+        try:
+            parts = tuple(float(p) for p in args.split.split(","))
+        except ValueError:
+            raise ConfigurationError(f"--split needs numbers, got {args.split!r}") from None
         if len(parts) != 3:
             raise ConfigurationError(f"--split needs three ratios, got {args.split!r}")
         cfg.split_ratios = parts
@@ -222,35 +219,12 @@ def _cmd_finetune(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _config(args)
     model = load_checkpoint(args.checkpoint)
-    schema = _schema(cfg, args, near_checkpoint=args.checkpoint)
-    if cfg.train_csv is None:
-        raise ConfigurationError("eval needs --data")
-    dataset = load_dataset(cfg.train_csv, schema)
-    result = evaluate(model, dataset)
-    eff = efficiency_report(model)
-    _emit(
-        {
-            "auc": result.auc,
-            "logloss": result.logloss,
-            "n": result.n,
-            **eff.as_dict(),
-            "latency_us": None,
-        },
-        getattr(args, "out", None),
-    )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    eff = efficiency_report(model, with_latency=True, iterations=args.iterations)
-    payload = {"auc": None, "logloss": None, **eff.as_dict()}
-    cfg = _config(args)
+    payload = {"auc": None, "logloss": None, "n": None, **efficiency_report(model).as_dict()}
     if cfg.train_csv is not None:
         schema = _schema(cfg, args, near_checkpoint=args.checkpoint)
         result = evaluate(model, load_dataset(cfg.train_csv, schema))
-        payload["auc"], payload["logloss"] = result.auc, result.logloss
-    _emit(payload, getattr(args, "out", None))
+        payload.update(auc=result.auc, logloss=result.logloss, n=result.n)
+    _emit(payload, args.out)
     return 0
 
 
@@ -331,14 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stage_overrides(p)
     p.set_defaults(func=_cmd_finetune)
 
-    p = sub.add_parser("eval", help="AUC/logloss/efficiency report")
+    p = sub.add_parser("eval", help="params/FLOPs report, plus AUC/logloss with --data")
     _add_common(p, data=True, checkpoint=True)
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("bench", help="params/FLOPs/latency report")
-    _add_common(p, data=True, checkpoint=True)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("oracle-check", help="propagation vs enumeration table")
     p.add_argument("--m", type=int, required=True)

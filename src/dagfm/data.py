@@ -50,9 +50,6 @@ class FieldSchema:
         """Rows per embedding table: in-vocab values plus the OOV bucket."""
         return [len(v) + 1 for v in self.vocabs]
 
-    def total_features(self) -> int:
-        return sum(self.vocab_sizes())
-
     def encode_value(self, field: int, raw: str) -> int:
         return self.vocabs[field].get(raw, self.oov_index(field))
 
@@ -67,10 +64,21 @@ class FieldSchema:
 
     @classmethod
     def from_json(cls, text: str) -> "FieldSchema":
-        obj = json.loads(text)
-        names = [f["name"] for f in obj["fields"]]
-        vocabs = [{v: i for i, v in enumerate(f["values"])} for f in obj["fields"]]
-        return cls(names=names, vocabs=vocabs, min_freq=int(obj.get("min_freq", 0)))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"schema is not valid JSON: {e}") from None
+        if not isinstance(obj, dict) or not isinstance(obj.get("fields"), list):
+            raise SchemaError("schema must be a JSON object with a 'fields' list")
+        for k, f in enumerate(obj["fields"]):
+            if not isinstance(f, dict) or "name" not in f or not isinstance(f.get("values"), list):
+                raise SchemaError(f"schema field {k} needs a 'name' and a 'values' list")
+        try:  # unhashable values, a non-integer min_freq
+            vocabs = [{v: i for i, v in enumerate(f["values"])} for f in obj["fields"]]
+            min_freq = int(obj.get("min_freq", 0))
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"bad schema: {e}") from None
+        return cls(names=[f["name"] for f in obj["fields"]], vocabs=vocabs, min_freq=min_freq)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -79,7 +87,11 @@ class FieldSchema:
     @classmethod
     def load(cls, path) -> "FieldSchema":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as e:
+                raise SchemaError(f"schema {path} is not UTF-8: {e}") from None
+        return cls.from_json(text)
 
 
 @dataclass
@@ -107,9 +119,6 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.indices.shape[1]
-
-    def instance(self, k: int) -> Instance:
-        return Instance(int(self.labels[k]), tuple(int(i) for i in self.indices[k]))
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         return Dataset(self.indices[rows], self.labels[rows])

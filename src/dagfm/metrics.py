@@ -1,4 +1,4 @@
-"""Ranking metrics and efficiency accounting (params, FLOPs, latency).
+"""Ranking metrics and efficiency accounting (params, FLOPs).
 
 FLOPs convention, applied uniformly:
 
@@ -16,12 +16,12 @@ FLOPs convention, applied uniformly:
 ``count_flops`` gives the closed form per model spec;
 ``instrumented_flops`` re-executes the model arithmetic under an op counter
 and must agree exactly — that is the oracle the closed forms are tested
-against.
+against. Nothing here measures time: wall-clock and CPU-time measurement
+lives in the ``perfbench/`` harness.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,50 +410,16 @@ def instrumented_flops(model, idx_row: np.ndarray) -> tuple[float, FlopCount]:
 
 
 # ---------------------------------------------------------------------------
-# latency
+# efficiency report
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatencyStats:
-    mean_us: float
-    median_us: float
-    p99_us: float
-    iterations: int
-
-
-def bench_latency(model, iterations: int = 1000, warmup: int = 100,
-                  idx_row: np.ndarray | None = None) -> LatencyStats:
-    """Wall time of single-instance forward passes in the calling thread."""
-    if iterations < 1:
-        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    if idx_row is None:
-        idx_row = np.zeros((1, model.num_fields), dtype=np.int64)
-    else:
-        idx_row = np.asarray(idx_row).reshape(1, -1)
-    for _ in range(warmup):
-        model.forward(idx_row)
-    times = np.empty(iterations)
-    for k in range(iterations):
-        t0 = time.perf_counter_ns()
-        model.forward(idx_row)
-        times[k] = time.perf_counter_ns() - t0
-    times /= 1000.0
-    return LatencyStats(
-        mean_us=float(times.mean()),
-        median_us=float(np.median(times)),
-        p99_us=float(np.percentile(times, 99)),
-        iterations=iterations,
-    )
-
 
 @dataclass(frozen=True)
 class EfficiencyReport:
     params: ParamCount
     flops: FlopCount
-    latency: LatencyStats | None = None
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "params": {
                 "non_embedding": self.params.non_embedding,
                 "embedding": self.params.embedding,
@@ -462,19 +428,8 @@ class EfficiencyReport:
             "flops": {"mults": self.flops.mults, "adds": self.flops.adds,
                       "total": self.flops.total},
         }
-        if self.latency is not None:
-            out["latency_us"] = {
-                "mean": self.latency.mean_us,
-                "median": self.latency.median_us,
-                "p99": self.latency.p99_us,
-                "iterations": self.latency.iterations,
-            }
-        return out
 
 
-def efficiency_report(model, with_latency: bool = False,
-                      iterations: int = 1000) -> EfficiencyReport:
-    params = count_params(model.spec, model.vocab_sizes)
-    flops = count_flops(model.spec)
-    latency = bench_latency(model, iterations=iterations) if with_latency else None
-    return EfficiencyReport(params, flops, latency)
+def efficiency_report(model) -> EfficiencyReport:
+    """Closed-form parameter and per-instance forward FLOPs counts of ``model``."""
+    return EfficiencyReport(count_params(model.spec, model.vocab_sizes), count_flops(model.spec))

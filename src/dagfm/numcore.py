@@ -44,11 +44,6 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
-def require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise TrainingDivergenceError(f"non-finite values in '{name}'")
-
-
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function, branching on the sign of ``z``."""
     z = np.asarray(z, dtype=np.float64)

@@ -22,7 +22,7 @@ from dagfm.cli import main
 from dagfm.config import RunConfig, load_config, parse_config
 from dagfm.data import build_vocab, load_dataset
 from dagfm.interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
-from dagfm.metrics import count_flops, efficiency_report
+from dagfm.metrics import count_flops, count_params, efficiency_report
 from dagfm.numcore import ConfigurationError
 from dagfm.synthetic import generate_planted_dataset, write_csv
 from dagfm.teachers import (
@@ -121,6 +121,26 @@ CORRUPTIONS = {
     ),
     "v1-header": (_header_edit(lambda h: h.update(version=1)), "version"),
     "kind-mismatch": (_header_edit(lambda h: h.update(kind="cin")), "kind"),
+}
+
+
+_GOOD_FIELD = '{"name": "b", "values": ["x"]}'
+# malformed schema files: (file text, pattern the error must match); the
+# text is written as latin-1, so "\xff" is one byte that is not UTF-8
+BAD_SCHEMAS = {
+    "not-utf8": ("\xff{}", "not UTF-8"),
+    "bad-json": ('{"fields": [', "not valid JSON"),
+    "not-an-object": ("[1, 2]", "JSON object"),
+    "missing-fields": ('{"x": 1}', "'fields' list"),
+    "fields-not-a-list": ('{"fields": 3}', "'fields' list"),
+    "missing-name": ('{"fields": [{"values": []}, %s]}' % _GOOD_FIELD, "field 0"),
+    "missing-values": ('{"fields": [{"name": "a"}, %s]}' % _GOOD_FIELD, "field 0"),
+    "values-not-a-list": ('{"fields": [{"name": "a", "values": "xy"}, %s]}' % _GOOD_FIELD,
+                          "field 0"),
+    "unhashable-value": ('{"fields": [{"name": "a", "values": [[1]]}, %s]}' % _GOOD_FIELD,
+                         "unhashable"),
+    "bad-min-freq": ('{"fields": [{"name": "a", "values": []}, %s], "min_freq": "x"}'
+                     % _GOOD_FIELD, "bad schema"),
 }
 
 
@@ -488,30 +508,21 @@ class TestCli:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) >= {"auc", "logloss", "n", "params", "flops"}
+        assert set(payload) == {"auc", "logloss", "n", "params", "flops"}
         assert payload["n"] == 600
 
-    def test_bench_without_data_skips_metrics(self, cli_run, capsys):
+    def test_eval_without_data_skips_metrics(self, cli_run, capsys):
         _, _, teacher_dir, _ = cli_run
-        rc = main(
-            [
-                "bench",
-                "--checkpoint", str(teacher_dir / "teacher.ckpt"),
-                "--iterations", "5",
-            ]
-        )
+        model = load_checkpoint(teacher_dir / "teacher.ckpt")
+        rc = main(["eval", "--checkpoint", str(teacher_dir / "teacher.ckpt")])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["auc"] is None
-        assert payload["latency_us"]["iterations"] == 5
-
-    def test_bench_zero_iterations_is_a_user_error(self, cli_run, capsys):
-        _, _, teacher_dir, _ = cli_run
-        rc = main(
-            ["bench", "--checkpoint", str(teacher_dir / "teacher.ckpt"), "--iterations", "0"]
-        )
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert set(payload) == {"auc", "logloss", "n", "params", "flops"}
+        assert payload["auc"] is None and payload["logloss"] is None and payload["n"] is None
+        assert payload["flops"]["total"] == count_flops(model.spec).total
+        assert payload["params"]["non_embedding"] == count_params(
+            model.spec, model.vocab_sizes
+        ).non_embedding
 
     def test_distill_embedding_mismatch_exits_one(self, cli_run, tmp_path, capsys):
         _, csv, teacher_dir, _ = cli_run
@@ -529,14 +540,32 @@ class TestCli:
         assert rc == 1
         assert "mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("with_data", [True, False], ids=["eval", "eval-no-data"])
     @pytest.mark.parametrize("edit, pattern", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
-    def test_corrupt_checkpoint_exits_one(self, command, edit, pattern, cli_run, tmp_path,
+    def test_corrupt_checkpoint_exits_one(self, with_data, edit, pattern, cli_run, tmp_path,
                                           capsys):
         _, csv, _, _ = cli_run
         path = _corrupted(tmp_path, edit)
-        extra = ["--iterations", "1"] if command == "bench" else []
-        rc = main([command, "--checkpoint", str(path), "--data", str(csv), *extra])
+        data = ["--data", str(csv)] if with_data else []
+        rc = main(["eval", "--checkpoint", str(path), *data])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert re.search(pattern, err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "train-teacher"])
+    @pytest.mark.parametrize("text, pattern", BAD_SCHEMAS.values(), ids=list(BAD_SCHEMAS))
+    def test_malformed_schema_exits_one(self, command, text, pattern, cli_run, tmp_path,
+                                        capsys):
+        _, csv, teacher_dir, _ = cli_run
+        schema = tmp_path / "bad_schema.json"
+        schema.write_bytes(text.encode("latin-1"))
+        target = (
+            ["--checkpoint", str(teacher_dir / "teacher.ckpt")]
+            if command == "eval" else ["--out", str(tmp_path / "out")]
+        )
+        rc = main([command, "--data", str(csv), "--schema", str(schema), *target])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -550,19 +579,24 @@ class TestCli:
 
     def test_bad_split_exits_one(self, cli_run, tmp_path, capsys):
         _, csv, _, _ = cli_run
-        rc = main(
-            [
-                "train-teacher",
-                "--data", str(csv),
-                "--out", str(tmp_path),
-                "--split", "0.5,0.5",
-            ]
-        )
-        assert rc == 1
+        for split in ("0.5,0.5", "x,y,z"):
+            rc = main(
+                [
+                    "train-teacher",
+                    "--data", str(csv),
+                    "--out", str(tmp_path),
+                    "--split", split,
+                ]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--split" in err
+            assert "Traceback" not in err
 
     def test_usage_errors_exit_two(self, capsys):
         assert main(["oracle-check", "--m", "3"]) == 2
         assert main(["no-such-command"]) == 2
+        assert main(["bench", "--checkpoint", "teacher.ckpt"]) == 2
         assert main([]) == 2
         capsys.readouterr()
 

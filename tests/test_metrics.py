@@ -1,6 +1,8 @@
-"""Ranking metrics, parameter/FLOP accounting, and latency measurement."""
+"""Ranking metrics, parameter/FLOP accounting, and a wall-clock check of the
+efficiency claim."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from dagfm.metrics import (
     ParamCount,
     UndefinedMetricError,
     auc,
-    bench_latency,
     count_flops,
     count_params,
     count_params_store,
@@ -238,26 +239,25 @@ class TestFlopClosedForms:
 # ---------------------------------------------------------------------------
 
 
+def _median_forward_ns(model, calls: int = 10, warmup: int = 2) -> float:
+    """Median wall time of single-row forward passes in the calling thread."""
+    row = np.zeros((1, model.num_fields), dtype=np.int64)
+    for _ in range(warmup):
+        model.forward(row)
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter_ns()
+        model.forward(row)
+        times.append(time.perf_counter_ns() - t0)
+    return float(np.median(times))
+
+
 class TestLatency:
-    def test_stats_shape_and_sanity(self):
-        model = DagfmModel(DagfmSpec("inner", 3, 2, 1), [2, 2, 2], seed=0)
-        stats = bench_latency(model, iterations=30, warmup=3)
-        assert stats.iterations == 30
-        assert 0 < stats.median_us <= stats.p99_us
-        assert stats.mean_us > 0
-
-    def test_zero_iterations_rejected(self):
-        model = DagfmModel(DagfmSpec("inner", 3, 2, 1), [2, 2, 2], seed=0)
-        with pytest.raises(ConfigurationError):
-            bench_latency(model, iterations=0)
-
     def test_compressed_network_is_slower_than_student(self):
         vocab = [4] * 39
         cin = CinModel(CinSpec(39, 16, (200, 200, 200)), vocab, seed=0)
         student = DagfmModel(DagfmSpec("inner", 39, 16, 3), vocab, seed=0)
-        cin_stats = bench_latency(cin, iterations=10, warmup=2)
-        student_stats = bench_latency(student, iterations=10, warmup=2)
-        assert cin_stats.median_us > student_stats.median_us
+        assert _median_forward_ns(cin) > _median_forward_ns(student)
 
 
 class TestEfficiencyReport:
@@ -267,12 +267,7 @@ class TestEfficiencyReport:
         payload = report.as_dict()
         assert payload["params"]["non_embedding"] == 58
         assert payload["flops"]["total"] == count_flops(model.spec).total
-        assert "latency_us" not in payload
-
-    def test_with_latency(self):
-        model = DagfmModel(DagfmSpec("inner", 2, 1, 1), [2, 2], seed=0)
-        report = efficiency_report(model, with_latency=True, iterations=5)
-        assert report.as_dict()["latency_us"]["iterations"] == 5
+        assert set(payload) == {"params", "flops"}
 
     def test_plus_model_uses_full_spec(self):
         plus = DagfmPlusSpec(DagfmSpec("inner", 3, 2, 1), mlp_hidden=(4,))
