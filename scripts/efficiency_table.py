@@ -2,9 +2,10 @@
 """Print a parameter/FLOPs comparison table across all model families.
 
 Takes each model family at a production-like size (default m=39 fields,
-d=16 embedding dims, as in large CTR benchmarks) and reports its closed-form
-non-embedding parameters and per-instance forward FLOPs. Measured time is
-the job of the ``perfbench/`` harness.
+d=16 embedding dims, as in large CTR benchmarks) and reports its
+non-embedding parameters, read from the built model's store, and its
+closed-form per-instance forward FLOPs. Measured time is the job of the
+``perfbench/`` harness.
 
 Example:
     python3 scripts/efficiency_table.py --fields 39 --embed-dim 16

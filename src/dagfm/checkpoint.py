@@ -49,14 +49,15 @@ _BY_KIND = {cls.kind: cls for cls in MODELS}
 _BY_SPEC = {cls.spec_type: cls for cls in MODELS}
 
 
-def _model_class(spec):
+def model_class(spec):
+    """The model family built from ``spec``."""
     if type(spec) not in _BY_SPEC:
         raise ConfigurationError(f"no model family for spec type {type(spec).__name__}")
     return _BY_SPEC[type(spec)]
 
 
 def spec_to_dict(spec) -> dict:
-    return {"model": _model_class(spec).kind, **dataclasses.asdict(spec)}
+    return {"model": model_class(spec).kind, **dataclasses.asdict(spec)}
 
 
 def _tuples(value):
@@ -85,7 +86,7 @@ def spec_from_dict(d: dict):
 
 def build_model(spec, vocab_sizes, seed: int = 0):
     """Instantiate the model class matching a spec."""
-    return _model_class(spec)(spec, vocab_sizes, seed=seed)
+    return model_class(spec)(spec, vocab_sizes, seed=seed)
 
 
 def save_checkpoint(model, path) -> None:

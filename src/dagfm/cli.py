@@ -82,17 +82,23 @@ def _config(args) -> RunConfig:
     return cfg
 
 
-def _schema(cfg: RunConfig, args, near_checkpoint: str | None = None) -> FieldSchema:
+def _schema(cfg: RunConfig, args, model=None) -> FieldSchema:
+    """The explicit schema, else (for a ``model`` loaded from ``--checkpoint``)
+    the one saved next to it, else one built from the data; it must fit ``model``."""
     explicit = getattr(args, "schema", None) or cfg.schema_path
+    near = Path(args.checkpoint).parent / "schema.json" if model is not None else None
     if explicit:
-        return FieldSchema.load(explicit)
-    if near_checkpoint:
-        candidate = Path(near_checkpoint).parent / "schema.json"
-        if candidate.exists():
-            return FieldSchema.load(candidate)
-    if cfg.train_csv is None:
+        schema = FieldSchema.load(explicit)
+    elif near is not None and near.exists():
+        schema = FieldSchema.load(near)
+    elif cfg.train_csv is None:
         raise ConfigurationError("no schema file and no --data CSV to build one from")
-    return build_vocab(cfg.train_csv, min_freq=cfg.min_freq)
+    else:
+        schema = build_vocab(cfg.train_csv, min_freq=cfg.min_freq)
+    if model is not None and schema.vocab_sizes() != model.vocab_sizes:
+        raise SchemaError(f"schema vocab sizes {schema.vocab_sizes()} do not match "
+                          f"{args.checkpoint}'s {model.vocab_sizes}")
+    return schema
 
 
 def _split(cfg: RunConfig, schema: FieldSchema):
@@ -169,7 +175,7 @@ def _cmd_distill(args) -> int:
     teacher = load_checkpoint(args.checkpoint)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema(cfg, args, near_checkpoint=args.checkpoint)
+    schema = _schema(cfg, args, model=teacher)
     schema.save(out_dir / "schema.json")
     split = _split(cfg, schema)
     if args.fn is not None:
@@ -207,7 +213,7 @@ def _cmd_finetune(args) -> int:
     student = load_checkpoint(args.checkpoint)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema(cfg, args, near_checkpoint=args.checkpoint)
+    schema = _schema(cfg, args, model=student)
     split = _split(cfg, schema)
     stage = _stage_override(cfg.plan.finetune_stage, args)
     report = finetune_student(
@@ -218,10 +224,12 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _config(args)
+    if cfg.train_csv is None and args.schema is not None:
+        raise ConfigurationError("--schema needs --data (or [data] train_csv) to score")
     model = load_checkpoint(args.checkpoint)
     payload = {"auc": None, "logloss": None, "n": None, **efficiency_report(model).as_dict()}
     if cfg.train_csv is not None:
-        schema = _schema(cfg, args, near_checkpoint=args.checkpoint)
+        schema = _schema(cfg, args, model=model)
         result = evaluate(model, load_dataset(cfg.train_csv, schema))
         payload.update(auc=result.auc, logloss=result.logloss, n=result.n)
     _emit(payload, args.out)
@@ -230,7 +238,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     report = assert_dp_equivalence(
-        args.fn, args.m, args.d, args.depth, seed=args.seed or 0,
+        args.fn, args.m, args.d, args.depth, seed=args.seed,
         tol=args.tol, raise_on_fail=False,
     )
     print(report)
@@ -256,15 +264,16 @@ def _cmd_convert_movielens(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *, data: bool = False, checkpoint: bool = False) -> None:
+def _add_common(p, *, seed: bool = False, split: bool = False, checkpoint: bool = False) -> None:
     p.add_argument("--config", help="INI config file")
     p.add_argument("--out", help="output directory or file")
-    p.add_argument("--seed", type=int, help="model init / run seed")
-    if data:
-        p.add_argument("--data", help="CSV dataset (label,f1,...,fm)")
-        p.add_argument("--schema", help="schema JSON (else built from the data)")
-        p.add_argument("--min-freq", type=int, dest="min_freq",
-                       help="vocabulary frequency threshold")
+    if seed:
+        p.add_argument("--seed", type=int, help="model init seed")
+    p.add_argument("--data", help="CSV dataset (label,f1,...,fm)")
+    p.add_argument("--schema", help="schema JSON (else built from the data)")
+    p.add_argument("--min-freq", type=int, dest="min_freq",
+                   help="vocabulary frequency threshold")
+    if split:
         p.add_argument("--split", help="train,val,test ratios, e.g. 0.8,0.1,0.1")
     if checkpoint:
         p.add_argument("--checkpoint", required=True, help="model checkpoint path")
@@ -283,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-teacher", help="stage 1: train a teacher")
-    _add_common(p, data=True)
+    _add_common(p, seed=True, split=True)
     p.add_argument("--teacher", choices=("cin", "crossnet"))
     p.add_argument("--d", type=int, help="embedding dimension")
     p.add_argument("--depth", type=int, help="teacher depth")
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_teacher)
 
     p = sub.add_parser("distill", help="stage 2: distill a student")
-    _add_common(p, data=True, checkpoint=True)
+    _add_common(p, seed=True, split=True, checkpoint=True)
     p.add_argument("--fn", choices=KINDS, help="student interaction function")
     p.add_argument("--d", type=int, help="student embedding dimension")
     p.add_argument("--depth", type=int, help="student propagation layers")
@@ -301,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("finetune", help="stage 3: fine-tune a student")
-    _add_common(p, data=True, checkpoint=True)
+    _add_common(p, split=True, checkpoint=True)
     _add_stage_overrides(p)
     p.set_defaults(func=_cmd_finetune)
 
     p = sub.add_parser("eval", help="params/FLOPs report, plus AUC/logloss with --data")
-    _add_common(p, data=True, checkpoint=True)
+    _add_common(p, checkpoint=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("oracle-check", help="propagation vs enumeration table")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -147,9 +148,31 @@ def _parse_label(raw: str, line_no: int) -> int:
     return int(raw)
 
 
-def read_header(path) -> list[str]:
+@contextmanager
+def _lines(path) -> Iterator[Iterator[tuple[int, str]]]:
+    """Numbered lines (the header is line 1) of a UTF-8 text file; bytes that
+    are not UTF-8 raise :class:`ParseError` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
+        try:
+            yield enumerate(fh, start=1)
+        except UnicodeDecodeError as e:
+            bad = f"byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})"
+            raise ParseError(f"{path}: line {_undecodable_line(path)}: {bad}") from None
+
+
+def _undecodable_line(path) -> int:
+    # the text decoder reads ahead, so re-scan the bytes for the failing line
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+
+
+def read_header(path) -> list[str]:
+    with _lines(path) as lines:
+        header = next(lines, (1, ""))[1].rstrip("\r\n").split(",")
     if not header or header[0] != "label":
         raise SchemaError(f"header must start with 'label', got {header[:1]}")
     if len(header) < 3:
@@ -171,9 +194,9 @@ def build_vocab(csv_path, min_freq: int = 0) -> FieldSchema:
     counts = [Counter() for _ in range(m)]
     first_seen: list[dict[str, int]] = [{} for _ in range(m)]
     pos = 0
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line_no, line in enumerate(fh, start=2):
+    with _lines(csv_path) as lines:
+        next(lines)
+        for line_no, line in lines:
             if not line.strip():
                 continue
             parts = _parse_line(line, line_no, m + 1)
@@ -207,9 +230,9 @@ def load_dataset(csv_path, schema: FieldSchema) -> Dataset:
         raise SchemaError(f"CSV fields {names} do not match schema fields {schema.names}")
     labels: list[int] = []
     rows: list[tuple[int, ...]] = []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line_no, line in enumerate(fh, start=2):
+    with _lines(csv_path) as lines:
+        next(lines)
+        for line_no, line in lines:
             if not line.strip():
                 continue
             parts = _parse_line(line, line_no, schema.m + 1)

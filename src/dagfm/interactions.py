@@ -203,6 +203,8 @@ class EmbeddingTable:
 
 class Model:
     """Common surface: a ParamStore plus forward/backward over index batches.
+    The store holds the embedding tables, built here, then the family's own
+    parameters, registered by ``_build``.
 
     ``kind`` tags the family in checkpoints; ``spec_type`` is the frozen
     dataclass the model is built from, and ``spec`` is always that build
@@ -211,6 +213,7 @@ class Model:
 
     kind = "?"
     spec_type = None
+    _cache = None  # what ``backward`` reads from the latest ``forward``
 
     def __init__(self, spec, vocab_sizes, seed: int = 0, dtype=np.float64):
         if len(vocab_sizes) != spec.num_fields:
@@ -220,10 +223,26 @@ class Model:
         self.spec = spec
         self.vocab_sizes = [int(v) for v in vocab_sizes]
         self.store = ParamStore(dtype)
-        self._build(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        self.embedding = EmbeddingTable(self.store, self.vocab_sizes, self.embed_dim, rng)
+        self._build(rng)
 
     def _build(self, rng) -> None:
+        """Register the family's parameters after the embedding tables."""
         raise NotImplementedError
+
+    def _head(self, x: np.ndarray) -> np.ndarray:
+        """The linear head: ``x @ head.w + head.b``, one logit per row."""
+        return x @ self.store["head.w"] + self.store["head.b"][0]
+
+    def _head_backward(self, x: np.ndarray, dlogits) -> tuple[dict, np.ndarray]:
+        """A grads dict holding the head's gradients, and d(loss)/d(x)."""
+        dlogits = np.asarray(dlogits, dtype=self.store.dtype)
+        grads = {
+            "head.w": x.T @ dlogits,
+            "head.b": np.array([dlogits.sum()], dtype=self.store.dtype),
+        }
+        return grads, dlogits[:, None] * self.store["head.w"][None, :]
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -283,7 +302,6 @@ class DagfmModel(Model):
         self.pairs = spec.pairs()
         self._jj = np.array([j for j, _ in self.pairs])
         self._ii = np.array([i for _, i in self.pairs])
-        self.embedding = EmbeddingTable(self.store, self.vocab_sizes, d, rng)
         P = len(self.pairs)
         for t in range(L):
             if spec.kind == "inner":
@@ -296,7 +314,6 @@ class DagfmModel(Model):
                 self.store.add(f"dag.q{t}", rng.normal(scale=scale, size=(P, d)))
         self.store.add("head.w", np.zeros(m * spec.num_states))
         self.store.add("head.b", np.zeros(1))
-        self._cache = None
 
     # -- weight scatter helper --------------------------------------------------
 
@@ -380,7 +397,7 @@ class DagfmModel(Model):
             layer_caches.append((agg, cache))
         pooled = np.stack([s.sum(axis=2) for s in states], axis=1)
         pvec = pooled.reshape(len(E), -1)
-        logits = pvec @ self.store["head.w"] + self.store["head.b"][0]
+        logits = self._head(pvec)
         self._cache = (np.asarray(idx), E, states, layer_caches, pvec)
         return logits, PropagationTrace(states, pooled, pvec)
 
@@ -397,14 +414,8 @@ class DagfmModel(Model):
         """
         idx, E, states, layer_caches, pvec = self._cache
         B, m, d = E.shape
-        dlogits = np.asarray(dlogits, dtype=self.store.dtype)
-        grads: dict[str, np.ndarray] = {
-            "head.w": pvec.T @ dlogits,
-            "head.b": np.array([dlogits.sum()], dtype=self.store.dtype),
-        }
-        dpool = (dlogits[:, None] * self.store["head.w"][None, :]).reshape(
-            B, self.dag.num_states, m, 1
-        )
+        grads, dpool = self._head_backward(pvec, dlogits)
+        dpool = dpool.reshape(B, self.dag.num_states, m, 1)
         if extra_dstates is None:
             extra_dstates = [None] * self.dag.num_states
 

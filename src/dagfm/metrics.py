@@ -1,5 +1,9 @@
 """Ranking metrics and efficiency accounting (params, FLOPs).
 
+Parameter counts are read from a built model's ParamStore, so each family
+declares its parameters once, in its ``_build``. FLOPs follow a closed form
+per spec, under one convention.
+
 FLOPs convention, applied uniformly:
 
 * one multiplication = 1, one addition = 1, no fused ops;
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import model_class
 from .interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec, mlp_widths
 from .numcore import ConfigurationError
 from .teachers import (
@@ -115,46 +120,17 @@ class ParamCount:
         return self.non_embedding + self.embedding
 
 
-def _mlp_param_count(widths) -> int:
-    return sum(n_in * n_out + n_out for n_in, n_out in zip(widths[:-1], widths[1:]))
-
-
 def count_params(spec, vocab_sizes) -> ParamCount:
-    """Closed-form parameter counts for a model spec; must match an
-    exhaustive walk of the built model's ParamStore exactly."""
-    return ParamCount(_non_embedding_params(spec), int(sum(vocab_sizes)) * spec.embed_dim)
-
-
-def _non_embedding_params(spec) -> int:
-    if isinstance(spec, DagfmPlusSpec):
-        return _non_embedding_params(spec.dagfm) + _mlp_param_count(mlp_widths(spec))
-    if isinstance(spec, DagfmSpec):
-        P = len(spec.pairs())
-        L, d, m = spec.num_layers, spec.embed_dim, spec.num_fields
-        per_edge = {"basic-inner": 0, "inner": d, "kernel": d * d, "outer": 2 * d}[spec.kind]
-        return L * P * per_edge + m * (L + 1) + 1
-    if isinstance(spec, CinSpec):
-        sizes = (spec.num_fields, *spec.layer_sizes)
-        kernels = sum(h * hp * spec.num_fields for hp, h in zip(sizes[:-1], sizes[1:]))
-        return kernels + spec.pooled_width + 1
-    if isinstance(spec, CrossNetSpec):
-        n = spec.width
-        return spec.num_layers * (n * n + n) + n + 1
-    if isinstance(spec, FwfmSpec):
-        P = spec.num_fields * (spec.num_fields - 1) // 2
-        return P * spec.embed_dim + spec.num_fields * spec.embed_dim + 1
-    if isinstance(spec, FmfmSpec):
-        P = spec.num_fields * (spec.num_fields - 1) // 2
-        d = spec.embed_dim
-        return P * d * d + spec.num_fields * d + 1
-    if isinstance(spec, TinyMlpSpec):
-        widths = [spec.num_fields * spec.embed_dim, *spec.hidden, 1]
-        return _mlp_param_count(widths)
-    raise ConfigurationError(f"no parameter formula for spec type {type(spec).__name__}")
+    """Parameter counts for a model spec. The non-embedding count is read from
+    the store of the model built with one-row vocabularies; the embedding
+    count is ``sum(vocab_sizes) * embed_dim``."""
+    probe = model_class(spec)(spec, [1] * spec.num_fields)
+    return ParamCount(count_params_store(probe).non_embedding,
+                      int(sum(vocab_sizes)) * spec.embed_dim)
 
 
 def count_params_store(model) -> ParamCount:
-    """Exhaustive ParamStore walk (the oracle for :func:`count_params`)."""
+    """Parameter counts of a built model, from a walk of its ParamStore."""
     emb_names = set(model.embedding_names())
     emb = model.store.n_scalars(emb_names)
     other = model.store.n_scalars() - emb
@@ -431,5 +407,6 @@ class EfficiencyReport:
 
 
 def efficiency_report(model) -> EfficiencyReport:
-    """Closed-form parameter and per-instance forward FLOPs counts of ``model``."""
-    return EfficiencyReport(count_params(model.spec, model.vocab_sizes), count_flops(model.spec))
+    """Parameter counts of ``model``'s store and closed-form per-instance
+    forward FLOPs of its spec."""
+    return EfficiencyReport(count_params_store(model), count_flops(model.spec))

@@ -10,7 +10,8 @@ applies each traversed edge's weights, which covers the rank-1 (outer)
 combiner that has no identity configuration for d > 1.
 
 Everything here is deliberately slow and obvious — it is the reference the
-fast path is judged against, so it shares no code with the model.
+fast path is judged against, so it shares no code with the model's layers;
+the weighted fold applies the single-pair ``phi_*`` combiners.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interactions import DagfmModel, DagfmSpec, full_dag_pairs
+from .interactions import phi_basic_inner, phi_inner, phi_kernel, phi_outer
 from .numcore import ConfigurationError
 
 MAX_ORACLE_FIELDS = 6
@@ -74,6 +76,15 @@ def oracle_node_state(embeddings: np.ndarray, i: int, t: int) -> np.ndarray:
     return total
 
 
+# kind -> phi(state, embedding, edge weights as in ``oracle_node_state_weighted``)
+_COMBINERS = {
+    "basic-inner": lambda a, b, w: phi_basic_inner(a, b),
+    "inner": phi_inner,
+    "kernel": phi_kernel,
+    "outer": lambda a, b, w: phi_outer(a, b, *w),
+}
+
+
 def oracle_node_state_weighted(
     kind: str,
     embeddings: np.ndarray,
@@ -99,24 +110,15 @@ def oracle_node_state_weighted(
         raise ConfigurationError(
             f"order {t} needs {t - 1} weight layers, got {len(edge_weights)}"
         )
+    if kind not in _COMBINERS:
+        raise ConfigurationError(f"unknown interaction kind {kind!r}")
+    phi = _COMBINERS[kind]
     total = np.zeros(embeddings.shape[1])
     for tup in enumerate_suffix_set(i, t):
         state = embeddings[tup[0] - 1]
         for step in range(1, t):
             j_prev, j_next = tup[step - 1], tup[step]
-            w = edge_weights[step - 1][(j_prev, j_next)]
-            e = embeddings[j_next - 1]
-            if kind == "basic-inner":
-                state = state * e
-            elif kind == "inner":
-                state = w * state * e
-            elif kind == "kernel":
-                state = (state @ w) * e
-            elif kind == "outer":
-                p, q = w
-                state = float(state @ p) * (q * e)
-            else:
-                raise ConfigurationError(f"unknown interaction kind {kind!r}")
+            state = phi(state, embeddings[j_next - 1], edge_weights[step - 1][(j_prev, j_next)])
         total = total + state
     return total
 

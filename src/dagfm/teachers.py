@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interactions import EmbeddingTable, MlpTower, Model
+from .interactions import MlpTower, Model
 from .numcore import ConfigurationError, check_int
 
 
@@ -64,7 +64,6 @@ class CinModel(Model):
 
     def _build(self, rng) -> None:
         spec = self.spec
-        self.embedding = EmbeddingTable(self.store, self.vocab_sizes, spec.embed_dim, rng)
         prev = spec.num_fields
         for k, h in enumerate(spec.layer_sizes):
             scale = 1.0 / np.sqrt(prev * spec.num_fields)
@@ -73,7 +72,6 @@ class CinModel(Model):
         self.store.add("head.w", rng.normal(scale=1.0 / np.sqrt(spec.pooled_width),
                                             size=spec.pooled_width))
         self.store.add("head.b", np.zeros(1))
-        self._cache = None
 
     # Feature maps are kept embedding-dim-major, (d, B, H): layer k is one
     # GEMM per embedding dim e, (B, H_prev*m) x (H_prev*m, H), over the pair
@@ -100,20 +98,14 @@ class CinModel(Model):
                 np.matmul(self._pairs(prev[e], E_d[e]).reshape(B, -1), W2.T, out=nxt[e])
             maps.append(nxt)
         feats = np.concatenate([x.sum(axis=0) for x in maps[1:]], axis=1)
-        logits = feats @ self.store["head.w"] + self.store["head.b"][0]
         self._cache = (np.asarray(idx), maps, feats)
-        return logits
+        return self._head(feats)
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         idx, maps, feats = self._cache
         E_d = maps[0]
         d, B, m = E_d.shape
-        dlogits = np.asarray(dlogits, dtype=self.store.dtype)
-        grads = {
-            "head.w": feats.T @ dlogits,
-            "head.b": np.array([dlogits.sum()], dtype=self.store.dtype),
-        }
-        dfeat = dlogits[:, None] * self.store["head.w"][None, :]
+        grads, dfeat = self._head_backward(feats, dlogits)
         offsets = np.cumsum((0, *self.spec.layer_sizes))
         d_maps = [np.zeros_like(x) for x in maps]
         for k in range(self.spec.num_layers):
@@ -165,13 +157,11 @@ class CrossNetModel(Model):
     def _build(self, rng) -> None:
         spec = self.spec
         n = spec.width
-        self.embedding = EmbeddingTable(self.store, self.vocab_sizes, spec.embed_dim, rng)
         for t in range(spec.num_layers):
             self.store.add(f"cross.W{t}", rng.normal(scale=1.0 / np.sqrt(n), size=(n, n)))
             self.store.add(f"cross.b{t}", np.zeros(n))
         self.store.add("head.w", rng.normal(scale=1.0 / np.sqrt(n), size=n))
         self.store.add("head.b", np.zeros(1))
-        self._cache = None
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
@@ -183,19 +173,13 @@ class CrossNetModel(Model):
             u = xs[-1] @ self.store[f"cross.W{t}"].T + self.store[f"cross.b{t}"]
             us.append(u)
             xs.append(x0 * u + xs[-1])
-        logits = xs[-1] @ self.store["head.w"] + self.store["head.b"][0]
         self._cache = (np.asarray(idx), E, xs, us)
-        return logits
+        return self._head(xs[-1])
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         idx, E, xs, us = self._cache
         x0 = xs[0]
-        dlogits = np.asarray(dlogits, dtype=self.store.dtype)
-        grads = {
-            "head.w": xs[-1].T @ dlogits,
-            "head.b": np.array([dlogits.sum()], dtype=self.store.dtype),
-        }
-        dx = dlogits[:, None] * self.store["head.w"][None, :]
+        grads, dx = self._head_backward(xs[-1], dlogits)
         dx0 = np.zeros_like(x0)
         for t in range(self.spec.num_layers - 1, -1, -1):
             du = dx * x0
@@ -238,12 +222,11 @@ class FmfmSpec:
 
 
 class _PairwiseModel(Model):
-    def _build_common(self, rng) -> None:
+    def _build(self, rng) -> None:
         spec = self.spec
         self.pairs = upper_pairs(spec.num_fields)
         self._pi = np.array([i for i, _ in self.pairs])
         self._pj = np.array([j for _, j in self.pairs])
-        self.embedding = EmbeddingTable(self.store, self.vocab_sizes, spec.embed_dim, rng)
         self.store.add("linear.u", np.zeros((spec.num_fields, spec.embed_dim)))
         self.store.add("head.b", np.zeros(1))
 
@@ -261,9 +244,8 @@ class FwfmModel(_PairwiseModel):
     spec_type = FwfmSpec
 
     def _build(self, rng) -> None:
-        self._build_common(rng)
+        super()._build(rng)
         self.store.add("fwfm.w", np.ones((len(self.pairs), self.spec.embed_dim)))
-        self._cache = None
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
@@ -297,10 +279,9 @@ class FmfmModel(_PairwiseModel):
     spec_type = FmfmSpec
 
     def _build(self, rng) -> None:
-        self._build_common(rng)
+        super()._build(rng)
         d = self.spec.embed_dim
         self.store.add("fmfm.W", np.broadcast_to(np.eye(d), (len(self.pairs), d, d)).copy())
-        self._cache = None
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
@@ -351,10 +332,8 @@ class TinyMlpModel(Model):
 
     def _build(self, rng) -> None:
         spec = self.spec
-        self.embedding = EmbeddingTable(self.store, self.vocab_sizes, spec.embed_dim, rng)
         widths = [spec.num_fields * spec.embed_dim, *spec.hidden, 1]
         self.mlp = MlpTower(self.store, widths, spec.activation, rng, zero_final=False)
-        self._cache = None
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)

@@ -572,6 +572,65 @@ class TestCli:
         assert re.search(pattern, err)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "train-teacher"])
+    @pytest.mark.parametrize("line", [0, 2], ids=["header", "row"])
+    def test_non_utf8_csv_exits_one(self, command, line, cli_run, tmp_path, capsys):
+        _, csv, teacher_dir, _ = cli_run
+        lines = csv.read_bytes().split(b"\n")
+        lines[line] = lines[line][:-1] + b"\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        target = (
+            ["--checkpoint", str(teacher_dir / "teacher.ckpt")]
+            if command == "eval" else ["--out", str(tmp_path / "out")]
+        )
+        rc = main([command, "--data", str(bad), *target])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line {line + 1}: byte 0xff is not UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, ckpt", [("eval", "teacher"), ("distill", "teacher"),
+                                               ("finetune", "student")])
+    def test_moved_checkpoint_with_other_data_exits_one(self, command, ckpt, cli_run,
+                                                        tmp_path, capsys):
+        # the checkpoint travels without its schema.json, and the vocabulary
+        # built from another CSV has other sizes than its embedding tables
+        root, csv, _, _ = cli_run
+        moved = tmp_path / "moved" / f"{ckpt}.ckpt"
+        moved.parent.mkdir()
+        moved.write_bytes((root / ckpt / f"{ckpt}.ckpt").read_bytes())
+        header = csv.read_text().splitlines()[0]
+        other = tmp_path / "other.csv"
+        other.write_text(header + "\n" + "".join(
+            f"{i % 2},{i},{i % 3},{i % 4}\n" for i in range(50)
+        ))
+        out = [] if command == "eval" else ["--out", str(tmp_path / "out")]
+        rc = main([command, "--checkpoint", str(moved), "--data", str(other), *out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vocab sizes" in err
+        assert "Traceback" not in err
+
+    def test_eval_schema_without_data_exits_one(self, cli_run, capsys):
+        _, _, teacher_dir, _ = cli_run
+        rc = main(["eval", "--checkpoint", str(teacher_dir / "teacher.ckpt"),
+                   "--schema", str(teacher_dir / "schema.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--schema needs --data" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--seed", "7"],
+        ["eval", "--split", "0.8,0.1,0.1"],
+        ["finetune", "--seed", "7"],
+    ], ids=["eval-seed", "eval-split", "finetune-seed"])
+    def test_unread_flags_are_usage_errors(self, argv, capsys):
+        assert main([*argv, "--checkpoint", "missing.ckpt"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_data_exits_one(self, tmp_path, capsys):
         rc = main(["train-teacher", "--out", str(tmp_path)])
         assert rc == 1

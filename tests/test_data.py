@@ -74,6 +74,21 @@ class TestBuildVocab:
         with pytest.raises(ParseError, match="line 2"):
             build_vocab(path, min_freq=0)
 
+    @pytest.mark.parametrize("read", [
+        read_header,
+        build_vocab,
+        lambda path: load_dataset(path, build_vocab(path.with_name("ok.csv"))),
+    ], ids=["read_header", "build_vocab", "load_dataset"])
+    @pytest.mark.parametrize("text, line", [(b"label,f1,\xff\n1,a,x\n", 1),
+                                            (b"label,f1,f2\n1,a,x\n0,\xff,y\n", 3)],
+                             ids=["header", "row"])
+    def test_non_utf8_reports_file_and_line(self, read, text, line, tmp_path):
+        write(tmp_path, "label,f1,f2\n1,a,x\n", name="ok.csv")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=rf"bad\.csv: line {line}: byte 0xff is not UTF-8"):
+            read(path)
+
     def test_header_read(self, tmp_path):
         path = write(tmp_path, "label,user,item\n1,a,b\n")
         assert read_header(path) == ["user", "item"]

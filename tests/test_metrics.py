@@ -185,6 +185,29 @@ class TestParamCounts:
         with pytest.raises(ConfigurationError):
             count_params(object(), [2, 2])
 
+    # the closed forms at m=39, d=16, depth 3 (the efficiency table's zoo):
+    # L*P*per-edge + m*(L+1) + 1 for the student, H_k*H_{k-1}*m + sum(H) + 1
+    # for CIN, L*(n^2 + n) + n + 1 for CrossNet at n = m*d, and so on
+    PRODUCTION_SIZE = [
+        (DagfmSpec("basic-inner", 39, 16, 3), 157),
+        (DagfmSpec("inner", 39, 16, 3), 37_597),
+        (DagfmSpec("kernel", 39, 16, 3), 599_197),
+        (DagfmSpec("outer", 39, 16, 3), 75_037),
+        (DagfmPlusSpec(DagfmSpec("outer", 39, 16, 3), mlp_hidden=(64, 32)), 236_958),
+        (CinSpec(39, 16, (200, 200, 200)), 3_424_801),
+        (CrossNetSpec(39, 16, 3), 1_170_625),
+        (FwfmSpec(39, 16), 12_481),
+        (FmfmSpec(39, 16), 190_321),
+        (TinyMlpSpec(39, 16, hidden=(400, 400)), 410_801),
+    ]
+
+    @pytest.mark.parametrize("spec,expected", PRODUCTION_SIZE,
+                             ids=lambda x: getattr(x, "kind", type(x).__name__))
+    def test_production_size_counts_are_pinned(self, spec, expected):
+        count = count_params(spec, [100] * 39)
+        assert count.non_embedding == expected
+        assert count.embedding == 39 * 100 * 16
+
 
 # ---------------------------------------------------------------------------
 # FLOPs
