@@ -3,7 +3,7 @@
 
 Takes each model family at a production-like size (default m=39 fields,
 d=16 embedding dims, as in large CTR benchmarks) and reports its
-non-embedding parameters, read from the built model's store, and its
+non-embedding parameters, summed over its declared parameter layout, and its
 closed-form per-instance forward FLOPs. Measured time is the job of the
 ``perfbench/`` harness.
 

@@ -11,19 +11,21 @@ family. The payload is the concatenation of each parameter's contiguous
 little-endian bytes in manifest order, so save -> load -> save reproduces the
 file byte for byte.
 
-Loading first checks that the header's vocabulary sizes are positive ints
-whose embedding tables fit in the payload, so a small file cannot force a
-large allocation. It then rebuilds the model from the header and checks
-every manifest entry against it (known and unique name, exact shape, float
-dtype) and the payload size against the file before reading any weights;
-non-finite weights are rejected. Every malformed file raises
-:class:`CheckpointError`.
+Loading checks the file against the model family's declared parameter
+layout (``spec.layout``) before it allocates anything: the header length
+against the file size, then the layout's parameters, every one of them,
+against the payload size, so a small file cannot force a large allocation,
+then every manifest entry (known and unique name, exact shape, float dtype)
+and the exact payload size. It then reads the weights, rejects non-finite
+ones, and builds the model from them with no random draws. Every malformed
+file raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import typing
@@ -115,8 +117,9 @@ def save_checkpoint(model, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
 
 
-def _payload_plan(model, manifest) -> dict[str, tuple[np.dtype, int]]:
-    """{name: (dtype, nbytes)} in manifest order, checked against the model."""
+def _payload_plan(shapes, manifest) -> dict[str, tuple[np.dtype, tuple]]:
+    """{name: (dtype, shape)} in manifest order, checked against the layout's
+    ``shapes`` ({name: shape})."""
     if not isinstance(manifest, list):
         raise CheckpointError("corrupt header: manifest is not a list")
     plan = {}
@@ -125,11 +128,11 @@ def _payload_plan(model, manifest) -> dict[str, tuple[np.dtype, int]]:
             name, shape, dtype = entry["name"], entry["shape"], np.dtype(entry["dtype"])
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"corrupt manifest entry {entry!r}") from e
-        if not isinstance(name, str) or name not in model.store:
+        if not isinstance(name, str) or name not in shapes:
             raise CheckpointError(f"manifest names unknown parameter {name!r}")
         if name in plan:
             raise CheckpointError(f"manifest lists parameter {name!r} twice")
-        expected = model.store[name].shape
+        expected = shapes[name]
         if not isinstance(shape, list) or any(type(n) is not int for n in shape) \
                 or tuple(shape) != expected:
             raise CheckpointError(
@@ -138,8 +141,8 @@ def _payload_plan(model, manifest) -> dict[str, tuple[np.dtype, int]]:
             )
         if not isinstance(entry["dtype"], str) or dtype.kind != "f":
             raise CheckpointError(f"parameter {name!r}: dtype {entry['dtype']!r} is not a float")
-        plan[name] = dtype, int(np.prod(expected, dtype=np.int64)) * dtype.itemsize
-    missing = sorted(set(model.store.names()) - plan.keys())
+        plan[name] = dtype, expected
+    missing = sorted(shapes.keys() - plan.keys())
     if missing:
         raise CheckpointError(f"manifest missing parameters {missing}")
     return plan
@@ -151,11 +154,11 @@ def load_checkpoint(path):
         if len(prefix) != _LEN.size:
             raise CheckpointError("file shorter than the header-length prefix")
         (header_len,) = _LEN.unpack(prefix)
-        blob = fh.read(header_len)
-        if len(blob) != header_len:
-            raise CheckpointError("truncated header")
+        size = os.fstat(fh.fileno()).st_size
+        if header_len > size - _LEN.size:
+            raise CheckpointError(f"truncated header: {header_len} bytes claimed, file holds fewer")
         try:
-            header = json.loads(blob.decode("utf-8"))
+            header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"corrupt header: {e}") from e
         if not isinstance(header, dict):
@@ -169,35 +172,38 @@ def load_checkpoint(path):
             if key not in header:
                 raise CheckpointError(f"corrupt header: missing {key!r}")
         spec = spec_from_dict(header["config"])
+        cls = model_class(spec)
+        if header["kind"] != cls.kind:
+            raise CheckpointError(f"header kind {header['kind']!r} != config {cls.kind!r}")
         vocab_sizes = header["vocab_sizes"]
-        if not isinstance(vocab_sizes, list) or \
+        if not isinstance(vocab_sizes, list) or len(vocab_sizes) != spec.num_fields or \
                 any(type(v) is not int or v < 1 for v in vocab_sizes):
             raise CheckpointError(
-                f"vocab_sizes must be a list of positive ints, got {vocab_sizes!r}"
+                f"vocab_sizes must be a list of {spec.num_fields} positive ints, "
+                f"got {vocab_sizes!r}"
             )
-        # the tables are allocated before any payload is read, so a header may
-        # not claim more embedding rows than the file can hold
-        available = os.fstat(fh.fileno()).st_size - fh.tell()
-        if sum(vocab_sizes) * spec.embed_dim * _NARROWEST_FLOAT > available:
-            raise CheckpointError(
-                f"vocab_sizes claim {sum(vocab_sizes)} embedding rows of width "
-                f"{spec.embed_dim}, more than the {available}-byte payload holds"
-            )
-        try:
-            model = build_model(spec, vocab_sizes, seed=0)
-        except (TypeError, ValueError) as e:
-            raise CheckpointError(f"cannot rebuild the model from the header: {e}") from e
-        if header["kind"] != model.kind:
-            raise CheckpointError(f"header kind {header['kind']!r} != config {model.kind!r}")
-        plan = _payload_plan(model, header["manifest"])
-        expected = sum(nbytes for _, nbytes in plan.values())
+        # the layout is read one entry at a time and stops as soon as it
+        # claims more weights than the payload can hold
+        available = size - fh.tell()
+        shapes, weights = {}, 0
+        for name, shape, _ in spec.layout(vocab_sizes):
+            weights += math.prod(shape)
+            if weights * _NARROWEST_FLOAT > available:
+                raise CheckpointError(f"{sum(vocab_sizes)} embedding rows and the other "
+                                      f"parameters need more than the {available}-byte payload")
+            shapes[name] = shape
+        plan = _payload_plan(shapes, header["manifest"])
+        expected = sum(math.prod(shape) * dtype.itemsize for dtype, shape in plan.values())
         if available < expected:
             raise CheckpointError(f"truncated payload: {available} of {expected} bytes")
         if available > expected:
             raise CheckpointError("trailing bytes after payload")
-        for name, (dtype, nbytes) in plan.items():
-            arr = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(model.store[name].shape)
+        values = {}
+        for name, (dtype, shape) in plan.items():
+            arr = np.empty(shape, dtype=dtype)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise CheckpointError(f"truncated payload in parameter {name!r}")
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"non-finite weights in parameter {name!r}")
-            model.store.set(name, arr)
-    return model
+            values[name] = arr
+    return cls.from_values(spec, vocab_sizes, values)

@@ -38,6 +38,7 @@ from .numcore import (
 )
 
 CTR_CLIP = 1e-7
+KD_SPACES = ("logit", "probability")
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +89,27 @@ def _ctr_loss_and_grad(labels, logits) -> tuple[float, np.ndarray]:
 
 
 def _kd_loss_and_grad(teacher_logits, student_logits, space: str) -> tuple[float, np.ndarray]:
+    """KD loss and its gradient in ``space``, one of the checked ``KD_SPACES``."""
     t = np.asarray(teacher_logits, dtype=np.float64)
     s = np.asarray(student_logits, dtype=np.float64)
     if space == "logit":
         loss = kd_loss(t, s)
         dlogits = 2.0 * (s - t) / s.size
         return loss, dlogits
-    if space == "probability":
-        pt, ps = stable_sigmoid(t), stable_sigmoid(s)
-        loss = kd_loss(pt, ps)
-        dlogits = 2.0 * (ps - pt) * ps * (1.0 - ps) / s.size
-        return loss, dlogits
-    raise ConfigurationError(f"unknown kd space {space!r}; pick 'logit' or 'probability'")
+    pt, ps = stable_sigmoid(t), stable_sigmoid(s)
+    loss = kd_loss(pt, ps)
+    dlogits = 2.0 * (ps - pt) * ps * (1.0 - ps) / s.size
+    return loss, dlogits
+
+
+def _check_kd_settings(alpha: float, beta: float, kd_space: str) -> None:
+    """Reject stage-2 settings before anything is copied, frozen or scored."""
+    if alpha < 0 or beta < 0:
+        raise ConfigurationError(f"weights must be nonnegative, got alpha={alpha}, beta={beta}")
+    if alpha == 0 and beta == 0:
+        raise ConfigurationError("alpha and beta cannot both be zero")
+    if kd_space not in KD_SPACES:
+        raise ConfigurationError(f"unknown kd space {kd_space!r}; pick from {KD_SPACES}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +161,7 @@ class DistillPlan:
             raise ConfigurationError(
                 f"distill_stages must be a non-empty tuple of StageConfig, got {stages!r}"
             )
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigurationError(
-                f"weights must be nonnegative, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if self.alpha == 0 and self.beta == 0:
-            raise ConfigurationError("alpha and beta cannot both be zero")
-        if self.kd_space not in ("logit", "probability"):
-            raise ConfigurationError(f"unknown kd space {self.kd_space!r}")
+        _check_kd_settings(self.alpha, self.beta, self.kd_space)
 
 
 @dataclass(frozen=True)
@@ -313,20 +316,6 @@ def train_teacher(
     return _run_stage(model, split, stage, batch_loss, "teacher", log_path)
 
 
-def _check_embedding_match(student, teacher) -> None:
-    s_names, t_names = student.embedding_names(), teacher.embedding_names()
-    if len(s_names) != len(t_names):
-        raise ConfigurationError(
-            f"student has {len(s_names)} embedding tables, teacher {len(t_names)}"
-        )
-    for sn, tn in zip(s_names, t_names):
-        s_shape, t_shape = student.store[sn].shape, teacher.store[tn].shape
-        if s_shape != t_shape:
-            raise ConfigurationError(
-                f"embedding shape mismatch: student {sn} {s_shape} vs teacher {tn} {t_shape}"
-            )
-
-
 def distill_student(
     student,
     teacher,
@@ -348,11 +337,14 @@ def distill_student(
     saturates long before the student's outputs have converged onto the
     teacher's, and rewinding would discard most of that matching progress.
     """
-    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
+    _check_kd_settings(alpha, beta, kd_space)
+    # every layout declares one (vocab size, embed_dim) table per field
+    s_tables = (student.vocab_sizes, student.embed_dim)
+    t_tables = (teacher.vocab_sizes, teacher.embed_dim)
+    if s_tables != t_tables:
         raise ConfigurationError(
-            f"need alpha >= 0, beta >= 0, not both zero; got alpha={alpha}, beta={beta}"
+            f"embedding shape mismatch: student (vocab sizes, dim) {s_tables} vs teacher {t_tables}"
         )
-    _check_embedding_match(student, teacher)
     for sn, tn in zip(student.embedding_names(), teacher.embedding_names()):
         student.store.set(sn, teacher.store[tn])
     student.store.freeze(*student.embedding_names())

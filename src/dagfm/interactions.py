@@ -12,7 +12,8 @@ where ``phi`` is one of four combiners: plain elementwise product
 which costs O(d) per edge instead of O(d^2)). Every state set is sum-pooled
 per node and a linear head maps the concatenated pooled vector to a logit.
 
-Parameters are stored compactly, one row per edge. Each layer scatters them
+Parameters are stored compactly, one row per edge, in the order the
+declared layout (:meth:`DagfmSpec.layout`) lists them. Each layer scatters them
 into a dense (m, m, ...) array, zero off the edge list, and runs as batched
 BLAS GEMMs (``np.matmul``): per source node and then per target node for
 ``outer``, per embedding dim for ``inner``, one (B, m*d) x (m*d, m*d) product
@@ -27,7 +28,8 @@ this by brute-force enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -95,6 +97,23 @@ def full_dag_pairs(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, i) for i in range(m) for j in range(i + 1))
 
 
+EMBED_INIT_STD = 0.1  # embeddings start small so the zero head gives sigma(0)=0.5
+
+
+def identity(shape) -> np.ndarray:
+    """A stack of identity matrices over the leading axes."""
+    return np.broadcast_to(np.eye(shape[-1]), shape).copy()
+
+
+def embedding_layout(spec, vocab_sizes) -> Iterator[tuple]:
+    """The per-field embedding tables that open every layout; rows include
+    the OOV bucket (i.e. ``FieldSchema.vocab_sizes()``)."""
+    if len(vocab_sizes) != spec.num_fields:
+        raise ConfigurationError(f"{len(vocab_sizes)} vocab sizes for {spec.num_fields} fields")
+    for i, rows in enumerate(vocab_sizes):
+        yield f"emb.f{i}", (int(rows), spec.embed_dim), EMBED_INIT_STD
+
+
 @dataclass(frozen=True)
 class DagfmSpec:
     """Hyperparameters of the DAG student.
@@ -133,6 +152,29 @@ class DagfmSpec:
             return full_dag_pairs(self.num_fields)
         return tuple(sorted(set(self.edges), key=lambda ji: (ji[1], ji[0])))
 
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        """Every parameter of the student, in store order (see :class:`Model`)."""
+        yield from embedding_layout(self, vocab_sizes)
+        P, d = self.num_pairs, self.embed_dim
+        # basic-inner has no edge weights: no loop over the layers a header claims
+        for t in range(self.num_layers if self.kind != "basic-inner" else 0):
+            if self.kind == "inner":
+                yield f"dag.w{t}", (P, d), np.ones
+            elif self.kind == "kernel":
+                yield f"dag.K{t}", (P, d, d), identity
+            elif self.kind == "outer":
+                yield f"dag.p{t}", (P, d), 1.0 / np.sqrt(d)
+                yield f"dag.q{t}", (P, d), 1.0 / np.sqrt(d)
+        yield "head.w", (self.num_fields * self.num_states,), np.zeros
+        yield "head.b", (1,), np.zeros
+
+    @property
+    def num_pairs(self) -> int:
+        """Edge count; a formula on the full DAG, so a layout is sized
+        without listing the edges."""
+        m = self.num_fields
+        return m * (m + 1) // 2 if self.edges is None else len(set(self.edges))
+
     @property
     def is_full_dag(self) -> bool:
         return self.edges is None or set(self.edges) == set(full_dag_pairs(self.num_fields))
@@ -142,29 +184,16 @@ class DagfmSpec:
         return self.num_layers + 1
 
 
-EMBED_INIT_STD = 0.1  # embeddings start small so the zero head gives sigma(0)=0.5
-
-
 class EmbeddingTable:
-    """Per-field embedding matrices registered in a ParamStore.
-
-    ``vocab_sizes`` are row counts per field *including* the OOV bucket
-    (i.e. ``FieldSchema.vocab_sizes()``). Lookup of index ``j`` for field
-    ``i`` is row ``j`` of that field's matrix.
+    """Per-field embedding matrices held in a ParamStore under ``names``.
+    Lookup of index ``j`` for field ``i`` is row ``j`` of that field's matrix.
     """
 
-    def __init__(self, store: ParamStore, vocab_sizes, dim: int, rng, prefix: str = "emb"):
-        if dim < 1:
-            raise ConfigurationError(f"embedding dim must be >= 1, got {dim}")
+    def __init__(self, store: ParamStore, names):
         self.store = store
-        self.vocab_sizes = [int(v) for v in vocab_sizes]
-        self.dim = int(dim)
-        self.names: list[str] = []
-        for i, rows in enumerate(self.vocab_sizes):
-            name = f"{prefix}.f{i}"
-            store.add(name, rng.normal(scale=EMBED_INIT_STD, size=(rows, dim)))
-            self.names.append(name)
-        self._rows = np.array(self.vocab_sizes)
+        self.names = list(names)
+        self._rows = np.array([store[n].shape[0] for n in self.names])
+        self.dim = store[self.names[0]].shape[1]
 
     @property
     def num_fields(self) -> int:
@@ -203,8 +232,14 @@ class EmbeddingTable:
 
 class Model:
     """Common surface: a ParamStore plus forward/backward over index batches.
-    The store holds the embedding tables, built here, then the family's own
-    parameters, registered by ``_build``.
+
+    ``spec.layout(vocab_sizes)`` declares every parameter as ``(name, shape,
+    initialiser)``, in store order, the embedding tables first. An
+    initialiser is either a float, the standard deviation of Gaussian
+    draws, or a function of the shape (``np.zeros``, ``np.ones``,
+    :func:`identity`). A fresh model runs the initialisers, in layout order,
+    on a generator seeded with ``seed``; ``from_values`` fills the same
+    layout from given arrays and draws nothing.
 
     ``kind`` tags the family in checkpoints; ``spec_type`` is the frozen
     dataclass the model is built from, and ``spec`` is always that build
@@ -216,20 +251,34 @@ class Model:
     _cache = None  # what ``backward`` reads from the latest ``forward``
 
     def __init__(self, spec, vocab_sizes, seed: int = 0, dtype=np.float64):
-        if len(vocab_sizes) != spec.num_fields:
-            raise ConfigurationError(
-                f"{len(vocab_sizes)} vocab sizes for {spec.num_fields} fields"
-            )
+        rng = np.random.default_rng(seed)
+
+        def initial_value(name, shape, init):
+            return rng.normal(scale=init, size=shape) if isinstance(init, float) else init(shape)
+
+        self._assemble(spec, vocab_sizes, dtype, initial_value)
+
+    @classmethod
+    def from_values(cls, spec, vocab_sizes, values: dict[str, np.ndarray]) -> "Model":
+        """The float64 model whose parameters are ``values``, keyed by layout
+        name."""
+        model = cls.__new__(cls)
+        model._assemble(spec, vocab_sizes, np.float64, lambda name, shape, init: values[name])
+        return model
+
+    def _assemble(self, spec, vocab_sizes, dtype, value_of) -> None:
+        layout = list(spec.layout(vocab_sizes))
         self.spec = spec
         self.vocab_sizes = [int(v) for v in vocab_sizes]
         self.store = ParamStore(dtype)
-        rng = np.random.default_rng(seed)
-        self.embedding = EmbeddingTable(self.store, self.vocab_sizes, self.embed_dim, rng)
-        self._build(rng)
+        for name, shape, init in layout:
+            self.store.add(name, value_of(name, shape, init))
+        tables = [name for name, _, _ in layout[: spec.num_fields]]  # the layout opens with them
+        self.embedding = EmbeddingTable(self.store, tables)
+        self._setup()
 
-    def _build(self, rng) -> None:
-        """Register the family's parameters after the embedding tables."""
-        raise NotImplementedError
+    def _setup(self) -> None:
+        """Derive what ``forward`` reads besides the store."""
 
     def _head(self, x: np.ndarray) -> np.ndarray:
         """The linear head: ``x @ head.w + head.b``, one logit per row."""
@@ -296,24 +345,10 @@ class DagfmModel(Model):
         """The DAG part of the build spec (all of it for the plain student)."""
         return self.spec
 
-    def _build(self, rng) -> None:
-        spec = self.dag
-        m, d, L = spec.num_fields, spec.embed_dim, spec.num_layers
-        self.pairs = spec.pairs()
+    def _setup(self) -> None:
+        self.pairs = self.dag.pairs()
         self._jj = np.array([j for j, _ in self.pairs])
         self._ii = np.array([i for _, i in self.pairs])
-        P = len(self.pairs)
-        for t in range(L):
-            if spec.kind == "inner":
-                self.store.add(f"dag.w{t}", np.ones((P, d)))
-            elif spec.kind == "kernel":
-                self.store.add(f"dag.K{t}", np.broadcast_to(np.eye(d), (P, d, d)).copy())
-            elif spec.kind == "outer":
-                scale = 1.0 / np.sqrt(d)
-                self.store.add(f"dag.p{t}", rng.normal(scale=scale, size=(P, d)))
-                self.store.add(f"dag.q{t}", rng.normal(scale=scale, size=(P, d)))
-        self.store.add("head.w", np.zeros(m * spec.num_states))
-        self.store.add("head.b", np.zeros(1))
 
     # -- weight scatter helper --------------------------------------------------
 
@@ -326,23 +361,19 @@ class DagfmModel(Model):
 
     def set_identity_edge_weights(self) -> None:
         """Reset edge weights to the values that reduce every combiner to the
-        plain elementwise product (ones / identity matrix; for the rank-1
-        ``outer`` combiner this only exists at d=1)."""
+        plain elementwise product: the declared initialisers of ``inner``
+        (ones) and ``kernel`` (identity matrices); for the rank-1 ``outer``
+        combiner, p = q = 1, which is the identity only at d=1."""
         d = self.embed_dim
-        P = len(self.pairs)
-        for t in range(self.dag.num_layers):
-            if self.dag.kind == "inner":
-                self.store.set(f"dag.w{t}", np.ones((P, d)))
-            elif self.dag.kind == "kernel":
-                self.store.set(f"dag.K{t}", np.broadcast_to(np.eye(d), (P, d, d)).copy())
-            elif self.dag.kind == "outer":
-                if d != 1:
-                    raise ConfigurationError(
-                        "outer weights are rank-1 and cannot express the identity "
-                        f"matrix for embed_dim={d}; identity exists only at d=1"
-                    )
-                self.store.set(f"dag.p{t}", np.ones((P, 1)))
-                self.store.set(f"dag.q{t}", np.ones((P, 1)))
+        outer = self.dag.kind == "outer"
+        if outer and d != 1:
+            raise ConfigurationError(
+                "outer weights are rank-1 and cannot express the identity "
+                f"matrix for embed_dim={d}; identity exists only at d=1"
+            )
+        for name, shape, init in self.dag.layout(self.vocab_sizes):
+            if name.startswith("dag."):
+                self.store.set(name, np.ones(shape) if outer else init(shape))
 
     # -- forward ----------------------------------------------------------------
 
@@ -505,6 +536,10 @@ class DagfmPlusSpec:
     def num_layers(self) -> int:
         return self.dagfm.num_layers
 
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        yield from self.dagfm.layout(vocab_sizes)
+        yield from mlp_layout(mlp_widths(self), self.activation)
+
     @property
     def mlp_input_width(self) -> int:
         m, d = self.dagfm.num_fields, self.dagfm.embed_dim
@@ -517,27 +552,29 @@ def mlp_widths(spec) -> list[int]:
     return [spec.mlp_input_width, *spec.mlp_hidden, 1]
 
 
-class MlpTower:
-    """Plain fully connected tower. With ``zero_final`` the output layer
-    starts at zero so the tower is an additive no-op until trained."""
+def mlp_layout(widths: list[int], activation: str, zero_final: bool = True) -> Iterator[tuple]:
+    """Weight then bias of each tower layer. With ``zero_final`` the output
+    layer starts at zero so the tower is an additive no-op until trained."""
+    for k, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+        last = k == len(widths) - 2
+        if last and zero_final:
+            init = np.zeros
+        else:
+            gain = 2.0 if activation == "relu" and not last else 1.0
+            init = np.sqrt(gain / n_in)
+        yield f"mlp.W{k}", (n_in, n_out), init
+        yield f"mlp.b{k}", (n_out,), np.zeros
 
-    def __init__(self, store: ParamStore, widths: list[int], activation: str, rng,
-                 prefix: str = "mlp", zero_final: bool = True):
+
+class MlpTower:
+    """Plain fully connected tower over the store's ``mlp.*`` parameters."""
+
+    def __init__(self, store: ParamStore, widths: list[int], activation: str):
         self.store = store
-        self.widths = widths
         self.activation = activation
-        self.names: list[tuple[str, str]] = []
-        for k, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            wname, bname = f"{prefix}.W{k}", f"{prefix}.b{k}"
-            last = k == len(widths) - 2
-            if last and zero_final:
-                W = np.zeros((n_in, n_out))
-            else:
-                gain = 2.0 if activation == "relu" and not last else 1.0
-                W = rng.normal(scale=np.sqrt(gain / n_in), size=(n_in, n_out))
-            store.add(wname, W)
-            store.add(bname, np.zeros(n_out))
-            self.names.append((wname, bname))
+        names = [name for name, _, _ in mlp_layout(widths, activation)]
+        self.names = list(zip(names[0::2], names[1::2]))
+
 
     def _act(self, z):
         return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
@@ -580,9 +617,9 @@ class DagfmPlusModel(DagfmModel):
     def dag(self) -> DagfmSpec:
         return self.spec.dagfm
 
-    def _build(self, rng) -> None:
-        super()._build(rng)
-        self.mlp = MlpTower(self.store, mlp_widths(self.spec), self.spec.activation, rng)
+    def _setup(self) -> None:
+        super()._setup()
+        self.mlp = MlpTower(self.store, mlp_widths(self.spec), self.spec.activation)
 
     def _mlp_input(self, states: list[np.ndarray]) -> np.ndarray:
         B = states[0].shape[0]

@@ -1,8 +1,9 @@
 """Ranking metrics and efficiency accounting (params, FLOPs).
 
-Parameter counts are read from a built model's ParamStore, so each family
-declares its parameters once, in its ``_build``. FLOPs follow a closed form
-per spec, under one convention.
+Parameter counts sum the shapes of a family's declared parameter layout
+(``spec.layout``), the same layout a fresh model is initialised from and a
+checkpoint is checked against; nothing is built to count. FLOPs follow a
+closed form per spec, under one convention.
 
 FLOPs convention, applied uniformly:
 
@@ -26,6 +27,7 @@ lives in the ``perfbench/`` harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,20 +123,12 @@ class ParamCount:
 
 
 def count_params(spec, vocab_sizes) -> ParamCount:
-    """Parameter counts for a model spec. The non-embedding count is read from
-    the store of the model built with one-row vocabularies; the embedding
-    count is ``sum(vocab_sizes) * embed_dim``."""
-    probe = model_class(spec)(spec, [1] * spec.num_fields)
-    return ParamCount(count_params_store(probe).non_embedding,
-                      int(sum(vocab_sizes)) * spec.embed_dim)
-
-
-def count_params_store(model) -> ParamCount:
-    """Parameter counts of a built model, from a walk of its ParamStore."""
-    emb_names = set(model.embedding_names())
-    emb = model.store.n_scalars(emb_names)
-    other = model.store.n_scalars() - emb
-    return ParamCount(other, emb)
+    """Parameter counts for a model spec, summed over its declared layout;
+    the embedding count is ``sum(vocab_sizes) * embed_dim``."""
+    model_class(spec)  # a ConfigurationError for a spec no model family is built from
+    total = sum(math.prod(shape) for _, shape, _ in spec.layout(vocab_sizes))
+    embedding = int(sum(vocab_sizes)) * spec.embed_dim
+    return ParamCount(total - embedding, embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ def count_flops(spec) -> FlopCount:
         return base + _mlp_flops(mlp_widths(spec)) + FlopCount(0, 1)
     if isinstance(spec, DagfmSpec):
         m, d, L = spec.num_fields, spec.embed_dim, spec.num_layers
-        P = len(spec.pairs())
+        P = spec.num_pairs
         pm, pa = _pair_cost(spec.kind, d)
         layer_mults = P * pm
         layer_adds = P * pa + (P - m) * d + m * (d - 1)
@@ -214,8 +208,7 @@ def count_flops(spec) -> FlopCount:
         P = m * (m - 1) // 2
         return FlopCount((d * d + d) * P + m * d, P * d * d + m * d - 1)
     if isinstance(spec, TinyMlpSpec):
-        widths = [spec.num_fields * spec.embed_dim, *spec.hidden, 1]
-        return _mlp_flops(widths)
+        return _mlp_flops(spec.widths)
     raise ConfigurationError(f"no FLOPs formula for spec type {type(spec).__name__}")
 
 
@@ -407,6 +400,6 @@ class EfficiencyReport:
 
 
 def efficiency_report(model) -> EfficiencyReport:
-    """Parameter counts of ``model``'s store and closed-form per-instance
+    """Parameter counts of ``model``'s layout and closed-form per-instance
     forward FLOPs of its spec."""
-    return EfficiencyReport(count_params_store(model), count_flops(model.spec))
+    return EfficiencyReport(count_params(model.spec, model.vocab_sizes), count_flops(model.spec))

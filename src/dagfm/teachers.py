@@ -14,10 +14,11 @@ with hand-derived gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .interactions import MlpTower, Model
+from .interactions import MlpTower, Model, embedding_layout, identity, mlp_layout
 from .numcore import ConfigurationError, check_int
 
 
@@ -49,6 +50,15 @@ class CinSpec:
         for h in self.layer_sizes:
             check_int("layer_sizes width", h, 1)
 
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        yield from embedding_layout(self, vocab_sizes)
+        m = prev = self.num_fields
+        for k, h in enumerate(self.layer_sizes):
+            yield f"cin.W{k}", (h, prev, m), 1.0 / np.sqrt(prev * m)
+            prev = h
+        yield "head.w", (self.pooled_width,), 1.0 / np.sqrt(self.pooled_width)
+        yield "head.b", (1,), np.zeros
+
     @property
     def num_layers(self) -> int:
         return len(self.layer_sizes)
@@ -61,17 +71,6 @@ class CinSpec:
 class CinModel(Model):
     kind = "cin"
     spec_type = CinSpec
-
-    def _build(self, rng) -> None:
-        spec = self.spec
-        prev = spec.num_fields
-        for k, h in enumerate(spec.layer_sizes):
-            scale = 1.0 / np.sqrt(prev * spec.num_fields)
-            self.store.add(f"cin.W{k}", rng.normal(scale=scale, size=(h, prev, spec.num_fields)))
-            prev = h
-        self.store.add("head.w", rng.normal(scale=1.0 / np.sqrt(spec.pooled_width),
-                                            size=spec.pooled_width))
-        self.store.add("head.b", np.zeros(1))
 
     # Feature maps are kept embedding-dim-major, (d, B, H): layer k is one
     # GEMM per embedding dim e, (B, H_prev*m) x (H_prev*m, H), over the pair
@@ -145,6 +144,15 @@ class CrossNetSpec:
         check_int("embed_dim", self.embed_dim, 1)
         check_int("num_layers", self.num_layers, 1)
 
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        yield from embedding_layout(self, vocab_sizes)
+        n = self.width
+        for t in range(self.num_layers):
+            yield f"cross.W{t}", (n, n), 1.0 / np.sqrt(n)
+            yield f"cross.b{t}", (n,), np.zeros
+        yield "head.w", (n,), 1.0 / np.sqrt(n)
+        yield "head.b", (1,), np.zeros
+
     @property
     def width(self) -> int:
         return self.num_fields * self.embed_dim
@@ -153,15 +161,6 @@ class CrossNetSpec:
 class CrossNetModel(Model):
     kind = "crossnet"
     spec_type = CrossNetSpec
-
-    def _build(self, rng) -> None:
-        spec = self.spec
-        n = spec.width
-        for t in range(spec.num_layers):
-            self.store.add(f"cross.W{t}", rng.normal(scale=1.0 / np.sqrt(n), size=(n, n)))
-            self.store.add(f"cross.b{t}", np.zeros(n))
-        self.store.add("head.w", rng.normal(scale=1.0 / np.sqrt(n), size=n))
-        self.store.add("head.b", np.zeros(1))
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
@@ -196,6 +195,13 @@ class CrossNetModel(Model):
 # shallow baselines
 # ---------------------------------------------------------------------------
 
+def _pairwise_layout(spec, vocab_sizes) -> Iterator[tuple]:
+    """Embeddings, per-field linear weights and the bias of FwFM and FmFM."""
+    yield from embedding_layout(spec, vocab_sizes)
+    yield "linear.u", (spec.num_fields, spec.embed_dim), np.zeros
+    yield "head.b", (1,), np.zeros
+
+
 @dataclass(frozen=True)
 class FwfmSpec:
     """Field-pair weight *vectors*: logit = bias + sum_i u_i . e_i
@@ -207,6 +213,11 @@ class FwfmSpec:
     def __post_init__(self):
         check_int("num_fields", self.num_fields, 2)
         check_int("embed_dim", self.embed_dim, 1)
+
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        yield from _pairwise_layout(self, vocab_sizes)
+        m = self.num_fields
+        yield "fwfm.w", (m * (m - 1) // 2, self.embed_dim), np.ones
 
 
 @dataclass(frozen=True)
@@ -220,15 +231,17 @@ class FmfmSpec:
         check_int("num_fields", self.num_fields, 2)
         check_int("embed_dim", self.embed_dim, 1)
 
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        yield from _pairwise_layout(self, vocab_sizes)
+        m, d = self.num_fields, self.embed_dim
+        yield "fmfm.W", (m * (m - 1) // 2, d, d), identity
+
 
 class _PairwiseModel(Model):
-    def _build(self, rng) -> None:
-        spec = self.spec
-        self.pairs = upper_pairs(spec.num_fields)
+    def _setup(self) -> None:
+        self.pairs = upper_pairs(self.spec.num_fields)
         self._pi = np.array([i for i, _ in self.pairs])
         self._pj = np.array([j for _, j in self.pairs])
-        self.store.add("linear.u", np.zeros((spec.num_fields, spec.embed_dim)))
-        self.store.add("head.b", np.zeros(1))
 
     def _linear_term(self, E: np.ndarray) -> np.ndarray:
         return np.einsum("bmd,md->b", E, self.store["linear.u"])
@@ -242,10 +255,6 @@ class _PairwiseModel(Model):
 class FwfmModel(_PairwiseModel):
     kind = "fwfm"
     spec_type = FwfmSpec
-
-    def _build(self, rng) -> None:
-        super()._build(rng)
-        self.store.add("fwfm.w", np.ones((len(self.pairs), self.spec.embed_dim)))
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
@@ -277,11 +286,6 @@ class FwfmModel(_PairwiseModel):
 class FmfmModel(_PairwiseModel):
     kind = "fmfm"
     spec_type = FmfmSpec
-
-    def _build(self, rng) -> None:
-        super()._build(rng)
-        d = self.spec.embed_dim
-        self.store.add("fmfm.W", np.broadcast_to(np.eye(d), (len(self.pairs), d, d)).copy())
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
@@ -325,15 +329,21 @@ class TinyMlpSpec:
         if self.activation not in ("relu", "tanh"):
             raise ConfigurationError(f"unknown activation {self.activation!r}")
 
+    @property
+    def widths(self) -> list[int]:
+        return [self.num_fields * self.embed_dim, *self.hidden, 1]
+
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        yield from embedding_layout(self, vocab_sizes)
+        yield from mlp_layout(self.widths, self.activation, zero_final=False)
+
 
 class TinyMlpModel(Model):
     kind = "tinymlp"
     spec_type = TinyMlpSpec
 
-    def _build(self, rng) -> None:
-        spec = self.spec
-        widths = [spec.num_fields * spec.embed_dim, *spec.hidden, 1]
-        self.mlp = MlpTower(self.store, widths, spec.activation, rng, zero_final=False)
+    def _setup(self) -> None:
+        self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)

@@ -102,6 +102,17 @@ def _first_entry(**fields):
     return _header_edit(lambda h: h["manifest"][0].update(fields))
 
 
+def _claim(**config):
+    """A header claiming the model ``config`` describes, over two one-row
+    fields, with an 8 KiB payload: room for the embedding tables only."""
+
+    def edit(header, payload):
+        header.update(kind=config["model"], config=config, vocab_sizes=[1, 1])
+        return bytes(8192)
+
+    return edit
+
+
 # crafted corruptions of a DagfmSpec("inner", 3, 2, 1) checkpoint whose first
 # parameter is emb.f0 of shape (3, 2): (edit, pattern the error must match)
 CORRUPTIONS = {
@@ -118,6 +129,20 @@ CORRUPTIONS = {
     # three 2,000,000-row tables claimed by a file of a few hundred bytes
     "oversized-vocab": (
         _header_edit(lambda h: h.update(vocab_sizes=[2_000_000] * 3)), "embedding rows"
+    ),
+    # layers far larger than the payload, behind small embedding tables
+    "oversized-crossnet": (
+        _claim(model="crossnet", num_fields=2, embed_dim=1000, num_layers=3), "embedding rows"
+    ),
+    "oversized-cin": (
+        _claim(model="cin", num_fields=2, embed_dim=1, layer_sizes=[2000, 2000]),
+        "embedding rows",
+    ),
+    "short-vocab": (_header_edit(lambda h: h.update(vocab_sizes=[3, 4])), "vocab_sizes"),
+    # a billion layers of a combiner without edge weights: only the head is large
+    "deep-basic-inner": (
+        _header_edit(lambda h: h["config"].update(kind="basic-inner", num_layers=10**9)),
+        "embedding rows",
     ),
     "v1-header": (_header_edit(lambda h: h.update(version=1)), "version"),
     "kind-mismatch": (_header_edit(lambda h: h.update(kind="cin")), "kind"),
@@ -187,6 +212,12 @@ class TestSpecRoundTrip:
         assert model.kind == spec_to_dict(spec)["model"]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_layout_lists_the_built_store(self, spec):
+        model = build_model(spec, VOCAB, seed=1)
+        layout = [(name, shape) for name, shape, _ in spec.layout(VOCAB)]
+        assert layout == [(n, model.store[n].shape) for n in model.store.names()]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_model_spec_is_the_build_spec(self, spec):
         model = build_model(spec, VOCAB, seed=1)
         assert model.spec == spec
@@ -234,6 +265,12 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="shorter"):
             load_checkpoint(path)
 
+    def test_header_length_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(struct.pack("<Q", 2**40) + b"{}")
+        with pytest.raises(CheckpointError, match="truncated header"):
+            load_checkpoint(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(DagfmModel(DagfmSpec("inner", 3, 2, 1), VOCAB, seed=0), path)
@@ -279,16 +316,35 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match=pattern):
             load_checkpoint(path)
 
-    def test_oversized_vocab_is_rejected_before_allocating(self, tmp_path):
-        path = _corrupted(tmp_path, CORRUPTIONS["oversized-vocab"][0])
+    @pytest.mark.parametrize("row", ["oversized-vocab", "oversized-crossnet", "oversized-cin"])
+    def test_oversized_vocab_is_rejected_before_allocating(self, row, tmp_path):
+        edit, pattern = CORRUPTIONS[row]
+        path = _corrupted(tmp_path, edit)
         tracemalloc.start()
         try:
-            with pytest.raises(CheckpointError, match="embedding rows"):
+            with pytest.raises(CheckpointError, match=pattern):
                 load_checkpoint(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_load_makes_no_random_draws(self, tmp_path, monkeypatch):
+        paths = []
+        for k, spec in enumerate(ALL_SPECS):
+            paths.append(tmp_path / f"{k}.ckpt")
+            save_checkpoint(build_model(spec, VOCAB, seed=k), paths[-1])
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"load_checkpoint drew from the generator ({name})")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+        for spec, path in zip(ALL_SPECS, paths):
+            loaded = load_checkpoint(path)
+            assert loaded.spec == spec
+            save_checkpoint(loaded, tmp_path / "again.ckpt")
+            assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     def test_loaded_model_round_trips_plus_variant(self, tmp_path, rng):
         spec = DagfmPlusSpec(DagfmSpec("outer", 3, 2, 2), mlp_hidden=(6,))
@@ -523,6 +579,15 @@ class TestCli:
         assert payload["params"]["non_embedding"] == count_params(
             model.spec, model.vocab_sizes
         ).non_embedding
+
+    def test_header_length_beyond_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "huge-prefix.ckpt"
+        path.write_bytes(struct.pack("<Q", 2**40) + b"{}")
+        rc = main(["eval", "--checkpoint", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_distill_embedding_mismatch_exits_one(self, cli_run, tmp_path, capsys):
         _, csv, teacher_dir, _ = cli_run

@@ -317,6 +317,19 @@ class TestDistill:
                 kd_space="banana",
             )
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_bad_settings_leave_the_student_untouched(self, tiny, teacher, epochs):
+        vocab_sizes, split = tiny
+        student = fresh_student(vocab_sizes)
+        before = store_bytes(student)
+        trainable = student.store.trainable_names()
+        with pytest.raises(ConfigurationError, match="kd space"):
+            distill_student(
+                student, teacher, split, StageConfig(epochs=epochs, lr=1e-3), kd_space="bogus"
+            )
+        assert store_bytes(student) == before
+        assert student.store.trainable_names() == trainable
+
     def test_probability_space_changes_the_objective(self, tiny, teacher):
         vocab_sizes, split = tiny
         stage = StageConfig(epochs=1, lr=0.02, batch_size=256)

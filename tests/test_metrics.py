@@ -3,6 +3,7 @@ efficiency claim."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from dagfm.metrics import (
     auc,
     count_flops,
     count_params,
-    count_params_store,
     efficiency_report,
     instrumented_flops,
     logloss,
@@ -178,12 +178,22 @@ class TestParamCounts:
     )
     def test_closed_form_matches_store_walk(self, spec, model):
         closed = count_params(spec, model.vocab_sizes)
-        walked = count_params_store(model)
-        assert closed == walked
+        emb = model.store.n_scalars(model.embedding_names())
+        assert closed == ParamCount(model.store.n_scalars() - emb, emb)
 
     def test_unknown_spec_type(self):
         with pytest.raises(ConfigurationError):
             count_params(object(), [2, 2])
+
+    def test_counting_allocates_no_parameters(self):
+        tracemalloc.start()
+        try:
+            count = count_params(CinSpec(39, 16, (200, 200, 200)), [10**6] * 39)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count.non_embedding == 3_424_801
+        assert peak < 2**20
 
     # the closed forms at m=39, d=16, depth 3 (the efficiency table's zoo):
     # L*P*per-edge + m*(L+1) + 1 for the student, H_k*H_{k-1}*m + sum(H) + 1
