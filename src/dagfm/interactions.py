@@ -15,10 +15,25 @@ per node and a linear head maps the concatenated pooled vector to a logit.
 Parameters are stored compactly, one row per edge, in the order the
 declared layout (:meth:`DagfmSpec.layout`) lists them. Each layer scatters them
 into a dense (m, m, ...) array, zero off the edge list, and runs as batched
-BLAS GEMMs (``np.matmul``): per source node and then per target node for
-``outer``, per embedding dim for ``inner``, one (B, m*d) x (m*d, m*d) product
-for ``kernel`` and the transposed adjacency matrix for ``basic-inner``. The
-per-pair ``phi_*`` functions are the reference the layers are tested against.
+BLAS GEMMs (``np.matmul``).
+
+The student works field-major: one contiguous (L+1, m, B, d) buffer holds
+every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
+steps. ``EmbeddingTable.lookup`` gathers each field's rows straight into
+``H[0]``, and each layer writes ``agg * e`` straight into the next slot.
+``outer`` runs two GEMMs per layer: per source ``j`` an (m, d) x (d, B)
+product gives the edge scalars ``S[j, i, b] = p[j, i] . h[j, b]``, and per
+target ``i`` a (B, m) x (m, d) product reads ``S`` as an F-ordered operand.
+Its backward is four batched GEMMs over the same ``S`` and the same
+buffer, with no copies. ``basic-inner`` is one (m, m) x (m, B*d) GEMM
+with the transposed adjacency matrix, ``inner`` one (m, m) x (m, B) GEMM
+per embedding dim over a dim-major copy of the states, and ``kernel`` one
+(B, m*d) x (m*d, m*d) GEMM over a batch-major copy. Pooling every state
+set is one matrix-vector product of the buffer with ``ones(d)``, and the
+head is another. Public shapes stay batch-major: ``lookup``, ``propagate``
+and ``PropagationTrace`` give (B, m, d) arrays, as views where they can.
+The per-pair ``phi_*`` functions are the reference the layers are tested
+against.
 
 With identity-valued weights and the full lower-triangular edge set, node
 ``i`` at layer ``t`` is exactly the sum of all order-``t`` products of
@@ -199,7 +214,10 @@ class EmbeddingTable:
     def num_fields(self) -> int:
         return len(self.names)
 
-    def lookup(self, idx: np.ndarray) -> np.ndarray:
+    def lookup(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (B, m, d) embeddings of an index batch, as a view of a
+        field-major (m, B, d) array (``out`` if given) whose per-field (B, d)
+        blocks are each filled by one gather."""
         idx = np.asarray(idx)
         if idx.ndim != 2 or idx.shape[1] != self.num_fields:
             raise ShapeError(f"index matrix must be (batch, {self.num_fields}), got {idx.shape}")
@@ -210,14 +228,17 @@ class EmbeddingTable:
                 f"field {i}: index {idx[bad[:, i], i][0]} outside vocab range "
                 f"[0, {self._rows[i]})"
             )
-        out = np.empty((idx.shape[0], self.num_fields, self.dim), dtype=self.store.dtype)
+        if out is None:
+            out = np.empty((self.num_fields, idx.shape[0], self.dim))
         for i, name in enumerate(self.names):
-            out[:, i, :] = self.store[name][idx[:, i]]
-        return out
+            # bounds are checked above; "clip" lets take write into out unbuffered
+            np.take(self.store[name], idx[:, i], axis=0, out=out[i], mode="clip")
+        return out.transpose(1, 0, 2)
 
     def grads(self, idx: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
-        """Scatter-add ``d_emb`` into row gradients of the trainable tables;
-        frozen tables get none (``adam_step`` would ignore them)."""
+        """Scatter-add ``d_emb`` (B, m, d) into row gradients of the trainable
+        tables; frozen tables get none (``adam_step`` would ignore them). A
+        field-major ``d_emb``, like ``lookup``'s, is read without copies."""
         d = self.dim
         out = {}
         for i, name in enumerate(self.names):
@@ -226,7 +247,7 @@ class EmbeddingTable:
             rows = self._rows[i]
             flat = (idx[:, i, None] * d + np.arange(d)).ravel()
             g = np.bincount(flat, weights=d_emb[:, i, :].ravel(), minlength=rows * d)
-            out[name] = g.reshape(rows, d).astype(self.store.dtype, copy=False)
+            out[name] = g.reshape(rows, d)
         return out
 
 
@@ -250,27 +271,26 @@ class Model:
     spec_type = None
     _cache = None  # what ``backward`` reads from the latest ``forward``
 
-    def __init__(self, spec, vocab_sizes, seed: int = 0, dtype=np.float64):
+    def __init__(self, spec, vocab_sizes, seed: int = 0):
         rng = np.random.default_rng(seed)
 
         def initial_value(name, shape, init):
             return rng.normal(scale=init, size=shape) if isinstance(init, float) else init(shape)
 
-        self._assemble(spec, vocab_sizes, dtype, initial_value)
+        self._assemble(spec, vocab_sizes, initial_value)
 
     @classmethod
     def from_values(cls, spec, vocab_sizes, values: dict[str, np.ndarray]) -> "Model":
-        """The float64 model whose parameters are ``values``, keyed by layout
-        name."""
+        """The model whose parameters are ``values``, keyed by layout name."""
         model = cls.__new__(cls)
-        model._assemble(spec, vocab_sizes, np.float64, lambda name, shape, init: values[name])
+        model._assemble(spec, vocab_sizes, lambda name, shape, init: values[name])
         return model
 
-    def _assemble(self, spec, vocab_sizes, dtype, value_of) -> None:
+    def _assemble(self, spec, vocab_sizes, value_of) -> None:
         layout = list(spec.layout(vocab_sizes))
         self.spec = spec
         self.vocab_sizes = [int(v) for v in vocab_sizes]
-        self.store = ParamStore(dtype)
+        self.store = ParamStore()
         for name, shape, init in layout:
             self.store.add(name, value_of(name, shape, init))
         tables = [name for name, _, _ in layout[: spec.num_fields]]  # the layout opens with them
@@ -286,11 +306,8 @@ class Model:
 
     def _head_backward(self, x: np.ndarray, dlogits) -> tuple[dict, np.ndarray]:
         """A grads dict holding the head's gradients, and d(loss)/d(x)."""
-        dlogits = np.asarray(dlogits, dtype=self.store.dtype)
-        grads = {
-            "head.w": x.T @ dlogits,
-            "head.b": np.array([dlogits.sum()], dtype=self.store.dtype),
-        }
+        dlogits = np.asarray(dlogits, dtype=np.float64)
+        grads = {"head.w": x.T @ dlogits, "head.b": np.array([dlogits.sum()])}
         return grads, dlogits[:, None] * self.store["head.w"][None, :]
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
@@ -323,7 +340,8 @@ class PropagationTrace:
     """All node states and pooled values of one forward pass.
 
     ``node_states[t]`` is the state set after ``t`` propagation steps
-    (``node_states[0]`` are the embeddings), each of shape (batch, m, d).
+    (``node_states[0]`` are the embeddings), each of shape (batch, m, d)
+    and a view of the student's field-major state buffer.
     ``pooled[b, t, i]`` sums ``node_states[t][b, i, :]`` over the embedding
     axis; ``pooled_concat`` flattens ``pooled`` state-major to length
     ``m * (num_layers + 1)``.
@@ -352,10 +370,11 @@ class DagfmModel(Model):
 
     # -- weight scatter helper --------------------------------------------------
 
-    def _scatter(self, shape, index, values) -> np.ndarray:
+    @staticmethod
+    def _scatter(shape, index, values) -> np.ndarray:
         """Zeros of ``shape`` with the per-edge ``values`` written at ``index``:
         compact edge weights laid out for the GEMMs (zero off the edge list)."""
-        dense = np.zeros(shape, dtype=self.store.dtype)
+        dense = np.zeros(shape)
         dense[index] = values
         return dense
 
@@ -378,59 +397,70 @@ class DagfmModel(Model):
     # -- forward ----------------------------------------------------------------
 
     def propagate(self, states_t: np.ndarray, initial: np.ndarray, t: int) -> np.ndarray:
-        """One propagation step: next state set from (current states, embeddings)."""
+        """One propagation step: next state set from (current states,
+        embeddings), all (batch, m, d)."""
         if not (0 <= t < self.dag.num_layers):
             raise ConfigurationError(
                 f"layer index {t} out of range [0, {self.dag.num_layers})"
             )
-        agg, _ = self._aggregate(np.asarray(states_t, dtype=self.store.dtype), t)
-        return agg * initial
+        h = np.ascontiguousarray(np.asarray(states_t, dtype=np.float64).transpose(1, 0, 2))
+        agg, _ = self._aggregate(h, t)
+        return (agg * np.asarray(initial).transpose(1, 0, 2)).transpose(1, 0, 2)
 
     def _aggregate(self, h: np.ndarray, t: int):
-        """``agg[b, i] = sum over edges j -> i of phi(h[b, j], .)`` without the
-        final ``* e_i``, as batched GEMMs. Returns ``(agg, cache)``; the cache
-        holds what the backward GEMMs read, in the layout they read it."""
-        B, m, d = h.shape
+        """``agg[i, b] = sum over edges j -> i of phi(h[j, b], .)`` without the
+        final ``* e_i``, for contiguous field-major states ``h`` (m, B, d), as
+        batched GEMMs. Returns ``(agg, cache)``: ``agg`` is (m, B, d), maybe a
+        transposed view, and the cache holds what the backward GEMMs read, in
+        the layout they read it."""
+        m, B, d = h.shape
         jj, ii = self._jj, self._ii
         kind = self.dag.kind
         if kind == "basic-inner":
             A = self._scatter((m, m), (jj, ii), 1.0)  # A[j, i] = 1 on an edge
-            return A.T @ h, A
+            return (A.T @ h.reshape(m, B * d)).reshape(m, B, d), A
         if kind == "inner":
-            # one (B, m) x (m, m) GEMM per embedding dim e
+            # per embedding dim e an (m, m) x (m, B) GEMM over dim-major states
             W = self._scatter((d, m, m), (slice(None), jj, ii), self.store[f"dag.w{t}"].T)
-            agg = np.matmul(np.ascontiguousarray(h.transpose(2, 0, 1)), W)  # (e, B, i)
-            return agg.transpose(1, 2, 0), W
+            agg = np.matmul(W.transpose(0, 2, 1), np.ascontiguousarray(h.transpose(2, 0, 1)))
+            return agg.transpose(1, 2, 0), W  # agg was (e, i, b)
         if kind == "kernel":
-            # one (B, m*d) x (m*d, m*d) GEMM: rows are (j, d), columns (i, e)
+            # one (B, m*d) x (m*d, m*d) GEMM over batch-major states: rows are
+            # (j, d), columns (i, e)
             K = self._scatter((m, d, m, d), (jj, slice(None), ii), self.store[f"dag.K{t}"])
             K = K.reshape(m * d, m * d)
-            return (h.reshape(B, m * d) @ K).reshape(B, m, d), K
+            agg = _batch_major(h) @ K
+            return agg.reshape(B, m, d).transpose(1, 0, 2), K
         p = self._scatter((m, m, d), (jj, ii), self.store[f"dag.p{t}"])  # p[j, i]
         q = self._scatter((m, m, d), (ii, jj), self.store[f"dag.q{t}"])  # q[i, j]
-        # S[i, j, b] = h[b, j] . p[j, i]: per source j a (B, d) x (d, m) GEMM,
-        # written with the batch axis innermost so that both the per-target
-        # GEMM below and the backward GEMMs read S without a copy
-        S = np.empty((m, m, B), dtype=h.dtype)
-        np.matmul(h.transpose(1, 0, 2), p.transpose(0, 2, 1), out=S.transpose(1, 2, 0))
-        # agg[b, i] = sum_j S[i, j, b] q[i, j]: per target i a (B, m) x (m, d) GEMM
-        agg = np.empty_like(h)
-        np.matmul(S.transpose(0, 2, 1), q, out=agg.transpose(1, 0, 2))
-        return agg, (p, q, S)
+        # S[j, i, b] = p[j, i] . h[j, b]: per source j an (m, d) x (d, B) GEMM
+        S = np.matmul(p, h.transpose(0, 2, 1))
+        # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, m) x (m, d)
+        # GEMM; S.transpose(1, 2, 0) is F-ordered per target, so BLAS reads S
+        # as it is, and so do the backward GEMMs
+        return np.matmul(S.transpose(1, 2, 0), q), (p, q, S)
 
     def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
-        E = self.embedding.lookup(idx)
-        states = [E]
+        idx = np.asarray(idx)
+        L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
+        # every state set, field-major: H[t, i] is node i's (B, d) block after
+        # t steps (an idx that is not (B, m) reaches lookup's shape check)
+        H = np.empty((L + 1, m, *idx.shape[:1], d))
+        E = H[0]
+        self.embedding.lookup(idx, out=E)
+        B = len(idx)
         layer_caches = []
-        for t in range(self.dag.num_layers):
-            agg, cache = self._aggregate(states[-1], t)
-            states.append(agg * E)
+        for t in range(L):
+            agg, cache = self._aggregate(H[t], t)
+            np.multiply(agg, E, out=H[t + 1])
             layer_caches.append((agg, cache))
-        pooled = np.stack([s.sum(axis=2) for s in states], axis=1)
-        pvec = pooled.reshape(len(E), -1)
-        logits = self._head(pvec)
-        self._cache = (np.asarray(idx), E, states, layer_caches, pvec)
-        return logits, PropagationTrace(states, pooled, pvec)
+        pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)  # state-major rows
+        logits = self._head(pooled.T)
+        self._cache = (idx, H, layer_caches, pooled)
+        trace = PropagationTrace(
+            list(H.transpose(0, 2, 1, 3)), pooled.reshape(L + 1, m, B).transpose(2, 0, 1), pooled.T
+        )
+        return logits, trace
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         return self.forward_trace(idx)[0]
@@ -441,59 +471,68 @@ class DagfmModel(Model):
         """Analytic gradients for every parameter given d(loss)/d(logit).
 
         ``extra_dstates`` lets a wrapper (the MLP-augmented variant) inject
-        additional gradient into each state set before the layer walk.
+        additional gradient into each state set before the layer walk, one
+        field-major (m, B, d) array or ``None`` per state set.
         """
-        idx, E, states, layer_caches, pvec = self._cache
-        B, m, d = E.shape
-        grads, dpool = self._head_backward(pvec, dlogits)
-        dpool = dpool.reshape(B, self.dag.num_states, m, 1)
+        idx, H, layer_caches, pooled = self._cache
+        n_states, m, B, _ = H.shape
+        grads, dpool = self._head_backward(pooled.T, dlogits)
+        dpool = dpool.T.reshape(n_states, m, B, 1)
         if extra_dstates is None:
-            extra_dstates = [None] * self.dag.num_states
+            extra_dstates = [None] * n_states
 
         def dstate(t, dh):
             # d(loss)/d(state t): the head's share broadcast over d, plus the
-            # share that flows back from layer t (dh) and from a wrapper
-            out = dpool[:, t] if dh is None else dh + dpool[:, t]
-            return out if extra_dstates[t] is None else out + extra_dstates[t]
+            # share that flows back from layer t (dh, a fresh array) and from
+            # a wrapper
+            dh = dpool[t] if dh is None else np.add(dh, dpool[t], out=dh)
+            return dh if extra_dstates[t] is None else dh + extra_dstates[t]
 
-        dh = dstate(self.dag.num_layers, None)
+        E = H[0]
+        dh = dstate(n_states - 1, None)
         dE = np.zeros_like(E)
-        for t in range(self.dag.num_layers - 1, -1, -1):
+        for t in range(n_states - 2, -1, -1):
             agg, cache = layer_caches[t]
             dE += dh * agg
-            dh = dstate(t, self._aggregate_backward(t, states[t], dh * E, cache, grads))
+            dh = dstate(t, self._aggregate_backward(t, H[t], dh * E, cache, grads))
         dE += dh
-        grads.update(self.embedding.grads(idx, dE))
+        grads.update(self.embedding.grads(idx, dE.transpose(1, 0, 2)))
         return grads
 
     def _aggregate_backward(self, t, h, dU, cache, grads) -> np.ndarray:
         """Store the edge-weight gradients of layer ``t`` and return
-        d(loss)/d(h), given ``dU`` = d(loss)/d(agg)."""
-        B, m, d = h.shape
+        d(loss)/d(h), given ``dU`` = d(loss)/d(agg); all field-major (m, B, d)
+        and ``dU`` contiguous."""
+        m, B, d = h.shape
         jj, ii = self._jj, self._ii
         kind = self.dag.kind
         if kind == "basic-inner":
-            return cache @ dU
+            return (cache @ dU.reshape(m, B * d)).reshape(m, B, d)
         if kind == "inner":
-            W = cache
-            dU_e = np.ascontiguousarray(dU.transpose(2, 0, 1))  # (e, B, i)
-            h_e = np.ascontiguousarray(h.transpose(2, 0, 1))  # (e, B, j)
-            dW = np.matmul(h_e.transpose(0, 2, 1), dU_e)  # (e, j, i)
+            W = cache  # W[e, j, i]
+            dU_e = np.ascontiguousarray(dU.transpose(2, 0, 1))  # (e, i, b)
+            h_e = np.ascontiguousarray(h.transpose(2, 0, 1))  # (e, j, b)
+            dW = np.matmul(h_e, dU_e.transpose(0, 2, 1))  # (e, j, i)
             grads[f"dag.w{t}"] = dW[:, jj, ii].T
-            return np.matmul(dU_e, W.transpose(0, 2, 1)).transpose(1, 2, 0)
+            return np.matmul(W, dU_e).transpose(1, 2, 0)  # was (e, j, b)
         if kind == "kernel":
             K = cache
-            dU2 = dU.reshape(B, m * d)
-            dK = (h.reshape(B, m * d).T @ dU2).reshape(m, d, m, d)
+            dU2 = _batch_major(dU)
+            dK = (_batch_major(h).T @ dU2).reshape(m, d, m, d)
             grads[f"dag.K{t}"] = dK[jj, :, ii]
-            return (dU2 @ K.T).reshape(B, m, d)
+            return (dU2 @ K.T).reshape(B, m, d).transpose(1, 0, 2)
         p, q, S = cache
-        dS = np.matmul(q, dU.transpose(1, 2, 0))  # dS[i, j, b] = q[i, j] . dU[b, i]
-        grads[f"dag.q{t}"] = np.matmul(S, dU.transpose(1, 0, 2))[ii, jj]  # (i, j, e)
-        grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h.transpose(1, 0, 2))[jj, ii]
-        dh = np.empty_like(h)
-        np.matmul(dS.transpose(1, 2, 0), p, out=dh.transpose(1, 0, 2))  # per source j
-        return dh
+        dS = np.matmul(q, dU.transpose(0, 2, 1))  # dS[i, j, b] = q[i, j] . dU[i, b]
+        grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]  # (i, j, e)
+        grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]  # (j, i, e)
+        # dh[j, b] = sum_i dS[i, j, b] p[j, i]: per source j a (B, m) x (m, d) GEMM
+        return np.matmul(dS.transpose(1, 2, 0), p)
+
+
+def _batch_major(x: np.ndarray) -> np.ndarray:
+    """Field-major (m, B, d) rows as a C-ordered (B, m * d) matrix (a copy)."""
+    m, B, d = x.shape
+    return x.transpose(1, 0, 2).reshape(B, m * d)
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +661,9 @@ class DagfmPlusModel(DagfmModel):
         self.mlp = MlpTower(self.store, mlp_widths(self.spec), self.spec.activation)
 
     def _mlp_input(self, states: list[np.ndarray]) -> np.ndarray:
-        B = states[0].shape[0]
+        B = len(states[0])
         if self.spec.mlp_feed == "all-states":
-            return np.concatenate([s.reshape(B, -1) for s in states], axis=1)
+            return np.stack(states, axis=1).reshape(B, -1)
         return states[-1].reshape(B, -1)
 
     def forward_trace(self, idx: np.ndarray):
@@ -638,18 +677,14 @@ class DagfmPlusModel(DagfmModel):
         return logits, trace
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        _, E, states, _, _ = self._cache
-        B, m, d = E.shape
+        n_states, m, B, d = self._cache[1].shape  # the state buffer
         grads: dict[str, np.ndarray] = {}
-        dx = self.mlp.backward(np.asarray(dlogits, dtype=self.store.dtype), grads)
-        n_states = self.dag.num_states
+        dx = self.mlp.backward(np.asarray(dlogits, dtype=np.float64), grads)
         extra = [None] * n_states
         if self.spec.mlp_feed == "all-states":
-            width = m * d
-            for t in range(n_states):
-                extra[t] = dx[:, t * width : (t + 1) * width].reshape(B, m, d)
+            extra = list(dx.reshape(B, n_states, m, d).transpose(1, 2, 0, 3))
         else:
-            extra[-1] = dx.reshape(B, m, d)
+            extra[-1] = dx.reshape(B, m, d).transpose(1, 0, 2)
         base = super().backward(dlogits, extra_dstates=extra)
         base.update(grads)
         return base

@@ -5,9 +5,10 @@ and supplies hand-derived analytic gradients. ``grad_check`` validates those
 gradients against central finite differences; it is the single verification
 harness shared by all model tests.
 
-Training is typically run in float32, verification in float64. Batch
-reductions use numpy's deterministic reduction order, so a run is
-bit-reproducible for a fixed seed on a fixed machine.
+Every parameter, gradient and activation is float64 (``ParamStore.dtype``),
+in training and in verification alike. Batch reductions use numpy's
+deterministic reduction order, so a run is bit-reproducible for a fixed seed
+on a fixed machine.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class ParamStore:
     moments move.
     """
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = np.dtype(dtype)
+    dtype = np.dtype(np.float64)  # of every parameter, gradient and model buffer
+
+    def __init__(self):
         self._values: dict[str, np.ndarray] = {}
         self._trainable: dict[str, bool] = {}
         self._m: dict[str, np.ndarray] = {}
@@ -143,7 +145,7 @@ class ParamStore:
             self.set(n, v)
 
     def copy(self) -> "ParamStore":
-        out = ParamStore(self.dtype)
+        out = ParamStore()
         for n, v in self._values.items():
             out.add(n, v.copy(), trainable=self._trainable[n])
             out._m[n] = self._m[n].copy()
@@ -182,7 +184,7 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError(f"non-finite gradient for parameter '{name}'")
         if weight_decay:
-            g = g + store.dtype.type(weight_decay) * theta
+            g = g + weight_decay * theta
         m, v = store.moments(name)
         t = store.step_count(name) + 1
         m *= ADAM_BETA1
@@ -191,7 +193,7 @@ def adam_step(
         v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
-        theta -= store.dtype.type(lr) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         store._step[name] = t
 
 

@@ -92,7 +92,7 @@ class CinModel(Model):
             W = self.store[f"cin.W{k}"]
             W2 = W.reshape(W.shape[0], -1)
             prev = maps[-1]
-            nxt = np.empty((d, B, W.shape[0]), dtype=self.store.dtype)
+            nxt = np.empty((d, B, W.shape[0]))
             for e in range(d):
                 np.matmul(self._pairs(prev[e], E_d[e]).reshape(B, -1), W2.T, out=nxt[e])
             maps.append(nxt)
@@ -164,19 +164,18 @@ class CrossNetModel(Model):
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
-        B = E.shape[0]
-        x0 = E.reshape(B, -1)
+        x0 = E.reshape(len(E), -1)  # a copy: lookup's array is field-major
         xs = [x0]
         us = []
         for t in range(self.spec.num_layers):
             u = xs[-1] @ self.store[f"cross.W{t}"].T + self.store[f"cross.b{t}"]
             us.append(u)
             xs.append(x0 * u + xs[-1])
-        self._cache = (np.asarray(idx), E, xs, us)
+        self._cache = (np.asarray(idx), xs, us)
         return self._head(xs[-1])
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, E, xs, us = self._cache
+        idx, xs, us = self._cache
         x0 = xs[0]
         grads, dx = self._head_backward(xs[-1], dlogits)
         dx0 = np.zeros_like(x0)
@@ -187,7 +186,7 @@ class CrossNetModel(Model):
             grads[f"cross.W{t}"] = du.T @ xs[t]
             dx = dx + du @ self.store[f"cross.W{t}"]
         dx0 += dx
-        grads.update(self.embedding.grads(idx, dx0.reshape(E.shape)))
+        grads.update(self.embedding.grads(idx, dx0.reshape(len(dx0), self.num_fields, -1)))
         return grads
 
 
@@ -238,18 +237,44 @@ class FmfmSpec:
 
 
 class _PairwiseModel(Model):
+    # Embeddings are kept field-major, (m, B, d), and pair terms pair-major,
+    # (P, B, d), so every field's and pair's (B, d) block is contiguous. The
+    # per-pair gradients reach the fields through one GEMM against each
+    # (m, P) incidence matrix: of the pairs' first and of their second fields.
+
     def _setup(self) -> None:
         self.pairs = upper_pairs(self.spec.num_fields)
         self._pi = np.array([i for i, _ in self.pairs])
         self._pj = np.array([j for _, j in self.pairs])
+        m, P = self.spec.num_fields, len(self.pairs)
+        self._inc = np.zeros((2, m, P))
+        self._inc[0, self._pi, np.arange(P)] = 1.0
+        self._inc[1, self._pj, np.arange(P)] = 1.0
+
+    def _embed(self, idx: np.ndarray):
+        """Field-major embeddings and the pair-major blocks of each pair's
+        first and second field."""
+        E = self.embedding.lookup(idx).transpose(1, 0, 2)
+        return E, E[self._pi], E[self._pj]
+
+    def _pair_grads_to_fields(self, d_first: np.ndarray, d_second: np.ndarray) -> np.ndarray:
+        """Field-major (m, B, d) gradients from pair-major (P, B, d) gradients
+        of each pair's first and second field."""
+        P, B, d = d_first.shape
+        dE = self._inc[0] @ d_first.reshape(P, -1) + self._inc[1] @ d_second.reshape(P, -1)
+        return dE.reshape(-1, B, d)
 
     def _linear_term(self, E: np.ndarray) -> np.ndarray:
-        return np.einsum("bmd,md->b", E, self.store["linear.u"])
+        return np.einsum("mbd,md->b", E, self.store["linear.u"])
 
-    def _linear_grads(self, dlogits, E, dE, grads) -> None:
-        grads["linear.u"] = np.einsum("b,bmd->md", dlogits, E)
-        grads["head.b"] = np.array([dlogits.sum()], dtype=self.store.dtype)
-        dE += dlogits[:, None, None] * self.store["linear.u"][None, :, :]
+    def _finish_grads(self, idx, dlogits, E, dE, grads) -> dict[str, np.ndarray]:
+        """Add the linear term's and the bias's gradients, then the
+        embeddings' from ``dE``."""
+        grads["linear.u"] = np.einsum("b,mbd->md", dlogits, E)
+        grads["head.b"] = np.array([dlogits.sum()])
+        dE += self.store["linear.u"][:, None, :] * dlogits[None, :, None]
+        grads.update(self.embedding.grads(idx, dE.transpose(1, 0, 2)))
+        return grads
 
 
 class FwfmModel(_PairwiseModel):
@@ -257,11 +282,10 @@ class FwfmModel(_PairwiseModel):
     spec_type = FwfmSpec
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
-        E = self.embedding.lookup(idx)
-        Ei, Ej = E[:, self._pi, :], E[:, self._pj, :]
+        E, Ei, Ej = self._embed(idx)
         prod = Ei * Ej
         logits = (
-            np.einsum("bpd,pd->b", prod, self.store["fwfm.w"])
+            np.einsum("pbd,pd->b", prod, self.store["fwfm.w"])
             + self._linear_term(E)
             + self.store["head.b"][0]
         )
@@ -270,17 +294,11 @@ class FwfmModel(_PairwiseModel):
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         idx, E, Ei, Ej, prod = self._cache
-        dlogits = np.asarray(dlogits, dtype=self.store.dtype)
-        grads: dict[str, np.ndarray] = {}
-        w = self.store["fwfm.w"]
-        grads["fwfm.w"] = np.einsum("b,bpd->pd", dlogits, prod)
-        dE = np.zeros_like(E)
-        scaled = dlogits[:, None, None] * w[None, :, :]
-        np.add.at(dE, (slice(None), self._pi), scaled * Ej)
-        np.add.at(dE, (slice(None), self._pj), scaled * Ei)
-        self._linear_grads(dlogits, E, dE, grads)
-        grads.update(self.embedding.grads(idx, dE))
-        return grads
+        dlogits = np.asarray(dlogits, dtype=np.float64)
+        grads = {"fwfm.w": np.einsum("b,pbd->pd", dlogits, prod)}
+        scaled = self.store["fwfm.w"][:, None, :] * dlogits[None, :, None]
+        dE = self._pair_grads_to_fields(scaled * Ej, scaled * Ei)
+        return self._finish_grads(idx, dlogits, E, dE, grads)
 
 
 class FmfmModel(_PairwiseModel):
@@ -288,26 +306,22 @@ class FmfmModel(_PairwiseModel):
     spec_type = FmfmSpec
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
-        E = self.embedding.lookup(idx)
-        Ei, Ej = E[:, self._pi, :], E[:, self._pj, :]
-        T = np.einsum("bpd,pde->bpe", Ei, self.store["fmfm.W"])
-        logits = np.einsum("bpe,bpe->b", T, Ej) + self._linear_term(E) + self.store["head.b"][0]
+        E, Ei, Ej = self._embed(idx)
+        T = np.matmul(Ei, self.store["fmfm.W"])  # per pair a (B, d) x (d, d) GEMM
+        logits = np.einsum("pbe,pbe->b", T, Ej) + self._linear_term(E) + self.store["head.b"][0]
         self._cache = (np.asarray(idx), E, Ei, Ej, T)
         return logits
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         idx, E, Ei, Ej, T = self._cache
-        dlogits = np.asarray(dlogits, dtype=self.store.dtype)
-        grads: dict[str, np.ndarray] = {}
+        dlogits = np.asarray(dlogits, dtype=np.float64)
         W = self.store["fmfm.W"]
-        M = dlogits[:, None, None] * Ej
-        grads["fmfm.W"] = np.einsum("bpd,bpe->pde", Ei, M)
-        dE = np.zeros_like(E)
-        np.add.at(dE, (slice(None), self._pi), np.einsum("bpe,pde->bpd", M, W))
-        np.add.at(dE, (slice(None), self._pj), dlogits[:, None, None] * T)
-        self._linear_grads(dlogits, E, dE, grads)
-        grads.update(self.embedding.grads(idx, dE))
-        return grads
+        M = dlogits[None, :, None] * Ej
+        grads = {"fmfm.W": np.matmul(Ei.transpose(0, 2, 1), M)}
+        dE = self._pair_grads_to_fields(
+            np.matmul(M, W.transpose(0, 2, 1)), dlogits[None, :, None] * T
+        )
+        return self._finish_grads(idx, dlogits, E, dE, grads)
 
 
 @dataclass(frozen=True)
@@ -347,14 +361,13 @@ class TinyMlpModel(Model):
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
-        B = E.shape[0]
-        logits = self.mlp.forward(E.reshape(B, -1))
-        self._cache = (np.asarray(idx), E)
+        logits = self.mlp.forward(E.reshape(len(E), -1))
+        self._cache = np.asarray(idx)
         return logits
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, E = self._cache
+        idx = self._cache
         grads: dict[str, np.ndarray] = {}
-        dx = self.mlp.backward(np.asarray(dlogits, dtype=self.store.dtype), grads)
-        grads.update(self.embedding.grads(idx, dx.reshape(E.shape)))
+        dx = self.mlp.backward(np.asarray(dlogits, dtype=np.float64), grads)
+        grads.update(self.embedding.grads(idx, dx.reshape(len(dx), self.num_fields, -1)))
         return grads

@@ -413,3 +413,50 @@ class TestDagfmPlus:
         idx = rng.integers(0, 3, size=(3, 3))
         targets = rng.normal(size=3)
         assert grad_check(squared_logit_closure(model, idx, targets), model.store) < 1e-5
+
+
+class TestFieldMajorLayout:
+    """The student keeps every state set in one field-major buffer; its public
+    surface (forward, traces, gradients) must not depend on the batch's
+    memory layout or size, at CTR size m=39."""
+
+    @staticmethod
+    def model(kind, sparse, rng, vocab=5):
+        m = 39
+        edges = sparse_edges(m, rng) if sparse else None
+        model = DagfmModel(DagfmSpec(kind, m, 4, 2, edges=edges), [vocab] * m, seed=6)
+        perturb_params(model, rng)
+        return model
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_matches_row_by_row(self, kind, sparse, rng):
+        model = self.model(kind, sparse, rng)
+        wide = rng.integers(0, 5, size=(14, 39))
+        for idx in (wide[:7], wide[::2], np.asfortranarray(wide[:7])):
+            batched = model.forward(idx)
+            single = np.array([model.forward(idx[b : b + 1])[0] for b in range(7)])
+            np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trace_states_match_edge_loop(self, kind, sparse, rng):
+        model = self.model(kind, sparse, rng)
+        idx = rng.integers(0, 5, size=(3, 39))
+        _, trace = model.forward_trace(idx)
+        E = model.embedding.lookup(idx)
+        h = E
+        for t, state in enumerate(trace.node_states):
+            assert state.shape == (3, 39, 4)
+            np.testing.assert_allclose(state, h, rtol=1e-12, atol=1e-12)
+            if t < model.dag.num_layers:
+                h = loop_propagate(model, h, E, t)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gradients(self, kind, sparse, rng):
+        model = self.model(kind, sparse, rng, vocab=3)
+        idx = rng.integers(0, 3, size=(5, 39))
+        targets = rng.normal(size=5)
+        closure = squared_logit_closure(model, idx, targets)
+        assert grad_check(closure, model.store, rng=rng) < 1e-4

@@ -321,6 +321,33 @@ class TestPairwiseBaselines:
         err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
         assert err < 1e-5
 
+    @pytest.mark.parametrize("cls,spec_cls", [(FwfmModel, FwfmSpec), (FmfmModel, FmfmSpec)])
+    def test_field_gradients_match_add_at(self, cls, spec_cls, rng):
+        # the incidence-matrix GEMMs against a per-pair np.add.at scatter
+        m, d, B = 39, 4, 6
+        model = cls(spec_cls(m, d), [5] * m, seed=13)
+        perturb_params(model, rng)
+        idx = rng.integers(0, 5, size=(B, m))
+        dlogits = rng.normal(size=B)
+        model.forward(idx)
+        grads = model.backward(dlogits)
+        E = model.embedding.lookup(idx)
+        Ei, Ej = E[:, model._pi], E[:, model._pj]
+        g = dlogits[:, None, None]
+        if cls is FwfmModel:
+            to_first, to_second = g * model.store["fwfm.w"] * Ej, g * model.store["fwfm.w"] * Ei
+        else:
+            W = model.store["fmfm.W"]
+            to_first = np.einsum("bpe,pde->bpd", g * Ej, W)
+            to_second = g * np.einsum("bpd,pde->bpe", Ei, W)
+        dE = g * model.store["linear.u"]
+        dE = np.broadcast_to(dE, (B, m, d)).copy()
+        np.add.at(dE, (slice(None), model._pi), to_first)
+        np.add.at(dE, (slice(None), model._pj), to_second)
+        expected = model.embedding.grads(idx, dE)
+        for name in model.embedding_names():
+            np.testing.assert_allclose(grads[name], expected[name], rtol=1e-12, atol=1e-12)
+
     def test_spec_validation(self):
         for spec_cls in (FwfmSpec, FmfmSpec):
             with pytest.raises(ConfigurationError):
