@@ -194,12 +194,21 @@ class TrainReport:
 # prediction / evaluation
 # ---------------------------------------------------------------------------
 
-def predict_logits(model, indices: np.ndarray, batch_size: int = 4096) -> np.ndarray:
-    """Forward passes over row batches, concatenated in input order."""
+# Rows per scoring forward, for every model family. A fixed tile bounds a
+# scoring call's working set, and the backward operands a model keeps from its
+# latest forward, by one tile whatever the input size; at 256 rows the m=39
+# student's state buffer and `S` arrays stay near the caches while per-call
+# overhead stays small. Rows are independent, so logits do not depend on it.
+SCORE_ROWS = 256
+
+
+def predict_logits(model, indices: np.ndarray) -> np.ndarray:
+    """Logits for every row of ``indices``, in input order, computed one
+    forward per tile of :data:`SCORE_ROWS` rows."""
     indices = np.asarray(indices)
     chunks = [
-        model.forward(indices[start : start + batch_size])
-        for start in range(0, len(indices), batch_size)
+        model.forward(indices[start : start + SCORE_ROWS])
+        for start in range(0, len(indices), SCORE_ROWS)
     ]
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
@@ -211,8 +220,8 @@ class EvalResult:
     n: int
 
 
-def evaluate(model, dataset: Dataset, batch_size: int = 4096) -> EvalResult:
-    logits = predict_logits(model, dataset.indices, batch_size=batch_size)
+def evaluate(model, dataset: Dataset) -> EvalResult:
+    logits = predict_logits(model, dataset.indices)
     probs = stable_sigmoid(logits)
     return EvalResult(
         auc=auc_metric(dataset.labels, probs),

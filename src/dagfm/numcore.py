@@ -116,10 +116,6 @@ class ParamStore:
         for n in names:
             self._trainable[n] = False  # noqa: B909 - plain dict write
 
-    def unfreeze(self, *names: str) -> None:
-        for n in names:
-            self._trainable[n] = True
-
     def unfreeze_all(self) -> None:
         for n in self._trainable:
             self._trainable[n] = True

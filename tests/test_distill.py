@@ -2,12 +2,16 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import perturb_params
 
+from dagfm.checkpoint import build_model
 from dagfm.data import split_dataset
 from dagfm.distill import (
+    SCORE_ROWS,
     DistillPlan,
     EpochRecord,
     StageConfig,
@@ -21,10 +25,17 @@ from dagfm.distill import (
     total_loss,
     train_teacher,
 )
-from dagfm.interactions import DagfmModel, DagfmSpec
+from dagfm.interactions import DagfmModel, DagfmPlusSpec, DagfmSpec
 from dagfm.numcore import ConfigurationError, TrainingDivergenceError
 from dagfm.synthetic import generate_planted_dataset
-from dagfm.teachers import CrossNetModel, CrossNetSpec
+from dagfm.teachers import (
+    CinSpec,
+    CrossNetModel,
+    CrossNetSpec,
+    FmfmSpec,
+    FwfmSpec,
+    TinyMlpSpec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,13 +165,52 @@ class TestConfigs:
 # ---------------------------------------------------------------------------
 
 
+# one small instance of every model family, on the 4-field ``tiny`` data
+SCORED_FAMILIES = {
+    "dagfm-outer": DagfmSpec("outer", 4, 4, 2),
+    "dagfm-kernel": DagfmSpec("kernel", 4, 4, 2),
+    "dagfm+": DagfmPlusSpec(DagfmSpec("inner", 4, 4, 2), mlp_hidden=(5, 4)),
+    "crossnet": CrossNetSpec(4, 4, 2),
+    "cin": CinSpec(4, 4, (3, 3)),
+    "fwfm": FwfmSpec(4, 4),
+    "fmfm": FmfmSpec(4, 4),
+    "tinymlp": TinyMlpSpec(4, 4, hidden=(6, 5)),
+}
+
+
 class TestPredict:
-    def test_matches_single_forward(self, tiny):
+    @pytest.mark.parametrize("spec", list(SCORED_FAMILIES.values()), ids=list(SCORED_FAMILIES))
+    def test_matches_single_forward(self, tiny, spec):
         vocab_sizes, split = tiny
-        model = fresh_student(vocab_sizes)
-        idx = split.val.indices[:50]
-        assert np.allclose(predict_logits(model, idx, batch_size=7), model.forward(idx),
-                           rtol=1e-13)
+        model = build_model(spec, vocab_sizes, seed=3)
+        perturb_params(model, np.random.default_rng(4))  # no zero head hides a path
+        idx = split.train.indices[: 2 * SCORE_ROWS + 37]  # three tiles, the last one ragged
+        assert len(idx) == 2 * SCORE_ROWS + 37
+        assert np.allclose(predict_logits(model, idx), model.forward(idx), rtol=1e-13)
+
+    def test_working_set_is_bounded_by_one_tile(self):
+        # An m=39 student's state buffer and per-layer S arrays grow with the
+        # rows of a forward; scoring 16 tiles must not cost more memory than
+        # scoring one. Both peaks are measured from a model that already
+        # holds one tile's backward operands, as it does between tiles.
+        m = 39
+        model = DagfmModel(DagfmSpec("outer", m, 16, 3), [10] * m, seed=0)
+        idx = np.random.default_rng(0).integers(0, 10, size=(16 * SCORE_ROWS, m))
+
+        def peak_bytes(rows):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            predict_logits(model, idx[:rows])
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            predict_logits(model, idx[:SCORE_ROWS])
+            one_tile = peak_bytes(SCORE_ROWS)
+            many_tiles = peak_bytes(16 * SCORE_ROWS)
+        finally:
+            tracemalloc.stop()
+        assert many_tiles < 1.5 * one_tile
 
     def test_empty_input(self, tiny):
         vocab_sizes, _ = tiny
