@@ -30,8 +30,8 @@ with the transposed adjacency matrix, ``inner`` one (m, m) x (m, B) GEMM
 per embedding dim over a dim-major copy of the states, and ``kernel`` one
 (B, m*d) x (m*d, m*d) GEMM over a batch-major copy. Pooling every state
 set is one matrix-vector product of the buffer with ``ones(d)``, and the
-head is another. Public shapes stay batch-major: ``lookup``, ``propagate``
-and ``PropagationTrace`` give (B, m, d) arrays, as views where they can.
+head is another. Public shapes stay batch-major: ``lookup`` and
+``PropagationTrace`` give (B, m, d) arrays, as views where they can.
 The per-pair ``phi_*`` functions are the reference the layers are tested
 against.
 
@@ -368,16 +368,6 @@ class DagfmModel(Model):
         self._jj = np.array([j for j, _ in self.pairs])
         self._ii = np.array([i for _, i in self.pairs])
 
-    # -- weight scatter helper --------------------------------------------------
-
-    @staticmethod
-    def _scatter(shape, index, values) -> np.ndarray:
-        """Zeros of ``shape`` with the per-edge ``values`` written at ``index``:
-        compact edge weights laid out for the GEMMs (zero off the edge list)."""
-        dense = np.zeros(shape)
-        dense[index] = values
-        return dense
-
     def set_identity_edge_weights(self) -> None:
         """Reset edge weights to the values that reduce every combiner to the
         plain elementwise product: the declared initialisers of ``inner``
@@ -396,17 +386,6 @@ class DagfmModel(Model):
 
     # -- forward ----------------------------------------------------------------
 
-    def propagate(self, states_t: np.ndarray, initial: np.ndarray, t: int) -> np.ndarray:
-        """One propagation step: next state set from (current states,
-        embeddings), all (batch, m, d)."""
-        if not (0 <= t < self.dag.num_layers):
-            raise ConfigurationError(
-                f"layer index {t} out of range [0, {self.dag.num_layers})"
-            )
-        h = np.ascontiguousarray(np.asarray(states_t, dtype=np.float64).transpose(1, 0, 2))
-        agg, _ = self._aggregate(h, t)
-        return (agg * np.asarray(initial).transpose(1, 0, 2)).transpose(1, 0, 2)
-
     def _aggregate(self, h: np.ndarray, t: int):
         """``agg[i, b] = sum over edges j -> i of phi(h[j, b], .)`` without the
         final ``* e_i``, for contiguous field-major states ``h`` (m, B, d), as
@@ -417,22 +396,22 @@ class DagfmModel(Model):
         jj, ii = self._jj, self._ii
         kind = self.dag.kind
         if kind == "basic-inner":
-            A = self._scatter((m, m), (jj, ii), 1.0)  # A[j, i] = 1 on an edge
+            A = _scatter((m, m), (jj, ii), 1.0)  # A[j, i] = 1 on an edge
             return (A.T @ h.reshape(m, B * d)).reshape(m, B, d), A
         if kind == "inner":
             # per embedding dim e an (m, m) x (m, B) GEMM over dim-major states
-            W = self._scatter((d, m, m), (slice(None), jj, ii), self.store[f"dag.w{t}"].T)
+            W = _scatter((d, m, m), (slice(None), jj, ii), self.store[f"dag.w{t}"].T)
             agg = np.matmul(W.transpose(0, 2, 1), np.ascontiguousarray(h.transpose(2, 0, 1)))
             return agg.transpose(1, 2, 0), W  # agg was (e, i, b)
         if kind == "kernel":
             # one (B, m*d) x (m*d, m*d) GEMM over batch-major states: rows are
             # (j, d), columns (i, e)
-            K = self._scatter((m, d, m, d), (jj, slice(None), ii), self.store[f"dag.K{t}"])
+            K = _scatter((m, d, m, d), (jj, slice(None), ii), self.store[f"dag.K{t}"])
             K = K.reshape(m * d, m * d)
             agg = _batch_major(h) @ K
             return agg.reshape(B, m, d).transpose(1, 0, 2), K
-        p = self._scatter((m, m, d), (jj, ii), self.store[f"dag.p{t}"])  # p[j, i]
-        q = self._scatter((m, m, d), (ii, jj), self.store[f"dag.q{t}"])  # q[i, j]
+        p = _scatter((m, m, d), (jj, ii), self.store[f"dag.p{t}"])  # p[j, i]
+        q = _scatter((m, m, d), (ii, jj), self.store[f"dag.q{t}"])  # q[i, j]
         # S[j, i, b] = p[j, i] . h[j, b]: per source j an (m, d) x (d, B) GEMM
         S = np.matmul(p, h.transpose(0, 2, 1))
         # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, m) x (m, d)
@@ -527,6 +506,16 @@ class DagfmModel(Model):
         grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]  # (j, i, e)
         # dh[j, b] = sum_i dS[i, j, b] p[j, i]: per source j a (B, m) x (m, d) GEMM
         return np.matmul(dS.transpose(1, 2, 0), p)
+
+
+def _scatter(shape, index, values) -> np.ndarray:
+    """Zeros of ``shape`` with the per-pair ``values`` written at ``index``:
+    compact pair weights laid out for the GEMMs (zero off the pair list).
+    The student's edge weights and the FwFM/FmFM pair weights both go
+    through it."""
+    dense = np.zeros(shape)
+    dense[index] = values
+    return dense
 
 
 def _batch_major(x: np.ndarray) -> np.ndarray:

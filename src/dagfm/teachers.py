@@ -18,7 +18,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .interactions import MlpTower, Model, embedding_layout, identity, mlp_layout
+from .interactions import (
+    MlpTower,
+    Model,
+    _batch_major,
+    _scatter,
+    embedding_layout,
+    identity,
+    mlp_layout,
+)
 from .numcore import ConfigurationError, check_int
 
 
@@ -237,91 +245,89 @@ class FmfmSpec:
 
 
 class _PairwiseModel(Model):
-    # Embeddings are kept field-major, (m, B, d), and pair terms pair-major,
-    # (P, B, d), so every field's and pair's (B, d) block is contiguous. The
-    # per-pair gradients reach the fields through one GEMM against each
-    # (m, P) incidence matrix: of the pairs' first and of their second fields.
+    # The pair term is a bilinear form over each row's embeddings. The
+    # compact pair weights go through the student's scatter into dense
+    # (g, n, n) blocks K, zero except where a field i meets a field j > i,
+    # and the embeddings are laid out to match as X (g, B, n): FwFM has one
+    # (m, m) block per embedding dim (g = d, n = m; the GEMM of the student's
+    # ``inner`` combiner), FmFM one strictly block-upper (m*d, m*d) matrix
+    # (g = 1; the GEMM of ``kernel``). With the linear weights u laid out
+    # like one row, a row's logit is bias + sum(x * (x K + u)). Backward is
+    # dX = dlogits * (X (K + K^T) + u), and the pair weights' gradient is
+    # one GEMM, X^T diag(dlogits) X, read back at the pairs. Each subclass
+    # gives its layout: ``_blocks`` takes field-major (m, B, d) arrays to
+    # (g, B, n), ``_fields`` takes (g, B, n) back to (B, m, d), ``_dense``
+    # scatters the pair weights and ``_at_pairs`` reads a dense K back.
+
+    weights = "?"  # store name of the pair weights
 
     def _setup(self) -> None:
         self.pairs = upper_pairs(self.spec.num_fields)
-        self._pi = np.array([i for i, _ in self.pairs])
-        self._pj = np.array([j for _, j in self.pairs])
-        m, P = self.spec.num_fields, len(self.pairs)
-        self._inc = np.zeros((2, m, P))
-        self._inc[0, self._pi, np.arange(P)] = 1.0
-        self._inc[1, self._pj, np.arange(P)] = 1.0
+        self._upper = np.triu_indices(self.spec.num_fields, 1)  # the pairs as index arrays
 
-    def _embed(self, idx: np.ndarray):
-        """Field-major embeddings and the pair-major blocks of each pair's
-        first and second field."""
-        E = self.embedding.lookup(idx).transpose(1, 0, 2)
-        return E, E[self._pi], E[self._pj]
+    def forward(self, idx: np.ndarray) -> np.ndarray:
+        F = self.embedding.lookup(idx).transpose(1, 0, 2)  # field-major (m, B, d)
+        X = self._blocks(F)
+        K = self._dense(self.store[self.weights])
+        u = self._blocks(self.store["linear.u"][:, None, :])
+        self._cache = (np.asarray(idx), X, K, u)
+        return np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0]
 
-    def _pair_grads_to_fields(self, d_first: np.ndarray, d_second: np.ndarray) -> np.ndarray:
-        """Field-major (m, B, d) gradients from pair-major (P, B, d) gradients
-        of each pair's first and second field."""
-        P, B, d = d_first.shape
-        dE = self._inc[0] @ d_first.reshape(P, -1) + self._inc[1] @ d_second.reshape(P, -1)
-        return dE.reshape(-1, B, d)
-
-    def _linear_term(self, E: np.ndarray) -> np.ndarray:
-        return np.einsum("mbd,md->b", E, self.store["linear.u"])
-
-    def _finish_grads(self, idx, dlogits, E, dE, grads) -> dict[str, np.ndarray]:
-        """Add the linear term's and the bias's gradients, then the
-        embeddings' from ``dE``."""
-        grads["linear.u"] = np.einsum("b,mbd->md", dlogits, E)
-        grads["head.b"] = np.array([dlogits.sum()])
-        dE += self.store["linear.u"][:, None, :] * dlogits[None, :, None]
-        grads.update(self.embedding.grads(idx, dE.transpose(1, 0, 2)))
+    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+        idx, X, K, u = self._cache
+        dlogits = np.asarray(dlogits, dtype=np.float64)
+        gX = X * dlogits[:, None]  # X diag(dlogits), block by block
+        grads = {
+            self.weights: self._at_pairs(gX.transpose(0, 2, 1) @ X),
+            "linear.u": self._fields(gX.sum(axis=1, keepdims=True))[0],
+            "head.b": np.array([dlogits.sum()]),
+        }
+        dX = gX @ (K + K.transpose(0, 2, 1)) + u * dlogits[:, None]
+        grads.update(self.embedding.grads(idx, self._fields(dX)))
         return grads
 
 
 class FwfmModel(_PairwiseModel):
     kind = "fwfm"
     spec_type = FwfmSpec
+    weights = "fwfm.w"
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        E, Ei, Ej = self._embed(idx)
-        prod = Ei * Ej
-        logits = (
-            np.einsum("pbd,pd->b", prod, self.store["fwfm.w"])
-            + self._linear_term(E)
-            + self.store["head.b"][0]
-        )
-        self._cache = (np.asarray(idx), E, Ei, Ej, prod)
-        return logits
+    def _blocks(self, F):
+        return np.ascontiguousarray(F.transpose(2, 1, 0))  # dim-major (d, B, m)
 
-    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, E, Ei, Ej, prod = self._cache
-        dlogits = np.asarray(dlogits, dtype=np.float64)
-        grads = {"fwfm.w": np.einsum("b,pbd->pd", dlogits, prod)}
-        scaled = self.store["fwfm.w"][:, None, :] * dlogits[None, :, None]
-        dE = self._pair_grads_to_fields(scaled * Ej, scaled * Ei)
-        return self._finish_grads(idx, dlogits, E, dE, grads)
+    def _fields(self, X):
+        return X.transpose(1, 2, 0)
+
+    def _dense(self, w):
+        m = self.num_fields
+        ii, jj = self._upper
+        return _scatter((self.embed_dim, m, m), (slice(None), ii, jj), w.T)
+
+    def _at_pairs(self, dK):
+        ii, jj = self._upper
+        return dK[:, ii, jj].T
 
 
 class FmfmModel(_PairwiseModel):
     kind = "fmfm"
     spec_type = FmfmSpec
+    weights = "fmfm.W"
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        E, Ei, Ej = self._embed(idx)
-        T = np.matmul(Ei, self.store["fmfm.W"])  # per pair a (B, d) x (d, d) GEMM
-        logits = np.einsum("pbe,pbe->b", T, Ej) + self._linear_term(E) + self.store["head.b"][0]
-        self._cache = (np.asarray(idx), E, Ei, Ej, T)
-        return logits
+    def _blocks(self, F):
+        return _batch_major(F)[None]  # (1, B, m*d)
 
-    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, E, Ei, Ej, T = self._cache
-        dlogits = np.asarray(dlogits, dtype=np.float64)
-        W = self.store["fmfm.W"]
-        M = dlogits[None, :, None] * Ej
-        grads = {"fmfm.W": np.matmul(Ei.transpose(0, 2, 1), M)}
-        dE = self._pair_grads_to_fields(
-            np.matmul(M, W.transpose(0, 2, 1)), dlogits[None, :, None] * T
-        )
-        return self._finish_grads(idx, dlogits, E, dE, grads)
+    def _fields(self, X):
+        return X.reshape(X.shape[1], self.num_fields, -1)
+
+    def _dense(self, W):
+        m, d = self.num_fields, self.embed_dim
+        ii, jj = self._upper
+        return _scatter((m, d, m, d), (ii, slice(None), jj), W).reshape(1, m * d, m * d)
+
+    def _at_pairs(self, dK):
+        m, d = self.num_fields, self.embed_dim
+        ii, jj = self._upper
+        return dK.reshape(m, d, m, d)[ii, :, jj]
 
 
 @dataclass(frozen=True)

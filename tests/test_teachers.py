@@ -1,5 +1,7 @@
 """Teacher networks (CIN, CrossNet) and shallow baselines (FwFM, FmFM, MLP)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -323,7 +325,9 @@ class TestPairwiseBaselines:
 
     @pytest.mark.parametrize("cls,spec_cls", [(FwfmModel, FwfmSpec), (FmfmModel, FmfmSpec)])
     def test_field_gradients_match_add_at(self, cls, spec_cls, rng):
-        # the incidence-matrix GEMMs against a per-pair np.add.at scatter
+        # the dense bilinear-form GEMMs against a per-pair np.add.at scatter
+        # for the embeddings and per-pair einsums for the pair weights, at a
+        # size where a slip in the pair order would show
         m, d, B = 39, 4, 6
         model = cls(spec_cls(m, d), [5] * m, seed=13)
         perturb_params(model, rng)
@@ -331,22 +335,45 @@ class TestPairwiseBaselines:
         dlogits = rng.normal(size=B)
         model.forward(idx)
         grads = model.backward(dlogits)
+        pi, pj = (np.array(f) for f in zip(*upper_pairs(m)))
         E = model.embedding.lookup(idx)
-        Ei, Ej = E[:, model._pi], E[:, model._pj]
+        Ei, Ej = E[:, pi], E[:, pj]
         g = dlogits[:, None, None]
         if cls is FwfmModel:
-            to_first, to_second = g * model.store["fwfm.w"] * Ej, g * model.store["fwfm.w"] * Ei
+            w = model.store["fwfm.w"]
+            to_first, to_second = g * w * Ej, g * w * Ei
+            weights, d_weights = "fwfm.w", np.einsum("b,bpd,bpd->pd", dlogits, Ei, Ej)
         else:
             W = model.store["fmfm.W"]
             to_first = np.einsum("bpe,pde->bpd", g * Ej, W)
             to_second = g * np.einsum("bpd,pde->bpe", Ei, W)
+            weights, d_weights = "fmfm.W", np.einsum("b,bpd,bpe->pde", dlogits, Ei, Ej)
+        np.testing.assert_allclose(grads[weights], d_weights, rtol=1e-12, atol=1e-12)
         dE = g * model.store["linear.u"]
         dE = np.broadcast_to(dE, (B, m, d)).copy()
-        np.add.at(dE, (slice(None), model._pi), to_first)
-        np.add.at(dE, (slice(None), model._pj), to_second)
+        np.add.at(dE, (slice(None), pi), to_first)
+        np.add.at(dE, (slice(None), pj), to_second)
         expected = model.embedding.grads(idx, dE)
         for name in model.embedding_names():
             np.testing.assert_allclose(grads[name], expected[name], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("cls,spec_cls", [(FwfmModel, FwfmSpec), (FmfmModel, FmfmSpec)])
+    def test_step_holds_no_pair_sized_array(self, cls, spec_cls, rng):
+        # at m=39, B=256, d=16 one (P, B, d) float64 array is 23.2 MiB: a
+        # step that lays out a pair-major copy of the embeddings or of their
+        # gradients peaks far above it
+        m, d, B = 39, 16, 256
+        model = cls(spec_cls(m, d), [5] * m, seed=14)
+        idx = rng.integers(0, 5, size=(B, m))
+        dlogits = rng.normal(size=B)
+        tracemalloc.start()
+        try:
+            model.forward(idx)
+            model.backward(dlogits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(model.pairs) * B * d * 8
 
     def test_spec_validation(self):
         for spec_cls in (FwfmSpec, FmfmSpec):
