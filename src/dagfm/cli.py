@@ -141,7 +141,7 @@ def _emit(obj: dict, out_path=None) -> None:
 def _stage_override(stage: StageConfig, args) -> StageConfig:
     updates = {}
     for name in ("epochs", "lr", "batch_size"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
             updates[name] = value
     return dataclasses.replace(stage, **updates) if updates else stage

@@ -40,25 +40,14 @@ Example::
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 
 from .distill import DistillPlan, StageConfig
 from .interactions import DagfmPlusSpec, DagfmSpec
 from .numcore import ConfigurationError
 from .teachers import CinSpec, CrossNetSpec
-
-STAGE_KEYS = {"epochs", "lr", "batch_size", "patience", "weight_decay", "shuffle_seed"}
-
-KNOWN_KEYS: dict[str, set[str]] = {
-    "run": {"seed", "out_dir"},
-    "data": {"train_csv", "schema", "min_freq", "split", "split_seed"},
-    "teacher": {"kind", "embed_dim", "depth", "layer_size"},
-    "student": {"kind", "fn", "embed_dim", "num_layers", "mlp_hidden", "mlp_feed"},
-    "kd": {"alpha", "beta", "kd_space"},
-    "stage.teacher": STAGE_KEYS,
-    "stage.distill": STAGE_KEYS,
-    "stage.finetune": STAGE_KEYS,
-}
 
 _STAGE_DEFAULTS = {
     "teacher": StageConfig(epochs=10, lr=1e-3, batch_size=1024),
@@ -149,6 +138,43 @@ def _float_triple(raw: str) -> tuple[float, float, float]:
     return parts
 
 
+# Every INI key: (section, key) -> (field, parser). The [kd] keys set fields
+# of the DistillPlan, the [stage.*] keys those of their StageConfig (one
+# per StageConfig field, parsed as its annotated type), the rest RunConfig's.
+_STAGE_TYPES = typing.get_type_hints(StageConfig)
+_KEYS: dict[tuple[str, str], tuple[str, typing.Callable]] = {
+    ("run", "seed"): ("seed", int),
+    ("run", "out_dir"): ("out_dir", str),
+    ("data", "train_csv"): ("train_csv", str),
+    ("data", "schema"): ("schema_path", str),
+    ("data", "min_freq"): ("min_freq", int),
+    ("data", "split"): ("split_ratios", _float_triple),
+    ("data", "split_seed"): ("split_seed", int),
+    ("teacher", "kind"): ("teacher_kind", str),
+    ("teacher", "embed_dim"): ("teacher_embed_dim", int),
+    ("teacher", "depth"): ("teacher_depth", int),
+    ("teacher", "layer_size"): ("cin_layer_size", int),
+    ("student", "kind"): ("student_kind", str),
+    ("student", "fn"): ("student_fn", str),
+    ("student", "embed_dim"): ("student_embed_dim", int),
+    ("student", "num_layers"): ("student_layers", int),
+    ("student", "mlp_hidden"): ("mlp_hidden", _int_tuple),
+    ("student", "mlp_feed"): ("mlp_feed", str),
+    **{
+        (f"stage.{stage}", f.name): (f.name, _STAGE_TYPES[f.name])
+        for stage in _STAGE_DEFAULTS
+        for f in dataclasses.fields(StageConfig)
+    },
+    ("kd", "alpha"): ("alpha", float),
+    ("kd", "beta"): ("beta", float),
+    ("kd", "kd_space"): ("kd_space", str),
+}
+
+KNOWN_KEYS: dict[str, set[str]] = {
+    section: {k for s, k in _KEYS if s == section} for section, _ in _KEYS
+}
+
+
 def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
@@ -165,50 +191,23 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigurationError(
                     f"unknown key {key!r} in [{section}]; known: {sorted(KNOWN_KEYS[section])}"
                 )
-    cfg = RunConfig()
-
-    def get(section, key, default, kind):
+    given = {section: {} for section in KNOWN_KEYS}
+    for (section, key), (name, parse) in _KEYS.items():
         if parser.has_option(section, key):
-            return _parse_typed(section, key, parser.get(section, key), kind)
-        return default
-
-    cfg.seed = get("run", "seed", cfg.seed, int)
-    cfg.out_dir = get("run", "out_dir", cfg.out_dir, str)
-    cfg.train_csv = get("data", "train_csv", cfg.train_csv, str)
-    cfg.schema_path = get("data", "schema", cfg.schema_path, str)
-    cfg.min_freq = get("data", "min_freq", cfg.min_freq, int)
-    cfg.split_ratios = get("data", "split", cfg.split_ratios, _float_triple)
-    cfg.split_seed = get("data", "split_seed", cfg.split_seed, int)
-    cfg.teacher_kind = get("teacher", "kind", cfg.teacher_kind, str)
-    cfg.teacher_embed_dim = get("teacher", "embed_dim", cfg.teacher_embed_dim, int)
-    cfg.teacher_depth = get("teacher", "depth", cfg.teacher_depth, int)
-    cfg.cin_layer_size = get("teacher", "layer_size", cfg.cin_layer_size, int)
-    cfg.student_kind = get("student", "kind", cfg.student_kind, str)
-    cfg.student_fn = get("student", "fn", cfg.student_fn, str)
-    cfg.student_embed_dim = get("student", "embed_dim", cfg.student_embed_dim, int)
-    cfg.student_layers = get("student", "num_layers", cfg.student_layers, int)
-    cfg.mlp_hidden = get("student", "mlp_hidden", cfg.mlp_hidden, _int_tuple)
-    cfg.mlp_feed = get("student", "mlp_feed", cfg.mlp_feed, str)
-
-    stages = {}
-    for name in ("teacher", "distill", "finetune"):
-        section = f"stage.{name}"
-        base = _STAGE_DEFAULTS[name]
-        stages[name] = StageConfig(
-            epochs=get(section, "epochs", base.epochs, int),
-            lr=get(section, "lr", base.lr, float),
-            batch_size=get(section, "batch_size", base.batch_size, int),
-            patience=get(section, "patience", base.patience, int),
-            weight_decay=get(section, "weight_decay", base.weight_decay, float),
-            shuffle_seed=get(section, "shuffle_seed", base.shuffle_seed, int),
-        )
+            given[section][name] = _parse_typed(section, key, parser.get(section, key), parse)
+    cfg = RunConfig()
+    for section in ("run", "data", "teacher", "student"):
+        for name, value in given[section].items():
+            setattr(cfg, name, value)
+    stages = {
+        name: dataclasses.replace(base, **given[f"stage.{name}"])
+        for name, base in _STAGE_DEFAULTS.items()
+    }
     cfg.plan = DistillPlan(
         teacher_stage=stages["teacher"],
         distill_stages=(stages["distill"],),
         finetune_stage=stages["finetune"],
-        alpha=get("kd", "alpha", 1.0, float),
-        beta=get("kd", "beta", 0.0, float),
-        kd_space=get("kd", "kd_space", "logit", str),
+        **given["kd"],
     )
     return cfg
 

@@ -26,9 +26,11 @@ product gives the edge scalars ``S[j, i, b] = p[j, i] . h[j, b]``, and per
 target ``i`` a (B, m) x (m, d) product reads ``S`` as an F-ordered operand.
 Its backward is four batched GEMMs over the same ``S`` and the same
 buffer, with no copies. ``basic-inner`` is one (m, m) x (m, B*d) GEMM
-with the transposed adjacency matrix, ``inner`` one (m, m) x (m, B) GEMM
-per embedding dim over a dim-major copy of the states, and ``kernel`` one
-(B, m*d) x (m*d, m*d) GEMM over a batch-major copy. Pooling every state
+with the transposed adjacency matrix. ``inner`` and ``kernel`` are the
+bilinear pair GEMM that :class:`PairGemm` lays out, shared with the FwFM
+and FmFM baselines: one (B, m) x (m, m) GEMM per embedding dim over a
+dim-major copy of the states (``inner``), or one (B, m*d) x (m*d, m*d)
+GEMM over a batch-major copy (``kernel``). Pooling every state
 set is one matrix-vector product of the buffer with ``ones(d)``, and the
 head is another. Public shapes stay batch-major: ``lookup`` and
 ``PropagationTrace`` give (B, m, d) arrays, as views where they can.
@@ -48,7 +50,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numcore import ConfigurationError, ParamStore, ShapeError, check_int, stable_sigmoid
+from .numcore import ConfigurationError, ParamStore, ShapeError, check_int
 
 KINDS = ("basic-inner", "inner", "kernel", "outer")
 
@@ -191,10 +193,6 @@ class DagfmSpec:
         return m * (m + 1) // 2 if self.edges is None else len(set(self.edges))
 
     @property
-    def is_full_dag(self) -> bool:
-        return self.edges is None or set(self.edges) == set(full_dag_pairs(self.num_fields))
-
-    @property
     def num_states(self) -> int:
         return self.num_layers + 1
 
@@ -324,9 +322,6 @@ class Model:
     def embed_dim(self) -> int:
         return self.spec.embed_dim
 
-    def predict_proba(self, idx: np.ndarray) -> np.ndarray:
-        return stable_sigmoid(self.forward(idx))
-
     def embedding_names(self) -> list[str]:
         return list(self.embedding.names)
 
@@ -367,6 +362,12 @@ class DagfmModel(Model):
         self.pairs = self.dag.pairs()
         self._jj = np.array([j for j, _ in self.pairs])
         self._ii = np.array([i for _, i in self.pairs])
+        per_dim = self.dag.kind == "inner"
+        self._gemm = PairGemm(self._jj, self._ii, self.num_fields, self.embed_dim, per_dim)
+
+    def _weights(self, t: int) -> str:
+        """Store name of an ``inner`` or ``kernel`` layer's edge weights."""
+        return f"dag.w{t}" if self.dag.kind == "inner" else f"dag.K{t}"
 
     def set_identity_edge_weights(self) -> None:
         """Reset edge weights to the values that reduce every combiner to the
@@ -398,18 +399,11 @@ class DagfmModel(Model):
         if kind == "basic-inner":
             A = _scatter((m, m), (jj, ii), 1.0)  # A[j, i] = 1 on an edge
             return (A.T @ h.reshape(m, B * d)).reshape(m, B, d), A
-        if kind == "inner":
-            # per embedding dim e an (m, m) x (m, B) GEMM over dim-major states
-            W = _scatter((d, m, m), (slice(None), jj, ii), self.store[f"dag.w{t}"].T)
-            agg = np.matmul(W.transpose(0, 2, 1), np.ascontiguousarray(h.transpose(2, 0, 1)))
-            return agg.transpose(1, 2, 0), W  # agg was (e, i, b)
-        if kind == "kernel":
-            # one (B, m*d) x (m*d, m*d) GEMM over batch-major states: rows are
-            # (j, d), columns (i, e)
-            K = _scatter((m, d, m, d), (jj, slice(None), ii), self.store[f"dag.K{t}"])
-            K = K.reshape(m * d, m * d)
-            agg = _batch_major(h) @ K
-            return agg.reshape(B, m, d).transpose(1, 0, 2), K
+        if kind in ("inner", "kernel"):
+            # the pair GEMM, sources j as rows and targets i as columns
+            g = self._gemm
+            K = g.dense(self.store[self._weights(t)])
+            return g.fields(g.states(h) @ K), K
         p = _scatter((m, m, d), (jj, ii), self.store[f"dag.p{t}"])  # p[j, i]
         q = _scatter((m, m, d), (ii, jj), self.store[f"dag.q{t}"])  # q[i, j]
         # S[j, i, b] = p[j, i] . h[j, b]: per source j an (m, d) x (d, B) GEMM
@@ -487,19 +481,11 @@ class DagfmModel(Model):
         kind = self.dag.kind
         if kind == "basic-inner":
             return (cache @ dU.reshape(m, B * d)).reshape(m, B, d)
-        if kind == "inner":
-            W = cache  # W[e, j, i]
-            dU_e = np.ascontiguousarray(dU.transpose(2, 0, 1))  # (e, i, b)
-            h_e = np.ascontiguousarray(h.transpose(2, 0, 1))  # (e, j, b)
-            dW = np.matmul(h_e, dU_e.transpose(0, 2, 1))  # (e, j, i)
-            grads[f"dag.w{t}"] = dW[:, jj, ii].T
-            return np.matmul(W, dU_e).transpose(1, 2, 0)  # was (e, j, b)
-        if kind == "kernel":
-            K = cache
-            dU2 = _batch_major(dU)
-            dK = (_batch_major(h).T @ dU2).reshape(m, d, m, d)
-            grads[f"dag.K{t}"] = dK[jj, :, ii]
-            return (dU2 @ K.T).reshape(B, m, d).transpose(1, 0, 2)
+        if kind in ("inner", "kernel"):
+            g, K = self._gemm, cache
+            dX = g.states(dU)
+            grads[self._weights(t)] = g.at_pairs(g.states(h).transpose(0, 2, 1) @ dX)
+            return g.fields(dX @ K.transpose(0, 2, 1))
         p, q, S = cache
         dS = np.matmul(q, dU.transpose(0, 2, 1))  # dS[i, j, b] = q[i, j] . dU[i, b]
         grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]  # (i, j, e)
@@ -510,18 +496,56 @@ class DagfmModel(Model):
 
 def _scatter(shape, index, values) -> np.ndarray:
     """Zeros of ``shape`` with the per-pair ``values`` written at ``index``:
-    compact pair weights laid out for the GEMMs (zero off the pair list).
-    The student's edge weights and the FwFM/FmFM pair weights both go
-    through it."""
+    compact pair weights laid out for the GEMMs (zero off the pair list)."""
     dense = np.zeros(shape)
     dense[index] = values
     return dense
 
 
-def _batch_major(x: np.ndarray) -> np.ndarray:
-    """Field-major (m, B, d) rows as a C-ordered (B, m * d) matrix (a copy)."""
-    m, B, d = x.shape
-    return x.transpose(1, 0, 2).reshape(B, m * d)
+class PairGemm:
+    """The dense GEMM layout of compact pair weights: a field ``rows[k]``
+    meets a field ``cols[k]`` through pair ``k``'s weight vector (``per_dim``)
+    or d x d matrix. The student's ``inner`` and ``kernel`` layers and the
+    FwFM and FmFM baselines are all ``states(F) @ dense(w)`` over it.
+
+    Field-major (m, B, d) states become (g, B, n) GEMM operands: dim-major
+    (d, B, m), one (m, m) block per embedding dim, when ``per_dim``;
+    batch-major (1, B, m*d), one (m*d, m*d) block whose rows are (field,
+    dim) of the ``rows`` side and columns (field, dim) of the ``cols`` side,
+    otherwise. ``dense`` scatters the pair weights into the (g, n, n)
+    blocks, zero off the pairs, and ``at_pairs`` reads a dense gradient back
+    in the compact layout.
+    """
+
+    def __init__(self, rows, cols, m: int, d: int, per_dim: bool):
+        self.rows, self.cols = np.asarray(rows), np.asarray(cols)
+        self.m, self.d, self.per_dim = m, d, per_dim
+
+    def states(self, F: np.ndarray) -> np.ndarray:
+        """Field-major (m, B, d) as a contiguous (g, B, n) copy."""
+        if self.per_dim:
+            return np.ascontiguousarray(F.transpose(2, 1, 0))
+        m, B, d = F.shape
+        return F.transpose(1, 0, 2).reshape(1, B, m * d)
+
+    def fields(self, X: np.ndarray) -> np.ndarray:
+        """The inverse of ``states``, as a field-major (m, B, d) view."""
+        if self.per_dim:
+            return X.transpose(2, 1, 0)
+        return X.reshape(X.shape[1], self.m, self.d).transpose(1, 0, 2)
+
+    def dense(self, w: np.ndarray) -> np.ndarray:
+        m, d = self.m, self.d
+        if self.per_dim:
+            return _scatter((d, m, m), (slice(None), self.rows, self.cols), w.T)
+        K = _scatter((m, d, m, d), (self.rows, slice(None), self.cols), w)
+        return K.reshape(1, m * d, m * d)
+
+    def at_pairs(self, dK: np.ndarray) -> np.ndarray:
+        if self.per_dim:
+            return dK[:, self.rows, self.cols].T
+        m, d = self.m, self.d
+        return dK.reshape(m, d, m, d)[self.rows, :, self.cols]
 
 
 # ---------------------------------------------------------------------------

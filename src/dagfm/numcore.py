@@ -140,15 +140,6 @@ class ParamStore:
         for n, v in snap.items():
             self.set(n, v)
 
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for n, v in self._values.items():
-            out.add(n, v.copy(), trainable=self._trainable[n])
-            out._m[n] = self._m[n].copy()
-            out._v[n] = self._v[n].copy()
-            out._step[n] = self._step[n]
-        return out
-
 
 def adam_step(
     store: ParamStore,

@@ -18,15 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .interactions import (
-    MlpTower,
-    Model,
-    _batch_major,
-    _scatter,
-    embedding_layout,
-    identity,
-    mlp_layout,
-)
+from .interactions import MlpTower, Model, PairGemm, embedding_layout, identity, mlp_layout
 from .numcore import ConfigurationError, check_int
 
 
@@ -245,45 +237,44 @@ class FmfmSpec:
 
 
 class _PairwiseModel(Model):
-    # The pair term is a bilinear form over each row's embeddings. The
-    # compact pair weights go through the student's scatter into dense
-    # (g, n, n) blocks K, zero except where a field i meets a field j > i,
-    # and the embeddings are laid out to match as X (g, B, n): FwFM has one
-    # (m, m) block per embedding dim (g = d, n = m; the GEMM of the student's
-    # ``inner`` combiner), FmFM one strictly block-upper (m*d, m*d) matrix
-    # (g = 1; the GEMM of ``kernel``). With the linear weights u laid out
-    # like one row, a row's logit is bias + sum(x * (x K + u)). Backward is
-    # dX = dlogits * (X (K + K^T) + u), and the pair weights' gradient is
-    # one GEMM, X^T diag(dlogits) X, read back at the pairs. Each subclass
-    # gives its layout: ``_blocks`` takes field-major (m, B, d) arrays to
-    # (g, B, n), ``_fields`` takes (g, B, n) back to (B, m, d), ``_dense``
-    # scatters the pair weights and ``_at_pairs`` reads a dense K back.
+    # The pair term is a bilinear form over each row's embeddings, laid out
+    # by a PairGemm over the pairs i < j: FwFM one (m, m) block per embedding
+    # dim (the GEMM of the student's ``inner`` combiner), FmFM one strictly
+    # block-upper (m*d, m*d) matrix (the GEMM of ``kernel``). With X the
+    # embeddings as (g, B, n) states, K the dense pair weights and the
+    # linear weights u laid out like one row, a row's logit is
+    # bias + sum(x * (x K + u)). Backward is dX = dlogits * (X (K + K^T) + u),
+    # and the pair weights' gradient is one GEMM, X^T diag(dlogits) X, read
+    # back at the pairs.
 
     weights = "?"  # store name of the pair weights
+    per_dim = True  # one weight per pair and embedding dim (FwFM), else a d x d matrix
 
     def _setup(self) -> None:
-        self.pairs = upper_pairs(self.spec.num_fields)
-        self._upper = np.triu_indices(self.spec.num_fields, 1)  # the pairs as index arrays
+        m = self.spec.num_fields
+        self.pairs = upper_pairs(m)
+        self._gemm = PairGemm(*np.triu_indices(m, 1), m, self.spec.embed_dim, self.per_dim)
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
-        F = self.embedding.lookup(idx).transpose(1, 0, 2)  # field-major (m, B, d)
-        X = self._blocks(F)
-        K = self._dense(self.store[self.weights])
-        u = self._blocks(self.store["linear.u"][:, None, :])
+        g = self._gemm
+        X = g.states(self.embedding.lookup(idx).transpose(1, 0, 2))  # from field-major (m, B, d)
+        K = g.dense(self.store[self.weights])
+        u = g.states(self.store["linear.u"][:, None, :])
         self._cache = (np.asarray(idx), X, K, u)
         return np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0]
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         idx, X, K, u = self._cache
+        g = self._gemm
         dlogits = np.asarray(dlogits, dtype=np.float64)
         gX = X * dlogits[:, None]  # X diag(dlogits), block by block
         grads = {
-            self.weights: self._at_pairs(gX.transpose(0, 2, 1) @ X),
-            "linear.u": self._fields(gX.sum(axis=1, keepdims=True))[0],
+            self.weights: g.at_pairs(gX.transpose(0, 2, 1) @ X),
+            "linear.u": g.fields(gX.sum(axis=1, keepdims=True))[:, 0],
             "head.b": np.array([dlogits.sum()]),
         }
         dX = gX @ (K + K.transpose(0, 2, 1)) + u * dlogits[:, None]
-        grads.update(self.embedding.grads(idx, self._fields(dX)))
+        grads.update(self.embedding.grads(idx, g.fields(dX).transpose(1, 0, 2)))
         return grads
 
 
@@ -292,42 +283,12 @@ class FwfmModel(_PairwiseModel):
     spec_type = FwfmSpec
     weights = "fwfm.w"
 
-    def _blocks(self, F):
-        return np.ascontiguousarray(F.transpose(2, 1, 0))  # dim-major (d, B, m)
-
-    def _fields(self, X):
-        return X.transpose(1, 2, 0)
-
-    def _dense(self, w):
-        m = self.num_fields
-        ii, jj = self._upper
-        return _scatter((self.embed_dim, m, m), (slice(None), ii, jj), w.T)
-
-    def _at_pairs(self, dK):
-        ii, jj = self._upper
-        return dK[:, ii, jj].T
-
 
 class FmfmModel(_PairwiseModel):
     kind = "fmfm"
     spec_type = FmfmSpec
     weights = "fmfm.W"
-
-    def _blocks(self, F):
-        return _batch_major(F)[None]  # (1, B, m*d)
-
-    def _fields(self, X):
-        return X.reshape(X.shape[1], self.num_fields, -1)
-
-    def _dense(self, W):
-        m, d = self.num_fields, self.embed_dim
-        ii, jj = self._upper
-        return _scatter((m, d, m, d), (ii, slice(None), jj), W).reshape(1, m * d, m * d)
-
-    def _at_pairs(self, dK):
-        m, d = self.num_fields, self.embed_dim
-        ii, jj = self._upper
-        return dK.reshape(m, d, m, d)[ii, :, jj]
+    per_dim = False
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dagfm.interactions import (
     DagfmPlusModel,
     DagfmPlusSpec,
     DagfmSpec,
+    PairGemm,
     full_dag_pairs,
     mlp_widths,
     phi_basic_inner,
@@ -21,7 +22,8 @@ from dagfm.interactions import (
     phi_kernel,
     phi_outer,
 )
-from dagfm.numcore import ConfigurationError, ShapeError, grad_check
+from dagfm.numcore import ConfigurationError, ShapeError, grad_check, stable_sigmoid
+from dagfm.teachers import upper_pairs
 
 from conftest import perturb_params, squared_logit_closure
 
@@ -122,7 +124,6 @@ class TestDagfmSpec:
 
     def test_defaults_to_full_dag(self):
         spec = DagfmSpec("inner", 4, 2, 2)
-        assert spec.is_full_dag
         assert spec.num_states == 3
         assert len(spec.pairs()) == 10  # m(m+1)/2
 
@@ -183,7 +184,7 @@ class TestPropagation:
     def test_zero_head_gives_half_probability(self, rng):
         model = DagfmModel(DagfmSpec("kernel", 4, 3, 2), [5] * 4, seed=1)
         idx = rng.integers(0, 5, size=(7, 4))
-        np.testing.assert_array_equal(model.predict_proba(idx), np.full(7, 0.5))
+        np.testing.assert_array_equal(stable_sigmoid(model.forward(idx)), np.full(7, 0.5))
 
     def test_inner_ones_matches_basic_bitwise(self, rng):
         emb = rng.normal(size=(4, 3))
@@ -333,7 +334,7 @@ class TestPropagateAgainstEdgeLoop:
         model = DagfmModel(
             DagfmSpec(kind, m, 3, 2, edges=sparse_edges(m, rng, keep=0.5)), [3] * m, seed=8
         )
-        assert not model.dag.is_full_dag
+        assert len(model.pairs) < m * (m + 1) // 2
         perturb_params(model, rng)
         idx = rng.integers(0, 3, size=(5, m))
         targets = rng.normal(size=5)
@@ -445,3 +446,47 @@ class TestFieldMajorLayout:
         targets = rng.normal(size=5)
         closure = squared_logit_closure(model, idx, targets)
         assert grad_check(closure, model.store, rng=rng) < 1e-4
+
+
+class TestPairGemm:
+    """The one GEMM layout of the student's ``inner``/``kernel`` edge weights
+    (pairs ``(j, i)`` of the full DAG, self-edges included) and FwFM/FmFM's
+    pair weights (pairs ``i < j``), checked block by block at m=39, d=16."""
+
+    m, d = 39, 16
+
+    @staticmethod
+    def gemm(pairs, per_dim):
+        rows, cols = zip(*pairs)
+        return PairGemm(rows, cols, TestPairGemm.m, TestPairGemm.d, per_dim)
+
+    @pytest.mark.parametrize("per_dim", [True, False], ids=["per-dim", "matrix"])
+    @pytest.mark.parametrize("pairs", [full_dag_pairs(39), upper_pairs(39)], ids=["dag", "upper"])
+    def test_dense_holds_the_pair_weights_and_nothing_else(self, pairs, per_dim, rng):
+        m, d = self.m, self.d
+        g = self.gemm(pairs, per_dim)
+        w = rng.normal(size=(len(pairs), d) if per_dim else (len(pairs), d, d))
+        K = g.dense(w)
+        np.testing.assert_array_equal(g.at_pairs(K), w)
+        assert K.shape == ((d, m, m) if per_dim else (1, m * d, m * d))
+        rest = K.copy()
+        for k, (r, c) in enumerate(pairs):
+            if per_dim:  # one (m, m) block per embedding dim e: rest[e, r, c] = w[k, e]
+                np.testing.assert_array_equal(rest[:, r, c], w[k])
+                rest[:, r, c] = 0.0
+            else:  # rows (r, e), columns (c, e')
+                block = rest[0, r * d : (r + 1) * d, c * d : (c + 1) * d]
+                np.testing.assert_array_equal(block, w[k])
+                block[...] = 0.0
+        assert not rest.any()
+
+    @pytest.mark.parametrize("per_dim", [True, False], ids=["per-dim", "matrix"])
+    @pytest.mark.parametrize("pairs", [full_dag_pairs(39), upper_pairs(39)], ids=["dag", "upper"])
+    def test_fields_inverts_states(self, pairs, per_dim, rng):
+        m, d = self.m, self.d
+        g = self.gemm(pairs, per_dim)
+        F = rng.normal(size=(m, 5, d))
+        X = g.states(F)
+        assert X.shape == ((d, 5, m) if per_dim else (1, 5, m * d))
+        assert X.flags.c_contiguous
+        np.testing.assert_array_equal(g.fields(X), F)

@@ -77,13 +77,6 @@ class TestParamStore:
         assert store.n_scalars() == 10
         assert store.n_scalars(["b"]) == 4
 
-    def test_copy_preserves_flags_and_moments(self):
-        store = make_store(a=[1.0])
-        store.freeze("a")
-        clone = store.copy()
-        assert not clone.is_trainable("a")
-        assert np.array_equal(clone["a"], store["a"])
-
 
 class TestAdamStep:
     def test_first_step_moves_by_lr(self):
