@@ -62,17 +62,12 @@ def spec_to_dict(spec) -> dict:
     return {"model": model_class(spec).kind, **dataclasses.asdict(spec)}
 
 
-def _tuples(value):
-    """JSON lists back to tuples, so rebuilt specs stay hashable."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
-
 def _construct(spec_type, fields: dict):
     """Build a spec from JSON fields; a field typed as a spec dataclass recurses."""
     hints = typing.get_type_hints(spec_type)
     try:
         return spec_type(**{
-            k: _construct(hints[k], v) if dataclasses.is_dataclass(hints.get(k)) else _tuples(v)
+            k: _construct(hints[k], v) if dataclasses.is_dataclass(hints.get(k)) else v
             for k, v in fields.items()
         })
     except (AttributeError, TypeError, ValueError) as e:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -345,9 +346,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
     except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at devnull so that the
+        # flush at interpreter shutdown does not raise again (the recipe in
+        # the Python ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

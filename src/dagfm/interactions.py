@@ -50,7 +50,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numcore import ConfigurationError, ParamStore, ShapeError, check_int
+from .numcore import ConfigurationError, ParamStore, ShapeError, as_tuples, check_int
 
 KINDS = ("basic-inner", "inner", "kernel", "outer")
 
@@ -153,6 +153,7 @@ class DagfmSpec:
         check_int("num_fields", self.num_fields, 2)
         check_int("embed_dim", self.embed_dim, 1)
         check_int("num_layers", self.num_layers, 1)
+        object.__setattr__(self, "edges", as_tuples(self.edges))
         if self.edges is not None:
             for j, i in self.edges:
                 if type(j) is not int or type(i) is not int or not 0 <= j <= i < self.num_fields:
@@ -571,6 +572,7 @@ class DagfmPlusSpec:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         if self.mlp_feed not in ("all-states", "final-state"):
             raise ConfigurationError(f"unknown mlp_feed {self.mlp_feed!r}")
+        object.__setattr__(self, "mlp_hidden", as_tuples(self.mlp_hidden))
         if not self.mlp_hidden:
             raise ConfigurationError("mlp_hidden must name at least one layer")
         for h in self.mlp_hidden:

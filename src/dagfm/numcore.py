@@ -45,6 +45,13 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
+def as_tuples(value):
+    """Lists and tuples, at any depth, as tuples; anything else unchanged.
+    Specs store their sequence fields this way, so a spec given lists
+    hashes, and equals its checkpoint round trip, like one given tuples."""
+    return tuple(map(as_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function, branching on the sign of ``z``."""
     z = np.asarray(z, dtype=np.float64)

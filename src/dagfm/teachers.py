@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .interactions import MlpTower, Model, PairGemm, embedding_layout, identity, mlp_layout
-from .numcore import ConfigurationError, check_int
+from .numcore import ConfigurationError, as_tuples, check_int
 
 
 def upper_pairs(m: int) -> tuple[tuple[int, int], ...]:
@@ -45,6 +45,7 @@ class CinSpec:
     def __post_init__(self):
         check_int("num_fields", self.num_fields, 2)
         check_int("embed_dim", self.embed_dim, 1)
+        object.__setattr__(self, "layer_sizes", as_tuples(self.layer_sizes))
         if not self.layer_sizes:
             raise ConfigurationError("layer_sizes must name at least one layer")
         for h in self.layer_sizes:
@@ -68,61 +69,131 @@ class CinSpec:
         return sum(self.layer_sizes)
 
 
+#: Elements in the largest intermediate of one CIN row tile (16 MiB of
+#: float64): the product of a layer's weights with one of its inputs, or the
+#: pair products of its two inputs, over the tile's (batch row, embedding dim)
+#: rows. At d=16 a tile holds 256 flat rows of the paper's CIN(200, 200, 200)
+#: at m=39, as many rows as each of the GEMMs that accumulate its weight
+#: gradients needs to amortise that sum; CIN(4, 4) at m=8 takes a whole
+#: 2048-row batch in one tile.
+CIN_TILE_ELEMENTS = 1 << 21
+
+
 class CinModel(Model):
     kind = "cin"
     spec_type = CinSpec
 
-    # Feature maps are kept embedding-dim-major, (d, B, H): layer k is one
-    # GEMM per embedding dim e, (B, H_prev*m) x (H_prev*m, H), over the pair
-    # products Z_e[b, i*m + j] = x^{k-1}[b, i, e] * x^0[b, j, e]. Backward takes
-    # dW from one GEMM over Z_e and dZ_e from another, then contracts dZ_e
-    # with each input as batched matrix-vector products. Z_e and dZ_e are
-    # formed one e at a time, so no intermediate grows past B*H_prev*m.
+    # Layer k is the trilinear form x[h, r] = sum_{i,j} W[h, i, j] a[i, r] b[j, r]
+    # over flat rows r = (batch row, embedding dim): a is the previous map
+    # (H_prev features), b the embeddings (m features). Rows run in tiles of
+    # whole batch rows; in a tile each map is one feature-major (H, r) block,
+    # and every product with W is one GEMM over all the tile's rows. W is
+    # contracted first with u, the wider of a and b, into S[h, v, r]; the
+    # narrower, v, then contracts S: x = sum_v S * v. Backward recomputes what
+    # it needs per tile, so nothing wider than a map outlives the forward.
+    #   narrow layer (H < max(H_prev, m)): dv = sum_h S * g, and with the
+    #     products O = g (x) v, dW = u O^T and du = W O, all (H*V, r) blocks.
+    #   wide layer: the pair products Z = a (x) b give dW = g Z^T, and
+    #     dZ = W^T g gives da = sum_j dZ * b and db = sum_i dZ * a: one GEMM
+    #     fewer, over (H_prev*m, r) blocks no wider than S.
+    # GEMMs bound a wide layer's time, so it lays S, Z and dZ out rows-outer,
+    # the order in which those GEMMs run fastest; a narrow layer is bound by
+    # memory traffic, which the rows-inner order keeps contiguous.
 
-    @staticmethod
-    def _pairs(prev_e: np.ndarray, E_e: np.ndarray) -> np.ndarray:
-        return prev_e[:, :, None] * E_e[:, None, :]
-
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        E = self.embedding.lookup(idx)
-        B, m, d = E.shape
-        E_d = np.ascontiguousarray(E.transpose(2, 0, 1))  # (d, B, m)
-        maps = [E_d]
+    def _layers(self) -> list[tuple]:
+        """Per layer: W, whether u is the previous map, and whether the layer
+        is wide."""
+        m = self.spec.num_fields
+        layers = []
         for k in range(self.spec.num_layers):
             W = self.store[f"cin.W{k}"]
-            W2 = W.reshape(W.shape[0], -1)
-            prev = maps[-1]
-            nxt = np.empty((d, B, W.shape[0]))
-            for e in range(d):
-                np.matmul(self._pairs(prev[e], E_d[e]).reshape(B, -1), W2.T, out=nxt[e])
-            maps.append(nxt)
-        feats = np.concatenate([x.sum(axis=0) for x in maps[1:]], axis=1)
-        self._cache = (np.asarray(idx), maps, feats)
+            H, H_prev = W.shape[:2]
+            layers.append((W, H_prev >= m, H >= max(H_prev, m)))
+        return layers
+
+    @staticmethod
+    def _w_u(W: np.ndarray, prev_first: bool) -> np.ndarray:
+        """W as the (U, H*V) GEMM operand of u."""
+        W_uv = W if prev_first else W.transpose(0, 2, 1)
+        return W_uv.transpose(1, 0, 2).reshape(W_uv.shape[1], -1)
+
+    def _tiles(self, B: int) -> list[slice]:
+        """Batch-row slices whose S stays within CIN_TILE_ELEMENTS (one row
+        at least)."""
+        m, d = self.spec.num_fields, self.spec.embed_dim
+        widths = (m, *self.spec.layer_sizes)
+        widest = max(h * min(h_prev, m) for h_prev, h in zip(widths, widths[1:]))
+        rows = max(1, CIN_TILE_ELEMENTS // (widest * d))
+        return [slice(a, min(a + rows, B)) for a in range(0, B, rows)]
+
+    def forward(self, idx: np.ndarray) -> np.ndarray:
+        emb = self.embedding.lookup(idx).transpose(1, 0, 2)  # field-major (m, B, d)
+        m, B, d = emb.shape
+        layers = [(W, self._w_u(W, prev_first), prev_first, wide) for W, prev_first, wide in self._layers()]
+        feats = np.empty((B, self.spec.pooled_width))
+        tape = []
+        for rows in self._tiles(B):
+            E = emb[:, rows].reshape(m, -1)
+            r = E.shape[1]
+            maps = [E]
+            col = 0
+            for W, Wu, prev_first, wide in layers:
+                u, v = (maps[-1], E) if prev_first else (E, maps[-1])
+                x = np.empty((len(W), r))
+                if wide:
+                    np.einsum("rhv,rv->hr", (u.T @ Wu).reshape(r, len(W), -1), v.T.copy(), out=x)
+                else:
+                    np.einsum("hvr,vr->hr", (Wu.T @ u).reshape(len(W), -1, r), v, out=x)
+                maps.append(x)
+                feats[rows, col : col + len(x)] = x.reshape(len(x), -1, d).sum(axis=2).T
+                col += len(x)
+            tape.append(maps)
+        self._cache = (np.asarray(idx), tape, feats)
         return self._head(feats)
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, maps, feats = self._cache
-        E_d = maps[0]
-        d, B, m = E_d.shape
+        idx, tape, feats = self._cache
+        m, d = self.spec.num_fields, self.spec.embed_dim
         grads, dfeat = self._head_backward(feats, dlogits)
+        layers = [(W, None if wide else self._w_u(W, prev_first), prev_first, wide)
+                  for W, prev_first, wide in self._layers()]
+        dWs = [np.zeros(W.shape if wide else Wu.shape) for W, Wu, _, wide in layers]
         offsets = np.cumsum((0, *self.spec.layer_sizes))
-        d_maps = [np.zeros_like(x) for x in maps]
-        for k in range(self.spec.num_layers):
-            d_maps[k + 1] += dfeat[:, offsets[k] : offsets[k + 1]]
-        dE = d_maps[0]  # the embeddings are map 0
-        for k in range(self.spec.num_layers - 1, -1, -1):
-            W = self.store[f"cin.W{k}"]
-            W2 = W.reshape(W.shape[0], -1)  # rows h, columns (i, j)
-            prev = maps[k]
-            dW2 = np.zeros_like(W2)
-            for e in range(d):
-                dn = d_maps[k + 1][e]
-                dW2 += dn.T @ self._pairs(prev[e], E_d[e]).reshape(B, -1)
-                dZ = (dn @ W2).reshape(B, -1, m)  # d(loss)/d(pair products)
-                d_maps[k][e] += (dZ @ E_d[e][:, :, None])[:, :, 0]
-                dE[e] += (prev[e][:, None, :] @ dZ)[:, 0, :]
-            grads[f"cin.W{k}"] = dW2.reshape(W.shape)
-        grads.update(self.embedding.grads(idx, dE.transpose(1, 2, 0)))
+        dE_all = np.empty((m, len(feats), d))
+        for rows, maps in zip(self._tiles(len(feats)), tape):
+            E = maps[0]
+            r = E.shape[1]
+            ET = E.T.copy()  # rows-outer, as a wide layer's Z and dZ
+            dE = np.zeros_like(E)
+            # pooling sums each row's d embedding dims, so its gradient repeats
+            g = np.repeat(dfeat[rows, offsets[-2] :].T, d, axis=1)
+            for k in range(len(layers) - 1, -1, -1):
+                W, Wu, prev_first, wide = layers[k]
+                prev = maps[k]
+                dprev = np.repeat(dfeat[rows, offsets[k - 1] : offsets[k]].T, d, axis=1) if k else dE
+                if wide:
+                    prevT = prev.T.copy()
+                    Z = (prevT[:, :, None] * ET[:, None, :]).reshape(r, -1)
+                    dWs[k] += (g @ Z).reshape(W.shape)
+                    del Z  # so that Z and dZ never coexist
+                    dZ = (g.T @ W.reshape(len(W), -1)).reshape(r, len(prev), m)
+                    dprev += np.einsum("rij,rj->ir", dZ, ET)
+                    dE += np.einsum("rij,ri->jr", dZ, prevT)
+                else:
+                    (u, du), (v, dv) = ((prev, dprev), (E, dE)) if prev_first else ((E, dE), (prev, dprev))
+                    dv += np.einsum("hvr,hr->vr", (Wu.T @ u).reshape(len(W), len(v), r), g)
+                    O = (g[:, None, :] * v[None]).reshape(-1, r)
+                    dWs[k] += u @ O.T
+                    du += Wu @ O
+                g = dprev
+            dE_all[:, rows] = dE.reshape(m, -1, d)
+        for k, (W, Wu, prev_first, wide) in enumerate(layers):
+            dW = dWs[k]
+            if not wide:  # (U, H*V) back to (H, H_prev, m)
+                dW = dW.reshape(len(Wu), len(W), -1).transpose(1, 0, 2)
+                dW = dW if prev_first else dW.transpose(0, 2, 1)
+            grads[f"cin.W{k}"] = dW
+        grads.update(self.embedding.grads(idx, dE_all.transpose(1, 0, 2)))
         return grads
 
 
@@ -303,6 +374,7 @@ class TinyMlpSpec:
     def __post_init__(self):
         check_int("num_fields", self.num_fields, 2)
         check_int("embed_dim", self.embed_dim, 1)
+        object.__setattr__(self, "hidden", as_tuples(self.hidden))
         if not self.hidden:
             raise ConfigurationError("hidden must name at least one layer")
         for h in self.hidden:

@@ -2,13 +2,19 @@
 
 import dataclasses
 import json
+import os
 import re
+import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dagfm
 from dagfm.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
@@ -188,6 +194,28 @@ class TestSpecRoundTrip:
         # JSON turns tuples into lists; the rebuilt spec must stay hashable
         rebuilt = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert rebuilt == spec and hash(rebuilt) == hash(spec)
+
+    @pytest.mark.parametrize(
+        "listed,tupled",
+        [
+            (CinSpec(3, 2, [4, 2]), CinSpec(3, 2, (4, 2))),
+            (TinyMlpSpec(3, 2, hidden=[4, 3]), TinyMlpSpec(3, 2, hidden=(4, 3))),
+            (
+                DagfmPlusSpec(DagfmSpec("inner", 3, 2, 1), mlp_hidden=[5, 3]),
+                DagfmPlusSpec(DagfmSpec("inner", 3, 2, 1), mlp_hidden=(5, 3)),
+            ),
+            (
+                DagfmSpec("kernel", 3, 2, 1, edges=[[0, 0], [1, 1], [2, 2], [0, 1], [1, 2]]),
+                DagfmSpec("kernel", 3, 2, 1, edges=((0, 0), (1, 1), (2, 2), (0, 1), (1, 2))),
+            ),
+        ],
+        ids=lambda s: type(s).__name__,
+    )
+    def test_list_fields_hash_and_round_trip_like_tuples(self, listed, tupled, tmp_path):
+        assert listed == tupled and hash(listed) == hash(tupled)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(listed, VOCAB, seed=0), path)
+        assert load_checkpoint(path).spec == listed
 
     @pytest.mark.parametrize("value", [2.0, "3", True, np.int64(3)], ids=repr)
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -732,6 +760,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "OK" in out
         assert out.count("order") >= 9
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # the console script, or its entry point where it is not installed,
+        # writing a report to a pipe whose reader closed before it started
+        script = shutil.which("dagfm")
+        cmd = [script] if script else [
+            sys.executable, "-c", "import sys; from dagfm.cli import main; sys.exit(main())"
+        ]
+        src = str(Path(dagfm.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [*cmd, "oracle-check", "--fn", "inner", "--m", "4", "--d", "3", "--depth", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
     def test_oracle_check_fail_sets_exit_code(self, capsys):
         rc = main(

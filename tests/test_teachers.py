@@ -145,6 +145,89 @@ class TestCin:
         err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
         assert err < 1e-4
 
+    @staticmethod
+    def per_dim_step(model, idx, dlogits):
+        """Logits and gradients of CIN as one GEMM per embedding dim e over
+        the pair products Z_e[b, i*m + j] = x[b, i, e] * E[b, j, e], the
+        formulation the row tiles replaced."""
+        E = model.embedding.lookup(idx)
+        B, m, d = E.shape
+        E_d = np.ascontiguousarray(E.transpose(2, 0, 1))  # (d, B, m)
+        Ws = [model.store[f"cin.W{k}"].reshape(len(model.store[f"cin.W{k}"]), -1)
+              for k in range(model.spec.num_layers)]
+
+        def pairs(prev_e, e):
+            return (prev_e[:, :, None] * E_d[e][:, None, :]).reshape(B, -1)
+
+        maps = [E_d]
+        for W2 in Ws:
+            maps.append(np.stack([pairs(maps[-1][e], e) @ W2.T for e in range(d)]))
+        feats = np.concatenate([x.sum(axis=0) for x in maps[1:]], axis=1)
+        logits = feats @ model.store["head.w"] + model.store["head.b"][0]
+        grads = {"head.w": feats.T @ dlogits, "head.b": np.array([dlogits.sum()])}
+        dfeat = dlogits[:, None] * model.store["head.w"][None, :]
+        offsets = np.cumsum((0, *model.spec.layer_sizes))
+        d_maps = [np.zeros_like(x) for x in maps]
+        for k in range(len(Ws)):
+            d_maps[k + 1] += dfeat[:, offsets[k] : offsets[k + 1]]
+        for k in range(len(Ws) - 1, -1, -1):
+            W2, prev = Ws[k], maps[k]
+            dW2 = np.zeros_like(W2)
+            for e in range(d):
+                dn = d_maps[k + 1][e]
+                dW2 += dn.T @ pairs(prev[e], e)
+                dZ = (dn @ W2).reshape(B, -1, m)
+                d_maps[k][e] += np.einsum("bij,bj->bi", dZ, E_d[e])
+                d_maps[0][e] += np.einsum("bij,bi->bj", dZ, prev[e])
+            grads[f"cin.W{k}"] = dW2.reshape(model.store[f"cin.W{k}"].shape)
+        grads.update(model.embedding.grads(idx, d_maps[0].transpose(1, 2, 0)))
+        return logits, grads
+
+    @pytest.mark.parametrize(
+        "m,widths",
+        [
+            (8, (4, 4)),  # cin-m8: two narrow layers, the second contracting E first
+            (39, (20, 20)),
+            (8, (8, 3, 9)),  # wide, narrow, then wide contracting E first
+        ],
+    )
+    def test_tiles_match_per_dim_formulation(self, m, widths, rng):
+        d = 16
+        model = CinModel(CinSpec(m, d, widths), [7] * m, seed=11)
+        perturb_params(model, rng)
+        first = model._tiles(10**6)[0]
+        rows = first.stop - first.start
+        B = 2 * rows + rows // 3 + 1  # two full tiles and a partial one
+        tiles = model._tiles(B)
+        assert len(tiles) == 3 and tiles[-1].stop - tiles[-1].start < rows
+        idx = rng.integers(0, 7, size=(B, m))
+        dlogits = rng.normal(size=B)
+        logits = model.forward(idx)
+        grads = model.backward(dlogits)
+        ref_logits, ref_grads = self.per_dim_step(model, idx, dlogits)
+        assert np.abs(logits - ref_logits).max() <= 1e-12 * np.abs(ref_logits).max()
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    def test_step_holds_no_untiled_intermediate(self, rng):
+        # at m=39, d=16, widths (200, 200) and B=64 one (d*B, H*m) float64
+        # array, the product of a layer's weights with all rows at once, is
+        # 63.9 MB: a step that forms it, or keeps one per embedding dim
+        # alive, peaks above it
+        m, d, B, H = 39, 16, 64, 200
+        model = CinModel(CinSpec(m, d, (H, H)), [5] * m, seed=12)
+        idx = rng.integers(0, 5, size=(B, m))
+        dlogits = rng.normal(size=B)
+        tracemalloc.start()
+        try:
+            model.forward(idx)
+            model.backward(dlogits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * B * H * m * 8
+
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             CinSpec(1, 2, (3,))
