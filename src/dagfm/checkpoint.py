@@ -1,9 +1,13 @@
-"""Self-describing binary checkpoints (format version 2) and the model registry.
+"""Self-describing binary checkpoints (format version 3) and the model registry.
 
 Layout: an 8-byte little-endian unsigned header length, a JSON header, then
 the raw parameter payload. The header carries the format version, the model
 kind, a config echo sufficient to rebuild the model, the per-field
 vocabulary sizes, and a manifest of (name, shape, dtype) in payload order.
+Since version 3 every layout opens with one ``emb`` table of
+``sum(vocab_sizes)`` rows, field ``i``'s rows after those of fields
+``0..i-1``. Version 2 files, which held one table per field, are rejected
+by the version check like any other version.
 The config echo is the build spec's dataclass fields (``dataclasses.asdict``,
 so the DAG spec of ``dagfm+`` nests untagged under ``dagfm``) plus a
 ``model`` tag naming the family; ``model.spec`` is that build spec for every
@@ -36,7 +40,7 @@ from .interactions import DagfmModel, DagfmPlusModel
 from .numcore import ConfigurationError
 from .teachers import CinModel, CrossNetModel, FmfmModel, FwfmModel, TinyMlpModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _LEN = struct.Struct("<Q")
 # fewest bytes per weight: float16 is the narrowest float a manifest may name
 _NARROWEST_FLOAT = np.dtype(np.float16).itemsize

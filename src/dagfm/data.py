@@ -251,7 +251,7 @@ def split_dataset(
     n = len(dataset)
     if n == 0:
         raise SchemaError("cannot split an empty dataset")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or any(not r > 0 for r in ratios):  # NaN is not > 0
         raise SchemaError(f"ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise SchemaError(f"ratios must sum to 1, got {sum(ratios)}")

@@ -1,7 +1,7 @@
 """Three-stage teacher→student training pipeline.
 
 Stage 1 trains a teacher on the CTR objective alone. Stage 2 copies the
-teacher's embedding tables into the student, freezes them (and never touches
+teacher's embedding table into the student, freezes it (and never touches
 the teacher), and trains the remaining student parameters against
 ``alpha * kd + beta * ctr``. Stage 3 unfreezes everything and fine-tunes the
 student on the CTR objective. :func:`run_pipeline` runs the three stages of
@@ -34,6 +34,7 @@ from .numcore import (
     TrainingDivergenceError,
     adam_step,
     check_int,
+    check_nonnegative,
     stable_sigmoid,
 )
 
@@ -72,8 +73,8 @@ def ctr_loss(labels, probs) -> float:
 
 def total_loss(kd: float, ctr: float, alpha: float, beta: float) -> float:
     """Weighted stage-2 objective ``alpha * kd + beta * ctr``."""
-    if alpha < 0 or beta < 0:
-        raise ConfigurationError(f"weights must be nonnegative, got alpha={alpha}, beta={beta}")
+    check_nonnegative("alpha", alpha)
+    check_nonnegative("beta", beta)
     return alpha * kd + beta * ctr
 
 
@@ -104,8 +105,8 @@ def _kd_loss_and_grad(teacher_logits, student_logits, space: str) -> tuple[float
 
 def _check_kd_settings(alpha: float, beta: float, kd_space: str) -> None:
     """Reject stage-2 settings before anything is copied, frozen or scored."""
-    if alpha < 0 or beta < 0:
-        raise ConfigurationError(f"weights must be nonnegative, got alpha={alpha}, beta={beta}")
+    check_nonnegative("alpha", alpha)
+    check_nonnegative("beta", beta)
     if alpha == 0 and beta == 0:
         raise ConfigurationError("alpha and beta cannot both be zero")
     if kd_space not in KD_SPACES:
@@ -131,12 +132,10 @@ class StageConfig:
 
     def __post_init__(self):
         check_int("epochs", self.epochs, 0)
-        if self.lr < 0:
-            raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
+        check_nonnegative("lr", self.lr)
         check_int("batch_size", self.batch_size, 1)
         check_int("patience", self.patience, 0)
-        if self.weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        check_nonnegative("weight_decay", self.weight_decay)
 
 
 @dataclass(frozen=True)
@@ -347,16 +346,15 @@ def distill_student(
     teacher's, and rewinding would discard most of that matching progress.
     """
     _check_kd_settings(alpha, beta, kd_space)
-    # every layout declares one (vocab size, embed_dim) table per field
+    # every layout opens with one (sum(vocab sizes), embed_dim) table
     s_tables = (student.vocab_sizes, student.embed_dim)
     t_tables = (teacher.vocab_sizes, teacher.embed_dim)
     if s_tables != t_tables:
         raise ConfigurationError(
             f"embedding shape mismatch: student (vocab sizes, dim) {s_tables} vs teacher {t_tables}"
         )
-    for sn, tn in zip(student.embedding_names(), teacher.embedding_names()):
-        student.store.set(sn, teacher.store[tn])
-    student.store.freeze(*student.embedding_names())
+    student.store.set("emb", teacher.store["emb"])
+    student.store.freeze("emb")
     teacher_logits = predict_logits(teacher, split.train.indices)
 
     def batch_loss(logits, labels, rows):

@@ -19,11 +19,12 @@ BLAS GEMMs (``np.matmul``).
 
 The student works field-major: one contiguous (L+1, m, B, d) buffer holds
 every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
-steps. ``EmbeddingTable.lookup`` gathers each field's rows straight into
-``H[0]``, and each layer writes ``agg * e`` straight into the next slot.
-``outer`` runs two GEMMs per layer: per source ``j`` an (m, d) x (d, B)
-product gives the edge scalars ``S[j, i, b] = p[j, i] . h[j, b]``, and per
-target ``i`` a (B, m) x (m, d) product reads ``S`` as an F-ordered operand.
+steps. ``EmbeddingTable.lookup`` gathers every field's rows into ``H[0]``
+with one ``np.take``, and each layer writes ``agg * e`` straight into the
+next slot. ``outer`` runs two GEMMs per layer: per source ``j`` an
+(m, d) x (d, B) product gives the edge scalars
+``S[j, i, b] = p[j, i] . h[j, b]``, and per target ``i`` a (B, m) x (m, d)
+product reads ``S`` as an F-ordered operand.
 Its backward is four batched GEMMs over the same ``S`` and the same
 buffer, with no copies. ``basic-inner`` is one (m, m) x (m, B*d) GEMM
 with the transposed adjacency matrix. ``inner`` and ``kernel`` are the
@@ -123,12 +124,12 @@ def identity(shape) -> np.ndarray:
 
 
 def embedding_layout(spec, vocab_sizes) -> Iterator[tuple]:
-    """The per-field embedding tables that open every layout; rows include
-    the OOV bucket (i.e. ``FieldSchema.vocab_sizes()``)."""
+    """The one embedding table that opens every layout: field ``i``'s rows
+    (``vocab_sizes[i]`` of them, the OOV bucket included, i.e.
+    ``FieldSchema.vocab_sizes()``) start at row ``sum(vocab_sizes[:i])``."""
     if len(vocab_sizes) != spec.num_fields:
         raise ConfigurationError(f"{len(vocab_sizes)} vocab sizes for {spec.num_fields} fields")
-    for i, rows in enumerate(vocab_sizes):
-        yield f"emb.f{i}", (int(rows), spec.embed_dim), EMBED_INIT_STD
+    yield "emb", (sum(int(rows) for rows in vocab_sizes), spec.embed_dim), EMBED_INIT_STD
 
 
 @dataclass(frozen=True)
@@ -199,27 +200,27 @@ class DagfmSpec:
 
 
 class EmbeddingTable:
-    """Per-field embedding matrices held in a ParamStore under ``names``.
-    Lookup of index ``j`` for field ``i`` is row ``j`` of that field's matrix.
+    """The ``emb`` matrix of a ParamStore, every field's rows stacked in field
+    order. Lookup of index ``j`` for field ``i`` is row ``offsets[i] + j``.
     """
 
-    def __init__(self, store: ParamStore, names):
+    def __init__(self, store: ParamStore, vocab_sizes):
         self.store = store
-        self.names = list(names)
-        self._rows = np.array([store[n].shape[0] for n in self.names])
-        self.dim = store[self.names[0]].shape[1]
+        self._rows = np.array(vocab_sizes)
+        self.offsets = np.concatenate(([0], np.cumsum(self._rows)[:-1]))
+        self.dim = store["emb"].shape[1]
 
     @property
     def num_fields(self) -> int:
-        return len(self.names)
+        return len(self._rows)
 
     def lookup(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The (B, m, d) embeddings of an index batch, as a view of a
-        field-major (m, B, d) array (``out`` if given) whose per-field (B, d)
-        blocks are each filled by one gather."""
+        field-major (m, B, d) array (``out`` if given) filled by one gather."""
         idx = np.asarray(idx)
         if idx.ndim != 2 or idx.shape[1] != self.num_fields:
             raise ShapeError(f"index matrix must be (batch, {self.num_fields}), got {idx.shape}")
+        # the per-field check also keeps field i's indices off field i+1's rows
         bad = (idx < 0) | (idx >= self._rows)
         if bad.any():
             i = int(np.argmax(bad.any(axis=0)))
@@ -229,32 +230,28 @@ class EmbeddingTable:
             )
         if out is None:
             out = np.empty((self.num_fields, idx.shape[0], self.dim))
-        for i, name in enumerate(self.names):
-            # bounds are checked above; "clip" lets take write into out unbuffered
-            np.take(self.store[name], idx[:, i], axis=0, out=out[i], mode="clip")
+        # bounds are checked above; "clip" lets take write into out unbuffered
+        np.take(self.store["emb"], idx.T + self.offsets[:, None], axis=0, out=out, mode="clip")
         return out.transpose(1, 0, 2)
 
     def grads(self, idx: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
-        """Scatter-add ``d_emb`` (B, m, d) into row gradients of the trainable
-        tables; frozen tables get none (``adam_step`` would ignore them). A
-        field-major ``d_emb``, like ``lookup``'s, is read without copies."""
-        d = self.dim
-        out = {}
-        for i, name in enumerate(self.names):
-            if not self.store.is_trainable(name):
-                continue
-            rows = self._rows[i]
-            flat = (idx[:, i, None] * d + np.arange(d)).ravel()
-            g = np.bincount(flat, weights=d_emb[:, i, :].ravel(), minlength=rows * d)
-            out[name] = g.reshape(rows, d)
-        return out
+        """Scatter-add ``d_emb`` (B, m, d) into the table's row gradient, or
+        nothing when the table is frozen (``adam_step`` would ignore it).
+        Each row sums its contributions in batch-row order. A field-major
+        ``d_emb``, like ``lookup``'s, is read without copies."""
+        if not self.store.is_trainable("emb"):
+            return {}
+        rows, d = self.store["emb"].shape
+        flat = ((idx.T + self.offsets[:, None])[..., None] * d + np.arange(d)).ravel()
+        g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=rows * d)
+        return {"emb": g.reshape(rows, d)}
 
 
 class Model:
     """Common surface: a ParamStore plus forward/backward over index batches.
 
     ``spec.layout(vocab_sizes)`` declares every parameter as ``(name, shape,
-    initialiser)``, in store order, the embedding tables first. An
+    initialiser)``, in store order, the embedding table first. An
     initialiser is either a float, the standard deviation of Gaussian
     draws, or a function of the shape (``np.zeros``, ``np.ones``,
     :func:`identity`). A fresh model runs the initialisers, in layout order,
@@ -286,14 +283,12 @@ class Model:
         return model
 
     def _assemble(self, spec, vocab_sizes, value_of) -> None:
-        layout = list(spec.layout(vocab_sizes))
         self.spec = spec
         self.vocab_sizes = [int(v) for v in vocab_sizes]
         self.store = ParamStore()
-        for name, shape, init in layout:
+        for name, shape, init in spec.layout(vocab_sizes):
             self.store.add(name, value_of(name, shape, init))
-        tables = [name for name, _, _ in layout[: spec.num_fields]]  # the layout opens with them
-        self.embedding = EmbeddingTable(self.store, tables)
+        self.embedding = EmbeddingTable(self.store, self.vocab_sizes)
         self._setup()
 
     def _setup(self) -> None:
@@ -324,7 +319,7 @@ class Model:
         return self.spec.embed_dim
 
     def embedding_names(self) -> list[str]:
-        return list(self.embedding.names)
+        return ["emb"]
 
 
 # ---------------------------------------------------------------------------

@@ -83,16 +83,13 @@ def auc(labels, scores) -> float:
             f"AUC undefined: {n_pos} positives and {n_neg} negatives"
         )
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.arange(1, scores.size + 1)
-    # average the ranks within each tied run
     sorted_scores = scores[order]
     boundaries = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [scores.size]))
-    for s, e in zip(starts, ends):
-        if e - s > 1:
-            ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    # 1-based ranks, each tied run [s, e) sharing its average rank (s + 1 + e) / 2
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     rank_sum_pos = ranks[pos].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

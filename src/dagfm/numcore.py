@@ -13,6 +13,7 @@ on a fixed machine.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -43,6 +44,13 @@ def check_int(name: str, value, minimum: int) -> None:
     numpy scalar, which would fail later or not serialise to JSON)."""
     if type(value) is not int or value < minimum:
         raise ConfigurationError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Reject anything but a finite number >= 0 (NaN fails every comparison,
+    so ``value < 0`` alone would let it through)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigurationError(f"{name} must be a finite nonnegative number, got {value!r}")
 
 
 def as_tuples(value):
@@ -137,9 +145,6 @@ class ParamStore:
         names = self.names() if names is None else list(names)
         return int(sum(self._values[n].size for n in names))
 
-    def value_bytes(self, name: str) -> bytes:
-        return self._values[name].tobytes()
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {n: v.copy() for n, v in self._values.items()}
 
@@ -161,8 +166,8 @@ def adam_step(
     L2 term ``wd * theta`` to the gradient before the moment updates (so with
     ``weight_decay > 0`` parameters move even under a zero loss gradient).
     """
-    if lr < 0:
-        raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
+    check_nonnegative("lr", lr)
+    check_nonnegative("weight_decay", weight_decay)
     for name in grads:
         if name not in store:
             raise ConfigurationError(f"gradient for unknown parameter '{name}'")
@@ -207,7 +212,10 @@ def grad_check(
     ``grads`` covers every trainable parameter. For each trainable parameter
     up to ``max_coords_per_param`` coordinates are sampled; each is perturbed
     by ``+-h`` and the relative error
-    ``|analytic - fd| / (|fd| + 1e-8)`` is taken. Run in float64.
+    ``max(|analytic - fd| - u, 0) / (|fd| + 1e-8)`` is taken, where
+    ``u = eps * max(|loss(+h)|, |loss(-h)|) / h`` is one rounding unit of the
+    two losses in ``fd``'s units: a difference below it is rounding in ``fd``,
+    not a gradient error. Run in float64.
     """
     rng = rng or np.random.default_rng(0)
     loss, grads = fn(store)
@@ -233,6 +241,7 @@ def grad_check(
             if not (np.isfinite(lp) and np.isfinite(lm)):
                 raise EvaluationError(f"non-finite loss while perturbing '{name}'")
             fd = (lp - lm) / (2.0 * h)
-            rel = abs(analytic[c] - fd) / (abs(fd) + 1e-8)
+            unit = np.finfo(np.float64).eps * max(abs(lp), abs(lm)) / h
+            rel = max(abs(analytic[c] - fd) - unit, 0.0) / (abs(fd) + 1e-8)
             worst = max(worst, float(rel))
     return worst

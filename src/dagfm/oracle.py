@@ -149,12 +149,11 @@ def build_identity_model(
     kind: str, num_fields: int, embed_dim: int, num_layers: int, embeddings: np.ndarray
 ) -> DagfmModel:
     """A student whose edge weights are the combiner's identity values and
-    whose per-field vocabularies hold exactly the given embedding rows."""
+    whose embedding table holds exactly the given (m, d) rows, one per field."""
     spec = DagfmSpec(kind, num_fields, embed_dim, num_layers)
     model = DagfmModel(spec, [1] * num_fields, seed=0)
     model.set_identity_edge_weights()
-    for i in range(num_fields):
-        model.store.set(f"emb.f{i}", np.asarray(embeddings[i], dtype=np.float64)[None, :])
+    model.store.set("emb", embeddings)
     return model
 
 
@@ -234,8 +233,7 @@ def assert_dp_equivalence(
         model = DagfmModel(
             DagfmSpec(kind, num_fields, embed_dim, num_layers), [1] * num_fields, seed=seed
         )
-        for i in range(num_fields):
-            model.store.set(f"emb.f{i}", embeddings[i][None, :])
+        model.store.set("emb", embeddings)
         weights = _model_edge_weights(model)
 
         def expected_state(i: int, order: int) -> np.ndarray:
@@ -285,8 +283,7 @@ def outer_kernel_equivalence(
     vocab = [4] * num_fields
     outer = DagfmModel(DagfmSpec("outer", num_fields, embed_dim, num_layers), vocab, seed=seed)
     kernel = DagfmModel(DagfmSpec("kernel", num_fields, embed_dim, num_layers), vocab, seed=seed)
-    for name in outer.embedding_names():
-        kernel.store.set(name, outer.store[name])
+    kernel.store.set("emb", outer.store["emb"])
     for t in range(num_layers):
         p = outer.store[f"dag.p{t}"]
         q = outer.store[f"dag.q{t}"]

@@ -113,6 +113,13 @@ def perturb_params(model, rng: np.random.Generator, scale: float = 0.4) -> None:
         model.store.set(name, value + scale * rng.normal(size=value.shape))
 
 
+def field_rows(model, i: int) -> np.ndarray:
+    """Field ``i``'s rows of the model's one ``emb`` table, as a view: they
+    start after the rows of fields ``0..i-1``."""
+    start = sum(model.vocab_sizes[:i])
+    return model.store["emb"][start : start + model.vocab_sizes[i]]
+
+
 def squared_logit_closure(model, idx, targets):
     """`fn(store) -> (loss, grads)` for grad_check: mean squared error of the
     model logits against fixed targets (smooth everywhere)."""

@@ -120,7 +120,7 @@ def _claim(**config):
 
 
 # crafted corruptions of a DagfmSpec("inner", 3, 2, 1) checkpoint whose first
-# parameter is emb.f0 of shape (3, 2): (edit, pattern the error must match)
+# parameter is emb of shape (sum(VOCAB), 2): (edit, pattern the error must match)
 CORRUPTIONS = {
     "duplicate-entry": (_duplicate_first_entry, "twice"),
     "negative-shape": (_first_entry(shape=[-1, 2]), "shape"),
@@ -151,6 +151,8 @@ CORRUPTIONS = {
         "embedding rows",
     ),
     "v1-header": (_header_edit(lambda h: h.update(version=1)), "version"),
+    # one table per field until version 3
+    "v2-header": (_header_edit(lambda h: h.update(version=2)), "version"),
     "kind-mismatch": (_header_edit(lambda h: h.update(kind="cin")), "kind"),
 }
 
@@ -745,6 +747,15 @@ class TestCli:
             assert err.startswith("error:") and "--split" in err
             assert "Traceback" not in err
 
+    def test_nan_split_exits_one(self, cli_run, tmp_path, capsys):
+        _, csv, _, _ = cli_run
+        rc = main(["train-teacher", "--data", str(csv), "--out", str(tmp_path),
+                   "--split", "nan,0.5,0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ratios" in err
+        assert "Traceback" not in err
+
     def test_usage_errors_exit_two(self, capsys):
         assert main(["oracle-check", "--m", "3"]) == 2
         assert main(["no-such-command"]) == 2
@@ -816,6 +827,19 @@ class TestCli:
         loaded = load_checkpoint(out / "teacher.ckpt")
         assert loaded.spec == CrossNetSpec(3, 2, 1)
         capsys.readouterr()
+
+    def test_non_finite_config_setting_exits_one(self, cli_run, tmp_path, capsys):
+        # rejected at parse time, before any training or scoring
+        _, csv, _, _ = cli_run
+        ini = tmp_path / "nan.ini"
+        ini.write_text("[stage.teacher]\nlr = nan\n")
+        out = tmp_path / "run"
+        rc = main(["train-teacher", "--config", str(ini), "--data", str(csv), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lr must be a finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_config_exits_one(self, cli_run, tmp_path, capsys):
         _, csv, _, _ = cli_run

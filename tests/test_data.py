@@ -187,6 +187,13 @@ class TestSplitDataset:
         with pytest.raises(ValueError):
             split_dataset(self.dataset(), ratios=(-0.1, 0.6, 0.5), seed=0)
 
+    @pytest.mark.parametrize("ratios", [
+        (float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5), (float("inf"), 0.5, 0.5),
+    ])
+    def test_non_finite_ratios_rejected(self, ratios):
+        with pytest.raises(SchemaError, match="ratios"):
+            split_dataset(self.dataset(), ratios=ratios, seed=0)
+
 
 class TestIterateBatches:
     def dataset(self, n):

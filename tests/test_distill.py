@@ -57,7 +57,7 @@ def fresh_student(vocab_sizes, seed=3):
 
 
 def store_bytes(model):
-    return {name: model.store.value_bytes(name) for name in model.store.names()}
+    return {name: model.store[name].tobytes() for name in model.store.names()}
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +100,8 @@ class TestLosses:
     def test_total_loss_validation(self):
         with pytest.raises(ConfigurationError):
             total_loss(0.1, 0.1, alpha=-1.0, beta=0.0)
+        with pytest.raises(ConfigurationError, match="beta"):
+            total_loss(0.1, 0.1, alpha=1.0, beta=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +135,26 @@ class TestConfigs:
     def test_stage_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             StageConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_stage_rejects_non_finite(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            StageConfig(**{"epochs": 1, "lr": 1e-3, field: bad})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_kd_weights_must_be_finite_and_nonnegative(self, field, bad, tiny):
+        stage = StageConfig(epochs=1, lr=1e-3)
+        with pytest.raises(ConfigurationError, match=field):
+            DistillPlan(stage, (stage,), stage, **{field: bad})
+        vocab_sizes, split = tiny
+        student = fresh_student(vocab_sizes)
+        teacher = CrossNetModel(CrossNetSpec(4, 4, 2), vocab_sizes, seed=2)
+        with pytest.raises(ConfigurationError, match=field):
+            distill_student(student, teacher, split, stage, **{field: bad})
+        # rejected before the embedding copy and freeze
+        assert student.store.is_trainable("emb")
 
     def test_plan_validation(self):
         stage = StageConfig(epochs=1, lr=1e-3)
@@ -308,7 +330,7 @@ class TestDistill:
         # teacher untouched, student embeddings byte-identical and frozen
         assert store_bytes(teacher) == teacher_before
         for sn, tn in zip(student.embedding_names(), teacher.embedding_names()):
-            assert student.store.value_bytes(sn) == teacher.store.value_bytes(tn)
+            assert student.store[sn].tobytes() == teacher.store[tn].tobytes()
             assert not student.store.is_trainable(sn)
 
     def test_keeps_final_epoch_state(self, tiny, teacher):
@@ -436,14 +458,14 @@ class TestPipeline:
         distill_student(
             student, teacher, split, StageConfig(epochs=4, lr=0.02, batch_size=256, patience=0)
         )
-        emb_before = [student.store.value_bytes(n) for n in student.embedding_names()]
+        emb_before = [student.store[n].tobytes() for n in student.embedding_names()]
         report = finetune_student(
             student, split, StageConfig(epochs=3, lr=0.003, batch_size=256, patience=0)
         )
         assert report.best_epoch >= 1
         for name, before in zip(student.embedding_names(), emb_before):
             assert student.store.is_trainable(name)
-            assert student.store.value_bytes(name) != before
+            assert student.store[name].tobytes() != before
 
     def test_run_pipeline_writes_stage_logs(self, tiny, tmp_path):
         vocab_sizes, split = tiny
@@ -530,7 +552,7 @@ class TestPipeline:
         assert store_bytes(teacher) == trained
         for sn, tn in zip(student.embedding_names(), teacher.embedding_names()):
             assert student.store[sn] is not teacher.store[tn]
-            assert student.store.value_bytes(sn) != teacher.store.value_bytes(tn)
+            assert student.store[sn].tobytes() != teacher.store[tn].tobytes()
 
     def test_stage_logs_are_byte_identical_across_runs(self, tiny, tmp_path):
         vocab_sizes, split = tiny

@@ -25,7 +25,7 @@ from dagfm.interactions import (
 from dagfm.numcore import ConfigurationError, ShapeError, grad_check, stable_sigmoid
 from dagfm.teachers import upper_pairs
 
-from conftest import perturb_params, squared_logit_closure
+from conftest import MODEL_TAGS, perturb_params, random_small_model, squared_logit_closure
 
 finite_vec = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=6
@@ -37,9 +37,7 @@ def identity_model(kind, m, d, layers, embeddings):
     and whose edge weights reduce the combiner to a plain product."""
     model = DagfmModel(DagfmSpec(kind, m, d, layers), [1] * m, seed=0)
     model.set_identity_edge_weights()
-    emb = np.asarray(embeddings, dtype=np.float64).reshape(m, d)
-    for i in range(m):
-        model.store.set(f"emb.f{i}", emb[i][None, :])
+    model.store.set("emb", np.asarray(embeddings, dtype=np.float64).reshape(m, d))
     return model
 
 
@@ -169,8 +167,7 @@ class TestPropagation:
         # dropping 1 -> 3 leaves h3^2 = (e2 + e3) * e3 = (2 + 3) * 3 = 15
         edges = tuple(p for p in full_dag_pairs(3) if p != (0, 2))
         model = DagfmModel(DagfmSpec("basic-inner", 3, 1, 2, edges=edges), [1] * 3)
-        for i, v in enumerate([1.0, 2.0, 3.0]):
-            model.store.set(f"emb.f{i}", np.array([[v]]))
+        model.store.set("emb", np.array([[1.0], [2.0], [3.0]]))
         _, trace = model.forward_trace(np.zeros((1, 3), dtype=np.int64))
         assert trace.node_states[1][0, 2, 0] == pytest.approx(15.0)
 
@@ -231,24 +228,41 @@ class TestPropagation:
         ([[0, 0, 1], [0, 5, 7]], r"field 1: index 5 outside vocab range \[0, 5\)"),
         ([[0, 0, 9], [-2, 9, 9]], r"field 0: index -2 outside vocab range \[0, 3\)"),
         ([[0, 4, 8], [0, 4, 9]], r"field 2: index 9 outside vocab range \[0, 9\)"),
+        # in range of the table: without the per-field check it would read field 1's row 0
+        ([[3, 0, 0]], r"field 0: index 3 outside vocab range \[0, 3\)"),
     ])
     def test_out_of_range_index_names_field_and_index(self, rows, message):
         model = DagfmModel(DagfmSpec("inner", 3, 2, 1), [3, 5, 9])
         with pytest.raises(IndexError, match=message):
             model.embedding.lookup(np.array(rows))
 
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_one_table_read_at_field_offsets(self, tag, rng):
+        # every family: the layout opens with the one emb table, and field i's
+        # index j reads its row sum(vocab[:i]) + j
+        model, idx, _ = random_small_model(tag, rng)
+        vocab = model.vocab_sizes
+        layout = [(name, shape) for name, shape, _ in model.spec.layout(vocab)]
+        assert layout[0] == ("emb", (sum(vocab), model.embed_dim))
+        assert [name for name, _ in layout if name.startswith("emb")] == ["emb"]
+        expected = model.store["emb"][idx + np.cumsum([0, *vocab[:-1]])]
+        np.testing.assert_array_equal(model.embedding.lookup(idx), expected)
+
     def test_embedding_grads_scatter_add_trainable_tables_only(self, rng):
         vocab = [3, 7, 2, 9]
         model = DagfmModel(DagfmSpec("outer", 4, 3, 1), vocab, seed=0)
         idx = np.stack([rng.integers(0, v, size=200) for v in vocab], axis=1)
         d_emb = rng.normal(size=(200, 4, 3))
-        model.store.freeze("emb.f1", "emb.f3")
         grads = model.embedding.grads(idx, d_emb)
-        assert sorted(grads) == ["emb.f0", "emb.f2"]
-        for i in (0, 2):
-            expected = np.zeros((vocab[i], 3))
-            np.add.at(expected, idx[:, i], d_emb[:, i])
-            np.testing.assert_array_equal(grads[f"emb.f{i}"], expected)
+        assert sorted(grads) == ["emb"]
+        expected = np.zeros((sum(vocab), 3))
+        np.add.at(expected, idx + np.cumsum([0, *vocab[:-1]]), d_emb)
+        np.testing.assert_array_equal(grads["emb"], expected)
+        # a field-major d_emb, as the models pass it, sums in the same order
+        field_major = np.ascontiguousarray(d_emb.transpose(1, 0, 2)).transpose(1, 0, 2)
+        np.testing.assert_array_equal(model.embedding.grads(idx, field_major)["emb"], expected)
+        model.store.freeze("emb")
+        assert model.embedding.grads(idx, d_emb) == {}
 
     def test_outer_identity_only_at_d1(self):
         model = DagfmModel(DagfmSpec("outer", 3, 2, 1), [2] * 3)
@@ -353,8 +367,7 @@ class TestDagfmPlus:
     def test_hand_set_mlp(self):
         spec = DagfmPlusSpec(DagfmSpec("basic-inner", 2, 1, 1), mlp_hidden=(1,))
         model = DagfmPlusModel(spec, [1, 1], seed=0)
-        model.store.set("emb.f0", np.array([[2.0]]))
-        model.store.set("emb.f1", np.array([[3.0]]))
+        model.store.set("emb", np.array([[2.0], [3.0]]))
         # states: layer 0 = [2, 3], layer 1 = [2*2, (2+3)*3] = [4, 15]
         model.store.set("mlp.W0", np.array([[0.1], [0.2], [0.3], [-0.1]]))
         model.store.set("mlp.b0", np.array([0.25]))

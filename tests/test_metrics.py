@@ -86,6 +86,17 @@ class TestAuc:
         with pytest.raises(ConfigurationError):
             auc([1, 0], [0.5])
 
+    @pytest.mark.parametrize("levels", [None, 7, 300])
+    def test_matches_brute_force_pairs_with_ties(self, levels):
+        # every positive/negative pair at n = 2000: concordant 1, tied 1/2
+        rng = np.random.default_rng(levels or 0)
+        n = 2000
+        labels = rng.integers(0, 2, size=n)
+        scores = rng.normal(size=n) if levels is None else rng.integers(0, levels, size=n) * 0.1
+        sp, sn = scores[labels == 1][:, None], scores[labels == 0][None, :]
+        expected = ((sp > sn).sum() + 0.5 * (sp == sn).sum()) / (sp.size * sn.size)
+        assert auc(labels, scores) == pytest.approx(expected, rel=1e-12)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 1), st.integers(0, 3)),

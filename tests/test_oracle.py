@@ -173,8 +173,7 @@ class TestWeightedOracle:
         rng = np.random.default_rng(17)
         emb = rng.normal(size=(m, d))
         model = DagfmModel(DagfmSpec(kind, m, d, layers), [1] * m, seed=5)
-        for i in range(m):
-            model.store.set(f"emb.f{i}", emb[i][None, :])
+        model.store.set("emb", emb)
         weights = _model_edge_weights(model)
         _, trace = model.forward_trace(np.zeros((1, m), dtype=np.int64))
         for t in range(1, layers + 2):

@@ -20,15 +20,13 @@ from dagfm.teachers import (
     upper_pairs,
 )
 
-from conftest import perturb_params, squared_logit_closure
+from conftest import field_rows, perturb_params, squared_logit_closure
 
 
 def pin_embeddings(model, rows) -> None:
-    """Overwrite row 0 of every field's table (use with all-zero indices)."""
-    for i, name in enumerate(model.embedding_names()):
-        table = model.store[name].copy()
-        table[0] = np.asarray(rows[i], dtype=float)
-        model.store.set(name, table)
+    """Overwrite row 0 of every field's rows (use with all-zero indices)."""
+    for i, row in enumerate(rows):
+        field_rows(model, i)[0] = row
 
 
 def one_row(m: int) -> np.ndarray:
@@ -83,7 +81,7 @@ class TestCin:
         idx = rng.integers(0, 3, size=(5, m))
         E = np.stack(
             [
-                np.stack([model.store[f"emb.f{i}"][idx[b, i]] for i in range(m)])
+                np.stack([field_rows(model, i)[idx[b, i]] for i in range(m)])
                 for b in range(5)
             ]
         )
@@ -268,7 +266,7 @@ class TestCrossNet:
         logits = model.forward(idx)
         x0 = np.stack(
             [
-                np.concatenate([model.store[f"emb.f{i}"][idx[b, i]] for i in range(3)])
+                np.concatenate([field_rows(model, i)[idx[b, i]] for i in range(3)])
                 for b in range(5)
             ]
         )
@@ -285,7 +283,7 @@ class TestCrossNet:
         logits = model.forward(idx)
         x0 = np.stack(
             [
-                np.concatenate([model.store[f"emb.f{i}"][idx[b, i]] for i in range(2)])
+                np.concatenate([field_rows(model, i)[idx[b, i]] for i in range(2)])
                 for b in range(4)
             ]
         )
@@ -305,8 +303,7 @@ class TestCrossNet:
         s_vals = np.arange(1.0, depth + 4)
         logits = []
         for s in s_vals:
-            for i in range(m):
-                model.store.set(f"emb.f{i}", (s * base[i])[None, :])
+            model.store.set("emb", s * base)
             logits.append(model.forward(one_row(m))[0])
         y = np.array(logits)
         scale = np.abs(y).max()
@@ -365,7 +362,7 @@ class TestPairwiseBaselines:
         idx = rng.integers(0, 4, size=(5, m))
         E = np.stack(
             [
-                np.stack([model.store[f"emb.f{i}"][idx[b, i]] for i in range(m)])
+                np.stack([field_rows(model, i)[idx[b, i]] for i in range(m)])
                 for b in range(5)
             ]
         )
@@ -390,7 +387,7 @@ class TestPairwiseBaselines:
         idx = rng.integers(0, 3, size=(4, m))
         E = np.stack(
             [
-                np.stack([model.store[f"emb.f{i}"][idx[b, i]] for i in range(m)])
+                np.stack([field_rows(model, i)[idx[b, i]] for i in range(m)])
                 for b in range(4)
             ]
         )
