@@ -242,7 +242,8 @@ class EmbeddingTable:
         if not self.store.is_trainable("emb"):
             return {}
         rows, d = self.store["emb"].shape
-        flat = ((idx.T + self.offsets[:, None])[..., None] * d + np.arange(d)).ravel()
+        # rows as a C-order column: from idx.T's layout, ravel would gather
+        flat = ((idx.T + self.offsets[:, None]).reshape(-1, 1) * d + np.arange(d)).ravel()
         g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=rows * d)
         return {"emb": g.reshape(rows, d)}
 

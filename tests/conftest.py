@@ -12,6 +12,7 @@ from dagfm.interactions import (
     DagfmPlusSpec,
     DagfmSpec,
 )
+from dagfm.numcore import grad_check
 from dagfm.teachers import (
     CinModel,
     CinSpec,
@@ -118,6 +119,19 @@ def field_rows(model, i: int) -> np.ndarray:
     start after the rows of fields ``0..i-1``."""
     start = sum(model.vocab_sizes[:i])
     return model.store["emb"][start : start + model.vocab_sizes[i]]
+
+
+def grad_error(fn, model, rng=None) -> float:
+    """grad_check's worst relative error over five sampled coordinates of
+    every parameter, then over every coordinate of the one ``emb`` table,
+    checked alone with the other parameters frozen."""
+    store = model.store
+    err = grad_check(fn, store, rng=rng)
+    store.freeze(*(name for name in store.names() if name != "emb"))
+    try:
+        return max(err, grad_check(fn, store, max_coords_per_param=store["emb"].size))
+    finally:
+        store.unfreeze_all()
 
 
 def squared_logit_closure(model, idx, targets):

@@ -149,20 +149,30 @@ class TestAdamStep:
         assert float(store["x"][0]) < 5.0
 
     def test_matches_reference_adam_trajectory(self):
-        # independent reimplementation of bias-corrected Adam, 10 steps
+        # independent reimplementation of bias-corrected Adam, bit for bit: a
+        # table of two chunks (the second partial), weight decay off and on,
+        # and a column-major gradient that adam_step must not write
+        from dagfm.numcore import ADAM_CHUNK
+
         rng = np.random.default_rng(7)
-        theta = rng.normal(size=4)
-        store = make_store(x=theta.copy())
-        m = np.zeros(4)
-        v = np.zeros(4)
         lr, b1, b2 = 3e-3, 0.9, 0.999
-        for t in range(1, 11):
-            g = rng.normal(size=4)
-            adam_step(store, {"x": g}, lr=lr)
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + ADAM_EPS)
-        np.testing.assert_allclose(store["x"], theta, rtol=0, atol=1e-15)
+        for weight_decay in (0.0, 3e-4):
+            theta = rng.normal(size=(ADAM_CHUNK // 3 + 1, 4))
+            store = make_store(x=theta.copy())
+            m, v = np.zeros_like(theta), np.zeros_like(theta)
+            for t in range(1, 7):
+                g = np.asfortranarray(rng.normal(size=theta.shape) * 10.0 ** rng.integers(-8, 3))
+                before = g.copy()
+                adam_step(store, {"x": g}, lr=lr, weight_decay=weight_decay)
+                assert np.array_equal(g, before)
+                if weight_decay:
+                    g = g + weight_decay * theta
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + ADAM_EPS)
+            assert store["x"].tobytes() == theta.tobytes()
+            assert store.moments("x")[0].tobytes() == m.tobytes()
+            assert store.moments("x")[1].tobytes() == v.tobytes()
 
 
 class TestGradCheck:
@@ -183,20 +193,6 @@ class TestGradCheck:
             return x * x, {"x": np.asarray(3.0 * x)}  # deliberately wrong
 
         assert grad_check(fn, store) > 0.1
-
-    @pytest.mark.parametrize("x", [0.3, 0.7, 1.1])
-    def test_rounding_of_a_tiny_gradient_is_not_an_error(self, x):
-        # loss 1.2 + g x: one rounding unit of the loss is ~2e-11 in fd's
-        # units, so rounding alone moves fd by up to 4e-4 of g = 1e-8
-        store = make_store(x=x)
-        g = 1e-8
-
-        def fn(scale):
-            return lambda s: (1.2 + g * s["x"].item(), {"x": np.asarray(scale * g)})
-
-        assert grad_check(fn(1.0), store) == 0.0
-        # a tiny gradient 10% off is still caught
-        assert grad_check(fn(1.1), store) > 0.04
 
     def test_frozen_params_not_checked(self):
         store = make_store(x=1.0, y=2.0)

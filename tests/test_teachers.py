@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dagfm.numcore import ConfigurationError, grad_check
+from dagfm.numcore import ConfigurationError
 from dagfm.teachers import (
     CinModel,
     CinSpec,
@@ -20,7 +20,7 @@ from dagfm.teachers import (
     upper_pairs,
 )
 
-from conftest import field_rows, perturb_params, squared_logit_closure
+from conftest import field_rows, grad_error, perturb_params, squared_logit_closure
 
 
 def pin_embeddings(model, rows) -> None:
@@ -108,7 +108,7 @@ class TestCin:
         perturb_params(model, rng)
         idx = rng.integers(0, 3, size=(4, 3))
         targets = rng.normal(size=4)
-        err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
+        err = grad_error(squared_logit_closure(model, idx, targets), model, rng)
         assert err < 1e-5
 
     @staticmethod
@@ -140,7 +140,7 @@ class TestCin:
         perturb_params(model, rng)
         idx = rng.integers(0, 5, size=(6, 9))
         targets = rng.normal(size=6)
-        err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
+        err = grad_error(squared_logit_closure(model, idx, targets), model, rng)
         assert err < 1e-4
 
     @staticmethod
@@ -321,7 +321,7 @@ class TestCrossNet:
         perturb_params(model, rng)
         idx = rng.integers(0, 3, size=(4, 3))
         targets = rng.normal(size=4)
-        err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
+        err = grad_error(squared_logit_closure(model, idx, targets), model, rng)
         assert err < 1e-5
 
     def test_spec_validation(self):
@@ -400,7 +400,7 @@ class TestPairwiseBaselines:
         perturb_params(model, rng)
         idx = rng.integers(0, 3, size=(4, 3))
         targets = rng.normal(size=4)
-        err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
+        err = grad_error(squared_logit_closure(model, idx, targets), model, rng)
         assert err < 1e-5
 
     @pytest.mark.parametrize("cls,spec_cls", [(FwfmModel, FwfmSpec), (FmfmModel, FmfmSpec)])
@@ -493,7 +493,7 @@ class TestTinyMlp:
         perturb_params(model, rng)
         idx = rng.integers(0, 3, size=(4, 2))
         targets = rng.normal(size=4)
-        err = grad_check(squared_logit_closure(model, idx, targets), model.store, rng=rng)
+        err = grad_error(squared_logit_closure(model, idx, targets), model, rng)
         assert err < 1e-5
 
     def test_spec_validation(self):
