@@ -13,9 +13,12 @@ which costs O(d) per edge instead of O(d^2)). Every state set is sum-pooled
 per node and a linear head maps the concatenated pooled vector to a logit.
 
 Parameters are stored compactly, one row per edge, in the order the
-declared layout (:meth:`DagfmSpec.layout`) lists them. Each layer scatters them
-into a dense (m, m, ...) array, zero off the edge list, and runs as batched
-BLAS GEMMs (``np.matmul``).
+declared layout (:meth:`DagfmSpec.layout`) lists them. The layers read them
+laid out as dense (m, m, ...) arrays, zero off the edge list, and run as
+batched BLAS GEMMs (``np.matmul``). A layout is built by
+:meth:`Model._layout` and kept until the store's next write
+(``ParamStore.version``), so a forward after no weight change, as in
+serving, scatters nothing.
 
 The student works field-major: one contiguous (L+1, m, B, d) buffer holds
 every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
@@ -267,6 +270,7 @@ class Model:
     kind = "?"
     spec_type = None
     _cache = None  # what ``backward`` reads from the latest ``forward``
+    _layouts_at = None  # the ``store.version`` that ``_layouts`` were built at
 
     def __init__(self, spec, vocab_sizes, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -294,6 +298,17 @@ class Model:
 
     def _setup(self) -> None:
         """Derive what ``forward`` reads besides the store."""
+
+    def _layout(self, name: str, lay_out) -> np.ndarray:
+        """``lay_out(store[name])``, a dense layout of one parameter, built
+        once and kept, read-only, until the store's version moves."""
+        if self._layouts_at != self.store.version:
+            self._layouts, self._layouts_at = {}, self.store.version
+        dense = self._layouts.get(name)
+        if dense is None:
+            dense = self._layouts[name] = lay_out(self.store[name])
+            dense.flags.writeable = False
+        return dense
 
     def _head(self, x: np.ndarray) -> np.ndarray:
         """The linear head: ``x @ head.w + head.b``, one logit per row."""
@@ -359,8 +374,11 @@ class DagfmModel(Model):
         self.pairs = self.dag.pairs()
         self._jj = np.array([j for j, _ in self.pairs])
         self._ii = np.array([i for _, i in self.pairs])
+        m = self.num_fields
         per_dim = self.dag.kind == "inner"
-        self._gemm = PairGemm(self._jj, self._ii, self.num_fields, self.embed_dim, per_dim)
+        self._gemm = PairGemm(self._jj, self._ii, m, self.embed_dim, per_dim)
+        self._adjacency = _scatter((m, m), (self._jj, self._ii), 1.0)  # A[j, i] = 1 on an edge
+        self._adjacency.flags.writeable = False
 
     def _weights(self, t: int) -> str:
         """Store name of an ``inner`` or ``kernel`` layer's edge weights."""
@@ -394,15 +412,15 @@ class DagfmModel(Model):
         jj, ii = self._jj, self._ii
         kind = self.dag.kind
         if kind == "basic-inner":
-            A = _scatter((m, m), (jj, ii), 1.0)  # A[j, i] = 1 on an edge
+            A = self._adjacency
             return (A.T @ h.reshape(m, B * d)).reshape(m, B, d), A
         if kind in ("inner", "kernel"):
             # the pair GEMM, sources j as rows and targets i as columns
             g = self._gemm
-            K = g.dense(self.store[self._weights(t)])
+            K = self._layout(self._weights(t), g.dense)
             return g.fields(g.states(h) @ K), K
-        p = _scatter((m, m, d), (jj, ii), self.store[f"dag.p{t}"])  # p[j, i]
-        q = _scatter((m, m, d), (ii, jj), self.store[f"dag.q{t}"])  # q[i, j]
+        p = self._layout(f"dag.p{t}", lambda w: _scatter((m, m, d), (jj, ii), w))  # p[j, i]
+        q = self._layout(f"dag.q{t}", lambda w: _scatter((m, m, d), (ii, jj), w))  # q[i, j]
         # S[j, i, b] = p[j, i] . h[j, b]: per source j an (m, d) x (d, B) GEMM
         S = np.matmul(p, h.transpose(0, 2, 1))
         # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, m) x (m, d)

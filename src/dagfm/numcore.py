@@ -5,6 +5,12 @@ and supplies hand-derived analytic gradients. ``grad_check`` validates those
 gradients against central finite differences; it is the single verification
 harness shared by all model tests.
 
+The store is the only writer of its parameters: ``store[name]`` is a
+read-only array, and every write (``set``/``restore``, the one-coordinate
+``put`` that ``grad_check`` perturbs through, and ``adam_step``) bumps the
+store's ``version``. A value derived from the parameters, such as a model's
+dense edge-weight layout, is current for as long as ``version`` has not moved.
+
 Every parameter, gradient and activation is float64 (``ParamStore.dtype``),
 in training and in verification alike. Batch reductions use numpy's
 deterministic reduction order, so a run is bit-reproducible for a fixed seed
@@ -75,7 +81,10 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
 class ParamStore:
     """Named dense parameters with per-parameter trainable flag and Adam state.
 
-    Parameters are numpy arrays owned by the store. A frozen parameter is
+    The store is the only writer of its parameters. ``store[name]`` is a
+    read-only array; the writes are ``set`` and ``restore`` (whole
+    parameters), ``put`` (one coordinate) and ``adam_step``, and each bumps
+    ``version``, one integer for the whole store. A frozen parameter is
     bitwise untouched by ``adam_step``: neither its value nor its optimizer
     moments move.
     """
@@ -83,41 +92,62 @@ class ParamStore:
     dtype = np.dtype(np.float64)  # of every parameter, gradient and model buffer
 
     def __init__(self):
-        self._values: dict[str, np.ndarray] = {}
+        self._values: dict[str, np.ndarray] = {}  # writable views, the store's own
+        self._public: dict[str, np.ndarray] = {}  # the same memory, read-only
         self._trainable: dict[str, bool] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._step: dict[str, int] = {}
+        self.version = 0
+
+    def _own(self, name: str, arr: np.ndarray) -> None:
+        """Keep ``arr``, a C-contiguous float64 array that owns its memory, as
+        parameter ``name``. The store writes through a private view, and
+        ``arr`` itself becomes read-only, so a caller that handed it in can no
+        more write behind ``version`` than a reader of ``store[name]``."""
+        self._values[name] = arr.view()
+        arr.flags.writeable = False
+        self._public[name] = arr
+        self.version += 1
 
     # -- registration / access ------------------------------------------------
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> np.ndarray:
+    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
+        """Register ``value``, without a copy when it is a writable
+        C-contiguous float64 array that owns its memory; that array is then
+        read-only from here on."""
         if name in self._values:
             raise ConfigurationError(f"parameter '{name}' already registered")
         arr = np.ascontiguousarray(value, dtype=self.dtype)
-        self._values[name] = arr
+        if arr.base is not None or not arr.flags.writeable:
+            arr = arr.copy()  # a view or a read-only array: the memory is another's
+        self._own(name, arr)
         self._trainable[name] = bool(trainable)
         self._m[name] = np.zeros_like(arr)
         self._v[name] = np.zeros_like(arr)
         self._step[name] = 0
-        return arr
 
     def __contains__(self, name: str) -> bool:
         return name in self._values
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._values[name]
+        return self._public[name]
 
     def set(self, name: str, value: np.ndarray) -> None:
         """Replace a parameter's value with a copy of ``value``, so the
         store never shares an array with its caller (or another store)."""
-        cur = self._values[name]
+        cur = self._public[name]
         arr = np.array(value, dtype=self.dtype, order="C")
         if arr.shape != cur.shape:
             raise ShapeError(
                 f"parameter '{name}': expected shape {cur.shape}, got {arr.shape}"
             )
-        self._values[name] = arr
+        self._own(name, arr)
+
+    def put(self, name: str, index: int, value: float) -> None:
+        """Write one coordinate: ``index`` into the flattened parameter."""
+        self._values[name].reshape(-1)[index] = value
+        self.version += 1
 
     def names(self) -> list[str]:
         return list(self._values)
@@ -147,7 +177,7 @@ class ParamStore:
         return int(sum(self._values[n].size for n in names))
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {n: v.copy() for n, v in self._values.items()}
+        return {n: v.copy() for n, v in self._public.items()}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
         for n, v in snap.items():
@@ -166,22 +196,28 @@ def adam_step(
     unknown names are a configuration error. ``weight_decay`` adds a classic
     L2 term ``wd * theta`` to the gradient before the moment updates (so with
     ``weight_decay > 0`` parameters move even under a zero loss gradient).
+    Every gradient is checked before the first write, so a step that raises
+    leaves values, moments, step counts and ``store.version`` untouched.
     """
     check_nonnegative("lr", lr)
     check_nonnegative("weight_decay", weight_decay)
-    scratch = np.empty((2, ADAM_CHUNK), dtype=store.dtype)
     for name in grads:
         if name not in store:
             raise ConfigurationError(f"gradient for unknown parameter '{name}'")
+    updates = []
     for name in store.trainable_names():
         if name not in grads:
             raise ConfigurationError(f"missing gradient for trainable parameter '{name}'")
-        theta = store[name]
+        theta = store._values[name]
         g = np.ascontiguousarray(grads[name], dtype=store.dtype)
         if g.shape != theta.shape:
             raise ShapeError(f"gradient for '{name}': expected shape {theta.shape}, got {g.shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError(f"non-finite gradient for parameter '{name}'")
+        updates.append((name, theta, g))
+    store.version += 1
+    scratch = np.empty((2, ADAM_CHUNK), dtype=store.dtype)
+    for name, theta, g in updates:
         m, v = store.moments(name)
         t = store.step_count(name) + 1
         # chunked and in place, so no temporary grows with the table; bitwise textbook Adam
@@ -224,8 +260,7 @@ def grad_check(
         raise EvaluationError(f"non-finite loss {loss!r} during gradient check")
     worst = 0.0
     for name in store.trainable_names():
-        theta = store[name]
-        flat = theta.reshape(-1)
+        flat = store[name].reshape(-1)
         n = flat.size
         if n <= max_coords_per_param:
             coords = np.arange(n)
@@ -234,11 +269,11 @@ def grad_check(
         analytic = np.asarray(grads[name]).reshape(-1)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
+            store.put(name, c, orig + h)
             lp, _ = fn(store)
-            flat[c] = orig - h
+            store.put(name, c, orig - h)
             lm, _ = fn(store)
-            flat[c] = orig
+            store.put(name, c, orig)
             if not (np.isfinite(lp) and np.isfinite(lm)):
                 raise EvaluationError(f"non-finite loss while perturbing '{name}'")
             fd = (lp - lm) / (2.0 * h)

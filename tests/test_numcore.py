@@ -48,7 +48,7 @@ class TestParamStore:
         assert np.array_equal(store["a"], [3.0, 4.0])
         other = make_store(a=[0.0, 0.0])
         other.set("a", store["a"])  # same dtype and layout: still a copy
-        store["a"][1] = -1.0
+        store.set("a", [3.0, -1.0])
         assert np.array_equal(other["a"], [3.0, 4.0])
 
     def test_freeze_unfreeze(self):
@@ -76,6 +76,65 @@ class TestParamStore:
         store = make_store(a=np.zeros((2, 3)), b=np.zeros(4))
         assert store.n_scalars() == 10
         assert store.n_scalars(["b"]) == 4
+
+    def test_parameters_are_read_only(self):
+        store = make_store(a=np.zeros((2, 3)))
+        for write in (lambda a: a.__setitem__(0, 1.0), lambda a: a.reshape(-1).fill(1.0)):
+            with pytest.raises(ValueError):
+                write(store["a"])
+        assert not store["a"].any()
+
+    def test_every_write_and_only_a_write_moves_the_version(self):
+        store = make_store(a=[1.0, 2.0], b=[3.0])
+        seen = [store.version]
+
+        def moved() -> bool:
+            seen.append(store.version)
+            return seen[-1] != seen[-2]
+
+        store["a"], store.snapshot(), store.names(), store.n_scalars()
+        store.freeze("b")
+        store.unfreeze_all()
+        assert not moved()
+        snap = store.snapshot()
+        store.set("a", [5.0, 6.0])
+        assert moved()
+        store.put("a", 1, 7.0)
+        assert moved() and np.array_equal(store["a"], [5.0, 7.0])
+        store.restore(snap)
+        assert moved()
+        adam_step(store, {"a": np.ones(2), "b": np.ones(1)}, lr=0.1)
+        assert moved()
+        store.add("c", np.zeros(1))
+        assert moved()
+
+    def test_add_takes_the_array_it_is_given_and_locks_it(self):
+        value = np.array([1.0, 2.0])
+        store = make_store()
+        store.add("a", value)
+        assert np.shares_memory(store["a"], value)  # no copy
+        with pytest.raises(ValueError):
+            value[0] = 9.0
+        adam_step(store, {"a": np.ones(2)}, lr=0.5)
+        assert store["a"][0] == value[0] < 1.0  # the store writes where the caller reads
+
+    @pytest.mark.parametrize("given", ["view", "read-only", "other store"])
+    def test_add_copies_memory_it_cannot_lock(self, given):
+        base = np.array([1.0, 2.0, 3.0])
+        other = make_store(a=[1.0, 2.0])
+        if given == "view":
+            value = base[:2]
+        elif given == "read-only":
+            value = base[:2].copy()
+            value.flags.writeable = False
+        else:
+            value = other["a"]
+        store = make_store()
+        store.add("a", value)
+        assert not np.shares_memory(store["a"], value)
+        base[0] = 9.0
+        other.set("a", [9.0, 9.0])
+        assert np.array_equal(store["a"], [1.0, 2.0])
 
 
 class TestAdamStep:
@@ -123,6 +182,24 @@ class TestAdamStep:
         store = make_store(x=np.zeros(2))
         with pytest.raises(ShapeError):
             adam_step(store, {"x": np.zeros(3)}, lr=0.1)
+
+    def test_raising_step_changes_nothing(self):
+        # the last trainable gradient holds a NaN: the parameters before it,
+        # their moments and step counts, and the version all stay as they were
+        store = make_store(x=[1.0, 2.0], y=[3.0], z=[4.0, 5.0])
+        adam_step(store, {"x": np.ones(2), "y": np.ones(1), "z": np.ones(2)}, lr=0.1)
+
+        def state():
+            return store.version, [
+                (store[n].tobytes(), *(a.tobytes() for a in store.moments(n)), store.step_count(n))
+                for n in store.names()
+            ]
+
+        before = state()
+        grads = {"x": np.ones(2), "y": np.ones(1), "z": np.array([1.0, np.nan])}
+        with pytest.raises(TrainingDivergenceError, match="'z'"):
+            adam_step(store, grads, lr=0.1)
+        assert state() == before
 
     def test_nonfinite_grad_names_parameter(self):
         store = make_store(weird=[0.0])

@@ -25,8 +25,10 @@ from conftest import field_rows, grad_error, perturb_params, squared_logit_closu
 
 def pin_embeddings(model, rows) -> None:
     """Overwrite row 0 of every field's rows (use with all-zero indices)."""
+    emb = model.store["emb"].copy()
     for i, row in enumerate(rows):
-        field_rows(model, i)[0] = row
+        emb[sum(model.vocab_sizes[:i])] = row
+    model.store.set("emb", emb)
 
 
 def one_row(m: int) -> np.ndarray:
