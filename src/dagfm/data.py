@@ -247,7 +247,8 @@ def split_dataset(
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 42,
 ) -> DatasetSplit:
-    """Seeded shuffle followed by contiguous train/val/test slices."""
+    """Seeded shuffle followed by contiguous train/val/test slices, each of
+    them non-empty: training needs rows, and validation and test need an AUC."""
     n = len(dataset)
     if n == 0:
         raise SchemaError("cannot split an empty dataset")
@@ -259,6 +260,9 @@ def split_dataset(
     b1 = int(round(ratios[0] * n))
     b2 = int(round((ratios[0] + ratios[1]) * n))
     parts = (perm[:b1], perm[b1:b2], perm[b2:])
+    for name, part in zip(("train", "val", "test"), parts):
+        if len(part) == 0:
+            raise SchemaError(f"ratios {tuple(ratios)} leave the {name} split empty at {n} rows")
     return DatasetSplit(
         train=dataset.subset(parts[0]),
         val=dataset.subset(parts[1]),

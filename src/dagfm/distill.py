@@ -12,6 +12,12 @@ Knowledge matching happens in logit space by default — mean squared error on
 pre-sigmoid outputs — because probability-space MSE saturates through the
 sigmoid; ``kd_space="probability"`` switches it.
 
+Every training step runs its batch in row tiles of :data:`TRAIN_ROWS`: one
+forward and backward per tile, each tile's loss and gradient weighted by its
+share of the batch, then one Adam step on the summed gradients. The step is
+the batch step, while its working set stays one tile's whatever the batch
+size; scoring runs in tiles of :data:`SCORE_ROWS` the same way.
+
 Each stage writes one JSON line per epoch: {"epoch", "loss", "val_auc",
 "val_logloss"} with sorted keys and no timestamps, so a seeded rerun
 produces byte-identical logs.
@@ -233,6 +239,39 @@ def evaluate(model, dataset: Dataset) -> EvalResult:
 # the stage runner
 # ---------------------------------------------------------------------------
 
+# Rows per training tile. A batch runs forward and backward one tile at a
+# time, so a training step's working set (the student's state buffer, CrossNet's
+# activations, CIN's intermediates) is bounded by one tile, not by the batch.
+# 512 and not fewer: every tile streams the weights again, and at m=39 a
+# CrossNet step in 256-row tiles is slower than in one 512-row call.
+TRAIN_ROWS = 512
+
+
+def _tiled_step(model, idx, labels, rows, batch_loss_fn):
+    """One batch's loss and summed parameter gradients, from one forward and
+    backward per :data:`TRAIN_ROWS`-row tile.
+
+    ``batch_loss_fn`` returns a mean loss and its gradient, so each tile's
+    loss and ``dlogits`` are weighted by the tile's share of the batch; the
+    sums are then the whole batch's. A batch of one tile has share 1.0 and is
+    computed exactly as a single forward and backward.
+    """
+    n = len(labels)
+    loss, grads = 0.0, None
+    for lo in range(0, n, TRAIN_ROWS):
+        tile = slice(lo, lo + TRAIN_ROWS)
+        share = (min(n, lo + TRAIN_ROWS) - lo) / n
+        tile_loss, dlogits = batch_loss_fn(model.forward(idx[tile]), labels[tile], rows[tile])
+        loss += share * tile_loss
+        tile_grads = model.backward(share * dlogits)
+        if grads is None:
+            grads = tile_grads
+        else:
+            for name, g in tile_grads.items():
+                grads[name] += g
+    return loss, grads
+
+
 def _run_stage(
     model,
     split: DatasetSplit,
@@ -245,7 +284,8 @@ def _run_stage(
     """Epoch loop shared by all three stages.
 
     ``batch_loss_fn(logits, labels, rows) -> (loss, dlogits)`` defines the
-    objective; ``rows`` are the original train-set positions of the batch.
+    objective as a mean over the rows it is given, one training tile of a
+    batch; ``rows`` are their original train-set positions.
     With ``restore_best`` the incoming parameter state counts as epoch 0,
     so the restored best state can never have a worse validation AUC than
     the input model.  ``restore_best=False`` keeps the final epoch's state
@@ -279,11 +319,9 @@ def _run_stage(
                 seed=stage.shuffle_seed + epoch,
                 with_positions=True,
             ):
-                logits = model.forward(idx)
-                loss, dlogits = batch_loss_fn(logits, labels, rows)
+                loss, grads = _tiled_step(model, idx, labels, rows, batch_loss_fn)
                 if not np.isfinite(loss):
                     raise diverged("loss", epoch)
-                grads = model.backward(dlogits)
                 adam_step(model.store, grads, stage.lr, weight_decay=stage.weight_decay)
                 total += loss * len(labels)
             val = evaluate(model, split.val)

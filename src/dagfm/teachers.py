@@ -74,8 +74,10 @@ class CinSpec:
 #: pair products of its two inputs, over the tile's (batch row, embedding dim)
 #: rows. At d=16 a tile holds 256 flat rows of the paper's CIN(200, 200, 200)
 #: at m=39, as many rows as each of the GEMMs that accumulate its weight
-#: gradients needs to amortise that sum; CIN(4, 4) at m=8 takes a whole
-#: 2048-row batch in one tile.
+#: gradients needs to amortise that sum. CIN(4, 4) at m=8 would take 4096
+#: batch rows in one tile, so its forwards, which training and scoring cut to
+#: ``distill.TRAIN_ROWS`` and ``distill.SCORE_ROWS`` rows, are never tiled
+#: again here.
 CIN_TILE_ELEMENTS = 1 << 21
 
 

@@ -756,6 +756,22 @@ class TestCli:
         assert err.startswith("error:") and "ratios" in err
         assert "Traceback" not in err
 
+    def test_empty_test_split_exits_one_before_training(self, tmp_path, capsys):
+        # 100 rows at 0.8,0.195,0.005 leave no test row: that is a bad split,
+        # reported before a stage trains or writes anything
+        csv = tmp_path / "small.csv"
+        schema, dataset, _ = generate_planted_dataset(100, m=3, vocab_size=5, seed=0)
+        write_csv(csv, schema, dataset)
+        out = tmp_path / "out"
+        rc = main(["train-teacher", "--data", str(csv), "--out", str(out),
+                   "--split", "0.8,0.195,0.005", "--epochs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "test split empty at 100 rows" in err
+        assert "Traceback" not in err
+        assert not (out / "teacher.ckpt").exists()
+        assert not (out / "teacher_epochs.jsonl").exists()
+
     def test_usage_errors_exit_two(self, capsys):
         assert main(["oracle-check", "--m", "3"]) == 2
         assert main(["no-such-command"]) == 2

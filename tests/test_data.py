@@ -187,6 +187,14 @@ class TestSplitDataset:
         with pytest.raises(ValueError):
             split_dataset(self.dataset(), ratios=(-0.1, 0.6, 0.5), seed=0)
 
+    @pytest.mark.parametrize("ratios, part", [
+        ((0.95, 0.025, 0.025), "val"), ((0.9, 0.09, 0.01), "test"), ((0.01, 0.5, 0.49), "train"),
+    ])
+    def test_empty_part_rejected(self, ratios, part):
+        # 10 rows: each of these ratios rounds one part down to no row
+        with pytest.raises(SchemaError, match=f"{part} split empty at 10 rows"):
+            split_dataset(self.dataset(10), ratios=ratios, seed=0)
+
     @pytest.mark.parametrize("ratios", [
         (float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5), (float("inf"), 0.5, 0.5),
     ])

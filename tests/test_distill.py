@@ -1,5 +1,6 @@
 """Losses, stage runner semantics, and the three-stage pipeline."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,12 +10,15 @@ import pytest
 from conftest import perturb_params
 
 from dagfm.checkpoint import build_model
-from dagfm.data import split_dataset
+from dagfm.data import DatasetSplit, iterate_batches, split_dataset
 from dagfm.distill import (
     SCORE_ROWS,
+    TRAIN_ROWS,
     DistillPlan,
     EpochRecord,
     StageConfig,
+    _ctr_loss_and_grad,
+    _kd_loss_and_grad,
     ctr_loss,
     distill_student,
     evaluate,
@@ -26,7 +30,7 @@ from dagfm.distill import (
     train_teacher,
 )
 from dagfm.interactions import DagfmModel, DagfmPlusSpec, DagfmSpec
-from dagfm.numcore import ConfigurationError, TrainingDivergenceError
+from dagfm.numcore import ConfigurationError, TrainingDivergenceError, adam_step
 from dagfm.synthetic import generate_planted_dataset
 from dagfm.teachers import (
     CinSpec,
@@ -312,6 +316,144 @@ class TestStageRunner:
         with pytest.raises(TrainingDivergenceError) as exc:
             finetune_student(model, split, StageConfig(epochs=1, lr=1e-3))
         assert hasattr(exc.value, "report")
+
+
+# ---------------------------------------------------------------------------
+# training in row tiles
+# ---------------------------------------------------------------------------
+
+# every trainable family: the scored ones plus the student combiners they leave out
+TRAINED_FAMILIES = {
+    **SCORED_FAMILIES,
+    "dagfm-inner": DagfmSpec("inner", 4, 4, 2),
+    "dagfm-basic-inner": DagfmSpec("basic-inner", 4, 4, 2),
+}
+
+
+def one_batch(split, rows):
+    """``split`` cut to its first ``rows`` train rows, one batch of a stage
+    with ``batch_size=rows``."""
+    return dataclasses.replace(split, train=split.train.subset(np.arange(rows)))
+
+
+def first_batch(split, stage):
+    """``(rows, idx, labels)`` of the first batch that ``stage`` trains on."""
+    return next(iterate_batches(
+        split.train, stage.batch_size, seed=stage.shuffle_seed + 1, with_positions=True
+    ))
+
+
+def perturbed(spec, vocab_sizes):
+    model = build_model(spec, vocab_sizes, seed=3)
+    perturb_params(model, np.random.default_rng(4))  # no zero head hides a path
+    return model
+
+
+def store_state(store):
+    """Every parameter's bytes, Adam moments and step count."""
+    return {
+        name: (store[name].tobytes(), *(a.tobytes() for a in store.moments(name)),
+               store.step_count(name))
+        for name in store.names()
+    }
+
+
+def assert_grads_close(grads, reference):
+    assert grads.keys() == reference.keys()
+    for name, g in reference.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+class TestTrainingTiles:
+    @pytest.mark.parametrize("spec", list(TRAINED_FAMILIES.values()), ids=list(TRAINED_FAMILIES))
+    def test_tiled_step_sums_to_the_whole_batch(self, tiny, spec, monkeypatch):
+        vocab_sizes, split = tiny
+        n = 2 * TRAIN_ROWS + 37  # three tiles, the last one ragged
+        split = one_batch(split, n)
+        stage = StageConfig(epochs=1, lr=0.0, batch_size=n, patience=0)
+        model = perturbed(spec, vocab_sizes)
+        _, idx, labels = first_batch(split, stage)
+        loss, dlogits = _ctr_loss_and_grad(labels, model.forward(idx))
+        whole = model.backward(dlogits)
+        stepped = []
+        monkeypatch.setattr(
+            "dagfm.distill.adam_step", lambda store, grads, lr, weight_decay: stepped.append(grads)
+        )
+        report = train_teacher(model, split, stage)
+        (grads,) = stepped
+        assert_grads_close(grads, whole)
+        assert report.epochs[0].loss == pytest.approx(loss, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("spec", list(TRAINED_FAMILIES.values()), ids=list(TRAINED_FAMILIES))
+    def test_one_tile_batch_steps_bitwise_as_the_whole_batch(self, tiny, spec, monkeypatch):
+        vocab_sizes, split = tiny
+        split = one_batch(split, TRAIN_ROWS)
+        stage = StageConfig(epochs=1, lr=0.01, batch_size=TRAIN_ROWS, patience=0)
+        model = perturbed(spec, vocab_sizes)
+        reference = perturbed(spec, vocab_sizes)
+        _, idx, labels = first_batch(split, stage)
+        _, dlogits = _ctr_loss_and_grad(labels, reference.forward(idx))
+        adam_step(reference.store, reference.backward(dlogits), stage.lr)
+        after = {}
+
+        def step_and_record(store, grads, lr, weight_decay):
+            adam_step(store, grads, lr, weight_decay=weight_decay)
+            after.update(store_state(store))
+
+        monkeypatch.setattr("dagfm.distill.adam_step", step_and_record)
+        train_teacher(model, split, stage)
+        assert after == store_state(reference.store)
+
+    def test_distill_tiles_read_their_rows_teacher_logits_and_labels(
+        self, tiny, teacher, monkeypatch
+    ):
+        vocab_sizes, split = tiny
+        n = 2 * TRAIN_ROWS + 37
+        split = one_batch(split, n)
+        stage = StageConfig(epochs=1, lr=0.0, batch_size=n, patience=0)
+        student = perturbed(DagfmSpec("outer", 4, 4, 2), vocab_sizes)
+        student.store.set("emb", teacher.store["emb"])
+        student.store.freeze("emb")
+        rows, idx, labels = first_batch(split, stage)
+        logits = student.forward(idx)
+        kd, dkd = _kd_loss_and_grad(predict_logits(teacher, idx), logits, "logit")
+        ctr, dctr = _ctr_loss_and_grad(labels, logits)
+        whole = student.backward(dkd + 0.5 * dctr)
+        stepped = []
+        monkeypatch.setattr(
+            "dagfm.distill.adam_step", lambda store, grads, lr, weight_decay: stepped.append(grads)
+        )
+        report = distill_student(student, teacher, split, stage, alpha=1.0, beta=0.5)
+        (grads,) = stepped
+        assert_grads_close(grads, whole)
+        assert report.epochs[0].loss == pytest.approx(kd + 0.5 * ctr, rel=1e-12, abs=0)
+
+    def test_working_set_is_bounded_by_one_tile(self):
+        # A step's activations (the student's state buffer and S arrays, its
+        # backward temporaries) grow with the rows of a forward; a batch of 8
+        # tiles must not cost more memory than a batch of one. Both epochs see
+        # the same rows and validation set.
+        m = 8
+        schema, ds, _ = generate_planted_dataset(9 * TRAIN_ROWS, m=m, vocab_size=10, seed=0)
+        train = np.arange(8 * TRAIN_ROWS)
+        held_out = ds.subset(np.arange(8 * TRAIN_ROWS, 9 * TRAIN_ROWS))
+        split = DatasetSplit(ds.subset(train), held_out, held_out, seed=0, ratios=(0.8, 0.1, 0.1))
+        model = DagfmModel(DagfmSpec("outer", m, 16, 3), schema.vocab_sizes(), seed=0)
+
+        def peak_bytes(batch_size):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train_teacher(model, split, StageConfig(epochs=1, lr=1e-3, batch_size=batch_size))
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            train_teacher(model, split, StageConfig(epochs=1, lr=1e-3, batch_size=TRAIN_ROWS))
+            one_tile = peak_bytes(TRAIN_ROWS)
+            many_tiles = peak_bytes(8 * TRAIN_ROWS)
+        finally:
+            tracemalloc.stop()
+        assert many_tiles < 1.5 * one_tile
 
 
 # ---------------------------------------------------------------------------
