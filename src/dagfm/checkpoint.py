@@ -74,7 +74,8 @@ def _construct(spec_type, fields: dict):
             k: _construct(hints[k], v) if dataclasses.is_dataclass(hints.get(k)) else v
             for k, v in fields.items()
         })
-    except (AttributeError, TypeError, ValueError) as e:
+    # RecursionError: the repr, in a field check's message, of a value nested too deep
+    except (AttributeError, TypeError, ValueError, RecursionError) as e:
         raise CheckpointError(f"bad {spec_type.__name__} config: {e}") from e
 
 
@@ -158,7 +159,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"truncated header: {header_len} bytes claimed, file holds fewer")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        # json.loads raises RecursionError, not JSONDecodeError, on arrays nested too deep
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise CheckpointError(f"corrupt header: {e}") from e
         if not isinstance(header, dict):
             raise CheckpointError("corrupt header: not a JSON object")

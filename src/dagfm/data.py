@@ -67,7 +67,8 @@ class FieldSchema:
     def from_json(cls, text: str) -> "FieldSchema":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as e:
+        # json.loads raises RecursionError, not JSONDecodeError, on arrays nested too deep
+        except (json.JSONDecodeError, RecursionError) as e:
             raise SchemaError(f"schema is not valid JSON: {e}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("fields"), list):
             raise SchemaError("schema must be a JSON object with a 'fields' list")

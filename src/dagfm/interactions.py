@@ -190,6 +190,20 @@ class DagfmSpec:
         yield "head.w", (self.num_fields * self.num_states,), np.zeros
         yield "head.b", (1,), np.zeros
 
+    def flops(self) -> FlopCount:
+        """Forward cost of one instance (convention in :mod:`dagfm.metrics`)."""
+        m, d, L, P = self.num_fields, self.embed_dim, self.num_layers, self.num_pairs
+        # (mults, adds) of the combiner on one enabled edge
+        pm, pa = {
+            "basic-inner": (d, 0),
+            "inner": (2 * d, 0),
+            "kernel": (d * d + d, d * (d - 1)),
+            "outer": (3 * d, d - 1),
+        }[self.kind]
+        layer_adds = P * pa + (P - m) * d + m * (d - 1)
+        head = FlopCount(m * (L + 1), m * (L + 1) - 1)
+        return FlopCount(L * P * pm, L * layer_adds) + head
+
     @property
     def num_pairs(self) -> int:
         """Edge count; a formula on the full DAG, so a layout is sized
@@ -606,7 +620,11 @@ class DagfmPlusSpec:
 
     def layout(self, vocab_sizes) -> Iterator[tuple]:
         yield from self.dagfm.layout(vocab_sizes)
-        yield from mlp_layout(mlp_widths(self), self.activation)
+        yield from mlp_layout(self.widths, self.activation)
+
+    def flops(self) -> FlopCount:
+        # the tower's logit joins the DAG's with one addition
+        return self.dagfm.flops() + mlp_flops(self.widths) + FlopCount(0, 1)
 
     @property
     def mlp_input_width(self) -> int:
@@ -615,9 +633,9 @@ class DagfmPlusSpec:
             return m * self.dagfm.num_states * d
         return m * d
 
-
-def mlp_widths(spec) -> list[int]:
-    return [spec.mlp_input_width, *spec.mlp_hidden, 1]
+    @property
+    def widths(self) -> list[int]:
+        return [self.mlp_input_width, *self.mlp_hidden, 1]
 
 
 def mlp_layout(widths: list[int], activation: str, zero_final: bool = True) -> Iterator[tuple]:
@@ -632,6 +650,34 @@ def mlp_layout(widths: list[int], activation: str, zero_final: bool = True) -> I
             init = np.sqrt(gain / n_in)
         yield f"mlp.W{k}", (n_in, n_out), init
         yield f"mlp.b{k}", (n_out,), np.zeros
+
+
+@dataclass(frozen=True)
+class FlopCount:
+    """Scalar multiplications and additions of one forward pass."""
+
+    mults: int
+    adds: int
+
+    @property
+    def total(self) -> int:
+        return self.mults + self.adds
+
+    def __add__(self, other: "FlopCount") -> "FlopCount":
+        return FlopCount(self.mults + other.mults, self.adds + other.adds)
+
+
+def mlp_flops(widths: list[int]) -> FlopCount:
+    """Forward cost of a tower of these widths; a scalar output's bias feeds
+    the logit and is not counted."""
+    mults = adds = 0
+    for k, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+        last = k == len(widths) - 2
+        mults += n_in * n_out
+        adds += (n_in - 1) * n_out
+        if not (last and n_out == 1):
+            adds += n_out
+    return FlopCount(mults, adds)
 
 
 class MlpTower:
@@ -687,7 +733,7 @@ class DagfmPlusModel(DagfmModel):
 
     def _setup(self) -> None:
         super()._setup()
-        self.mlp = MlpTower(self.store, mlp_widths(self.spec), self.spec.activation)
+        self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
     def _mlp_input(self, states: list[np.ndarray]) -> np.ndarray:
         B = len(states[0])

@@ -1,9 +1,12 @@
 """Ranking metrics and efficiency accounting (params, FLOPs).
 
-Parameter counts sum the shapes of a family's declared parameter layout
-(``spec.layout``), the same layout a fresh model is initialised from and a
-checkpoint is checked against; nothing is built to count. FLOPs follow a
-closed form per spec, under one convention.
+Each spec declares its parameters (``spec.layout``) and, beside them, the
+closed form of its per-instance forward cost (``spec.flops``).
+``count_params`` sums the shapes of the layout, the same layout a fresh
+model is initialised from and a checkpoint is checked against, so nothing
+is built to count. ``count_flops`` returns the spec's closed form. Both
+reject an object that no model family is built from. Every closed form
+follows one convention, documented here and nowhere else.
 
 FLOPs convention, applied uniformly:
 
@@ -18,11 +21,11 @@ FLOPs convention, applied uniformly:
   every propagated state is counted;
 * vector biases are counted, scalar biases feeding the final logit are not.
 
-``count_flops`` gives the closed form per model spec;
-``instrumented_flops`` re-executes the model arithmetic under an op counter
-and must agree exactly — that is the oracle the closed forms are tested
-against. Nothing here measures time: wall-clock and CPU-time measurement
-lives in the ``perfbench/`` harness.
+``instrumented_flops`` re-executes each family's forward arithmetic under an
+op counter and must agree exactly with the closed forms. It is the oracle
+they are tested against, so it keeps its own dispatch over the model
+classes and shares no arithmetic with them. Nothing here measures time:
+wall-clock and CPU-time measurement lives in the ``perfbench/`` harness.
 """
 
 from __future__ import annotations
@@ -33,20 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import model_class
-from .interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec, mlp_widths
+from .interactions import DagfmModel, DagfmPlusModel, FlopCount
 from .numcore import ConfigurationError
-from .teachers import (
-    CinModel,
-    CinSpec,
-    CrossNetModel,
-    CrossNetSpec,
-    FmfmModel,
-    FmfmSpec,
-    FwfmModel,
-    FwfmSpec,
-    TinyMlpModel,
-    TinyMlpSpec,
-)
+from .teachers import CinModel, CrossNetModel, FmfmModel, FwfmModel, TinyMlpModel
 
 
 class UndefinedMetricError(ValueError):
@@ -106,7 +98,7 @@ def logloss(labels, probs, eps: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# parameter counting
+# parameter and FLOPs counting
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -128,85 +120,11 @@ def count_params(spec, vocab_sizes) -> ParamCount:
     return ParamCount(total - embedding, embedding)
 
 
-# ---------------------------------------------------------------------------
-# FLOPs closed forms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlopCount:
-    mults: int
-    adds: int
-
-    @property
-    def total(self) -> int:
-        return self.mults + self.adds
-
-    def __add__(self, other: "FlopCount") -> "FlopCount":
-        return FlopCount(self.mults + other.mults, self.adds + other.adds)
-
-
-# per-pair combiner costs: (mults, adds) for one enabled edge at dimension d
-def _pair_cost(kind: str, d: int) -> tuple[int, int]:
-    return {
-        "basic-inner": (d, 0),
-        "inner": (2 * d, 0),
-        "kernel": (d * d + d, d * (d - 1)),
-        "outer": (3 * d, d - 1),
-    }[kind]
-
-
-def _mlp_flops(widths, final_scalar_bias: bool = True) -> FlopCount:
-    mults = adds = 0
-    for k, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-        last = k == len(widths) - 2
-        mults += n_in * n_out
-        adds += (n_in - 1) * n_out
-        if not (last and final_scalar_bias and n_out == 1):
-            adds += n_out
-    return FlopCount(mults, adds)
-
-
 def count_flops(spec) -> FlopCount:
-    """Forward-pass cost of one instance under the documented convention."""
-    if isinstance(spec, DagfmPlusSpec):
-        base = count_flops(spec.dagfm)
-        return base + _mlp_flops(mlp_widths(spec)) + FlopCount(0, 1)
-    if isinstance(spec, DagfmSpec):
-        m, d, L = spec.num_fields, spec.embed_dim, spec.num_layers
-        P = spec.num_pairs
-        pm, pa = _pair_cost(spec.kind, d)
-        layer_mults = P * pm
-        layer_adds = P * pa + (P - m) * d + m * (d - 1)
-        head = FlopCount(m * (L + 1), m * (L + 1) - 1)
-        return FlopCount(L * layer_mults, L * layer_adds) + head
-    if isinstance(spec, CinSpec):
-        m, d = spec.num_fields, spec.embed_dim
-        mults = adds = 0
-        prev = m
-        for h in spec.layer_sizes:
-            mults += 2 * d * h * prev * m
-            adds += h * (prev * m - 1) * d  # double-sum reduction per output row
-            adds += h * (d - 1)  # sum-pool the new feature map
-            prev = h
-        return FlopCount(mults, adds) + FlopCount(spec.pooled_width, spec.pooled_width - 1)
-    if isinstance(spec, CrossNetSpec):
-        n = spec.width
-        per_layer = FlopCount(n * n + n, n * n + n)  # matvec+elementwise / bias+residual
-        head = FlopCount(n, n - 1)
-        return FlopCount(
-            spec.num_layers * per_layer.mults, spec.num_layers * per_layer.adds
-        ) + head
-    if isinstance(spec, FwfmSpec):
-        m, d = spec.num_fields, spec.embed_dim
-        P = m * (m - 1) // 2
-        return FlopCount(2 * d * P + m * d, P * d + m * d - 1)
-    if isinstance(spec, FmfmSpec):
-        m, d = spec.num_fields, spec.embed_dim
-        P = m * (m - 1) // 2
-        return FlopCount((d * d + d) * P + m * d, P * d * d + m * d - 1)
-    if isinstance(spec, TinyMlpSpec):
-        return _mlp_flops(spec.widths)
-    raise ConfigurationError(f"no FLOPs formula for spec type {type(spec).__name__}")
+    """Forward-pass cost of one instance under the documented convention:
+    the closed form the spec declares (``spec.flops()``)."""
+    model_class(spec)  # a ConfigurationError for a spec no model family is built from
+    return spec.flops()
 
 
 # ---------------------------------------------------------------------------
@@ -399,4 +317,4 @@ class EfficiencyReport:
 def efficiency_report(model) -> EfficiencyReport:
     """Parameter counts of ``model``'s layout and closed-form per-instance
     forward FLOPs of its spec."""
-    return EfficiencyReport(count_params(model.spec, model.vocab_sizes), count_flops(model.spec))
+    return EfficiencyReport(count_params(model.spec, model.vocab_sizes), model.spec.flops())

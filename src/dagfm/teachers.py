@@ -18,7 +18,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .interactions import MlpTower, Model, PairGemm, embedding_layout, identity, mlp_layout
+from .interactions import (
+    FlopCount, MlpTower, Model, PairGemm, embedding_layout, identity, mlp_flops, mlp_layout,
+)
 from .numcore import ConfigurationError, as_tuples, check_int
 
 
@@ -59,6 +61,17 @@ class CinSpec:
             prev = h
         yield "head.w", (self.pooled_width,), 1.0 / np.sqrt(self.pooled_width)
         yield "head.b", (1,), np.zeros
+
+    def flops(self) -> FlopCount:
+        m, d = self.num_fields, self.embed_dim
+        mults = adds = 0
+        prev = m
+        for h in self.layer_sizes:
+            mults += 2 * d * h * prev * m
+            adds += h * (prev * m - 1) * d  # double-sum reduction per output row
+            adds += h * (d - 1)  # sum-pool the new feature map
+            prev = h
+        return FlopCount(mults, adds) + FlopCount(self.pooled_width, self.pooled_width - 1)
 
     @property
     def num_layers(self) -> int:
@@ -226,6 +239,11 @@ class CrossNetSpec:
         yield "head.w", (n,), 1.0 / np.sqrt(n)
         yield "head.b", (1,), np.zeros
 
+    def flops(self) -> FlopCount:
+        n, L = self.width, self.num_layers
+        # per layer n^2 + n mults (matvec, elementwise) and adds (bias, residual), then the head
+        return FlopCount(L * (n * n + n), L * (n * n + n)) + FlopCount(n, n - 1)
+
     @property
     def width(self) -> int:
         return self.num_fields * self.embed_dim
@@ -267,17 +285,11 @@ class CrossNetModel(Model):
 # shallow baselines
 # ---------------------------------------------------------------------------
 
-def _pairwise_layout(spec, vocab_sizes) -> Iterator[tuple]:
-    """Embeddings, per-field linear weights and the bias of FwFM and FmFM."""
-    yield from embedding_layout(spec, vocab_sizes)
-    yield "linear.u", (spec.num_fields, spec.embed_dim), np.zeros
-    yield "head.b", (1,), np.zeros
-
-
 @dataclass(frozen=True)
-class FwfmSpec:
-    """Field-pair weight *vectors*: logit = bias + sum_i u_i . e_i
-    + sum_{i<j} sum(w_ij * e_i * e_j)."""
+class _PairwiseSpec:
+    """What FwFM and FmFM share: logit = bias + sum_i u_i . e_i + one weighted
+    term per field pair i < j. A subclass adds its pair weights to the layout
+    and declares one pair term's cost."""
 
     num_fields: int
     embed_dim: int
@@ -286,27 +298,46 @@ class FwfmSpec:
         check_int("num_fields", self.num_fields, 2)
         check_int("embed_dim", self.embed_dim, 1)
 
-    def layout(self, vocab_sizes) -> Iterator[tuple]:
-        yield from _pairwise_layout(self, vocab_sizes)
+    @property
+    def num_pairs(self) -> int:
         m = self.num_fields
-        yield "fwfm.w", (m * (m - 1) // 2, self.embed_dim), np.ones
+        return m * (m - 1) // 2
+
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        """Embeddings, per-field linear weights and the bias."""
+        yield from embedding_layout(self, vocab_sizes)
+        yield "linear.u", (self.num_fields, self.embed_dim), np.zeros
+        yield "head.b", (1,), np.zeros
+
+    def flops(self) -> FlopCount:
+        pm, pa = self._pair_cost()  # one pair term and its addition into the sum
+        n = self.num_fields * self.embed_dim  # the linear term, and its addition
+        return FlopCount(self.num_pairs * pm + n, self.num_pairs * pa + n - 1)
 
 
-@dataclass(frozen=True)
-class FmfmSpec:
+class FwfmSpec(_PairwiseSpec):
+    """Field-pair weight *vectors*: pairwise term sum(w_ij * e_i * e_j)."""
+
+    def layout(self, vocab_sizes) -> Iterator[tuple]:
+        yield from super().layout(vocab_sizes)
+        yield "fwfm.w", (self.num_pairs, self.embed_dim), np.ones
+
+    def _pair_cost(self) -> tuple[int, int]:
+        d = self.embed_dim
+        return 2 * d, d
+
+
+class FmfmSpec(_PairwiseSpec):
     """Field-pair weight *matrices*: pairwise term sum((e_i W_ij) * e_j)."""
 
-    num_fields: int
-    embed_dim: int
-
-    def __post_init__(self):
-        check_int("num_fields", self.num_fields, 2)
-        check_int("embed_dim", self.embed_dim, 1)
-
     def layout(self, vocab_sizes) -> Iterator[tuple]:
-        yield from _pairwise_layout(self, vocab_sizes)
-        m, d = self.num_fields, self.embed_dim
-        yield "fmfm.W", (m * (m - 1) // 2, d, d), identity
+        yield from super().layout(vocab_sizes)
+        d = self.embed_dim
+        yield "fmfm.W", (self.num_pairs, d, d), identity
+
+    def _pair_cost(self) -> tuple[int, int]:
+        d = self.embed_dim
+        return d * d + d, d * d
 
 
 class _PairwiseModel(Model):
@@ -391,6 +422,9 @@ class TinyMlpSpec:
     def layout(self, vocab_sizes) -> Iterator[tuple]:
         yield from embedding_layout(self, vocab_sizes)
         yield from mlp_layout(self.widths, self.activation, zero_final=False)
+
+    def flops(self) -> FlopCount:
+        return mlp_flops(self.widths)
 
 
 class TinyMlpModel(Model):

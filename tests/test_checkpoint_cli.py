@@ -71,12 +71,15 @@ def _bad_int_copies(spec, value):
 
 
 def _rewrite(path, edit):
-    """Rewrite a checkpoint through ``edit(header, payload) -> payload``."""
+    """Rewrite a checkpoint through ``edit(header, payload) -> payload``, or
+    ``-> (header bytes, payload)`` for a header that JSON cannot re-encode."""
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[:8])
     header = json.loads(raw[8 : 8 + hlen])
-    payload = edit(header, raw[8 + hlen :])
-    blob = json.dumps(header, sort_keys=True).encode()
+    out = edit(header, raw[8 + hlen :])
+    if not isinstance(out, tuple):
+        out = json.dumps(header, sort_keys=True).encode(), out
+    blob, payload = out
     path.write_bytes(struct.pack("<Q", len(blob)) + blob + payload)
 
 
@@ -102,6 +105,11 @@ def _duplicate_first_entry(header, payload):
 
 def _nan_first_weight(header, payload):
     return struct.pack("<d", float("nan")) + payload[8:]
+
+
+def _nested_header(header, payload):
+    """A header of 100,000 nested arrays: deeper than the JSON decoder recurses."""
+    return b"[" * 100_000 + b"]" * 100_000, payload
 
 
 def _first_entry(**fields):
@@ -154,6 +162,7 @@ CORRUPTIONS = {
     # one table per field until version 3
     "v2-header": (_header_edit(lambda h: h.update(version=2)), "version"),
     "kind-mismatch": (_header_edit(lambda h: h.update(kind="cin")), "kind"),
+    "nested-header": (_nested_header, "corrupt header: maximum recursion depth"),
 }
 
 
@@ -163,6 +172,7 @@ _GOOD_FIELD = '{"name": "b", "values": ["x"]}'
 BAD_SCHEMAS = {
     "not-utf8": ("\xff{}", "not UTF-8"),
     "bad-json": ('{"fields": [', "not valid JSON"),
+    "nested-too-deep": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
     "not-an-object": ("[1, 2]", "JSON object"),
     "missing-fields": ('{"x": 1}', "'fields' list"),
     "fields-not-a-list": ('{"fields": 3}', "'fields' list"),
@@ -231,6 +241,16 @@ class TestSpecRoundTrip:
     def test_unknown_model_kind(self):
         with pytest.raises(CheckpointError):
             spec_from_dict({"model": "transformer"})
+
+    def test_too_deep_to_repr_field_is_a_checkpoint_error(self):
+        # a header that decodes can still hold a value whose repr, in the
+        # field check's message, recurses past the interpreter's limit
+        nested = []
+        for _ in range(100_000):
+            nested = [nested]
+        config = {**spec_to_dict(CrossNetSpec(3, 2, 2)), "num_fields": nested}
+        with pytest.raises(CheckpointError, match="recursion"):
+            spec_from_dict(config)
 
     def test_unknown_spec_type(self):
         with pytest.raises(ConfigurationError):

@@ -139,6 +139,13 @@ class TestSchemaJson:
         assert blob["fields"][0]["name"] == "f1"
         assert blob["fields"][0]["values"] == ["a", "b"]
 
+    def test_deeply_nested_file_is_a_schema_error(self, tmp_path):
+        # json.loads raises RecursionError, not JSONDecodeError, past its depth
+        path = tmp_path / "schema.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SchemaError, match="not valid JSON: maximum recursion depth"):
+            FieldSchema.load(path)
+
 
 class TestSplitDataset:
     def dataset(self, n=10):

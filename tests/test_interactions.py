@@ -16,7 +16,6 @@ from dagfm.interactions import (
     DagfmSpec,
     PairGemm,
     full_dag_pairs,
-    mlp_widths,
     phi_basic_inner,
     phi_inner,
     phi_kernel,
@@ -385,11 +384,11 @@ class TestDagfmPlus:
 
     def test_mlp_widths(self):
         spec = DagfmPlusSpec(DagfmSpec("inner", 3, 4, 2), mlp_hidden=(7, 5))
-        assert mlp_widths(spec) == [3 * 3 * 4, 7, 5, 1]
+        assert spec.widths == [3 * 3 * 4, 7, 5, 1]
         final = DagfmPlusSpec(
             DagfmSpec("inner", 3, 4, 2), mlp_hidden=(7,), mlp_feed="final-state"
         )
-        assert mlp_widths(final) == [3 * 4, 7, 1]
+        assert final.widths == [3 * 4, 7, 1]
 
     def test_width_mismatch_guard(self):
         spec = DagfmPlusSpec(DagfmSpec("inner", 2, 2, 2), mlp_hidden=(4,))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
+from dagfm.checkpoint import MODELS
 from dagfm.interactions import (
     DagfmModel,
     DagfmPlusModel,
@@ -160,6 +161,12 @@ def spec_model_pairs():
     out.append((spec, FmfmModel(spec, vocab, seed=0)))
     spec = TinyMlpSpec(3, 2, hidden=(5, 3))
     out.append((spec, TinyMlpModel(spec, vocab, seed=0)))
+    # pruned DAGs: node 1 keeps only its self-edge, node 3 two of its four edges
+    sparse = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 2), (0, 3))
+    spec = DagfmSpec("outer", 4, 2, 2, edges=sparse)
+    out.append((spec, DagfmModel(spec, vocab + [2], seed=0)))
+    plus = DagfmPlusSpec(DagfmSpec("kernel", 4, 2, 2, edges=sparse), mlp_hidden=(3,))
+    out.append((plus, DagfmPlusModel(plus, vocab + [2], seed=0)))
     return out
 
 
@@ -251,6 +258,24 @@ class TestFlopClosedForms:
     def test_unknown_spec_type(self):
         with pytest.raises(ConfigurationError):
             count_flops(object())
+
+    @pytest.mark.parametrize("cls", MODELS, ids=lambda cls: cls.kind)
+    def test_every_family_declares_its_flops(self, cls):
+        assert callable(getattr(cls.spec_type, "flops", None))
+
+    # forward FLOPs of the production-size zoo whose parameters
+    # TestParamCounts pins, as scripts/efficiency_table.py prints them
+    PRODUCTION_FLOPS = [75_074, 112_514, 1_235_714, 185_054, 508_702,
+                        164_362_199, 2_341_247, 36_815, 392_495, 819_999]
+
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [(spec, flops)
+         for (spec, _), flops in zip(TestParamCounts.PRODUCTION_SIZE, PRODUCTION_FLOPS)],
+        ids=lambda x: getattr(x, "kind", type(x).__name__),
+    )
+    def test_production_size_flops_are_pinned(self, spec, expected):
+        assert count_flops(spec).total == expected
 
     @pytest.mark.parametrize(
         "spec,model", spec_model_pairs(), ids=lambda x: type(x).__name__
