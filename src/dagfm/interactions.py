@@ -25,21 +25,26 @@ every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
 steps. ``EmbeddingTable.lookup`` gathers every field's rows into ``H[0]``
 with one ``np.take``, and each layer writes ``agg * e`` straight into the
 next slot. ``outer`` runs two GEMMs per layer: per source ``j`` an
-(m, d) x (d, B) product gives the edge scalars
-``S[j, i, b] = p[j, i] . h[j, b]``, and per target ``i`` a (B, m) x (m, d)
-product reads ``S`` as an F-ordered operand.
-Its backward is four batched GEMMs over the same ``S`` and the same
-buffer, with no copies. ``basic-inner`` is one (m, m) x (m, B*d) GEMM
-with the transposed adjacency matrix. ``inner`` and ``kernel`` are the
-bilinear pair GEMM that :class:`PairGemm` lays out, shared with the FwFM
-and FmFM baselines: one (B, m) x (m, m) GEMM per embedding dim over a
-dim-major copy of the states (``inner``), or one (B, m*d) x (m*d, m*d)
-GEMM over a batch-major copy (``kernel``). Pooling every state
-set is one matrix-vector product of the buffer with ``ones(d)``, and the
-head is another. Public shapes stay batch-major: ``lookup`` and
-``PropagationTrace`` give (B, m, d) arrays, as views where they can.
-The per-pair ``phi_*`` functions are the reference the layers are tested
-against.
+(n, d) x (d, B) product gives the edge scalars
+``S[j, i, b] = p[j, i] . h[j, b]`` over n targets, and per target ``i`` a
+(B, n) x (n, d) product reads ``S`` as an F-ordered operand over n sources.
+Its backward is four GEMMs of the same shapes over the same ``S`` and the
+same buffer, with no copies. Edges only run ``j -> i`` with ``j <= i``, so
+fields are cut into blocks of :data:`FIELD_BLOCK`, and a field of block
+[a, b) reads as a source only the targets ``i >= a`` and as a target only
+the sources ``j < b``: the GEMMs skip the upper block pairs, which are
+zero, and never read the parts of ``S`` they leave unwritten. With one
+block, n = m and each is one dense batched GEMM. ``basic-inner`` is one
+(m, m) x (m, B*d) GEMM with the transposed adjacency matrix. ``inner`` and
+``kernel`` are the bilinear pair GEMM that :class:`PairGemm` lays out,
+shared with the FwFM and FmFM baselines: one (B, m) x (m, m) GEMM per
+embedding dim over a dim-major copy of the states (``inner``), or one
+(B, m*d) x (m*d, m*d) GEMM over a batch-major copy (``kernel``). Pooling
+every state set is one matrix-vector product of the buffer with
+``ones(d)``, and the head is another. Public shapes stay batch-major:
+``lookup`` and ``PropagationTrace`` give (B, m, d) arrays, as views where
+they can. The per-pair ``phi_*`` functions are the reference the layers
+are tested against.
 
 With identity-valued weights and the full lower-triangular edge set, node
 ``i`` at layer ``t`` is exactly the sum of all order-``t`` products of
@@ -57,6 +62,12 @@ import numpy as np
 from .numcore import ConfigurationError, ParamStore, ShapeError, as_tuples, check_int
 
 KINDS = ("basic-inner", "inner", "kernel", "outer")
+
+# Fields per block of an ``outer`` layer's block-triangular GEMMs. With k
+# blocks they do (k + 1) / (2k) of the dense (m, m) work, 62.5% at m=39, in
+# k calls each. A student with m <= FIELD_BLOCK is one block and makes the
+# one dense call per GEMM: a loop over one block would only add slicing.
+FIELD_BLOCK = 10
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +404,11 @@ class DagfmModel(Model):
         self._gemm = PairGemm(self._jj, self._ii, m, self.embed_dim, per_dim)
         self._adjacency = _scatter((m, m), (self._jj, self._ii), 1.0)  # A[j, i] = 1 on an edge
         self._adjacency.flags.writeable = False
+        # the outer GEMMs' block plan: a block [a, b) of sources reaches the
+        # targets from a on, and a block of targets the sources before b
+        blocks = [slice(a, min(a + FIELD_BLOCK, m)) for a in range(0, m, FIELD_BLOCK)]
+        self._sources = tuple((f, slice(f.start, None)) for f in blocks)
+        self._targets = tuple((f, slice(None, f.stop)) for f in blocks)
 
     def _weights(self, t: int) -> str:
         """Store name of an ``inner`` or ``kernel`` layer's edge weights."""
@@ -435,12 +451,13 @@ class DagfmModel(Model):
             return g.fields(g.states(h) @ K), K
         p = self._layout(f"dag.p{t}", lambda w: _scatter((m, m, d), (jj, ii), w))  # p[j, i]
         q = self._layout(f"dag.q{t}", lambda w: _scatter((m, m, d), (ii, jj), w))  # q[i, j]
-        # S[j, i, b] = p[j, i] . h[j, b]: per source j an (m, d) x (d, B) GEMM
-        S = np.matmul(p, h.transpose(0, 2, 1))
-        # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, m) x (m, d)
+        # S[j, i, b] = p[j, i] . h[j, b]: per source j an (n, d) x (d, B) GEMM
+        S = _tri_matmul(p, h.transpose(0, 2, 1), self._sources, inner=False)
+        # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, n) x (n, d)
         # GEMM; S.transpose(1, 2, 0) is F-ordered per target, so BLAS reads S
         # as it is, and so do the backward GEMMs
-        return np.matmul(S.transpose(1, 2, 0), q), (p, q, S)
+        agg = _tri_matmul(S.transpose(1, 2, 0), q, self._targets, inner=True)
+        return agg, (p, q, S)
 
     def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
         idx = np.asarray(idx)
@@ -516,11 +533,33 @@ class DagfmModel(Model):
             grads[self._weights(t)] = g.at_pairs(g.states(h).transpose(0, 2, 1) @ dX)
             return g.fields(dX @ K.transpose(0, 2, 1))
         p, q, S = cache
-        dS = np.matmul(q, dU.transpose(0, 2, 1))  # dS[i, j, b] = q[i, j] . dU[i, b]
-        grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]  # (i, j, e)
-        grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]  # (j, i, e)
-        # dh[j, b] = sum_i dS[i, j, b] p[j, i]: per source j a (B, m) x (m, d) GEMM
-        return np.matmul(dS.transpose(1, 2, 0), p)
+        # dS[i, j, b] = q[i, j] . dU[i, b], per target i
+        dS = _tri_matmul(q, dU.transpose(0, 2, 1), self._targets, inner=False)
+        dq = _tri_matmul(S.transpose(1, 0, 2), dU, self._targets, inner=False)
+        grads[f"dag.q{t}"] = dq[ii, jj]  # (i, j, e)
+        dp = _tri_matmul(dS.transpose(1, 0, 2), h, self._sources, inner=False)
+        grads[f"dag.p{t}"] = dp[jj, ii]  # (j, i, e)
+        # dh[j, b] = sum_i dS[i, j, b] p[j, i]: per source j a (B, n) x (n, d) GEMM
+        return _tri_matmul(dS.transpose(1, 2, 0), p, self._sources, inner=True)
+
+
+def _tri_matmul(x, y, cuts, inner: bool) -> np.ndarray:
+    """``np.matmul(x, y)`` over a stack of per-field GEMMs that reads only
+    the DAG's lower block triangle. ``cuts`` pairs each block of fields, a
+    slice of the stack axis, with the partner fields its edges reach (see
+    :meth:`DagfmModel._setup`). Those partners are the inner axis
+    (``inner``: x's last and y's middle axis) or x's and the result's rows;
+    in the latter case the result's other rows are left unwritten, and no
+    caller reads them. With one block this is the dense ``np.matmul(x, y)``."""
+    if len(cuts) == 1:
+        return np.matmul(x, y)
+    out = np.empty((*x.shape[:2], y.shape[2]))
+    for fields, reach in cuts:
+        if inner:
+            np.matmul(x[fields, :, reach], y[fields, reach], out=out[fields])
+        else:
+            np.matmul(x[fields, reach], y[fields], out=out[fields, reach])
+    return out
 
 
 def _scatter(shape, index, values) -> np.ndarray:
@@ -736,10 +775,10 @@ class DagfmPlusModel(DagfmModel):
         self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
     def _mlp_input(self, states: list[np.ndarray]) -> np.ndarray:
-        B = len(states[0])
+        B, m, d = states[0].shape
         if self.spec.mlp_feed == "all-states":
-            return np.stack(states, axis=1).reshape(B, -1)
-        return states[-1].reshape(B, -1)
+            return np.stack(states, axis=1).reshape(B, len(states) * m * d)
+        return states[-1].reshape(B, m * d)
 
     def forward_trace(self, idx: np.ndarray):
         logits, trace = super().forward_trace(idx)

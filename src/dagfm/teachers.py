@@ -255,7 +255,7 @@ class CrossNetModel(Model):
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
-        x0 = E.reshape(len(E), -1)  # a copy: lookup's array is field-major
+        x0 = E.reshape(len(E), self.spec.width)  # a copy: lookup's array is field-major
         xs = [x0]
         us = []
         for t in range(self.spec.num_layers):
@@ -277,7 +277,8 @@ class CrossNetModel(Model):
             grads[f"cross.W{t}"] = du.T @ xs[t]
             dx = dx + du @ self.store[f"cross.W{t}"]
         dx0 += dx
-        grads.update(self.embedding.grads(idx, dx0.reshape(len(dx0), self.num_fields, -1)))
+        dE = dx0.reshape(len(dx0), self.num_fields, self.embed_dim)
+        grads.update(self.embedding.grads(idx, dE))
         return grads
 
 
@@ -436,7 +437,7 @@ class TinyMlpModel(Model):
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         E = self.embedding.lookup(idx)
-        logits = self.mlp.forward(E.reshape(len(E), -1))
+        logits = self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim))
         self._cache = np.asarray(idx)
         return logits
 
@@ -444,5 +445,6 @@ class TinyMlpModel(Model):
         idx = self._cache
         grads: dict[str, np.ndarray] = {}
         dx = self.mlp.backward(np.asarray(dlogits, dtype=np.float64), grads)
-        grads.update(self.embedding.grads(idx, dx.reshape(len(dx), self.num_fields, -1)))
+        dE = dx.reshape(len(dx), self.num_fields, self.embed_dim)
+        grads.update(self.embedding.grads(idx, dE))
         return grads

@@ -17,6 +17,7 @@ import pytest
 import dagfm
 from dagfm.checkpoint import (
     FORMAT_VERSION,
+    MODELS,
     CheckpointError,
     build_model,
     load_checkpoint,
@@ -266,6 +267,16 @@ class TestSpecRoundTrip:
         model = build_model(spec, VOCAB, seed=1)
         layout = [(name, shape) for name, shape, _ in spec.layout(VOCAB)]
         assert layout == [(n, model.store[n].shape) for n in model.store.names()]
+
+    @pytest.mark.parametrize("cls", MODELS, ids=lambda cls: cls.kind)
+    def test_zero_row_batch(self, cls):
+        spec = next(s for s in ALL_SPECS if type(s) is cls.spec_type)
+        model = build_model(spec, VOCAB, seed=0)
+        assert model.forward(np.zeros((0, len(VOCAB)), dtype=np.int64)).shape == (0,)
+        grads = model.backward(np.zeros(0))
+        assert grads.keys() == set(model.store.names())
+        for name, g in grads.items():
+            assert g.shape == model.store[name].shape and not g.any(), name
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_model_spec_is_the_build_spec(self, spec):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagfm import interactions
 from dagfm.interactions import (
     EMBED_INIT_STD,
     KINDS,
@@ -22,6 +23,7 @@ from dagfm.interactions import (
     phi_outer,
 )
 from dagfm.numcore import ConfigurationError, ShapeError, grad_check, stable_sigmoid
+from dagfm.oracle import _model_edge_weights, oracle_node_state_weighted
 from dagfm.teachers import upper_pairs
 
 from conftest import (
@@ -513,3 +515,183 @@ class TestPairGemm:
         assert X.shape == ((d, 5, m) if per_dim else (1, 5, m * d))
         assert X.flags.c_contiguous
         np.testing.assert_array_equal(g.fields(X), F)
+
+
+# ---------------------------------------------------------------------------
+# block-triangular outer layers
+# ---------------------------------------------------------------------------
+
+
+def self_only_block_edges(m, block):
+    """The full DAG on ``m`` fields, except that the fields in ``block`` keep
+    only their self-edges: no other edge enters or leaves the block."""
+    return tuple(
+        (j, i) for j, i in full_dag_pairs(m) if j == i or (j not in block and i not in block)
+    )
+
+
+def oracle_weights(model):
+    """The weighted oracle's per-layer edge tables over the full DAG; an edge
+    the model lacks carries zero weights, so its paths sum to zero."""
+    d = model.embed_dim
+    zero = (np.zeros(d), np.zeros(d))
+    full = {(j + 1, i + 1): zero for j, i in full_dag_pairs(model.num_fields)}
+    return [{**full, **table} for table in _model_edge_weights(model)]
+
+
+def assert_logits_and_grads_close(model, reference, idx, rng, rtol):
+    dlogits = rng.normal(size=len(idx))
+    logits = model.forward(idx)
+    assert logits.shape == (len(idx),)
+    np.testing.assert_allclose(logits, reference.forward(idx), rtol=rtol, atol=0)
+    grads, expected = model.backward(dlogits), reference.backward(dlogits)
+    assert grads.keys() == expected.keys()
+    for name, g in expected.items():
+        assert grads[name].shape == g.shape, name
+        assert np.abs(grads[name] - g).max(initial=0.0) <= rtol * np.abs(g).max(initial=0.0), name
+
+
+EDGE_LISTS = {
+    "full": lambda m: None,
+    "self-only-block": lambda m: self_only_block_edges(m, range(2, 4)),
+}
+
+
+@pytest.fixture
+def nan_buffers(monkeypatch):
+    """Fresh ``np.empty`` float buffers start as NaN, so a read of any entry
+    that the blocked GEMMs leave unwritten shows in every result."""
+    empty = np.empty
+
+    def nan_empty(shape, dtype=float, order="C", **kwargs):
+        out = empty(shape, dtype, order, **kwargs)
+        if np.issubdtype(out.dtype, np.inexact):
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+
+
+class TestBlockTriangularOuter:
+    """``outer`` layers cut the fields into blocks of ``FIELD_BLOCK`` and skip
+    the DAG's upper block pairs. Most tier-1 ``outer`` students have m <= 8,
+    one block at the real size, so these cut blocks of two fields:
+    m=5 is blocks [0, 2), [2, 4), [4, 5), and m=6 three full blocks."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_two(self, monkeypatch, nan_buffers):
+        monkeypatch.setattr(interactions, "FIELD_BLOCK", 2)
+
+    @staticmethod
+    def model(m, edges, rng, plus=False):
+        spec = DagfmSpec("outer", m, 3, 2, edges=EDGE_LISTS[edges](m))
+        if plus:
+            spec = DagfmPlusSpec(spec, mlp_hidden=(5,), activation="tanh")
+        model = (DagfmPlusModel if plus else DagfmModel)(spec, [3] * m, seed=m)
+        assert len(model._sources) == len(model._targets) == (m + 1) // 2
+        perturb_params(model, rng)
+        return model
+
+    @pytest.mark.parametrize("batch", [0, 1, 3])
+    @pytest.mark.parametrize("edges", list(EDGE_LISTS))
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_states_match_edge_loop_and_oracle(self, m, edges, batch, rng):
+        model = self.model(m, edges, rng)
+        idx = rng.integers(0, 3, size=(batch, m))
+        _, trace = model.forward_trace(idx)
+        E = model.embedding.lookup(idx)
+        weights = oracle_weights(model)
+        h = E
+        for t, state in enumerate(trace.node_states):
+            assert state.shape == (batch, m, 3)
+            np.testing.assert_allclose(state, h, rtol=1e-12, atol=1e-12)
+            for b in range(batch):
+                for i in range(m):
+                    expected = oracle_node_state_weighted("outer", E[b], weights, i + 1, t + 1)
+                    np.testing.assert_allclose(state[b, i], expected, rtol=1e-10, atol=1e-12)
+            if t < model.dag.num_layers:
+                h = loop_propagate(model, h, E, t)
+
+    @pytest.mark.parametrize("batch", [0, 1, 3])
+    @pytest.mark.parametrize("edges", list(EDGE_LISTS))
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_matches_one_block(self, m, plus, edges, batch, rng, monkeypatch):
+        model = self.model(m, edges, rng, plus)
+        monkeypatch.setattr(interactions, "FIELD_BLOCK", m)
+        dense = type(model).from_values(model.spec, model.vocab_sizes, model.store.snapshot())
+        assert len(dense._sources) == 1
+        idx = rng.integers(0, 3, size=(batch, m))
+        assert_logits_and_grads_close(model, dense, idx, rng, rtol=1e-13)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("edges", list(EDGE_LISTS))
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_gradients(self, m, plus, edges, batch, rng):
+        model = self.model(m, edges, rng, plus)
+        idx = rng.integers(0, 3, size=(batch, m))
+        closure = squared_logit_closure(model, idx, rng.normal(size=batch))
+        assert grad_error(closure, model, rng) < 1e-4
+
+
+class DenseOuterGemms:
+    """The ``outer`` layer without field blocks: two forward and four
+    backward batched GEMMs over the whole (m, m) field square."""
+
+    def _aggregate(self, h, t):
+        m, B, d = h.shape
+        jj, ii = self._jj, self._ii
+        p = np.zeros((m, m, d))
+        p[jj, ii] = self.store[f"dag.p{t}"]
+        q = np.zeros((m, m, d))
+        q[ii, jj] = self.store[f"dag.q{t}"]
+        S = np.matmul(p, h.transpose(0, 2, 1))
+        return np.matmul(S.transpose(1, 2, 0), q), (p, q, S)
+
+    def _aggregate_backward(self, t, h, dU, cache, grads):
+        jj, ii = self._jj, self._ii
+        p, q, S = cache
+        dS = np.matmul(q, dU.transpose(0, 2, 1))
+        grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]
+        grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]
+        return np.matmul(dS.transpose(1, 2, 0), p)
+
+
+class DenseOuterModel(DenseOuterGemms, DagfmModel):
+    pass
+
+
+class DenseOuterPlusModel(DenseOuterGemms, DagfmPlusModel):
+    pass
+
+
+class TestFieldBlocksAtCtrSize:
+    """At m=39 and the real ``FIELD_BLOCK`` (four blocks, the last one short)
+    logits and every gradient equal the dense GEMMs' bitwise from two rows
+    on; a one-row batch may take other BLAS kernels and differs in the last
+    bits."""
+
+    @pytest.mark.parametrize("batch", [0, 1, 2, 5, 64])
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    def test_matches_dense_gemms(self, plus, batch, rng, nan_buffers):
+        m, vocab = 39, [4] * 39
+        spec = DagfmSpec("outer", m, 16, 3)
+        if plus:
+            spec = DagfmPlusSpec(spec, mlp_hidden=(8,))
+        model = (DagfmPlusModel if plus else DagfmModel)(spec, vocab, seed=2)
+        assert [f.stop for f, _ in model._sources] == [10, 20, 30, 39]
+        perturb_params(model, rng)
+        dense = (DenseOuterPlusModel if plus else DenseOuterModel).from_values(
+            spec, vocab, model.store.snapshot()
+        )
+        idx = rng.integers(0, 4, size=(batch, m))
+        if batch == 1:
+            assert_logits_and_grads_close(model, dense, idx, rng, rtol=1e-13)
+            return
+        dlogits = rng.normal(size=batch)
+        assert model.forward(idx).tobytes() == dense.forward(idx).tobytes()
+        grads, expected = model.backward(dlogits), dense.backward(dlogits)
+        assert grads.keys() == expected.keys()
+        for name, g in expected.items():
+            assert grads[name].tobytes() == g.tobytes(), name

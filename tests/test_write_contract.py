@@ -6,14 +6,34 @@ import numpy as np
 import pytest
 
 from dagfm import interactions
-from dagfm.interactions import DagfmModel, DagfmSpec
+from dagfm.interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
 from dagfm.numcore import adam_step, grad_check
 from dagfm.teachers import FwfmModel, FwfmSpec
 
 from conftest import perturb_params, random_small_model, squared_logit_closure
 
-# the families whose forward reads a dense layout of compact pair weights
-TAGS = ("dagfm-basic-inner", "dagfm-inner", "dagfm-kernel", "dagfm-outer", "dagfm+", "fwfm", "fmfm")
+# the families whose forward reads a dense layout of compact pair weights;
+# the "-blocked" students run their outer layers in field blocks
+TAGS = ("dagfm-basic-inner", "dagfm-inner", "dagfm-kernel", "dagfm-outer", "dagfm+", "fwfm", "fmfm",
+        "dagfm-outer-blocked", "dagfm+-blocked")
+
+
+def small_model(tag, rng, monkeypatch):
+    """``random_small_model``, or for a "-blocked" tag an m=5 ``outer``
+    student (plain or DAGFM+) built and run with blocks of two fields."""
+    if not tag.endswith("-blocked"):
+        return random_small_model(tag, rng)
+    monkeypatch.setattr(interactions, "FIELD_BLOCK", 2)
+    m, vocab = 5, [int(v) for v in rng.integers(2, 6, size=5)]
+    spec = DagfmSpec("outer", m, 3, 2)
+    if tag == "dagfm+-blocked":
+        model = DagfmPlusModel(DagfmPlusSpec(spec, mlp_hidden=(4,), activation="tanh"), vocab)
+    else:
+        model = DagfmModel(spec, vocab)
+    assert len(model._sources) == 3
+    perturb_params(model, rng)
+    idx = np.stack([rng.integers(0, v, size=4) for v in vocab], axis=1)
+    return model, idx, None
 
 
 def fresh(model):
@@ -26,8 +46,8 @@ def assert_matches_fresh(model, idx) -> None:
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_forward_after_every_write_path_matches_a_fresh_model(tag, rng):
-    model, idx, _ = random_small_model(tag, rng)
+def test_forward_after_every_write_path_matches_a_fresh_model(tag, rng, monkeypatch):
+    model, idx, _ = small_model(tag, rng, monkeypatch)
     store = model.store
     model.forward(idx)  # lay the weights out before the first write
     adam_step(store, model.backward(np.ones(len(idx))), lr=0.1)
@@ -52,16 +72,16 @@ def test_forward_after_every_write_path_matches_a_fresh_model(tag, rng):
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_stored_arrays_reject_writes(tag, rng):
-    model, _, _ = random_small_model(tag, rng)
+def test_stored_arrays_reject_writes(tag, rng, monkeypatch):
+    model, _, _ = small_model(tag, rng, monkeypatch)
     for name in model.store.names():
         with pytest.raises(ValueError):
             model.store[name][...] = 0.0
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_from_values_keeps_its_inputs_and_locks_them(tag, rng):
-    model, idx, _ = random_small_model(tag, rng)
+def test_from_values_keeps_its_inputs_and_locks_them(tag, rng, monkeypatch):
+    model, idx, _ = small_model(tag, rng, monkeypatch)
     values = model.store.snapshot()
     built = type(model).from_values(model.spec, model.vocab_sizes, values)
     for name, value in values.items():
@@ -73,7 +93,7 @@ def test_from_values_keeps_its_inputs_and_locks_them(tag, rng):
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_forwards_with_no_write_between_reuse_the_layouts(tag, rng, monkeypatch):
-    model, idx, _ = random_small_model(tag, rng)
+    model, idx, _ = small_model(tag, rng, monkeypatch)
     scatters = []
     scatter = interactions._scatter
     monkeypatch.setattr(interactions, "_scatter", lambda *a: scatters.append(a) or scatter(*a))
