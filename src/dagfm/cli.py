@@ -11,21 +11,22 @@ Subcommands mirror the pipeline stages plus utilities::
     dagfm convert-movielens join ml-1m .dat files into the CSV layout
 
 Exit codes: 0 success, 1 validation or oracle failure, 2 usage error.
-Settings come from an INI config (``--config``) with explicit flags taking
-precedence.
+Settings come from an INI config (``--config``). Each settings flag is an
+alias of one INI key (``--lr`` of ``distill`` is ``[stage.distill] lr``) and
+beats the file's value; both go through one parse in :mod:`dagfm.config`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
 from .checkpoint import CheckpointError, build_model, load_checkpoint, save_checkpoint
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_config
 from .data import (
     FieldSchema,
     ParseError,
@@ -35,7 +36,6 @@ from .data import (
     split_dataset,
 )
 from .distill import (
-    StageConfig,
     distill_student,
     evaluate,
     finetune_student,
@@ -62,34 +62,27 @@ _USER_ERRORS = (
 # shared plumbing
 # ---------------------------------------------------------------------------
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 def _config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "data", None) is not None:
-        cfg.train_csv = args.data
-    if getattr(args, "min_freq", None) is not None:
-        cfg.min_freq = args.min_freq
-    if getattr(args, "split", None) is not None:
-        try:
-            parts = tuple(float(p) for p in args.split.split(","))
-        except ValueError:
-            raise ConfigurationError(f"--split needs numbers, got {args.split!r}") from None
-        if len(parts) != 3:
-            raise ConfigurationError(f"--split needs three ratios, got {args.split!r}")
-        cfg.split_ratios = parts
-    return cfg
+    """The ``--config`` file's settings with every flag given over them: each
+    flag in ``args.keys`` is an alias of one INI key, parsed in one place."""
+    flags = [
+        (flag, section, key, getattr(args, _dest(flag)))
+        for flag, (section, key) in args.keys.items()
+        if getattr(args, _dest(flag)) is not None
+    ]
+    return load_config(args.config, flags) if args.config else parse_config("", flags)
 
 
 def _schema(cfg: RunConfig, args, model=None) -> FieldSchema:
     """The explicit schema, else (for a ``model`` loaded from ``--checkpoint``)
     the one saved next to it, else one built from the data; it must fit ``model``."""
-    explicit = getattr(args, "schema", None) or cfg.schema_path
     near = Path(args.checkpoint).parent / "schema.json" if model is not None else None
-    if explicit:
-        schema = FieldSchema.load(explicit)
+    if cfg.schema_path:
+        schema = FieldSchema.load(cfg.schema_path)
     elif near is not None and near.exists():
         schema = FieldSchema.load(near)
     elif cfg.train_csv is None:
@@ -102,19 +95,27 @@ def _schema(cfg: RunConfig, args, model=None) -> FieldSchema:
     return schema
 
 
-def _split(cfg: RunConfig, schema: FieldSchema):
+def _stage_setup(args):
+    """The prologue of every training stage: the config, the ``--checkpoint``
+    model if the stage reads one, the output directory, the schema saved next
+    to the stage's checkpoint, and the seeded split."""
+    cfg = _config(args)
     if cfg.train_csv is None:
         raise ConfigurationError("--data (or [data] train_csv) is required")
+    model = load_checkpoint(args.checkpoint) if "checkpoint" in args else None
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    schema = _schema(cfg, args, model)
+    schema.save(out_dir / "schema.json")
     dataset = load_dataset(cfg.train_csv, schema)
-    return split_dataset(dataset, ratios=cfg.split_ratios, seed=cfg.split_seed)
+    split = split_dataset(dataset, ratios=cfg.split_ratios, seed=cfg.split_seed)
+    return cfg, model, out_dir, schema, split
 
 
 def _finish_stage(model, report, split, out_dir: Path, ckpt_name: str) -> int:
-    """Save the checkpoint, record its path, score the test split and emit
-    ``<stage>_report.json``."""
+    """Save the checkpoint, score the test split and emit ``<stage>_report.json``."""
     ckpt = out_dir / ckpt_name
     save_checkpoint(model, ckpt)
-    report.checkpoint_path = str(ckpt)
     test = evaluate(model, split.test)
     _emit(
         {
@@ -123,7 +124,7 @@ def _finish_stage(model, report, split, out_dir: Path, ckpt_name: str) -> int:
             "best_epoch": report.best_epoch,
             "best_val_auc": report.best_val_auc,
             "wall_time_s": report.wall_time_s,
-            "checkpoint": report.checkpoint_path,
+            "checkpoint": str(ckpt),
             "test_auc": test.auc,
             "test_logloss": test.logloss,
         },
@@ -139,93 +140,46 @@ def _emit(obj: dict, out_path=None) -> None:
     print(text)
 
 
-def _stage_override(stage: StageConfig, args) -> StageConfig:
-    updates = {}
-    for name in ("epochs", "lr", "batch_size"):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    return dataclasses.replace(stage, **updates) if updates else stage
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_train_teacher(args) -> int:
-    cfg = _config(args)
-    if args.teacher is not None:
-        cfg.teacher_kind = args.teacher
-    if args.d is not None:
-        cfg.teacher_embed_dim = args.d
-    if args.depth is not None:
-        cfg.teacher_depth = args.depth
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema(cfg, args)
-    schema.save(out_dir / "schema.json")
-    split = _split(cfg, schema)
+    cfg, _, out_dir, schema, split = _stage_setup(args)
     model = build_model(cfg.teacher_spec(schema.m), schema.vocab_sizes(), seed=cfg.seed)
-    stage = _stage_override(cfg.plan.teacher_stage, args)
-    report = train_teacher(model, split, stage, log_path=out_dir / "teacher_epochs.jsonl")
+    report = train_teacher(
+        model, split, cfg.plan.teacher_stage, log_path=out_dir / "teacher_epochs.jsonl"
+    )
     return _finish_stage(model, report, split, out_dir, "teacher.ckpt")
 
 
 def _cmd_distill(args) -> int:
-    cfg = _config(args)
-    teacher = load_checkpoint(args.checkpoint)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema(cfg, args, model=teacher)
-    schema.save(out_dir / "schema.json")
-    split = _split(cfg, schema)
-    if args.fn is not None:
-        cfg.student_fn = args.fn
-    if args.d is not None:
-        cfg.student_embed_dim = args.d
-    if args.depth is not None:
-        cfg.student_layers = args.depth
-    teacher_depth = getattr(teacher.spec, "num_layers", None)
-    spec = cfg.student_spec(
-        schema.m,
-        default_embed_dim=teacher.embed_dim,
-        default_layers=teacher_depth,
-    )
-    student = build_model(spec, schema.vocab_sizes(), seed=cfg.seed)
-    alpha = args.alpha if args.alpha is not None else cfg.plan.alpha
-    beta = args.beta if args.beta is not None else cfg.plan.beta
+    cfg, teacher, out_dir, schema, split = _stage_setup(args)
+    student = build_model(cfg.student_spec(teacher.spec), schema.vocab_sizes(), seed=cfg.seed)
     (stage,) = cfg.plan.distill_stages  # an INI config holds one chunk
-    stage = _stage_override(stage, args)
     report = distill_student(
         student,
         teacher,
         split,
         stage,
-        alpha=alpha,
-        beta=beta,
-        kd_space=cfg.plan.kd_space,
+        alpha=cfg.plan.alpha,
+        beta=cfg.plan.beta,
         log_path=out_dir / "distill_epochs.jsonl",
     )
     return _finish_stage(student, report, split, out_dir, "student.ckpt")
 
 
 def _cmd_finetune(args) -> int:
-    cfg = _config(args)
-    student = load_checkpoint(args.checkpoint)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema(cfg, args, model=student)
-    split = _split(cfg, schema)
-    stage = _stage_override(cfg.plan.finetune_stage, args)
+    cfg, student, out_dir, _, split = _stage_setup(args)
     report = finetune_student(
-        student, split, stage, log_path=out_dir / "finetune_epochs.jsonl"
+        student, split, cfg.plan.finetune_stage, log_path=out_dir / "finetune_epochs.jsonl"
     )
     return _finish_stage(student, report, split, out_dir, "student_finetuned.ckpt")
 
 
 def _cmd_eval(args) -> int:
     cfg = _config(args)
-    if cfg.train_csv is None and args.schema is not None:
+    if cfg.train_csv is None and cfg.schema_path is not None:
         raise ConfigurationError("--schema needs --data (or [data] train_csv) to score")
     model = load_checkpoint(args.checkpoint)
     payload = {"auc": None, "logloss": None, "n": None, **efficiency_report(model).as_dict()}
@@ -265,25 +219,35 @@ def _cmd_convert_movielens(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *, seed: bool = False, split: bool = False, checkpoint: bool = False) -> None:
+def _key(p, flag: str, section: str, key: str, **kwargs) -> None:
+    """Add ``flag`` as an alias of the INI key ``[section] key``."""
+    p.add_argument(flag, dest=_dest(flag), **kwargs)
+    p.set_defaults(keys={**p.get_default("keys"), flag: (section, key)})
+
+
+def _add_common(p, stage: str | None = None, *, seed: bool = False,
+                checkpoint: bool = False) -> None:
+    """The shared flags; a training ``stage`` also gets ``--out``, ``--split``
+    and the keys of its ``[stage.<stage>]`` section."""
+    p.set_defaults(keys={})
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--out", help="output directory or file")
     if seed:
-        p.add_argument("--seed", type=int, help="model init seed")
-    p.add_argument("--data", help="CSV dataset (label,f1,...,fm)")
-    p.add_argument("--schema", help="schema JSON (else built from the data)")
-    p.add_argument("--min-freq", type=int, dest="min_freq",
-                   help="vocabulary frequency threshold")
-    if split:
-        p.add_argument("--split", help="train,val,test ratios, e.g. 0.8,0.1,0.1")
+        _key(p, "--seed", "run", "seed", type=int, help="model init seed")
+    _key(p, "--data", "data", "train_csv", help="CSV dataset (label,f1,...,fm)")
+    _key(p, "--schema", "data", "schema", help="schema JSON (else built from the data)")
+    _key(p, "--min-freq", "data", "min_freq", type=int,
+         help="vocabulary frequency threshold")
     if checkpoint:
         p.add_argument("--checkpoint", required=True, help="model checkpoint path")
-
-
-def _add_stage_overrides(p) -> None:
-    p.add_argument("--epochs", type=int, help="override stage epochs")
-    p.add_argument("--lr", type=float, help="override stage learning rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size", help="override batch size")
+    if stage is None:
+        p.add_argument("--out", help="output file")
+        return
+    _key(p, "--out", "run", "out_dir", help="output directory")
+    _key(p, "--split", "data", "split", help="train,val,test ratios, e.g. 0.8,0.1,0.1")
+    section = f"stage.{stage}"
+    _key(p, "--epochs", section, "epochs", type=int, help="stage epochs")
+    _key(p, "--lr", section, "lr", type=float, help="stage learning rate")
+    _key(p, "--batch-size", section, "batch_size", type=int, help="stage batch size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,35 +255,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dagfm", description="DAG factorization machine distillation toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a removed flag such as distill's old ``--d`` is an
+    # unrecognised argument, not an abbreviation of ``--data`` or ``--depth``
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("train-teacher", help="stage 1: train a teacher")
-    _add_common(p, seed=True, split=True)
-    p.add_argument("--teacher", choices=("cin", "crossnet"))
-    p.add_argument("--d", type=int, help="embedding dimension")
-    p.add_argument("--depth", type=int, help="teacher depth")
-    _add_stage_overrides(p)
+    p = add("train-teacher", help="stage 1: train a teacher")
+    _add_common(p, "teacher", seed=True)
+    _key(p, "--teacher", "teacher", "kind", choices=("cin", "crossnet"))
+    _key(p, "--d", "teacher", "embed_dim", type=int, help="embedding dimension")
+    _key(p, "--depth", "teacher", "depth", type=int, help="teacher depth")
     p.set_defaults(func=_cmd_train_teacher)
 
-    p = sub.add_parser("distill", help="stage 2: distill a student")
-    _add_common(p, seed=True, split=True, checkpoint=True)
-    p.add_argument("--fn", choices=KINDS, help="student interaction function")
-    p.add_argument("--d", type=int, help="student embedding dimension")
-    p.add_argument("--depth", type=int, help="student propagation layers")
-    p.add_argument("--alpha", type=float, help="KD loss weight")
-    p.add_argument("--beta", type=float, help="CTR loss weight")
-    _add_stage_overrides(p)
+    p = add("distill", help="stage 2: distill a student")
+    _add_common(p, "distill", seed=True, checkpoint=True)
+    _key(p, "--fn", "student", "fn", choices=KINDS, help="student interaction function")
+    _key(p, "--depth", "student", "num_layers", type=int, help="student propagation layers")
+    _key(p, "--alpha", "kd", "alpha", type=float, help="KD loss weight")
+    _key(p, "--beta", "kd", "beta", type=float, help="CTR loss weight")
     p.set_defaults(func=_cmd_distill)
 
-    p = sub.add_parser("finetune", help="stage 3: fine-tune a student")
-    _add_common(p, split=True, checkpoint=True)
-    _add_stage_overrides(p)
+    p = add("finetune", help="stage 3: fine-tune a student")
+    _add_common(p, "finetune", checkpoint=True)
     p.set_defaults(func=_cmd_finetune)
 
-    p = sub.add_parser("eval", help="params/FLOPs report, plus AUC/logloss with --data")
+    p = add("eval", help="params/FLOPs report, plus AUC/logloss with --data")
     _add_common(p, checkpoint=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("oracle-check", help="propagation vs enumeration table")
+    p = add("oracle-check", help="propagation vs enumeration table")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -328,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_oracle_check)
 
-    p = sub.add_parser("convert-movielens", help="join ml-1m .dat files into CSV")
+    p = add("convert-movielens", help="join ml-1m .dat files into CSV")
     p.add_argument("--dir", help="ml-1m directory with ratings/users/movies.dat")
     p.add_argument("--ratings")
     p.add_argument("--users")

@@ -3,7 +3,14 @@
 The file format is INI-style: one section per concern, every key checked
 against :data:`KNOWN_KEYS` so typos fail loudly instead of silently falling
 back to defaults. Model specs take the field count from the data at build
-time, so the config stores hyperparameters only.
+time, so the config stores hyperparameters only. The student's embedding
+width is always its teacher's (distillation copies the teacher's table), so
+no key sets it; its depth defaults to the teacher's.
+
+:data:`_KEYS` is the one table of run settings. A command-line flag is an
+alias of one key: :func:`parse_config` takes the file's values, then the
+flags' values over them, and builds and validates the :class:`RunConfig`
+once, so a setting fails in the same place whichever way it arrives.
 
 Example::
 
@@ -25,7 +32,7 @@ Example::
     [student]
     kind = dagfm
     fn = outer
-    embed_dim = 16
+    num_layers = 2
 
     [kd]
     alpha = 1.0
@@ -46,7 +53,7 @@ from dataclasses import dataclass, field
 
 from .distill import DistillPlan, StageConfig
 from .interactions import DagfmPlusSpec, DagfmSpec
-from .numcore import ConfigurationError
+from .numcore import ConfigurationError, check_int
 from .teachers import CinSpec, CrossNetSpec
 
 _STAGE_DEFAULTS = {
@@ -71,7 +78,6 @@ class RunConfig:
     cin_layer_size: int = 200
     student_kind: str = "dagfm"
     student_fn: str = "outer"
-    student_embed_dim: int | None = None  # None: match the teacher
     student_layers: int | None = None  # None: match the teacher depth
     mlp_hidden: tuple[int, ...] = (128, 128, 128)
     mlp_feed: str = "all-states"
@@ -82,6 +88,10 @@ class RunConfig:
             finetune_stage=_STAGE_DEFAULTS["finetune"],
         )
     )
+
+    def __post_init__(self):
+        check_int("seed", self.seed, 0)
+        check_int("split_seed", self.split_seed, 0)
 
     def teacher_spec(self, num_fields: int):
         if self.teacher_kind == "crossnet":
@@ -96,21 +106,14 @@ class RunConfig:
             f"unknown teacher kind {self.teacher_kind!r}; pick 'cin' or 'crossnet'"
         )
 
-    def student_spec(
-        self,
-        num_fields: int,
-        default_embed_dim: int | None = None,
-        default_layers: int | None = None,
-    ):
-        """Resolve the student spec; unspecified width/depth fall back to the
-        supplied defaults (normally the teacher's)."""
-        embed = self.student_embed_dim
-        if embed is None:
-            embed = default_embed_dim if default_embed_dim is not None else self.teacher_embed_dim
+    def student_spec(self, teacher_spec):
+        """The student of a ``teacher_spec`` teacher: its field count and
+        embedding width, and its depth unless ``[student] num_layers`` is set
+        (``[teacher] depth`` for a teacher spec without ``num_layers``)."""
         layers = self.student_layers
         if layers is None:
-            layers = default_layers if default_layers is not None else self.teacher_depth
-        base = DagfmSpec(self.student_fn, num_fields, embed, layers)
+            layers = getattr(teacher_spec, "num_layers", self.teacher_depth)
+        base = DagfmSpec(self.student_fn, teacher_spec.num_fields, teacher_spec.embed_dim, layers)
         if self.student_kind == "dagfm":
             return base
         if self.student_kind == "dagfm+":
@@ -120,11 +123,11 @@ class RunConfig:
         )
 
 
-def _parse_typed(section: str, key: str, raw: str, kind):
+def _parse_typed(where: str, raw: str, kind):
     try:
         return kind(raw)
     except ValueError as e:
-        raise ConfigurationError(f"[{section}] {key} = {raw!r}: {e}") from e
+        raise ConfigurationError(f"{where} {raw!r}: {e}") from e
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
@@ -156,7 +159,6 @@ _KEYS: dict[tuple[str, str], tuple[str, typing.Callable]] = {
     ("teacher", "layer_size"): ("cin_layer_size", int),
     ("student", "kind"): ("student_kind", str),
     ("student", "fn"): ("student_fn", str),
-    ("student", "embed_dim"): ("student_embed_dim", int),
     ("student", "num_layers"): ("student_layers", int),
     ("student", "mlp_hidden"): ("mlp_hidden", _int_tuple),
     ("student", "mlp_feed"): ("mlp_feed", str),
@@ -167,7 +169,6 @@ _KEYS: dict[tuple[str, str], tuple[str, typing.Callable]] = {
     },
     ("kd", "alpha"): ("alpha", float),
     ("kd", "beta"): ("beta", float),
-    ("kd", "kd_space"): ("kd_space", str),
 }
 
 KNOWN_KEYS: dict[str, set[str]] = {
@@ -175,7 +176,14 @@ KNOWN_KEYS: dict[str, set[str]] = {
 }
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, flags=()) -> RunConfig:
+    """The settings of INI ``text``, then ``flags`` over them, as one
+    validated :class:`RunConfig`.
+
+    ``flags`` holds ``(flag, section, key, value)`` overrides of :data:`_KEYS`
+    entries. A string value is parsed as the key's type, and a parse error
+    names the flag; any other value is taken as already typed.
+    """
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -194,24 +202,26 @@ def parse_config(text: str) -> RunConfig:
     given = {section: {} for section in KNOWN_KEYS}
     for (section, key), (name, parse) in _KEYS.items():
         if parser.has_option(section, key):
-            given[section][name] = _parse_typed(section, key, parser.get(section, key), parse)
-    cfg = RunConfig()
-    for section in ("run", "data", "teacher", "student"):
-        for name, value in given[section].items():
-            setattr(cfg, name, value)
+            raw = parser.get(section, key)
+            given[section][name] = _parse_typed(f"[{section}] {key} =", raw, parse)
+    for flag, section, key, value in flags:
+        name, parse = _KEYS[section, key]
+        given[section][name] = _parse_typed(flag, value, parse) if isinstance(value, str) else value
     stages = {
         name: dataclasses.replace(base, **given[f"stage.{name}"])
         for name, base in _STAGE_DEFAULTS.items()
     }
-    cfg.plan = DistillPlan(
+    plan = DistillPlan(
         teacher_stage=stages["teacher"],
         distill_stages=(stages["distill"],),
         finetune_stage=stages["finetune"],
         **given["kd"],
     )
-    return cfg
+    fields = {name: value for section in ("run", "data", "teacher", "student")
+              for name, value in given[section].items()}
+    return RunConfig(**fields, plan=plan)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, flags=()) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), flags)

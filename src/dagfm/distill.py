@@ -8,9 +8,9 @@ student on the CTR objective. :func:`run_pipeline` runs the three stages of
 a :class:`DistillPlan`, whose distill stage is a schedule of one or more
 chunks.
 
-Knowledge matching happens in logit space by default — mean squared error on
+Knowledge matching happens in logit space — mean squared error on
 pre-sigmoid outputs — because probability-space MSE saturates through the
-sigmoid; ``kd_space="probability"`` switches it.
+sigmoid; the DAGFM student is distilled with this loss (arXiv 2211.11159).
 
 Every training step runs its batch in row tiles of :data:`TRAIN_ROWS`: one
 forward and backward per tile, each tile's loss and gradient weighted by its
@@ -45,7 +45,6 @@ from .numcore import (
 )
 
 CTR_CLIP = 1e-7
-KD_SPACES = ("logit", "probability")
 
 
 # ---------------------------------------------------------------------------
@@ -95,28 +94,21 @@ def _ctr_loss_and_grad(labels, logits) -> tuple[float, np.ndarray]:
     return loss, dlogits
 
 
-def _kd_loss_and_grad(teacher_logits, student_logits, space: str) -> tuple[float, np.ndarray]:
-    """KD loss and its gradient in ``space``, one of the checked ``KD_SPACES``."""
+def _kd_loss_and_grad(teacher_logits, student_logits) -> tuple[float, np.ndarray]:
+    """Logit-space KD loss and its gradient with respect to the student."""
     t = np.asarray(teacher_logits, dtype=np.float64)
     s = np.asarray(student_logits, dtype=np.float64)
-    if space == "logit":
-        loss = kd_loss(t, s)
-        dlogits = 2.0 * (s - t) / s.size
-        return loss, dlogits
-    pt, ps = stable_sigmoid(t), stable_sigmoid(s)
-    loss = kd_loss(pt, ps)
-    dlogits = 2.0 * (ps - pt) * ps * (1.0 - ps) / s.size
+    loss = kd_loss(t, s)
+    dlogits = 2.0 * (s - t) / s.size
     return loss, dlogits
 
 
-def _check_kd_settings(alpha: float, beta: float, kd_space: str) -> None:
+def _check_kd_settings(alpha: float, beta: float) -> None:
     """Reject stage-2 settings before anything is copied, frozen or scored."""
     check_nonnegative("alpha", alpha)
     check_nonnegative("beta", beta)
     if alpha == 0 and beta == 0:
         raise ConfigurationError("alpha and beta cannot both be zero")
-    if kd_space not in KD_SPACES:
-        raise ConfigurationError(f"unknown kd space {kd_space!r}; pick from {KD_SPACES}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +134,7 @@ class StageConfig:
         check_int("batch_size", self.batch_size, 1)
         check_int("patience", self.patience, 0)
         check_nonnegative("weight_decay", self.weight_decay)
+        check_int("shuffle_seed", self.shuffle_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,6 @@ class DistillPlan:
     finetune_stage: StageConfig
     alpha: float = 1.0
     beta: float = 0.0
-    kd_space: str = "logit"
 
     def __post_init__(self):
         stages = self.distill_stages
@@ -166,7 +158,7 @@ class DistillPlan:
             raise ConfigurationError(
                 f"distill_stages must be a non-empty tuple of StageConfig, got {stages!r}"
             )
-        _check_kd_settings(self.alpha, self.beta, self.kd_space)
+        _check_kd_settings(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,6 @@ class TrainReport:
     best_epoch: int = 0
     best_val_auc: float = float("nan")
     wall_time_s: float = 0.0
-    checkpoint_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +360,6 @@ def distill_student(
     stage: StageConfig,
     alpha: float = 1.0,
     beta: float = 0.0,
-    kd_space: str = "logit",
     log_path=None,
 ) -> TrainReport:
     """Stage 2: copy the teacher's embeddings into the student, freeze them,
@@ -383,7 +373,7 @@ def distill_student(
     saturates long before the student's outputs have converged onto the
     teacher's, and rewinding would discard most of that matching progress.
     """
-    _check_kd_settings(alpha, beta, kd_space)
+    _check_kd_settings(alpha, beta)
     # every layout opens with one (sum(vocab sizes), embed_dim) table
     s_tables = (student.vocab_sizes, student.embed_dim)
     t_tables = (teacher.vocab_sizes, teacher.embed_dim)
@@ -396,7 +386,7 @@ def distill_student(
     teacher_logits = predict_logits(teacher, split.train.indices)
 
     def batch_loss(logits, labels, rows):
-        kd, dkd = _kd_loss_and_grad(teacher_logits[rows], logits, kd_space)
+        kd, dkd = _kd_loss_and_grad(teacher_logits[rows], logits)
         if beta == 0.0:
             return alpha * kd, alpha * dkd
         ctr, dctr = _ctr_loss_and_grad(labels, logits)
@@ -483,7 +473,6 @@ def run_pipeline(
             stage,
             alpha=plan.alpha,
             beta=plan.beta,
-            kd_space=plan.kd_space,
             log_path=log_paths.get(stem),
         )
     distilled_auc = evaluate(student, split.test).auc

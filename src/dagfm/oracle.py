@@ -100,7 +100,9 @@ def oracle_node_state_weighted(
     a ``(p, q)`` vector pair (outer).  A tuple ``(j_1, ..., j_t)`` walks edge
     ``(j_s, j_{s+1})`` at step ``s``, so its value is the left fold of the
     combiner over the tuple, and the node state is the sum over the suffix
-    set — the state-transfer recurrence unrolled path by path.
+    set — the state-transfer recurrence unrolled path by path.  A tuple that
+    walks an edge absent from its step's table is no path of the graph and
+    contributes zero, so a sparse-edge student is folded over its own edges.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     m = embeddings.shape[0]
@@ -116,10 +118,12 @@ def oracle_node_state_weighted(
     total = np.zeros(embeddings.shape[1])
     for tup in enumerate_suffix_set(i, t):
         state = embeddings[tup[0] - 1]
-        for step in range(1, t):
-            j_prev, j_next = tup[step - 1], tup[step]
-            state = phi(state, embeddings[j_next - 1], edge_weights[step - 1][(j_prev, j_next)])
-        total = total + state
+        for table, edge in zip(edge_weights, zip(tup, tup[1:])):
+            if edge not in table:
+                break
+            state = phi(state, embeddings[edge[1] - 1], table[edge])
+        else:
+            total = total + state
     return total
 
 

@@ -25,8 +25,9 @@ from dagfm.checkpoint import (
     spec_from_dict,
     spec_to_dict,
 )
-from dagfm.cli import main
-from dagfm.config import RunConfig, load_config, parse_config
+from dagfm import cli
+from dagfm.cli import build_parser, main
+from dagfm.config import _KEYS, RunConfig, load_config, parse_config
 from dagfm.data import build_vocab, load_dataset
 from dagfm.interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
 from dagfm.metrics import count_flops, count_params, efficiency_report
@@ -443,7 +444,7 @@ layer_size = 50
 
 [student]
 fn = kernel
-embed_dim = 4
+num_layers = 1
 
 [kd]
 alpha = 0.9
@@ -473,6 +474,7 @@ class TestConfig:
         assert cfg.split_seed == 9
         assert cfg.teacher_kind == "cin"
         assert cfg.student_fn == "kernel"
+        assert cfg.student_layers == 1
         assert cfg.plan.alpha == 0.9
         assert cfg.plan.beta == 0.1
         assert cfg.plan.teacher_stage.epochs == 3
@@ -513,18 +515,20 @@ class TestConfig:
 
     def test_student_spec_defaults_fall_back_to_teacher(self):
         cfg = RunConfig()
-        spec = cfg.student_spec(6, default_embed_dim=12, default_layers=2)
-        assert spec == DagfmSpec("outer", 6, 12, 2)
-        cfg.student_embed_dim = 4
+        teacher = CrossNetSpec(6, 12, 2)
+        assert cfg.student_spec(teacher) == DagfmSpec("outer", 6, 12, 2)
+        assert cfg.student_spec(CinSpec(6, 12, (5,))) == DagfmSpec("outer", 6, 12, 1)
+        # a teacher with no depth of its own lends [teacher] depth
+        assert cfg.student_spec(FwfmSpec(6, 12)) == DagfmSpec("outer", 6, 12, 3)
         cfg.student_layers = 1
-        assert cfg.student_spec(6, 12, 2) == DagfmSpec("outer", 6, 4, 1)
+        assert cfg.student_spec(teacher) == DagfmSpec("outer", 6, 12, 1)
         cfg.student_kind = "dagfm+"
         cfg.mlp_hidden = (9,)
-        spec = cfg.student_spec(6, 12, 2)
+        spec = cfg.student_spec(teacher)
         assert isinstance(spec, DagfmPlusSpec) and spec.mlp_hidden == (9,)
         cfg.student_kind = "linear"
         with pytest.raises(ConfigurationError):
-            cfg.student_spec(6)
+            cfg.student_spec(teacher)
 
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -618,6 +622,26 @@ class TestCli:
         assert rc == 0
         assert (out / "student_finetuned.ckpt").exists()
 
+    def test_finetuned_checkpoint_scores_with_its_own_vocabulary(self, cli_run, tmp_path,
+                                                                 capsys):
+        # finetune saves the schema it trained on next to its checkpoint, so
+        # eval does not rebuild a vocabulary from the order of the rows it reads
+        _, csv, _, student_dir = cli_run
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(csv), "--out", str(out), "--checkpoint",
+                     str(student_dir / "student.ckpt"), "--epochs", "1"]) == 0
+        assert (out / "schema.json").read_text() == (student_dir / "schema.json").read_text()
+        header, *rows = csv.read_text().splitlines()
+        reversed_csv = tmp_path / "reversed.csv"
+        reversed_csv.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        capsys.readouterr()
+        aucs = []
+        for data in (csv, reversed_csv):
+            assert main(["eval", "--data", str(data),
+                         "--checkpoint", str(out / "student_finetuned.ckpt")]) == 0
+            aucs.append(json.loads(capsys.readouterr().out)["auc"])
+        assert aucs[0] == pytest.approx(aucs[1], abs=1e-12)
+
     def test_eval_reports_metrics(self, cli_run, capsys):
         _, csv, teacher_dir, _ = cli_run
         rc = main(
@@ -649,22 +673,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
-
-    def test_distill_embedding_mismatch_exits_one(self, cli_run, tmp_path, capsys):
-        _, csv, teacher_dir, _ = cli_run
-        rc = main(
-            [
-                "distill",
-                "--data", str(csv),
-                "--out", str(tmp_path / "bad"),
-                "--checkpoint", str(teacher_dir / "teacher.ckpt"),
-                "--fn", "inner",
-                "--d", "2",
-                "--epochs", "1",
-            ]
-        )
-        assert rc == 1
-        assert "mismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("with_data", [True, False], ids=["eval", "eval-no-data"])
     @pytest.mark.parametrize("edit, pattern", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
@@ -752,7 +760,8 @@ class TestCli:
         ["eval", "--seed", "7"],
         ["eval", "--split", "0.8,0.1,0.1"],
         ["finetune", "--seed", "7"],
-    ], ids=["eval-seed", "eval-split", "finetune-seed"])
+        ["distill", "--d", "4"],
+    ], ids=["eval-seed", "eval-split", "finetune-seed", "distill-d"])
     def test_unread_flags_are_usage_errors(self, argv, capsys):
         assert main([*argv, "--checkpoint", "missing.ckpt"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -875,18 +884,52 @@ class TestCli:
         assert loaded.spec == CrossNetSpec(3, 2, 1)
         capsys.readouterr()
 
-    def test_non_finite_config_setting_exits_one(self, cli_run, tmp_path, capsys):
-        # rejected at parse time, before any training or scoring
-        _, csv, _, _ = cli_run
-        ini = tmp_path / "nan.ini"
-        ini.write_text("[stage.teacher]\nlr = nan\n")
+    @staticmethod
+    def assert_rejected_before_output(command, ini, flags, pattern, cli_run, tmp_path, capsys):
+        """``command`` with config file ``ini`` and ``flags`` exits 1 with a
+        one-line error matching ``pattern`` and creates no output directory."""
+        root, csv, _, _ = cli_run
+        config = tmp_path / "bad.ini"
+        config.write_text(ini)
         out = tmp_path / "run"
-        rc = main(["train-teacher", "--config", str(ini), "--data", str(csv), "--out", str(out)])
+        checkpoint = {
+            "train-teacher": [],
+            "distill": ["--checkpoint", str(root / "teacher" / "teacher.ckpt")],
+            "finetune": ["--checkpoint", str(root / "student" / "student.ckpt")],
+        }[command]
+        rc = main([command, "--config", str(config), "--data", str(csv), "--out", str(out),
+                   *checkpoint, *flags])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "lr must be a finite" in err
+        assert err.startswith("error:") and pattern in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, ini, flags, pattern", [
+        ("train-teacher", "[stage.teacher]\nlr = nan\n", [], "lr must be a finite"),
+        ("train-teacher", "", ["--lr", "nan"], "lr must be a finite"),
+        ("distill", "[kd]\nalpha = nan\n", [], "alpha must be a finite"),
+        ("distill", "", ["--alpha", "nan"], "alpha must be a finite"),
+    ], ids=["ini-lr", "flag-lr", "ini-alpha", "flag-alpha"])
+    def test_non_finite_config_setting_exits_one(self, command, ini, flags, pattern, cli_run,
+                                                 tmp_path, capsys):
+        # rejected at parse time, as a flag or as an INI key
+        self.assert_rejected_before_output(command, ini, flags, pattern, cli_run, tmp_path,
+                                           capsys)
+
+    @pytest.mark.parametrize("command, ini, flags, pattern", [
+        ("train-teacher", "", ["--seed", "-1"], "seed must be an int >= 0"),
+        ("distill", "", ["--seed", "-1"], "seed must be an int >= 0"),
+        ("train-teacher", "[run]\nseed = -1\n", [], "seed must be an int >= 0"),
+        ("train-teacher", "[data]\nsplit_seed = -1\n", [], "split_seed must be an int >= 0"),
+        ("finetune", "[stage.finetune]\nshuffle_seed = -1\n", [],
+         "shuffle_seed must be an int >= 0"),
+    ], ids=["flag-seed", "distill-flag-seed", "ini-seed", "ini-split-seed",
+            "ini-shuffle-seed"])
+    def test_negative_seed_exits_one(self, command, ini, flags, pattern, cli_run, tmp_path,
+                                     capsys):
+        self.assert_rejected_before_output(command, ini, flags, pattern, cli_run, tmp_path,
+                                           capsys)
 
     def test_bad_config_exits_one(self, cli_run, tmp_path, capsys):
         _, csv, _, _ = cli_run
@@ -897,6 +940,102 @@ class TestCli:
         )
         assert rc == 1
         assert "unknown config section" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# flags as aliases of INI keys
+# ---------------------------------------------------------------------------
+
+# the arguments each subcommand requires, besides its settings flags
+REQUIRED = {
+    "train-teacher": [],
+    "distill": ["--checkpoint", "t.ckpt"],
+    "finetune": ["--checkpoint", "s.ckpt"],
+    "eval": ["--checkpoint", "s.ckpt"],
+}
+FLAG_TABLE = [
+    (command, flag, key)
+    for command, required in REQUIRED.items()
+    for flag, key in build_parser().parse_args([command, *required]).keys.items()
+]
+# (file value, flag value) of every INI key a flag aliases; [stage.*] keys by name
+ALIAS_VALUES = {
+    ("run", "seed"): ("3", "5"),
+    ("run", "out_dir"): ("from-file", "from-flag"),
+    ("data", "train_csv"): ("file.csv", "flag.csv"),
+    ("data", "schema"): ("file.json", "flag.json"),
+    ("data", "min_freq"): ("2", "4"),
+    ("data", "split"): ("0.6,0.2,0.2", "0.7,0.2,0.1"),
+    ("teacher", "kind"): ("cin", "crossnet"),
+    ("teacher", "embed_dim"): ("8", "4"),
+    ("teacher", "depth"): ("2", "1"),
+    ("student", "fn"): ("kernel", "inner"),
+    ("student", "num_layers"): ("2", "1"),
+    ("kd", "alpha"): ("0.5", "0.25"),
+    ("kd", "beta"): ("0.5", "0.75"),
+    "epochs": ("3", "7"),
+    "lr": ("0.01", "0.02"),
+    "batch_size": ("64", "32"),
+}
+
+
+def _stage_flags(stage):
+    return {
+        "--data": ("data", "train_csv"),
+        "--schema": ("data", "schema"),
+        "--min-freq": ("data", "min_freq"),
+        "--out": ("run", "out_dir"),
+        "--split": ("data", "split"),
+        "--epochs": (f"stage.{stage}", "epochs"),
+        "--lr": (f"stage.{stage}", "lr"),
+        "--batch-size": (f"stage.{stage}", "batch_size"),
+    }
+
+
+class TestFlagAliases:
+    def test_each_flag_names_its_documented_key(self):
+        expected = {
+            "train-teacher": {
+                **_stage_flags("teacher"),
+                "--seed": ("run", "seed"),
+                "--teacher": ("teacher", "kind"),
+                "--d": ("teacher", "embed_dim"),
+                "--depth": ("teacher", "depth"),
+            },
+            "distill": {
+                **_stage_flags("distill"),
+                "--seed": ("run", "seed"),
+                "--fn": ("student", "fn"),
+                "--depth": ("student", "num_layers"),
+                "--alpha": ("kd", "alpha"),
+                "--beta": ("kd", "beta"),
+            },
+            "finetune": _stage_flags("finetune"),
+            "eval": {
+                "--data": ("data", "train_csv"),
+                "--schema": ("data", "schema"),
+                "--min-freq": ("data", "min_freq"),
+            },
+        }
+        table = {command: {} for command in REQUIRED}
+        for command, flag, key in FLAG_TABLE:
+            table[command][flag] = key
+        assert table == expected
+        assert all(key in _KEYS for _, _, key in FLAG_TABLE)
+
+    @pytest.mark.parametrize("command, flag, key", FLAG_TABLE,
+                             ids=[f"{command}{flag}" for command, flag, _ in FLAG_TABLE])
+    def test_flag_beats_the_file_value(self, command, flag, key, tmp_path):
+        section, name = key
+        file_value, flag_value = ALIAS_VALUES.get(key) or ALIAS_VALUES[name]
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{name} = {file_value}\n")
+        argv = [command, *REQUIRED[command], "--config", str(ini)]
+        from_file = cli._config(build_parser().parse_args(argv))
+        both = cli._config(build_parser().parse_args([*argv, flag, flag_value]))
+        assert from_file == parse_config(f"[{section}]\n{name} = {file_value}\n")
+        assert both == parse_config(f"[{section}]\n{name} = {flag_value}\n")
+        assert both != from_file
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,7 @@ class TestConfigs:
             dict(epochs=2.0, lr=1e-3),
             dict(epochs=1, lr=1e-3, batch_size=True),
             dict(epochs=1, lr=1e-3, patience=np.int64(3)),
+            dict(epochs=1, lr=1e-3, shuffle_seed=-1),
         ],
     )
     def test_stage_validation(self, kwargs):
@@ -166,8 +167,6 @@ class TestConfigs:
             DistillPlan(stage, (stage,), stage, alpha=0.0, beta=0.0)
         with pytest.raises(ConfigurationError, match="nonnegative"):
             DistillPlan(stage, (stage,), stage, alpha=-1.0)
-        with pytest.raises(ConfigurationError, match="kd space"):
-            DistillPlan(stage, (stage,), stage, kd_space="banana")
 
     def test_plan_needs_a_schedule_of_stages(self):
         stage = StageConfig(epochs=1, lr=1e-3)
@@ -416,7 +415,7 @@ class TestTrainingTiles:
         student.store.freeze("emb")
         rows, idx, labels = first_batch(split, stage)
         logits = student.forward(idx)
-        kd, dkd = _kd_loss_and_grad(predict_logits(teacher, idx), logits, "logit")
+        kd, dkd = _kd_loss_and_grad(predict_logits(teacher, idx), logits)
         ctr, dctr = _ctr_loss_and_grad(labels, logits)
         whole = student.backward(dkd + 0.5 * dctr)
         stepped = []
@@ -519,40 +518,18 @@ class TestDistill:
         with pytest.raises(ConfigurationError):
             distill_student(student, teacher, split, stage, alpha=-1.0)
 
-    def test_unknown_kd_space_rejected(self, tiny, teacher):
-        vocab_sizes, split = tiny
-        student = fresh_student(vocab_sizes)
-        with pytest.raises(ConfigurationError):
-            distill_student(
-                student,
-                teacher,
-                split,
-                StageConfig(epochs=1, lr=1e-3),
-                kd_space="banana",
-            )
-
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_bad_settings_leave_the_student_untouched(self, tiny, teacher, epochs):
         vocab_sizes, split = tiny
         student = fresh_student(vocab_sizes)
         before = store_bytes(student)
         trainable = student.store.trainable_names()
-        with pytest.raises(ConfigurationError, match="kd space"):
+        with pytest.raises(ConfigurationError, match="both be zero"):
             distill_student(
-                student, teacher, split, StageConfig(epochs=epochs, lr=1e-3), kd_space="bogus"
+                student, teacher, split, StageConfig(epochs=epochs, lr=1e-3), alpha=0.0, beta=0.0
             )
         assert store_bytes(student) == before
         assert student.store.trainable_names() == trainable
-
-    def test_probability_space_changes_the_objective(self, tiny, teacher):
-        vocab_sizes, split = tiny
-        stage = StageConfig(epochs=1, lr=0.02, batch_size=256)
-        losses = {}
-        for space in ("logit", "probability"):
-            student = fresh_student(vocab_sizes)
-            report = distill_student(student, teacher, split, stage, kd_space=space)
-            losses[space] = report.epochs[0].loss
-        assert losses["logit"] != pytest.approx(losses["probability"], rel=1e-3)
 
     def test_ctr_term_mixes_in(self, tiny, teacher):
         vocab_sizes, split = tiny

@@ -530,15 +530,6 @@ def self_only_block_edges(m, block):
     )
 
 
-def oracle_weights(model):
-    """The weighted oracle's per-layer edge tables over the full DAG; an edge
-    the model lacks carries zero weights, so its paths sum to zero."""
-    d = model.embed_dim
-    zero = (np.zeros(d), np.zeros(d))
-    full = {(j + 1, i + 1): zero for j, i in full_dag_pairs(model.num_fields)}
-    return [{**full, **table} for table in _model_edge_weights(model)]
-
-
 def assert_logits_and_grads_close(model, reference, idx, rng, rtol):
     dlogits = rng.normal(size=len(idx))
     logits = model.forward(idx)
@@ -600,7 +591,7 @@ class TestBlockTriangularOuter:
         idx = rng.integers(0, 3, size=(batch, m))
         _, trace = model.forward_trace(idx)
         E = model.embedding.lookup(idx)
-        weights = oracle_weights(model)
+        weights = _model_edge_weights(model)
         h = E
         for t, state in enumerate(trace.node_states):
             assert state.shape == (batch, m, 3)

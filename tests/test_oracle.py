@@ -182,6 +182,25 @@ class TestWeightedOracle:
                 got = trace.node_states[t - 1][0, i - 1]
                 assert np.allclose(got, expected, rtol=1e-10, atol=1e-12), (kind, t, i)
 
+    def test_sparse_edges_fold_over_present_edges_only(self):
+        # a tuple such as (2, 4) walks an edge the student lacks: no path,
+        # so it contributes zero instead of failing the table lookup
+        from dagfm.oracle import _model_edge_weights
+
+        spec = DagfmSpec("outer", 4, 2, 2, edges=((0, 0), (1, 1), (2, 2), (3, 3), (0, 3)))
+        rng = np.random.default_rng(23)
+        emb = rng.normal(size=(4, 2))
+        model = DagfmModel(spec, [1] * 4, seed=5)
+        model.store.set("emb", emb)
+        weights = _model_edge_weights(model)
+        _, trace = model.forward_trace(np.zeros((1, 4), dtype=np.int64))
+        for t in range(1, spec.num_layers + 2):
+            for i in range(1, 5):
+                expected = oracle_node_state_weighted("outer", emb, weights, i, t)
+                got = trace.node_states[t - 1][0, i - 1]
+                np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12,
+                                           err_msg=f"order {t}, node {i}")
+
     def test_missing_weight_layers_raise(self, rng):
         emb = rng.normal(size=(2, 1))
         with pytest.raises(ConfigurationError):
