@@ -97,18 +97,19 @@ def _schema(cfg: RunConfig, args, model=None) -> FieldSchema:
 
 def _stage_setup(args):
     """The prologue of every training stage: the config, the ``--checkpoint``
-    model if the stage reads one, the output directory, the schema saved next
-    to the stage's checkpoint, and the seeded split."""
+    model if the stage reads one, the schema, the seeded split, and then the
+    output directory with the schema saved next to the stage's checkpoint.
+    Every input is read and checked before anything is written."""
     cfg = _config(args)
     if cfg.train_csv is None:
         raise ConfigurationError("--data (or [data] train_csv) is required")
     model = load_checkpoint(args.checkpoint) if "checkpoint" in args else None
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     schema = _schema(cfg, args, model)
-    schema.save(out_dir / "schema.json")
     dataset = load_dataset(cfg.train_csv, schema)
     split = split_dataset(dataset, ratios=cfg.split_ratios, seed=cfg.split_seed)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    schema.save(out_dir / "schema.json")
     return cfg, model, out_dir, schema, split
 
 

@@ -51,6 +51,7 @@ import dataclasses
 import typing
 from dataclasses import dataclass, field
 
+from .data import check_ratios
 from .distill import DistillPlan, StageConfig
 from .interactions import DagfmPlusSpec, DagfmSpec
 from .numcore import ConfigurationError, check_int
@@ -92,6 +93,12 @@ class RunConfig:
     def __post_init__(self):
         check_int("seed", self.seed, 0)
         check_int("split_seed", self.split_seed, 0)
+        check_int("min_freq", self.min_freq, 0)
+        check_ratios(self.split_ratios)
+        for name in ("teacher_embed_dim", "teacher_depth", "cin_layer_size"):
+            check_int(name, getattr(self, name), 1)
+        # the kinds, the student's depth and its tower, by the specs' own checks
+        self.student_spec(self.teacher_spec(2))
 
     def teacher_spec(self, num_fields: int):
         if self.teacher_kind == "crossnet":

@@ -5,6 +5,16 @@ column after the label is one categorical field. Vocabulary discovery maps
 raw values to contiguous indices per field, with one out-of-vocabulary (OOV)
 bucket per field at index ``len(vocab)``. Splitting and batching are
 deterministic functions of their seeds.
+
+A file is decoded as streamed UTF-8 text and read :data:`INGEST_ROWS` lines
+at a time. Lines end at ``\n``, ``\r\n`` or a lone ``\r`` (Python's
+universal newlines); the other breaks of :meth:`str.splitlines`, such as
+``\v``, ``\f``, ``\x1c`` or ``\u2028``, are characters of a value. A line
+that is empty or only whitespace is skipped but still counted, so every
+:class:`ParseError` names the line of the file. Each block is checked,
+split into columns with one ``join`` and one ``split``, and then counted or
+encoded a column at a time (``dict.fromkeys``, ``Counter.update``,
+``np.fromiter``), with no Python loop per value.
 """
 
 from __future__ import annotations
@@ -13,9 +23,13 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import count, islice, repeat
+from typing import Iterator, TextIO
 
 import numpy as np
+
+INGEST_ROWS = 512  # lines read, split and encoded at a time
+_LABELS = {"0": 0, "1": 1}
 
 
 class ParseError(ValueError):
@@ -50,9 +64,6 @@ class FieldSchema:
     def vocab_sizes(self) -> list[int]:
         """Rows per embedding table: in-vocab values plus the OOV bucket."""
         return [len(v) + 1 for v in self.vocabs]
-
-    def encode_value(self, field: int, raw: str) -> int:
-        return self.vocabs[field].get(raw, self.oov_index(field))
 
     def to_json(self) -> str:
         fields = []
@@ -96,14 +107,6 @@ class FieldSchema:
         return cls.from_json(text)
 
 
-@dataclass
-class Instance:
-    """One encoded example: binary label plus one index per field."""
-
-    label: int
-    indices: tuple[int, ...]
-
-
 class Dataset:
     """Columnar store of encoded instances (labels plus an index matrix)."""
 
@@ -135,27 +138,13 @@ class DatasetSplit:
     ratios: tuple[float, float, float]
 
 
-def _parse_line(line: str, line_no: int, n_cols: int) -> list[str]:
-    parts = line.rstrip("\r\n").split(",")
-    if len(parts) != n_cols:
-        raise ParseError(f"line {line_no}: expected {n_cols} columns, got {len(parts)}")
-    return parts
-
-
-def _parse_label(raw: str, line_no: int) -> int:
-    raw = raw.strip()
-    if raw not in ("0", "1"):
-        raise ParseError(f"line {line_no}: label must be 0 or 1, got {raw!r}")
-    return int(raw)
-
-
 @contextmanager
-def _lines(path) -> Iterator[Iterator[tuple[int, str]]]:
-    """Numbered lines (the header is line 1) of a UTF-8 text file; bytes that
-    are not UTF-8 raise :class:`ParseError` naming the file and line."""
+def _text(path) -> Iterator[TextIO]:
+    """A UTF-8 text file read with universal newlines; bytes that are not
+    UTF-8 raise :class:`ParseError` naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            yield enumerate(fh, start=1)
+            yield fh
         except UnicodeDecodeError as e:
             bad = f"byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})"
             raise ParseError(f"{path}: line {_undecodable_line(path)}: {bad}") from None
@@ -172,13 +161,59 @@ def _undecodable_line(path) -> int:
 
 
 def read_header(path) -> list[str]:
-    with _lines(path) as lines:
-        header = next(lines, (1, ""))[1].rstrip("\r\n").split(",")
+    with _text(path) as fh:
+        header = next(fh, "").rstrip("\r\n").split(",")
     if not header or header[0] != "label":
         raise SchemaError(f"header must start with 'label', got {header[:1]}")
     if len(header) < 3:
         raise SchemaError("need at least 2 feature fields after the label column")
     return header[1:]
+
+
+def _blocks(path, m: int) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
+    """The data rows of a ``label`` + ``m``-field CSV, :data:`INGEST_ROWS`
+    lines at a time, as ``(labels, columns)``: the labels as an int64 array
+    and one list of raw values per field. Raises :class:`ParseError` for the
+    first malformed line, or when the file holds no data row."""
+    n_cols = m + 1
+    rows_read = 0
+    with _text(path) as fh:
+        next(fh, None)  # the header, line 1
+        line_no = 2
+        while block := list(islice(fh, INGEST_ROWS)):
+            rows = [line for line in block if line.strip()]
+            if rows:
+                if list(map(str.count, rows, repeat(","))).count(m) < len(rows):
+                    _raise_first_fault(block, line_no, n_cols)
+                # every line but the file's last ends in "\n", so one split
+                # gives the block's values row-major; a trailing "" would be
+                # one more label, which ``count`` leaves out
+                values = "".join(rows).replace("\n", ",").split(",")
+                labels = np.fromiter(
+                    map(_LABELS.get, map(str.strip, values[::n_cols]), repeat(-1)),
+                    dtype=np.int64,
+                    count=len(rows),
+                )
+                if labels.min() < 0:
+                    _raise_first_fault(block, line_no, n_cols)
+                rows_read += len(rows)
+                yield labels, [values[f::n_cols] for f in range(1, n_cols)]
+            line_no += len(block)
+    if rows_read == 0:
+        raise ParseError(f"{path}: no data rows")
+
+
+def _raise_first_fault(block: list[str], line_no: int, n_cols: int) -> None:
+    """Raise the :class:`ParseError` of the first bad line of ``block``,
+    whose first line is line ``line_no`` of the file."""
+    for line_no, line in enumerate(block, start=line_no):
+        if line.strip():
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != n_cols:
+                raise ParseError(f"line {line_no}: expected {n_cols} columns, got {len(parts)}")
+            label = parts[0].strip()
+            if label not in _LABELS:
+                raise ParseError(f"line {line_no}: label must be 0 or 1, got {label!r}")
 
 
 def build_vocab(csv_path, min_freq: int = 0) -> FieldSchema:
@@ -191,56 +226,39 @@ def build_vocab(csv_path, min_freq: int = 0) -> FieldSchema:
     if min_freq < 0:
         raise SchemaError(f"min_freq must be >= 0, got {min_freq}")
     names = read_header(csv_path)
-    m = len(names)
-    counts = [Counter() for _ in range(m)]
-    first_seen: list[dict[str, int]] = [{} for _ in range(m)]
-    pos = 0
-    with _lines(csv_path) as lines:
-        next(lines)
-        for line_no, line in lines:
-            if not line.strip():
-                continue
-            parts = _parse_line(line, line_no, m + 1)
-            _parse_label(parts[0], line_no)
-            for f, raw in enumerate(parts[1:]):
-                counts[f][raw] += 1
-                if raw not in first_seen[f]:
-                    first_seen[f][raw] = pos
-                    pos += 1
-    vocabs = []
-    for f in range(m):
-        kept = [v for v in first_seen[f] if counts[f][v] >= min_freq]
-        kept.sort(key=first_seen[f].__getitem__)
-        vocabs.append({v: i for i, v in enumerate(kept)})
+    # a dict, Counter included, keeps its keys in first-insertion order
+    seen = [Counter() if min_freq > 1 else {} for _ in names]
+    for _, columns in _blocks(csv_path, len(names)):
+        for values, column in zip(seen, columns):
+            values.update(column if min_freq > 1 else dict.fromkeys(column))
+    if min_freq > 1:
+        seen = [[v for v, n in counts.items() if n >= min_freq] for counts in seen]
+    vocabs = [dict(zip(values, count())) for values in seen]
     return FieldSchema(names=names, vocabs=vocabs, min_freq=min_freq)
-
-
-def encode_instance(schema: FieldSchema, row: Sequence[str], line_no: int = 0) -> Instance:
-    if len(row) != schema.m + 1:
-        raise ParseError(
-            f"line {line_no}: expected {schema.m + 1} columns, got {len(row)}"
-        )
-    label = _parse_label(row[0], line_no)
-    idx = tuple(schema.encode_value(f, raw) for f, raw in enumerate(row[1:]))
-    return Instance(label, idx)
 
 
 def load_dataset(csv_path, schema: FieldSchema) -> Dataset:
     names = read_header(csv_path)
     if names != schema.names:
         raise SchemaError(f"CSV fields {names} do not match schema fields {schema.names}")
-    labels: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    with _lines(csv_path) as lines:
-        next(lines)
-        for line_no, line in lines:
-            if not line.strip():
-                continue
-            parts = _parse_line(line, line_no, schema.m + 1)
-            inst = encode_instance(schema, parts, line_no)
-            labels.append(inst.label)
-            rows.append(inst.indices)
-    return Dataset(np.asarray(rows, dtype=np.int64), np.asarray(labels, dtype=np.int64))
+    labels, indices = [], []
+    for block_labels, columns in _blocks(csv_path, schema.m):
+        block = np.empty((len(block_labels), schema.m), dtype=np.int64)
+        for f, (vocab, column) in enumerate(zip(schema.vocabs, columns)):
+            oov = repeat(schema.oov_index(f))
+            block[:, f] = np.fromiter(map(vocab.get, column, oov), np.int64, len(column))
+        labels.append(block_labels)
+        indices.append(block)
+    return Dataset(np.concatenate(indices), np.concatenate(labels))
+
+
+def check_ratios(ratios) -> None:
+    """Reject train/val/test ratios that are not three positive numbers
+    summing to 1."""
+    if len(ratios) != 3 or any(not r > 0 for r in ratios):  # NaN is not > 0
+        raise SchemaError(f"ratios must be three positive numbers, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise SchemaError(f"ratios must sum to 1, got {sum(ratios)}")
 
 
 def split_dataset(
@@ -253,10 +271,7 @@ def split_dataset(
     n = len(dataset)
     if n == 0:
         raise SchemaError("cannot split an empty dataset")
-    if len(ratios) != 3 or any(not r > 0 for r in ratios):  # NaN is not > 0
-        raise SchemaError(f"ratios must be three positive numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise SchemaError(f"ratios must sum to 1, got {sum(ratios)}")
+    check_ratios(ratios)
     perm = np.random.default_rng(seed).permutation(n)
     b1 = int(round(ratios[0] * n))
     b2 = int(round((ratios[0] + ratios[1]) * n))

@@ -931,6 +931,29 @@ class TestCli:
         self.assert_rejected_before_output(command, ini, flags, pattern, cli_run, tmp_path,
                                            capsys)
 
+    @pytest.mark.parametrize("flags, pattern, ini", [
+        (["--split", "nan,0.5,0.5"], "ratios must be three positive numbers", ""),
+        (["--d", "0"], "teacher_embed_dim must be an int >= 1", ""),
+        (["--depth", "0"], "teacher_depth must be an int >= 1", ""),
+        (["--min-freq", "-3"], "min_freq must be an int >= 0", ""),
+        ([], "unknown teacher kind 'resnet'", "[teacher]\nkind = resnet\n"),
+        ([], "unknown interaction kind 'cross'", "[student]\nfn = cross\n"),
+    ], ids=["nan-split", "zero-d", "zero-depth", "negative-min-freq", "ini-teacher-kind",
+            "ini-student-fn"])
+    def test_bad_setting_exits_before_output(self, flags, pattern, ini, cli_run, tmp_path,
+                                             capsys):
+        self.assert_rejected_before_output("train-teacher", ini, flags, pattern, cli_run,
+                                           tmp_path, capsys)
+
+    def test_malformed_row_exits_before_output(self, cli_run, tmp_path, capsys):
+        _, csv, _, _ = cli_run
+        bad = tmp_path / "bad.csv"
+        bad.write_text(csv.read_text() + "1,a\n")
+        lines = len(csv.read_text().splitlines()) + 1
+        self.assert_rejected_before_output(
+            "train-teacher", "", ["--data", str(bad)],
+            f"line {lines}: expected 4 columns, got 2", cli_run, tmp_path, capsys)
+
     def test_bad_config_exits_one(self, cli_run, tmp_path, capsys):
         _, csv, _, _ = cli_run
         ini = tmp_path / "bad.ini"

@@ -1,19 +1,26 @@
 """CSV ingestion: vocabularies, encoding, splits, and batch iteration."""
 
 import json
+import re
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Iterator, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagfm import data
 from dagfm.data import (
+    INGEST_ROWS,
     Dataset,
     FieldSchema,
     ParseError,
     SchemaError,
     build_vocab,
-    encode_instance,
     iterate_batches,
     load_dataset,
     read_header,
@@ -89,6 +96,14 @@ class TestBuildVocab:
         with pytest.raises(ParseError, match=rf"bad\.csv: line {line}: byte 0xff is not UTF-8"):
             read(path)
 
+    @pytest.mark.parametrize("text", ["label,f1,f2\n", "label,f1,f2", "label,f1,f2\r\n\n \t\r"])
+    def test_header_only_file_is_a_parse_error(self, text, tmp_path):
+        path = write(tmp_path, text)
+        schema = FieldSchema(names=["f1", "f2"], vocabs=[{}, {}])
+        for read in (build_vocab, lambda p: load_dataset(p, schema)):
+            with pytest.raises(ParseError, match=re.escape(f"{path}: no data rows")):
+                read(path)
+
     def test_header_read(self, tmp_path):
         path = write(tmp_path, "label,user,item\n1,a,b\n")
         assert read_header(path) == ["user", "item"]
@@ -98,28 +113,33 @@ class TestBuildVocab:
 
 
 class TestEncodeInstance:
+    """Rows that ``load_dataset`` encodes against a fixed schema."""
+
     def schema(self):
         return FieldSchema(
             names=["f1", "f2"], vocabs=[{"a": 0, "b": 1}, {"x": 0}], min_freq=0
         )
 
-    def test_known_values(self):
-        inst = encode_instance(self.schema(), ["1", "b", "x"])
-        assert inst.label == 1
-        assert inst.indices == (1, 0)
+    def load(self, tmp_path, *rows):
+        return load_dataset(write(tmp_path, "label,f1,f2\n" + "\n".join(rows)), self.schema())
 
-    def test_unseen_maps_to_oov(self):
-        inst = encode_instance(self.schema(), ["0", "zzz", "x"])
-        assert inst.indices[0] == self.schema().oov_index(0) == 2
+    def test_known_values(self, tmp_path):
+        ds = self.load(tmp_path, "1,b,x")
+        assert ds.labels.tolist() == [1]
+        assert ds.indices.tolist() == [[1, 0]]
 
-    def test_column_mismatch(self):
-        with pytest.raises(ParseError):
-            encode_instance(self.schema(), ["1", "a"])
+    def test_unseen_maps_to_oov(self, tmp_path):
+        ds = self.load(tmp_path, "0,zzz,x")
+        assert ds.indices[0, 0] == self.schema().oov_index(0) == 2
 
-    def test_roundtrip_in_vocab(self):
+    def test_column_mismatch(self, tmp_path):
+        with pytest.raises(ParseError, match="line 3: expected 3 columns, got 2"):
+            self.load(tmp_path, "1,a,x", "1,a")
+
+    def test_roundtrip_in_vocab(self, tmp_path):
         schema = self.schema()
-        for value, idx in schema.vocabs[0].items():
-            assert encode_instance(schema, ["0", value, "x"]).indices[0] == idx
+        ds = self.load(tmp_path, *(f"0,{value},x" for value in schema.vocabs[0]))
+        assert ds.indices[:, 0].tolist() == list(schema.vocabs[0].values())
 
 
 class TestSchemaJson:
@@ -259,3 +279,180 @@ class TestLoadDataset:
         loaded = load_dataset(path, schema)
         assert np.array_equal(loaded.indices, ds.indices)
         assert np.array_equal(loaded.labels, ds.labels)
+
+
+# ---------------------------------------------------------------------------
+# The per-line reader that the block reader replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Instance:
+    label: int
+    indices: tuple[int, ...]
+
+
+def _parse_line(line: str, line_no: int, n_cols: int) -> list[str]:
+    parts = line.rstrip("\r\n").split(",")
+    if len(parts) != n_cols:
+        raise ParseError(f"line {line_no}: expected {n_cols} columns, got {len(parts)}")
+    return parts
+
+
+def _parse_label(raw: str, line_no: int) -> int:
+    raw = raw.strip()
+    if raw not in ("0", "1"):
+        raise ParseError(f"line {line_no}: label must be 0 or 1, got {raw!r}")
+    return int(raw)
+
+
+@contextmanager
+def _lines(path) -> Iterator[Iterator[tuple[int, str]]]:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield enumerate(fh, start=1)
+        except UnicodeDecodeError as e:
+            bad = f"byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})"
+            raise ParseError(f"{path}: line {data._undecodable_line(path)}: {bad}") from None
+
+
+def reference_read_header(path) -> list[str]:
+    with _lines(path) as lines:
+        header = next(lines, (1, ""))[1].rstrip("\r\n").split(",")
+    if not header or header[0] != "label":
+        raise SchemaError(f"header must start with 'label', got {header[:1]}")
+    if len(header) < 3:
+        raise SchemaError("need at least 2 feature fields after the label column")
+    return header[1:]
+
+
+def reference_build_vocab(csv_path, min_freq: int = 0) -> FieldSchema:
+    if min_freq < 0:
+        raise SchemaError(f"min_freq must be >= 0, got {min_freq}")
+    names = reference_read_header(csv_path)
+    m = len(names)
+    counts = [Counter() for _ in range(m)]
+    first_seen: list[dict[str, int]] = [{} for _ in range(m)]
+    pos = 0
+    with _lines(csv_path) as lines:
+        next(lines)
+        for line_no, line in lines:
+            if not line.strip():
+                continue
+            parts = _parse_line(line, line_no, m + 1)
+            _parse_label(parts[0], line_no)
+            for f, raw in enumerate(parts[1:]):
+                counts[f][raw] += 1
+                if raw not in first_seen[f]:
+                    first_seen[f][raw] = pos
+                    pos += 1
+    vocabs = []
+    for f in range(m):
+        kept = [v for v in first_seen[f] if counts[f][v] >= min_freq]
+        kept.sort(key=first_seen[f].__getitem__)
+        vocabs.append({v: i for i, v in enumerate(kept)})
+    return FieldSchema(names=names, vocabs=vocabs, min_freq=min_freq)
+
+
+def encode_instance(schema: FieldSchema, row: Sequence[str], line_no: int = 0) -> Instance:
+    if len(row) != schema.m + 1:
+        raise ParseError(
+            f"line {line_no}: expected {schema.m + 1} columns, got {len(row)}"
+        )
+    label = _parse_label(row[0], line_no)
+    idx = tuple(schema.vocabs[f].get(raw, schema.oov_index(f)) for f, raw in enumerate(row[1:]))
+    return Instance(label, idx)
+
+
+def reference_load_dataset(csv_path, schema: FieldSchema) -> Dataset:
+    names = reference_read_header(csv_path)
+    if names != schema.names:
+        raise SchemaError(f"CSV fields {names} do not match schema fields {schema.names}")
+    labels: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    with _lines(csv_path) as lines:
+        next(lines)
+        for line_no, line in lines:
+            if not line.strip():
+                continue
+            parts = _parse_line(line, line_no, schema.m + 1)
+            inst = encode_instance(schema, parts, line_no)
+            labels.append(inst.label)
+            rows.append(inst.indices)
+    return Dataset(np.asarray(rows, dtype=np.int64), np.asarray(labels, dtype=np.int64))
+
+
+# Characters that str.splitlines() breaks at but a CSV line does not, so a
+# reader that splits on them reads other rows than the file holds.
+_VALUE_CHARS = ["a", "b", "é", "語", "", " ", "\t", "\v", "\f", "\x1c", "\x1d", "\x85", "\u2028"]
+_LABELS = ["0", "1", " 1", "0 ", "\t1", "\x1c0", "1\u2028"]
+_BAD_LABELS = ["2", "", " ", "x", "01", "1.0", "\u0661"]
+_BLANK_LINES = ["", " ", "\t", "\v", "\x1c", " \u2028"]
+_ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV (bytes) with at most one fault, and a clean file (bytes) of a
+    prefix of its rows to build a schema from."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 9))
+    value = st.lists(st.sampled_from(_VALUE_CHARS), max_size=2).map("".join)
+    rows = [[draw(st.sampled_from(_LABELS))] + [draw(value) for _ in range(m)] for _ in range(n)]
+    fault = draw(st.sampled_from([None, "columns", "label", "utf8"]))
+    bad = draw(st.integers(0, n - 1))
+    if fault == "columns":
+        rows[bad] = rows[bad][:-1] if draw(st.booleans()) else [*rows[bad], draw(value)]
+    elif fault == "label":
+        rows[bad][0] = draw(st.sampled_from(_BAD_LABELS))
+
+    def encode(rows, fault_at=None):
+        lines = [",".join(["label", *(f"f{i}" for i in range(m))]).encode()]
+        for k, row in enumerate(rows):
+            lines += [b.encode() for b in draw(st.lists(st.sampled_from(_BLANK_LINES), max_size=2))]
+            line = ",".join(row).encode()
+            if k == fault_at:
+                at = draw(st.integers(0, len(line)))
+                line = line[:at] + b"\xff" + line[at:]
+            lines.append(line)
+        text = b"".join(line + draw(st.sampled_from(_ENDINGS)).encode() for line in lines)
+        return text if draw(st.booleans()) else text.rstrip(b"\r\n")
+
+    keep = draw(st.integers(1, n))
+    clean = [row for row in rows[:keep] if len(row) == m + 1 and row[0] in _LABELS]
+    return encode(rows, bad if fault == "utf8" else None), encode(clean or [["1", *["a"] * m]])
+
+
+def _outcome(read, *args):
+    """What ``read`` returned, as plain values, or the class and text of its error."""
+    try:
+        result = read(*args)
+    except (ParseError, SchemaError) as e:
+        return type(e), str(e)
+    if isinstance(result, FieldSchema):
+        return result.names, [list(v.items()) for v in result.vocabs], result.min_freq
+    return result.indices.dtype, result.indices.tolist(), result.labels.dtype, result.labels.tolist()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestBlockReaderMatchesPerLineReader:
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, INGEST_ROWS])
+    @given(files=csv_files(), min_freq=st.sampled_from([0, 1, 2]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_vocabularies_arrays_and_errors(self, block_rows, files, min_freq, fuzz_dir):
+        text, clean = files
+        path, clean_path = fuzz_dir / "data.csv", fuzz_dir / "clean.csv"
+        path.write_bytes(text)
+        clean_path.write_bytes(clean)
+        schema = reference_build_vocab(clean_path, min_freq)
+        with mock.patch.object(data, "INGEST_ROWS", block_rows):
+            assert _outcome(build_vocab, path, min_freq) == _outcome(
+                reference_build_vocab, path, min_freq)
+            assert _outcome(build_vocab, clean_path, min_freq) == _outcome(
+                reference_build_vocab, clean_path, min_freq)
+            assert _outcome(load_dataset, path, schema) == _outcome(
+                reference_load_dataset, path, schema)
