@@ -151,11 +151,13 @@ def _text(path) -> Iterator[TextIO]:
 
 
 def _undecodable_line(path) -> int:
-    # the text decoder reads ahead, so re-scan the bytes for the failing line
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    # the text decoder reads ahead, so re-scan for the failing line: latin-1
+    # maps each byte to one character, and universal newlines end the lines
+    # where the UTF-8 reader does (at \n, \r\n and a lone \r)
+    with open(path, "r", encoding="latin-1") as fh:
+        for line_no, line in enumerate(fh, start=1):
             try:
-                raw.decode("utf-8")
+                line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError:
                 return line_no
 

@@ -11,6 +11,10 @@ read-only array, and every write (``set``/``restore``, the one-coordinate
 store's ``version``. A value derived from the parameters, such as a model's
 dense edge-weight layout, is current for as long as ``version`` has not moved.
 
+A parameter's Adam moments are allocated by the first ``adam_step`` that
+updates it, so a model that is only loaded, frozen or served holds its
+weights and no optimizer state.
+
 Every parameter, gradient and activation is float64 (``ParamStore.dtype``),
 in training and in verification alike. Batch reductions use numpy's
 deterministic reduction order, so a run is bit-reproducible for a fixed seed
@@ -86,7 +90,10 @@ class ParamStore:
     parameters), ``put`` (one coordinate) and ``adam_step``, and each bumps
     ``version``, one integer for the whole store. A frozen parameter is
     bitwise untouched by ``adam_step``: neither its value nor its optimizer
-    moments move.
+    moments move. The moments of a parameter are allocated, as exact zeros,
+    by the first ``adam_step`` that updates it, and kept from then on
+    (through ``freeze`` and ``unfreeze_all`` too); until then the store
+    holds none.
     """
 
     dtype = np.dtype(np.float64)  # of every parameter, gradient and model buffer
@@ -95,8 +102,7 @@ class ParamStore:
         self._values: dict[str, np.ndarray] = {}  # writable views, the store's own
         self._public: dict[str, np.ndarray] = {}  # the same memory, read-only
         self._trainable: dict[str, bool] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # (m, v) from the first update
         self._step: dict[str, int] = {}
         self.version = 0
 
@@ -123,8 +129,6 @@ class ParamStore:
             arr = arr.copy()  # a view or a read-only array: the memory is another's
         self._own(name, arr)
         self._trainable[name] = bool(trainable)
-        self._m[name] = np.zeros_like(arr)
-        self._v[name] = np.zeros_like(arr)
         self._step[name] = 0
 
     def __contains__(self, name: str) -> bool:
@@ -170,7 +174,14 @@ class ParamStore:
         return self._step[name]
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self._m[name], self._v[name]
+        """The Adam moments ``(m, v)``, read-only; zeros, kept nowhere, for a
+        parameter that no ``adam_step`` has updated yet."""
+        if name in self._moments:
+            m, v = (a.view() for a in self._moments[name])
+        else:
+            m = v = np.zeros(self._public[name].shape)
+        m.flags.writeable = v.flags.writeable = False
+        return m, v
 
     def n_scalars(self, names: Iterable[str] | None = None) -> int:
         names = self.names() if names is None else list(names)
@@ -197,7 +208,9 @@ def adam_step(
     L2 term ``wd * theta`` to the gradient before the moment updates (so with
     ``weight_decay > 0`` parameters move even under a zero loss gradient).
     Every gradient is checked before the first write, so a step that raises
-    leaves values, moments, step counts and ``store.version`` untouched.
+    leaves values, moments, step counts and ``store.version`` untouched. A
+    parameter's first update allocates its moments, as exact zeros, after
+    every check and before any write.
     """
     check_nonnegative("lr", lr)
     check_nonnegative("weight_decay", weight_decay)
@@ -215,10 +228,13 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError(f"non-finite gradient for parameter '{name}'")
         updates.append((name, theta, g))
+    for name, theta, _ in updates:
+        if name not in store._moments:
+            store._moments[name] = np.zeros(theta.shape), np.zeros(theta.shape)
     store.version += 1
     scratch = np.empty((2, ADAM_CHUNK), dtype=store.dtype)
     for name, theta, g in updates:
-        m, v = store.moments(name)
+        m, v = store._moments[name]
         t = store.step_count(name) + 1
         # chunked and in place, so no temporary grows with the table; bitwise textbook Adam
         for lo in range(0, theta.size, ADAM_CHUNK):

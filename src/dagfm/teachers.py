@@ -175,10 +175,11 @@ class CinModel(Model):
         dWs = [np.zeros(W.shape if wide else Wu.shape) for W, Wu, _, wide in layers]
         offsets = np.cumsum((0, *self.spec.layer_sizes))
         dE_all = np.empty((m, len(feats), d))
+        any_wide = any(wide for *_, wide in layers)
         for rows, maps in zip(self._tiles(len(feats)), tape):
             E = maps[0]
             r = E.shape[1]
-            ET = E.T.copy()  # rows-outer, as a wide layer's Z and dZ
+            ET = E.T.copy() if any_wide else None  # rows-outer, as a wide layer's Z and dZ
             dE = np.zeros_like(E)
             # pooling sums each row's d embedding dims, so its gradient repeats
             g = np.repeat(dfeat[rows, offsets[-2] :].T, d, axis=1)

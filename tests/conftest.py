@@ -114,6 +114,21 @@ def perturb_params(model, rng: np.random.Generator, scale: float = 0.4) -> None:
         model.store.set(name, value + scale * rng.normal(size=value.shape))
 
 
+def store_state(store) -> dict:
+    """Every parameter's bytes, Adam moments and step count."""
+    return {
+        name: (store[name].tobytes(), *(a.tobytes() for a in store.moments(name)),
+               store.step_count(name))
+        for name in store.names()
+    }
+
+
+def held_moments(store) -> set[str]:
+    """The parameters whose Adam moments the store holds: those that an
+    ``adam_step`` has updated."""
+    return set(store._moments)
+
+
 def field_rows(model, i: int) -> np.ndarray:
     """Field ``i``'s rows of the model's one ``emb`` table, as a view: they
     start after the rows of fields ``0..i-1``."""

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import dagfm
+from conftest import held_moments, store_state
 from dagfm.checkpoint import (
     FORMAT_VERSION,
     MODELS,
@@ -28,10 +29,11 @@ from dagfm.checkpoint import (
 from dagfm import cli
 from dagfm.cli import build_parser, main
 from dagfm.config import _KEYS, RunConfig, load_config, parse_config
-from dagfm.data import build_vocab, load_dataset
+from dagfm.data import Dataset, build_vocab, load_dataset, split_dataset
+from dagfm.distill import StageConfig, distill_student, finetune_student, train_teacher
 from dagfm.interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
 from dagfm.metrics import count_flops, count_params, efficiency_report
-from dagfm.numcore import ConfigurationError
+from dagfm.numcore import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ConfigurationError, adam_step
 from dagfm.synthetic import generate_planted_dataset, write_csv
 from dagfm.teachers import (
     CinModel,
@@ -419,6 +421,92 @@ class TestCheckpointFiles:
         idx = np.stack([rng.integers(0, v, size=3) for v in VOCAB], axis=1)
         assert np.array_equal(model.forward(idx), loaded.forward(idx))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_loaded_model_holds_no_moments(self, spec, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(spec, VOCAB, seed=3), path)
+        assert held_moments(load_checkpoint(path).store) == set()
+
+    def test_loading_an_m39_student_peaks_near_its_weights(self, tmp_path):
+        # the weights are read into the arrays the store keeps, and no
+        # optimizer state is allocated beside them (which would be 3x)
+        m = 39
+        path = tmp_path / "student.ckpt"
+        model = DagfmModel(DagfmSpec("outer", m, 16, 3), [100] * m, seed=0)
+        weights = sum(model.store[n].nbytes for n in model.store.names())
+        save_checkpoint(model, path)
+        del model
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * weights
+
+
+# ---------------------------------------------------------------------------
+# optimizer state across the stages
+# ---------------------------------------------------------------------------
+
+
+class EagerAdam:
+    """The reference that a parameter's moments, allocated on its first
+    update, must match bit for bit: textbook bias-corrected Adam that holds
+    zero moments for every parameter of a store, frozen ones included, from
+    the store's first step, and writes the stepped values with ``set``."""
+
+    def __init__(self):
+        self.state = {}  # store -> {name: [m, v, step count]}
+
+    def __call__(self, store, grads, lr, weight_decay=0.0):
+        state = self.state.setdefault(store, {
+            n: [np.zeros_like(store[n]), np.zeros_like(store[n]), 0] for n in store.names()
+        })
+        for name in store.trainable_names():
+            theta, g = store[name], grads[name]
+            m, v, t = state[name]
+            t += 1
+            if weight_decay:
+                g = g + weight_decay * theta
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            den = np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS
+            store.set(name, theta - lr * (m / (1 - ADAM_BETA1**t)) / den)
+            state[name] = [m, v, t]
+
+    def store_state(self, store):
+        return {n: (store[n].tobytes(), m.tobytes(), v.tobytes(), t)
+                for n, (m, v, t) in self.state[store].items()}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_stages_step_as_with_eager_zero_moments(spec, tmp_path, monkeypatch):
+    # teacher -> checkpoint -> distill (frozen emb) -> finetune (first emb step)
+    rng = np.random.default_rng(5)
+    idx = np.stack([rng.integers(0, v, size=240) for v in VOCAB], axis=1)
+    split = split_dataset(Dataset(idx, (idx.sum(axis=1) % 2).astype(np.int64)), seed=0)
+    teach = StageConfig(epochs=2, lr=0.05, batch_size=64, patience=0)
+    tune = dataclasses.replace(teach, weight_decay=1e-3)
+
+    def stages(step, state):
+        monkeypatch.setattr("dagfm.distill.adam_step", step)
+        teacher = build_model(spec, VOCAB, seed=1)
+        train_teacher(teacher, split, teach)
+        states = [state(teacher.store)]
+        save_checkpoint(teacher, tmp_path / "teacher.ckpt")
+        student = DagfmModel(DagfmSpec("outer", 3, 2, 2), VOCAB, seed=2)
+        distill_student(student, load_checkpoint(tmp_path / "teacher.ckpt"), split, teach)
+        states.append(state(student.store))
+        finetune_student(student, split, tune)
+        return [*states, state(student.store)], student.store
+
+    lazy, store = stages(adam_step, store_state)
+    eager = EagerAdam()
+    assert lazy == stages(eager, eager.store_state)[0]
+    assert held_moments(store) == set(store.names())
+    assert lazy[1]["emb"][3] == 0 < lazy[2]["emb"][3]  # frozen in distill, stepped in finetune
+
 
 # ---------------------------------------------------------------------------
 # INI config
@@ -707,13 +795,14 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["eval", "train-teacher"])
-    @pytest.mark.parametrize("line", [0, 2], ids=["header", "row"])
-    def test_non_utf8_csv_exits_one(self, command, line, cli_run, tmp_path, capsys):
+    @pytest.mark.parametrize("line, ending", [(0, b"\n"), (2, b"\n"), (2, b"\r")],
+                             ids=["header", "row", "row-cr"])
+    def test_non_utf8_csv_exits_one(self, command, line, ending, cli_run, tmp_path, capsys):
         _, csv, teacher_dir, _ = cli_run
         lines = csv.read_bytes().split(b"\n")
         lines[line] = lines[line][:-1] + b"\xff"
         bad = tmp_path / "bad.csv"
-        bad.write_bytes(b"\n".join(lines))
+        bad.write_bytes(ending.join(lines))
         target = (
             ["--checkpoint", str(teacher_dir / "teacher.ckpt")]
             if command == "eval" else ["--out", str(tmp_path / "out")]

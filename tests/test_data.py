@@ -86,9 +86,13 @@ class TestBuildVocab:
         build_vocab,
         lambda path: load_dataset(path, build_vocab(path.with_name("ok.csv"))),
     ], ids=["read_header", "build_vocab", "load_dataset"])
+    # the line is counted as the text reader ends lines: at LF, CRLF or a lone CR
     @pytest.mark.parametrize("text, line", [(b"label,f1,\xff\n1,a,x\n", 1),
-                                            (b"label,f1,f2\n1,a,x\n0,\xff,y\n", 3)],
-                             ids=["header", "row"])
+                                            (b"label,f1,f2\n1,a,x\n0,\xff,y\n", 3),
+                                            (b"label,f1,f2\r\n1,a,x\r\n0,\xff,y\r\n", 3),
+                                            (b"label,f1,f2\r1,a,x\r0,\xff,y\r", 3),
+                                            (b"label,f1,f2\r1,a,x\n\r\r\n0,\xff,y", 5)],
+                             ids=["header", "row", "row-crlf", "row-cr", "row-mixed"])
     def test_non_utf8_reports_file_and_line(self, read, text, line, tmp_path):
         write(tmp_path, "label,f1,f2\n1,a,x\n", name="ok.csv")
         path = tmp_path / "bad.csv"
@@ -306,6 +310,14 @@ def _parse_label(raw: str, line_no: int) -> int:
     return int(raw)
 
 
+def _first_undecodable_line(path) -> int:
+    """The first line, as universal newlines end them, holding a byte that
+    UTF-8 decoding escapes to a lone surrogate."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return next(n for n, line in enumerate(fh, start=1)
+                    if any("\udc80" <= c <= "\udcff" for c in line))
+
+
 @contextmanager
 def _lines(path) -> Iterator[Iterator[tuple[int, str]]]:
     with open(path, "r", encoding="utf-8") as fh:
@@ -313,7 +325,7 @@ def _lines(path) -> Iterator[Iterator[tuple[int, str]]]:
             yield enumerate(fh, start=1)
         except UnicodeDecodeError as e:
             bad = f"byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})"
-            raise ParseError(f"{path}: line {data._undecodable_line(path)}: {bad}") from None
+            raise ParseError(f"{path}: line {_first_undecodable_line(path)}: {bad}") from None
 
 
 def reference_read_header(path) -> list[str]:
@@ -415,7 +427,10 @@ def csv_files(draw):
                 at = draw(st.integers(0, len(line)))
                 line = line[:at] + b"\xff" + line[at:]
             lines.append(line)
-        text = b"".join(line + draw(st.sampled_from(_ENDINGS)).encode() for line in lines)
+        # one ending for the whole file, a lone \r among them, or one per line
+        ending = st.sampled_from(_ENDINGS).map(str.encode)
+        ending = draw(st.one_of(ending.map(st.just), st.just(ending)))
+        text = b"".join(line + draw(ending) for line in lines)
         return text if draw(st.booleans()) else text.rstrip(b"\r\n")
 
     keep = draw(st.integers(1, n))

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import perturb_params
+from conftest import perturb_params, store_state
 
 from dagfm.checkpoint import build_model
 from dagfm.data import DatasetSplit, iterate_batches, split_dataset
@@ -346,15 +346,6 @@ def perturbed(spec, vocab_sizes):
     model = build_model(spec, vocab_sizes, seed=3)
     perturb_params(model, np.random.default_rng(4))  # no zero head hides a path
     return model
-
-
-def store_state(store):
-    """Every parameter's bytes, Adam moments and step count."""
-    return {
-        name: (store[name].tobytes(), *(a.tobytes() for a in store.moments(name)),
-               store.step_count(name))
-        for name in store.names()
-    }
 
 
 def assert_grads_close(grads, reference):

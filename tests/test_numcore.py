@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import held_moments
 from dagfm.numcore import (
     ADAM_EPS,
     ConfigurationError,
@@ -135,6 +136,50 @@ class TestParamStore:
         base[0] = 9.0
         other.set("a", [9.0, 9.0])
         assert np.array_equal(store["a"], [1.0, 2.0])
+
+
+class TestMomentsOnFirstUpdate:
+    def test_fresh_store_holds_no_moments_and_reads_zeros(self):
+        store = make_store(a=[1.0, 2.0], b=np.ones((2, 3)))
+        for name in store.names():
+            m, v = store.moments(name)
+            assert m.shape == v.shape == store[name].shape
+            assert not m.any() and not v.any()
+            with pytest.raises(ValueError):
+                m[0] = 1.0  # the zeros are no state of the store's to write
+        assert held_moments(store) == set()
+
+    def test_a_parameter_is_given_moments_by_its_first_update(self):
+        store = make_store(a=[1.0, 2.0], b=[3.0])
+        store.freeze("a")
+        adam_step(store, {"a": np.ones(2), "b": np.ones(1)}, lr=0.1)
+        assert held_moments(store) == {"b"}
+        store.unfreeze_all()
+        assert held_moments(store) == {"b"}
+        adam_step(store, {"a": np.ones(2), "b": np.ones(1)}, lr=0.1)
+        assert held_moments(store) == {"a", "b"}
+        assert (store.step_count("a"), store.step_count("b")) == (1, 2)
+
+    def test_moments_are_kept_through_freeze_and_read_only(self):
+        store = make_store(a=[1.0, 2.0], b=[3.0])
+        adam_step(store, {"a": np.ones(2), "b": np.ones(1)}, lr=0.1)
+        before = [a.tobytes() for a in store.moments("a")]
+        store.freeze("a")
+        adam_step(store, {"b": np.ones(1)}, lr=0.1)
+        store.unfreeze_all()
+        assert [a.tobytes() for a in store.moments("a")] == before
+        assert held_moments(store) == {"a", "b"}
+        for moment in store.moments("a"):
+            with pytest.raises(ValueError):
+                moment[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.array([1.0, np.inf]), np.ones(3)], ids=["inf", "shape"])
+    def test_failed_first_step_allocates_none(self, bad):
+        store = make_store(a=[1.0], b=[2.0, 3.0])
+        with pytest.raises((TrainingDivergenceError, ShapeError), match="'b'"):
+            adam_step(store, {"a": np.ones(1), "b": bad}, lr=0.1)
+        assert held_moments(store) == set()
+        assert store.step_count("a") == store.step_count("b") == 0
 
 
 class TestAdamStep:
