@@ -54,7 +54,11 @@ _USER_ERRORS = (
     CheckpointError,
     UndefinedMetricError,
     TrainingDivergenceError,
+    # a path setting that names no readable file
     FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
+    PermissionError,
 )
 
 
@@ -107,6 +111,10 @@ def _stage_setup(args):
     schema = _schema(cfg, args, model)
     dataset = load_dataset(cfg.train_csv, schema)
     split = split_dataset(dataset, ratios=cfg.split_ratios, seed=cfg.split_seed)
+    for name, part in (("val", split.val), ("test", split.test)):  # the stage reports their AUCs
+        if len(set(part.labels.tolist())) < 2:
+            raise SchemaError(f"the {name} split holds one label at split {cfg.split_ratios} "
+                              f"and split_seed {cfg.split_seed}: its AUC is undefined")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     schema.save(out_dir / "schema.json")

@@ -191,7 +191,7 @@ def parse_config(text: str, flags=()) -> RunConfig:
     entries. A string value is parsed as the key's type, and a parse error
     names the flag; any other value is taken as already typed.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a "%" is a plain character
     try:
         parser.read_string(text)
     except configparser.Error as e:
@@ -230,5 +230,10 @@ def parse_config(text: str, flags=()) -> RunConfig:
 
 
 def load_config(path, flags=()) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), flags)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from e
+    return parse_config(text, flags)

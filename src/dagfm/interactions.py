@@ -34,17 +34,25 @@ fields are cut into blocks of :data:`FIELD_BLOCK`, and a field of block
 [a, b) reads as a source only the targets ``i >= a`` and as a target only
 the sources ``j < b``: the GEMMs skip the upper block pairs, which are
 zero, and never read the parts of ``S`` they leave unwritten. With one
-block, n = m and each is one dense batched GEMM. ``basic-inner`` is one
+block, n = m and each is one dense batched GEMM. A forward of fewer than
+:data:`SMALL_ROWS` rows runs its two GEMMs dense at any m, since there a
+block's call overhead outweighs the upper blocks' arithmetic; its backward
+still reads only the lower blocks of ``S``. ``basic-inner`` is one
 (m, m) x (m, B*d) GEMM with the transposed adjacency matrix. ``inner`` and
 ``kernel`` are the bilinear pair GEMM that :class:`PairGemm` lays out,
 shared with the FwFM and FmFM baselines: one (B, m) x (m, m) GEMM per
 embedding dim over a dim-major copy of the states (``inner``), or one
 (B, m*d) x (m*d, m*d) GEMM over a batch-major copy (``kernel``). Pooling
 every state set is one matrix-vector product of the buffer with
-``ones(d)``, and the head is another. Public shapes stay batch-major:
-``lookup`` and ``PropagationTrace`` give (B, m, d) arrays, as views where
-they can. The per-pair ``phi_*`` functions are the reference the layers
-are tested against.
+``ones(d)``, and the head is another. ``forward`` resolves the combiner's
+GEMMs, every layer's dense weights and the ``outer`` plan once per call,
+releases the previous call's tape before it allocates its own, and keeps
+that tape (the state buffer, each layer's GEMM operands and the pooled
+values) for ``backward``. It builds no trace: ``forward_trace`` is
+``forward`` plus a :class:`PropagationTrace` of views of the tape. Public
+shapes stay batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
+arrays, as views where they can. The per-pair ``phi_*`` functions are the
+reference the layers are tested against.
 
 With identity-valued weights and the full lower-triangular edge set, node
 ``i`` at layer ``t`` is exactly the sum of all order-``t`` products of
@@ -66,8 +74,18 @@ KINDS = ("basic-inner", "inner", "kernel", "outer")
 # Fields per block of an ``outer`` layer's block-triangular GEMMs. With k
 # blocks they do (k + 1) / (2k) of the dense (m, m) work, 62.5% at m=39, in
 # k calls each. A student with m <= FIELD_BLOCK is one block and makes the
-# one dense call per GEMM: a loop over one block would only add slicing.
+# one dense call per GEMM: a loop over one block would only add slicing. The
+# blocks are the plan of a forward of at least SMALL_ROWS rows, and of every
+# backward.
 FIELD_BLOCK = 10
+
+# Rows from which an ``outer`` forward runs the block plan. A smaller batch
+# runs each product as one dense GEMM: there a block's extra ``np.matmul``
+# call and slicing cost more than the upper blocks' arithmetic. One layer's
+# two GEMMs at m=39, d=16, dense against blocked (process time, one BLAS
+# thread, 2-vCPU Xeon VM): 31.2 against 32.5 us at 16 rows, 38.6 against
+# 37.5 us at 20 rows, 10.4 against 16.7 us at one row.
+SMALL_ROWS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +277,7 @@ class EmbeddingTable:
         if out is None:
             out = np.empty((self.num_fields, idx.shape[0], self.dim))
         # bounds are checked above; "clip" lets take write into out unbuffered
-        np.take(self.store["emb"], idx.T + self.offsets[:, None], axis=0, out=out, mode="clip")
+        self.store["emb"].take(idx.T + self.offsets[:, None], axis=0, out=out, mode="clip")
         return out.transpose(1, 0, 2)
 
     def grads(self, idx: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
@@ -324,15 +342,15 @@ class Model:
     def _setup(self) -> None:
         """Derive what ``forward`` reads besides the store."""
 
-    def _layout(self, name: str, lay_out) -> np.ndarray:
-        """``lay_out(store[name])``, a dense layout of one parameter, built
-        once and kept, read-only, until the store's version moves."""
+    def _layout(self, key: str, lay_out):
+        """``lay_out()``, dense layouts of parameters built once and kept
+        under ``key`` until the store's version moves (``_scatter`` makes
+        them read-only)."""
         if self._layouts_at != self.store.version:
             self._layouts, self._layouts_at = {}, self.store.version
-        dense = self._layouts.get(name)
+        dense = self._layouts.get(key)
         if dense is None:
-            dense = self._layouts[name] = lay_out(self.store[name])
-            dense.flags.writeable = False
+            dense = self._layouts[key] = lay_out()
         return dense
 
     def _head(self, x: np.ndarray) -> np.ndarray:
@@ -403,7 +421,6 @@ class DagfmModel(Model):
         per_dim = self.dag.kind == "inner"
         self._gemm = PairGemm(self._jj, self._ii, m, self.embed_dim, per_dim)
         self._adjacency = _scatter((m, m), (self._jj, self._ii), 1.0)  # A[j, i] = 1 on an edge
-        self._adjacency.flags.writeable = False
         # the outer GEMMs' block plan: a block [a, b) of sources reaches the
         # targets from a on, and a block of targets the sources before b
         blocks = [slice(a, min(a + FIELD_BLOCK, m)) for a in range(0, m, FIELD_BLOCK)]
@@ -432,34 +449,43 @@ class DagfmModel(Model):
 
     # -- forward ----------------------------------------------------------------
 
-    def _aggregate(self, h: np.ndarray, t: int):
-        """``agg[i, b] = sum over edges j -> i of phi(h[j, b], .)`` without the
-        final ``* e_i``, for contiguous field-major states ``h`` (m, B, d), as
-        batched GEMMs. Returns ``(agg, cache)``: ``agg`` is (m, B, d), maybe a
-        transposed view, and the cache holds what the backward GEMMs read, in
-        the layout they read it."""
-        m, B, d = h.shape
-        jj, ii = self._jj, self._ii
-        kind = self.dag.kind
-        if kind == "basic-inner":
-            A = self._adjacency
-            return (A.T @ h.reshape(m, B * d)).reshape(m, B, d), A
-        if kind in ("inner", "kernel"):
-            # the pair GEMM, sources j as rows and targets i as columns
-            g = self._gemm
-            K = self._layout(self._weights(t), g.dense)
-            return g.fields(g.states(h) @ K), K
-        p = self._layout(f"dag.p{t}", lambda w: _scatter((m, m, d), (jj, ii), w))  # p[j, i]
-        q = self._layout(f"dag.q{t}", lambda w: _scatter((m, m, d), (ii, jj), w))  # q[i, j]
-        # S[j, i, b] = p[j, i] . h[j, b]: per source j an (n, d) x (d, B) GEMM
-        S = _tri_matmul(p, h.transpose(0, 2, 1), self._sources, inner=False)
-        # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, n) x (n, d)
-        # GEMM; S.transpose(1, 2, 0) is F-ordered per target, so BLAS reads S
-        # as it is, and so do the backward GEMMs
-        agg = _tri_matmul(S.transpose(1, 2, 0), q, self._targets, inner=True)
-        return agg, (p, q, S)
+    # each combiner's layer GEMMs, forward and backward, by method name: a
+    # forward or backward resolves them once, and a subclass may override one
+    _LAYER_GEMMS = {
+        "basic-inner": ("_adjacency_gemm", "_adjacency_gemm_backward"),
+        "inner": ("_pair_gemm", "_pair_gemm_backward"),
+        "kernel": ("_pair_gemm", "_pair_gemm_backward"),
+        "outer": ("_outer_gemms", "_outer_gemms_backward"),
+    }
 
-    def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
+    def _lay_out_layers(self) -> list:
+        """Per layer, the dense edge weights its GEMMs read: the adjacency
+        matrix (``basic-inner``), the pair GEMM's blocks (``inner``,
+        ``kernel``), or ``outer``'s (m, m, d) pair ``(p[j, i], q[i, j])``."""
+        kind, L = self.dag.kind, self.dag.num_layers
+        if kind == "basic-inner":
+            return [self._adjacency] * L
+        if kind != "outer":
+            return [self._gemm.dense(self.store[self._weights(t)]) for t in range(L)]
+        m, d, jj, ii = self.num_fields, self.embed_dim, self._jj, self._ii
+        return [
+            (_scatter((m, m, d), (jj, ii), self.store[f"dag.p{t}"]),
+             _scatter((m, m, d), (ii, jj), self.store[f"dag.q{t}"]))
+            for t in range(L)
+        ]
+
+    def forward(self, idx: np.ndarray) -> np.ndarray:
+        """One logit per row of an index batch.
+
+        Releases the previous call's tape first, then keeps this call's for
+        ``backward``: the state buffer, each layer's GEMM operands and the
+        pooled values. It builds no :class:`PropagationTrace`; see
+        :meth:`forward_trace`. The combiner's GEMMs, the dense weights of
+        every layer and the ``outer`` plan are resolved once per call: below
+        :data:`SMALL_ROWS` rows each ``outer`` product is one dense GEMM,
+        from there on the block-triangular ones.
+        """
+        self._cache = None  # the last tape goes before this one is allocated
         idx = np.asarray(idx)
         L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
         # every state set, field-major: H[t, i] is node i's (B, d) block after
@@ -468,23 +494,67 @@ class DagfmModel(Model):
         E = H[0]
         self.embedding.lookup(idx, out=E)
         B = len(idx)
+        gemms = getattr(self, self._LAYER_GEMMS[self.dag.kind][0])
+        plan = (self._sources, self._targets) if B >= SMALL_ROWS else (_ONE_BLOCK, _ONE_BLOCK)
         layer_caches = []
-        for t in range(L):
-            agg, cache = self._aggregate(H[t], t)
+        for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
+            agg, cache = gemms(H[t], w, plan)
             np.multiply(agg, E, out=H[t + 1])
             layer_caches.append((agg, cache))
         pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)  # state-major rows
-        logits = self._head(pooled.T)
         self._cache = (idx, H, layer_caches, pooled)
+        return self._head(pooled.T)
+
+    def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
+        """:meth:`forward`'s logits, and its tape's states and pooled values
+        as a trace of views. Every forward allocates a new tape, so a trace
+        keeps its values after later calls."""
+        logits = self.forward(idx)
+        _, H, _, pooled = self._cache
+        n_states, m, B, _ = H.shape
         trace = PropagationTrace(
-            list(H.transpose(0, 2, 1, 3)), pooled.reshape(L + 1, m, B).transpose(2, 0, 1), pooled.T
+            list(H.transpose(0, 2, 1, 3)),
+            pooled.reshape(n_states, m, B).transpose(2, 0, 1),
+            pooled.T,
         )
         return logits, trace
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        return self.forward_trace(idx)[0]
+    # Each layer's GEMMs: ``agg[i, b] = sum over edges j -> i of phi(h[j, b],
+    # .)`` without the final ``* e_i``, for contiguous field-major states
+    # ``h`` (m, B, d), given the layer's dense weights ``w`` and the forward's
+    # ``outer`` plan. Each returns ``(agg, cache)``: ``agg`` is (m, B, d),
+    # maybe a transposed view, and the cache holds what the backward GEMMs
+    # read, in the layout they read it.
+
+    def _adjacency_gemm(self, h, A, plan):
+        m, B, d = h.shape
+        return (A.T @ h.reshape(m, B * d)).reshape(m, B, d), A
+
+    def _pair_gemm(self, h, K, plan):
+        # the pair GEMM, sources j as rows and targets i as columns
+        g = self._gemm
+        return g.fields(g.states(h) @ K), K
+
+    def _outer_gemms(self, h, w, plan):
+        (p, q), (sources, targets) = w, plan  # p[j, i], q[i, j]
+        # S[j, i, b] = p[j, i] . h[j, b]: per source j an (n, d) x (d, B) GEMM
+        S = _tri_matmul(p, h.transpose(0, 2, 1), sources, inner=False)
+        # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, n) x (n, d)
+        # GEMM; S.transpose(1, 2, 0) is F-ordered per target, so BLAS reads S
+        # as it is, and so do the backward GEMMs
+        agg = _tri_matmul(S.transpose(1, 2, 0), q, targets, inner=True)
+        return agg, (p, q, S)
 
     # -- backward ---------------------------------------------------------------
+
+    def _tape(self):
+        """What the latest forward kept for ``backward``."""
+        if self._cache is None:
+            raise ConfigurationError(
+                "backward needs a forward that returned: no forward has run since "
+                "the model was built, or the latest one raised"
+            )
+        return self._cache
 
     def backward(self, dlogits: np.ndarray, extra_dstates=None) -> dict[str, np.ndarray]:
         """Analytic gradients for every parameter given d(loss)/d(logit).
@@ -493,7 +563,7 @@ class DagfmModel(Model):
         additional gradient into each state set before the layer walk, one
         field-major (m, B, d) array or ``None`` per state set.
         """
-        idx, H, layer_caches, pooled = self._cache
+        idx, H, layer_caches, pooled = self._tape()
         n_states, m, B, _ = H.shape
         grads, dpool = self._head_backward(pooled.T, dlogits)
         dpool = dpool.T.reshape(n_states, m, B, 1)
@@ -507,31 +577,36 @@ class DagfmModel(Model):
             dh = dpool[t] if dh is None else np.add(dh, dpool[t], out=dh)
             return dh if extra_dstates[t] is None else dh + extra_dstates[t]
 
+        gemms_backward = getattr(self, self._LAYER_GEMMS[self.dag.kind][1])
         E = H[0]
         dh = dstate(n_states - 1, None)
         dE = np.zeros_like(E)
         for t in range(n_states - 2, -1, -1):
             agg, cache = layer_caches[t]
             dE += dh * agg
-            dh = dstate(t, self._aggregate_backward(t, H[t], dh * E, cache, grads))
+            dh = dstate(t, gemms_backward(t, H[t], dh * E, cache, grads))
         dE += dh
         grads.update(self.embedding.grads(idx, dE.transpose(1, 0, 2)))
         return grads
 
-    def _aggregate_backward(self, t, h, dU, cache, grads) -> np.ndarray:
-        """Store the edge-weight gradients of layer ``t`` and return
-        d(loss)/d(h), given ``dU`` = d(loss)/d(agg); all field-major (m, B, d)
-        and ``dU`` contiguous."""
+    # Each layer's backward GEMMs: store the edge-weight gradients of layer
+    # ``t`` and return d(loss)/d(h), given ``dU`` = d(loss)/d(agg); all
+    # field-major (m, B, d) and ``dU`` contiguous.
+
+    def _adjacency_gemm_backward(self, t, h, dU, A, grads):
         m, B, d = h.shape
+        return (A @ dU.reshape(m, B * d)).reshape(m, B, d)
+
+    def _pair_gemm_backward(self, t, h, dU, K, grads):
+        g = self._gemm
+        dX = g.states(dU)
+        grads[self._weights(t)] = g.at_pairs(g.states(h).transpose(0, 2, 1) @ dX)
+        return g.fields(dX @ K.transpose(0, 2, 1))
+
+    def _outer_gemms_backward(self, t, h, dU, cache, grads):
+        # the block plan at every batch size: a small batch's dense forward
+        # wrote all of S, and these read only its lower blocks
         jj, ii = self._jj, self._ii
-        kind = self.dag.kind
-        if kind == "basic-inner":
-            return (cache @ dU.reshape(m, B * d)).reshape(m, B, d)
-        if kind in ("inner", "kernel"):
-            g, K = self._gemm, cache
-            dX = g.states(dU)
-            grads[self._weights(t)] = g.at_pairs(g.states(h).transpose(0, 2, 1) @ dX)
-            return g.fields(dX @ K.transpose(0, 2, 1))
         p, q, S = cache
         # dS[i, j, b] = q[i, j] . dU[i, b], per target i
         dS = _tri_matmul(q, dU.transpose(0, 2, 1), self._targets, inner=False)
@@ -541,6 +616,10 @@ class DagfmModel(Model):
         grads[f"dag.p{t}"] = dp[jj, ii]  # (j, i, e)
         # dh[j, b] = sum_i dS[i, j, b] p[j, i]: per source j a (B, n) x (n, d) GEMM
         return _tri_matmul(dS.transpose(1, 2, 0), p, self._sources, inner=True)
+
+
+# the plan of one dense GEMM per product: one block spans every field
+_ONE_BLOCK = ((slice(None), slice(None)),)
 
 
 def _tri_matmul(x, y, cuts, inner: bool) -> np.ndarray:
@@ -567,6 +646,7 @@ def _scatter(shape, index, values) -> np.ndarray:
     compact pair weights laid out for the GEMMs (zero off the pair list)."""
     dense = np.zeros(shape)
     dense[index] = values
+    dense.flags.writeable = False
     return dense
 
 
@@ -774,24 +854,26 @@ class DagfmPlusModel(DagfmModel):
         super()._setup()
         self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
-    def _mlp_input(self, states: list[np.ndarray]) -> np.ndarray:
-        B, m, d = states[0].shape
+    def _mlp_input(self, states: np.ndarray) -> np.ndarray:
+        """The tower's (B, width) input from the (L+1, B, m, d) states."""
+        n_states, B, m, d = states.shape
         if self.spec.mlp_feed == "all-states":
-            return np.stack(states, axis=1).reshape(B, len(states) * m * d)
+            return states.transpose(1, 0, 2, 3).reshape(B, n_states * m * d)
         return states[-1].reshape(B, m * d)
 
-    def forward_trace(self, idx: np.ndarray):
-        logits, trace = super().forward_trace(idx)
-        x = self._mlp_input(trace.node_states)
+    def forward(self, idx: np.ndarray) -> np.ndarray:
+        self.mlp._cache = None
+        logits = super().forward(idx)
+        x = self._mlp_input(self._cache[1].transpose(0, 2, 1, 3))  # the state buffer
         if x.shape[1] != self.spec.mlp_input_width:
+            self._cache = None
             raise ConfigurationError(
                 f"MLP input width {x.shape[1]} != configured {self.spec.mlp_input_width}"
             )
-        logits = logits + self.mlp.forward(x)
-        return logits, trace
+        return logits + self.mlp.forward(x)
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        n_states, m, B, d = self._cache[1].shape  # the state buffer
+        n_states, m, B, d = self._tape()[1].shape  # the state buffer
         grads: dict[str, np.ndarray] = {}
         dx = self.mlp.backward(np.asarray(dlogits, dtype=np.float64), grads)
         extra = [None] * n_states

@@ -364,7 +364,7 @@ class _PairwiseModel(Model):
     def forward(self, idx: np.ndarray) -> np.ndarray:
         g = self._gemm
         X = g.states(self.embedding.lookup(idx).transpose(1, 0, 2))  # from field-major (m, B, d)
-        K = self._layout(self.weights, g.dense)
+        K = self._layout(self.weights, lambda: g.dense(self.store[self.weights]))
         u = g.states(self.store["linear.u"][:, None, :])
         self._cache = (np.asarray(idx), X, K, u)
         return np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0]

@@ -8,11 +8,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import dagfm
 from conftest import held_moments, store_state
@@ -1148,6 +1151,143 @@ class TestFlagAliases:
         assert from_file == parse_config(f"[{section}]\n{name} = {file_value}\n")
         assert both == parse_config(f"[{section}]\n{name} = {flag_value}\n")
         assert both != from_file
+
+
+# ---------------------------------------------------------------------------
+# settings fuzzer
+# ---------------------------------------------------------------------------
+
+# Planted files a path setting may name: the good CSV, a CSV with a byte that
+# is not UTF-8, a schema of deeply nested JSON, a directory and a missing file.
+FUZZ_PATHS = ["train.csv", "latin1.csv", "nested.json", ".", "missing.csv"]
+# Setting values: NaN, infinities, negative numbers, empty strings, strings
+# that are not numbers, INI syntax, kinds and the planted paths. Numbers stay
+# small, so an accepted setting builds a small model.
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "", "abc", "0x10", "1,2", "%", "50%",
+                     "nan,0.5,0.5", "0.5,0.5,-0.0", "0.98,0.01,0.01", "crossnet", "cin", "outer",
+                     "dagfm+", "final-state", "tanh", *FUZZ_PATHS]),
+    st.integers(-3, 4).map(str),
+    st.floats(-2, 2).map(str),
+)
+PATH_KEYS = {("data", "train_csv"), ("data", "schema")}
+
+
+def _values(key):
+    """The value strategy of an INI key: paths mostly a planted file."""
+    return st.one_of(st.sampled_from(FUZZ_PATHS), FUZZ_VALUES) if key in PATH_KEYS else FUZZ_VALUES
+# Whole INI lines that are not a key of a known section, and non-UTF-8 bytes.
+FUZZ_LINES = st.sampled_from(
+    [b"", b"[run", b"seed = 1", b"[teacher]\n[teacher]", b"[optimizer]\nlr = 1", b"\xff\xfe = 1"]
+)
+# every INI key but the output directory, which each example sets by flag
+FUZZ_KEYS = sorted(key for key in _KEYS if key != ("run", "out_dir"))
+FUZZ_COMMANDS = {
+    "train-teacher": [],
+    "distill": ["--checkpoint", "teacher/teacher.ckpt"],
+}
+
+
+def _flag_values(command):
+    """A value strategy for each settings flag of ``command`` except
+    ``--out`` and ``--epochs``, which every example sets: a value its argparse
+    type takes, so that each example reaches the settings' own checks."""
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    keys = {cli._dest(flag): key for flag, key in sub.get_default("keys").items()}
+    numbers = {
+        int: st.integers(-3, 4).map(str),
+        float: st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-3", "1e400"]),
+    }
+    return {
+        action.option_strings[0]: (
+            st.sampled_from(action.choices) if action.choices
+            else numbers[action.type] if action.type in numbers
+            else _values(keys[action.dest])
+        )
+        for action in sub._actions
+        if action.dest in keys and action.option_strings[0] not in ("--out", "--epochs")
+    }
+
+
+FUZZ_FLAGS = {command: _flag_values(command) for command in FUZZ_COMMANDS}
+
+
+@st.composite
+def cli_settings(draw):
+    """``(command, ini bytes, flags)``: some INI keys, some junk lines, and
+    some of the command's flags, each with a fuzzed value."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    keys = draw(st.lists(st.sampled_from(FUZZ_KEYS), max_size=4, unique=True))
+    lines = []
+    for section in sorted({section for section, _ in keys}):  # one header per section
+        lines.append(f"[{section}]".encode())
+        lines += [f"{key} = {draw(_values((s, key)))}".encode() for s, key in keys if s == section]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(FUZZ_LINES))
+    flag_values = FUZZ_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flag_values)), max_size=3, unique=True))
+    # "--flag=value", so that a value such as "-inf" does not read as a flag
+    flags = [f"{flag}={draw(flag_values[flag])}" for flag in chosen]
+    return command, b"\n".join(lines) + b"\n", flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory of planted inputs and a teacher checkpoint to distill
+    from. The CSV's 300 rows leave both labels in every split."""
+    root = tmp_path_factory.mktemp("fuzz")
+    schema, dataset, _ = generate_planted_dataset(300, m=3, vocab_size=5, seed=0)
+    write_csv(root / "train.csv", schema, dataset)
+    (root / "latin1.csv").write_bytes(b"label,f1,f2,f3\n1,a,b,\xe9\n")
+    (root / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
+    teacher = ["train-teacher", "--data", str(root / "train.csv"), "--out", str(root / "teacher"),
+               "--d", "2", "--depth", "1", "--epochs", "0"]
+    assert main(teacher) == 0
+    return root
+
+
+class TestCliFuzz:
+    """Whatever the settings, ``cli.main`` lets no exception but
+    ``cli._USER_ERRORS`` reach its handler (any other escapes from ``main``),
+    exits 0 or 1, and an exit 1 leaves no output directory. Each example
+    runs a stage of 0 epochs, so an accepted setting costs a build, a save
+    and a scoring pass."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cli_settings())
+    @example(("train-teacher", b"[stage.teacher]\nlr = nan\n", []))
+    @example(("train-teacher", b"[kd]\nalpha = inf\n", []))
+    @example(("distill", b"", ["--alpha", "nan"]))
+    @example(("train-teacher", b"", ["--split", "nan,0.5,0.5"]))
+    @example(("train-teacher", b"[run]\nseed = -1\n", []))
+    @example(("distill", b"", ["--seed", "-1"]))
+    @example(("train-teacher", b"[data]\nsplit_seed = -1\n", []))
+    @example(("train-teacher", b"[data]\ntrain_csv = latin1.csv\n", ["--data", "latin1.csv"]))
+    @example(("train-teacher", b"[data]\nschema = nested.json\n", []))
+    @example(("train-teacher", b"", ["--data=."]))
+    @example(("distill", b"[data]\nschema = .\n", []))
+    @example(("train-teacher", b"[teacher]\nkind = \xff\n", []))
+    @example(("train-teacher", b"[data]\nmin_freq = %\n", []))
+    @example(("train-teacher", b"", ["--split=0.98,0.01,0.01"]))
+    @example(("train-teacher", b"", ["--d", "1", "--teacher", "cin"]))
+    def test_only_user_errors_escape_and_exit_one_writes_nothing(self, fuzz_dir, case):
+        command, ini, flags = case
+        run = Path(tempfile.mkdtemp(dir=fuzz_dir))
+        (run / "run.ini").write_bytes(ini)
+        out = run / "out"
+        argv = [command, "--config", str(run / "run.ini"), "--out", str(out), "--epochs", "0",
+                *FUZZ_COMMANDS[command], *flags]
+        if not any(f.startswith("--data") for f in flags) and b"train_csv" not in ini:
+            argv += ["--data", "train.csv"]
+        cwd = os.getcwd()
+        os.chdir(fuzz_dir)  # relative paths name the planted files
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1)
+        assert out.exists() == (code == 0)
+        shutil.rmtree(run)
 
 
 # ---------------------------------------------------------------------------

@@ -216,13 +216,16 @@ class TestPredict:
     def test_working_set_is_bounded_by_one_tile(self):
         # An m=39 student's state buffer and per-layer S arrays grow with the
         # rows of a forward; scoring 16 tiles must not cost more memory than
-        # scoring one. Both peaks are measured from a model that already
-        # holds one tile's backward operands, as it does between tiles.
+        # scoring one. A forward releases the previous call's tape before it
+        # allocates its own, so both peaks are measured from one starting
+        # state: a model whose latest forward was of zero rows, which holds
+        # its weight layouts and an empty tape.
         m = 39
         model = DagfmModel(DagfmSpec("outer", m, 16, 3), [10] * m, seed=0)
         idx = np.random.default_rng(0).integers(0, 10, size=(16 * SCORE_ROWS, m))
 
         def peak_bytes(rows):
+            model.forward(idx[:0])
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             predict_logits(model, idx[:rows])
@@ -230,7 +233,6 @@ class TestPredict:
 
         tracemalloc.start()
         try:
-            predict_logits(model, idx[:SCORE_ROWS])
             one_tile = peak_bytes(SCORE_ROWS)
             many_tiles = peak_bytes(16 * SCORE_ROWS)
         finally:

@@ -398,6 +398,8 @@ class TestDagfmPlus:
         model._mlp_input = lambda states: np.zeros((1, 3))
         with pytest.raises(ConfigurationError, match="width"):
             model.forward(np.zeros((1, 2), dtype=np.int64))
+        with pytest.raises(ConfigurationError, match="forward"):
+            model.backward(np.ones(1))  # the failed call leaves no tape
 
     def test_bad_feed_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -627,20 +629,16 @@ class TestBlockTriangularOuter:
 
 
 class DenseOuterGemms:
-    """The ``outer`` layer without field blocks: two forward and four
-    backward batched GEMMs over the whole (m, m) field square."""
+    """The ``outer`` layer without field blocks at any batch size: two
+    forward and four backward batched GEMMs over the whole (m, m) field
+    square, driven by the model's own forward and backward."""
 
-    def _aggregate(self, h, t):
-        m, B, d = h.shape
-        jj, ii = self._jj, self._ii
-        p = np.zeros((m, m, d))
-        p[jj, ii] = self.store[f"dag.p{t}"]
-        q = np.zeros((m, m, d))
-        q[ii, jj] = self.store[f"dag.q{t}"]
+    def _outer_gemms(self, h, w, plan):
+        p, q = w
         S = np.matmul(p, h.transpose(0, 2, 1))
         return np.matmul(S.transpose(1, 2, 0), q), (p, q, S)
 
-    def _aggregate_backward(self, t, h, dU, cache, grads):
+    def _outer_gemms_backward(self, t, h, dU, cache, grads):
         jj, ii = self._jj, self._ii
         p, q, S = cache
         dS = np.matmul(q, dU.transpose(0, 2, 1))
@@ -659,13 +657,14 @@ class DenseOuterPlusModel(DenseOuterGemms, DagfmPlusModel):
 
 class TestFieldBlocksAtCtrSize:
     """At m=39 and the real ``FIELD_BLOCK`` (four blocks, the last one short)
-    logits and every gradient equal the dense GEMMs' bitwise from two rows
-    on; a one-row batch may take other BLAS kernels and differs in the last
-    bits."""
+    a forward of fewer than ``SMALL_ROWS`` rows runs the dense GEMMs and a
+    larger one the blocked GEMMs; backward always runs the blocked ones.
+    Logits and every gradient equal the dense GEMMs' bitwise from two rows
+    on; a one-row batch's logits do too, and its gradients, which may take
+    other BLAS kernels, differ at most in the last bits."""
 
-    @pytest.mark.parametrize("batch", [0, 1, 2, 5, 64])
-    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
-    def test_matches_dense_gemms(self, plus, batch, rng, nan_buffers):
+    @staticmethod
+    def models(plus, rng):
         m, vocab = 39, [4] * 39
         spec = DagfmSpec("outer", m, 16, 3)
         if plus:
@@ -676,13 +675,91 @@ class TestFieldBlocksAtCtrSize:
         dense = (DenseOuterPlusModel if plus else DenseOuterModel).from_values(
             spec, vocab, model.store.snapshot()
         )
-        idx = rng.integers(0, 4, size=(batch, m))
+        return model, dense
+
+    @pytest.mark.parametrize("batch", [0, 1, 2, 5, 64, 19, 20, 21])
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    def test_matches_dense_gemms(self, plus, batch, rng, nan_buffers):
+        model, dense = self.models(plus, rng)
+        idx = rng.integers(0, 4, size=(batch, 39))
+        assert model.forward(idx).tobytes() == dense.forward(idx).tobytes()
         if batch == 1:
             assert_logits_and_grads_close(model, dense, idx, rng, rtol=1e-13)
             return
         dlogits = rng.normal(size=batch)
-        assert model.forward(idx).tobytes() == dense.forward(idx).tobytes()
         grads, expected = model.backward(dlogits), dense.backward(dlogits)
         assert grads.keys() == expected.keys()
         for name, g in expected.items():
             assert grads[name].tobytes() == g.tobytes(), name
+
+    @pytest.mark.parametrize("batch", [1, 19, 20, 64])
+    def test_forward_plan_follows_the_batch_size(self, batch, rng, monkeypatch):
+        model, _ = self.models(False, rng)
+        blocks = []
+        tri_matmul = interactions._tri_matmul
+
+        def spy(x, y, cuts, inner):
+            blocks.append(len(cuts))
+            return tri_matmul(x, y, cuts, inner)
+
+        monkeypatch.setattr(interactions, "_tri_matmul", spy)
+        idx = rng.integers(0, 4, size=(batch, 39))
+        model.forward(idx)
+        assert blocks == [1 if batch < interactions.SMALL_ROWS else 4] * 6  # two per layer
+        blocks.clear()
+        model.backward(np.ones(batch))
+        assert blocks == [4] * 12
+
+
+class TestTape:
+    """``forward`` keeps one tape, for ``backward``, and builds no trace;
+    ``forward_trace`` is ``forward`` plus views of that tape."""
+
+    FAMILIES = {
+        **{kind: DagfmSpec(kind, 5, 3, 2) for kind in KINDS},
+        **{
+            f"dagfm+-{feed}": DagfmPlusSpec(DagfmSpec("outer", 5, 3, 2), mlp_hidden=(4,), mlp_feed=feed)
+            for feed in ("all-states", "final-state")
+        },
+    }
+
+    @staticmethod
+    def model(spec, rng):
+        model = (DagfmPlusModel if isinstance(spec, DagfmPlusSpec) else DagfmModel)(spec, [3] * 5)
+        perturb_params(model, rng)
+        return model
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_forward_is_the_traced_forward(self, name, rng):
+        model = self.model(self.FAMILIES[name], rng)
+        for batch in (0, 1, 4):
+            idx = rng.integers(0, 3, size=(batch, 5))
+            assert model.forward(idx).tobytes() == model.forward_trace(idx)[0].tobytes()
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_a_trace_keeps_its_values_after_later_forwards(self, name, rng):
+        model = self.model(self.FAMILIES[name], rng)
+        idx = rng.integers(0, 3, size=(4, 5))
+        logits, trace = model.forward_trace(idx)
+        kept = [s.copy() for s in trace.node_states], trace.pooled.copy(), trace.pooled_concat.copy()
+        model.forward(rng.integers(0, 3, size=(4, 5)))
+        model.forward_trace(rng.integers(0, 3, size=(4, 5)))
+        model.backward(np.ones(4))
+        for state, before in zip(trace.node_states, kept[0]):
+            np.testing.assert_array_equal(state, before)
+        np.testing.assert_array_equal(trace.pooled, kept[1])
+        np.testing.assert_array_equal(trace.pooled_concat, kept[2])
+        assert model.forward(idx).tobytes() == logits.tobytes()
+
+    @pytest.mark.parametrize("name", ["outer", "dagfm+-all-states"])
+    def test_backward_without_a_tape_is_a_typed_error(self, name, rng):
+        model = self.model(self.FAMILIES[name], rng)
+        with pytest.raises(ConfigurationError, match="forward"):
+            model.backward(np.ones(2))  # no forward yet
+        model.forward(rng.integers(0, 3, size=(2, 5)))
+        model.backward(np.ones(2))
+        bad = np.full((2, 5), 3)
+        with pytest.raises(IndexError):
+            model.forward(bad)
+        with pytest.raises(ConfigurationError, match="forward"):
+            model.backward(np.ones(2))  # not the batch before the failed call
