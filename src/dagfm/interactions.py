@@ -369,6 +369,15 @@ class Model:
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
+    def _tape(self):
+        """What the latest forward kept for ``backward``."""
+        if self._cache is None:
+            raise ConfigurationError(
+                "backward needs a forward that returned: no forward has run since "
+                "the model was built, or the latest one raised"
+            )
+        return self._cache
+
     @property
     def num_fields(self) -> int:
         return self.spec.num_fields
@@ -546,15 +555,6 @@ class DagfmModel(Model):
         return agg, (p, q, S)
 
     # -- backward ---------------------------------------------------------------
-
-    def _tape(self):
-        """What the latest forward kept for ``backward``."""
-        if self._cache is None:
-            raise ConfigurationError(
-                "backward needs a forward that returned: no forward has run since "
-                "the model was built, or the latest one raised"
-            )
-        return self._cache
 
     def backward(self, dlogits: np.ndarray, extra_dstates=None) -> dict[str, np.ndarray]:
         """Analytic gradients for every parameter given d(loss)/d(logit).

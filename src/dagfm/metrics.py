@@ -21,6 +21,12 @@ FLOPs convention, applied uniformly:
   every propagated state is counted;
 * vector biases are counted, scalar biases feeding the final logit are not.
 
+A closed form counts a family's defining arithmetic, which its forward need
+not execute. CIN's counts every layer's feature map and then its sum-pool,
+but ``CinModel`` pools its last layer before that layer's weights, with d
+times fewer products with them, so it executes less than it declares, and
+an achieved GFLOP/s figure for CIN is declared FLOPs over time.
+
 ``instrumented_flops`` re-executes each family's forward arithmetic under an
 op counter and must agree exactly with the closed forms. It is the oracle
 they are tested against, so it keeps its own dispatch over the model

@@ -82,16 +82,17 @@ class CinSpec:
         return sum(self.layer_sizes)
 
 
-#: Elements in the largest intermediate of one CIN row tile (16 MiB of
-#: float64): the product of a layer's weights with one of its inputs, or the
-#: pair products of its two inputs, over the tile's (batch row, embedding dim)
-#: rows. At d=16 a tile holds 256 flat rows of the paper's CIN(200, 200, 200)
-#: at m=39, as many rows as each of the GEMMs that accumulate its weight
-#: gradients needs to amortise that sum. CIN(4, 4) at m=8 would take 4096
-#: batch rows in one tile, so its forwards, which training and scoring cut to
-#: ``distill.TRAIN_ROWS`` and ``distill.SCORE_ROWS`` rows, are never tiled
-#: again here.
-CIN_TILE_ELEMENTS = 1 << 21
+#: Elements of the largest intermediate of one CIN row tile (512 KiB of
+#: float64, an L2's share). A tile takes as many batch rows as keep it
+#: within this, so that its intermediates stay in cache: narrow stacks are
+#: bound by memory traffic (CIN(4, 4) at m=8 and d=16 takes 128 rows,
+#: CIN(16, 16, 16) 32), and wider ones take CIN_GEMM_ROWS.
+CIN_CACHE_ELEMENTS = 1 << 16
+#: Flat (batch row, embedding dim) rows that a tile holds at least: the
+#: GEMMs that accumulate a layer's weight gradients sum over a tile's rows,
+#: and need this many to amortise that sum. At d=16 it is 16 batch rows,
+#: whose intermediates in the paper's CIN(200, 200, 200) at m=39 are 16 MiB.
+CIN_GEMM_ROWS = 256
 
 
 class CinModel(Model):
@@ -101,11 +102,18 @@ class CinModel(Model):
     # Layer k is the trilinear form x[h, r] = sum_{i,j} W[h, i, j] a[i, r] b[j, r]
     # over flat rows r = (batch row, embedding dim): a is the previous map
     # (H_prev features), b the embeddings (m features). Rows run in tiles of
-    # whole batch rows; in a tile each map is one feature-major (H, r) block,
-    # and every product with W is one GEMM over all the tile's rows. W is
-    # contracted first with u, the wider of a and b, into S[h, v, r]; the
-    # narrower, v, then contracts S: x = sum_v S * v. Backward recomputes what
-    # it needs per tile, so nothing wider than a map outlives the forward.
+    # whole batch rows; in a tile each map is one feature-major (H, r) block.
+    # The last map feeds only the sum-pool, so the last layer pools before
+    # its weights: per batch row t, G[t, i, j] = sum_e a[i, (t, e)] b[j, (t, e)]
+    # is one (H_prev, d) x (d, m) product, and the pooled values are
+    # G @ W^T, one (T, H_prev*m) x (H_prev*m, H) GEMM: d times fewer
+    # products with W than forming the map. With gp the pooled values'
+    # gradient, dW = gp^T G, dG = gp W, da = dG b and db = dG^T a.
+    # Each earlier layer forms its map with one GEMM with W over all the
+    # tile's flat rows: W is contracted first with u, the wider of a and b,
+    # into S[h, v, r]; the narrower, v, then contracts S: x = sum_v S * v.
+    # The tape keeps each tile's maps but the last, and G; backward
+    # recomputes the rest per tile.
     #   narrow layer (H < max(H_prev, m)): dv = sum_h S * g, and with the
     #     products O = g (x) v, dW = u O^T and du = W O, all (H*V, r) blocks.
     #   wide layer: the pair products Z = a (x) b give dW = g Z^T, and
@@ -115,16 +123,13 @@ class CinModel(Model):
     # the order in which those GEMMs run fastest; a narrow layer is bound by
     # memory traffic, which the rows-inner order keeps contiguous.
 
-    def _layers(self) -> list[tuple]:
-        """Per layer: W, whether u is the previous map, and whether the layer
-        is wide."""
+    def _layers(self) -> tuple[list[tuple], np.ndarray]:
+        """Per layer before the last: W, whether u is the previous map, and
+        whether the layer is wide; and the last layer's W as (H, H_prev*m)."""
         m = self.spec.num_fields
-        layers = []
-        for k in range(self.spec.num_layers):
-            W = self.store[f"cin.W{k}"]
-            H, H_prev = W.shape[:2]
-            layers.append((W, H_prev >= m, H >= max(H_prev, m)))
-        return layers
+        *first, last = (self.store[f"cin.W{k}"] for k in range(self.spec.num_layers))
+        layers = [(W, W.shape[1] >= m, W.shape[0] >= max(W.shape[1], m)) for W in first]
+        return layers, last.reshape(len(last), -1)
 
     @staticmethod
     def _w_u(W: np.ndarray, prev_first: bool) -> np.ndarray:
@@ -133,18 +138,22 @@ class CinModel(Model):
         return W_uv.transpose(1, 0, 2).reshape(W_uv.shape[1], -1)
 
     def _tiles(self, B: int) -> list[slice]:
-        """Batch-row slices whose S stays within CIN_TILE_ELEMENTS (one row
-        at least)."""
+        """Batch-row slices whose largest intermediate fits CIN_CACHE_ELEMENTS,
+        or that hold CIN_GEMM_ROWS flat rows where that is more."""
         m, d = self.spec.num_fields, self.spec.embed_dim
         widths = (m, *self.spec.layer_sizes)
-        widest = max(h * min(h_prev, m) for h_prev, h in zip(widths, widths[1:]))
-        rows = max(1, CIN_TILE_ELEMENTS // (widest * d))
+        # per batch row: an earlier layer's S (or O), and the last one's G
+        per_row = max([widths[-2] * m,
+                       *(h * min(h_prev, m) * d for h_prev, h in zip(widths[:-2], widths[1:-1]))])
+        rows = max(CIN_CACHE_ELEMENTS // per_row, -(-CIN_GEMM_ROWS // d))
         return [slice(a, min(a + rows, B)) for a in range(0, B, rows)]
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
+        self._cache = None  # the last tape goes before this one is allocated
         emb = self.embedding.lookup(idx).transpose(1, 0, 2)  # field-major (m, B, d)
         m, B, d = emb.shape
-        layers = [(W, self._w_u(W, prev_first), prev_first, wide) for W, prev_first, wide in self._layers()]
+        layers, W_last = self._layers()
+        layers = [(W, self._w_u(W, prev_first), prev_first, wide) for W, prev_first, wide in layers]
         feats = np.empty((B, self.spec.pooled_width))
         tape = []
         for rows in self._tiles(B):
@@ -162,27 +171,44 @@ class CinModel(Model):
                 maps.append(x)
                 feats[rows, col : col + len(x)] = x.reshape(len(x), -1, d).sum(axis=2).T
                 col += len(x)
-            tape.append(maps)
+            G = _rows(maps[-1], d) @ _rows(E, d).transpose(0, 2, 1)  # (T, H_prev, m)
+            feats[rows, col:] = G.reshape(len(G), -1) @ W_last.T
+            tape.append((maps, G))
         self._cache = (np.asarray(idx), tape, feats)
         return self._head(feats)
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, tape, feats = self._cache
+        idx, tape, feats = self._tape()
         m, d = self.spec.num_fields, self.spec.embed_dim
         grads, dfeat = self._head_backward(feats, dlogits)
+        layers, W_last = self._layers()
         layers = [(W, None if wide else self._w_u(W, prev_first), prev_first, wide)
-                  for W, prev_first, wide in self._layers()]
+                  for W, prev_first, wide in layers]
         dWs = [np.zeros(W.shape if wide else Wu.shape) for W, Wu, _, wide in layers]
+        dW_last = np.zeros_like(W_last)
         offsets = np.cumsum((0, *self.spec.layer_sizes))
         dE_all = np.empty((m, len(feats), d))
         any_wide = any(wide for *_, wide in layers)
-        for rows, maps in zip(self._tiles(len(feats)), tape):
+        for rows, (maps, G) in zip(self._tiles(len(feats)), tape):
             E = maps[0]
             r = E.shape[1]
             ET = E.T.copy() if any_wide else None  # rows-outer, as a wide layer's Z and dZ
-            dE = np.zeros_like(E)
-            # pooling sums each row's d embedding dims, so its gradient repeats
-            g = np.repeat(dfeat[rows, offsets[-2] :].T, d, axis=1)
+            # the pooled last layer: its map's gradient is never formed
+            k = len(layers)
+            prev = maps[k]
+            gp = dfeat[rows, offsets[k] :]
+            dW_last += gp.T @ G.reshape(len(G), -1)
+            dG = (gp @ W_last).reshape(G.shape)
+            dE = np.empty_like(E)
+            np.matmul(dG.transpose(0, 2, 1), _rows(prev, d), out=_rows(dE, d))  # db = dG^T a
+            if k:  # da = dG b, plus the previous map's share of the pool
+                dprev = np.empty_like(prev)
+                np.matmul(dG, _rows(E, d), out=_rows(dprev, d))
+                dprev.reshape(len(prev), -1, d)[...] += dfeat[rows, offsets[k - 1] : offsets[k]].T[:, :, None]
+            else:  # one layer: a is the embeddings
+                dprev = dE
+                _rows(dE, d)[...] += dG @ _rows(E, d)
+            g = dprev
             for k in range(len(layers) - 1, -1, -1):
                 W, Wu, prev_first, wide = layers[k]
                 prev = maps[k]
@@ -209,8 +235,15 @@ class CinModel(Model):
                 dW = dW.reshape(len(Wu), len(W), -1).transpose(1, 0, 2)
                 dW = dW if prev_first else dW.transpose(0, 2, 1)
             grads[f"cin.W{k}"] = dW
+        grads[f"cin.W{len(layers)}"] = dW_last.reshape(self.store[f"cin.W{len(layers)}"].shape)
         grads.update(self.embedding.grads(idx, dE_all.transpose(1, 0, 2)))
         return grads
+
+
+def _rows(x: np.ndarray, d: int) -> np.ndarray:
+    """A feature-major (H, T*d) tile block as the (T, H, d) view of its
+    batch rows."""
+    return x.reshape(len(x), -1, d).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +288,7 @@ class CrossNetModel(Model):
     spec_type = CrossNetSpec
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
+        self._cache = None  # the last tape goes before this one is allocated
         E = self.embedding.lookup(idx)
         x0 = E.reshape(len(E), self.spec.width)  # a copy: lookup's array is field-major
         xs = [x0]
@@ -267,7 +301,7 @@ class CrossNetModel(Model):
         return self._head(xs[-1])
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, xs, us = self._cache
+        idx, xs, us = self._tape()
         x0 = xs[0]
         grads, dx = self._head_backward(xs[-1], dlogits)
         dx0 = np.zeros_like(x0)
@@ -362,6 +396,7 @@ class _PairwiseModel(Model):
         self._gemm = PairGemm(*np.triu_indices(m, 1), m, self.spec.embed_dim, self.per_dim)
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
+        self._cache = None  # the last tape goes before this one is allocated
         g = self._gemm
         X = g.states(self.embedding.lookup(idx).transpose(1, 0, 2))  # from field-major (m, B, d)
         K = self._layout(self.weights, lambda: g.dense(self.store[self.weights]))
@@ -370,7 +405,7 @@ class _PairwiseModel(Model):
         return np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0]
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, X, K, u = self._cache
+        idx, X, K, u = self._tape()
         g = self._gemm
         dlogits = np.asarray(dlogits, dtype=np.float64)
         gX = X * dlogits[:, None]  # X diag(dlogits), block by block
@@ -437,13 +472,14 @@ class TinyMlpModel(Model):
         self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
+        self._cache = self.mlp._cache = None  # the last tapes go before these are allocated
         E = self.embedding.lookup(idx)
         logits = self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim))
         self._cache = np.asarray(idx)
         return logits
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx = self._cache
+        idx = self._tape()
         grads: dict[str, np.ndarray] = {}
         dx = self.mlp.backward(np.asarray(dlogits, dtype=np.float64), grads)
         dE = dx.reshape(len(dx), self.num_fields, self.embed_dim)

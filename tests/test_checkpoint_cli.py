@@ -284,6 +284,20 @@ class TestSpecRoundTrip:
         for name, g in grads.items():
             assert g.shape == model.store[name].shape and not g.any(), name
 
+    @pytest.mark.parametrize("cls", MODELS, ids=lambda cls: cls.kind)
+    def test_backward_needs_a_forward_that_returned(self, cls):
+        spec = next(s for s in ALL_SPECS if type(s) is cls.spec_type)
+        model = build_model(spec, VOCAB, seed=0)
+        with pytest.raises(ConfigurationError, match="forward"):
+            model.backward(np.ones(2))  # no forward yet
+        model.forward(np.zeros((2, len(VOCAB)), dtype=np.int64))
+        model.backward(np.ones(2))
+        with pytest.raises(IndexError):
+            model.forward(np.full((2, len(VOCAB)), max(VOCAB)))
+        for rows in (2, 3):  # the size of the batch before the failed call, and another
+            with pytest.raises(ConfigurationError, match="forward"):
+                model.backward(np.ones(rows))
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_model_spec_is_the_build_spec(self, spec):
         model = build_model(spec, VOCAB, seed=1)
@@ -687,6 +701,18 @@ class TestCli:
         model = load_checkpoint(teacher_dir / "teacher.ckpt")
         assert isinstance(model, CrossNetModel)
         assert model.spec == CrossNetSpec(3, 4, 2)
+
+    def test_main_pins_malloc_before_it_dispatches(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_pin_malloc", lambda: calls.append("pin"))
+        monkeypatch.setattr(cli, "_cmd_oracle_check", lambda args: calls.append("dispatch") or 0)
+        assert main(["oracle-check", "--fn", "inner", "--m", "3", "--d", "2", "--depth", "1"]) == 0
+        assert calls == ["pin", "dispatch"]
+
+    def test_malloc_pin_is_a_no_op_off_glibc(self, monkeypatch):
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda *args: pytest.fail("loaded a C library"))
+        cli._pin_malloc()
 
     def test_distill_outputs_inherit_teacher_shape(self, cli_run):
         _, _, _, student_dir = cli_run

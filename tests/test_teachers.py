@@ -157,7 +157,7 @@ class TestCin:
               for k in range(model.spec.num_layers)]
 
         def pairs(prev_e, e):
-            return (prev_e[:, :, None] * E_d[e][:, None, :]).reshape(B, -1)
+            return (prev_e[:, :, None] * E_d[e][:, None, :]).reshape(B, prev_e.shape[1] * m)
 
         maps = [E_d]
         for W2 in Ws:
@@ -176,21 +176,36 @@ class TestCin:
             for e in range(d):
                 dn = d_maps[k + 1][e]
                 dW2 += dn.T @ pairs(prev[e], e)
-                dZ = (dn @ W2).reshape(B, -1, m)
+                dZ = (dn @ W2).reshape(B, W2.shape[1] // m, m)
                 d_maps[k][e] += np.einsum("bij,bj->bi", dZ, E_d[e])
                 d_maps[0][e] += np.einsum("bij,bi->bj", dZ, prev[e])
             grads[f"cin.W{k}"] = dW2.reshape(model.store[f"cin.W{k}"].shape)
         grads.update(model.embedding.grads(idx, d_maps[0].transpose(1, 2, 0)))
         return logits, grads
 
-    @pytest.mark.parametrize(
-        "m,widths",
-        [
-            (8, (4, 4)),  # cin-m8: two narrow layers, the second contracting E first
-            (39, (20, 20)),
-            (8, (8, 3, 9)),  # wide, narrow, then wide contracting E first
-        ],
-    )
+    def assert_matches_per_dim(self, model, idx, rng):
+        """forward and backward within 1e-12 relative of per_dim_step."""
+        dlogits = rng.normal(size=len(idx))
+        logits = model.forward(idx)
+        grads = model.backward(dlogits)
+        ref_logits, ref_grads = self.per_dim_step(model, idx, dlogits)
+        assert logits.shape == ref_logits.shape
+        assert np.abs(logits - ref_logits).max(initial=0) <= 1e-12 * np.abs(ref_logits).max(initial=0)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == ref.shape, name
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    STACKS = [
+        (8, (4, 4)),  # cin-m8: a narrow layer, then the pooled one
+        (39, (20, 20)),
+        (8, (8, 3, 9)),  # wide, narrow, then pooled
+        (8, (16, 16, 16)),  # two wide layers, then pooled
+        (8, (4,)),  # one pooled layer, over the embeddings
+        (3, (5,)),
+    ]
+
+    @pytest.mark.parametrize("m,widths", STACKS)
     def test_tiles_match_per_dim_formulation(self, m, widths, rng):
         d = 16
         model = CinModel(CinSpec(m, d, widths), [7] * m, seed=11)
@@ -200,15 +215,14 @@ class TestCin:
         B = 2 * rows + rows // 3 + 1  # two full tiles and a partial one
         tiles = model._tiles(B)
         assert len(tiles) == 3 and tiles[-1].stop - tiles[-1].start < rows
-        idx = rng.integers(0, 7, size=(B, m))
-        dlogits = rng.normal(size=B)
-        logits = model.forward(idx)
-        grads = model.backward(dlogits)
-        ref_logits, ref_grads = self.per_dim_step(model, idx, dlogits)
-        assert np.abs(logits - ref_logits).max() <= 1e-12 * np.abs(ref_logits).max()
-        assert grads.keys() == ref_grads.keys()
-        for name, ref in ref_grads.items():
-            assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        self.assert_matches_per_dim(model, rng.integers(0, 7, size=(B, m)), rng)
+
+    @pytest.mark.parametrize("B", [0, 1])
+    @pytest.mark.parametrize("m,widths", STACKS)
+    def test_zero_and_one_row_match_per_dim_formulation(self, m, widths, B, rng):
+        model = CinModel(CinSpec(m, 4, widths), [7] * m, seed=13)
+        perturb_params(model, rng)
+        self.assert_matches_per_dim(model, rng.integers(0, 7, size=(B, m)), rng)
 
     def test_step_holds_no_untiled_intermediate(self, rng):
         # at m=39, d=16, widths (200, 200) and B=64 one (d*B, H*m) float64
