@@ -16,7 +16,11 @@ Every training step runs its batch in row tiles of :data:`TRAIN_ROWS`: one
 forward and backward per tile, each tile's loss and gradient weighted by its
 share of the batch, then one Adam step on the summed gradients. The step is
 the batch step, while its working set stays one tile's whatever the batch
-size; scoring runs in tiles of :data:`SCORE_ROWS` the same way.
+size; scoring runs in tiles of :data:`SCORE_ROWS` the same way. The
+embedding table's gradient holds only the rows the batch touched (tiles sum
+over the union of their rows), and the Adam step moves only those rows, so a
+step costs what its batch touches, not what the vocabulary holds; a row
+that a batch misses keeps its value and moments through that step.
 
 Each stage writes one JSON line per epoch: {"epoch", "loss", "val_auc",
 "val_logloss"} with sorted keys and no timestamps, so a seeded rerun
@@ -119,7 +123,9 @@ def _check_kd_settings(alpha: float, beta: float) -> None:
 class StageConfig:
     """One training stage. ``patience`` is the number of epochs without a
     validation-AUC improvement before stopping early (0 disables early
-    stopping); ``weight_decay`` is a classic L2 term added to gradients."""
+    stopping); ``weight_decay`` is a classic L2 term added to gradients.
+    On the embedding table it decays only the rows a batch touches, so a
+    row that no training batch touches keeps its initial value."""
 
     epochs: int
     lr: float
@@ -244,8 +250,10 @@ def _tiled_step(model, idx, labels, rows, batch_loss_fn):
 
     ``batch_loss_fn`` returns a mean loss and its gradient, so each tile's
     loss and ``dlogits`` are weighted by the tile's share of the batch; the
-    sums are then the whole batch's. A batch of one tile has share 1.0 and is
-    computed exactly as a single forward and backward.
+    sums are then the whole batch's. The table's row gradients sum over the
+    union of the tiles' rows.
+    A batch of one tile has share 1.0 and is computed exactly as a single
+    forward and backward.
     """
     n = len(labels)
     loss, grads = 0.0, None

@@ -67,7 +67,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numcore import ConfigurationError, ParamStore, ShapeError, as_tuples, check_int
+from .numcore import ConfigurationError, ParamStore, RowGrad, ShapeError, as_tuples, check_int
 
 KINDS = ("basic-inner", "inner", "kernel", "outer")
 
@@ -280,18 +280,26 @@ class EmbeddingTable:
         self.store["emb"].take(idx.T + self.offsets[:, None], axis=0, out=out, mode="clip")
         return out.transpose(1, 0, 2)
 
-    def grads(self, idx: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
-        """Scatter-add ``d_emb`` (B, m, d) into the table's row gradient, or
-        nothing when the table is frozen (``adam_step`` would ignore it).
-        Each row sums its contributions in batch-row order. A field-major
-        ``d_emb``, like ``lookup``'s, is read without copies."""
+    def grads(self, idx: np.ndarray, d_emb: np.ndarray) -> dict[str, RowGrad]:
+        """The table's gradient as a :class:`RowGrad` over the rows the batch
+        touched, or nothing when the table is frozen (``adam_step`` would
+        ignore it). ``d_emb`` (B, m, d) is scatter-added into those rows, and
+        each row sums its contributions field by field, in batch-row order
+        within a field: each sum is bitwise the dense scatter-add's. A
+        field-major ``d_emb``, like ``lookup``'s, is read without copies."""
         if not self.store.is_trainable("emb"):
             return {}
-        rows, d = self.store["emb"].shape
-        # rows as a C-order column: from idx.T's layout, ravel would gather
-        flat = ((idx.T + self.offsets[:, None]).reshape(-1, 1) * d + np.arange(d)).ravel()
-        g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=rows * d)
-        return {"emb": g.reshape(rows, d)}
+        shape = self.store["emb"].shape
+        flat_rows = (idx.T + self.offsets[:, None]).ravel()  # field-major
+        # the touched rows, from one count over the table; the counts are then
+        # overwritten with each touched row's position among them
+        compact = np.bincount(flat_rows, minlength=shape[0])
+        rows = np.flatnonzero(compact)
+        compact[rows] = np.arange(len(rows))
+        d = shape[1]
+        flat = (compact[flat_rows].reshape(-1, 1) * d + np.arange(d)).ravel()
+        g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=len(rows) * d)
+        return {"emb": RowGrad(rows, g.reshape(-1, d), shape)}
 
 
 class Model:
@@ -580,13 +588,16 @@ class DagfmModel(Model):
         gemms_backward = getattr(self, self._LAYER_GEMMS[self.dag.kind][1])
         E = H[0]
         dh = dstate(n_states - 1, None)
-        dE = np.zeros_like(E)
+        # a frozen table (the distill stage's) takes no gradient: no dE is formed
+        dE = np.zeros_like(E) if self.store.is_trainable("emb") else None
         for t in range(n_states - 2, -1, -1):
             agg, cache = layer_caches[t]
-            dE += dh * agg
+            if dE is not None:
+                dE += dh * agg
             dh = dstate(t, gemms_backward(t, H[t], dh * E, cache, grads))
-        dE += dh
-        grads.update(self.embedding.grads(idx, dE.transpose(1, 0, 2)))
+        if dE is not None:
+            dE += dh
+            grads.update(self.embedding.grads(idx, dE.transpose(1, 0, 2)))
         return grads
 
     # Each layer's backward GEMMs: store the edge-weight gradients of layer

@@ -13,7 +13,9 @@ dense edge-weight layout, is current for as long as ``version`` has not moved.
 
 A parameter's Adam moments are allocated by the first ``adam_step`` that
 updates it, so a model that is only loaded, frozen or served holds its
-weights and no optimizer state.
+weights and no optimizer state. A gradient that is zero outside some rows,
+as an embedding table's is outside the rows its batch touched, can be given
+as a :class:`RowGrad`, and ``adam_step`` then updates only those rows.
 
 Every parameter, gradient and activation is float64 (``ParamStore.dtype``),
 in training and in verification alike. Batch reductions use numpy's
@@ -195,9 +197,53 @@ class ParamStore:
             self.set(n, v)
 
 
+class RowGrad:
+    """A gradient that is zero outside some rows of its parameter: row
+    ``rows[k]`` of the ``shape`` array is ``values[k]``, and ``rows`` is
+    sorted and unique. ``np.asarray`` gives the dense array, and ``a += b``
+    sums two over the union of their rows."""
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape):
+        self.rows, self.values, self.shape = rows, values, tuple(shape)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype or self.values.dtype)
+        dense[self.rows] = self.values
+        return dense
+
+    def __iadd__(self, other: "RowGrad") -> "RowGrad":
+        if other.shape != self.shape:
+            raise ShapeError(f"row gradients of shapes {self.shape} and {other.shape}")
+        # sorted and unique, so a stable sort merges the two runs in linear
+        # time (np.union1d hashes them, several times slower)
+        rows = np.concatenate((self.rows, other.rows))
+        rows.sort(kind="stable")
+        rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+        values = np.zeros((len(rows), *self.shape[1:]))
+        values[np.searchsorted(rows, self.rows)] = self.values
+        values[np.searchsorted(rows, other.rows)] += other.values
+        return RowGrad(rows, values, self.shape)
+
+
+def _adam_update(th, g, m, v, t: int, lr: float, weight_decay: float) -> None:
+    """Bitwise textbook Adam, in place, on flat arrays of one chunk."""
+    step, den = np.empty((2, th.size), dtype=th.dtype)
+    g = g + np.multiply(th, weight_decay, out=step) if weight_decay else g
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=step), g, out=step)
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=den), out=den)
+    den += ADAM_EPS
+    np.multiply(np.divide(m, 1.0 - ADAM_BETA1**t, out=step), lr, out=step)
+    th -= np.divide(step, den, out=step)
+
+
 def adam_step(
     store: ParamStore,
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | RowGrad],
     lr: float,
     weight_decay: float = 0.0,
 ) -> None:
@@ -207,10 +253,21 @@ def adam_step(
     unknown names are a configuration error. ``weight_decay`` adds a classic
     L2 term ``wd * theta`` to the gradient before the moment updates (so with
     ``weight_decay > 0`` parameters move even under a zero loss gradient).
+
+    A :class:`RowGrad` is a lazy update, as in PyTorch's ``SparseAdam`` and
+    TF's ``LazyAdam``: only its rows move, values and both moments, each by
+    the same arithmetic as a dense step, and the decay term applies to those
+    rows alone. Every other row keeps its value and moments bitwise, and the
+    step count stays one per parameter, so a row that a step misses skips
+    that step's momentum and decay. A row gradient over every row steps
+    bitwise as the dense gradient does.
+
     Every gradient is checked before the first write, so a step that raises
     leaves values, moments, step counts and ``store.version`` untouched. A
     parameter's first update allocates its moments, as exact zeros, after
-    every check and before any write.
+    every check and before any write. Dense gradients update in chunks of
+    :data:`ADAM_CHUNK` elements, row gradients in chunks of whole rows, so no
+    temporary grows with the parameter.
     """
     check_nonnegative("lr", lr)
     check_nonnegative("weight_decay", weight_decay)
@@ -222,33 +279,53 @@ def adam_step(
         if name not in grads:
             raise ConfigurationError(f"missing gradient for trainable parameter '{name}'")
         theta = store._values[name]
-        g = np.ascontiguousarray(grads[name], dtype=store.dtype)
-        if g.shape != theta.shape:
+        g = grads[name]
+        rows = None
+        if isinstance(g, RowGrad):
+            rows = np.asarray(g.rows)
+            if theta.ndim == 0 or g.shape != theta.shape:
+                raise ShapeError(
+                    f"row gradient for '{name}': expected shape {theta.shape}, got {g.shape}"
+                )
+            if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and not (
+                rows[0] >= 0 and rows[-1] < len(theta) and (np.diff(rows) > 0).all()
+            ):
+                raise ConfigurationError(
+                    f"row gradient for '{name}': rows must be integers, sorted, unique "
+                    f"and in range"
+                )
+            if g.values.shape != (len(rows), *theta.shape[1:]):
+                raise ShapeError(
+                    f"row gradient for '{name}': expected values of shape "
+                    f"{(len(rows), *theta.shape[1:])}, got {g.values.shape}"
+                )
+            g = g.values
+        g = np.ascontiguousarray(g, dtype=store.dtype)
+        if rows is None and g.shape != theta.shape:
             raise ShapeError(f"gradient for '{name}': expected shape {theta.shape}, got {g.shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError(f"non-finite gradient for parameter '{name}'")
-        updates.append((name, theta, g))
-    for name, theta, _ in updates:
+        updates.append((name, theta, g, rows))
+    for name, theta, *_ in updates:
         if name not in store._moments:
             store._moments[name] = np.zeros(theta.shape), np.zeros(theta.shape)
     store.version += 1
-    scratch = np.empty((2, ADAM_CHUNK), dtype=store.dtype)
-    for name, theta, g in updates:
+    for name, theta, g, rows in updates:
         m, v = store._moments[name]
         t = store.step_count(name) + 1
-        # chunked and in place, so no temporary grows with the table; bitwise textbook Adam
-        for lo in range(0, theta.size, ADAM_CHUNK):
-            th, gc, mc, vc = (a.reshape(-1)[lo : lo + ADAM_CHUNK] for a in (theta, g, m, v))
-            step, den = scratch[:, : th.size]
-            gc = gc + np.multiply(th, weight_decay, out=step) if weight_decay else gc
-            mc *= ADAM_BETA1
-            mc += np.multiply(gc, 1.0 - ADAM_BETA1, out=step)
-            vc *= ADAM_BETA2
-            vc += np.multiply(np.multiply(gc, 1.0 - ADAM_BETA2, out=step), gc, out=step)
-            np.sqrt(np.divide(vc, 1.0 - ADAM_BETA2**t, out=den), out=den)
-            den += ADAM_EPS
-            np.multiply(np.divide(mc, 1.0 - ADAM_BETA1**t, out=step), lr, out=step)
-            th -= np.divide(step, den, out=step)
+        if rows is None:
+            for lo in range(0, theta.size, ADAM_CHUNK):
+                chunk = (a.reshape(-1)[lo : lo + ADAM_CHUNK] for a in (theta, g, m, v))
+                _adam_update(*chunk, t, lr, weight_decay)
+        else:
+            # gather whole rows, update them as one flat chunk, scatter them back
+            per_chunk = max(1, ADAM_CHUNK // max(1, math.prod(theta.shape[1:])))
+            for lo in range(0, len(rows), per_chunk):
+                r = rows[lo : lo + per_chunk]
+                th, mc, vc = (a.take(r, axis=0) for a in (theta, m, v))
+                gc = g[lo : lo + per_chunk]
+                _adam_update(*(a.reshape(-1) for a in (th, gc, mc, vc)), t, lr, weight_decay)
+                theta[r], m[r], v[r] = th, mc, vc
         store._step[name] = t
 
 

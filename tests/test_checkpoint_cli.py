@@ -36,7 +36,14 @@ from dagfm.data import Dataset, build_vocab, load_dataset, split_dataset
 from dagfm.distill import StageConfig, distill_student, finetune_student, train_teacher
 from dagfm.interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
 from dagfm.metrics import count_flops, count_params, efficiency_report
-from dagfm.numcore import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ConfigurationError, adam_step
+from dagfm.numcore import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ConfigurationError,
+    RowGrad,
+    adam_step,
+)
 from dagfm.synthetic import generate_planted_dataset, write_csv
 from dagfm.teachers import (
     CinModel,
@@ -282,6 +289,7 @@ class TestSpecRoundTrip:
         grads = model.backward(np.zeros(0))
         assert grads.keys() == set(model.store.names())
         for name, g in grads.items():
+            g = np.asarray(g)  # the table's rows, densified
             assert g.shape == model.store[name].shape and not g.any(), name
 
     @pytest.mark.parametrize("cls", MODELS, ids=lambda cls: cls.kind)
@@ -471,7 +479,8 @@ class EagerAdam:
     """The reference that a parameter's moments, allocated on its first
     update, must match bit for bit: textbook bias-corrected Adam that holds
     zero moments for every parameter of a store, frozen ones included, from
-    the store's first step, and writes the stepped values with ``set``."""
+    the store's first step, and writes the stepped values with ``set``. A
+    row gradient steps its rows alone (lazy Adam)."""
 
     def __init__(self):
         self.state = {}  # store -> {name: [m, v, step count]}
@@ -481,15 +490,18 @@ class EagerAdam:
             n: [np.zeros_like(store[n]), np.zeros_like(store[n]), 0] for n in store.names()
         })
         for name in store.trainable_names():
-            theta, g = store[name], grads[name]
+            g = grads[name]
+            rows = g.rows if isinstance(g, RowGrad) else slice(None)
+            g = g.values if isinstance(g, RowGrad) else g
             m, v, t = state[name]
-            t += 1
+            theta, m, v, t = store[name].copy(), m.copy(), v.copy(), t + 1
             if weight_decay:
-                g = g + weight_decay * theta
-            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-            den = np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS
-            store.set(name, theta - lr * (m / (1 - ADAM_BETA1**t)) / den)
+                g = g + weight_decay * theta[rows]
+            m[rows] = ADAM_BETA1 * m[rows] + (1 - ADAM_BETA1) * g
+            v[rows] = ADAM_BETA2 * v[rows] + (1 - ADAM_BETA2) * g * g
+            den = np.sqrt(v[rows] / (1 - ADAM_BETA2**t)) + ADAM_EPS
+            theta[rows] = theta[rows] - lr * (m[rows] / (1 - ADAM_BETA1**t)) / den
+            store.set(name, theta)
             state[name] = [m, v, t]
 
     def store_state(self, store):

@@ -19,6 +19,7 @@ from dagfm.distill import (
     StageConfig,
     _ctr_loss_and_grad,
     _kd_loss_and_grad,
+    _tiled_step,
     ctr_loss,
     distill_student,
     evaluate,
@@ -213,6 +214,32 @@ class TestPredict:
         assert len(idx) == 2 * SCORE_ROWS + 37
         assert np.allclose(predict_logits(model, idx), model.forward(idx), rtol=1e-13)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [CrossNetSpec(4, 4, 2), DagfmSpec("outer", 4, 4, 2)],
+        ids=["crossnet", "dagfm-outer"],
+    )
+    def test_tiles_over_different_rows_merge_to_the_whole_batch(self, spec):
+        # a vocabulary far wider than a tile: each tile touches rows that the
+        # others miss, and the merged table gradient covers their union
+        vocab, n = 3000, 2 * TRAIN_ROWS + 37
+        rng = np.random.default_rng(8)
+        idx = rng.integers(0, vocab, size=(n, 4))
+        labels = rng.integers(0, 2, size=n).astype(np.float64)
+        model = perturbed(spec, [vocab] * 4)
+        tile_rows = [
+            np.unique(idx[lo : lo + TRAIN_ROWS] + vocab * np.arange(4)) for lo in (0, TRAIN_ROWS)
+        ]
+        assert not np.array_equal(*tile_rows)
+        _, dlogits = _ctr_loss_and_grad(labels, model.forward(idx))
+        whole = model.backward(dlogits)
+        _, grads = _tiled_step(
+            model, idx, labels, np.arange(n), lambda logits, y, rows: _ctr_loss_and_grad(y, logits)
+        )
+        assert np.array_equal(grads["emb"].rows, np.unique(idx + vocab * np.arange(4)))
+        assert np.array_equal(grads["emb"].rows, whole["emb"].rows)
+        assert_grads_close(grads, whole)
+
     def test_working_set_is_bounded_by_one_tile(self):
         # An m=39 student's state buffer and per-layer S arrays grow with the
         # rows of a forward; scoring 16 tiles must not cost more memory than
@@ -353,7 +380,8 @@ def perturbed(spec, vocab_sizes):
 def assert_grads_close(grads, reference):
     assert grads.keys() == reference.keys()
     for name, g in reference.items():
-        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+        g = np.asarray(g)  # the table's rows, densified
+        assert np.abs(np.asarray(grads[name]) - g).max() <= 1e-12 * np.abs(g).max(), name
 
 
 class TestTrainingTiles:

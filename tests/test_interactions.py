@@ -255,21 +255,55 @@ class TestPropagation:
         expected = model.store["emb"][idx + np.cumsum([0, *vocab[:-1]])]
         np.testing.assert_array_equal(model.embedding.lookup(idx), expected)
 
+    @staticmethod
+    def dense_bincount(idx, d_emb, vocab):
+        """The table gradient as one dense field-major bincount over the whole
+        table, the form the row gradient replaced."""
+        rows, d = sum(vocab), d_emb.shape[2]
+        offsets = np.cumsum([0, *vocab[:-1]])
+        flat = ((idx.T + offsets[:, None]).reshape(-1, 1) * d + np.arange(d)).ravel()
+        g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=rows * d)
+        return g.reshape(rows, d)
+
     def test_embedding_grads_scatter_add_trainable_tables_only(self, rng):
         vocab = [3, 7, 2, 9]
         model = DagfmModel(DagfmSpec("outer", 4, 3, 1), vocab, seed=0)
-        idx = np.stack([rng.integers(0, v, size=200) for v in vocab], axis=1)
-        d_emb = rng.normal(size=(200, 4, 3))
-        grads = model.embedding.grads(idx, d_emb)
-        assert sorted(grads) == ["emb"]
-        expected = np.zeros((sum(vocab), 3))
-        np.add.at(expected, idx + np.cumsum([0, *vocab[:-1]]), d_emb)
-        np.testing.assert_array_equal(grads["emb"], expected)
-        # a field-major d_emb, as the models pass it, sums in the same order
-        field_major = np.ascontiguousarray(d_emb.transpose(1, 0, 2)).transpose(1, 0, 2)
-        np.testing.assert_array_equal(model.embedding.grads(idx, field_major)["emb"], expected)
+        # 200 rows repeat every table row, 3 rows leave most rows untouched,
+        # and no rows touch none
+        for batch in (200, 3, 0):
+            idx = np.stack([rng.integers(0, v, size=batch) for v in vocab], axis=1)
+            d_emb = rng.normal(size=(batch, 4, 3))
+            grads = model.embedding.grads(idx, d_emb)
+            assert sorted(grads) == ["emb"]
+            g = grads["emb"]
+            offset_rows = idx + np.cumsum([0, *vocab[:-1]])
+            assert np.array_equal(g.rows, np.unique(offset_rows))
+            assert g.values.shape == (len(g.rows), 3) and g.shape == (sum(vocab), 3)
+            expected = np.zeros((sum(vocab), 3))
+            np.add.at(expected, offset_rows, d_emb)
+            np.testing.assert_array_equal(np.asarray(g), expected)
+            np.testing.assert_array_equal(np.asarray(g), self.dense_bincount(idx, d_emb, vocab))
+            # a field-major d_emb, as the models pass it, sums in the same order
+            field_major = np.ascontiguousarray(d_emb.transpose(1, 0, 2)).transpose(1, 0, 2)
+            np.testing.assert_array_equal(
+                np.asarray(model.embedding.grads(idx, field_major)["emb"]), expected
+            )
         model.store.freeze("emb")
         assert model.embedding.grads(idx, d_emb) == {}
+
+    @pytest.mark.parametrize("tag", ["dagfm-outer", "dagfm-inner", "dagfm+"])
+    def test_frozen_table_takes_no_gradient_and_moves_no_other(self, tag, rng, monkeypatch):
+        model, idx, _ = random_small_model(tag, rng)
+        dlogits = rng.normal(size=len(idx))
+        model.forward(idx)
+        trained = model.backward(dlogits)
+        model.store.freeze("emb")
+        monkeypatch.setattr(model.embedding, "grads", None)  # never called
+        model.forward(idx)
+        frozen = model.backward(dlogits)
+        assert frozen.keys() == trained.keys() - {"emb"}
+        for name, g in frozen.items():
+            assert g.tobytes() == trained[name].tobytes(), name
 
     def test_outer_identity_only_at_d1(self):
         model = DagfmModel(DagfmSpec("outer", 3, 2, 1), [2] * 3)
@@ -540,8 +574,9 @@ def assert_logits_and_grads_close(model, reference, idx, rng, rtol):
     grads, expected = model.backward(dlogits), reference.backward(dlogits)
     assert grads.keys() == expected.keys()
     for name, g in expected.items():
-        assert grads[name].shape == g.shape, name
-        assert np.abs(grads[name] - g).max(initial=0.0) <= rtol * np.abs(g).max(initial=0.0), name
+        got, g = np.asarray(grads[name]), np.asarray(g)  # the table's rows, densified
+        assert got.shape == g.shape, name
+        assert np.abs(got - g).max(initial=0.0) <= rtol * np.abs(g).max(initial=0.0), name
 
 
 EDGE_LISTS = {
@@ -690,7 +725,7 @@ class TestFieldBlocksAtCtrSize:
         grads, expected = model.backward(dlogits), dense.backward(dlogits)
         assert grads.keys() == expected.keys()
         for name, g in expected.items():
-            assert grads[name].tobytes() == g.tobytes(), name
+            assert np.asarray(grads[name]).tobytes() == np.asarray(g).tobytes(), name
 
     @pytest.mark.parametrize("batch", [1, 19, 20, 64])
     def test_forward_plan_follows_the_batch_size(self, batch, rng, monkeypatch):

@@ -8,6 +8,7 @@ from dagfm.numcore import (
     ADAM_EPS,
     ConfigurationError,
     ParamStore,
+    RowGrad,
     ShapeError,
     TrainingDivergenceError,
     adam_step,
@@ -295,6 +296,142 @@ class TestAdamStep:
             assert store["x"].tobytes() == theta.tobytes()
             assert store.moments("x")[0].tobytes() == m.tobytes()
             assert store.moments("x")[1].tobytes() == v.tobytes()
+
+
+def textbook_lazy_adam(theta, m, v, rows, g, t, lr, weight_decay, b1=0.9, b2=0.999):
+    """Bias-corrected Adam on ``rows`` alone, the other rows left as they are."""
+    theta, m, v = theta.copy(), m.copy(), v.copy()
+    th = theta[rows]
+    if weight_decay:
+        g = g + weight_decay * th
+    m[rows] = b1 * m[rows] + (1 - b1) * g
+    v[rows] = b2 * v[rows] + (1 - b2) * g * g
+    theta[rows] = th - lr * (m[rows] / (1 - b1**t)) / (np.sqrt(v[rows] / (1 - b2**t)) + ADAM_EPS)
+    return theta, m, v
+
+
+def row_grad(rows, values, shape):
+    return RowGrad(np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=np.float64), shape)
+
+
+def moment_bytes(store, name):
+    return tuple(a.tobytes() for a in store.moments(name))
+
+
+class TestRowGrad:
+    def test_densifies_to_its_rows(self):
+        g = row_grad([1, 3], [[1.0, 2.0], [3.0, 4.0]], (5, 2))
+        dense = np.zeros((5, 2))
+        dense[[1, 3]] = [[1.0, 2.0], [3.0, 4.0]]
+        assert np.array_equal(np.asarray(g), dense)
+        assert np.asarray(row_grad([], np.zeros((0, 2)), (5, 2))).shape == (5, 2)
+
+    @pytest.mark.parametrize("other_rows", [[1, 3], [0, 3, 4], [2], []])
+    def test_sum_is_the_dense_sum_over_the_row_union(self, other_rows):
+        rng = np.random.default_rng(5)
+        a = row_grad([1, 3], rng.normal(size=(2, 2)), (5, 2))
+        b = row_grad(other_rows, rng.normal(size=(len(other_rows), 2)), (5, 2))
+        expected = np.asarray(a) + np.asarray(b)
+        a += b
+        assert np.array_equal(a.rows, np.union1d([1, 3], other_rows))
+        assert np.array_equal(np.asarray(a), expected)
+
+    def test_sum_of_different_shapes_rejected(self):
+        a = row_grad([1], np.ones((1, 2)), (5, 2))
+        with pytest.raises(ShapeError):
+            a += row_grad([1], np.ones((1, 2)), (6, 2))
+
+
+class TestLazyRowAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 3e-4])
+    def test_every_row_step_is_the_dense_step(self, weight_decay):
+        # a row gradient over every row moves values, moments and step
+        # counts bitwise as the dense gradient does, and as textbook Adam
+        rng = np.random.default_rng(11)
+        theta = rng.normal(size=(9, 3))
+        dense, lazy = make_store(x=theta.copy()), make_store(x=theta.copy())
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        for t in range(1, 5):
+            g = rng.normal(size=theta.shape)
+            adam_step(dense, {"x": g}, lr=1e-2, weight_decay=weight_decay)
+            adam_step(lazy, {"x": row_grad(np.arange(9), g, theta.shape)}, lr=1e-2,
+                      weight_decay=weight_decay)
+            theta, m, v = textbook_lazy_adam(theta, m, v, np.arange(9), g, t, 1e-2, weight_decay)
+        for store in (dense, lazy):
+            assert store["x"].tobytes() == theta.tobytes()
+            assert moment_bytes(store, "x") == (m.tobytes(), v.tobytes())
+            assert store.step_count("x") == 4
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 3e-4])
+    def test_touched_rows_step_as_textbook_adam_and_the_rest_keep_their_state(
+        self, weight_decay
+    ):
+        # more touched rows than one chunk holds, at a step count past the
+        # first: only those rows move, by the textbook update, while every
+        # other row keeps its value and both moments bitwise, decay or not
+        from dagfm.numcore import ADAM_CHUNK
+
+        rng = np.random.default_rng(12)
+        d = 4
+        n_rows = 3 * ADAM_CHUNK // d
+        theta = rng.normal(size=(n_rows, d))
+        store = make_store(x=theta.copy())
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        for t in range(1, 4):
+            rows = np.sort(rng.choice(n_rows, size=ADAM_CHUNK // d + 17, replace=False))
+            g = rng.normal(size=(len(rows), d))
+            untouched = np.setdiff1d(np.arange(n_rows), rows)
+            before = [a[untouched].tobytes() for a in (store["x"], *store.moments("x"))]
+            adam_step(store, {"x": row_grad(rows, g, theta.shape)}, lr=1e-2,
+                      weight_decay=weight_decay)
+            after = [a[untouched].tobytes() for a in (store["x"], *store.moments("x"))]
+            assert after == before
+            theta, m, v = textbook_lazy_adam(theta, m, v, rows, g, t, 1e-2, weight_decay)
+            assert store.step_count("x") == t
+        assert store["x"].tobytes() == theta.tobytes()
+        assert moment_bytes(store, "x") == (m.tobytes(), v.tobytes())
+
+    def test_a_row_step_touching_no_row_moves_only_the_step_count(self):
+        store = make_store(x=np.ones((4, 2)))
+        adam_step(store, {"x": row_grad([], np.zeros((0, 2)), (4, 2))}, lr=0.1, weight_decay=0.5)
+        assert np.array_equal(store["x"], np.ones((4, 2)))
+        assert store.step_count("x") == 1
+
+    def test_non_finite_row_value_writes_nothing(self):
+        store = make_store(x=[1.0, 2.0], emb=np.ones((5, 2)))
+        good = row_grad([0, 4], np.ones((2, 2)), (5, 2))
+        adam_step(store, {"x": np.ones(2), "emb": good}, lr=0.1)
+
+        def state():
+            return store.version, {
+                n: (store[n].tobytes(), moment_bytes(store, n)) for n in store.names()
+            }
+
+        before = state()
+        bad = row_grad([1, 2], [[1.0, 2.0], [np.nan, 0.0]], (5, 2))
+        with pytest.raises(TrainingDivergenceError, match="'emb'"):
+            adam_step(store, {"x": np.ones(2), "emb": bad}, lr=0.1)
+        assert state() == before
+        assert store.step_count("x") == store.step_count("emb") == 1
+
+    @pytest.mark.parametrize(
+        "rows,values,shape,error",
+        [
+            ([2, 1], np.ones((2, 2)), (5, 2), ConfigurationError),  # unsorted
+            ([1, 1], np.ones((2, 2)), (5, 2), ConfigurationError),  # repeated
+            ([1, 5], np.ones((2, 2)), (5, 2), ConfigurationError),  # past the last row
+            ([-1, 1], np.ones((2, 2)), (5, 2), ConfigurationError),
+            ([1.0, 2.0], np.ones((2, 2)), (5, 2), ConfigurationError),  # not row numbers
+            ([1, 2], np.ones((3, 2)), (5, 2), ShapeError),  # values for other rows
+            ([1, 2], np.ones((2, 3)), (5, 2), ShapeError),
+            ([1, 2], np.ones((2, 2)), (6, 2), ShapeError),  # another table's
+        ],
+    )
+    def test_malformed_row_gradient_rejected(self, rows, values, shape, error):
+        store = make_store(emb=np.ones((5, 2)))
+        with pytest.raises(error, match="emb"):
+            adam_step(store, {"emb": RowGrad(np.asarray(rows), values, shape)}, lr=0.1)
+        assert store.step_count("emb") == 0 and held_moments(store) == set()
 
 
 class TestGradCheck:
