@@ -21,8 +21,9 @@ against the file size, then the layout's parameters, every one of them,
 against the payload size, so a small file cannot force a large allocation,
 then every manifest entry (known and unique name, exact shape, float dtype)
 and the exact payload size. It then reads the weights, rejects non-finite
-ones, and builds the model from them with no random draws. Every malformed
-file raises :class:`CheckpointError`.
+ones and ones so large that some input would score a non-finite logit, and
+builds the model from them with no random draws. Every malformed file
+raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def _payload_plan(shapes, manifest) -> dict[str, tuple[np.dtype, tuple]]:
     for entry in manifest:
         try:
             name, shape, dtype = entry["name"], entry["shape"], np.dtype(entry["dtype"])
-        except (KeyError, TypeError, ValueError) as e:
+        # SyntaxError: numpy parses a dtype string with a comma as Python
+        except (KeyError, TypeError, ValueError, SyntaxError) as e:
             raise CheckpointError(f"corrupt manifest entry {entry!r}") from e
         if not isinstance(name, str) or name not in shapes:
             raise CheckpointError(f"manifest names unknown parameter {name!r}")
@@ -204,7 +206,26 @@ def load_checkpoint(path):
             arr = np.empty(shape, dtype=dtype)
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise CheckpointError(f"truncated payload in parameter {name!r}")
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"non-finite weights in parameter {name!r}")
             values[name] = arr
+    _check_scores_finite(spec, values)
     return cls.from_values(spec, vocab_sizes, values)
+
+
+def _check_scores_finite(spec, values: dict) -> None:
+    """Reject non-finite weights, and weights so large that some input would
+    make a forward overflow: ``spec.logit_bound`` of the parameters' scales,
+    each the larger of 1 and its root sum of squares (at least its largest
+    weight magnitude), bounds every value a forward forms, and twice it (a
+    margin for rounding) must be finite."""
+    scales = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in values.items():
+            flat = np.asarray(arr, dtype=np.float64).reshape(-1)
+            squares = float(flat @ flat)  # one pass; NaN or inf for a non-finite weight
+            if not math.isfinite(squares):
+                what = "too large" if np.isfinite(flat).all() else "non-finite"
+                raise CheckpointError(f"{what} weights in parameter {name!r}")
+            scales[name] = max(1.0, math.sqrt(squares))
+        bound = float(spec.logit_bound(scales))
+    if not math.isfinite(2 * bound):
+        raise CheckpointError("weights so large that some input would score a non-finite logit")

@@ -381,6 +381,14 @@ def distill_student(
     saturates long before the student's outputs have converged onto the
     teacher's, and rewinding would discard most of that matching progress.
     """
+    _check_distill(student, teacher, alpha, beta)
+    teacher_logits = predict_logits(teacher, split.train.indices)
+    return _distill_chunk(student, teacher, teacher_logits, split, stage, alpha, beta, log_path)
+
+
+def _check_distill(student, teacher, alpha: float, beta: float) -> None:
+    """Reject stage-2 settings, and tables the student cannot copy, before
+    anything is copied, frozen or scored."""
     _check_kd_settings(alpha, beta)
     # every layout opens with one (sum(vocab sizes), embed_dim) table
     s_tables = (student.vocab_sizes, student.embed_dim)
@@ -389,9 +397,15 @@ def distill_student(
         raise ConfigurationError(
             f"embedding shape mismatch: student (vocab sizes, dim) {s_tables} vs teacher {t_tables}"
         )
+
+
+def _distill_chunk(
+    student, teacher, teacher_logits, split, stage, alpha, beta, log_path
+) -> TrainReport:
+    """One distill stage against ``teacher_logits``, the teacher's logits on
+    the training split: copy and freeze the table, then train the rest."""
     student.store.set("emb", teacher.store["emb"])
     student.store.freeze("emb")
-    teacher_logits = predict_logits(teacher, split.train.indices)
 
     def batch_loss(logits, labels, rows):
         kd, dkd = _kd_loss_and_grad(teacher_logits[rows], logits)
@@ -473,21 +487,17 @@ def run_pipeline(
         "teacher": train_teacher(teacher, split, plan.teacher_stage, log_paths.get("teacher"))
     }
     teacher_auc = evaluate(teacher, split.test).auc
+    # the teacher no longer changes: its training split is scored once, for
+    # every chunk and for kd_train
+    _check_distill(student, teacher, plan.alpha, plan.beta)
+    teacher_logits = predict_logits(teacher, split.train.indices)
     for stem, stage in zip(distill_stems, plan.distill_stages):
-        reports[stem] = distill_student(
-            student,
-            teacher,
-            split,
-            stage,
-            alpha=plan.alpha,
-            beta=plan.beta,
-            log_path=log_paths.get(stem),
+        reports[stem] = _distill_chunk(
+            student, teacher, teacher_logits, split, stage, plan.alpha, plan.beta,
+            log_paths.get(stem),
         )
     distilled_auc = evaluate(student, split.test).auc
-    kd_train = kd_loss(
-        predict_logits(teacher, split.train.indices),
-        predict_logits(student, split.train.indices),
-    )
+    kd_train = kd_loss(teacher_logits, predict_logits(student, split.train.indices))
     reports["finetune"] = finetune_student(
         student, split, plan.finetune_stage, log_paths.get("finetune")
     )

@@ -233,6 +233,38 @@ class DagfmSpec:
         head = FlopCount(m * (L + 1), m * (L + 1) - 1)
         return FlopCount(L * P * pm, L * layer_adds) + head
 
+    def logit_bound(self, scales: dict[str, float]) -> float:
+        """The logit, on any row, of this model with every weight of each
+        parameter ``name`` equal to ``scales[name]``.
+
+        Every family declares this bound. A forward forms each value from the
+        weights by sums, products, relu and tanh, so when each scale is at
+        least 1 and at least its parameter's largest weight magnitude, no
+        value that any forward forms is larger in magnitude than the bound.
+        """
+        d = self.embed_dim
+        return d * scales["head.w"] * sum(h.sum() for h in self._state_bounds(scales)) \
+            + scales["head.b"]
+
+    def _state_bounds(self, scales: dict[str, float]) -> list[np.ndarray]:
+        """Every node's entries in each state set of the constant model."""
+        m, d, e = self.num_fields, self.embed_dim, scales["emb"]
+        if self.edges is None:  # every j -> i with j <= i
+            edges = np.triu(np.ones((m, m)))
+        else:
+            edges = np.zeros((m, m))
+            edges[tuple(np.array(self.pairs()).T)] = 1.0
+        weight = {
+            "basic-inner": lambda t: 1.0,
+            "inner": lambda t: scales[f"dag.w{t}"],
+            "kernel": lambda t: d * scales[f"dag.K{t}"],
+            "outer": lambda t: d * scales[f"dag.p{t}"] * scales[f"dag.q{t}"],
+        }[self.kind]
+        states = [np.full(m, e)]
+        for t in range(self.num_layers):
+            states.append(weight(t) * e * (states[-1] @ edges))
+        return states
+
     @property
     def num_pairs(self) -> int:
         """Edge count; a formula on the full DAG, so a layout is sized
@@ -260,45 +292,62 @@ class EmbeddingTable:
     def num_fields(self) -> int:
         return len(self._rows)
 
-    def lookup(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (B, m, d) embeddings of an index batch, as a view of a
-        field-major (m, B, d) array (``out`` if given) filled by one gather."""
+    def table_rows(self, idx: np.ndarray) -> np.ndarray:
+        """The (B, m) table rows an index batch reads: ``offsets[i] + j`` for
+        field i's index j, once the batch's shape and every field's range are
+        checked."""
         idx = np.asarray(idx)
         if idx.ndim != 2 or idx.shape[1] != self.num_fields:
             raise ShapeError(f"index matrix must be (batch, {self.num_fields}), got {idx.shape}")
         # the per-field check also keeps field i's indices off field i+1's rows
-        bad = (idx < 0) | (idx >= self._rows)
-        if bad.any():
+        if idx.min(initial=0) < 0 or not (idx < self._rows).all():
+            bad = (idx < 0) | (idx >= self._rows)
             i = int(np.argmax(bad.any(axis=0)))
             raise IndexError(
                 f"field {i}: index {idx[bad[:, i], i][0]} outside vocab range "
                 f"[0, {self._rows[i]})"
             )
+        return idx + self.offsets
+
+    def lookup(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (B, m, d) embeddings of an index batch, as a view of a
+        field-major (m, B, d) array (``out`` if given) filled by one gather."""
+        rows = self.table_rows(idx)
         if out is None:
-            out = np.empty((self.num_fields, idx.shape[0], self.dim))
+            out = np.empty((self.num_fields, len(rows), self.dim))
         # bounds are checked above; "clip" lets take write into out unbuffered
-        self.store["emb"].take(idx.T + self.offsets[:, None], axis=0, out=out, mode="clip")
+        self.store["emb"].take(rows.T, axis=0, out=out, mode="clip")
         return out.transpose(1, 0, 2)
+
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        """The (B, m, d) embeddings of an index batch, batch-major and
+        contiguous, from one gather: ``reshape(B, m * d)`` is a view."""
+        return self.store["emb"].take(self.table_rows(idx), axis=0, mode="clip")
 
     def grads(self, idx: np.ndarray, d_emb: np.ndarray) -> dict[str, RowGrad]:
         """The table's gradient as a :class:`RowGrad` over the rows the batch
         touched, or nothing when the table is frozen (``adam_step`` would
-        ignore it). ``d_emb`` (B, m, d) is scatter-added into those rows, and
-        each row sums its contributions field by field, in batch-row order
-        within a field: each sum is bitwise the dense scatter-add's. A
-        field-major ``d_emb``, like ``lookup``'s, is read without copies."""
+        ignore it). ``d_emb`` (B, m, d) is scatter-added into those rows in
+        its own memory order, without copies, when that is batch-major like
+        ``gather``'s or field-major like ``lookup``'s; any other layout is
+        copied batch-major. Every row belongs to one field, so in either
+        order its contributions arrive in batch-row order: each sum is
+        bitwise the dense scatter-add's."""
         if not self.store.is_trainable("emb"):
             return {}
         shape = self.store["emb"].shape
-        flat_rows = (idx.T + self.offsets[:, None]).ravel()  # field-major
+        table_rows = self.table_rows(idx)
         # the touched rows, from one count over the table; the counts are then
         # overwritten with each touched row's position among them
-        compact = np.bincount(flat_rows, minlength=shape[0])
+        compact = np.bincount(table_rows.ravel(), minlength=shape[0])
         rows = np.flatnonzero(compact)
         compact[rows] = np.arange(len(rows))
         d = shape[1]
-        flat = (compact[flat_rows].reshape(-1, 1) * d + np.arange(d)).ravel()
-        g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=len(rows) * d)
+        firsts = compact[table_rows] * d  # each (batch row, field)'s first output cell
+        if d_emb.strides[0] < d_emb.strides[1]:  # field-major
+            firsts, d_emb = firsts.T, d_emb.transpose(1, 0, 2)
+        cells = (firsts.reshape(-1, 1) + np.arange(d)).ravel()
+        g = np.bincount(cells, weights=d_emb.ravel(), minlength=len(rows) * d)
         return {"emb": RowGrad(rows, g.reshape(-1, d), shape)}
 
 
@@ -752,6 +801,13 @@ class DagfmPlusSpec:
         yield from self.dagfm.layout(vocab_sizes)
         yield from mlp_layout(self.widths, self.activation)
 
+    def logit_bound(self, scales: dict[str, float]) -> float:
+        """See :meth:`DagfmSpec.logit_bound`."""
+        states = self.dagfm._state_bounds(scales)
+        fed = states if self.mlp_feed == "all-states" else states[-1:]
+        inputs = self.embed_dim * sum(h.sum() for h in fed)
+        return self.dagfm.logit_bound(scales) + mlp_bound(self.widths, scales, inputs)
+
     def flops(self) -> FlopCount:
         # the tower's logit joins the DAG's with one addition
         return self.dagfm.flops() + mlp_flops(self.widths) + FlopCount(0, 1)
@@ -780,6 +836,15 @@ def mlp_layout(widths: list[int], activation: str, zero_final: bool = True) -> I
             init = np.sqrt(gain / n_in)
         yield f"mlp.W{k}", (n_in, n_out), init
         yield f"mlp.b{k}", (n_out,), np.zeros
+
+
+def mlp_bound(widths: list[int], scales: dict[str, float], inputs: float) -> float:
+    """A bound on the output of a tower of these widths whose weights and
+    biases are no larger than their ``scales``, given the summed bounds of its
+    inputs: relu and tanh grow no magnitude."""
+    for k, n_out in enumerate(widths[1:]):
+        inputs = n_out * (scales[f"mlp.W{k}"] * inputs + scales[f"mlp.b{k}"])
+    return inputs
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,20 @@ tiny MLP) are lightweight students used for comparison only.
 All models share the :class:`~dagfm.interactions.Model` surface: embeddings
 in a ParamStore, ``forward(idx) -> logits``, ``backward(dlogits) -> grads``
 with hand-derived gradients.
+
+CIN reads the embeddings field-major (``EmbeddingTable.lookup``); the cross
+network, FwFM, FmFM and the tiny MLP read them batch-major
+(``EmbeddingTable.gather``). The cross network, FmFM and the tiny MLP take
+their (B, m*d) input as a view of the gather and hand
+``EmbeddingTable.grads`` a batch-major gradient, which it scatters without a
+copy; FwFM copies its states dim-major. The cross network spends its time
+in its GEMMs: each layer adds its bias into the GEMM's output and forms
+``x0 * u + x_t`` in place, and backward starts ``dx0`` from its first term,
+reuses one scratch array for ``dx * u_t`` and adds ``dx`` into the
+``du @ W`` product in place. Logits and gradients are bitwise those of the
+plain arithmetic. A CrossNet(3) forward at d=16, B=256 went from 506 to
+461 us at m=8 and from 7,480 to 7,190 us at m=39 (process time, one BLAS
+thread, malloc pinned, 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -19,7 +33,8 @@ from typing import Iterator
 import numpy as np
 
 from .interactions import (
-    FlopCount, MlpTower, Model, PairGemm, embedding_layout, identity, mlp_flops, mlp_layout,
+    FlopCount, MlpTower, Model, PairGemm, embedding_layout, identity, mlp_bound, mlp_flops,
+    mlp_layout,
 )
 from .numcore import ConfigurationError, as_tuples, check_int
 
@@ -72,6 +87,16 @@ class CinSpec:
             adds += h * (d - 1)  # sum-pool the new feature map
             prev = h
         return FlopCount(mults, adds) + FlopCount(self.pooled_width, self.pooled_width - 1)
+
+    def logit_bound(self, scales: dict[str, float]) -> float:
+        """See :meth:`~dagfm.interactions.DagfmSpec.logit_bound`."""
+        m, d, e = self.num_fields, self.embed_dim, scales["emb"]
+        x, prev, pooled = e, m, 0.0
+        for k, h in enumerate(self.layer_sizes):
+            x = prev * m * scales[f"cin.W{k}"] * x * e  # each entry of map k
+            pooled += h * d * x
+            prev = h
+        return scales["head.w"] * pooled + scales["head.b"]
 
     @property
     def num_layers(self) -> int:
@@ -278,6 +303,14 @@ class CrossNetSpec:
         # per layer n^2 + n mults (matvec, elementwise) and adds (bias, residual), then the head
         return FlopCount(L * (n * n + n), L * (n * n + n)) + FlopCount(n, n - 1)
 
+    def logit_bound(self, scales: dict[str, float]) -> float:
+        """See :meth:`~dagfm.interactions.DagfmSpec.logit_bound`."""
+        n, e = self.width, scales["emb"]
+        x = e
+        for t in range(self.num_layers):
+            x = e * (n * scales[f"cross.W{t}"] * x + scales[f"cross.b{t}"]) + x
+        return n * scales["head.w"] * x + scales["head.b"]
+
     @property
     def width(self) -> int:
         return self.num_fields * self.embed_dim
@@ -287,16 +320,23 @@ class CrossNetModel(Model):
     kind = "crossnet"
     spec_type = CrossNetSpec
 
+    # Layer t is u_t = x_t W_t^T + b_t and x_{t+1} = x0 * u_t + x_t. With dx
+    # the gradient of x_{t+1}: du = dx * x0, dW_t = du^T x_t, db_t = sum(du)
+    # and dx_t = du W_t + dx; dx0 sums dx * u_t over the layers, plus dx_0.
+
     def forward(self, idx: np.ndarray) -> np.ndarray:
         self._cache = None  # the last tape goes before this one is allocated
-        E = self.embedding.lookup(idx)
-        x0 = E.reshape(len(E), self.spec.width)  # a copy: lookup's array is field-major
+        E = self.embedding.gather(idx)
+        x0 = E.reshape(len(E), self.spec.width)
         xs = [x0]
         us = []
         for t in range(self.spec.num_layers):
-            u = xs[-1] @ self.store[f"cross.W{t}"].T + self.store[f"cross.b{t}"]
+            u = xs[-1] @ self.store[f"cross.W{t}"].T
+            u += self.store[f"cross.b{t}"]
             us.append(u)
-            xs.append(x0 * u + xs[-1])
+            x = x0 * u
+            x += xs[-1]
+            xs.append(x)
         self._cache = (np.asarray(idx), xs, us)
         return self._head(xs[-1])
 
@@ -304,13 +344,18 @@ class CrossNetModel(Model):
         idx, xs, us = self._tape()
         x0 = xs[0]
         grads, dx = self._head_backward(xs[-1], dlogits)
-        dx0 = np.zeros_like(x0)
-        for t in range(self.spec.num_layers - 1, -1, -1):
+        last = self.spec.num_layers - 1
+        for t in range(last, -1, -1):
             du = dx * x0
-            dx0 += dx * us[t]
+            if t == last:
+                dx0, scratch = dx * us[t], np.empty_like(x0)
+            else:
+                dx0 += np.multiply(dx, us[t], out=scratch)
             grads[f"cross.b{t}"] = du.sum(axis=0)
             grads[f"cross.W{t}"] = du.T @ xs[t]
-            dx = dx + du @ self.store[f"cross.W{t}"]
+            dx_prev = du @ self.store[f"cross.W{t}"]
+            dx_prev += dx
+            dx = dx_prev
         dx0 += dx
         dE = dx0.reshape(len(dx0), self.num_fields, self.embed_dim)
         grads.update(self.embedding.grads(idx, dE))
@@ -350,6 +395,13 @@ class _PairwiseSpec:
         n = self.num_fields * self.embed_dim  # the linear term, and its addition
         return FlopCount(self.num_pairs * pm + n, self.num_pairs * pa + n - 1)
 
+    def logit_bound(self, scales: dict[str, float]) -> float:
+        """See :meth:`~dagfm.interactions.DagfmSpec.logit_bound`."""
+        m, d, e = self.num_fields, self.embed_dim, scales["emb"]
+        name, terms = self._pair_terms()  # each pair term sums `terms` weighted products
+        return self.num_pairs * terms * scales[name] * e * e \
+            + m * d * scales["linear.u"] * e + scales["head.b"]
+
 
 class FwfmSpec(_PairwiseSpec):
     """Field-pair weight *vectors*: pairwise term sum(w_ij * e_i * e_j)."""
@@ -361,6 +413,9 @@ class FwfmSpec(_PairwiseSpec):
     def _pair_cost(self) -> tuple[int, int]:
         d = self.embed_dim
         return 2 * d, d
+
+    def _pair_terms(self) -> tuple[str, int]:
+        return "fwfm.w", self.embed_dim
 
 
 class FmfmSpec(_PairwiseSpec):
@@ -374,6 +429,9 @@ class FmfmSpec(_PairwiseSpec):
     def _pair_cost(self) -> tuple[int, int]:
         d = self.embed_dim
         return d * d + d, d * d
+
+    def _pair_terms(self) -> tuple[str, int]:
+        return "fmfm.W", self.embed_dim ** 2
 
 
 class _PairwiseModel(Model):
@@ -398,7 +456,9 @@ class _PairwiseModel(Model):
     def forward(self, idx: np.ndarray) -> np.ndarray:
         self._cache = None  # the last tape goes before this one is allocated
         g = self._gemm
-        X = g.states(self.embedding.lookup(idx).transpose(1, 0, 2))  # from field-major (m, B, d)
+        # FmFM's batch-major states are a view of the gather, FwFM's dim-major
+        # ones a copy
+        X = g.states(self.embedding.gather(idx).transpose(1, 0, 2))
         K = self._layout(self.weights, lambda: g.dense(self.store[self.weights]))
         u = g.states(self.store["linear.u"][:, None, :])
         self._cache = (np.asarray(idx), X, K, u)
@@ -463,6 +523,10 @@ class TinyMlpSpec:
     def flops(self) -> FlopCount:
         return mlp_flops(self.widths)
 
+    def logit_bound(self, scales: dict[str, float]) -> float:
+        """See :meth:`~dagfm.interactions.DagfmSpec.logit_bound`."""
+        return mlp_bound(self.widths, scales, self.num_fields * self.embed_dim * scales["emb"])
+
 
 class TinyMlpModel(Model):
     kind = "tinymlp"
@@ -473,8 +537,8 @@ class TinyMlpModel(Model):
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
         self._cache = self.mlp._cache = None  # the last tapes go before these are allocated
-        E = self.embedding.lookup(idx)
-        logits = self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim))
+        E = self.embedding.gather(idx)
+        logits = self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim))  # a view
         self._cache = np.asarray(idx)
         return logits
 

@@ -12,7 +12,7 @@ from dagfm.interactions import (
     DagfmPlusSpec,
     DagfmSpec,
 )
-from dagfm.numcore import grad_check
+from dagfm.numcore import RowGrad, grad_check
 from dagfm.teachers import (
     CinModel,
     CinSpec,
@@ -134,6 +134,32 @@ def field_rows(model, i: int) -> np.ndarray:
     start after the rows of fields ``0..i-1``."""
     start = sum(model.vocab_sizes[:i])
     return model.store["emb"][start : start + model.vocab_sizes[i]]
+
+
+def field_major_row_grads(table, idx, d_emb) -> dict:
+    """A trainable table's gradient as the field-major scatter forms it: the
+    rows and ``d_emb`` (B, m, d) copied field-major, and one bincount in
+    that order over the touched rows."""
+    shape = table.store["emb"].shape
+    flat_rows = (np.asarray(idx).T + table.offsets[:, None]).ravel()
+    compact = np.bincount(flat_rows, minlength=shape[0])
+    rows = np.flatnonzero(compact)
+    compact[rows] = np.arange(len(rows))
+    d = shape[1]
+    flat = (compact[flat_rows].reshape(-1, 1) * d + np.arange(d)).ravel()
+    g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=len(rows) * d)
+    return {"emb": RowGrad(rows, g.reshape(-1, d), shape)}
+
+
+def assert_same_bits(got: dict, expected: dict) -> None:
+    """Both dicts hold the same names, and each array (or RowGrad's rows and
+    values) the same shape and bytes."""
+    assert sorted(got) == sorted(expected)
+    for name, g in got.items():
+        e = expected[name]
+        pairs = [(g.rows, e.rows), (g.values, e.values)] if isinstance(e, RowGrad) else [(g, e)]
+        for a, b in pairs:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def grad_error(fn, model, rng=None) -> float:

@@ -10,11 +10,12 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import dagfm
@@ -468,6 +469,196 @@ class TestCheckpointFiles:
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * weights
+
+
+# ---------------------------------------------------------------------------
+# checkpoint bytes fuzzer
+# ---------------------------------------------------------------------------
+
+class _Delete:
+    def __repr__(self):
+        return "DELETE"
+
+
+DELETE = _Delete()  # a header edit that drops its key
+
+
+class Mutation(typing.NamedTuple):
+    """Edits of the valid checkpoint of ``ALL_SPECS[base]``, in this order:
+    ``header`` sets (path, value) pairs in the JSON header (or drops a key),
+    ``weights`` sets the k-th float64 of the payload, ``header_bytes``
+    replaces the encoded header, ``prefix`` the header-length prefix, then
+    ``flips`` flips (byte, bit) pairs of the file and ``cut`` truncates it.
+    Positions wrap around the file's length."""
+
+    base: int = 0
+    header: tuple = ()
+    weights: tuple = ()
+    header_bytes: bytes | None = None
+    prefix: int | None = None
+    flips: tuple = ()
+    cut: int | None = None
+
+    def apply(self, raw: bytes) -> bytes:
+        (hlen,) = struct.unpack("<Q", raw[:8])
+        header, payload = json.loads(raw[8 : 8 + hlen]), bytearray(raw[8 + hlen :])
+        for path, value in self.header:
+            *parents, key = path
+            node = header
+            for part in parents:
+                node = node[part % len(node)] if isinstance(node, list) and node else \
+                    node.get(part) if isinstance(node, dict) else None
+            if isinstance(node, list) and node and isinstance(key, int):
+                key %= len(node)
+            elif not isinstance(node, dict):
+                continue  # an earlier edit replaced the path
+            if value is not DELETE:
+                node[key] = value
+            elif isinstance(node, list) or key in node:
+                del node[key]
+        for k, value in self.weights:
+            struct.pack_into("<d", payload, 8 * (k % (len(payload) // 8)), value)
+        blob = json.dumps(header, sort_keys=True).encode() if self.header_bytes is None \
+            else self.header_bytes
+        prefix = len(blob) if self.prefix is None else self.prefix
+        out = bytearray(struct.pack("<Q", prefix) + blob + payload)
+        for byte, bit in self.flips:
+            out[byte % len(out)] ^= 1 << bit
+        return bytes(out if self.cut is None else out[: self.cut % (len(out) + 1)])
+
+
+# header paths across the families' configs (a missing key is added)
+HEADER_PATHS = [
+    ("version",), ("kind",), ("config",), ("config", "model"), ("config", "num_fields"),
+    ("config", "embed_dim"), ("config", "num_layers"), ("config", "kind"), ("config", "edges"),
+    ("config", "layer_sizes"), ("config", "hidden"), ("config", "dagfm"),
+    ("config", "dagfm", "num_fields"), ("config", "mlp_hidden"), ("vocab_sizes",),
+    ("vocab_sizes", 0), ("vocab_sizes", -1), ("manifest",), ("manifest", 0),
+    ("manifest", 0, "name"), ("manifest", 0, "shape"), ("manifest", -1, "shape"),
+    ("manifest", -1, "dtype"), ("extra",),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([-1, 0, 1, 2, 3, 4, 2**31, 2**63, 10**18, "<f4", "<f2", "|O", "emb",
+                       "crossnet", "cin", "outer", FORMAT_VERSION])
+    | st.integers(-5, 2**64),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _sometimes(strategy, empty):
+    """``empty`` in three draws of four, else a draw of ``strategy``: most
+    examples then carry one or two kinds of edit, and some still load."""
+    return st.integers(0, 3).flatmap(lambda k: strategy if k == 0 else st.just(empty))
+
+
+MUTATIONS = st.builds(
+    Mutation,
+    base=st.integers(0, len(ALL_SPECS) - 1),
+    header=_sometimes(st.lists(st.tuples(st.sampled_from(HEADER_PATHS),
+                                         JSON_VALUES | st.just(DELETE)),
+                               min_size=1, max_size=2).map(tuple), ()),
+    weights=_sometimes(st.lists(st.tuples(st.integers(0, 2**16), st.floats()),
+                                min_size=1, max_size=2).map(tuple), ()),
+    prefix=_sometimes(st.integers(0, 2**64 - 1), None),
+    flips=_sometimes(st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 7)),
+                              min_size=1, max_size=3).map(tuple), ()),
+    cut=_sometimes(st.integers(0, 2**16), None),
+)
+
+
+class ValidCheckpoints(typing.NamedTuple):
+    files: list  # the bytes of one valid checkpoint per spec of ALL_SPECS
+    path: Path  # where a mutated copy is written
+
+    def __repr__(self):  # a failing example names its Mutation, not these bytes
+        return "ValidCheckpoints(...)"
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoints(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt-fuzz")
+    files = []
+    for k, spec in enumerate(ALL_SPECS):
+        save_checkpoint(build_model(spec, VOCAB, seed=k), root / "valid.ckpt")
+        files.append((root / "valid.ckpt").read_bytes())
+    return ValidCheckpoints(files, root / "mutated.ckpt")
+
+
+# every family, combiner, tower feed and activation
+BOUND_SPECS = [
+    *ALL_SPECS,
+    DagfmSpec("basic-inner", 3, 2, 2),
+    DagfmSpec("inner", 3, 3, 2, edges=((0, 0), (1, 1), (2, 2), (0, 2))),
+    DagfmPlusSpec(DagfmSpec("outer", 3, 2, 2), mlp_hidden=(4, 3), mlp_feed="all-states"),
+    TinyMlpSpec(3, 2, hidden=(5, 4)),
+]
+
+
+class TestLogitBound:
+    @pytest.mark.parametrize("spec", BOUND_SPECS, ids=lambda s: type(s).__name__)
+    def test_is_the_logit_of_the_constant_model(self, spec, rng):
+        # with relu towers the bound is that model's logit exactly; tanh
+        # only shrinks it
+        scales = {name: float(rng.uniform(1, 2)) for name, _, _ in spec.layout(VOCAB)}
+        values = {name: np.full(shape, scales[name]) for name, shape, _ in spec.layout(VOCAB)}
+        model = type(build_model(spec, VOCAB)).from_values(spec, VOCAB, values)
+        logits = model.forward(np.stack([rng.integers(0, v, size=4) for v in VOCAB], axis=1))
+        bound = spec.logit_bound(scales)
+        if getattr(spec, "activation", "relu") == "tanh":
+            assert np.all(logits < bound)
+        else:
+            np.testing.assert_allclose(logits, bound, rtol=1e-12)
+
+    @pytest.mark.parametrize("spec", BOUND_SPECS, ids=lambda s: type(s).__name__)
+    def test_bounds_every_logit(self, spec, rng):
+        model = build_model(spec, VOCAB, seed=1)
+        for name in model.store.names():  # heads and biases start at zero
+            model.store.set(name, rng.normal(size=model.store[name].shape))
+        scales = {name: float(np.abs(model.store[name]).max()) for name in model.store.names()}
+        idx = np.stack([rng.integers(0, v, size=50) for v in VOCAB], axis=1)
+        assert np.all(np.abs(model.forward(idx)) <= spec.logit_bound(scales))
+
+    def test_a_weight_that_would_overflow_a_score_is_rejected(self, tmp_path):
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(DagfmModel(DagfmSpec("outer", 3, 2, 2), VOCAB, seed=0), path)
+        # one embedding of 1e103: its cube overflows at every row that reads it
+        _rewrite(path, lambda header, payload: struct.pack("<d", 1e103) + payload[8:])
+        with pytest.raises(CheckpointError, match="non-finite logit"):
+            load_checkpoint(path)
+
+
+class TestCheckpointFuzz:
+    """Whatever the bytes, ``load_checkpoint`` raises ``CheckpointError`` or
+    returns a model that scores every row of its tables as finite logits;
+    any other exception fails the test."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(MUTATIONS)
+    @example(Mutation(prefix=2**40))
+    @example(Mutation(header_bytes=b"[" * 100_000 + b"]" * 100_000))
+    @example(Mutation(weights=((0, float("nan")),)))
+    @example(Mutation(base=4, weights=((40, float("inf")),)))
+    @example(Mutation(header=((("version",), 2),)))
+    # found by this fuzzer: a dtype numpy parses as Python, and an embedding
+    # of 1e103, finite but cubed by a depth-2 student
+    @example(Mutation(header=((("manifest", 0, "dtype"), "f8,,"),)))
+    @example(Mutation(weights=((0, 1e103),)))
+    def test_mutated_file_loads_and_scores_finite_or_is_rejected(self, valid_checkpoints, mutation):
+        files, path = valid_checkpoints
+        path.write_bytes(mutation.apply(files[mutation.base]))
+        try:
+            model = load_checkpoint(path)
+        except CheckpointError:
+            event("rejected")
+            return
+        event("loaded")
+        # every row of every field's table, the short fields' last rows repeated
+        rows = max(model.vocab_sizes)
+        idx = np.minimum(np.arange(rows)[:, None], np.array(model.vocab_sizes) - 1)
+        assert np.isfinite(model.forward(idx)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -671,6 +671,35 @@ class TestPipeline:
         assert result.kd_train == kd_train
         assert result.finetuned_auc == evaluate(h_student, split.test).auc
 
+    def test_run_pipeline_scores_the_teachers_training_split_once(self, tiny, monkeypatch):
+        # two distill chunks and kd_train share one scoring of the training
+        # split: after training, the teacher scores the test split for its
+        # AUC, then the training rows once
+        vocab_sizes, split = tiny
+        stage = StageConfig(epochs=1, lr=0.02, batch_size=256, patience=0)
+        plan = DistillPlan(stage, (stage, stage), stage)
+        scored = []
+
+        def counting_train_teacher(model, *args, **kwargs):
+            report = train_teacher(model, *args, **kwargs)
+            forward = model.forward
+
+            def counted(idx):
+                scored.append(np.array(idx))
+                return forward(idx)
+
+            model.forward = counted
+            return report
+
+        monkeypatch.setattr("dagfm.distill.train_teacher", counting_train_teacher)
+        teacher = CrossNetModel(CrossNetSpec(4, 4, 2), vocab_sizes, seed=2)
+        run_pipeline(teacher, fresh_student(vocab_sizes), split, plan)
+        rows = np.concatenate(scored)
+        assert len(rows) == len(split.test) + len(split.train)
+        np.testing.assert_array_equal(
+            rows, np.concatenate([split.test.indices, split.train.indices])
+        )
+
     def test_run_pipeline_leaves_the_trained_teacher_untouched(self, tiny, monkeypatch):
         vocab_sizes, split = tiny
         plan = DistillPlan(

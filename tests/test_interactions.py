@@ -28,6 +28,8 @@ from dagfm.teachers import upper_pairs
 
 from conftest import (
     MODEL_TAGS,
+    assert_same_bits,
+    field_major_row_grads,
     grad_error,
     perturb_params,
     random_small_model,
@@ -239,9 +241,23 @@ class TestPropagation:
         ([[3, 0, 0]], r"field 0: index 3 outside vocab range \[0, 3\)"),
     ])
     def test_out_of_range_index_names_field_and_index(self, rows, message):
-        model = DagfmModel(DagfmSpec("inner", 3, 2, 1), [3, 5, 9])
-        with pytest.raises(IndexError, match=message):
-            model.embedding.lookup(np.array(rows))
+        # the gathers and the scatter share one check
+        table = DagfmModel(DagfmSpec("inner", 3, 2, 1), [3, 5, 9]).embedding
+        d_emb = np.zeros((len(rows), 3, 2))
+        for read in (table.lookup, table.gather, lambda idx: table.grads(idx, d_emb)):
+            with pytest.raises(IndexError, match=message):
+                read(np.array(rows))
+
+    @pytest.mark.parametrize("B", [0, 1, 9])
+    def test_gather_is_lookup_batch_major(self, B, rng):
+        vocab = [3, 5, 9]
+        table = DagfmModel(DagfmSpec("inner", 3, 2, 1), vocab).embedding
+        idx = np.stack([rng.integers(0, v, size=B) for v in vocab], axis=1)
+        E = table.gather(idx)
+        assert E.shape == (B, 3, 2) and E.flags.c_contiguous
+        np.testing.assert_array_equal(E, table.lookup(idx))
+        with pytest.raises(ShapeError):
+            table.gather(idx[:, :2])
 
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_one_table_read_at_field_offsets(self, tag, rng):
@@ -290,6 +306,22 @@ class TestPropagation:
             )
         model.store.freeze("emb")
         assert model.embedding.grads(idx, d_emb) == {}
+
+    def test_embedding_grads_are_byte_identical_in_every_layout(self, rng):
+        # one gradient batch-major, as the student's field-major view and as
+        # FwFM's dim-major view: the scatter reads each in its own memory
+        # order, and every row's sum is the field-major scatter's, bit for bit
+        vocab = [3, 7, 2, 9]
+        table = DagfmModel(DagfmSpec("outer", 4, 3, 1), vocab, seed=0).embedding
+        for batch in (1, 2, 200):
+            idx = np.stack([rng.integers(0, v, size=batch) for v in vocab], axis=1)
+            idx[:, 1] = 4  # one row of field 1 that every batch row hits
+            d_emb = rng.normal(size=(batch, 4, 3))
+            field_major = np.ascontiguousarray(d_emb.transpose(1, 0, 2)).transpose(1, 0, 2)
+            dim_major = np.ascontiguousarray(d_emb.transpose(2, 0, 1)).transpose(1, 2, 0)
+            expected = field_major_row_grads(table, idx, d_emb)
+            for layout in (d_emb, field_major, dim_major):
+                assert_same_bits(table.grads(idx, layout), expected)
 
     @pytest.mark.parametrize("tag", ["dagfm-outer", "dagfm-inner", "dagfm+"])
     def test_frozen_table_takes_no_gradient_and_moves_no_other(self, tag, rng, monkeypatch):

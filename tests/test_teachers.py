@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dagfm.distill import TRAIN_ROWS
 from dagfm.numcore import ConfigurationError
 from dagfm.teachers import (
     CinModel,
@@ -20,7 +21,14 @@ from dagfm.teachers import (
     upper_pairs,
 )
 
-from conftest import field_rows, grad_error, perturb_params, squared_logit_closure
+from conftest import (
+    assert_same_bits,
+    field_major_row_grads,
+    field_rows,
+    grad_error,
+    perturb_params,
+    squared_logit_closure,
+)
 
 
 def pin_embeddings(model, rows) -> None:
@@ -341,6 +349,56 @@ class TestCrossNet:
         err = grad_error(squared_logit_closure(model, idx, targets), model, rng)
         assert err < 1e-5
 
+    @staticmethod
+    def reference(model, idx, dlogits):
+        """Logits and gradients with fresh arrays for every sum: x0 copied
+        batch-major from a fancy-index gather, ``x @ W^T + b`` and
+        ``x0 * u + x`` formed whole, dx0 summed from zeros, and the table's
+        rows scattered field-major."""
+        store, L = model.store, model.spec.num_layers
+        x0 = store["emb"][idx + model.embedding.offsets].reshape(len(idx), -1)
+        xs, us = [x0], []
+        for t in range(L):
+            u = xs[-1] @ store[f"cross.W{t}"].T + store[f"cross.b{t}"]
+            us.append(u)
+            xs.append(x0 * u + xs[-1])
+        logits = xs[-1] @ store["head.w"] + store["head.b"][0]
+        grads = {"head.w": xs[-1].T @ dlogits, "head.b": np.array([dlogits.sum()])}
+        dx = dlogits[:, None] * store["head.w"][None, :]
+        dx0 = np.zeros_like(x0)
+        for t in range(L - 1, -1, -1):
+            du = dx * x0
+            dx0 += dx * us[t]
+            grads[f"cross.b{t}"] = du.sum(axis=0)
+            grads[f"cross.W{t}"] = du.T @ xs[t]
+            dx = dx + du @ store[f"cross.W{t}"]
+        dx0 += dx
+        if store.is_trainable("emb"):
+            d_emb = dx0.reshape(len(idx), model.num_fields, model.embed_dim)
+            grads.update(field_major_row_grads(model.embedding, idx, d_emb))
+        return logits, grads
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("B", [1, 7, 2 * TRAIN_ROWS + 37])
+    @pytest.mark.parametrize("m", [2, 8, 39])
+    def test_matches_reference_arithmetic_bitwise(self, m, B, frozen, rng):
+        # the batch-major gather, the in-place layers and the memory-order
+        # scatter change no bit of the logits or of any gradient
+        vocab = [int(v) for v in rng.integers(2, 30, size=m)]
+        model = CrossNetModel(CrossNetSpec(m, 3, 3), vocab, seed=15)
+        perturb_params(model, rng)  # non-zero cross.b*, among the rest
+        if frozen:
+            model.store.freeze("emb")
+        # field 0's index 0 in every other row: a table row hit many times
+        idx = np.stack([rng.integers(0, v, size=B) for v in vocab], axis=1)
+        idx[::2, 0] = 0
+        dlogits = rng.normal(size=B)
+        logits = model.forward(idx)
+        grads = model.backward(dlogits)
+        ref_logits, ref_grads = self.reference(model, idx, dlogits)
+        assert_same_bits({"logits": logits, **grads}, {"logits": ref_logits, **ref_grads})
+        assert ("emb" in grads) is not frozen
+
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             CrossNetSpec(1, 2, 1)
@@ -522,3 +580,36 @@ class TestTinyMlp:
             TinyMlpSpec(2, 2, hidden=(4, 0))
         with pytest.raises(ConfigurationError):
             TinyMlpSpec(2, 2, activation="gelu")
+
+
+# ---------------------------------------------------------------------------
+# the baselines' gather and scatter
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("B", [1, 37])
+@pytest.mark.parametrize("m", [3, 39])
+@pytest.mark.parametrize("make", [
+    lambda m, vocab: FwfmModel(FwfmSpec(m, 4), vocab, seed=16),
+    lambda m, vocab: FmfmModel(FmfmSpec(m, 4), vocab, seed=16),
+    lambda m, vocab: TinyMlpModel(TinyMlpSpec(m, 4, hidden=(8, 5)), vocab, seed=16),
+], ids=["fwfm", "fmfm", "tinymlp"])
+def test_baselines_match_the_field_major_gather_and_scatter_bitwise(make, m, B, rng, monkeypatch):
+    # FmFM and the MLP read the batch-major gather as a view and scatter a
+    # batch-major gradient, FwFM copies its dim-major states from the gather:
+    # against a field-major gather copied batch-major and a field-major
+    # scatter, no bit of the logits or of any gradient moves
+    vocab = [int(v) for v in rng.integers(2, 30, size=m)]
+    model = make(m, vocab)
+    perturb_params(model, rng)
+    idx = np.stack([rng.integers(0, v, size=B) for v in vocab], axis=1)
+    idx[::2, 0] = 0
+    dlogits = rng.normal(size=B)
+    logits = model.forward(idx)
+    grads = model.backward(dlogits)
+    table = model.embedding
+    monkeypatch.setattr(table, "gather", lambda idx: np.ascontiguousarray(table.lookup(idx)))
+    monkeypatch.setattr(table, "grads", lambda idx, d_emb: field_major_row_grads(table, idx, d_emb))
+    ref_logits = model.forward(idx)
+    ref_grads = model.backward(dlogits)
+    assert_same_bits({"logits": logits, **grads}, {"logits": ref_logits, **ref_grads})
