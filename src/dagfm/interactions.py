@@ -20,6 +20,14 @@ batched BLAS GEMMs (``np.matmul``). A layout is built by
 (``ParamStore.version``), so a forward after no weight change, as in
 serving, scatters nothing.
 
+Every model family is a pure core under :class:`Model`: ``_forward(rows)
+-> (logits, tape)`` over the table rows that ``Model.forward`` checked once
+(``EmbeddingTable.table_rows``), and ``_backward(tape, dlogits) -> (grads,
+d_emb)``, every gradient but the table's and the (B, m, d) embeddings'
+gradient, which ``Model.backward`` scatters (``EmbeddingTable.grads``)
+unless it is ``None``, as the student's is for a frozen table. Only
+``Model`` keeps a tape between calls; :class:`MlpTower` returns its own.
+
 The student works field-major: one contiguous (L+1, m, B, d) buffer holds
 every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
 steps. ``EmbeddingTable.lookup`` gathers every field's rows into ``H[0]``
@@ -44,13 +52,13 @@ shared with the FwFM and FmFM baselines: one (B, m) x (m, m) GEMM per
 embedding dim over a dim-major copy of the states (``inner``), or one
 (B, m*d) x (m*d, m*d) GEMM over a batch-major copy (``kernel``). Pooling
 every state set is one matrix-vector product of the buffer with
-``ones(d)``, and the head is another. ``forward`` resolves the combiner's
-GEMMs, every layer's dense weights and the ``outer`` plan once per call,
-releases the previous call's tape before it allocates its own, and keeps
-that tape (the state buffer, each layer's GEMM operands and the pooled
-values) for ``backward``. It builds no trace: ``forward_trace`` is
-``forward`` plus a :class:`PropagationTrace` of views of the tape. Public
-shapes stay batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
+``ones(d)``, and the head is another. The combiner's GEMMs are resolved
+once, when the model is built; ``_forward`` resolves every layer's dense
+weights and the ``outer`` plan once per call, and its tape is the state
+buffer, each layer's GEMM operands and the pooled values. It builds no
+trace: ``forward_trace`` runs ``_forward`` on a tape of its own and
+returns a :class:`PropagationTrace` of views of it. Public shapes stay
+batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
 arrays, as views where they can. The per-pair ``phi_*`` functions are the
 reference the layers are tested against.
 
@@ -309,50 +317,50 @@ class EmbeddingTable:
             )
         return idx + self.offsets
 
-    def lookup(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (B, m, d) embeddings of an index batch, as a view of a
-        field-major (m, B, d) array (``out`` if given) filled by one gather."""
-        rows = self.table_rows(idx)
+    def lookup(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (B, m, d) embeddings of checked table rows (``table_rows``), as
+        a view of a field-major (m, B, d) array (``out`` if given) filled by
+        one gather."""
         if out is None:
             out = np.empty((self.num_fields, len(rows), self.dim))
-        # bounds are checked above; "clip" lets take write into out unbuffered
+        # the rows are checked; "clip" lets take write into out unbuffered
         self.store["emb"].take(rows.T, axis=0, out=out, mode="clip")
         return out.transpose(1, 0, 2)
 
-    def gather(self, idx: np.ndarray) -> np.ndarray:
-        """The (B, m, d) embeddings of an index batch, batch-major and
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The (B, m, d) embeddings of checked table rows, batch-major and
         contiguous, from one gather: ``reshape(B, m * d)`` is a view."""
-        return self.store["emb"].take(self.table_rows(idx), axis=0, mode="clip")
+        return self.store["emb"].take(rows, axis=0, mode="clip")
 
-    def grads(self, idx: np.ndarray, d_emb: np.ndarray) -> dict[str, RowGrad]:
-        """The table's gradient as a :class:`RowGrad` over the rows the batch
-        touched, or nothing when the table is frozen (``adam_step`` would
-        ignore it). ``d_emb`` (B, m, d) is scatter-added into those rows in
-        its own memory order, without copies, when that is batch-major like
-        ``gather``'s or field-major like ``lookup``'s; any other layout is
-        copied batch-major. Every row belongs to one field, so in either
-        order its contributions arrive in batch-row order: each sum is
-        bitwise the dense scatter-add's."""
+    def grads(self, rows: np.ndarray, d_emb: np.ndarray) -> dict[str, RowGrad]:
+        """The table's gradient as a :class:`RowGrad` over the checked table
+        rows a batch read, or nothing when the table is frozen (``adam_step``
+        would ignore it). ``d_emb`` (B, m, d) is scatter-added into those
+        rows in its own memory order, without copies, when that is
+        batch-major like ``gather``'s or field-major like ``lookup``'s; any
+        other layout is copied batch-major. Every row belongs to one field,
+        so in either order its contributions arrive in batch-row order: each
+        sum is bitwise the dense scatter-add's."""
         if not self.store.is_trainable("emb"):
             return {}
         shape = self.store["emb"].shape
-        table_rows = self.table_rows(idx)
         # the touched rows, from one count over the table; the counts are then
         # overwritten with each touched row's position among them
-        compact = np.bincount(table_rows.ravel(), minlength=shape[0])
-        rows = np.flatnonzero(compact)
-        compact[rows] = np.arange(len(rows))
+        compact = np.bincount(rows.ravel(), minlength=shape[0])
+        touched = np.flatnonzero(compact)
+        compact[touched] = np.arange(len(touched))
         d = shape[1]
-        firsts = compact[table_rows] * d  # each (batch row, field)'s first output cell
+        firsts = compact[rows] * d  # each (batch row, field)'s first output cell
         if d_emb.strides[0] < d_emb.strides[1]:  # field-major
             firsts, d_emb = firsts.T, d_emb.transpose(1, 0, 2)
         cells = (firsts.reshape(-1, 1) + np.arange(d)).ravel()
-        g = np.bincount(cells, weights=d_emb.ravel(), minlength=len(rows) * d)
-        return {"emb": RowGrad(rows, g.reshape(-1, d), shape)}
+        g = np.bincount(cells, weights=d_emb.ravel(), minlength=len(touched) * d)
+        return {"emb": RowGrad(touched, g.reshape(-1, d), shape)}
 
 
 class Model:
-    """Common surface: a ParamStore plus forward/backward over index batches.
+    """Common surface: a ParamStore plus forward/backward over index batches,
+    which keep the tape of each family's ``_forward``/``_backward`` core.
 
     ``spec.layout(vocab_sizes)`` declares every parameter as ``(name, shape,
     initialiser)``, in store order, the embedding table first. An
@@ -369,7 +377,7 @@ class Model:
 
     kind = "?"
     spec_type = None
-    _cache = None  # what ``backward`` reads from the latest ``forward``
+    _cache = None  # the table rows and tape of the latest ``forward``
     _layouts_at = None  # the ``store.version`` that ``_layouts`` were built at
 
     def __init__(self, spec, vocab_sizes, seed: int = 0):
@@ -397,7 +405,7 @@ class Model:
         self._setup()
 
     def _setup(self) -> None:
-        """Derive what ``forward`` reads besides the store."""
+        """Derive what ``_forward`` reads besides the store."""
 
     def _layout(self, key: str, lay_out):
         """``lay_out()``, dense layouts of parameters built once and kept
@@ -414,26 +422,35 @@ class Model:
         """The linear head: ``x @ head.w + head.b``, one logit per row."""
         return x @ self.store["head.w"] + self.store["head.b"][0]
 
-    def _head_backward(self, x: np.ndarray, dlogits) -> tuple[dict, np.ndarray]:
+    def _head_backward(self, x: np.ndarray, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
         """A grads dict holding the head's gradients, and d(loss)/d(x)."""
-        dlogits = np.asarray(dlogits, dtype=np.float64)
         grads = {"head.w": x.T @ dlogits, "head.b": np.array([dlogits.sum()])}
         return grads, dlogits[:, None] * self.store["head.w"][None, :]
 
     def forward(self, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """One logit per row of an index batch. Releases the previous call's
+        tape first, checks the batch once (``EmbeddingTable.table_rows``)
+        and keeps the table rows and the family's tape for ``backward``."""
+        self._cache = None  # the last tape goes before this one is allocated
+        rows = self.embedding.table_rows(idx)
+        logits, tape = self._forward(rows)
+        self._cache = (rows, tape)
+        return logits
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def _tape(self):
-        """What the latest forward kept for ``backward``."""
+        """Analytic gradients of every parameter given d(loss)/d(logit) of
+        the latest forward; the table's over the rows that forward read, and
+        none for a frozen table."""
         if self._cache is None:
             raise ConfigurationError(
                 "backward needs a forward that returned: no forward has run since "
                 "the model was built, or the latest one raised"
             )
-        return self._cache
+        rows, tape = self._cache
+        grads, d_emb = self._backward(tape, np.asarray(dlogits, dtype=np.float64))
+        if d_emb is not None:
+            grads.update(self.embedding.grads(rows, d_emb))
+        return grads
 
     @property
     def num_fields(self) -> int:
@@ -492,6 +509,15 @@ class DagfmModel(Model):
         blocks = [slice(a, min(a + FIELD_BLOCK, m)) for a in range(0, m, FIELD_BLOCK)]
         self._sources = tuple((f, slice(f.start, None)) for f in blocks)
         self._targets = tuple((f, slice(None, f.stop)) for f in blocks)
+        # the combiner's layer GEMMs, forward and backward, as functions of
+        # the model, read off its class so that a subclass may override one
+        cls = type(self)
+        self._layer_gemms = {
+            "basic-inner": (cls._adjacency_gemm, cls._adjacency_gemm_backward),
+            "inner": (cls._pair_gemm, cls._pair_gemm_backward),
+            "kernel": (cls._pair_gemm, cls._pair_gemm_backward),
+            "outer": (cls._outer_gemms, cls._outer_gemms_backward),
+        }[self.dag.kind]
 
     def _weights(self, t: int) -> str:
         """Store name of an ``inner`` or ``kernel`` layer's edge weights."""
@@ -515,15 +541,6 @@ class DagfmModel(Model):
 
     # -- forward ----------------------------------------------------------------
 
-    # each combiner's layer GEMMs, forward and backward, by method name: a
-    # forward or backward resolves them once, and a subclass may override one
-    _LAYER_GEMMS = {
-        "basic-inner": ("_adjacency_gemm", "_adjacency_gemm_backward"),
-        "inner": ("_pair_gemm", "_pair_gemm_backward"),
-        "kernel": ("_pair_gemm", "_pair_gemm_backward"),
-        "outer": ("_outer_gemms", "_outer_gemms_backward"),
-    }
-
     def _lay_out_layers(self) -> list:
         """Per layer, the dense edge weights its GEMMs read: the adjacency
         matrix (``basic-inner``), the pair GEMM's blocks (``inner``,
@@ -540,43 +557,35 @@ class DagfmModel(Model):
             for t in range(L)
         ]
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        """One logit per row of an index batch.
-
-        Releases the previous call's tape first, then keeps this call's for
-        ``backward``: the state buffer, each layer's GEMM operands and the
-        pooled values. It builds no :class:`PropagationTrace`; see
-        :meth:`forward_trace`. The combiner's GEMMs, the dense weights of
-        every layer and the ``outer`` plan are resolved once per call: below
-        :data:`SMALL_ROWS` rows each ``outer`` product is one dense GEMM,
-        from there on the block-triangular ones.
+    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The logits, and a tape of the state buffer, each layer's GEMM
+        operands and the pooled values. It builds no
+        :class:`PropagationTrace`; see :meth:`forward_trace`. The dense
+        weights of every layer and the ``outer`` plan are resolved once per
+        call: below :data:`SMALL_ROWS` rows each ``outer`` product is one
+        dense GEMM, from there on the block-triangular ones.
         """
-        self._cache = None  # the last tape goes before this one is allocated
-        idx = np.asarray(idx)
         L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
-        # every state set, field-major: H[t, i] is node i's (B, d) block after
-        # t steps (an idx that is not (B, m) reaches lookup's shape check)
-        H = np.empty((L + 1, m, *idx.shape[:1], d))
+        B = len(rows)
+        # every state set, field-major: H[t, i] is node i's (B, d) block after t steps
+        H = np.empty((L + 1, m, B, d))
         E = H[0]
-        self.embedding.lookup(idx, out=E)
-        B = len(idx)
-        gemms = getattr(self, self._LAYER_GEMMS[self.dag.kind][0])
+        self.embedding.lookup(rows, out=E)
+        gemms = self._layer_gemms[0]
         plan = (self._sources, self._targets) if B >= SMALL_ROWS else (_ONE_BLOCK, _ONE_BLOCK)
-        layer_caches = []
+        layer_tapes = []
         for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
-            agg, cache = gemms(H[t], w, plan)
+            agg, cache = gemms(self, H[t], w, plan)
             np.multiply(agg, E, out=H[t + 1])
-            layer_caches.append((agg, cache))
+            layer_tapes.append((agg, cache))
         pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)  # state-major rows
-        self._cache = (idx, H, layer_caches, pooled)
-        return self._head(pooled.T)
+        return self._head(pooled.T), (H, layer_tapes, pooled)
 
     def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
-        """:meth:`forward`'s logits, and its tape's states and pooled values
-        as a trace of views. Every forward allocates a new tape, so a trace
-        keeps its values after later calls."""
-        logits = self.forward(idx)
-        _, H, _, pooled = self._cache
+        """:meth:`forward`'s logits, and the states and pooled values of a
+        tape of its own as a trace of views. The live tape, which
+        ``backward`` reads, is left as it was."""
+        logits, (H, _, pooled, *_) = self._forward(self.embedding.table_rows(idx))
         n_states, m, B, _ = H.shape
         trace = PropagationTrace(
             list(H.transpose(0, 2, 1, 3)),
@@ -613,14 +622,14 @@ class DagfmModel(Model):
 
     # -- backward ---------------------------------------------------------------
 
-    def backward(self, dlogits: np.ndarray, extra_dstates=None) -> dict[str, np.ndarray]:
-        """Analytic gradients for every parameter given d(loss)/d(logit).
-
-        ``extra_dstates`` lets a wrapper (the MLP-augmented variant) inject
-        additional gradient into each state set before the layer walk, one
-        field-major (m, B, d) array or ``None`` per state set.
+    def _backward(self, tape, dlogits: np.ndarray, extra_dstates=None) -> tuple[dict, np.ndarray]:
+        """See the module docstring. ``extra_dstates`` lets a wrapper (the
+        MLP-augmented variant) inject additional gradient into each state set
+        before the layer walk, one field-major (m, B, d) array or ``None`` per
+        state set. A frozen table (the distill stage's) takes no gradient: no
+        dE is formed.
         """
-        idx, H, layer_caches, pooled = self._tape()
+        H, layer_tapes, pooled = tape
         n_states, m, B, _ = H.shape
         grads, dpool = self._head_backward(pooled.T, dlogits)
         dpool = dpool.T.reshape(n_states, m, B, 1)
@@ -634,20 +643,19 @@ class DagfmModel(Model):
             dh = dpool[t] if dh is None else np.add(dh, dpool[t], out=dh)
             return dh if extra_dstates[t] is None else dh + extra_dstates[t]
 
-        gemms_backward = getattr(self, self._LAYER_GEMMS[self.dag.kind][1])
+        gemms_backward = self._layer_gemms[1]
         E = H[0]
         dh = dstate(n_states - 1, None)
-        # a frozen table (the distill stage's) takes no gradient: no dE is formed
         dE = np.zeros_like(E) if self.store.is_trainable("emb") else None
         for t in range(n_states - 2, -1, -1):
-            agg, cache = layer_caches[t]
+            agg, cache = layer_tapes[t]
             if dE is not None:
                 dE += dh * agg
-            dh = dstate(t, gemms_backward(t, H[t], dh * E, cache, grads))
-        if dE is not None:
-            dE += dh
-            grads.update(self.embedding.grads(idx, dE.transpose(1, 0, 2)))
-        return grads
+            dh = dstate(t, gemms_backward(self, t, H[t], dh * E, cache, grads))
+        if dE is None:
+            return grads, None
+        dE += dh
+        return grads, dE.transpose(1, 0, 2)
 
     # Each layer's backward GEMMs: store the edge-weight gradients of layer
     # ``t`` and return d(loss)/d(h), given ``dU`` = d(loss)/d(agg); all
@@ -876,7 +884,8 @@ def mlp_flops(widths: list[int]) -> FlopCount:
 
 
 class MlpTower:
-    """Plain fully connected tower over the store's ``mlp.*`` parameters."""
+    """Plain fully connected tower over the store's ``mlp.*`` parameters. It
+    keeps no state: ``forward`` returns the tape that ``backward`` reads."""
 
     def __init__(self, store: ParamStore, widths: list[int], activation: str):
         self.store = store
@@ -884,22 +893,23 @@ class MlpTower:
         names = [name for name, _, _ in mlp_layout(widths, activation)]
         self.names = list(zip(names[0::2], names[1::2]))
 
-
     def _act(self, z):
         return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The (B,) outputs, and the tape of every layer's input and
+        pre-activation."""
         acts = [x]
         pre = []
         for k, (wname, bname) in enumerate(self.names):
             z = acts[-1] @ self.store[wname] + self.store[bname]
             pre.append(z)
             acts.append(z if k == len(self.names) - 1 else self._act(z))
-        self._cache = (acts, pre)
-        return acts[-1][:, 0]
+        return acts[-1][:, 0], (acts, pre)
 
-    def backward(self, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
-        acts, pre = self._cache
+    def backward(self, tape, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Store the tower's gradients in ``grads`` and return d(loss)/d(x)."""
+        acts, pre = tape
         delta = dout[:, None]
         for k in range(len(self.names) - 1, -1, -1):
             wname, bname = self.names[k]
@@ -917,7 +927,8 @@ class MlpTower:
 
 class DagfmPlusModel(DagfmModel):
     """DAG student with an MLP tower added to the logit (for distilling
-    teachers that also carry implicit interactions)."""
+    teachers that also carry implicit interactions). Its tape is the
+    student's with the tower's appended."""
 
     kind = "dagfm+"
     spec_type = DagfmPlusSpec
@@ -930,33 +941,27 @@ class DagfmPlusModel(DagfmModel):
         super()._setup()
         self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
-    def _mlp_input(self, states: np.ndarray) -> np.ndarray:
-        """The tower's (B, width) input from the (L+1, B, m, d) states."""
-        n_states, B, m, d = states.shape
+    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        logits, tape = super()._forward(rows)
+        H = tape[0]  # the state buffer, (L+1, m, B, d)
+        n_states, m, B, d = H.shape
         if self.spec.mlp_feed == "all-states":
-            return states.transpose(1, 0, 2, 3).reshape(B, n_states * m * d)
-        return states[-1].reshape(B, m * d)
+            x = H.transpose(2, 0, 1, 3).reshape(B, n_states * m * d)
+        else:
+            x = H[-1].transpose(1, 0, 2).reshape(B, m * d)
+        out, tower = self.mlp.forward(x)
+        return logits + out, (*tape, tower)
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        self.mlp._cache = None
-        logits = super().forward(idx)
-        x = self._mlp_input(self._cache[1].transpose(0, 2, 1, 3))  # the state buffer
-        if x.shape[1] != self.spec.mlp_input_width:
-            self._cache = None
-            raise ConfigurationError(
-                f"MLP input width {x.shape[1]} != configured {self.spec.mlp_input_width}"
-            )
-        return logits + self.mlp.forward(x)
-
-    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        n_states, m, B, d = self._tape()[1].shape  # the state buffer
+    def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray | None]:
+        *tape, tower = tape
+        n_states, m, B, d = tape[0].shape
         grads: dict[str, np.ndarray] = {}
-        dx = self.mlp.backward(np.asarray(dlogits, dtype=np.float64), grads)
+        dx = self.mlp.backward(tower, dlogits, grads)
         extra = [None] * n_states
         if self.spec.mlp_feed == "all-states":
             extra = list(dx.reshape(B, n_states, m, d).transpose(1, 2, 0, 3))
         else:
             extra[-1] = dx.reshape(B, m, d).transpose(1, 0, 2)
-        base = super().backward(dlogits, extra_dstates=extra)
+        base, d_emb = super()._backward(tape, dlogits, extra_dstates=extra)
         base.update(grads)
-        return base
+        return base, d_emb

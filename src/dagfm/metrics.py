@@ -239,7 +239,7 @@ def instrumented_flops(model, idx_row: np.ndarray) -> tuple[float, FlopCount]:
     """
     cnt = OpCounter()
     idx_row = np.asarray(idx_row).reshape(1, -1)
-    E = model.embedding.lookup(idx_row)[0]
+    E = model.embedding.lookup(model.embedding.table_rows(idx_row))[0]
     if isinstance(model, DagfmPlusModel):
         logit, states = _instr_dagfm(model, E, cnt)
         feed = model.spec.mlp_feed

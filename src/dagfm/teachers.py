@@ -7,22 +7,23 @@ raw embeddings, and a full-matrix cross network whose layers compute
 tiny MLP) are lightweight students used for comparison only.
 
 All models share the :class:`~dagfm.interactions.Model` surface: embeddings
-in a ParamStore, ``forward(idx) -> logits``, ``backward(dlogits) -> grads``
-with hand-derived gradients.
+in a ParamStore, ``forward(idx) -> logits`` and ``backward(dlogits) ->
+grads`` with hand-derived gradients. Each family here is only the pure
+core under it: ``_forward(rows) -> (logits, tape)`` over the table rows
+that ``Model.forward`` checked, and ``_backward(tape, dlogits) -> (grads,
+d_emb)``, whose ``d_emb`` ``Model.backward`` scatters into the table.
 
 CIN reads the embeddings field-major (``EmbeddingTable.lookup``); the cross
 network, FwFM, FmFM and the tiny MLP read them batch-major
 (``EmbeddingTable.gather``). The cross network, FmFM and the tiny MLP take
-their (B, m*d) input as a view of the gather and hand
-``EmbeddingTable.grads`` a batch-major gradient, which it scatters without a
-copy; FwFM copies its states dim-major. The cross network spends its time
-in its GEMMs: each layer adds its bias into the GEMM's output and forms
+their (B, m*d) input as a view of the gather and return a batch-major
+``d_emb``, which ``EmbeddingTable.grads`` scatters without a copy; FwFM
+copies its states dim-major. The cross network spends its time in its
+GEMMs: each layer adds its bias into the GEMM's output and forms
 ``x0 * u + x_t`` in place, and backward starts ``dx0`` from its first term,
 reuses one scratch array for ``dx * u_t`` and adds ``dx`` into the
 ``du @ W`` product in place. Logits and gradients are bitwise those of the
-plain arithmetic. A CrossNet(3) forward at d=16, B=256 went from 506 to
-461 us at m=8 and from 7,480 to 7,190 us at m=39 (process time, one BLAS
-thread, malloc pinned, 2-vCPU Xeon VM).
+plain arithmetic.
 """
 
 from __future__ import annotations
@@ -173,16 +174,15 @@ class CinModel(Model):
         rows = max(CIN_CACHE_ELEMENTS // per_row, -(-CIN_GEMM_ROWS // d))
         return [slice(a, min(a + rows, B)) for a in range(0, B, rows)]
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        self._cache = None  # the last tape goes before this one is allocated
-        emb = self.embedding.lookup(idx).transpose(1, 0, 2)  # field-major (m, B, d)
+    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        emb = self.embedding.lookup(rows).transpose(1, 0, 2)  # field-major (m, B, d)
         m, B, d = emb.shape
         layers, W_last = self._layers()
         layers = [(W, self._w_u(W, prev_first), prev_first, wide) for W, prev_first, wide in layers]
         feats = np.empty((B, self.spec.pooled_width))
-        tape = []
-        for rows in self._tiles(B):
-            E = emb[:, rows].reshape(m, -1)
+        tiles = []
+        for tile in self._tiles(B):
+            E = emb[:, tile].reshape(m, -1)
             r = E.shape[1]
             maps = [E]
             col = 0
@@ -194,16 +194,15 @@ class CinModel(Model):
                 else:
                     np.einsum("hvr,vr->hr", (Wu.T @ u).reshape(len(W), -1, r), v, out=x)
                 maps.append(x)
-                feats[rows, col : col + len(x)] = x.reshape(len(x), -1, d).sum(axis=2).T
+                feats[tile, col : col + len(x)] = x.reshape(len(x), -1, d).sum(axis=2).T
                 col += len(x)
             G = _rows(maps[-1], d) @ _rows(E, d).transpose(0, 2, 1)  # (T, H_prev, m)
-            feats[rows, col:] = G.reshape(len(G), -1) @ W_last.T
-            tape.append((maps, G))
-        self._cache = (np.asarray(idx), tape, feats)
-        return self._head(feats)
+            feats[tile, col:] = G.reshape(len(G), -1) @ W_last.T
+            tiles.append((maps, G))
+        return self._head(feats), (tiles, feats)
 
-    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, tape, feats = self._tape()
+    def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
+        tiles, feats = tape
         m, d = self.spec.num_fields, self.spec.embed_dim
         grads, dfeat = self._head_backward(feats, dlogits)
         layers, W_last = self._layers()
@@ -214,7 +213,7 @@ class CinModel(Model):
         offsets = np.cumsum((0, *self.spec.layer_sizes))
         dE_all = np.empty((m, len(feats), d))
         any_wide = any(wide for *_, wide in layers)
-        for rows, (maps, G) in zip(self._tiles(len(feats)), tape):
+        for rows, (maps, G) in zip(self._tiles(len(feats)), tiles):
             E = maps[0]
             r = E.shape[1]
             ET = E.T.copy() if any_wide else None  # rows-outer, as a wide layer's Z and dZ
@@ -261,8 +260,7 @@ class CinModel(Model):
                 dW = dW if prev_first else dW.transpose(0, 2, 1)
             grads[f"cin.W{k}"] = dW
         grads[f"cin.W{len(layers)}"] = dW_last.reshape(self.store[f"cin.W{len(layers)}"].shape)
-        grads.update(self.embedding.grads(idx, dE_all.transpose(1, 0, 2)))
-        return grads
+        return grads, dE_all.transpose(1, 0, 2)
 
 
 def _rows(x: np.ndarray, d: int) -> np.ndarray:
@@ -324,9 +322,8 @@ class CrossNetModel(Model):
     # the gradient of x_{t+1}: du = dx * x0, dW_t = du^T x_t, db_t = sum(du)
     # and dx_t = du W_t + dx; dx0 sums dx * u_t over the layers, plus dx_0.
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        self._cache = None  # the last tape goes before this one is allocated
-        E = self.embedding.gather(idx)
+    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        E = self.embedding.gather(rows)
         x0 = E.reshape(len(E), self.spec.width)
         xs = [x0]
         us = []
@@ -337,11 +334,10 @@ class CrossNetModel(Model):
             x = x0 * u
             x += xs[-1]
             xs.append(x)
-        self._cache = (np.asarray(idx), xs, us)
-        return self._head(xs[-1])
+        return self._head(xs[-1]), (xs, us)
 
-    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, xs, us = self._tape()
+    def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
+        xs, us = tape
         x0 = xs[0]
         grads, dx = self._head_backward(xs[-1], dlogits)
         last = self.spec.num_layers - 1
@@ -357,9 +353,7 @@ class CrossNetModel(Model):
             dx_prev += dx
             dx = dx_prev
         dx0 += dx
-        dE = dx0.reshape(len(dx0), self.num_fields, self.embed_dim)
-        grads.update(self.embedding.grads(idx, dE))
-        return grads
+        return grads, dx0.reshape(len(dx0), self.num_fields, self.embed_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +447,18 @@ class _PairwiseModel(Model):
         self.pairs = upper_pairs(m)
         self._gemm = PairGemm(*np.triu_indices(m, 1), m, self.spec.embed_dim, self.per_dim)
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        self._cache = None  # the last tape goes before this one is allocated
+    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
         g = self._gemm
         # FmFM's batch-major states are a view of the gather, FwFM's dim-major
         # ones a copy
-        X = g.states(self.embedding.gather(idx).transpose(1, 0, 2))
+        X = g.states(self.embedding.gather(rows).transpose(1, 0, 2))
         K = self._layout(self.weights, lambda: g.dense(self.store[self.weights]))
         u = g.states(self.store["linear.u"][:, None, :])
-        self._cache = (np.asarray(idx), X, K, u)
-        return np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0]
+        return np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0], (X, K, u)
 
-    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx, X, K, u = self._tape()
+    def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
+        X, K, u = tape
         g = self._gemm
-        dlogits = np.asarray(dlogits, dtype=np.float64)
         gX = X * dlogits[:, None]  # X diag(dlogits), block by block
         grads = {
             self.weights: g.at_pairs(gX.transpose(0, 2, 1) @ X),
@@ -475,8 +466,7 @@ class _PairwiseModel(Model):
             "head.b": np.array([dlogits.sum()]),
         }
         dX = gX @ (K + K.transpose(0, 2, 1)) + u * dlogits[:, None]
-        grads.update(self.embedding.grads(idx, g.fields(dX).transpose(1, 0, 2)))
-        return grads
+        return grads, g.fields(dX).transpose(1, 0, 2)
 
 
 class FwfmModel(_PairwiseModel):
@@ -535,17 +525,11 @@ class TinyMlpModel(Model):
     def _setup(self) -> None:
         self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        self._cache = self.mlp._cache = None  # the last tapes go before these are allocated
-        E = self.embedding.gather(idx)
-        logits = self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim))  # a view
-        self._cache = np.asarray(idx)
-        return logits
+    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        E = self.embedding.gather(rows)
+        return self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim))  # a view
 
-    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        idx = self._tape()
+    def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
         grads: dict[str, np.ndarray] = {}
-        dx = self.mlp.backward(np.asarray(dlogits, dtype=np.float64), grads)
-        dE = dx.reshape(len(dx), self.num_fields, self.embed_dim)
-        grads.update(self.embedding.grads(idx, dE))
-        return grads
+        dx = self.mlp.backward(tape, dlogits, grads)
+        return grads, dx.reshape(len(dx), self.num_fields, self.embed_dim)

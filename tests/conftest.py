@@ -97,8 +97,9 @@ def relu_kink_margin(model, idx) -> float:
     mlp = getattr(model, "mlp", None)
     if mlp is None or mlp.activation != "relu":
         return float("inf")
-    model.forward(idx)
-    _, pre = mlp._cache
+    _, tape = model._forward(model.embedding.table_rows(idx))
+    # the tower's tape: all of a tiny MLP's, the end of a DAGFM+ student's
+    _, pre = tape[-1] if isinstance(model, DagfmPlusModel) else tape
     hidden = pre[:-1]  # final layer is affine, no kink
     if not hidden:
         return float("inf")
@@ -136,19 +137,19 @@ def field_rows(model, i: int) -> np.ndarray:
     return model.store["emb"][start : start + model.vocab_sizes[i]]
 
 
-def field_major_row_grads(table, idx, d_emb) -> dict:
+def field_major_row_grads(table, rows, d_emb) -> dict:
     """A trainable table's gradient as the field-major scatter forms it: the
-    rows and ``d_emb`` (B, m, d) copied field-major, and one bincount in
-    that order over the touched rows."""
+    table rows (``table.table_rows``) and ``d_emb`` (B, m, d) copied
+    field-major, and one bincount in that order over the touched rows."""
     shape = table.store["emb"].shape
-    flat_rows = (np.asarray(idx).T + table.offsets[:, None]).ravel()
+    flat_rows = rows.T.ravel()
     compact = np.bincount(flat_rows, minlength=shape[0])
-    rows = np.flatnonzero(compact)
-    compact[rows] = np.arange(len(rows))
+    touched = np.flatnonzero(compact)
+    compact[touched] = np.arange(len(touched))
     d = shape[1]
     flat = (compact[flat_rows].reshape(-1, 1) * d + np.arange(d)).ravel()
-    g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=len(rows) * d)
-    return {"emb": RowGrad(rows, g.reshape(-1, d), shape)}
+    g = np.bincount(flat, weights=d_emb.transpose(1, 0, 2).ravel(), minlength=len(touched) * d)
+    return {"emb": RowGrad(touched, g.reshape(-1, d), shape)}
 
 
 def assert_same_bits(got: dict, expected: dict) -> None:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagfm import interactions
+from dagfm.checkpoint import MODELS, build_model
 from dagfm.interactions import (
     EMBED_INIT_STD,
     KINDS,
@@ -15,6 +16,7 @@ from dagfm.interactions import (
     DagfmPlusModel,
     DagfmPlusSpec,
     DagfmSpec,
+    Model,
     PairGemm,
     full_dag_pairs,
     phi_basic_inner,
@@ -24,7 +26,9 @@ from dagfm.interactions import (
 )
 from dagfm.numcore import ConfigurationError, ShapeError, grad_check, stable_sigmoid
 from dagfm.oracle import _model_edge_weights, oracle_node_state_weighted
-from dagfm.teachers import upper_pairs
+from dagfm.teachers import (
+    CinSpec, CrossNetSpec, FmfmSpec, FwfmSpec, TinyMlpSpec, upper_pairs,
+)
 
 from conftest import (
     MODEL_TAGS,
@@ -39,6 +43,19 @@ from conftest import (
 finite_vec = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=6
 )
+
+
+# one small spec of every family in checkpoint.MODELS, on three fields of width 2
+FAMILY_SPECS = (
+    DagfmSpec("inner", 3, 2, 1),
+    DagfmPlusSpec(DagfmSpec("outer", 3, 2, 1), mlp_hidden=(4,)),
+    CinSpec(3, 2, (2,)),
+    CrossNetSpec(3, 2, 1),
+    FwfmSpec(3, 2),
+    FmfmSpec(3, 2),
+    TinyMlpSpec(3, 2, hidden=(4,)),
+)
+assert {type(spec) for spec in FAMILY_SPECS} == {cls.spec_type for cls in MODELS}
 
 
 def identity_model(kind, m, d, layers, embeddings):
@@ -241,23 +258,25 @@ class TestPropagation:
         ([[3, 0, 0]], r"field 0: index 3 outside vocab range \[0, 3\)"),
     ])
     def test_out_of_range_index_names_field_and_index(self, rows, message):
-        # the gathers and the scatter share one check
-        table = DagfmModel(DagfmSpec("inner", 3, 2, 1), [3, 5, 9]).embedding
-        d_emb = np.zeros((len(rows), 3, 2))
-        for read in (table.lookup, table.gather, lambda idx: table.grads(idx, d_emb)):
+        # the one check, and every family's forward, which makes it
+        vocab = [3, 5, 9]
+        with pytest.raises(IndexError, match=message):
+            DagfmModel(DagfmSpec("inner", 3, 2, 1), vocab).embedding.table_rows(np.array(rows))
+        for spec in FAMILY_SPECS:
             with pytest.raises(IndexError, match=message):
-                read(np.array(rows))
+                build_model(spec, vocab).forward(np.array(rows))
 
     @pytest.mark.parametrize("B", [0, 1, 9])
     def test_gather_is_lookup_batch_major(self, B, rng):
         vocab = [3, 5, 9]
         table = DagfmModel(DagfmSpec("inner", 3, 2, 1), vocab).embedding
         idx = np.stack([rng.integers(0, v, size=B) for v in vocab], axis=1)
-        E = table.gather(idx)
+        rows = table.table_rows(idx)
+        E = table.gather(rows)
         assert E.shape == (B, 3, 2) and E.flags.c_contiguous
-        np.testing.assert_array_equal(E, table.lookup(idx))
+        np.testing.assert_array_equal(E, table.lookup(rows))
         with pytest.raises(ShapeError):
-            table.gather(idx[:, :2])
+            table.table_rows(idx[:, :2])
 
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_one_table_read_at_field_offsets(self, tag, rng):
@@ -269,7 +288,9 @@ class TestPropagation:
         assert layout[0] == ("emb", (sum(vocab), model.embed_dim))
         assert [name for name, _ in layout if name.startswith("emb")] == ["emb"]
         expected = model.store["emb"][idx + np.cumsum([0, *vocab[:-1]])]
-        np.testing.assert_array_equal(model.embedding.lookup(idx), expected)
+        np.testing.assert_array_equal(
+            model.embedding.lookup(model.embedding.table_rows(idx)), expected
+        )
 
     @staticmethod
     def dense_bincount(idx, d_emb, vocab):
@@ -289,7 +310,8 @@ class TestPropagation:
         for batch in (200, 3, 0):
             idx = np.stack([rng.integers(0, v, size=batch) for v in vocab], axis=1)
             d_emb = rng.normal(size=(batch, 4, 3))
-            grads = model.embedding.grads(idx, d_emb)
+            rows = model.embedding.table_rows(idx)
+            grads = model.embedding.grads(rows, d_emb)
             assert sorted(grads) == ["emb"]
             g = grads["emb"]
             offset_rows = idx + np.cumsum([0, *vocab[:-1]])
@@ -302,10 +324,10 @@ class TestPropagation:
             # a field-major d_emb, as the models pass it, sums in the same order
             field_major = np.ascontiguousarray(d_emb.transpose(1, 0, 2)).transpose(1, 0, 2)
             np.testing.assert_array_equal(
-                np.asarray(model.embedding.grads(idx, field_major)["emb"]), expected
+                np.asarray(model.embedding.grads(rows, field_major)["emb"]), expected
             )
         model.store.freeze("emb")
-        assert model.embedding.grads(idx, d_emb) == {}
+        assert model.embedding.grads(rows, d_emb) == {}
 
     def test_embedding_grads_are_byte_identical_in_every_layout(self, rng):
         # one gradient batch-major, as the student's field-major view and as
@@ -319,9 +341,10 @@ class TestPropagation:
             d_emb = rng.normal(size=(batch, 4, 3))
             field_major = np.ascontiguousarray(d_emb.transpose(1, 0, 2)).transpose(1, 0, 2)
             dim_major = np.ascontiguousarray(d_emb.transpose(2, 0, 1)).transpose(1, 2, 0)
-            expected = field_major_row_grads(table, idx, d_emb)
+            rows = table.table_rows(idx)
+            expected = field_major_row_grads(table, rows, d_emb)
             for layout in (d_emb, field_major, dim_major):
-                assert_same_bits(table.grads(idx, layout), expected)
+                assert_same_bits(table.grads(rows, layout), expected)
 
     @pytest.mark.parametrize("tag", ["dagfm-outer", "dagfm-inner", "dagfm+"])
     def test_frozen_table_takes_no_gradient_and_moves_no_other(self, tag, rng, monkeypatch):
@@ -458,15 +481,6 @@ class TestDagfmPlus:
         )
         assert final.widths == [3 * 4, 7, 1]
 
-    def test_width_mismatch_guard(self):
-        spec = DagfmPlusSpec(DagfmSpec("inner", 2, 2, 2), mlp_hidden=(4,))
-        model = DagfmPlusModel(spec, [3, 3], seed=0)
-        model._mlp_input = lambda states: np.zeros((1, 3))
-        with pytest.raises(ConfigurationError, match="width"):
-            model.forward(np.zeros((1, 2), dtype=np.int64))
-        with pytest.raises(ConfigurationError, match="forward"):
-            model.backward(np.ones(1))  # the failed call leaves no tape
-
     def test_bad_feed_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             DagfmPlusSpec(DagfmSpec("inner", 2, 2, 1), mlp_feed="two-streams")
@@ -523,7 +537,7 @@ class TestFieldMajorLayout:
         model = self.model(kind, sparse, rng)
         idx = rng.integers(0, 5, size=(3, 39))
         _, trace = model.forward_trace(idx)
-        E = model.embedding.lookup(idx)
+        E = model.embedding.lookup(model.embedding.table_rows(idx))
         h = E
         for t, state in enumerate(trace.node_states):
             assert state.shape == (3, 39, 4)
@@ -659,7 +673,7 @@ class TestBlockTriangularOuter:
         model = self.model(m, edges, rng)
         idx = rng.integers(0, 3, size=(batch, m))
         _, trace = model.forward_trace(idx)
-        E = model.embedding.lookup(idx)
+        E = model.embedding.lookup(model.embedding.table_rows(idx))
         weights = _model_edge_weights(model)
         h = E
         for t, state in enumerate(trace.node_states):
@@ -779,8 +793,10 @@ class TestFieldBlocksAtCtrSize:
 
 
 class TestTape:
-    """``forward`` keeps one tape, for ``backward``, and builds no trace;
-    ``forward_trace`` is ``forward`` plus views of that tape."""
+    """``Model.forward`` keeps one tape, for ``backward``, and builds no
+    trace; ``forward_trace`` runs the student on a tape of its own and
+    returns views of it. The families' cores and the MLP tower keep no
+    state."""
 
     FAMILIES = {
         **{kind: DagfmSpec(kind, 5, 3, 2) for kind in KINDS},
@@ -818,15 +834,53 @@ class TestTape:
         np.testing.assert_array_equal(trace.pooled_concat, kept[2])
         assert model.forward(idx).tobytes() == logits.tobytes()
 
-    @pytest.mark.parametrize("name", ["outer", "dagfm+-all-states"])
-    def test_backward_without_a_tape_is_a_typed_error(self, name, rng):
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_a_trace_leaves_the_live_tape_alone(self, name, rng):
         model = self.model(self.FAMILIES[name], rng)
+        a, b = rng.integers(0, 3, size=(2, 4, 5))
+        dlogits = rng.normal(size=4)
+        model.forward(a)
+        model.forward_trace(b)
+        traced = model.backward(dlogits)
+        model.forward(a)
+        assert_same_bits(traced, model.backward(dlogits))
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_backward_without_a_tape_is_a_typed_error(self, tag, rng):
+        model, idx, _ = random_small_model(tag, rng)
+        dlogits = np.ones(len(idx))
         with pytest.raises(ConfigurationError, match="forward"):
-            model.backward(np.ones(2))  # no forward yet
-        model.forward(rng.integers(0, 3, size=(2, 5)))
-        model.backward(np.ones(2))
-        bad = np.full((2, 5), 3)
+            model.backward(dlogits)  # no forward yet
+        model.forward(idx)
+        model.backward(dlogits)
+        bad = idx.copy()
+        bad[-1, -1] = model.vocab_sizes[-1]
         with pytest.raises(IndexError):
             model.forward(bad)
         with pytest.raises(ConfigurationError, match="forward"):
-            model.backward(np.ones(2))  # not the batch before the failed call
+            model.backward(dlogits)  # not the batch before the failed call
+
+    @pytest.mark.parametrize("cls", MODELS)
+    def test_only_the_base_keeps_the_tape(self, cls):
+        # every family is a pure core under Model's forward and backward
+        for owner in cls.__mro__[: cls.__mro__.index(Model)]:
+            assert not {"forward", "backward", "_cache"} & set(vars(owner)), owner
+
+    def test_the_tower_keeps_no_state(self, rng):
+        model, _, _ = random_small_model("dagfm+", rng)
+        tower = model.mlp
+        state = dict(vars(tower))
+        width = model.spec.mlp_input_width
+        x, y = rng.normal(size=(2, 3, width))
+        dout = rng.normal(size=3)
+        out, tape = tower.forward(x)
+        tower.forward(y)
+        grads = {}
+        dx = tower.backward(tape, dout, grads)
+        assert vars(tower) == state
+        fresh_out, fresh_tape = tower.forward(x)
+        fresh = {}
+        fresh_dx = tower.backward(fresh_tape, dout, fresh)
+        assert_same_bits(
+            {"out": out, "dx": dx, **grads}, {"out": fresh_out, "dx": fresh_dx, **fresh}
+        )

@@ -124,7 +124,7 @@ class TestCin:
     @staticmethod
     def naive_logits(model, idx):
         """CIN by its defining triple sum, one (h, i, j) term at a time."""
-        E = model.embedding.lookup(idx)
+        E = model.embedding.lookup(model.embedding.table_rows(idx))
         maps, feats = [E], []
         for k in range(model.spec.num_layers):
             W, prev = model.store[f"cin.W{k}"], maps[-1]
@@ -158,7 +158,7 @@ class TestCin:
         """Logits and gradients of CIN as one GEMM per embedding dim e over
         the pair products Z_e[b, i*m + j] = x[b, i, e] * E[b, j, e], the
         formulation the row tiles replaced."""
-        E = model.embedding.lookup(idx)
+        E = model.embedding.lookup(model.embedding.table_rows(idx))
         B, m, d = E.shape
         E_d = np.ascontiguousarray(E.transpose(2, 0, 1))  # (d, B, m)
         Ws = [model.store[f"cin.W{k}"].reshape(len(model.store[f"cin.W{k}"]), -1)
@@ -188,7 +188,8 @@ class TestCin:
                 d_maps[k][e] += np.einsum("bij,bj->bi", dZ, E_d[e])
                 d_maps[0][e] += np.einsum("bij,bi->bj", dZ, prev[e])
             grads[f"cin.W{k}"] = dW2.reshape(model.store[f"cin.W{k}"].shape)
-        grads.update(model.embedding.grads(idx, d_maps[0].transpose(1, 2, 0)))
+        rows = model.embedding.table_rows(idx)
+        grads.update(model.embedding.grads(rows, d_maps[0].transpose(1, 2, 0)))
         return logits, grads
 
     def assert_matches_per_dim(self, model, idx, rng):
@@ -356,7 +357,8 @@ class TestCrossNet:
         ``x0 * u + x`` formed whole, dx0 summed from zeros, and the table's
         rows scattered field-major."""
         store, L = model.store, model.spec.num_layers
-        x0 = store["emb"][idx + model.embedding.offsets].reshape(len(idx), -1)
+        rows = idx + model.embedding.offsets
+        x0 = store["emb"][rows].reshape(len(idx), -1)
         xs, us = [x0], []
         for t in range(L):
             u = xs[-1] @ store[f"cross.W{t}"].T + store[f"cross.b{t}"]
@@ -375,7 +377,7 @@ class TestCrossNet:
         dx0 += dx
         if store.is_trainable("emb"):
             d_emb = dx0.reshape(len(idx), model.num_fields, model.embed_dim)
-            grads.update(field_major_row_grads(model.embedding, idx, d_emb))
+            grads.update(field_major_row_grads(model.embedding, rows, d_emb))
         return logits, grads
 
     @pytest.mark.parametrize("frozen", [False, True])
@@ -491,7 +493,7 @@ class TestPairwiseBaselines:
         model.forward(idx)
         grads = model.backward(dlogits)
         pi, pj = (np.array(f) for f in zip(*upper_pairs(m)))
-        E = model.embedding.lookup(idx)
+        E = model.embedding.lookup(model.embedding.table_rows(idx))
         Ei, Ej = E[:, pi], E[:, pj]
         g = dlogits[:, None, None]
         if cls is FwfmModel:
@@ -508,7 +510,7 @@ class TestPairwiseBaselines:
         dE = np.broadcast_to(dE, (B, m, d)).copy()
         np.add.at(dE, (slice(None), pi), to_first)
         np.add.at(dE, (slice(None), pj), to_second)
-        expected = model.embedding.grads(idx, dE)
+        expected = model.embedding.grads(model.embedding.table_rows(idx), dE)
         for name in model.embedding_names():
             np.testing.assert_allclose(grads[name], expected[name], rtol=1e-12, atol=1e-12)
 
@@ -608,8 +610,10 @@ def test_baselines_match_the_field_major_gather_and_scatter_bitwise(make, m, B, 
     logits = model.forward(idx)
     grads = model.backward(dlogits)
     table = model.embedding
-    monkeypatch.setattr(table, "gather", lambda idx: np.ascontiguousarray(table.lookup(idx)))
-    monkeypatch.setattr(table, "grads", lambda idx, d_emb: field_major_row_grads(table, idx, d_emb))
+    monkeypatch.setattr(table, "gather", lambda rows: np.ascontiguousarray(table.lookup(rows)))
+    monkeypatch.setattr(
+        table, "grads", lambda rows, d_emb: field_major_row_grads(table, rows, d_emb)
+    )
     ref_logits = model.forward(idx)
     ref_grads = model.backward(dlogits)
     assert_same_bits({"logits": logits, **grads}, {"logits": ref_logits, **ref_grads})
