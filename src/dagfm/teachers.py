@@ -28,6 +28,7 @@ plain arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -109,16 +110,23 @@ class CinSpec:
 
 
 #: Elements of the largest intermediate of one CIN row tile (512 KiB of
-#: float64, an L2's share). A tile takes as many batch rows as keep it
-#: within this, so that its intermediates stay in cache: narrow stacks are
-#: bound by memory traffic (CIN(4, 4) at m=8 and d=16 takes 128 rows,
-#: CIN(16, 16, 16) 32), and wider ones take CIN_GEMM_ROWS.
+#: float64, an L2's share). The layers before the last are bound by memory
+#: traffic where they form products elementwise: a narrow layer's S and O, a
+#: wide one's pair products Z and their gradient dZ, per batch row d times
+#: the product of the two narrowest of H_prev, H and m. A tile takes no more
+#: batch rows than keep those within this: CIN(4, 4) at m=8 and d=16 takes
+#: 128 rows, CIN(16, 16, 16) 32.
 CIN_CACHE_ELEMENTS = 1 << 16
 #: Flat (batch row, embedding dim) rows that a tile holds at least: the
 #: GEMMs that accumulate a layer's weight gradients sum over a tile's rows,
 #: and need this many to amortise that sum. At d=16 it is 16 batch rows,
 #: whose intermediates in the paper's CIN(200, 200, 200) at m=39 are 16 MiB.
 CIN_GEMM_ROWS = 256
+#: Batch rows that a tile holds at most. The pooled last layer's GEMMs sum
+#: over batch rows and are amortised by this many; more only grows the
+#: tile's arrays. One-layer stacks and wide, shallow ones (CIN(200, 200) at
+#: m=8, d=4) take it.
+CIN_TILE_ROWS = 256
 
 
 class CinModel(Model):
@@ -128,13 +136,15 @@ class CinModel(Model):
     # Layer k is the trilinear form x[h, r] = sum_{i,j} W[h, i, j] a[i, r] b[j, r]
     # over flat rows r = (batch row, embedding dim): a is the previous map
     # (H_prev features), b the embeddings (m features). Rows run in tiles of
-    # whole batch rows; in a tile each map is one feature-major (H, r) block.
+    # whole batch rows; in a tile each map is one feature-major (H, r) block,
+    # sum-pooled by one GEMV with ones(d).
     # The last map feeds only the sum-pool, so the last layer pools before
     # its weights: per batch row t, G[t, i, j] = sum_e a[i, (t, e)] b[j, (t, e)]
     # is one (H_prev, d) x (d, m) product, and the pooled values are
     # G @ W^T, one (T, H_prev*m) x (H_prev*m, H) GEMM: d times fewer
     # products with W than forming the map. With gp the pooled values'
-    # gradient, dW = gp^T G, dG = gp W, da = dG b and db = dG^T a.
+    # gradient, dW = gp^T G, dG = gp W, da = dG b and db = dG^T a; when it
+    # is the only layer, a = b = E and dE = (dG + dG^T) E.
     # Each earlier layer forms its map with one GEMM with W over all the
     # tile's flat rows: W is contracted first with u, the wider of a and b,
     # into S[h, v, r]; the narrower, v, then contracts S: x = sum_v S * v.
@@ -142,6 +152,11 @@ class CinModel(Model):
     # recomputes the rest per tile.
     #   narrow layer (H < max(H_prev, m)): dv = sum_h S * g, and with the
     #     products O = g (x) v, dW = u O^T and du = W O, all (H*V, r) blocks.
+    #   symmetric layer, a narrow first one (a wide first layer runs as any
+    #     wide layer): it reads the embeddings twice,
+    #     x[h] = sum_{i,j} W[h, i, j] e_i e_j, so it depends on W only through
+    #     Ws = W + W^T (transposed in i, j), and du and dv are one gradient:
+    #     dE = Ws O, one GEMM, with no S and no dv.
     #   wide layer: the pair products Z = a (x) b give dW = g Z^T, and
     #     dZ = W^T g gives da = sum_j dZ * b and db = sum_i dZ * a: one GEMM
     #     fewer, over (H_prev*m, r) blocks no wider than S.
@@ -151,10 +166,12 @@ class CinModel(Model):
 
     def _layers(self) -> tuple[list[tuple], np.ndarray]:
         """Per layer before the last: W, whether u is the previous map, and
-        whether the layer is wide; and the last layer's W as (H, H_prev*m)."""
+        its kind ("wide", "narrow", or "symmetric" for a narrow first
+        layer); and the last layer's W as (H, H_prev*m)."""
         m = self.spec.num_fields
         *first, last = (self.store[f"cin.W{k}"] for k in range(self.spec.num_layers))
-        layers = [(W, W.shape[1] >= m, W.shape[0] >= max(W.shape[1], m)) for W in first]
+        layers = [(W, W.shape[1] >= m, "wide" if W.shape[0] >= max(W.shape[1], m)
+                   else "narrow" if k else "symmetric") for k, W in enumerate(first)]
         return layers, last.reshape(len(last), -1)
 
     @staticmethod
@@ -164,21 +181,24 @@ class CinModel(Model):
         return W_uv.transpose(1, 0, 2).reshape(W_uv.shape[1], -1)
 
     def _tiles(self, B: int) -> list[slice]:
-        """Batch-row slices whose largest intermediate fits CIN_CACHE_ELEMENTS,
-        or that hold CIN_GEMM_ROWS flat rows where that is more."""
+        """Batch-row slices of CIN_TILE_ROWS rows, fewer where an earlier
+        layer's elementwise products would outgrow CIN_CACHE_ELEMENTS, but
+        never fewer than CIN_GEMM_ROWS flat rows."""
         m, d = self.spec.num_fields, self.spec.embed_dim
         widths = (m, *self.spec.layer_sizes)
-        # per batch row: an earlier layer's S (or O), and the last one's G
-        per_row = max([widths[-2] * m,
-                       *(h * min(h_prev, m) * d for h_prev, h in zip(widths[:-2], widths[1:-1]))])
-        rows = max(CIN_CACHE_ELEMENTS // per_row, -(-CIN_GEMM_ROWS // d))
+        # per batch row and layer before the last: its S and O, or its Z and dZ
+        per_row = [d * math.prod(sorted((h_prev, h, m))[:2])
+                   for h_prev, h in zip(widths[:-2], widths[1:-1])]
+        rows = max(min([CIN_TILE_ROWS, *(CIN_CACHE_ELEMENTS // n for n in per_row)]),
+                   -(-CIN_GEMM_ROWS // d))
         return [slice(a, min(a + rows, B)) for a in range(0, B, rows)]
 
     def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
         emb = self.embedding.lookup(rows).transpose(1, 0, 2)  # field-major (m, B, d)
         m, B, d = emb.shape
         layers, W_last = self._layers()
-        layers = [(W, self._w_u(W, prev_first), prev_first, wide) for W, prev_first, wide in layers]
+        layers = [(W, self._w_u(W, prev_first), prev_first, kind) for W, prev_first, kind in layers]
+        ones = np.ones(d)
         feats = np.empty((B, self.spec.pooled_width))
         tiles = []
         for tile in self._tiles(B):
@@ -186,15 +206,15 @@ class CinModel(Model):
             r = E.shape[1]
             maps = [E]
             col = 0
-            for W, Wu, prev_first, wide in layers:
+            for W, Wu, prev_first, kind in layers:
                 u, v = (maps[-1], E) if prev_first else (E, maps[-1])
                 x = np.empty((len(W), r))
-                if wide:
+                if kind == "wide":
                     np.einsum("rhv,rv->hr", (u.T @ Wu).reshape(r, len(W), -1), v.T.copy(), out=x)
                 else:
                     np.einsum("hvr,vr->hr", (Wu.T @ u).reshape(len(W), -1, r), v, out=x)
                 maps.append(x)
-                feats[tile, col : col + len(x)] = x.reshape(len(x), -1, d).sum(axis=2).T
+                feats[tile, col : col + len(x)] = (x.reshape(-1, d) @ ones).reshape(len(x), -1).T
                 col += len(x)
             G = _rows(maps[-1], d) @ _rows(E, d).transpose(0, 2, 1)  # (T, H_prev, m)
             feats[tile, col:] = G.reshape(len(G), -1) @ W_last.T
@@ -206,13 +226,15 @@ class CinModel(Model):
         m, d = self.spec.num_fields, self.spec.embed_dim
         grads, dfeat = self._head_backward(feats, dlogits)
         layers, W_last = self._layers()
-        layers = [(W, None if wide else self._w_u(W, prev_first), prev_first, wide)
-                  for W, prev_first, wide in layers]
-        dWs = [np.zeros(W.shape if wide else Wu.shape) for W, Wu, _, wide in layers]
+        # a symmetric layer reads W only as Ws = W + W^T
+        layers = [(W, None if kind == "wide" else self._w_u(W + W.transpose(0, 2, 1), True)
+                   if kind == "symmetric" else self._w_u(W, prev_first), prev_first, kind)
+                  for W, prev_first, kind in layers]
+        dWs = [np.zeros(W.shape if kind == "wide" else Wu.shape) for W, Wu, _, kind in layers]
         dW_last = np.zeros_like(W_last)
         offsets = np.cumsum((0, *self.spec.layer_sizes))
         dE_all = np.empty((m, len(feats), d))
-        any_wide = any(wide for *_, wide in layers)
+        any_wide = any(kind == "wide" for *_, kind in layers)
         for rows, (maps, G) in zip(self._tiles(len(feats)), tiles):
             E = maps[0]
             r = E.shape[1]
@@ -224,20 +246,18 @@ class CinModel(Model):
             dW_last += gp.T @ G.reshape(len(G), -1)
             dG = (gp @ W_last).reshape(G.shape)
             dE = np.empty_like(E)
-            np.matmul(dG.transpose(0, 2, 1), _rows(prev, d), out=_rows(dE, d))  # db = dG^T a
-            if k:  # da = dG b, plus the previous map's share of the pool
-                dprev = np.empty_like(prev)
-                np.matmul(dG, _rows(E, d), out=_rows(dprev, d))
-                dprev.reshape(len(prev), -1, d)[...] += dfeat[rows, offsets[k - 1] : offsets[k]].T[:, :, None]
-            else:  # one layer: a is the embeddings
-                dprev = dE
-                _rows(dE, d)[...] += dG @ _rows(E, d)
-            g = dprev
+            if k:  # db = dG^T a, da = dG b plus the previous map's share of the pool
+                np.matmul(dG.transpose(0, 2, 1), _rows(prev, d), out=_rows(dE, d))
+                g = np.empty_like(prev)
+                np.matmul(dG, _rows(E, d), out=_rows(g, d))
+                g.reshape(len(prev), -1, d)[...] += dfeat[rows, offsets[k - 1] : offsets[k]].T[:, :, None]
+            else:  # one layer: a = b = E
+                np.matmul(dG + dG.transpose(0, 2, 1), _rows(E, d), out=_rows(dE, d))
             for k in range(len(layers) - 1, -1, -1):
-                W, Wu, prev_first, wide = layers[k]
+                W, Wu, prev_first, kind = layers[k]
                 prev = maps[k]
                 dprev = np.repeat(dfeat[rows, offsets[k - 1] : offsets[k]].T, d, axis=1) if k else dE
-                if wide:
+                if kind == "wide":
                     prevT = prev.T.copy()
                     Z = (prevT[:, :, None] * ET[:, None, :]).reshape(r, -1)
                     dWs[k] += (g @ Z).reshape(W.shape)
@@ -247,15 +267,16 @@ class CinModel(Model):
                     dE += np.einsum("rij,ri->jr", dZ, prevT)
                 else:
                     (u, du), (v, dv) = ((prev, dprev), (E, dE)) if prev_first else ((E, dE), (prev, dprev))
-                    dv += np.einsum("hvr,hr->vr", (Wu.T @ u).reshape(len(W), len(v), r), g)
+                    if kind == "narrow":  # a symmetric layer's Wu carries dv's share
+                        dv += np.einsum("hvr,hr->vr", (Wu.T @ u).reshape(len(W), len(v), r), g)
                     O = (g[:, None, :] * v[None]).reshape(-1, r)
                     dWs[k] += u @ O.T
                     du += Wu @ O
                 g = dprev
             dE_all[:, rows] = dE.reshape(m, -1, d)
-        for k, (W, Wu, prev_first, wide) in enumerate(layers):
+        for k, (W, Wu, prev_first, kind) in enumerate(layers):
             dW = dWs[k]
-            if not wide:  # (U, H*V) back to (H, H_prev, m)
+            if kind != "wide":  # (U, H*V) back to (H, H_prev, m)
                 dW = dW.reshape(len(Wu), len(W), -1).transpose(1, 0, 2)
                 dW = dW if prev_first else dW.transpose(0, 2, 1)
             grads[f"cin.W{k}"] = dW

@@ -213,6 +213,8 @@ class TestCin:
         (8, (16, 16, 16)),  # two wide layers, then pooled
         (8, (4,)),  # one pooled layer, over the embeddings
         (3, (5,)),
+        (39, (40, 20)),  # a wide first layer at CTR width
+        (5, (7, 2)),  # a wide first layer at odd m
     ]
 
     @pytest.mark.parametrize("m,widths", STACKS)
@@ -233,6 +235,30 @@ class TestCin:
         model = CinModel(CinSpec(m, 4, widths), [7] * m, seed=13)
         perturb_params(model, rng)
         self.assert_matches_per_dim(model, rng.integers(0, 7, size=(B, m)), rng)
+
+    @pytest.mark.parametrize("m,widths", [(8, (4, 4)), (8, (8, 3)), (5, (7, 2)), (8, (4,))])
+    def test_first_layer_reads_only_symmetrised_weights(self, m, widths, rng):
+        # e_i e_j is symmetric in (i, j), so adding an antisymmetric array to
+        # W0 moves no logit, and W0's gradient is still the full one
+        model = CinModel(CinSpec(m, 3, widths), [7] * m, seed=14)
+        perturb_params(model, rng)
+        idx = rng.integers(0, 7, size=(9, m))
+        before = model.forward(idx)
+        A = rng.normal(size=model.store["cin.W0"].shape)
+        model.store.set("cin.W0", model.store["cin.W0"] + A - A.transpose(0, 2, 1))
+        after = model.forward(idx)
+        assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
+        self.assert_matches_per_dim(model, idx, rng)
+
+    @pytest.mark.parametrize("m,d,widths,rows", [
+        (8, 16, (4, 4), 128),  # cin-m8: the narrow first layer's S and O fill the cache share
+        (8, 4, (200, 200), 256),  # wide and shallow: its Z and dZ fit, so CIN_TILE_ROWS
+        (8, 16, (4,), 256),  # one pooled layer: CIN_TILE_ROWS
+        (39, 16, (200, 200, 200), 16),  # the paper's CIN: the GEMM floor
+    ])
+    def test_tile_rows(self, m, d, widths, rows):
+        model = CinModel(CinSpec(m, d, widths), [2] * m, seed=0)
+        assert [t.stop - t.start for t in model._tiles(2 * rows + 1)] == [rows, rows, 1]
 
     def test_step_holds_no_untiled_intermediate(self, rng):
         # at m=39, d=16, widths (200, 200) and B=64 one (d*B, H*m) float64
