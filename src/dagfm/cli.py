@@ -78,8 +78,8 @@ def _pin_malloc() -> None:
     """Fix glibc's malloc thresholds; nothing where there is no glibc.
 
     Left to itself, glibc raises the thresholds as large blocks are freed and
-    trims the heap as soon as its top is free, so a model that frees its tape
-    before the next forward can have its pages trimmed and faulted in again on
+    trims the heap as soon as its top is free, so a model whose working set is
+    freed between calls can have its pages trimmed and faulted in again on
     every call, as when ``eval`` scores an m=39 CSV tile by tile."""
     if platform.libc_ver()[0] != "glibc":
         return

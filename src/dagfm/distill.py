@@ -16,11 +16,13 @@ Every training step runs its batch in row tiles of :data:`TRAIN_ROWS`: one
 forward and backward per tile, each tile's loss and gradient weighted by its
 share of the batch, then one Adam step on the summed gradients. The step is
 the batch step, while its working set stays one tile's whatever the batch
-size; scoring runs in tiles of :data:`SCORE_ROWS` the same way. The
-embedding table's gradient holds only the rows the batch touched (tiles sum
-over the union of their rows), and the Adam step moves only those rows, so a
-step costs what its batch touches, not what the vocabulary holds; a row
-that a batch misses keeps its value and moments through that step.
+size; scoring runs in tiles of :data:`SCORE_ROWS` the same way, through
+``Model.score``, which keeps no backward tape and leaves the latest
+training tape alone. The embedding table's gradient holds only the rows the
+batch touched (tiles sum over the union of their rows), and the Adam step
+moves only those rows, so a step costs what its batch touches, not what the
+vocabulary holds; a row that a batch misses keeps its value and moments
+through that step.
 
 Each stage writes one JSON line per epoch: {"epoch", "loss", "val_auc",
 "val_logloss"} with sorted keys and no timestamps, so a seeded rerun
@@ -196,20 +198,21 @@ class TrainReport:
 # prediction / evaluation
 # ---------------------------------------------------------------------------
 
-# Rows per scoring forward, for every model family. A fixed tile bounds a
-# scoring call's working set, and the backward operands a model keeps from its
-# latest forward, by one tile whatever the input size; at 256 rows the m=39
-# student's state buffer and `S` arrays stay near the caches while per-call
-# overhead stays small. Rows are independent, so logits do not depend on it.
+# Rows per scoring call, for every model family. A fixed tile bounds a
+# scoring call's working set by one tile whatever the input size, and a
+# scoring call keeps nothing once it returns; at 256 rows the m=39 student's
+# state buffer and `S` arrays stay near the caches while per-call overhead
+# stays small. Rows are independent, so logits do not depend on it.
 SCORE_ROWS = 256
 
 
 def predict_logits(model, indices: np.ndarray) -> np.ndarray:
     """Logits for every row of ``indices``, in input order, computed one
-    forward per tile of :data:`SCORE_ROWS` rows."""
+    ``score`` per tile of :data:`SCORE_ROWS` rows: ``forward``'s logits,
+    with no tape kept."""
     indices = np.asarray(indices)
     chunks = [
-        model.forward(indices[start : start + SCORE_ROWS])
+        model.score(indices[start : start + SCORE_ROWS])
         for start in range(0, len(indices), SCORE_ROWS)
     ]
     return np.concatenate(chunks) if chunks else np.zeros(0)

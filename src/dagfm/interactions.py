@@ -20,19 +20,25 @@ batched BLAS GEMMs (``np.matmul``). A layout is built by
 (``ParamStore.version``), so a forward after no weight change, as in
 serving, scatters nothing.
 
-Every model family is a pure core under :class:`Model`: ``_forward(rows)
--> (logits, tape)`` over the table rows that ``Model.forward`` checked once
-(``EmbeddingTable.table_rows``), and ``_backward(tape, dlogits) -> (grads,
-d_emb)``, every gradient but the table's and the (B, m, d) embeddings'
-gradient, which ``Model.backward`` scatters (``EmbeddingTable.grads``)
-unless it is ``None``, as the student's is for a frozen table. Only
-``Model`` keeps a tape between calls; :class:`MlpTower` returns its own.
+Every model family is a pure core under :class:`Model`: ``_forward(rows,
+keep) -> (logits, tape)`` over the table rows that ``Model.forward`` or
+``Model.score`` checked once (``EmbeddingTable.table_rows``), and
+``_backward(tape, dlogits) -> (grads, d_emb)``, every gradient but the
+table's and the (B, m, d) embeddings' gradient, which ``Model.backward``
+scatters (``EmbeddingTable.grads``) unless it is ``None``, as the student's
+is for a frozen table. ``forward`` runs a core with ``keep`` and holds its
+tape for ``backward``; ``score`` runs it without, and the core then returns
+no tape and holds nothing, while it runs, that only a backward would read.
+Only ``Model`` keeps a tape between calls; :class:`MlpTower` returns its own.
 
 The student works field-major: one contiguous (L+1, m, B, d) buffer holds
 every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
 steps. ``EmbeddingTable.lookup`` gathers every field's rows into ``H[0]``
 with one ``np.take``, and each layer writes ``agg * e`` straight into the
-next slot. ``outer`` runs two GEMMs per layer: per source ``j`` an
+next slot; without ``keep``, ``agg`` itself is written there and multiplied
+by ``e`` in place where its GEMM's layout allows (``outer``,
+``basic-inner``), and a layer's GEMM operands go before the next layer
+runs. ``outer`` runs two GEMMs per layer: per source ``j`` an
 (n, d) x (d, B) product gives the edge scalars
 ``S[j, i, b] = p[j, i] . h[j, b]`` over n targets, and per target ``i`` a
 (B, n) x (n, d) product reads ``S`` as an F-ordered operand over n sources.
@@ -55,9 +61,9 @@ every state set is one matrix-vector product of the buffer with
 ``ones(d)``, and the head is another. The combiner's GEMMs are resolved
 once, when the model is built; ``_forward`` resolves every layer's dense
 weights and the ``outer`` plan once per call, and its tape is the state
-buffer, each layer's GEMM operands and the pooled values. It builds no
-trace: ``forward_trace`` runs ``_forward`` on a tape of its own and
-returns a :class:`PropagationTrace` of views of it. Public shapes stay
+buffer, each layer's aggregate and GEMM operands and the pooled values. It
+builds no trace: ``forward_trace`` runs the core on a buffer of its own
+and returns a :class:`PropagationTrace` of views of it. Public shapes stay
 batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
 arrays, as views where they can. The per-pair ``phi_*`` functions are the
 reference the layers are tested against.
@@ -360,7 +366,8 @@ class EmbeddingTable:
 
 class Model:
     """Common surface: a ParamStore plus forward/backward over index batches,
-    which keep the tape of each family's ``_forward``/``_backward`` core.
+    which keep the tape of each family's ``_forward``/``_backward`` core, and
+    ``score``, which runs the core with ``keep=False`` and keeps no tape.
 
     ``spec.layout(vocab_sizes)`` declares every parameter as ``(name, shape,
     initialiser)``, in store order, the embedding table first. An
@@ -433,9 +440,15 @@ class Model:
         and keeps the table rows and the family's tape for ``backward``."""
         self._cache = None  # the last tape goes before this one is allocated
         rows = self.embedding.table_rows(idx)
-        logits, tape = self._forward(rows)
+        logits, tape = self._forward(rows, keep=True)
         self._cache = (rows, tape)
         return logits
+
+    def score(self, idx: np.ndarray) -> np.ndarray:
+        """``forward``'s logits, bitwise, from the family's core run with no
+        tape: nothing that only ``backward`` reads is kept, and the latest
+        ``forward``'s tape is left as it was."""
+        return self._forward(self.embedding.table_rows(idx), keep=False)[0]
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Analytic gradients of every parameter given d(loss)/d(logit) of
@@ -557,14 +570,21 @@ class DagfmModel(Model):
             for t in range(L)
         ]
 
-    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The logits, and a tape of the state buffer, each layer's GEMM
-        operands and the pooled values. It builds no
-        :class:`PropagationTrace`; see :meth:`forward_trace`. The dense
-        weights of every layer and the ``outer`` plan are resolved once per
-        call: below :data:`SMALL_ROWS` rows each ``outer`` product is one
-        dense GEMM, from there on the block-triangular ones.
-        """
+    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
+        """The logits, and with ``keep`` a tape of the state buffer, each
+        layer's aggregate and GEMM operands and the pooled values. It builds
+        no :class:`PropagationTrace`; see :meth:`forward_trace`."""
+        logits, tape = self._propagate(rows, keep)
+        return logits, tape if keep else None
+
+    def _propagate(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
+        """The logits and ``(H, layer_tapes, pooled)``, ``layer_tapes``
+        empty unless ``keep``. The dense weights of every layer and the
+        ``outer`` plan are resolved once per call: below :data:`SMALL_ROWS`
+        rows each ``outer`` product is one dense GEMM, from there on the
+        block-triangular ones. Without ``keep`` a layer's GEMM writes its
+        aggregate into the next slot where it can, and its operands go
+        before the next layer runs."""
         L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
         B = len(rows)
         # every state set, field-major: H[t, i] is node i's (B, d) block after t steps
@@ -575,17 +595,19 @@ class DagfmModel(Model):
         plan = (self._sources, self._targets) if B >= SMALL_ROWS else (_ONE_BLOCK, _ONE_BLOCK)
         layer_tapes = []
         for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
-            agg, cache = gemms(self, H[t], w, plan)
+            agg, cache = gemms(self, H[t], w, plan, None if keep else H[t + 1])
             np.multiply(agg, E, out=H[t + 1])
-            layer_tapes.append((agg, cache))
+            if keep:
+                layer_tapes.append((agg, cache))
+            del agg, cache  # else this layer's S would outlive the next one's
         pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)  # state-major rows
         return self._head(pooled.T), (H, layer_tapes, pooled)
 
     def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
         """:meth:`forward`'s logits, and the states and pooled values of a
-        tape of its own as a trace of views. The live tape, which
-        ``backward`` reads, is left as it was."""
-        logits, (H, _, pooled, *_) = self._forward(self.embedding.table_rows(idx))
+        run of its own, with no tape, as a trace of views. The live tape,
+        which ``backward`` reads, is left as it was."""
+        logits, (H, _, pooled, *_) = self._propagate(self.embedding.table_rows(idx), keep=False)
         n_states, m, B, _ = H.shape
         trace = PropagationTrace(
             list(H.transpose(0, 2, 1, 3)),
@@ -598,26 +620,29 @@ class DagfmModel(Model):
     # .)`` without the final ``* e_i``, for contiguous field-major states
     # ``h`` (m, B, d), given the layer's dense weights ``w`` and the forward's
     # ``outer`` plan. Each returns ``(agg, cache)``: ``agg`` is (m, B, d),
-    # maybe a transposed view, and the cache holds what the backward GEMMs
-    # read, in the layout they read it.
+    # maybe a transposed view, written into ``out`` (contiguous, field-major)
+    # where the GEMM's layout allows, and the cache holds what the backward
+    # GEMMs read, in the layout they read it.
 
-    def _adjacency_gemm(self, h, A, plan):
+    def _adjacency_gemm(self, h, A, plan, out=None):
         m, B, d = h.shape
-        return (A.T @ h.reshape(m, B * d)).reshape(m, B, d), A
+        flat = None if out is None else out.reshape(m, B * d)
+        return np.matmul(A.T, h.reshape(m, B * d), out=flat).reshape(m, B, d), A
 
-    def _pair_gemm(self, h, K, plan):
-        # the pair GEMM, sources j as rows and targets i as columns
+    def _pair_gemm(self, h, K, plan, out=None):
+        # the pair GEMM, sources j as rows and targets i as columns; its
+        # output is laid out as its states, not field-major
         g = self._gemm
         return g.fields(g.states(h) @ K), K
 
-    def _outer_gemms(self, h, w, plan):
+    def _outer_gemms(self, h, w, plan, out=None):
         (p, q), (sources, targets) = w, plan  # p[j, i], q[i, j]
         # S[j, i, b] = p[j, i] . h[j, b]: per source j an (n, d) x (d, B) GEMM
         S = _tri_matmul(p, h.transpose(0, 2, 1), sources, inner=False)
         # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, n) x (n, d)
         # GEMM; S.transpose(1, 2, 0) is F-ordered per target, so BLAS reads S
         # as it is, and so do the backward GEMMs
-        agg = _tri_matmul(S.transpose(1, 2, 0), q, targets, inner=True)
+        agg = _tri_matmul(S.transpose(1, 2, 0), q, targets, inner=True, out=out)
         return agg, (p, q, S)
 
     # -- backward ---------------------------------------------------------------
@@ -627,7 +652,7 @@ class DagfmModel(Model):
         MLP-augmented variant) inject additional gradient into each state set
         before the layer walk, one field-major (m, B, d) array or ``None`` per
         state set. A frozen table (the distill stage's) takes no gradient: no
-        dE is formed.
+        dE is formed, and layer 0's backward forms no d(state 0).
         """
         H, layer_tapes, pooled = tape
         n_states, m, B, _ = H.shape
@@ -651,27 +676,32 @@ class DagfmModel(Model):
             agg, cache = layer_tapes[t]
             if dE is not None:
                 dE += dh * agg
-            dh = dstate(t, gemms_backward(self, t, H[t], dh * E, cache, grads))
+            # only dE reads the embeddings' gradient d(state 0)
+            wants_dh = t > 0 or dE is not None
+            dh = gemms_backward(self, t, H[t], dh * E, cache, grads, wants_dh)
+            if wants_dh:
+                dh = dstate(t, dh)
         if dE is None:
             return grads, None
         dE += dh
         return grads, dE.transpose(1, 0, 2)
 
     # Each layer's backward GEMMs: store the edge-weight gradients of layer
-    # ``t`` and return d(loss)/d(h), given ``dU`` = d(loss)/d(agg); all
-    # field-major (m, B, d) and ``dU`` contiguous.
+    # ``t`` and return d(loss)/d(h), or ``None`` unless ``wants_dh``, given
+    # ``dU`` = d(loss)/d(agg); all field-major (m, B, d) and ``dU``
+    # contiguous.
 
-    def _adjacency_gemm_backward(self, t, h, dU, A, grads):
+    def _adjacency_gemm_backward(self, t, h, dU, A, grads, wants_dh):
         m, B, d = h.shape
-        return (A @ dU.reshape(m, B * d)).reshape(m, B, d)
+        return (A @ dU.reshape(m, B * d)).reshape(m, B, d) if wants_dh else None
 
-    def _pair_gemm_backward(self, t, h, dU, K, grads):
+    def _pair_gemm_backward(self, t, h, dU, K, grads, wants_dh):
         g = self._gemm
         dX = g.states(dU)
         grads[self._weights(t)] = g.at_pairs(g.states(h).transpose(0, 2, 1) @ dX)
-        return g.fields(dX @ K.transpose(0, 2, 1))
+        return g.fields(dX @ K.transpose(0, 2, 1)) if wants_dh else None
 
-    def _outer_gemms_backward(self, t, h, dU, cache, grads):
+    def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
         # the block plan at every batch size: a small batch's dense forward
         # wrote all of S, and these read only its lower blocks
         jj, ii = self._jj, self._ii
@@ -682,6 +712,8 @@ class DagfmModel(Model):
         grads[f"dag.q{t}"] = dq[ii, jj]  # (i, j, e)
         dp = _tri_matmul(dS.transpose(1, 0, 2), h, self._sources, inner=False)
         grads[f"dag.p{t}"] = dp[jj, ii]  # (j, i, e)
+        if not wants_dh:
+            return None
         # dh[j, b] = sum_i dS[i, j, b] p[j, i]: per source j a (B, n) x (n, d) GEMM
         return _tri_matmul(dS.transpose(1, 2, 0), p, self._sources, inner=True)
 
@@ -690,17 +722,18 @@ class DagfmModel(Model):
 _ONE_BLOCK = ((slice(None), slice(None)),)
 
 
-def _tri_matmul(x, y, cuts, inner: bool) -> np.ndarray:
-    """``np.matmul(x, y)`` over a stack of per-field GEMMs that reads only
-    the DAG's lower block triangle. ``cuts`` pairs each block of fields, a
-    slice of the stack axis, with the partner fields its edges reach (see
-    :meth:`DagfmModel._setup`). Those partners are the inner axis
+def _tri_matmul(x, y, cuts, inner: bool, out=None) -> np.ndarray:
+    """``np.matmul(x, y, out=out)`` over a stack of per-field GEMMs that
+    reads only the DAG's lower block triangle. ``cuts`` pairs each block of
+    fields, a slice of the stack axis, with the partner fields its edges
+    reach (see :meth:`DagfmModel._setup`). Those partners are the inner axis
     (``inner``: x's last and y's middle axis) or x's and the result's rows;
     in the latter case the result's other rows are left unwritten, and no
-    caller reads them. With one block this is the dense ``np.matmul(x, y)``."""
+    caller reads them. With one block this is the dense ``np.matmul``."""
     if len(cuts) == 1:
-        return np.matmul(x, y)
-    out = np.empty((*x.shape[:2], y.shape[2]))
+        return np.matmul(x, y, out=out)
+    if out is None:
+        out = np.empty((*x.shape[:2], y.shape[2]))
     for fields, reach in cuts:
         if inner:
             np.matmul(x[fields, :, reach], y[fields, reach], out=out[fields])
@@ -896,16 +929,17 @@ class MlpTower:
     def _act(self, z):
         return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The (B,) outputs, and the tape of every layer's input and
-        pre-activation."""
-        acts = [x]
-        pre = []
+    def forward(self, x: np.ndarray, keep: bool = True) -> tuple[np.ndarray, tuple | None]:
+        """The (B,) outputs, and with ``keep`` the tape of every layer's
+        input and pre-activation."""
+        acts, pre = [x], []
         for k, (wname, bname) in enumerate(self.names):
-            z = acts[-1] @ self.store[wname] + self.store[bname]
-            pre.append(z)
-            acts.append(z if k == len(self.names) - 1 else self._act(z))
-        return acts[-1][:, 0], (acts, pre)
+            z = x @ self.store[wname] + self.store[bname]
+            x = z if k == len(self.names) - 1 else self._act(z)
+            if keep:
+                pre.append(z)
+                acts.append(x)
+        return x[:, 0], (acts, pre) if keep else None
 
     def backward(self, tape, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
         """Store the tower's gradients in ``grads`` and return d(loss)/d(x)."""
@@ -928,7 +962,8 @@ class MlpTower:
 class DagfmPlusModel(DagfmModel):
     """DAG student with an MLP tower added to the logit (for distilling
     teachers that also carry implicit interactions). Its tape is the
-    student's with the tower's appended."""
+    student's with the tower's appended; the tower reads the state buffer,
+    which the student's core returns with or without ``keep``."""
 
     kind = "dagfm+"
     spec_type = DagfmPlusSpec
@@ -941,15 +976,15 @@ class DagfmPlusModel(DagfmModel):
         super()._setup()
         self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
-    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
-        logits, tape = super()._forward(rows)
+    def _propagate(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
+        logits, tape = super()._propagate(rows, keep)
         H = tape[0]  # the state buffer, (L+1, m, B, d)
         n_states, m, B, d = H.shape
         if self.spec.mlp_feed == "all-states":
             x = H.transpose(2, 0, 1, 3).reshape(B, n_states * m * d)
         else:
             x = H[-1].transpose(1, 0, 2).reshape(B, m * d)
-        out, tower = self.mlp.forward(x)
+        out, tower = self.mlp.forward(x, keep)
         return logits + out, (*tape, tower)
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray | None]:

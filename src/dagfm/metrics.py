@@ -80,7 +80,9 @@ def auc(labels, scores) -> float:
         raise UndefinedMetricError(
             f"AUC undefined: {n_pos} positives and {n_neg} negatives"
         )
-    order = np.argsort(scores, kind="stable")
+    # each tied run shares one average rank, so the order within a run never
+    # reaches the rank sum and need not be stable
+    order = np.argsort(scores)
     sorted_scores = scores[order]
     boundaries = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
     starts = np.concatenate(([0], boundaries))

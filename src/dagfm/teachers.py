@@ -8,10 +8,12 @@ tiny MLP) are lightweight students used for comparison only.
 
 All models share the :class:`~dagfm.interactions.Model` surface: embeddings
 in a ParamStore, ``forward(idx) -> logits`` and ``backward(dlogits) ->
-grads`` with hand-derived gradients. Each family here is only the pure
-core under it: ``_forward(rows) -> (logits, tape)`` over the table rows
-that ``Model.forward`` checked, and ``_backward(tape, dlogits) -> (grads,
-d_emb)``, whose ``d_emb`` ``Model.backward`` scatters into the table.
+grads`` with hand-derived gradients, and ``score(idx) -> logits``, which
+keeps no tape. Each family here is only the pure core under it:
+``_forward(rows, keep) -> (logits, tape)`` over the table rows that
+``Model.forward`` or ``Model.score`` checked, the tape ``None`` unless
+``keep``, and ``_backward(tape, dlogits) -> (grads, d_emb)``, whose
+``d_emb`` ``Model.backward`` scatters into the table.
 
 CIN reads the embeddings field-major (``EmbeddingTable.lookup``); the cross
 network, FwFM, FmFM and the tiny MLP read them batch-major
@@ -20,10 +22,10 @@ their (B, m*d) input as a view of the gather and return a batch-major
 ``d_emb``, which ``EmbeddingTable.grads`` scatters without a copy; FwFM
 copies its states dim-major. The cross network spends its time in its
 GEMMs: each layer adds its bias into the GEMM's output and forms
-``x0 * u + x_t`` in place, and backward starts ``dx0`` from its first term,
-reuses one scratch array for ``dx * u_t`` and adds ``dx`` into the
-``du @ W`` product in place. Logits and gradients are bitwise those of the
-plain arithmetic.
+``x0 * u + x_t`` in place, in the GEMM's output itself when no tape keeps
+``u``, and backward starts ``dx0`` from its first term, reuses one scratch
+array for ``dx * u_t`` and adds ``dx`` into the ``du @ W`` product in
+place. Logits and gradients are bitwise those of the plain arithmetic.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ class CinModel(Model):
     # Each earlier layer forms its map with one GEMM with W over all the
     # tile's flat rows: W is contracted first with u, the wider of a and b,
     # into S[h, v, r]; the narrower, v, then contracts S: x = sum_v S * v.
-    # The tape keeps each tile's maps but the last, and G; backward
-    # recomputes the rest per tile.
+    # The tape, with keep, holds each tile's maps but the last, and G;
+    # backward recomputes the rest per tile. Without keep a tile's maps go
+    # when the next tile starts.
     #   narrow layer (H < max(H_prev, m)): dv = sum_h S * g, and with the
     #     products O = g (x) v, dW = u O^T and du = W O, all (H*V, r) blocks.
     #   symmetric layer, a narrow first one (a wide first layer runs as any
@@ -193,7 +196,7 @@ class CinModel(Model):
                    -(-CIN_GEMM_ROWS // d))
         return [slice(a, min(a + rows, B)) for a in range(0, B, rows)]
 
-    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         emb = self.embedding.lookup(rows).transpose(1, 0, 2)  # field-major (m, B, d)
         m, B, d = emb.shape
         layers, W_last = self._layers()
@@ -218,8 +221,9 @@ class CinModel(Model):
                 col += len(x)
             G = _rows(maps[-1], d) @ _rows(E, d).transpose(0, 2, 1)  # (T, H_prev, m)
             feats[tile, col:] = G.reshape(len(G), -1) @ W_last.T
-            tiles.append((maps, G))
-        return self._head(feats), (tiles, feats)
+            if keep:
+                tiles.append((maps, G))
+        return self._head(feats), (tiles, feats) if keep else None
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
         tiles, feats = tape
@@ -342,20 +346,26 @@ class CrossNetModel(Model):
     # Layer t is u_t = x_t W_t^T + b_t and x_{t+1} = x0 * u_t + x_t. With dx
     # the gradient of x_{t+1}: du = dx * x0, dW_t = du^T x_t, db_t = sum(du)
     # and dx_t = du W_t + dx; dx0 sums dx * u_t over the layers, plus dx_0.
+    # With no tape, u_t's own array becomes x_{t+1}: the same products and
+    # sums, so bitwise the same values.
 
-    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         E = self.embedding.gather(rows)
-        x0 = E.reshape(len(E), self.spec.width)
-        xs = [x0]
-        us = []
+        x = x0 = E.reshape(len(E), self.spec.width)
+        xs, us = [x0], []
         for t in range(self.spec.num_layers):
-            u = xs[-1] @ self.store[f"cross.W{t}"].T
+            u = x @ self.store[f"cross.W{t}"].T
             u += self.store[f"cross.b{t}"]
-            us.append(u)
-            x = x0 * u
-            x += xs[-1]
-            xs.append(x)
-        return self._head(xs[-1]), (xs, us)
+            if keep:
+                us.append(u)
+                u = x0 * u
+            else:
+                u *= x0
+            u += x
+            x = u
+            if keep:
+                xs.append(x)
+        return self._head(x), (xs, us) if keep else None
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
         xs, us = tape
@@ -468,14 +478,15 @@ class _PairwiseModel(Model):
         self.pairs = upper_pairs(m)
         self._gemm = PairGemm(*np.triu_indices(m, 1), m, self.spec.embed_dim, self.per_dim)
 
-    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         g = self._gemm
         # FmFM's batch-major states are a view of the gather, FwFM's dim-major
         # ones a copy
         X = g.states(self.embedding.gather(rows).transpose(1, 0, 2))
         K = self._layout(self.weights, lambda: g.dense(self.store[self.weights]))
         u = g.states(self.store["linear.u"][:, None, :])
-        return np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0], (X, K, u)
+        logits = np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0]
+        return logits, (X, K, u) if keep else None
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
         X, K, u = tape
@@ -546,9 +557,9 @@ class TinyMlpModel(Model):
     def _setup(self) -> None:
         self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
-    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         E = self.embedding.gather(rows)
-        return self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim))  # a view
+        return self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim), keep)  # a view
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
         grads: dict[str, np.ndarray] = {}

@@ -97,7 +97,7 @@ def relu_kink_margin(model, idx) -> float:
     mlp = getattr(model, "mlp", None)
     if mlp is None or mlp.activation != "relu":
         return float("inf")
-    _, tape = model._forward(model.embedding.table_rows(idx))
+    _, tape = model._forward(model.embedding.table_rows(idx), keep=True)
     # the tower's tape: all of a tiny MLP's, the end of a DAGFM+ student's
     _, pre = tape[-1] if isinstance(model, DagfmPlusModel) else tape
     hidden = pre[:-1]  # final layer is affine, no kink

@@ -243,10 +243,10 @@ class TestPredict:
     def test_working_set_is_bounded_by_one_tile(self):
         # An m=39 student's state buffer and per-layer S arrays grow with the
         # rows of a forward; scoring 16 tiles must not cost more memory than
-        # scoring one. A forward releases the previous call's tape before it
-        # allocates its own, so both peaks are measured from one starting
-        # state: a model whose latest forward was of zero rows, which holds
-        # its weight layouts and an empty tape.
+        # scoring one. Scoring keeps no tape and leaves the latest forward's
+        # alone, so both peaks are measured from one starting state: a model
+        # whose latest forward was of zero rows, which holds its weight
+        # layouts and an empty tape.
         m = 39
         model = DagfmModel(DagfmSpec("outer", m, 16, 3), [10] * m, seed=0)
         idx = np.random.default_rng(0).integers(0, 10, size=(16 * SCORE_ROWS, m))
@@ -265,6 +265,24 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert many_tiles < 1.5 * one_tile
+
+    @pytest.mark.parametrize(
+        "spec", [DagfmSpec("outer", 39, 16, 3), CrossNetSpec(39, 16, 3)], ids=["dagfm-outer", "crossnet"]
+    )
+    def test_scoring_keeps_no_memory(self, spec):
+        # scoring through forward kept the last tile's tape (232 of 1,000
+        # rows): 16.9 MB of the m=39 student, 8.1 MB of the cross network
+        model = build_model(spec, [10] * 39, seed=0)
+        idx = np.random.default_rng(0).integers(0, 10, size=(1000, 39))
+        tracemalloc.start()
+        try:
+            predict_logits(model, idx[:1])  # lay the weights out
+            before = tracemalloc.get_traced_memory()[0]
+            logits = predict_logits(model, idx)
+            kept = tracemalloc.get_traced_memory()[0] - before - logits.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
 
     def test_empty_input(self, tiny):
         vocab_sizes, _ = tiny
@@ -682,13 +700,13 @@ class TestPipeline:
 
         def counting_train_teacher(model, *args, **kwargs):
             report = train_teacher(model, *args, **kwargs)
-            forward = model.forward
+            score = model.score
 
             def counted(idx):
                 scored.append(np.array(idx))
-                return forward(idx)
+                return score(idx)
 
-            model.forward = counted
+            model.score = counted
             return report
 
         monkeypatch.setattr("dagfm.distill.train_teacher", counting_train_teacher)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dagfm import interactions
 from dagfm.checkpoint import MODELS, build_model
+from dagfm.distill import SCORE_ROWS, predict_logits
 from dagfm.interactions import (
     EMBED_INIT_STD,
     KINDS,
@@ -346,8 +347,11 @@ class TestPropagation:
             for layout in (d_emb, field_major, dim_major):
                 assert_same_bits(table.grads(rows, layout), expected)
 
-    @pytest.mark.parametrize("tag", ["dagfm-outer", "dagfm-inner", "dagfm+"])
+    @pytest.mark.parametrize(
+        "tag", ["dagfm-outer", "dagfm-inner", "dagfm+", "dagfm-basic-inner", "dagfm-kernel"]
+    )
     def test_frozen_table_takes_no_gradient_and_moves_no_other(self, tag, rng, monkeypatch):
+        # every combiner: a frozen table's backward skips layer 0's d(state 0)
         model, idx, _ = random_small_model(tag, rng)
         dlogits = rng.normal(size=len(idx))
         model.forward(idx)
@@ -714,18 +718,18 @@ class DenseOuterGemms:
     forward and four backward batched GEMMs over the whole (m, m) field
     square, driven by the model's own forward and backward."""
 
-    def _outer_gemms(self, h, w, plan):
+    def _outer_gemms(self, h, w, plan, out=None):
         p, q = w
         S = np.matmul(p, h.transpose(0, 2, 1))
-        return np.matmul(S.transpose(1, 2, 0), q), (p, q, S)
+        return np.matmul(S.transpose(1, 2, 0), q, out=out), (p, q, S)
 
-    def _outer_gemms_backward(self, t, h, dU, cache, grads):
+    def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
         jj, ii = self._jj, self._ii
         p, q, S = cache
         dS = np.matmul(q, dU.transpose(0, 2, 1))
         grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]
         grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]
-        return np.matmul(dS.transpose(1, 2, 0), p)
+        return np.matmul(dS.transpose(1, 2, 0), p) if wants_dh else None
 
 
 class DenseOuterModel(DenseOuterGemms, DagfmModel):
@@ -779,9 +783,9 @@ class TestFieldBlocksAtCtrSize:
         blocks = []
         tri_matmul = interactions._tri_matmul
 
-        def spy(x, y, cuts, inner):
+        def spy(x, y, cuts, inner, out=None):
             blocks.append(len(cuts))
-            return tri_matmul(x, y, cuts, inner)
+            return tri_matmul(x, y, cuts, inner, out)
 
         monkeypatch.setattr(interactions, "_tri_matmul", spy)
         idx = rng.integers(0, 4, size=(batch, 39))
@@ -794,9 +798,9 @@ class TestFieldBlocksAtCtrSize:
 
 class TestTape:
     """``Model.forward`` keeps one tape, for ``backward``, and builds no
-    trace; ``forward_trace`` runs the student on a tape of its own and
-    returns views of it. The families' cores and the MLP tower keep no
-    state."""
+    trace; ``Model.score`` gives its logits and keeps no tape;
+    ``forward_trace`` runs the student on a buffer of its own and returns
+    views of it. The families' cores and the MLP tower keep no state."""
 
     FAMILIES = {
         **{kind: DagfmSpec(kind, 5, 3, 2) for kind in KINDS},
@@ -862,9 +866,51 @@ class TestTape:
 
     @pytest.mark.parametrize("cls", MODELS)
     def test_only_the_base_keeps_the_tape(self, cls):
-        # every family is a pure core under Model's forward and backward
+        # every family is a pure core under Model's forward, score and backward
         for owner in cls.__mro__[: cls.__mro__.index(Model)]:
-            assert not {"forward", "backward", "_cache"} & set(vars(owner)), owner
+            assert not {"forward", "score", "backward", "_cache"} & set(vars(owner)), owner
+
+    # every family, DAGFM+ with each feed, and an m=39 student whose forward
+    # runs the field blocks from SMALL_ROWS rows on
+    SCORED = (*MODEL_TAGS, "dagfm+-all-states", "dagfm+-final-state", "dagfm-outer-m39")
+
+    @staticmethod
+    def scored_model(tag, rng):
+        if tag == "dagfm-outer-m39":
+            model = DagfmModel(DagfmSpec("outer", 39, 4, 2), [3] * 39)
+        elif tag.startswith("dagfm+-"):
+            spec = DagfmPlusSpec(DagfmSpec("outer", 4, 3, 2), mlp_hidden=(5, 4),
+                                 mlp_feed=tag[len("dagfm+-"):])
+            model = DagfmPlusModel(spec, [3] * 4)
+        else:
+            return random_small_model(tag, rng)[0]
+        perturb_params(model, rng)
+        return model
+
+    @pytest.mark.parametrize("tag", SCORED)
+    def test_score_is_forward_bitwise(self, tag, rng):
+        model = self.scored_model(tag, rng)
+        for batch in (0, 1, interactions.SMALL_ROWS - 1, 2 * SCORE_ROWS + 37):
+            idx = np.stack([rng.integers(0, v, size=batch) for v in model.vocab_sizes], axis=1)
+            assert model.score(idx).tobytes() == model.forward(idx).tobytes(), batch
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_scoring_leaves_the_live_tape_alone(self, tag, rng):
+        model, idx, _ = random_small_model(tag, rng)
+        other = np.stack([rng.integers(0, v, size=7) for v in model.vocab_sizes], axis=1)
+        dlogits = rng.normal(size=len(idx))
+        model.forward(idx)
+        predict_logits(model, other)
+        scored = model.backward(dlogits)
+        model.forward(idx)
+        assert_same_bits(scored, model.backward(dlogits))
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_scoring_leaves_no_tape_to_run_backward_on(self, tag, rng):
+        model, idx, _ = random_small_model(tag, rng)
+        predict_logits(model, idx)
+        with pytest.raises(ConfigurationError, match="forward"):
+            model.backward(np.ones(len(idx)))
 
     def test_the_tower_keeps_no_state(self, rng):
         model, _, _ = random_small_model("dagfm+", rng)

@@ -117,6 +117,30 @@ class TestAuc:
                 concordant += 1.0 if sp > sn else (0.5 if sp == sn else 0.0)
         assert auc(labels, scores) == pytest.approx(concordant / n_pairs, abs=1e-12)
 
+    @staticmethod
+    def stable_rank_auc(labels, scores):
+        """The rank-sum AUC over a stable sort, each tied run given its
+        average rank."""
+        order = np.argsort(scores, kind="stable")
+        ranks = np.empty(len(scores))
+        start = 0
+        for end in range(1, len(scores) + 1):
+            if end == len(scores) or scores[order[end]] != scores[order[start]]:
+                ranks[order[start:end]] = 0.5 * (start + 1 + end)
+                start = end
+        pos = labels == 1
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3000), st.integers(0, 3))
+    def test_unstable_sort_keeps_every_bit_of_the_stable_rank_sum(self, seed, n, decimals):
+        # tie-heavy scores: the order inside a tied run never reaches the rank sum
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        scores = np.round(rng.normal(size=n), decimals)
+        assert auc(labels, scores) == self.stable_rank_auc(labels, scores)
+
 
 class TestLogloss:
     def test_half_probability(self):
