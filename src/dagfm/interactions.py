@@ -38,12 +38,21 @@ with one ``np.take``, and each layer writes ``agg * e`` straight into the
 next slot; without ``keep``, ``agg`` itself is written there and multiplied
 by ``e`` in place where its GEMM's layout allows (``outer``,
 ``basic-inner``), and a layer's GEMM operands go before the next layer
-runs. ``outer`` runs two GEMMs per layer: per source ``j`` an
-(n, d) x (d, B) product gives the edge scalars
-``S[j, i, b] = p[j, i] . h[j, b]`` over n targets, and per target ``i`` a
+runs. ``outer`` runs two GEMMs per layer: per source ``j`` a
+(B, d) x (d, n) product of ``h[j]`` with the contiguous (d, m) block
+``pT[j]`` gives the edge scalars ``S[j, i, b] = p[j, i] . h[j, b]`` over n
+targets, written F-ordered into ``S[j]``, and per target ``i`` a
 (B, n) x (n, d) product reads ``S`` as an F-ordered operand over n sources.
-Its backward is four GEMMs of the same shapes over the same ``S`` and the
-same buffer, with no copies. Edges only run ``j -> i`` with ``j <= i``, so
+Its backward is four GEMMs over the same ``S`` and the same buffer, with no
+copy of either: ``dS`` is formed as ``S`` is, from ``qT[i]``, and the other
+three read ``S`` and ``dS`` as the forward's second GEMM reads ``S``.
+``qT`` and ``p`` are contiguous transposes of the tape's ``(pT, q)``, so a
+backward reads the weights of the forward that made its tape. The
+edge-scalar GEMMs sum over only d terms, and BLAS runs them fastest with
+the batch as their rows: at m=39, d=16 and 16 rows one layer's ``S`` took
+11.4 us this way against 21.5 us as the (n, d) x (d, B) product over
+(m, m, d) ``p``, which gives ``S`` in the same layout (process time, one
+BLAS thread, 2-vCPU Xeon VM). Edges only run ``j -> i`` with ``j <= i``, so
 fields are cut into blocks of :data:`FIELD_BLOCK`, and a field of block
 [a, b) reads as a source only the targets ``i >= a`` and as a target only
 the sources ``j < b``: the GEMMs skip the upper block pairs, which are
@@ -95,11 +104,14 @@ FIELD_BLOCK = 10
 
 # Rows from which an ``outer`` forward runs the block plan. A smaller batch
 # runs each product as one dense GEMM: there a block's extra ``np.matmul``
-# call and slicing cost more than the upper blocks' arithmetic. One layer's
-# two GEMMs at m=39, d=16, dense against blocked (process time, one BLAS
-# thread, 2-vCPU Xeon VM): 31.2 against 32.5 us at 16 rows, 38.6 against
-# 37.5 us at 20 rows, 10.4 against 16.7 us at one row.
-SMALL_ROWS = 20
+# call and slicing cost more than the upper blocks' arithmetic. A depth-3
+# forward at m=39, d=16, dense against blocked, medians of 7 sweeps (process
+# time, one BLAS thread, malloc pinned, 2-vCPU Xeon VM): 106.4 against
+# 118.1 us at 12 rows, 156.1 against 160.2 us at 20 rows, 170.6 against
+# 171.3 us at 21 rows, 175.5 against 175.0 us at 22 rows and 189.2 against
+# 183.8 us at 24 rows, interquartile ranges 0.4 to 2.8 us. The two are even
+# at 21 and 22 rows.
+SMALL_ROWS = 21
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +567,11 @@ class DagfmModel(Model):
     # -- forward ----------------------------------------------------------------
 
     def _lay_out_layers(self) -> list:
-        """Per layer, the dense edge weights its GEMMs read: the adjacency
-        matrix (``basic-inner``), the pair GEMM's blocks (``inner``,
-        ``kernel``), or ``outer``'s (m, m, d) pair ``(p[j, i], q[i, j])``."""
+        """Per layer, the dense edge weights its forward GEMMs read: the
+        adjacency matrix (``basic-inner``), the pair GEMM's blocks
+        (``inner``, ``kernel``), or ``outer``'s pair, the (m, d, m)
+        ``pT[j, :, i] = p[j, i]`` and the (m, m, d) ``q[i, j]``; an
+        ``outer`` backward transposes the pair its tape holds."""
         kind, L = self.dag.kind, self.dag.num_layers
         if kind == "basic-inner":
             return [self._adjacency] * L
@@ -565,7 +579,7 @@ class DagfmModel(Model):
             return [self._gemm.dense(self.store[self._weights(t)]) for t in range(L)]
         m, d, jj, ii = self.num_fields, self.embed_dim, self._jj, self._ii
         return [
-            (_scatter((m, m, d), (jj, ii), self.store[f"dag.p{t}"]),
+            (_scatter((m, d, m), (jj, slice(None), ii), self.store[f"dag.p{t}"]),
              _scatter((m, m, d), (ii, jj), self.store[f"dag.q{t}"]))
             for t in range(L)
         ]
@@ -636,14 +650,17 @@ class DagfmModel(Model):
         return g.fields(g.states(h) @ K), K
 
     def _outer_gemms(self, h, w, plan, out=None):
-        (p, q), (sources, targets) = w, plan  # p[j, i], q[i, j]
-        # S[j, i, b] = p[j, i] . h[j, b]: per source j an (n, d) x (d, B) GEMM
-        S = _tri_matmul(p, h.transpose(0, 2, 1), sources, inner=False)
+        (pT, q), (sources, targets) = w, plan  # pT[j, :, i] = p[j, i], q[i, j]
+        m, B, _ = h.shape
+        # S[j, i, b] = p[j, i] . h[j, b]: per source j a (B, d) x (d, n) GEMM
+        # over the contiguous pT[j], written F-ordered into S[j]
+        S = np.empty((m, m, B))
+        _tri_matmul(h, pT, sources, "cols", out=S.transpose(0, 2, 1))
         # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, n) x (n, d)
         # GEMM; S.transpose(1, 2, 0) is F-ordered per target, so BLAS reads S
         # as it is, and so do the backward GEMMs
-        agg = _tri_matmul(S.transpose(1, 2, 0), q, targets, inner=True, out=out)
-        return agg, (p, q, S)
+        agg = _tri_matmul(S.transpose(1, 2, 0), q, targets, "inner", out=out)
+        return agg, (pT, q, S)
 
     # -- backward ---------------------------------------------------------------
 
@@ -705,40 +722,53 @@ class DagfmModel(Model):
         # the block plan at every batch size: a small batch's dense forward
         # wrote all of S, and these read only its lower blocks
         jj, ii = self._jj, self._ii
-        p, q, S = cache
-        # dS[i, j, b] = q[i, j] . dU[i, b], per target i
-        dS = _tri_matmul(q, dU.transpose(0, 2, 1), self._targets, inner=False)
-        dq = _tri_matmul(S.transpose(1, 0, 2), dU, self._targets, inner=False)
+        # the weights are the tape's, the forward's, whatever was written since
+        pT, q, S = cache
+        m, B, _ = h.shape
+        # dS[i, j, b] = q[i, j] . dU[i, b]: per target i a (B, d) x (d, n)
+        # GEMM over the contiguous qT[i], written F-ordered into dS[i]
+        dS = np.empty((m, m, B))
+        qT = np.ascontiguousarray(q.transpose(0, 2, 1))
+        _tri_matmul(dU, qT, self._targets, "cols", out=dS.transpose(0, 2, 1))
+        dq = _tri_matmul(S.transpose(1, 0, 2), dU, self._targets, "rows")
         grads[f"dag.q{t}"] = dq[ii, jj]  # (i, j, e)
-        dp = _tri_matmul(dS.transpose(1, 0, 2), h, self._sources, inner=False)
+        dp = _tri_matmul(dS.transpose(1, 0, 2), h, self._sources, "rows")
         grads[f"dag.p{t}"] = dp[jj, ii]  # (j, i, e)
         if not wants_dh:
             return None
-        # dh[j, b] = sum_i dS[i, j, b] p[j, i]: per source j a (B, n) x (n, d) GEMM
-        return _tri_matmul(dS.transpose(1, 2, 0), p, self._sources, inner=True)
+        # dh[j, b] = sum_i dS[i, j, b] p[j, i]: per source j a (B, n) x (n, d)
+        # GEMM over the contiguous p[j]
+        p = np.ascontiguousarray(pT.transpose(0, 2, 1))
+        return _tri_matmul(dS.transpose(1, 2, 0), p, self._sources, "inner")
 
 
 # the plan of one dense GEMM per product: one block spans every field
 _ONE_BLOCK = ((slice(None), slice(None)),)
 
 
-def _tri_matmul(x, y, cuts, inner: bool, out=None) -> np.ndarray:
+def _tri_matmul(x, y, cuts, mode: str, out=None) -> np.ndarray:
     """``np.matmul(x, y, out=out)`` over a stack of per-field GEMMs that
     reads only the DAG's lower block triangle. ``cuts`` pairs each block of
     fields, a slice of the stack axis, with the partner fields its edges
-    reach (see :meth:`DagfmModel._setup`). Those partners are the inner axis
-    (``inner``: x's last and y's middle axis) or x's and the result's rows;
-    in the latter case the result's other rows are left unwritten, and no
-    caller reads them. With one block this is the dense ``np.matmul``."""
+    reach (see :meth:`DagfmModel._setup`). ``mode`` names the axis those
+    partners run along: the inner axis (``"inner"``: x's last and y's
+    middle axis), x's and the result's rows (``"rows"``), or y's and the
+    result's columns (``"cols"``). In the last two the result's other rows
+    or columns are left unwritten, and no caller reads them. With one block
+    this is the dense ``np.matmul``."""
     if len(cuts) == 1:
         return np.matmul(x, y, out=out)
     if out is None:
         out = np.empty((*x.shape[:2], y.shape[2]))
     for fields, reach in cuts:
-        if inner:
+        if mode == "inner":
             np.matmul(x[fields, :, reach], y[fields, reach], out=out[fields])
-        else:
+        elif mode == "rows":
             np.matmul(x[fields, reach], y[fields], out=out[fields, reach])
+        elif mode == "cols":
+            np.matmul(x[fields], y[fields, :, reach], out=out[fields, :, reach])
+        else:
+            raise ValueError(f"unknown _tri_matmul mode {mode!r}")
     return out
 
 

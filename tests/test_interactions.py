@@ -25,7 +25,7 @@ from dagfm.interactions import (
     phi_kernel,
     phi_outer,
 )
-from dagfm.numcore import ConfigurationError, ShapeError, grad_check, stable_sigmoid
+from dagfm.numcore import ConfigurationError, ShapeError, adam_step, grad_check, stable_sigmoid
 from dagfm.oracle import _model_edge_weights, oracle_node_state_weighted
 from dagfm.teachers import (
     CinSpec, CrossNetSpec, FmfmSpec, FwfmSpec, TinyMlpSpec, upper_pairs,
@@ -616,17 +616,25 @@ def self_only_block_edges(m, block):
     )
 
 
+def assert_close_to_largest(got, expected, rtol, name=None):
+    """``got`` within ``rtol`` of ``expected``'s largest magnitude: a logit
+    or gradient entry summed to near zero keeps the absolute error of its
+    terms' magnitudes, so an elementwise rtol would fail it on a last-bit
+    difference in summation order."""
+    got, expected = np.asarray(got), np.asarray(expected)  # a RowGrad, densified
+    assert got.shape == expected.shape, name
+    assert np.abs(got - expected).max(initial=0.0) <= rtol * np.abs(expected).max(initial=0.0), name
+
+
 def assert_logits_and_grads_close(model, reference, idx, rng, rtol):
     dlogits = rng.normal(size=len(idx))
     logits = model.forward(idx)
     assert logits.shape == (len(idx),)
-    np.testing.assert_allclose(logits, reference.forward(idx), rtol=rtol, atol=0)
+    assert_close_to_largest(logits, reference.forward(idx), rtol, "logits")
     grads, expected = model.backward(dlogits), reference.backward(dlogits)
     assert grads.keys() == expected.keys()
     for name, g in expected.items():
-        got, g = np.asarray(grads[name]), np.asarray(g)  # the table's rows, densified
-        assert got.shape == g.shape, name
-        assert np.abs(got - g).max(initial=0.0) <= rtol * np.abs(g).max(initial=0.0), name
+        assert_close_to_largest(grads[name], g, rtol, name)
 
 
 EDGE_LISTS = {
@@ -712,21 +720,32 @@ class TestBlockTriangularOuter:
         closure = squared_logit_closure(model, idx, rng.normal(size=batch))
         assert grad_error(closure, model, rng) < 1e-4
 
+    def test_an_unknown_cut_raises(self, rng):
+        model = self.model(5, "full", rng)
+        x, y = np.ones((5, 3, 5)), np.ones((5, 5, 3))
+        with pytest.raises(ValueError, match="col"):
+            interactions._tri_matmul(x, y, model._sources, "col")
+
 
 class DenseOuterGemms:
     """The ``outer`` layer without field blocks at any batch size: two
     forward and four backward batched GEMMs over the whole (m, m) field
-    square, driven by the model's own forward and backward."""
+    square, in the model's operand orientation, driven by the model's own
+    forward and backward."""
 
     def _outer_gemms(self, h, w, plan, out=None):
-        p, q = w
-        S = np.matmul(p, h.transpose(0, 2, 1))
-        return np.matmul(S.transpose(1, 2, 0), q, out=out), (p, q, S)
+        (pT, q), (m, B, _) = w, h.shape
+        S = np.empty((m, m, B))
+        np.matmul(h, pT, out=S.transpose(0, 2, 1))
+        return np.matmul(S.transpose(1, 2, 0), q, out=out), (pT, q, S)
 
     def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
         jj, ii = self._jj, self._ii
-        p, q, S = cache
-        dS = np.matmul(q, dU.transpose(0, 2, 1))
+        pT, q, S = cache
+        p, qT = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (pT, q))
+        m, B, _ = h.shape
+        dS = np.empty((m, m, B))
+        np.matmul(dU, qT, out=dS.transpose(0, 2, 1))
         grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]
         grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]
         return np.matmul(dS.transpose(1, 2, 0), p) if wants_dh else None
@@ -783,9 +802,9 @@ class TestFieldBlocksAtCtrSize:
         blocks = []
         tri_matmul = interactions._tri_matmul
 
-        def spy(x, y, cuts, inner, out=None):
+        def spy(x, y, cuts, mode, out=None):
             blocks.append(len(cuts))
-            return tri_matmul(x, y, cuts, inner, out)
+            return tri_matmul(x, y, cuts, mode, out)
 
         monkeypatch.setattr(interactions, "_tri_matmul", spy)
         idx = rng.integers(0, 4, size=(batch, 39))
@@ -794,6 +813,109 @@ class TestFieldBlocksAtCtrSize:
         blocks.clear()
         model.backward(np.ones(batch))
         assert blocks == [4] * 12
+
+
+class BatchColumnOuterGemms:
+    """The ``outer`` layer with the batch as the columns of its edge-scalar
+    products, dense: its own (m, m, d) layouts ``p[j, i]`` and ``q[i, j]``
+    of the store's weights, and edge scalars from the (n, d) x (d, B)
+    products ``p[j] @ h[j].T`` forward and ``q[i] @ dU[i].T`` backward. A
+    reference that shares neither the model's operand orientation nor its
+    layouts."""
+
+    def _lay_out_layers(self):
+        m, d, jj, ii = self.num_fields, self.embed_dim, self._jj, self._ii
+        layouts = []
+        for t in range(self.dag.num_layers):
+            p, q = np.zeros((2, m, m, d))
+            p[jj, ii] = self.store[f"dag.p{t}"]
+            q[ii, jj] = self.store[f"dag.q{t}"]
+            layouts.append((p, q))
+        return layouts
+
+    def _outer_gemms(self, h, w, plan, out=None):
+        p, q = w
+        S = np.matmul(p, h.transpose(0, 2, 1))
+        return np.matmul(S.transpose(1, 2, 0), q, out=out), (p, q, S)
+
+    def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
+        jj, ii = self._jj, self._ii
+        p, q, S = cache
+        dS = np.matmul(q, dU.transpose(0, 2, 1))
+        grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]
+        grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]
+        return np.matmul(dS.transpose(1, 2, 0), p) if wants_dh else None
+
+
+class BatchColumnOuterModel(BatchColumnOuterGemms, DagfmModel):
+    pass
+
+
+class BatchColumnOuterPlusModel(BatchColumnOuterGemms, DagfmPlusModel):
+    pass
+
+
+class TestOuterOrientation:
+    """An ``outer`` layer's edge-scalar GEMMs run per field as (B, d) x
+    (d, n) products over the contiguous ``pT`` (forward) and ``qT``
+    (backward), written F-ordered into ``S`` and ``dS``. Which BLAS kernel
+    sums them decides whether they are bitwise the (n, d) x (d, B) products
+    of ``BatchColumnOuterGemms``, so against those they agree to rtol
+    1e-13. A layer's pair ``(pT, q)`` is laid out once per store version;
+    its backward transposes the pair that the tape holds."""
+
+    @staticmethod
+    def models(plus, m, d, rng, layers=3):
+        spec = DagfmSpec("outer", m, d, layers)
+        if plus:
+            spec = DagfmPlusSpec(spec, mlp_hidden=(8,))
+        model = (DagfmPlusModel if plus else DagfmModel)(spec, [4] * m, seed=m + d)
+        perturb_params(model, rng)
+        reference = (BatchColumnOuterPlusModel if plus else BatchColumnOuterModel).from_values(
+            spec, model.vocab_sizes, model.store.snapshot()
+        )
+        return model, reference
+
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    @pytest.mark.parametrize("m", [8, 39])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    def test_matches_the_batch_column_products(self, plus, frozen, m, d, rng):
+        model, reference = self.models(plus, m, d, rng)
+        if frozen:
+            model.store.freeze("emb")
+            reference.store.freeze("emb")
+        for batch in (1, 2, 5, 19, 20, 21, 255, 256, 512):
+            idx = rng.integers(0, 4, size=(batch, m))
+            assert_logits_and_grads_close(model, reference, idx, rng, rtol=1e-13)
+
+    def test_adam_step_lays_out_the_pair_again(self, rng):
+        model, _ = self.models(False, 23, 4, rng, layers=2)
+        idx = rng.integers(0, 4, size=(30, 23))
+        model.forward(idx)
+        before = model._layouts["dag"]
+        adam_step(model.store, model.backward(np.ones(30)), lr=1e-2)
+        model.forward(idx)
+        after = model._layouts["dag"]
+        stepped = BatchColumnOuterModel.from_values(model.spec, model.vocab_sizes,
+                                                     model.store.snapshot())
+        for (old_pT, _), (pT, q), (p_ref, q_ref) in zip(before, after, stepped._lay_out_layers()):
+            np.testing.assert_array_equal(pT, p_ref.transpose(0, 2, 1))
+            np.testing.assert_array_equal(q, q_ref)
+            assert not np.array_equal(pT, old_pT)
+            for a in (pT, q):
+                assert a.flags.c_contiguous and not a.flags.writeable
+
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    def test_a_write_between_forward_and_backward_leaves_its_gradients(self, plus, rng):
+        model, _ = self.models(plus, 23, 4, rng, layers=2)
+        idx = rng.integers(0, 4, size=(30, 23))
+        dlogits = rng.normal(size=30)
+        model.forward(idx)
+        expected = model.backward(dlogits)
+        model.forward(idx)
+        model.store.set("dag.p0", model.store["dag.p0"] + 1.0)
+        assert_same_bits(model.backward(dlogits), expected)
 
 
 class TestTape:
