@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import CheckpointError, build_model, load_checkpoint, save_checkpoint
-from .config import RunConfig, load_config, parse_config
+from .config import TEACHER_KINDS, RunConfig, load_config, parse_config
 from .data import (
     FieldSchema,
     ParseError,
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train-teacher", help="stage 1: train a teacher")
     _add_common(p, "teacher", seed=True)
-    _key(p, "--teacher", "teacher", "kind", choices=("cin", "crossnet"))
+    _key(p, "--teacher", "teacher", "kind", choices=TEACHER_KINDS)
     _key(p, "--d", "teacher", "embed_dim", type=int, help="embedding dimension")
     _key(p, "--depth", "teacher", "depth", type=int, help="teacher depth")
     p.set_defaults(func=_cmd_train_teacher)

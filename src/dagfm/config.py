@@ -57,6 +57,8 @@ from .interactions import DagfmPlusSpec, DagfmSpec
 from .numcore import ConfigurationError, check_int
 from .teachers import CinSpec, CrossNetSpec
 
+TEACHER_KINDS = ("cin", "crossnet")
+
 _STAGE_DEFAULTS = {
     "teacher": StageConfig(epochs=10, lr=1e-3, batch_size=1024),
     "distill": StageConfig(epochs=10, lr=1e-3, batch_size=1024),
@@ -109,9 +111,8 @@ class RunConfig:
                 self.teacher_embed_dim,
                 tuple([self.cin_layer_size] * self.teacher_depth),
             )
-        raise ConfigurationError(
-            f"unknown teacher kind {self.teacher_kind!r}; pick 'cin' or 'crossnet'"
-        )
+        pick = " or ".join(map(repr, TEACHER_KINDS))
+        raise ConfigurationError(f"unknown teacher kind {self.teacher_kind!r}; pick {pick}")
 
     def student_spec(self, teacher_spec):
         """The student of a ``teacher_spec`` teacher: its field count and

@@ -20,6 +20,7 @@ encoded a column at a time (``dict.fromkeys``, ``Counter.update``,
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -65,13 +66,15 @@ class FieldSchema:
         """Rows per embedding table: in-vocab values plus the OOV bucket."""
         return [len(v) + 1 for v in self.vocabs]
 
+    def values(self, field: int) -> list[str]:
+        """The field's in-vocab values, listed by index."""
+        values = [None] * len(self.vocabs[field])
+        for value, idx in self.vocabs[field].items():
+            values[idx] = value
+        return values
+
     def to_json(self) -> str:
-        fields = []
-        for name, vocab in zip(self.names, self.vocabs):
-            values = [None] * len(vocab)
-            for value, idx in vocab.items():
-                values[idx] = value
-            fields.append({"name": name, "values": values})
+        fields = [{"name": name, "values": self.values(f)} for f, name in enumerate(self.names)]
         return json.dumps({"fields": fields, "min_freq": self.min_freq}, indent=1)
 
     @classmethod
@@ -83,13 +86,21 @@ class FieldSchema:
             raise SchemaError(f"schema is not valid JSON: {e}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("fields"), list):
             raise SchemaError("schema must be a JSON object with a 'fields' list")
+        vocabs = []
         for k, f in enumerate(obj["fields"]):
             if not isinstance(f, dict) or "name" not in f or not isinstance(f.get("values"), list):
                 raise SchemaError(f"schema field {k} needs a 'name' and a 'values' list")
-        try:  # unhashable values, a non-integer min_freq
-            vocabs = [{v: i for i, v in enumerate(f["values"])} for f in obj["fields"]]
+            # distinct strings, each index one value that a CSV cell can hold
+            vocab, field = {}, f"schema field {k} {reprlib.repr(f['name'])}"  # it may nest deep
+            for v in f["values"]:
+                if type(v) is not str or v in vocab:
+                    fault = "repeats the value" if type(v) is str else "holds the non-string value"
+                    raise SchemaError(f"{field} {fault} {reprlib.repr(v)}")
+                vocab[v] = len(vocab)
+            vocabs.append(vocab)
+        try:  # a non-integer min_freq
             min_freq = int(obj.get("min_freq", 0))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise SchemaError(f"bad schema: {e}") from None
         return cls(names=[f["name"] for f in obj["fields"]], vocabs=vocabs, min_freq=min_freq)
 

@@ -31,6 +31,7 @@ produces byte-identical logs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -109,6 +110,11 @@ def _kd_loss_and_grad(teacher_logits, student_logits) -> tuple[float, np.ndarray
     return loss, dlogits
 
 
+def _ctr_batch_loss(logits, labels, rows) -> tuple[float, np.ndarray]:
+    """The batch loss of the CTR-only stages, teacher training and fine-tuning."""
+    return _ctr_loss_and_grad(labels, logits)
+
+
 def _check_kd_settings(alpha: float, beta: float) -> None:
     """Reject stage-2 settings before anything is copied, frozen or scored."""
     check_nonnegative("alpha", alpha)
@@ -177,12 +183,7 @@ class EpochRecord:
     val_logloss: float
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss": self.loss,
-            "val_auc": self.val_auc,
-            "val_logloss": self.val_logloss,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -357,11 +358,7 @@ def train_teacher(
     model, split: DatasetSplit, stage: StageConfig, log_path=None
 ) -> TrainReport:
     """Stage 1: CTR objective only, every parameter trainable."""
-
-    def batch_loss(logits, labels, rows):
-        return _ctr_loss_and_grad(labels, logits)
-
-    return _run_stage(model, split, stage, batch_loss, "teacher", log_path)
+    return _run_stage(model, split, stage, _ctr_batch_loss, "teacher", log_path)
 
 
 def distill_student(
@@ -427,11 +424,7 @@ def finetune_student(
 ) -> TrainReport:
     """Stage 3: everything unfrozen, CTR objective only."""
     student.store.unfreeze_all()
-
-    def batch_loss(logits, labels, rows):
-        return _ctr_loss_and_grad(labels, logits)
-
-    return _run_stage(student, split, stage, batch_loss, "finetune", log_path)
+    return _run_stage(student, split, stage, _ctr_batch_loss, "finetune", log_path)
 
 
 @dataclass

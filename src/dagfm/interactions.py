@@ -77,6 +77,11 @@ batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
 arrays, as views where they can. The per-pair ``phi_*`` functions are the
 reference the layers are tested against.
 
+:class:`DagfmPlusModel` adds an MLP tower to the logit. The tower reads one
+slice of the state axis, every state set or the last one
+(:attr:`DagfmPlusSpec.fed_states`), and its input gradient flows back into
+that slice. Every tower obeys :func:`check_mlp` and :data:`ACTIVATIONS`.
+
 With identity-valued weights and the full lower-triangular edge set, node
 ``i`` at layer ``t`` is exactly the sum of all order-``t`` products of
 embeddings whose largest field index is ``i``; the ``oracle`` module checks
@@ -835,9 +840,9 @@ class PairGemm:
 class DagfmPlusSpec:
     """DAG student plus an MLP tower over concatenated node states.
 
-    ``mlp_feed`` selects whether the tower sees every state set
-    (``"all-states"``, input width ``m * (num_layers + 1) * d``) or only the
-    last one (``"final-state"``, width ``m * d``).
+    ``mlp_feed`` selects the state sets the tower reads, :attr:`fed_states`:
+    every one (``"all-states"``, input width ``m * (num_layers + 1) * d``)
+    or only the last one (``"final-state"``, width ``m * d``).
     """
 
     dagfm: DagfmSpec
@@ -846,15 +851,10 @@ class DagfmPlusSpec:
     mlp_feed: str = "all-states"
 
     def __post_init__(self):
-        if self.activation not in ("relu", "tanh"):
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
         if self.mlp_feed not in ("all-states", "final-state"):
             raise ConfigurationError(f"unknown mlp_feed {self.mlp_feed!r}")
-        object.__setattr__(self, "mlp_hidden", as_tuples(self.mlp_hidden))
-        if not self.mlp_hidden:
-            raise ConfigurationError("mlp_hidden must name at least one layer")
-        for h in self.mlp_hidden:
-            check_int("mlp_hidden width", h, 1)
+        hidden = check_mlp("mlp_hidden", self.mlp_hidden, self.activation)
+        object.__setattr__(self, "mlp_hidden", hidden)
 
     @property
     def num_fields(self) -> int:
@@ -874,8 +874,7 @@ class DagfmPlusSpec:
 
     def logit_bound(self, scales: dict[str, float]) -> float:
         """See :meth:`DagfmSpec.logit_bound`."""
-        states = self.dagfm._state_bounds(scales)
-        fed = states if self.mlp_feed == "all-states" else states[-1:]
+        fed = self.dagfm._state_bounds(scales)[self.fed_states]
         inputs = self.embed_dim * sum(h.sum() for h in fed)
         return self.dagfm.logit_bound(scales) + mlp_bound(self.widths, scales, inputs)
 
@@ -884,15 +883,44 @@ class DagfmPlusSpec:
         return self.dagfm.flops() + mlp_flops(self.widths) + FlopCount(0, 1)
 
     @property
+    def fed_states(self) -> slice:
+        """The state sets the tower reads, as a slice of the state axis."""
+        return slice(None) if self.mlp_feed == "all-states" else slice(-1, None)
+
+    @property
     def mlp_input_width(self) -> int:
-        m, d = self.dagfm.num_fields, self.dagfm.embed_dim
-        if self.mlp_feed == "all-states":
-            return m * self.dagfm.num_states * d
-        return m * d
+        return self.num_fields * len(range(self.num_layers + 1)[self.fed_states]) * self.embed_dim
 
     @property
     def widths(self) -> list[int]:
         return [self.mlp_input_width, *self.mlp_hidden, 1]
+
+
+# Each tower activation: its function, its derivative at the pre-activation,
+# and the init gain of the hidden layer whose output it takes (He for relu).
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: z > 0, 2.0),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2, 1.0),
+}
+
+
+def check_mlp(name: str, hidden, activation: str) -> tuple[int, ...]:
+    """The rules of every tower: an activation of :data:`ACTIVATIONS`, and
+    the spec's field ``name`` holding its ``hidden`` widths, as a tuple."""
+    if activation not in tuple(ACTIVATIONS):  # a tuple: no hash of an unhashable value
+        raise ConfigurationError(f"unknown activation {activation!r}")
+    return check_widths(name, hidden)
+
+
+def check_widths(name: str, widths) -> tuple[int, ...]:
+    """The layer widths of a tower or a CIN stack, the spec's field
+    ``name``: at least one, each an int >= 1, as a tuple."""
+    widths = as_tuples(widths)
+    if not widths:
+        raise ConfigurationError(f"{name} must name at least one layer")
+    for w in widths:
+        check_int(f"{name} width", w, 1)
+    return widths
 
 
 def mlp_layout(widths: list[int], activation: str, zero_final: bool = True) -> Iterator[tuple]:
@@ -903,7 +931,7 @@ def mlp_layout(widths: list[int], activation: str, zero_final: bool = True) -> I
         if last and zero_final:
             init = np.zeros
         else:
-            gain = 2.0 if activation == "relu" and not last else 1.0
+            gain = 1.0 if last else ACTIVATIONS[activation][2]
             init = np.sqrt(gain / n_in)
         yield f"mlp.W{k}", (n_in, n_out), init
         yield f"mlp.b{k}", (n_out,), np.zeros
@@ -953,11 +981,9 @@ class MlpTower:
     def __init__(self, store: ParamStore, widths: list[int], activation: str):
         self.store = store
         self.activation = activation
+        self._act, self._grad, _ = ACTIVATIONS[activation]
         names = [name for name, _, _ in mlp_layout(widths, activation)]
         self.names = list(zip(names[0::2], names[1::2]))
-
-    def _act(self, z):
-        return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
 
     def forward(self, x: np.ndarray, keep: bool = True) -> tuple[np.ndarray, tuple | None]:
         """The (B,) outputs, and with ``keep`` the tape of every layer's
@@ -981,19 +1007,15 @@ class MlpTower:
             grads[bname] = delta.sum(axis=0)
             delta = delta @ self.store[wname].T
             if k > 0:
-                z = pre[k - 1]
-                if self.activation == "relu":
-                    delta = delta * (z > 0)
-                else:
-                    delta = delta * (1.0 - np.tanh(z) ** 2)
+                delta = delta * self._grad(pre[k - 1])
         return delta
 
 
 class DagfmPlusModel(DagfmModel):
     """DAG student with an MLP tower added to the logit (for distilling
     teachers that also carry implicit interactions). Its tape is the
-    student's with the tower's appended; the tower reads the state buffer,
-    which the student's core returns with or without ``keep``."""
+    student's with the tower's appended; the tower reads the fed slice of
+    the state buffer, which the core returns with or without ``keep``."""
 
     kind = "dagfm+"
     spec_type = DagfmPlusSpec
@@ -1008,12 +1030,9 @@ class DagfmPlusModel(DagfmModel):
 
     def _propagate(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
         logits, tape = super()._propagate(rows, keep)
-        H = tape[0]  # the state buffer, (L+1, m, B, d)
-        n_states, m, B, d = H.shape
-        if self.spec.mlp_feed == "all-states":
-            x = H.transpose(2, 0, 1, 3).reshape(B, n_states * m * d)
-        else:
-            x = H[-1].transpose(1, 0, 2).reshape(B, m * d)
+        fed = tape[0][self.spec.fed_states]  # of the state buffer, (L+1, m, B, d)
+        # batch-major; an explicit width, since reshape(0, -1) cannot infer one
+        x = fed.transpose(2, 0, 1, 3).reshape(len(rows), self.spec.mlp_input_width)
         out, tower = self.mlp.forward(x, keep)
         return logits + out, (*tape, tower)
 
@@ -1023,10 +1042,8 @@ class DagfmPlusModel(DagfmModel):
         grads: dict[str, np.ndarray] = {}
         dx = self.mlp.backward(tower, dlogits, grads)
         extra = [None] * n_states
-        if self.spec.mlp_feed == "all-states":
-            extra = list(dx.reshape(B, n_states, m, d).transpose(1, 2, 0, 3))
-        else:
-            extra[-1] = dx.reshape(B, m, d).transpose(1, 0, 2)
+        fed = self.spec.fed_states
+        extra[fed] = dx.reshape(B, len(extra[fed]), m, d).transpose(1, 2, 0, 3)
         base, d_emb = super()._backward(tape, dlogits, extra_dstates=extra)
         base.update(grads)
         return base, d_emb

@@ -51,13 +51,7 @@ def generate_planted_dataset(
 
 def write_csv(path, schema: FieldSchema, dataset: Dataset) -> None:
     """Materialize an encoded dataset back into the CSV interchange format."""
-    inverse = []
-    for vocab in schema.vocabs:
-        inv = [None] * len(vocab)
-        for value, i in vocab.items():
-            inv[i] = value
-        inv.append("<oov>")
-        inverse.append(inv)
+    inverse = [[*schema.values(f), "<oov>"] for f in range(schema.m)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["label", *schema.names]) + "\n")
         for k in range(len(dataset)):

@@ -37,10 +37,10 @@ from typing import Iterator
 import numpy as np
 
 from .interactions import (
-    FlopCount, MlpTower, Model, PairGemm, embedding_layout, identity, mlp_bound, mlp_flops,
-    mlp_layout,
+    FlopCount, MlpTower, Model, PairGemm, check_mlp, check_widths, embedding_layout, identity,
+    mlp_bound, mlp_flops, mlp_layout,
 )
-from .numcore import ConfigurationError, as_tuples, check_int
+from .numcore import check_int
 
 
 def upper_pairs(m: int) -> tuple[tuple[int, int], ...]:
@@ -66,11 +66,7 @@ class CinSpec:
     def __post_init__(self):
         check_int("num_fields", self.num_fields, 2)
         check_int("embed_dim", self.embed_dim, 1)
-        object.__setattr__(self, "layer_sizes", as_tuples(self.layer_sizes))
-        if not self.layer_sizes:
-            raise ConfigurationError("layer_sizes must name at least one layer")
-        for h in self.layer_sizes:
-            check_int("layer_sizes width", h, 1)
+        object.__setattr__(self, "layer_sizes", check_widths("layer_sizes", self.layer_sizes))
 
     def layout(self, vocab_sizes) -> Iterator[tuple]:
         yield from embedding_layout(self, vocab_sizes)
@@ -526,13 +522,7 @@ class TinyMlpSpec:
     def __post_init__(self):
         check_int("num_fields", self.num_fields, 2)
         check_int("embed_dim", self.embed_dim, 1)
-        object.__setattr__(self, "hidden", as_tuples(self.hidden))
-        if not self.hidden:
-            raise ConfigurationError("hidden must name at least one layer")
-        for h in self.hidden:
-            check_int("hidden width", h, 1)
-        if self.activation not in ("relu", "tanh"):
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
+        object.__setattr__(self, "hidden", check_mlp("hidden", self.hidden, self.activation))
 
     @property
     def widths(self) -> list[int]:

@@ -32,7 +32,7 @@ from dagfm.checkpoint import (
 )
 from dagfm import cli
 from dagfm.cli import build_parser, main
-from dagfm.config import _KEYS, RunConfig, load_config, parse_config
+from dagfm.config import _KEYS, TEACHER_KINDS, RunConfig, load_config, parse_config
 from dagfm.data import Dataset, build_vocab, load_dataset, split_dataset
 from dagfm.distill import StageConfig, distill_student, finetune_student, train_teacher
 from dagfm.interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
@@ -196,7 +196,11 @@ BAD_SCHEMAS = {
     "values-not-a-list": ('{"fields": [{"name": "a", "values": "xy"}, %s]}' % _GOOD_FIELD,
                           "field 0"),
     "unhashable-value": ('{"fields": [{"name": "a", "values": [[1]]}, %s]}' % _GOOD_FIELD,
-                         "unhashable"),
+                         "field 0 'a' holds the non-string value \\[1\\]"),
+    "number-value": ('{"fields": [{"name": "a", "values": ["x", 7]}, %s]}' % _GOOD_FIELD,
+                     "field 0 'a' holds the non-string value 7"),
+    "repeated-value": ('{"fields": [%s, {"name": "a", "values": ["x", "y", "x"]}]}' % _GOOD_FIELD,
+                       "field 1 'a' repeats the value 'x'"),
     "bad-min-freq": ('{"fields": [{"name": "a", "values": []}, %s], "min_freq": "x"}'
                      % _GOOD_FIELD, "bad schema"),
 }
@@ -795,6 +799,17 @@ class TestConfig:
         cfg = parse_config("")
         assert cfg == RunConfig()
 
+    def test_the_teacher_kinds_are_the_flag_choices_and_the_error_s(self, capsys):
+        for kind in TEACHER_KINDS:
+            assert parse_config(f"[teacher]\nkind = {kind}\n").teacher_kind == kind
+        with pytest.raises(ConfigurationError) as raised:
+            RunConfig(teacher_kind="resnet")
+        assert str(raised.value) == "unknown teacher kind 'resnet'; pick 'cin' or 'crossnet'"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train-teacher", "--teacher", "resnet"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'resnet'" in err and re.search("choose from '?cin'?, '?crossnet'?\\)", err)
+
     def test_unknown_section(self):
         with pytest.raises(ConfigurationError, match="unknown config section"):
             parse_config("[optimizer]\nlr = 1\n")
@@ -1025,6 +1040,27 @@ class TestCli:
         assert err.startswith("error:")
         assert re.search(pattern, err)
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", ["repeated", "number"])
+    def test_a_schema_value_that_no_cell_can_match_exits_before_any_output(
+            self, fault, cli_run, tmp_path, capsys):
+        # the teacher's own schema of the CSV, with one value of its first
+        # field repeated or replaced by a number: training would run on it
+        _, csv, teacher_dir, _ = cli_run
+        doc = json.loads((teacher_dir / "schema.json").read_text())
+        values = doc["fields"][0]["values"]
+        values[0] = values[1] if fault == "repeated" else 7
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["train-teacher", "--data", str(csv), "--schema", str(schema), "--out", str(out),
+                   "--d", "4", "--depth", "1", "--epochs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        text = f"repeats the value {values[1]!r}" if fault == "repeated" else "non-string value 7"
+        assert err.startswith("error:") and text in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "train-teacher"])
     @pytest.mark.parametrize("line, ending", [(0, b"\n"), (2, b"\n"), (2, b"\r")],

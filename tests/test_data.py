@@ -163,6 +163,31 @@ class TestSchemaJson:
         assert blob["fields"][0]["name"] == "f1"
         assert blob["fields"][0]["values"] == ["a", "b"]
 
+    def test_values_are_listed_by_index(self):
+        schema = FieldSchema(names=["f1", "f2"], vocabs=[{"b": 1, "a": 0}, {}])
+        assert schema.values(0) == ["a", "b"] and schema.values(1) == []
+
+    @pytest.mark.parametrize(
+        "values, text",
+        [
+            (["a", "b", "a"], "schema field 0 'f1' repeats the value 'a'"),
+            (["a", 7], "schema field 0 'f1' holds the non-string value 7"),
+            (["a", ["b"]], "schema field 0 'f1' holds the non-string value ['b']"),
+        ],
+        ids=["repeated", "number", "list"],
+    )
+    def test_a_bad_value_is_a_schema_error(self, values, text):
+        doc = {"fields": [{"name": "f1", "values": values}, {"name": "f2", "values": ["x"]}]}
+        with pytest.raises(SchemaError) as raised:
+            FieldSchema.from_json(json.dumps(doc))
+        assert str(raised.value) == text
+
+    @pytest.mark.parametrize("min_freq", ["Infinity", "NaN", "[1]", '"x"'])
+    def test_a_non_integer_min_freq_is_a_schema_error(self, min_freq):
+        fields = '[{"name": "a", "values": []}, {"name": "b", "values": []}]'
+        with pytest.raises(SchemaError, match="bad schema"):
+            FieldSchema.from_json(f'{{"fields": {fields}, "min_freq": {min_freq}}}')
+
     def test_deeply_nested_file_is_a_schema_error(self, tmp_path):
         # json.loads raises RecursionError, not JSONDecodeError, past its depth
         path = tmp_path / "schema.json"
@@ -471,3 +496,56 @@ class TestBlockReaderMatchesPerLineReader:
                 reference_build_vocab, clean_path, min_freq)
             assert _outcome(load_dataset, path, schema) == _outcome(
                 reference_load_dataset, path, schema)
+
+
+# any JSON value, a few levels deep, and NaN and the infinities that
+# json.loads also reads
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def schema_documents(draw):
+    """A schema file's text: the documented shape, its values from a small
+    alphabet so that a repeat is common, with at most one fault: any JSON
+    value in one place, or the text cut short."""
+    n = draw(st.integers(0, 4))
+    values = st.lists(st.sampled_from(["a", "b", "", "é"]), max_size=4, unique=draw(st.booleans()))
+    fields = [{"name": draw(st.text(max_size=2)), "values": draw(values)} for _ in range(n)]
+    doc = {"fields": fields, "min_freq": draw(st.integers(0, 3))}
+    fault = draw(st.sampled_from(
+        [None, "document", "fields", "min_freq", "field", "name", "values", "value", "cut"]))
+    junk, k = draw(_JSON), draw(st.integers(0, max(n - 1, 0)))
+    if fault == "document":
+        doc = junk
+    elif fault in ("fields", "min_freq"):
+        doc[fault] = junk
+    elif fault == "field" and n:
+        fields[k] = junk
+    elif fault in ("name", "values") and n:
+        fields[k][fault] = junk
+    elif fault == "value" and n and fields[k]["values"]:
+        fields[k]["values"][draw(st.integers(0, len(fields[k]["values"]) - 1))] = junk
+    text = json.dumps(doc)
+    return text[: draw(st.integers(0, len(text)))] if fault == "cut" else text
+
+
+class TestSchemaFuzz:
+    @given(text=schema_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_loads_distinct_strings_by_index_or_raises_a_schema_error(self, text):
+        try:
+            schema = FieldSchema.from_json(text)
+        except SchemaError:
+            return
+        doc = json.loads(text)
+        assert schema.m == len(doc["fields"]) >= 2
+        for f, field in enumerate(doc["fields"]):
+            values = schema.values(f)
+            assert values == field["values"]
+            assert all(type(v) is str for v in values) and len(set(values)) == len(values)
+            assert sorted(schema.vocabs[f].values()) == list(range(len(values)))
+        assert FieldSchema.from_json(schema.to_json()).vocabs == schema.vocabs

@@ -477,21 +477,32 @@ class TestDagfmPlus:
         # hidden pre-activation 0.2+0.6+1.2-1.5+0.25 = 0.75, relu passes it
         assert logit == pytest.approx(0.75 * 2.0 + 0.1)
 
-    def test_mlp_widths(self):
-        spec = DagfmPlusSpec(DagfmSpec("inner", 3, 4, 2), mlp_hidden=(7, 5))
-        assert spec.widths == [3 * 3 * 4, 7, 5, 1]
-        final = DagfmPlusSpec(
-            DagfmSpec("inner", 3, 4, 2), mlp_hidden=(7,), mlp_feed="final-state"
-        )
-        assert final.widths == [3 * 4, 7, 1]
+    @pytest.mark.parametrize("feed, fed", [("all-states", [0, 1, 2]), ("final-state", [2])])
+    def test_the_tower_reads_the_fed_states(self, feed, fed, rng):
+        spec = DagfmPlusSpec(DagfmSpec("inner", 3, 4, 2), mlp_hidden=(7, 5), mlp_feed=feed)
+        assert [0, 1, 2][spec.fed_states] == fed
+        assert spec.mlp_input_width == 3 * len(fed) * 4
+        assert spec.widths == [spec.mlp_input_width, 7, 5, 1]
+        model = DagfmPlusModel(spec, [3] * 3, seed=1)
+        perturb_params(model, rng)
+        dag_values = {k: v for k, v in model.store.snapshot().items() if not k.startswith("mlp.")}
+        dag = DagfmModel.from_values(spec.dagfm, [3] * 3, dag_values)
+        for batch in (0, 1, 5):
+            idx = rng.integers(0, 3, size=(batch, 3))
+            states = model.forward_trace(idx)[1].node_states  # (B, m, d) each
+            x = np.concatenate([states[t].reshape(batch, 3 * 4) for t in fed], axis=1)
+            tower, _ = model.mlp.forward(x, keep=False)
+            assert model.forward(idx).tobytes() == (dag.forward(idx) + tower).tobytes()
 
-    def test_bad_feed_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DagfmPlusSpec(DagfmSpec("inner", 2, 2, 1), mlp_feed="two-streams")
-
-    def test_zero_width_layer_rejected(self):
-        with pytest.raises(ConfigurationError, match="width"):
-            DagfmPlusSpec(DagfmSpec("inner", 2, 2, 1), mlp_hidden=(3, 0))
+    def test_logit_bound_counts_the_fed_states(self):
+        base = DagfmSpec("inner", 3, 4, 2)
+        scales = {name: 2.0 for name, _, _ in DagfmPlusSpec(base, mlp_hidden=(7,)).layout([3] * 3)}
+        states = base._state_bounds(scales)
+        for feed, fed in (("all-states", states), ("final-state", states[-1:])):
+            spec = DagfmPlusSpec(base, mlp_hidden=(7,), mlp_feed=feed)
+            hidden = 7 * (2.0 * 4 * sum(h.sum() for h in fed) + 2.0)
+            tower = 1 * (2.0 * hidden + 2.0)
+            assert spec.logit_bound(scales) == base.logit_bound(scales) + tower, feed
 
     @pytest.mark.parametrize("feed", ["all-states", "final-state"])
     def test_gradients(self, feed, rng):
@@ -510,6 +521,46 @@ class TestDagfmPlus:
         closure = squared_logit_closure(model, idx, targets)
         every = model.store.n_scalars()
         assert grad_check(closure, model.store, h=1e-4, max_coords_per_param=every) < 1e-5
+
+
+# both specs that build a tower, by the name of their hidden-widths field
+TOWER_SPECS = {
+    "mlp_hidden": lambda **kw: DagfmPlusSpec(DagfmSpec("inner", 2, 2, 1), **kw),
+    "hidden": lambda **kw: TinyMlpSpec(2, 2, **kw),
+}
+
+
+class TestTowerRules:
+    """One check of the hidden widths and the activation serves every spec
+    with a tower, and one table gives each activation its derivative."""
+
+    @pytest.mark.parametrize(
+        "fault, text",
+        [
+            (dict(activation="gelu"), "unknown activation 'gelu'"),
+            (dict(activation=["relu"]), "unknown activation ['relu']"),
+            (dict(hidden=()), "{hidden} must name at least one layer"),
+            (dict(hidden=(3, 0)), "{hidden} width must be an int >= 1, got 0"),
+            (dict(hidden=(3, 2.0)), "{hidden} width must be an int >= 1, got 2.0"),
+        ],
+        ids=["activation", "unhashable-activation", "no-layer", "zero-width", "float-width"],
+    )
+    @pytest.mark.parametrize("hidden", list(TOWER_SPECS))
+    def test_each_fault_raises_its_text(self, hidden, fault, text):
+        fault = {hidden if k == "hidden" else k: v for k, v in fault.items()}
+        with pytest.raises(ConfigurationError) as raised:
+            TOWER_SPECS[hidden](**fault)
+        assert str(raised.value) == text.format(hidden=hidden)
+
+    def test_an_unknown_feed_raises_its_text(self):
+        with pytest.raises(ConfigurationError, match="^unknown mlp_feed 'two-streams'$"):
+            TOWER_SPECS["mlp_hidden"](mlp_feed="two-streams")
+
+    @pytest.mark.parametrize("activation", list(interactions.ACTIVATIONS))
+    def test_each_derivative_is_its_activation_s(self, activation):
+        act, grad, _ = interactions.ACTIVATIONS[activation]
+        z, h = np.array([-2.0, -0.5, 0.3, 1.7]), 1e-6
+        np.testing.assert_allclose(grad(z), (act(z + h) - act(z - h)) / (2 * h), rtol=1e-8)
 
 
 class TestFieldMajorLayout:
@@ -727,78 +778,101 @@ class TestBlockTriangularOuter:
             interactions._tri_matmul(x, y, model._sources, "col")
 
 
-class DenseOuterGemms:
-    """The ``outer`` layer without field blocks at any batch size: two
-    forward and four backward batched GEMMs over the whole (m, m) field
-    square, in the model's operand orientation, driven by the model's own
-    forward and backward."""
+class BlockLoopOuterGemms:
+    """The ``outer`` layer's GEMMs as the per-block ``np.matmul`` calls that
+    ``_tri_matmul`` makes, written out per product over the plan the model
+    passes in (forward) or builds (backward): the model makes the same BLAS
+    calls on the same operands, so it matches this bit for bit on any
+    kernel."""
 
     def _outer_gemms(self, h, w, plan, out=None):
-        (pT, q), (m, B, _) = w, h.shape
+        (pT, q), (sources, targets) = w, plan
+        m, B, d = h.shape
         S = np.empty((m, m, B))
-        np.matmul(h, pT, out=S.transpose(0, 2, 1))
-        return np.matmul(S.transpose(1, 2, 0), q, out=out), (pT, q, S)
+        for f, reach in sources:
+            np.matmul(h[f], pT[f, :, reach], out=S.transpose(0, 2, 1)[f, :, reach])
+        agg = np.empty((m, B, d)) if out is None else out
+        for f, reach in targets:
+            np.matmul(S.transpose(1, 2, 0)[f, :, reach], q[f, reach], out=agg[f])
+        return agg, (pT, q, S)
 
     def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
-        jj, ii = self._jj, self._ii
         pT, q, S = cache
-        p, qT = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (pT, q))
-        m, B, _ = h.shape
-        dS = np.empty((m, m, B))
-        np.matmul(dU, qT, out=dS.transpose(0, 2, 1))
-        grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]
-        grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]
-        return np.matmul(dS.transpose(1, 2, 0), p) if wants_dh else None
+        m, B, d = h.shape
+        dS, dh = np.empty((m, m, B)), np.empty((m, B, d))
+        dq, dp = np.empty((m, m, d)), np.empty((m, m, d))
+        qT, p = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (q, pT))
+        for f, reach in self._targets:
+            np.matmul(dU[f], qT[f, :, reach], out=dS.transpose(0, 2, 1)[f, :, reach])
+            np.matmul(S.transpose(1, 0, 2)[f, reach], dU[f], out=dq[f, reach])
+        for f, reach in self._sources:
+            np.matmul(dS.transpose(1, 0, 2)[f, reach], h[f], out=dp[f, reach])
+            np.matmul(dS.transpose(1, 2, 0)[f, :, reach], p[f, reach], out=dh[f])
+        grads[f"dag.q{t}"] = dq[self._ii, self._jj]
+        grads[f"dag.p{t}"] = dp[self._jj, self._ii]
+        return dh if wants_dh else None
 
 
-class DenseOuterModel(DenseOuterGemms, DagfmModel):
+class BlockLoopOuterModel(BlockLoopOuterGemms, DagfmModel):
     pass
 
 
-class DenseOuterPlusModel(DenseOuterGemms, DagfmPlusModel):
+class BlockLoopOuterPlusModel(BlockLoopOuterGemms, DagfmPlusModel):
     pass
 
 
 class TestFieldBlocksAtCtrSize:
-    """At m=39 and the real ``FIELD_BLOCK`` (four blocks, the last one short)
-    a forward of fewer than ``SMALL_ROWS`` rows runs the dense GEMMs and a
-    larger one the blocked GEMMs; backward always runs the blocked ones.
-    Logits and every gradient equal the dense GEMMs' bitwise from two rows
-    on; a one-row batch's logits do too, and its gradients, which may take
-    other BLAS kernels, differ at most in the last bits."""
+    """At m=39 and the real ``FIELD_BLOCK`` (four blocks, the last one
+    short), and at m=5 and 6 in blocks of two, a forward of fewer than
+    ``SMALL_ROWS`` rows runs the dense GEMMs and a larger one the blocked
+    GEMMs; backward always runs the blocked ones. Logits and every gradient
+    are bitwise those of the same per-block calls, and within 1e-13 of the
+    largest entry of one block's dense GEMMs, which sum in another order
+    (the numerics contract in README)."""
 
-    @staticmethod
-    def models(plus, rng):
-        m, vocab = 39, [4] * 39
+    BLOCKS = {5: 2, 6: 2, 39: interactions.FIELD_BLOCK}
+    BATCHES = [0, 1, 2, 5, 19, 20, 21, 64]
+
+    def models(self, m, plus, rng, monkeypatch, reference=None):
+        """A blocked model, and ``reference`` (its classes by ``plus``) with
+        the same weights and blocks, or one dense block without it."""
+        vocab = [4] * m
         spec = DagfmSpec("outer", m, 16, 3)
         if plus:
             spec = DagfmPlusSpec(spec, mlp_hidden=(8,))
+        monkeypatch.setattr(interactions, "FIELD_BLOCK", self.BLOCKS[m])
         model = (DagfmPlusModel if plus else DagfmModel)(spec, vocab, seed=2)
-        assert [f.stop for f, _ in model._sources] == [10, 20, 30, 39]
+        assert [f.stop for f, _ in model._sources] == [*range(self.BLOCKS[m], m, self.BLOCKS[m]), m]
         perturb_params(model, rng)
-        dense = (DenseOuterPlusModel if plus else DenseOuterModel).from_values(
-            spec, vocab, model.store.snapshot()
-        )
-        return model, dense
+        if reference is None:
+            monkeypatch.setattr(interactions, "FIELD_BLOCK", m)
+            reference = (DagfmModel, DagfmPlusModel)
+        reference = reference[plus].from_values(spec, vocab, model.store.snapshot())
+        return model, reference
 
-    @pytest.mark.parametrize("batch", [0, 1, 2, 5, 64, 19, 20, 21])
+    @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
-    def test_matches_dense_gemms(self, plus, batch, rng, nan_buffers):
-        model, dense = self.models(plus, rng)
-        idx = rng.integers(0, 4, size=(batch, 39))
-        assert model.forward(idx).tobytes() == dense.forward(idx).tobytes()
-        if batch == 1:
-            assert_logits_and_grads_close(model, dense, idx, rng, rtol=1e-13)
-            return
+    @pytest.mark.parametrize("m", [5, 6, 39])
+    def test_matches_one_block(self, m, plus, batch, rng, monkeypatch, nan_buffers):
+        model, dense = self.models(m, plus, rng, monkeypatch)
+        assert len(dense._sources) == 1
+        idx = rng.integers(0, 4, size=(batch, m))
+        assert_logits_and_grads_close(model, dense, idx, rng, rtol=1e-13)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    @pytest.mark.parametrize("m", [5, 6, 39])
+    def test_matches_the_block_loop_bitwise(self, m, plus, batch, rng, monkeypatch, nan_buffers):
+        loops = (BlockLoopOuterModel, BlockLoopOuterPlusModel)
+        model, loop = self.models(m, plus, rng, monkeypatch, loops)
+        idx = rng.integers(0, 4, size=(batch, m))
+        assert model.forward(idx).tobytes() == loop.forward(idx).tobytes()
         dlogits = rng.normal(size=batch)
-        grads, expected = model.backward(dlogits), dense.backward(dlogits)
-        assert grads.keys() == expected.keys()
-        for name, g in expected.items():
-            assert np.asarray(grads[name]).tobytes() == np.asarray(g).tobytes(), name
+        assert_same_bits(model.backward(dlogits), loop.backward(dlogits))
 
     @pytest.mark.parametrize("batch", [1, 19, 20, 64])
     def test_forward_plan_follows_the_batch_size(self, batch, rng, monkeypatch):
-        model, _ = self.models(False, rng)
+        model, _ = self.models(39, False, rng, monkeypatch)
         blocks = []
         tri_matmul = interactions._tri_matmul
 
@@ -858,11 +932,12 @@ class BatchColumnOuterPlusModel(BatchColumnOuterGemms, DagfmPlusModel):
 class TestOuterOrientation:
     """An ``outer`` layer's edge-scalar GEMMs run per field as (B, d) x
     (d, n) products over the contiguous ``pT`` (forward) and ``qT``
-    (backward), written F-ordered into ``S`` and ``dS``. Which BLAS kernel
-    sums them decides whether they are bitwise the (n, d) x (d, B) products
-    of ``BatchColumnOuterGemms``, so against those they agree to rtol
-    1e-13. A layer's pair ``(pT, q)`` is laid out once per store version;
-    its backward transposes the pair that the tape holds."""
+    (backward), written F-ordered into ``S`` and ``dS``. Those are other
+    BLAS calls than the (n, d) x (d, B) products of
+    ``BatchColumnOuterGemms``, so the two agree within 1e-13 of the largest
+    entry (the numerics contract in README). A layer's pair ``(pT, q)`` is
+    laid out once per store version; its backward transposes the pair that
+    the tape holds."""
 
     @staticmethod
     def models(plus, m, d, rng, layers=3):
