@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from dagfm.data import build_vocab, load_dataset, split_dataset
 from dagfm.distill import DistillPlan, StageConfig, run_pipeline
 from dagfm.interactions import DagfmModel, DagfmSpec
-from dagfm.movielens import convert_movielens_dir
+from dagfm.movielens import convert_movielens
 from dagfm.teachers import CrossNetModel, CrossNetSpec
 
 REFERENCE_AUC = 0.8976
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "ml1m.csv"
-    n_rows = convert_movielens_dir(args.ml_dir, csv_path)
+    n_rows = convert_movielens(args.ml_dir, csv_path)
     print(f"converted {n_rows} ratings -> {csv_path}")
 
     schema = build_vocab(csv_path, min_freq=0)

@@ -17,10 +17,11 @@ file byte for byte.
 
 Loading checks the file against the model family's declared parameter
 layout (``spec.layout``) before it allocates anything: the header length
-against the file size, then the layout's parameters, every one of them,
-against the payload size, so a small file cannot force a large allocation,
-then every manifest entry (known and unique name, exact shape, float dtype)
-and the exact payload size. It then reads the weights, rejects non-finite
+against the file size, then the layout's parameters, every one of them, at
+8 bytes a weight against the payload size, so a file cannot make the loader
+allocate more than it holds, then every manifest entry (known and unique
+name, exact shape, the ``"<f8"`` dtype, the only one a checkpoint is written
+in) and the exact payload size. It then reads the weights, rejects non-finite
 ones and ones so large that some input would score a non-finite logit, and
 builds the model from them with no random draws. Every malformed file
 raises :class:`CheckpointError`.
@@ -43,8 +44,8 @@ from .teachers import CinModel, CrossNetModel, FmfmModel, FwfmModel, TinyMlpMode
 
 FORMAT_VERSION = 3
 _LEN = struct.Struct("<Q")
-# fewest bytes per weight: float16 is the narrowest float a manifest may name
-_NARROWEST_FLOAT = np.dtype(np.float16).itemsize
+# the payload dtype: little-endian float64, as ``ParamStore.dtype``
+_DTYPE = np.dtype("<f8")
 
 
 class CheckpointError(ValueError):
@@ -98,7 +99,7 @@ def save_checkpoint(model, path) -> None:
         {
             "name": n,
             "shape": list(model.store[n].shape),
-            "dtype": np.dtype(model.store.dtype).newbyteorder("<").str,
+            "dtype": _DTYPE.str,
         }
         for n in names
     ]
@@ -114,21 +115,19 @@ def save_checkpoint(model, path) -> None:
         fh.write(_LEN.pack(len(blob)))
         fh.write(blob)
         for n in names:
-            arr = model.store[n]
-            fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+            fh.write(np.ascontiguousarray(model.store[n], dtype=_DTYPE).tobytes())
 
 
-def _payload_plan(shapes, manifest) -> dict[str, tuple[np.dtype, tuple]]:
-    """{name: (dtype, shape)} in manifest order, checked against the layout's
+def _payload_plan(shapes, manifest) -> dict[str, tuple]:
+    """{name: shape} in manifest order, checked against the layout's
     ``shapes`` ({name: shape})."""
     if not isinstance(manifest, list):
         raise CheckpointError("corrupt header: manifest is not a list")
     plan = {}
     for entry in manifest:
         try:
-            name, shape, dtype = entry["name"], entry["shape"], np.dtype(entry["dtype"])
-        # SyntaxError: numpy parses a dtype string with a comma as Python
-        except (KeyError, TypeError, ValueError, SyntaxError) as e:
+            name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+        except (KeyError, TypeError) as e:
             raise CheckpointError(f"corrupt manifest entry {entry!r}") from e
         if not isinstance(name, str) or name not in shapes:
             raise CheckpointError(f"manifest names unknown parameter {name!r}")
@@ -141,9 +140,9 @@ def _payload_plan(shapes, manifest) -> dict[str, tuple[np.dtype, tuple]]:
                 f"parameter {name!r}: manifest shape {shape!r} does not match the model's "
                 f"{list(expected)}"
             )
-        if not isinstance(entry["dtype"], str) or dtype.kind != "f":
-            raise CheckpointError(f"parameter {name!r}: dtype {entry['dtype']!r} is not a float")
-        plan[name] = dtype, expected
+        if dtype != _DTYPE.str:
+            raise CheckpointError(f"parameter {name!r}: dtype {dtype!r} is not {_DTYPE.str!r}")
+        plan[name] = expected
     missing = sorted(shapes.keys() - plan.keys())
     if missing:
         raise CheckpointError(f"manifest missing parameters {missing}")
@@ -161,8 +160,10 @@ def load_checkpoint(path):
             raise CheckpointError(f"truncated header: {header_len} bytes claimed, file holds fewer")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        # json.loads raises RecursionError, not JSONDecodeError, on arrays nested too deep
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # ValueError: bytes that are not UTF-8, text that is not JSON, or an
+        # integer of more digits than int() converts; RecursionError: arrays
+        # nested deeper than the decoder recurses
+        except (ValueError, RecursionError) as e:
             raise CheckpointError(f"corrupt header: {e}") from e
         if not isinstance(header, dict):
             raise CheckpointError("corrupt header: not a JSON object")
@@ -191,19 +192,17 @@ def load_checkpoint(path):
         shapes, weights = {}, 0
         for name, shape, _ in spec.layout(vocab_sizes):
             weights += math.prod(shape)
-            if weights * _NARROWEST_FLOAT > available:
-                raise CheckpointError(f"{sum(vocab_sizes)} embedding rows and the other "
-                                      f"parameters need more than the {available}-byte payload")
+            if weights * _DTYPE.itemsize > available:
+                raise CheckpointError(f"truncated payload: {sum(vocab_sizes)} embedding rows "
+                                      f"and the other parameters need more than the "
+                                      f"{available}-byte payload")
             shapes[name] = shape
         plan = _payload_plan(shapes, header["manifest"])
-        expected = sum(math.prod(shape) * dtype.itemsize for dtype, shape in plan.values())
-        if available < expected:
-            raise CheckpointError(f"truncated payload: {available} of {expected} bytes")
-        if available > expected:
+        if available > weights * _DTYPE.itemsize:
             raise CheckpointError("trailing bytes after payload")
         values = {}
-        for name, (dtype, shape) in plan.items():
-            arr = np.empty(shape, dtype=dtype)
+        for name, shape in plan.items():
+            arr = np.empty(shape, dtype=_DTYPE)
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise CheckpointError(f"truncated payload in parameter {name!r}")
             values[name] = arr
@@ -220,7 +219,7 @@ def _check_scores_finite(spec, values: dict) -> None:
     scales = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for name, arr in values.items():
-            flat = np.asarray(arr, dtype=np.float64).reshape(-1)
+            flat = arr.reshape(-1)
             squares = float(flat @ flat)  # one pass; NaN or inf for a non-finite weight
             if not math.isfinite(squares):
                 what = "too large" if np.isfinite(flat).all() else "non-finite"

@@ -45,7 +45,7 @@ from .distill import (
 )
 from .interactions import KINDS
 from .metrics import UndefinedMetricError, efficiency_report
-from .movielens import convert_movielens, convert_movielens_dir
+from .movielens import convert_movielens
 from .numcore import ConfigurationError, TrainingDivergenceError
 from .oracle import assert_dp_equivalence
 
@@ -234,16 +234,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_convert_movielens(args) -> int:
-    if args.dir:
-        n = convert_movielens_dir(args.dir, args.out)
-    else:
-        missing = [f for f in ("ratings", "users", "movies") if getattr(args, f) is None]
-        if missing:
-            raise ConfigurationError(
-                f"convert-movielens needs --dir or all of --ratings/--users/--movies "
-                f"(missing {missing})"
-            )
-        n = convert_movielens(args.ratings, args.users, args.movies, args.out)
+    n = convert_movielens(args.dir, args.out)
     print(json.dumps({"instances": n, "out": str(args.out)}))
     return 0
 
@@ -325,10 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_check)
 
     p = add("convert-movielens", help="join ml-1m .dat files into CSV")
-    p.add_argument("--dir", help="ml-1m directory with ratings/users/movies.dat")
-    p.add_argument("--ratings")
-    p.add_argument("--users")
-    p.add_argument("--movies")
+    p.add_argument("--dir", required=True, help="ml-1m directory with ratings/users/movies.dat")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convert_movielens)
 

@@ -41,6 +41,13 @@ class SchemaError(ValueError):
     """The file header or schema is structurally invalid."""
 
 
+def check_min_freq(min_freq) -> None:
+    """Reject any vocabulary frequency threshold but a plain ``int >= 0`` (no
+    bool, float or string, which a schema would load and save again)."""
+    if type(min_freq) is not int or min_freq < 0:
+        raise SchemaError(f"min_freq must be an int >= 0, got {reprlib.repr(min_freq)}")
+
+
 @dataclass
 class FieldSchema:
     """Per-field vocabularies mapping raw values to contiguous indices."""
@@ -54,6 +61,7 @@ class FieldSchema:
             raise SchemaError(f"need at least 2 fields, got {len(self.names)}")
         if len(self.vocabs) != len(self.names):
             raise SchemaError("one vocab per field required")
+        check_min_freq(self.min_freq)
 
     @property
     def m(self) -> int:
@@ -81,8 +89,9 @@ class FieldSchema:
     def from_json(cls, text: str) -> "FieldSchema":
         try:
             obj = json.loads(text)
-        # json.loads raises RecursionError, not JSONDecodeError, on arrays nested too deep
-        except (json.JSONDecodeError, RecursionError) as e:
+        # ValueError: text that is not JSON, or an integer of more digits than
+        # int() converts; RecursionError: arrays nested deeper than the decoder recurses
+        except (ValueError, RecursionError) as e:
             raise SchemaError(f"schema is not valid JSON: {e}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("fields"), list):
             raise SchemaError("schema must be a JSON object with a 'fields' list")
@@ -98,11 +107,8 @@ class FieldSchema:
                     raise SchemaError(f"{field} {fault} {reprlib.repr(v)}")
                 vocab[v] = len(vocab)
             vocabs.append(vocab)
-        try:  # a non-integer min_freq
-            min_freq = int(obj.get("min_freq", 0))
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"bad schema: {e}") from None
-        return cls(names=[f["name"] for f in obj["fields"]], vocabs=vocabs, min_freq=min_freq)
+        return cls(names=[f["name"] for f in obj["fields"]], vocabs=vocabs,
+                   min_freq=obj.get("min_freq", 0))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -236,8 +242,7 @@ def build_vocab(csv_path, min_freq: int = 0) -> FieldSchema:
     are assigned in first-appearance order, which makes the schema a
     deterministic function of the file.
     """
-    if min_freq < 0:
-        raise SchemaError(f"min_freq must be >= 0, got {min_freq}")
+    check_min_freq(min_freq)
     names = read_header(csv_path)
     # a dict, Counter included, keeps its keys in first-insertion order
     seen = [Counter() if min_freq > 1 else {} for _ in names]

@@ -30,6 +30,9 @@ is for a frozen table. ``forward`` runs a core with ``keep`` and holds its
 tape for ``backward``; ``score`` runs it without, and the core then returns
 no tape and holds nothing, while it runs, that only a backward would read.
 Only ``Model`` keeps a tape between calls; :class:`MlpTower` returns its own.
+``Model.backward`` runs a core only against its own forward: on the weights
+that forward read (the store's ``version`` then) and with one ``dlogits``
+entry per row of its batch, so that no core checks either.
 
 The student works field-major: one contiguous (L+1, m, B, d) buffer holds
 every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
@@ -235,7 +238,8 @@ class DagfmSpec:
         return tuple(sorted(set(self.edges), key=lambda ji: (ji[1], ji[0])))
 
     def layout(self, vocab_sizes) -> Iterator[tuple]:
-        """Every parameter of the student, in store order (see :class:`Model`)."""
+        """Every parameter of the student, in store order (see :class:`Model`);
+        ``inner`` and ``kernel`` start at identity (ones, identity matrices)."""
         yield from embedding_layout(self, vocab_sizes)
         P, d = self.num_pairs, self.embed_dim
         # basic-inner has no edge weights: no loop over the layers a header claims
@@ -401,7 +405,7 @@ class Model:
 
     kind = "?"
     spec_type = None
-    _cache = None  # the table rows and tape of the latest ``forward``
+    _cache = None  # the table rows, tape and ``store.version`` of the latest ``forward``
     _layouts_at = None  # the ``store.version`` that ``_layouts`` were built at
 
     def __init__(self, spec, vocab_sizes, seed: int = 0):
@@ -454,11 +458,12 @@ class Model:
     def forward(self, idx: np.ndarray) -> np.ndarray:
         """One logit per row of an index batch. Releases the previous call's
         tape first, checks the batch once (``EmbeddingTable.table_rows``)
-        and keeps the table rows and the family's tape for ``backward``."""
+        and keeps the table rows, the family's tape and the store's version
+        for ``backward``."""
         self._cache = None  # the last tape goes before this one is allocated
         rows = self.embedding.table_rows(idx)
         logits, tape = self._forward(rows, keep=True)
-        self._cache = (rows, tape)
+        self._cache = (rows, tape, self.store.version)
         return logits
 
     def score(self, idx: np.ndarray) -> np.ndarray:
@@ -468,16 +473,26 @@ class Model:
         return self._forward(self.embedding.table_rows(idx), keep=False)[0]
 
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Analytic gradients of every parameter given d(loss)/d(logit) of
-        the latest forward; the table's over the rows that forward read, and
-        none for a frozen table."""
+        """Analytic gradients of every parameter given d(loss)/d(logit), one
+        per row, of the latest forward, on the weights it read; the table's
+        over the rows that forward read, and none for a frozen table."""
         if self._cache is None:
             raise ConfigurationError(
                 "backward needs a forward that returned: no forward has run since "
                 "the model was built, or the latest one raised"
             )
-        rows, tape = self._cache
-        grads, d_emb = self._backward(tape, np.asarray(dlogits, dtype=np.float64))
+        rows, tape, version = self._cache
+        if version != self.store.version:
+            raise ConfigurationError(
+                "backward needs the weights its forward read: the store was written since"
+            )
+        dlogits = np.asarray(dlogits, dtype=np.float64)
+        if dlogits.shape != (len(rows),):
+            raise ShapeError(
+                f"dlogits: expected shape ({len(rows)},) for the forward's batch, "
+                f"got {dlogits.shape}"
+            )
+        grads, d_emb = self._backward(tape, dlogits)
         if d_emb is not None:
             grads.update(self.embedding.grads(rows, d_emb))
         return grads
@@ -552,22 +567,6 @@ class DagfmModel(Model):
     def _weights(self, t: int) -> str:
         """Store name of an ``inner`` or ``kernel`` layer's edge weights."""
         return f"dag.w{t}" if self.dag.kind == "inner" else f"dag.K{t}"
-
-    def set_identity_edge_weights(self) -> None:
-        """Reset edge weights to the values that reduce every combiner to the
-        plain elementwise product: the declared initialisers of ``inner``
-        (ones) and ``kernel`` (identity matrices); for the rank-1 ``outer``
-        combiner, p = q = 1, which is the identity only at d=1."""
-        d = self.embed_dim
-        outer = self.dag.kind == "outer"
-        if outer and d != 1:
-            raise ConfigurationError(
-                "outer weights are rank-1 and cannot express the identity "
-                f"matrix for embed_dim={d}; identity exists only at d=1"
-            )
-        for name, shape, init in self.dag.layout(self.vocab_sizes):
-            if name.startswith("dag."):
-                self.store.set(name, np.ones(shape) if outer else init(shape))
 
     # -- forward ----------------------------------------------------------------
 
@@ -727,7 +726,6 @@ class DagfmModel(Model):
         # the block plan at every batch size: a small batch's dense forward
         # wrote all of S, and these read only its lower blocks
         jj, ii = self._jj, self._ii
-        # the weights are the tape's, the forward's, whatever was written since
         pT, q, S = cache
         m, B, _ = h.shape
         # dS[i, j, b] = q[i, j] . dU[i, b]: per target i a (B, d) x (d, n)

@@ -31,18 +31,20 @@ def _read_dat(path, n_cols: int, what: str):
             yield line_no, parts
 
 
-def convert_movielens(ratings_path, users_path, movies_path, out_csv) -> int:
-    """Write the joined CSV; returns the number of instances written."""
+def convert_movielens(ml_dir, out_csv) -> int:
+    """Write the CSV joined from an ml-1m directory's ``ratings.dat``,
+    ``users.dat`` and ``movies.dat``; returns the number of instances written."""
+    ml_dir = Path(ml_dir)
     users = {}
-    for _, (uid, gender, age, occupation, zipcode) in _read_dat(users_path, 5, "users"):
+    for _, (uid, gender, age, occupation, zipcode) in _read_dat(ml_dir / "users.dat", 5, "users"):
         users[uid] = (gender, age, occupation, zipcode)
     movies = {}
-    for _, (mid, _title, genres) in _read_dat(movies_path, 3, "movies"):
+    for _, (mid, _title, genres) in _read_dat(ml_dir / "movies.dat", 3, "movies"):
         movies[mid] = genres
     n = 0
     with open(out_csv, "w", encoding="utf-8") as out:
         out.write(",".join(["label", *FIELDS]) + "\n")
-        for line_no, (uid, mid, rating, _ts) in _read_dat(ratings_path, 4, "ratings"):
+        for line_no, (uid, mid, rating, _ts) in _read_dat(ml_dir / "ratings.dat", 4, "ratings"):
             if uid not in users:
                 raise ParseError(f"ratings line {line_no}: unknown user {uid}")
             if mid not in movies:
@@ -56,10 +58,3 @@ def convert_movielens(ratings_path, users_path, movies_path, out_csv) -> int:
             n += 1
     return n
 
-
-def convert_movielens_dir(ml_dir, out_csv) -> int:
-    """Convenience wrapper over the standard ml-1m directory layout."""
-    ml_dir = Path(ml_dir)
-    return convert_movielens(
-        ml_dir / "ratings.dat", ml_dir / "users.dat", ml_dir / "movies.dat", out_csv
-    )

@@ -4,10 +4,13 @@ On the full lower-triangular graph the state of node ``i`` after ``t - 1``
 propagation steps must equal a sum over all non-decreasing index tuples
 ``(j_1 <= ... <= j_t = i)``: each tuple is one path through the graph, and
 its value is the fold of the combiner along that path.  With identity-valued
-edge weights the fold is a plain elementwise embedding product, which is the
-classic dynamic-programming correspondence; with arbitrary weights the fold
-applies each traversed edge's weights, which covers the rank-1 (outer)
-combiner that has no identity configuration for d > 1.
+edge weights the fold is a plain elementwise embedding product
+(:func:`oracle_node_state`), which is the classic dynamic-programming
+correspondence; with arbitrary weights the fold applies each traversed
+edge's weights (:func:`oracle_node_state_weighted`).  The certification
+(:func:`assert_dp_equivalence`) runs the weighted fold for every combiner,
+over the weights a fresh student starts from: identity for inner and
+kernel, seeded rank-1 vectors for outer, which has no identity for d > 1.
 
 Everything here is deliberately slow and obvious — it is the reference the
 fast path is judged against, so it shares no code with the model's layers;
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interactions import DagfmModel, DagfmSpec, full_dag_pairs
+from .interactions import DagfmModel, DagfmSpec
 from .interactions import phi_basic_inner, phi_inner, phi_kernel, phi_outer
 from .numcore import ConfigurationError
 
@@ -149,18 +152,6 @@ def _model_edge_weights(model: DagfmModel) -> list[dict]:
     return layers
 
 
-def build_identity_model(
-    kind: str, num_fields: int, embed_dim: int, num_layers: int, embeddings: np.ndarray
-) -> DagfmModel:
-    """A student whose edge weights are the combiner's identity values and
-    whose embedding table holds exactly the given (m, d) rows, one per field."""
-    spec = DagfmSpec(kind, num_fields, embed_dim, num_layers)
-    model = DagfmModel(spec, [1] * num_fields, seed=0)
-    model.set_identity_edge_weights()
-    model.store.set("emb", embeddings)
-    return model
-
-
 @dataclass
 class DpEquivalenceReport:
     """Per-node deviations between propagation and enumeration.
@@ -204,15 +195,15 @@ def assert_dp_equivalence(
     seed: int = 0,
     tol: float = 1e-10,
     raise_on_fail: bool = True,
-    edges: list[tuple[int, int]] | None = None,
 ) -> DpEquivalenceReport:
-    """Compare every node state of a student against the brute-force path
-    enumeration, order by order, in float64.
+    """Compare every node state of a fresh full-graph student against the
+    brute-force path enumeration, order by order, in float64.
 
-    The basic-inner, inner, and kernel combiners are pinned at their identity
-    weights and checked against the plain product-sum oracle.  The outer
-    combiner cannot represent identity for d > 1, so it keeps its seeded
-    random vectors and is checked against the weighted path fold instead.
+    Every combiner is checked the same way: the weighted path fold over the
+    model's own initial edge weights.  Those are the identity values for
+    inner (ones) and kernel (identity matrices), so the fold is then the
+    plain product sum of :func:`oracle_node_state`; the rank-1 outer
+    combiner has no identity for d > 1 and is folded over its seeded vectors.
 
     Intentionally capped at small sizes: the enumeration is exponential and
     exists only to certify the propagation arithmetic.
@@ -226,36 +217,20 @@ def assert_dp_equivalence(
             f"enumeration oracle capped at order {MAX_ORACLE_ORDER}; "
             f"{num_layers} layers reaches order {num_layers + 1}"
         )
-    if edges is not None and tuple(sorted(edges)) != tuple(sorted(full_dag_pairs(num_fields))):
-        raise ConfigurationError(
-            "path enumeration equals propagation only on the full graph; "
-            "got a masked edge list"
-        )
     rng = np.random.default_rng(seed)
     embeddings = rng.normal(size=(num_fields, embed_dim))
-    if kind == "outer":
-        model = DagfmModel(
-            DagfmSpec(kind, num_fields, embed_dim, num_layers), [1] * num_fields, seed=seed
-        )
-        model.store.set("emb", embeddings)
-        weights = _model_edge_weights(model)
-
-        def expected_state(i: int, order: int) -> np.ndarray:
-            return oracle_node_state_weighted(kind, embeddings, weights, i, order)
-
-    else:
-        model = build_identity_model(kind, num_fields, embed_dim, num_layers, embeddings)
-
-        def expected_state(i: int, order: int) -> np.ndarray:
-            return oracle_node_state(embeddings, i, order)
-
+    model = DagfmModel(
+        DagfmSpec(kind, num_fields, embed_dim, num_layers), [1] * num_fields, seed=seed
+    )
+    model.store.set("emb", embeddings)
+    weights = _model_edge_weights(model)
     _, trace = model.forward_trace(np.zeros((1, num_fields), dtype=np.int64))
     deviations: dict[tuple[int, int], float] = {}
     worst = 0.0
     for order in range(1, num_layers + 2):
         state = trace.node_states[order - 1][0]
         for i in range(1, num_fields + 1):
-            expected = expected_state(i, order)
+            expected = oracle_node_state_weighted(kind, embeddings, weights, i, order)
             rel = np.abs(state[i - 1] - expected) / (np.abs(expected) + DEVIATION_FLOOR)
             dev = float(np.max(rel))
             deviations[(order, i)] = dev

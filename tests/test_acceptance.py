@@ -252,14 +252,14 @@ def test_criterion_7_movielens_stretch(tmp_path):
             "or place it under data/ml-1m); informational only, never gates"
         )
     t0 = time.perf_counter()
-    from dagfm.movielens import convert_movielens_dir
+    from dagfm.movielens import convert_movielens
     from dagfm.data import build_vocab, load_dataset, split_dataset
     from dagfm.distill import StageConfig, distill_student, evaluate, finetune_student, train_teacher
     from dagfm.interactions import DagfmModel
     from dagfm.teachers import CrossNetModel
 
     csv = tmp_path / "ml1m.csv"
-    convert_movielens_dir(ml_dir, csv)
+    convert_movielens(ml_dir, csv)
     schema = build_vocab(csv, min_freq=0)
     split = split_dataset(load_dataset(csv, schema), seed=42)
     teacher = CrossNetModel(CrossNetSpec(7, 16, 3), schema.vocab_sizes(), seed=0)

@@ -1,7 +1,9 @@
 """Checkpoint format, INI config parsing, and the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -30,7 +32,7 @@ from dagfm.checkpoint import (
     spec_from_dict,
     spec_to_dict,
 )
-from dagfm import cli
+from dagfm import checkpoint, cli
 from dagfm.cli import build_parser, main
 from dagfm.config import _KEYS, TEACHER_KINDS, RunConfig, load_config, parse_config
 from dagfm.data import Dataset, build_vocab, load_dataset, split_dataset
@@ -67,6 +69,20 @@ ALL_SPECS = [
     FwfmSpec(3, 2),
     FmfmSpec(3, 2),
     TinyMlpSpec(3, 2, hidden=(4,), activation="tanh"),
+]
+
+
+# sha256 of the checkpoint of each ALL_SPECS model whose k-th weight of every
+# parameter is (k % 13 - 6) / 16, as format version 3 has always written it
+SAVED_DIGESTS = [
+    "486e510eb2748df88cb9aa526d80d8d93c439089e1717c97d715207aecf14220",
+    "3f1bf2a89d6ce70555e74f3d9fa996252e93d99457a620f447864a176e158355",
+    "080f10d188e9e7263c4079229d013a610459073002e7e75300d39dca3591a172",
+    "b207b64006f2c80c308c708782904d07e0f754ed53fbb761862841552f2e2ea8",
+    "e29b4978db5fae26f56b21119d6d339e2de48a2f9294e8cbd34b8466b7ab0317",
+    "7a609d85dcd29e1c177713c60846bb62b47836f3986e9ba776d28a6071568081",
+    "75ce990764d34148d7640682fccf85d6cf2d8f746e56290154619ca519008b92",
+    "94e1a49dd83f41441513446da8243f0ab4a36260ccd613e5c409a092a9e9733d",
 ]
 
 
@@ -127,6 +143,11 @@ def _nested_header(header, payload):
     return b"[" * 100_000 + b"]" * 100_000, payload
 
 
+def _huge_int_header(header, payload):
+    """A header holding an integer of more digits than int() converts."""
+    return b'{"version": 1' + b"0" * 5000 + b"}", payload
+
+
 def _first_entry(**fields):
     return _header_edit(lambda h: h["manifest"][0].update(fields))
 
@@ -149,6 +170,12 @@ CORRUPTIONS = {
     "negative-shape": (_first_entry(shape=[-1, 2]), "shape"),
     "shape-mismatch": (_first_entry(shape=[2, 3]), "shape"),
     "object-dtype": (_first_entry(dtype="|O"), "dtype"),
+    # a payload is float64 only: every other dtype string, numpy's or not
+    "f4-dtype": (_first_entry(dtype="<f4"), "dtype '<f4' is not '<f8'"),
+    "f2-dtype": (_first_entry(dtype="<f2"), "dtype '<f2' is not '<f8'"),
+    "big-endian-dtype": (_first_entry(dtype=">f8"), "dtype '>f8' is not '<f8'"),
+    "comma-dtype": (_first_entry(dtype="f8,,"), "dtype 'f8,,' is not '<f8'"),
+    "list-dtype": (_first_entry(dtype=["<f8"]), r"dtype \['<f8'\] is not '<f8'"),
     "nan-weights": (_nan_first_weight, "non-finite"),
     "string-num-fields": (
         _header_edit(lambda h: h["config"].update(num_fields="3")), "config: num_fields"
@@ -178,6 +205,7 @@ CORRUPTIONS = {
     "v2-header": (_header_edit(lambda h: h.update(version=2)), "version"),
     "kind-mismatch": (_header_edit(lambda h: h.update(kind="cin")), "kind"),
     "nested-header": (_nested_header, "corrupt header: maximum recursion depth"),
+    "huge-int-header": (_huge_int_header, "corrupt header: Exceeds the limit"),
 }
 
 
@@ -188,6 +216,7 @@ BAD_SCHEMAS = {
     "not-utf8": ("\xff{}", "not UTF-8"),
     "bad-json": ('{"fields": [', "not valid JSON"),
     "nested-too-deep": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+    "huge-int": ('{"fields": [], "min_freq": 1' + "0" * 5000 + "}", "not valid JSON"),
     "not-an-object": ("[1, 2]", "JSON object"),
     "missing-fields": ('{"x": 1}', "'fields' list"),
     "fields-not-a-list": ('{"fields": 3}', "'fields' list"),
@@ -202,7 +231,14 @@ BAD_SCHEMAS = {
     "repeated-value": ('{"fields": [%s, {"name": "a", "values": ["x", "y", "x"]}]}' % _GOOD_FIELD,
                        "field 1 'a' repeats the value 'x'"),
     "bad-min-freq": ('{"fields": [{"name": "a", "values": []}, %s], "min_freq": "x"}'
-                     % _GOOD_FIELD, "bad schema"),
+                     % _GOOD_FIELD, "min_freq must be an int >= 0, got 'x'"),
+    # each loaded through int() once, and saved again as the int it gave
+    **{
+        f"min-freq-{name}": ('{"fields": [{"name": "a", "values": []}, %s], "min_freq": %s}'
+                             % (_GOOD_FIELD, value), f"min_freq must be an int >= 0, got {shown}")
+        for name, value, shown in [("negative", "-3", "-3"), ("float", "1.9", "1.9"),
+                                   ("string", '"2"', "'2'"), ("bool", "true", "True")]
+    },
 }
 
 
@@ -400,9 +436,49 @@ class TestCheckpointFiles:
         header = json.loads(raw[8 : 8 + hlen])
         header["manifest"] = header["manifest"][:-1]
         blob = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + hlen : -nbytes])
+        # the payload stays whole, so that the file passes the size guard
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + hlen :])
         with pytest.raises(CheckpointError, match="missing parameters"):
             load_checkpoint(path)
+
+    def test_one_weight_short_fails_at_the_guard(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(DagfmModel(DagfmSpec("inner", 3, 2, 1), VOCAB, seed=0), path)
+        path.write_bytes(path.read_bytes()[:-8])
+
+        def unreached(*args):
+            raise AssertionError("the manifest was read")
+
+        # the guard runs before the manifest is read, so before any weight is allocated
+        monkeypatch.setattr(checkpoint, "_payload_plan", unreached)
+        with pytest.raises(CheckpointError, match="^truncated payload"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("spec, digest", list(zip(ALL_SPECS, SAVED_DIGESTS)),
+                             ids=[type(s).__name__ for s in ALL_SPECS])
+    def test_saved_bytes_are_the_documented_layout(self, spec, digest, tmp_path):
+        # the prefix, the sorted JSON header and each parameter as
+        # little-endian float64, over weights exact in binary
+        layout = list(spec.layout(VOCAB))
+        values = {name: (np.arange(math.prod(shape)) % 13 - 6).reshape(shape) / 16.0
+                  for name, shape, _ in layout}
+        model = type(build_model(spec, VOCAB)).from_values(spec, VOCAB, values)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        header = {
+            "version": FORMAT_VERSION,
+            "kind": model.kind,
+            "config": spec_to_dict(spec),
+            "vocab_sizes": VOCAB,
+            "manifest": [{"name": name, "shape": list(shape), "dtype": "<f8"}
+                         for name, shape, _ in layout],
+        }
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        payload = b"".join(struct.pack(f"<{v.size}d", *v.reshape(-1)) for v in values.values())
+        raw = path.read_bytes()
+        assert raw == struct.pack("<Q", len(blob)) + blob + payload
+        # and the pinned bytes: a format change shows here, not only in the reference above
+        assert hashlib.sha256(raw).hexdigest() == digest
 
     @pytest.mark.parametrize("edit, pattern", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
     def test_crafted_corruption_rejected(self, edit, pattern, tmp_path):
@@ -1599,29 +1675,16 @@ class TestMovielens:
         assert dataset.indices.shape == (3, 7)
         assert list(dataset.labels) == [1, 0, 1]
 
-    def test_explicit_file_flags(self, ml_dir, tmp_path):
-        out = tmp_path / "ml.csv"
-        rc = main(
-            [
-                "convert-movielens",
-                "--ratings", str(ml_dir / "ratings.dat"),
-                "--users", str(ml_dir / "users.dat"),
-                "--movies", str(ml_dir / "movies.dat"),
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-
-    def test_missing_flags_exit_one(self, ml_dir, tmp_path, capsys):
-        rc = main(
-            [
-                "convert-movielens",
-                "--ratings", str(ml_dir / "ratings.dat"),
-                "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert rc == 1
-        assert "missing" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--ratings", "--dir"])
+    def test_the_directory_is_the_one_input(self, flag, ml_dir, tmp_path, capsys):
+        # --ratings/--users/--movies are no flags, and --dir is required
+        argv = ["--dir", str(ml_dir), "--ratings", str(ml_dir / "ratings.dat")] \
+            if flag == "--ratings" else []
+        rc = main(["convert-movielens", *argv, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_user_exits_one(self, ml_dir, tmp_path, capsys):
         (ml_dir / "ratings.dat").write_text("9::10::4::1\n", encoding="latin-1")

@@ -43,6 +43,14 @@ class TestBuildVocab:
         assert schema.oov_index(0) == 1
         assert schema.vocabs[1] == {}  # x,y,z all below threshold
 
+    @pytest.mark.parametrize("min_freq", [-1, 1.5, True, "2"], ids=repr)
+    def test_min_freq_is_a_plain_nonnegative_int(self, min_freq, tmp_path):
+        # checked at entry, before the (missing) file is opened
+        with pytest.raises(SchemaError, match=f"min_freq must be an int >= 0, got {min_freq!r}"):
+            build_vocab(tmp_path / "missing.csv", min_freq=min_freq)
+        with pytest.raises(SchemaError, match="min_freq must be an int >= 0"):
+            FieldSchema(names=["f1", "f2"], vocabs=[{}, {}], min_freq=min_freq)
+
     def test_min_freq_zero_keeps_everything(self, tmp_path):
         path = write(tmp_path, "label,f1,f2\n1,a,x\n0,b,y\n")
         schema = build_vocab(path, min_freq=0)
@@ -182,10 +190,11 @@ class TestSchemaJson:
             FieldSchema.from_json(json.dumps(doc))
         assert str(raised.value) == text
 
-    @pytest.mark.parametrize("min_freq", ["Infinity", "NaN", "[1]", '"x"'])
+    @pytest.mark.parametrize(
+        "min_freq", ["Infinity", "NaN", "[1]", '"x"', "-3", "1.9", '"2"', "true", "2.0"])
     def test_a_non_integer_min_freq_is_a_schema_error(self, min_freq):
         fields = '[{"name": "a", "values": []}, {"name": "b", "values": []}]'
-        with pytest.raises(SchemaError, match="bad schema"):
+        with pytest.raises(SchemaError, match="min_freq must be an int >= 0"):
             FieldSchema.from_json(f'{{"fields": {fields}, "min_freq": {min_freq}}}')
 
     def test_deeply_nested_file_is_a_schema_error(self, tmp_path):
@@ -548,4 +557,9 @@ class TestSchemaFuzz:
             assert values == field["values"]
             assert all(type(v) is str for v in values) and len(set(values)) == len(values)
             assert sorted(schema.vocabs[f].values()) == list(range(len(values)))
-        assert FieldSchema.from_json(schema.to_json()).vocabs == schema.vocabs
+        # min_freq loads as the plain int >= 0 it was, and saves as it loaded
+        min_freq = doc.get("min_freq", 0)
+        assert type(min_freq) is int and min_freq >= 0 and schema.min_freq == min_freq
+        again = FieldSchema.from_json(schema.to_json())
+        assert again.vocabs == schema.vocabs and type(again.min_freq) is int
+        assert again.min_freq == min_freq

@@ -61,9 +61,15 @@ assert {type(spec) for spec in FAMILY_SPECS} == {cls.spec_type for cls in MODELS
 
 def identity_model(kind, m, d, layers, embeddings):
     """Single-row-vocab model whose embeddings are pinned to the given rows
-    and whose edge weights reduce the combiner to a plain product."""
+    and whose edge weights reduce the combiner to a plain product: the
+    initial ones and identity matrices of inner and kernel, and for outer
+    p = q = 1, the identity only at d=1."""
     model = DagfmModel(DagfmSpec(kind, m, d, layers), [1] * m, seed=0)
-    model.set_identity_edge_weights()
+    if kind == "outer":
+        assert d == 1, "rank-1 outer weights express the identity only at d=1"
+        for t in range(layers):
+            for name in (f"dag.p{t}", f"dag.q{t}"):
+                model.store.set(name, np.ones_like(model.store[name]))
     model.store.set("emb", np.asarray(embeddings, dtype=np.float64).reshape(m, d))
     return model
 
@@ -365,10 +371,7 @@ class TestPropagation:
             assert g.tobytes() == trained[name].tobytes(), name
 
     def test_outer_identity_only_at_d1(self):
-        model = DagfmModel(DagfmSpec("outer", 3, 2, 1), [2] * 3)
-        with pytest.raises(ConfigurationError):
-            model.set_identity_edge_weights()
-        # and at d=1 it reduces to the plain product chain
+        # at d=1, p = q = 1 reduces outer to the plain product chain
         m1 = identity_model("outer", 3, 1, 2, [1, 2, 3])
         _, trace = m1.forward_trace(np.zeros((1, 3), dtype=np.int64))
         np.testing.assert_allclose(trace.node_states[1][0, :, 0], [1, 6, 18])
@@ -982,15 +985,19 @@ class TestOuterOrientation:
                 assert a.flags.c_contiguous and not a.flags.writeable
 
     @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
-    def test_a_write_between_forward_and_backward_leaves_its_gradients(self, plus, rng):
+    def test_a_write_between_forward_and_backward_is_a_typed_error(self, plus, rng):
         model, _ = self.models(plus, 23, 4, rng, layers=2)
         idx = rng.integers(0, 4, size=(30, 23))
         dlogits = rng.normal(size=30)
         model.forward(idx)
-        expected = model.backward(dlogits)
-        model.forward(idx)
         model.store.set("dag.p0", model.store["dag.p0"] + 1.0)
-        assert_same_bits(model.backward(dlogits), expected)
+        with pytest.raises(ConfigurationError, match="written since"):
+            model.backward(dlogits)
+        # a forward on the new weights runs backward again, as a fresh model
+        model.forward(idx)
+        fresh = type(model).from_values(model.spec, model.vocab_sizes, model.store.snapshot())
+        fresh.forward(idx)
+        assert_same_bits(model.backward(dlogits), fresh.backward(dlogits))
 
 
 class TestTape:
@@ -1060,6 +1067,34 @@ class TestTape:
             model.forward(bad)
         with pytest.raises(ConfigurationError, match="forward"):
             model.backward(dlogits)  # not the batch before the failed call
+
+    @pytest.mark.parametrize("write", ["set", "adam_step"])
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_backward_after_a_store_write_is_a_typed_error(self, tag, write, rng):
+        model, idx, _ = random_small_model(tag, rng)
+        dlogits = rng.normal(size=len(idx))
+        model.forward(idx)
+        grads = model.backward(dlogits)
+        if write == "set":
+            name = model.store.names()[-1]
+            model.store.set(name, model.store[name] * 2.0)
+        else:
+            adam_step(model.store, grads, lr=1e-2)
+        with pytest.raises(ConfigurationError, match="written since") as raised:
+            model.backward(dlogits)
+        assert not isinstance(raised.value, ShapeError)
+        model.forward(idx)
+        model.backward(dlogits)
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_dlogits_of_another_shape_is_a_shape_error(self, tag, rng):
+        model, idx, _ = random_small_model(tag, rng)
+        B = len(idx)
+        model.forward(idx)
+        for shape in [(1,), (), (B, 1), (B + 1,)]:
+            with pytest.raises(ShapeError, match=rf"\({B},\)"):
+                model.backward(np.ones(shape))
+        model.backward(np.ones(B))  # the tape is still the forward's
 
     @pytest.mark.parametrize("cls", MODELS)
     def test_only_the_base_keeps_the_tape(self, cls):

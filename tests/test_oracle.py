@@ -14,7 +14,6 @@ from dagfm.oracle import (
     MAX_ORACLE_ORDER,
     DpEquivalenceReport,
     assert_dp_equivalence,
-    build_identity_model,
     enumerate_suffix_set,
     oracle_node_state,
     oracle_node_state_weighted,
@@ -234,16 +233,6 @@ class TestDpEquivalence:
         }
         assert str(report).count("order") == 9
 
-    def test_explicit_full_edge_list_accepted(self):
-        edges = list(full_dag_pairs(4))
-        report = assert_dp_equivalence("basic-inner", 4, 1, 1, edges=edges)
-        assert report.passed
-
-    def test_masked_edges_refused(self):
-        edges = [e for e in full_dag_pairs(4) if e != (0, 3)]
-        with pytest.raises(ConfigurationError, match="masked"):
-            assert_dp_equivalence("basic-inner", 4, 1, 1, edges=edges)
-
     def test_size_caps(self):
         with pytest.raises(ConfigurationError):
             assert_dp_equivalence("inner", MAX_ORACLE_FIELDS + 1, 1, 1)
@@ -253,10 +242,10 @@ class TestDpEquivalence:
     def test_mismatch_raises_with_report(self, monkeypatch):
         import dagfm.oracle as oracle_mod
 
-        def wrong_state(embeddings, i, t):
-            return oracle_node_state(embeddings, i, t) + 1.0
+        def wrong_state(kind, embeddings, edge_weights, i, t):
+            return oracle_node_state_weighted(kind, embeddings, edge_weights, i, t) + 1.0
 
-        monkeypatch.setattr(oracle_mod, "oracle_node_state", wrong_state)
+        monkeypatch.setattr(oracle_mod, "oracle_node_state_weighted", wrong_state)
         with pytest.raises(AssertionError, match="MISMATCH"):
             assert_dp_equivalence("inner", 3, 2, 1)
         report = assert_dp_equivalence("inner", 3, 2, 1, raise_on_fail=False)
@@ -277,17 +266,21 @@ class TestDpEquivalence:
         assert "MISMATCH" in text and "<-- MISMATCH" in text
 
     def test_identity_model_states_match_plain_oracle(self, rng):
+        # a fresh inner or kernel student starts at its identity weights, so
+        # its states are the plain product sums with no weights set
         emb = rng.normal(size=(3, 2))
-        model = build_identity_model("kernel", 3, 2, 2, emb)
-        _, trace = model.forward_trace(np.zeros((1, 3), dtype=np.int64))
-        for t in range(1, 4):
-            for i in range(1, 4):
-                assert np.allclose(
-                    trace.node_states[t - 1][0, i - 1],
-                    oracle_node_state(emb, i, t),
-                    rtol=1e-10,
-                    atol=1e-12,
-                )
+        for kind in ("inner", "kernel"):
+            model = DagfmModel(DagfmSpec(kind, 3, 2, 2), [1] * 3, seed=int(rng.integers(1 << 30)))
+            model.store.set("emb", emb)
+            _, trace = model.forward_trace(np.zeros((1, 3), dtype=np.int64))
+            for t in range(1, 4):
+                for i in range(1, 4):
+                    assert np.allclose(
+                        trace.node_states[t - 1][0, i - 1],
+                        oracle_node_state(emb, i, t),
+                        rtol=1e-10,
+                        atol=1e-12,
+                    ), (kind, t, i)
 
     def test_deviation_floor_value(self):
         assert DEVIATION_FLOOR == 1e-12
