@@ -336,6 +336,7 @@ def _run_stage(
             if val.auc > best_auc:
                 best_auc, best_epoch = val.auc, epoch
                 if restore_best:
+                    best_snap = None  # the old copy goes before the new one is made
                     best_snap = model.store.snapshot()
             elif epoch - best_epoch >= stage.patience > 0:
                 break

@@ -31,8 +31,11 @@ tape for ``backward``; ``score`` runs it without, and the core then returns
 no tape and holds nothing, while it runs, that only a backward would read.
 Only ``Model`` keeps a tape between calls; :class:`MlpTower` returns its own.
 ``Model.backward`` runs a core only against its own forward: on the weights
-that forward read (the store's ``version`` then) and with one ``dlogits``
-entry per row of its batch, so that no core checks either.
+that forward read (the store's ``version`` then), with the table trainable
+or frozen as it was then, and with one ``dlogits`` entry per row of its
+batch, so that no core checks any of these. A backward consumes its tape:
+``Model`` lets go of it before the core runs, and ``_backward`` drops each
+part of it once it has read it.
 
 The student works field-major: one contiguous (L+1, m, B, d) buffer holds
 every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
@@ -46,11 +49,14 @@ runs. ``outer`` runs two GEMMs per layer: per source ``j`` a
 ``pT[j]`` gives the edge scalars ``S[j, i, b] = p[j, i] . h[j, b]`` over n
 targets, written F-ordered into ``S[j]``, and per target ``i`` a
 (B, n) x (n, d) product reads ``S`` as an F-ordered operand over n sources.
-Its backward is four GEMMs over the same ``S`` and the same buffer, with no
-copy of either: ``dS`` is formed as ``S`` is, from ``qT[i]``, and the other
-three read ``S`` and ``dS`` as the forward's second GEMM reads ``S``.
-``qT`` and ``p`` are contiguous transposes of the tape's ``(pT, q)``, so a
-backward reads the weights of the forward that made its tape. The
+The tape keeps no ``S``, which is (m, m, B) a layer against the state's
+(m, B, d): backward forms it again by the forward's own calls, so bitwise
+as the forward did, and then runs four GEMMs over it and the same buffer,
+with no copy of either: ``dS`` is formed as ``S`` is, from ``qT[i]``, and
+the other three read ``S`` and ``dS`` as the forward's second GEMM reads
+``S``. ``qT`` and ``p`` are contiguous transposes of the tape's
+``(pT, q)``, so a backward reads the weights of the forward that made its
+tape. The
 edge-scalar GEMMs sum over only d terms, and BLAS runs them fastest with
 the batch as their rows: at m=39, d=16 and 16 rows one layer's ``S`` took
 11.4 us this way against 21.5 us as the (n, d) x (d, B) product over
@@ -63,7 +69,8 @@ zero, and never read the parts of ``S`` they leave unwritten. With one
 block, n = m and each is one dense batched GEMM. A forward of fewer than
 :data:`SMALL_ROWS` rows runs its two GEMMs dense at any m, since there a
 block's call overhead outweighs the upper blocks' arithmetic; its backward
-still reads only the lower blocks of ``S``. ``basic-inner`` is one
+forms ``S`` again densely and still reads only its lower blocks.
+``basic-inner`` is one
 (m, m) x (m, B*d) GEMM with the transposed adjacency matrix. ``inner`` and
 ``kernel`` are the bilinear pair GEMM that :class:`PairGemm` lays out,
 shared with the FwFM and FmFM baselines: one (B, m) x (m, m) GEMM per
@@ -73,9 +80,13 @@ every state set is one matrix-vector product of the buffer with
 ``ones(d)``, and the head is another. The combiner's GEMMs are resolved
 once, when the model is built; ``_forward`` resolves every layer's dense
 weights and the ``outer`` plan once per call, and its tape is the state
-buffer, each layer's aggregate and GEMM operands and the pooled values. It
-builds no trace: ``forward_trace`` runs the core on a buffer of its own
-and returns a :class:`PropagationTrace` of views of it. Public shapes stay
+buffer, each layer's dense weights (and ``outer``'s source plan), each
+layer's aggregate when the table takes a gradient, and the pooled values:
+at most (2L+1) m B d floats and the pooled values, and with a frozen table
+(L+1) m B d. A frozen table's forward writes each aggregate into its state
+slot, as a scoring run does. It builds no trace: ``forward_trace`` runs the
+core on a buffer of its own and returns a :class:`PropagationTrace` of
+views of it. Public shapes stay
 batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
 arrays, as views where they can. The per-pair ``phi_*`` functions are the
 reference the layers are tested against.
@@ -83,7 +94,9 @@ reference the layers are tested against.
 :class:`DagfmPlusModel` adds an MLP tower to the logit. The tower reads one
 slice of the state axis, every state set or the last one
 (:attr:`DagfmPlusSpec.fed_states`), and its input gradient flows back into
-that slice. Every tower obeys :func:`check_mlp` and :data:`ACTIVATIONS`.
+that slice. The tape keeps no copy of the tower's input: backward reads it
+from the state buffer again. Every tower obeys :func:`check_mlp` and
+:data:`ACTIVATIONS`.
 
 With identity-valued weights and the full lower-triangular edge set, node
 ``i`` at layer ``t`` is exactly the sum of all order-``t`` products of
@@ -405,7 +418,9 @@ class Model:
 
     kind = "?"
     spec_type = None
-    _cache = None  # the table rows, tape and ``store.version`` of the latest ``forward``
+    # the table rows, tape, ``store.version`` and table trainability of the
+    # latest ``forward``, until a ``backward`` takes them
+    _cache = None
     _layouts_at = None  # the ``store.version`` that ``_layouts`` were built at
 
     def __init__(self, spec, vocab_sizes, seed: int = 0):
@@ -458,12 +473,12 @@ class Model:
     def forward(self, idx: np.ndarray) -> np.ndarray:
         """One logit per row of an index batch. Releases the previous call's
         tape first, checks the batch once (``EmbeddingTable.table_rows``)
-        and keeps the table rows, the family's tape and the store's version
-        for ``backward``."""
+        and keeps the table rows, the family's tape, the store's version and
+        whether the table is trainable for one ``backward``."""
         self._cache = None  # the last tape goes before this one is allocated
         rows = self.embedding.table_rows(idx)
         logits, tape = self._forward(rows, keep=True)
-        self._cache = (rows, tape, self.store.version)
+        self._cache = (rows, tape, self.store.version, self.store.is_trainable("emb"))
         return logits
 
     def score(self, idx: np.ndarray) -> np.ndarray:
@@ -475,16 +490,24 @@ class Model:
     def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Analytic gradients of every parameter given d(loss)/d(logit), one
         per row, of the latest forward, on the weights it read; the table's
-        over the rows that forward read, and none for a frozen table."""
+        over the rows that forward read, and none for a frozen table. Once
+        its checks pass it consumes the forward's tape: the model holds
+        nothing of it afterwards, and a second backward is an error."""
         if self._cache is None:
             raise ConfigurationError(
-                "backward needs a forward that returned: no forward has run since "
-                "the model was built, or the latest one raised"
+                "backward needs the tape of a forward that returned: no forward has run "
+                "since the model was built, the latest one raised, or a backward has "
+                "consumed its tape"
             )
-        rows, tape, version = self._cache
+        rows, tape, version, trainable = self._cache
         if version != self.store.version:
             raise ConfigurationError(
                 "backward needs the weights its forward read: the store was written since"
+            )
+        if trainable != self.store.is_trainable("emb"):
+            raise ConfigurationError(
+                "backward needs the table as its forward read it: the table was "
+                f"{'frozen' if trainable else 'unfrozen'} since"
             )
         dlogits = np.asarray(dlogits, dtype=np.float64)
         if dlogits.shape != (len(rows),):
@@ -492,7 +515,9 @@ class Model:
                 f"dlogits: expected shape ({len(rows)},) for the forward's batch, "
                 f"got {dlogits.shape}"
             )
+        self._cache = None  # the core drops each part of the tape once read
         grads, d_emb = self._backward(tape, dlogits)
+        del tape  # before the table's gradient is scattered
         if d_emb is not None:
             grads.update(self.embedding.grads(rows, d_emb))
         return grads
@@ -590,19 +615,22 @@ class DagfmModel(Model):
 
     def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         """The logits, and with ``keep`` a tape of the state buffer, each
-        layer's aggregate and GEMM operands and the pooled values. It builds
-        no :class:`PropagationTrace`; see :meth:`forward_trace`."""
+        layer's GEMM operands and, when the table is trainable, aggregate,
+        and the pooled values. It builds no :class:`PropagationTrace`; see
+        :meth:`forward_trace`."""
         logits, tape = self._propagate(rows, keep)
         return logits, tape if keep else None
 
     def _propagate(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
         """The logits and ``(H, layer_tapes, pooled)``, ``layer_tapes``
-        empty unless ``keep``. The dense weights of every layer and the
-        ``outer`` plan are resolved once per call: below :data:`SMALL_ROWS`
-        rows each ``outer`` product is one dense GEMM, from there on the
-        block-triangular ones. Without ``keep`` a layer's GEMM writes its
-        aggregate into the next slot where it can, and its operands go
-        before the next layer runs."""
+        empty unless ``keep``: per layer its aggregate, ``None`` for a
+        frozen table, and its GEMM cache. The dense weights of every layer
+        and the ``outer`` plan are resolved once per call: below
+        :data:`SMALL_ROWS` rows each ``outer`` product is one dense GEMM,
+        from there on the block-triangular ones. Only the table's gradient
+        reads an aggregate, so unless ``keep`` and a trainable table keep it
+        a layer's GEMM writes its aggregate into the next slot where it can,
+        and its operands go before the next layer runs."""
         L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
         B = len(rows)
         # every state set, field-major: H[t, i] is node i's (B, d) block after t steps
@@ -611,13 +639,14 @@ class DagfmModel(Model):
         self.embedding.lookup(rows, out=E)
         gemms = self._layer_gemms[0]
         plan = (self._sources, self._targets) if B >= SMALL_ROWS else (_ONE_BLOCK, _ONE_BLOCK)
+        keep_agg = keep and self.store.is_trainable("emb")
         layer_tapes = []
         for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
-            agg, cache = gemms(self, H[t], w, plan, None if keep else H[t + 1])
+            agg, cache = gemms(self, H[t], w, plan, None if keep_agg else H[t + 1])
             np.multiply(agg, E, out=H[t + 1])
             if keep:
-                layer_tapes.append((agg, cache))
-            del agg, cache  # else this layer's S would outlive the next one's
+                layer_tapes.append((agg if keep_agg else None, cache))
+            del agg, cache  # else this layer's own aggregate would outlive the next one's
         pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)  # state-major rows
         return self._head(pooled.T), (H, layer_tapes, pooled)
 
@@ -640,7 +669,8 @@ class DagfmModel(Model):
     # ``outer`` plan. Each returns ``(agg, cache)``: ``agg`` is (m, B, d),
     # maybe a transposed view, written into ``out`` (contiguous, field-major)
     # where the GEMM's layout allows, and the cache holds what the backward
-    # GEMMs read, in the layout they read it.
+    # GEMMs read, in the layout they read it, or what forms it again
+    # (``outer``'s edge scalars).
 
     def _adjacency_gemm(self, h, A, plan, out=None):
         m, B, d = h.shape
@@ -655,16 +685,13 @@ class DagfmModel(Model):
 
     def _outer_gemms(self, h, w, plan, out=None):
         (pT, q), (sources, targets) = w, plan  # pT[j, :, i] = p[j, i], q[i, j]
-        m, B, _ = h.shape
-        # S[j, i, b] = p[j, i] . h[j, b]: per source j a (B, d) x (d, n) GEMM
-        # over the contiguous pT[j], written F-ordered into S[j]
-        S = np.empty((m, m, B))
-        _tri_matmul(h, pT, sources, "cols", out=S.transpose(0, 2, 1))
+        S = _edge_scalars(h, pT, sources)
         # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, n) x (n, d)
         # GEMM; S.transpose(1, 2, 0) is F-ordered per target, so BLAS reads S
         # as it is, and so do the backward GEMMs
         agg = _tri_matmul(S.transpose(1, 2, 0), q, targets, "inner", out=out)
-        return agg, (pT, q, S)
+        # no S: backward forms it again from h, which the tape holds anyway
+        return agg, (pT, q, sources)
 
     # -- backward ---------------------------------------------------------------
 
@@ -694,9 +721,10 @@ class DagfmModel(Model):
         dh = dstate(n_states - 1, None)
         dE = np.zeros_like(E) if self.store.is_trainable("emb") else None
         for t in range(n_states - 2, -1, -1):
-            agg, cache = layer_tapes[t]
+            agg, cache = layer_tapes.pop()  # layer t's tape goes once it is read
             if dE is not None:
                 dE += dh * agg
+            del agg
             # only dE reads the embeddings' gradient d(state 0)
             wants_dh = t > 0 or dE is not None
             dh = gemms_backward(self, t, H[t], dh * E, cache, grads, wants_dh)
@@ -723,18 +751,21 @@ class DagfmModel(Model):
         return g.fields(dX @ K.transpose(0, 2, 1)) if wants_dh else None
 
     def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
-        # the block plan at every batch size: a small batch's dense forward
-        # wrote all of S, and these read only its lower blocks
+        # S again by the forward's own plan and calls, so bitwise the
+        # forward's; the rest run the block plan at every batch size: a small
+        # batch's dense S is whole, and they read only its lower blocks
         jj, ii = self._jj, self._ii
-        pT, q, S = cache
+        pT, q, sources = cache
         m, B, _ = h.shape
+        S = _edge_scalars(h, pT, sources)
+        dq = _tri_matmul(S.transpose(1, 0, 2), dU, self._targets, "rows")
+        grads[f"dag.q{t}"] = dq[ii, jj]  # (i, j, e)
+        del S, dq  # so that S and dS never coexist
         # dS[i, j, b] = q[i, j] . dU[i, b]: per target i a (B, d) x (d, n)
         # GEMM over the contiguous qT[i], written F-ordered into dS[i]
         dS = np.empty((m, m, B))
         qT = np.ascontiguousarray(q.transpose(0, 2, 1))
         _tri_matmul(dU, qT, self._targets, "cols", out=dS.transpose(0, 2, 1))
-        dq = _tri_matmul(S.transpose(1, 0, 2), dU, self._targets, "rows")
-        grads[f"dag.q{t}"] = dq[ii, jj]  # (i, j, e)
         dp = _tri_matmul(dS.transpose(1, 0, 2), h, self._sources, "rows")
         grads[f"dag.p{t}"] = dp[jj, ii]  # (j, i, e)
         if not wants_dh:
@@ -747,6 +778,17 @@ class DagfmModel(Model):
 
 # the plan of one dense GEMM per product: one block spans every field
 _ONE_BLOCK = ((slice(None), slice(None)),)
+
+
+def _edge_scalars(h: np.ndarray, pT: np.ndarray, sources) -> np.ndarray:
+    """An ``outer`` layer's (m, m, B) edge scalars ``S[j, i, b] = p[j, i] .
+    h[j, b]`` over the ``sources`` plan: per source j a (B, d) x (d, n) GEMM
+    over the contiguous ``pT[j]``, written F-ordered into ``S[j]``. Forward
+    and backward both form ``S`` here, by the same calls."""
+    m, B, _ = h.shape
+    S = np.empty((m, m, B))
+    _tri_matmul(h, pT, sources, "cols", out=S.transpose(0, 2, 1))
+    return S
 
 
 def _tri_matmul(x, y, cuts, mode: str, out=None) -> np.ndarray:
@@ -974,7 +1016,8 @@ def mlp_flops(widths: list[int]) -> FlopCount:
 
 class MlpTower:
     """Plain fully connected tower over the store's ``mlp.*`` parameters. It
-    keeps no state: ``forward`` returns the tape that ``backward`` reads."""
+    keeps no state: ``forward`` returns the tape that ``backward`` reads,
+    along with the input that the caller hands it again."""
 
     def __init__(self, store: ParamStore, widths: list[int], activation: str):
         self.store = store
@@ -984,28 +1027,34 @@ class MlpTower:
         self.names = list(zip(names[0::2], names[1::2]))
 
     def forward(self, x: np.ndarray, keep: bool = True) -> tuple[np.ndarray, tuple | None]:
-        """The (B,) outputs, and with ``keep`` the tape of every layer's
-        input and pre-activation."""
-        acts, pre = [x], []
+        """The (B,) outputs, and with ``keep`` the tape of every hidden
+        layer's output and pre-activation; not of ``x``."""
+        acts, pre = [], []
+        last = len(self.names) - 1
         for k, (wname, bname) in enumerate(self.names):
             z = x @ self.store[wname] + self.store[bname]
-            x = z if k == len(self.names) - 1 else self._act(z)
+            if k == last:
+                break
+            x = self._act(z)
             if keep:
                 pre.append(z)
                 acts.append(x)
-        return x[:, 0], (acts, pre) if keep else None
+        return z[:, 0], (acts, pre) if keep else None
 
-    def backward(self, tape, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """Store the tower's gradients in ``grads`` and return d(loss)/d(x)."""
+    def backward(self, x: np.ndarray, tape, dout: np.ndarray,
+                 grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Store the tower's gradients in ``grads`` and return d(loss)/d(x),
+        given the input ``x`` of the forward that made ``tape``. Each
+        layer's part of the tape goes once it is read."""
         acts, pre = tape
         delta = dout[:, None]
         for k in range(len(self.names) - 1, -1, -1):
             wname, bname = self.names[k]
-            grads[wname] = acts[k].T @ delta
+            grads[wname] = (acts.pop() if k else x).T @ delta
             grads[bname] = delta.sum(axis=0)
             delta = delta @ self.store[wname].T
             if k > 0:
-                delta = delta * self._grad(pre[k - 1])
+                delta = delta * self._grad(pre.pop())
         return delta
 
 
@@ -1013,7 +1062,9 @@ class DagfmPlusModel(DagfmModel):
     """DAG student with an MLP tower added to the logit (for distilling
     teachers that also carry implicit interactions). Its tape is the
     student's with the tower's appended; the tower reads the fed slice of
-    the state buffer, which the core returns with or without ``keep``."""
+    the state buffer, which the core returns with or without ``keep``, as a
+    batch-major array that the tape does not keep: backward forms it again
+    from the state buffer."""
 
     kind = "dagfm+"
     spec_type = DagfmPlusSpec
@@ -1026,19 +1077,22 @@ class DagfmPlusModel(DagfmModel):
         super()._setup()
         self.mlp = MlpTower(self.store, self.spec.widths, self.spec.activation)
 
+    def _tower_input(self, H: np.ndarray) -> np.ndarray:
+        """The fed slice of the state buffer (L+1, m, B, d), batch-major;
+        an explicit width, since reshape(0, -1) cannot infer one."""
+        fed = H[self.spec.fed_states]
+        return fed.transpose(2, 0, 1, 3).reshape(H.shape[2], self.spec.mlp_input_width)
+
     def _propagate(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
         logits, tape = super()._propagate(rows, keep)
-        fed = tape[0][self.spec.fed_states]  # of the state buffer, (L+1, m, B, d)
-        # batch-major; an explicit width, since reshape(0, -1) cannot infer one
-        x = fed.transpose(2, 0, 1, 3).reshape(len(rows), self.spec.mlp_input_width)
-        out, tower = self.mlp.forward(x, keep)
+        out, tower = self.mlp.forward(self._tower_input(tape[0]), keep)
         return logits + out, (*tape, tower)
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray | None]:
         *tape, tower = tape
         n_states, m, B, d = tape[0].shape
         grads: dict[str, np.ndarray] = {}
-        dx = self.mlp.backward(tower, dlogits, grads)
+        dx = self.mlp.backward(self._tower_input(tape[0]), tower, dlogits, grads)
         extra = [None] * n_states
         fed = self.spec.fed_states
         extra[fed] = dx.reshape(B, len(extra[fed]), m, d).transpose(1, 2, 0, 3)

@@ -13,7 +13,9 @@ keeps no tape. Each family here is only the pure core under it:
 ``_forward(rows, keep) -> (logits, tape)`` over the table rows that
 ``Model.forward`` or ``Model.score`` checked, the tape ``None`` unless
 ``keep``, and ``_backward(tape, dlogits) -> (grads, d_emb)``, whose
-``d_emb`` ``Model.backward`` scatters into the table.
+``d_emb`` ``Model.backward`` scatters into the table. A backward consumes
+its tape: the cross network's drops each layer's activations, and CIN's
+each row tile's maps, once it has read them.
 
 CIN reads the embeddings field-major (``EmbeddingTable.lookup``); the cross
 network, FwFM, FmFM and the tiny MLP read them batch-major
@@ -147,8 +149,9 @@ class CinModel(Model):
     # tile's flat rows: W is contracted first with u, the wider of a and b,
     # into S[h, v, r]; the narrower, v, then contracts S: x = sum_v S * v.
     # The tape, with keep, holds each tile's maps but the last, and G;
-    # backward recomputes the rest per tile. Without keep a tile's maps go
-    # when the next tile starts.
+    # backward recomputes the rest per tile and drops each tile's part of
+    # the tape once it has run it. Without keep a tile's maps go when the
+    # next tile starts.
     #   narrow layer (H < max(H_prev, m)): dv = sum_h S * g, and with the
     #     products O = g (x) v, dW = u O^T and du = W O, all (H*V, r) blocks.
     #   symmetric layer, a narrow first one (a wide first layer runs as any
@@ -235,7 +238,8 @@ class CinModel(Model):
         offsets = np.cumsum((0, *self.spec.layer_sizes))
         dE_all = np.empty((m, len(feats), d))
         any_wide = any(kind == "wide" for *_, kind in layers)
-        for rows, (maps, G) in zip(self._tiles(len(feats)), tiles):
+        for rows in self._tiles(len(feats)):
+            maps, G = tiles.pop(0)  # each tile goes once it is read
             E = maps[0]
             r = E.shape[1]
             ET = E.T.copy() if any_wide else None  # rows-outer, as a wide layer's Z and dZ
@@ -364,18 +368,20 @@ class CrossNetModel(Model):
         return self._head(x), (xs, us) if keep else None
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
-        xs, us = tape
+        xs, us = tape  # each layer's x_t and u_t go once they are read
         x0 = xs[0]
-        grads, dx = self._head_backward(xs[-1], dlogits)
+        grads, dx = self._head_backward(xs.pop(), dlogits)
         last = self.spec.num_layers - 1
         for t in range(last, -1, -1):
+            u, x = us.pop(), xs.pop()
             du = dx * x0
             if t == last:
-                dx0, scratch = dx * us[t], np.empty_like(x0)
+                dx0, scratch = dx * u, np.empty_like(x0)
             else:
-                dx0 += np.multiply(dx, us[t], out=scratch)
+                dx0 += np.multiply(dx, u, out=scratch)
             grads[f"cross.b{t}"] = du.sum(axis=0)
-            grads[f"cross.W{t}"] = du.T @ xs[t]
+            grads[f"cross.W{t}"] = du.T @ x
+            del u, x
             dx_prev = du @ self.store[f"cross.W{t}"]
             dx_prev += dx
             dx = dx_prev
@@ -549,9 +555,11 @@ class TinyMlpModel(Model):
 
     def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         E = self.embedding.gather(rows)
-        return self.mlp.forward(E.reshape(len(E), self.num_fields * self.embed_dim), keep)  # a view
+        x = E.reshape(len(E), self.num_fields * self.embed_dim)  # a view
+        logits, tower = self.mlp.forward(x, keep)
+        return logits, (x, tower) if keep else None
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
         grads: dict[str, np.ndarray] = {}
-        dx = self.mlp.backward(tape, dlogits, grads)
+        dx = self.mlp.backward(*tape, dlogits, grads)
         return grads, dx.reshape(len(dx), self.num_fields, self.embed_dim)

@@ -98,11 +98,9 @@ def relu_kink_margin(model, idx) -> float:
     if mlp is None or mlp.activation != "relu":
         return float("inf")
     _, tape = model._forward(model.embedding.table_rows(idx), keep=True)
-    # the tower's tape: all of a tiny MLP's, the end of a DAGFM+ student's
-    _, pre = tape[-1] if isinstance(model, DagfmPlusModel) else tape
-    hidden = pre[:-1]  # final layer is affine, no kink
-    if not hidden:
-        return float("inf")
+    # the tower's tape ends a tiny MLP's and a DAGFM+ student's; it holds the
+    # hidden layers' pre-activations, and the affine final layer has no kink
+    _, hidden = tape[-1]
     return float(min(np.min(np.abs(z)) for z in hidden))
 
 

@@ -1692,6 +1692,33 @@ class TestMovielens:
         assert rc == 1
         assert "unknown user" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["no-out", "out-exists"])
+    def test_a_bad_rating_writes_no_partial_out(self, existing, ml_dir, tmp_path, capsys):
+        # the first rating joins, the second names a user users.dat lacks
+        (ml_dir / "ratings.dat").write_text("1::10::5::1\n9::10::4::1\n", encoding="latin-1")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "ml.csv"
+        before = b"label,kept\n1,a\n"
+        if existing:
+            out.write_bytes(before)
+        rc = main(["convert-movielens", "--dir", str(ml_dir), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ratings line 2: unknown user 9" in err and "Traceback" not in err
+        # no temporary file is left beside --out either
+        assert sorted(p.name for p in out_dir.iterdir()) == (["ml.csv"] if existing else [])
+        if existing:
+            assert out.read_bytes() == before
+
+    def test_the_csv_is_readable_as_a_plain_write_leaves_it(self, ml_dir, tmp_path):
+        out = tmp_path / "ml.csv"
+        main(["convert-movielens", "--dir", str(ml_dir), "--out", str(out)])
+        plain = tmp_path / "plain.csv"
+        plain.write_text("")
+        assert out.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ml-1m", "ml.csv", "plain.csv"]
+
     def test_malformed_line_exits_one(self, ml_dir, tmp_path, capsys):
         (ml_dir / "users.dat").write_text("1::F::1\n", encoding="latin-1")
         rc = main(["convert-movielens", "--dir", str(ml_dir), "--out", str(tmp_path / "x.csv")])

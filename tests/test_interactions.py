@@ -1,6 +1,7 @@
 """The four pairwise combiners and the DAG student model."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from dagfm.interactions import (
     phi_kernel,
     phi_outer,
 )
-from dagfm.numcore import ConfigurationError, ShapeError, adam_step, grad_check, stable_sigmoid
+from dagfm.numcore import (
+    ConfigurationError, RowGrad, ShapeError, adam_step, grad_check, stable_sigmoid,
+)
 from dagfm.oracle import _model_edge_weights, oracle_node_state_weighted
 from dagfm.teachers import (
     CinSpec, CrossNetSpec, FmfmSpec, FwfmSpec, TinyMlpSpec, upper_pairs,
@@ -784,9 +787,11 @@ class TestBlockTriangularOuter:
 class BlockLoopOuterGemms:
     """The ``outer`` layer's GEMMs as the per-block ``np.matmul`` calls that
     ``_tri_matmul`` makes, written out per product over the plan the model
-    passes in (forward) or builds (backward): the model makes the same BLAS
-    calls on the same operands, so it matches this bit for bit on any
-    kernel."""
+    passes in (forward) or builds (backward), with the forward's edge
+    scalars ``S`` kept in the cache for backward to read. The model keeps no
+    ``S`` and forms it again in backward by the forward's plan; it makes the
+    same BLAS calls on the same operands, so it matches this bit for bit on
+    any kernel."""
 
     def _outer_gemms(self, h, w, plan, out=None):
         (pT, q), (sources, targets) = w, plan
@@ -873,6 +878,22 @@ class TestFieldBlocksAtCtrSize:
         dlogits = rng.normal(size=batch)
         assert_same_bits(model.backward(dlogits), loop.backward(dlogits))
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    def test_forming_s_again_matches_the_kept_s_bitwise(self, plus, frozen, rng, monkeypatch):
+        loops = (BlockLoopOuterModel, BlockLoopOuterPlusModel)
+        model, loop = self.models(39, plus, rng, monkeypatch, loops)
+        if frozen:
+            model.store.freeze("emb")
+            loop.store.freeze("emb")
+        for batch in (1, 20, 21, 512):
+            idx = rng.integers(0, 4, size=(batch, 39))
+            assert model.forward(idx).tobytes() == loop.forward(idx).tobytes()
+            dlogits = rng.normal(size=batch)
+            grads = model.backward(dlogits)
+            assert ("emb" in grads) != frozen
+            assert_same_bits(grads, loop.backward(dlogits))
+
     @pytest.mark.parametrize("batch", [1, 19, 20, 64])
     def test_forward_plan_follows_the_batch_size(self, batch, rng, monkeypatch):
         model, _ = self.models(39, False, rng, monkeypatch)
@@ -886,10 +907,12 @@ class TestFieldBlocksAtCtrSize:
         monkeypatch.setattr(interactions, "_tri_matmul", spy)
         idx = rng.integers(0, 4, size=(batch, 39))
         model.forward(idx)
-        assert blocks == [1 if batch < interactions.SMALL_ROWS else 4] * 6  # two per layer
+        plan = 1 if batch < interactions.SMALL_ROWS else 4
+        assert blocks == [plan] * 6  # two per layer
         blocks.clear()
         model.backward(np.ones(batch))
-        assert blocks == [4] * 12
+        # per layer S again by the forward's plan, then four blocked GEMMs
+        assert blocks == [plan, 4, 4, 4, 4] * 3
 
 
 class BatchColumnOuterGemms:
@@ -1000,6 +1023,63 @@ class TestOuterOrientation:
         assert_same_bits(model.backward(dlogits), fresh.backward(dlogits))
 
 
+class TestTapeMemory:
+    """A forward's tape holds the student's state buffer, each layer's
+    aggregate only when the table is trainable, the pooled values and the
+    batch's table rows: within 1 MB of (2L+1) m B d floats, or (L+1) m B d
+    with the table frozen, and no (m, m, B) edge scalars or copy of DAGFM+'s
+    tower input. A backward consumes the tape of every family: the model
+    then holds nothing but the gradients it returned. Measured with
+    tracemalloc at m=39, d=16 and B=512, after a first step has laid out the
+    weights."""
+
+    M, D, B = 39, 16, 512
+    VOCAB = [4] * M
+
+    def traced_step(self, model, rng):
+        """The bytes a forward's tape holds, and those the model still holds
+        after its backward beyond the logits and the gradients returned."""
+        idx = rng.integers(0, 4, size=(self.B, self.M))
+        dlogits = rng.normal(size=self.B)
+        model.forward(idx)
+        model.backward(dlogits)
+        tracemalloc.start()
+        try:
+            logits = model.forward(idx)
+            tape = tracemalloc.get_traced_memory()[0] - logits.nbytes
+            grads = model.backward(dlogits)
+            returned = sum(g.rows.nbytes + g.values.nbytes if isinstance(g, RowGrad) else g.nbytes
+                           for g in grads.values())
+            held = tracemalloc.get_traced_memory()[0] - logits.nbytes - returned
+        finally:
+            tracemalloc.stop()
+        return tape, held
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    def test_the_student_tape_follows_the_state_width(self, plus, frozen, rng):
+        L = 3
+        spec = DagfmSpec("outer", self.M, self.D, L)
+        if plus:
+            spec = DagfmPlusSpec(spec, mlp_hidden=(8,))
+        model = build_model(spec, self.VOCAB)
+        if frozen:
+            model.store.freeze("emb")
+        tape, held = self.traced_step(model, rng)
+        states = (L + 1 if frozen else 2 * L + 1) * self.M * self.B * self.D * 8
+        assert states <= tape < states + 1_000_000, (tape, states)
+        assert held < 1 << 16, held
+
+    @pytest.mark.parametrize("spec", [
+        CinSpec(M, D, (16, 16)), CrossNetSpec(M, D, 3), FwfmSpec(M, D), FmfmSpec(M, 8),
+        TinyMlpSpec(M, D, hidden=(64,)),
+    ], ids=lambda spec: type(spec).__name__)
+    def test_backward_leaves_only_its_gradients(self, spec, rng):
+        tape, held = self.traced_step(build_model(spec, self.VOCAB), rng)
+        assert tape > 1 << 20
+        assert held < 1 << 16, held
+
+
 class TestTape:
     """``Model.forward`` keeps one tape, for ``backward``, and builds no
     trace; ``Model.score`` gives its logits and keeps no tape;
@@ -1075,6 +1155,7 @@ class TestTape:
         dlogits = rng.normal(size=len(idx))
         model.forward(idx)
         grads = model.backward(dlogits)
+        model.forward(idx)
         if write == "set":
             name = model.store.names()[-1]
             model.store.set(name, model.store[name] * 2.0)
@@ -1085,6 +1166,37 @@ class TestTape:
         assert not isinstance(raised.value, ShapeError)
         model.forward(idx)
         model.backward(dlogits)
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_a_second_backward_is_a_typed_error(self, tag, rng):
+        model, idx, _ = random_small_model(tag, rng)
+        dlogits = rng.normal(size=len(idx))
+        model.forward(idx)
+        first = model.backward(dlogits)
+        assert model._cache is None  # the backward consumed the tape
+        with pytest.raises(ConfigurationError, match="consumed its tape"):
+            model.backward(dlogits)
+        model.forward(idx)
+        assert_same_bits(first, model.backward(dlogits))
+
+    @pytest.mark.parametrize("change", ["frozen", "unfrozen"])
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_freezing_the_table_between_forward_and_backward_is_a_typed_error(
+        self, tag, change, rng
+    ):
+        model, idx, _ = random_small_model(tag, rng)
+        dlogits = rng.normal(size=len(idx))
+        if change == "unfrozen":
+            model.store.freeze("emb")
+        model.forward(idx)
+        if change == "frozen":
+            model.store.freeze("emb")
+        else:
+            model.store.unfreeze_all()
+        with pytest.raises(ConfigurationError, match=f"table was {change} since"):
+            model.backward(dlogits)
+        model.forward(idx)
+        assert ("emb" in model.backward(dlogits)) == (change == "unfrozen")
 
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_dlogits_of_another_shape_is_a_shape_error(self, tag, rng):
@@ -1154,11 +1266,11 @@ class TestTape:
         out, tape = tower.forward(x)
         tower.forward(y)
         grads = {}
-        dx = tower.backward(tape, dout, grads)
+        dx = tower.backward(x, tape, dout, grads)
         assert vars(tower) == state
         fresh_out, fresh_tape = tower.forward(x)
         fresh = {}
-        fresh_dx = tower.backward(fresh_tape, dout, fresh)
+        fresh_dx = tower.backward(x, fresh_tape, dout, fresh)
         assert_same_bits(
             {"out": out, "dx": dx, **grads}, {"out": fresh_out, "dx": fresh_dx, **fresh}
         )
