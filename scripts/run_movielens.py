@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dagfm.data import build_vocab, load_dataset, split_dataset
+from dagfm.data import read_csv, split_dataset
 from dagfm.distill import DistillPlan, StageConfig, run_pipeline
 from dagfm.interactions import DagfmModel, DagfmSpec
 from dagfm.movielens import convert_movielens
@@ -55,8 +55,8 @@ def main(argv=None) -> int:
     n_rows = convert_movielens(args.ml_dir, csv_path)
     print(f"converted {n_rows} ratings -> {csv_path}")
 
-    schema = build_vocab(csv_path, min_freq=0)
-    split = split_dataset(load_dataset(csv_path, schema), seed=42)
+    schema, dataset = read_csv(csv_path)
+    split = split_dataset(dataset, seed=42)
     vocab = schema.vocab_sizes()
     print(f"split: train={len(split.train)} val={len(split.val)} test={len(split.test)}; "
           f"total vocabulary {sum(vocab)}")

@@ -15,6 +15,7 @@ from .data import (
     build_vocab,
     iterate_batches,
     load_dataset,
+    read_csv,
     split_dataset,
 )
 from .distill import (

@@ -115,7 +115,8 @@ def save_checkpoint(model, path) -> None:
         fh.write(_LEN.pack(len(blob)))
         fh.write(blob)
         for n in names:
-            fh.write(np.ascontiguousarray(model.store[n], dtype=_DTYPE).tobytes())
+            # the array's own buffer, which a C-contiguous "<f8" array needs no copy for
+            fh.write(np.ascontiguousarray(model.store[n], dtype=_DTYPE).data)
 
 
 def _payload_plan(shapes, manifest) -> dict[str, tuple]:

@@ -30,11 +30,12 @@ from pathlib import Path
 from .checkpoint import CheckpointError, build_model, load_checkpoint, save_checkpoint
 from .config import TEACHER_KINDS, RunConfig, load_config, parse_config
 from .data import (
+    Dataset,
     FieldSchema,
     ParseError,
     SchemaError,
-    build_vocab,
     load_dataset,
+    read_csv,
     split_dataset,
 )
 from .distill import (
@@ -105,22 +106,23 @@ def _config(args) -> RunConfig:
     return load_config(args.config, flags) if args.config else parse_config("", flags)
 
 
-def _schema(cfg: RunConfig, args, model=None) -> FieldSchema:
-    """The explicit schema, else (for a ``model`` loaded from ``--checkpoint``)
-    the one saved next to it, else one built from the data; it must fit ``model``."""
+def _read_data(cfg: RunConfig, args, model=None) -> tuple[FieldSchema, Dataset]:
+    """The ``--data`` CSV's schema and dataset. The schema is the explicit
+    one, else (for a ``model`` loaded from ``--checkpoint``) the one saved
+    next to it, else the one the data defines, read in the same pass as the
+    rows; it must fit ``model``."""
     near = Path(args.checkpoint).parent / "schema.json" if model is not None else None
-    if cfg.schema_path:
-        schema = FieldSchema.load(cfg.schema_path)
-    elif near is not None and near.exists():
-        schema = FieldSchema.load(near)
-    elif cfg.train_csv is None:
-        raise ConfigurationError("no schema file and no --data CSV to build one from")
+    given = cfg.schema_path or (near if near is not None and near.exists() else None)
+    if given:
+        schema = FieldSchema.load(given)
     else:
-        schema = build_vocab(cfg.train_csv, min_freq=cfg.min_freq)
+        schema, dataset = read_csv(cfg.train_csv, min_freq=cfg.min_freq)
     if model is not None and schema.vocab_sizes() != model.vocab_sizes:
         raise SchemaError(f"schema vocab sizes {schema.vocab_sizes()} do not match "
                           f"{args.checkpoint}'s {model.vocab_sizes}")
-    return schema
+    if given:
+        dataset = load_dataset(cfg.train_csv, schema)
+    return schema, dataset
 
 
 def _stage_setup(args):
@@ -132,8 +134,7 @@ def _stage_setup(args):
     if cfg.train_csv is None:
         raise ConfigurationError("--data (or [data] train_csv) is required")
     model = load_checkpoint(args.checkpoint) if "checkpoint" in args else None
-    schema = _schema(cfg, args, model)
-    dataset = load_dataset(cfg.train_csv, schema)
+    schema, dataset = _read_data(cfg, args, model)
     split = split_dataset(dataset, ratios=cfg.split_ratios, seed=cfg.split_seed)
     for name, part in (("val", split.val), ("test", split.test)):  # the stage reports their AUCs
         if len(set(part.labels.tolist())) < 2:
@@ -217,8 +218,7 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     payload = {"auc": None, "logloss": None, "n": None, **efficiency_report(model).as_dict()}
     if cfg.train_csv is not None:
-        schema = _schema(cfg, args, model=model)
-        result = evaluate(model, load_dataset(cfg.train_csv, schema))
+        result = evaluate(model, _read_data(cfg, args, model)[1])
         payload.update(auc=result.auc, logloss=result.logloss, n=result.n)
     _emit(payload, args.out)
     return 0

@@ -2,29 +2,37 @@
 
 Input files are UTF-8 CSV with a header row ``label,<field names>``; every
 column after the label is one categorical field. Vocabulary discovery maps
-raw values to contiguous indices per field, with one out-of-vocabulary (OOV)
-bucket per field at index ``len(vocab)``. Splitting and batching are
-deterministic functions of their seeds.
+raw values to contiguous indices per field, in first-appearance order, with
+one out-of-vocabulary (OOV) bucket per field at index ``len(vocab)``.
+Splitting and batching are deterministic functions of their seeds, and they
+gather rows with ``take``, which copies each row whole.
 
 A file is decoded as streamed UTF-8 text and read :data:`INGEST_ROWS` lines
 at a time. Lines end at ``\n``, ``\r\n`` or a lone ``\r`` (Python's
 universal newlines); the other breaks of :meth:`str.splitlines`, such as
 ``\v``, ``\f``, ``\x1c`` or ``\u2028``, are characters of a value. A line
 that is empty or only whitespace is skipped but still counted, so every
-:class:`ParseError` names the line of the file. Each block is checked,
-split into columns with one ``join`` and one ``split``, and then counted or
-encoded a column at a time (``dict.fromkeys``, ``Counter.update``,
-``np.fromiter``), with no Python loop per value.
+:class:`ParseError` names the line of the file.
+
+One encoder, :func:`_encode`, reads every file. Each block is checked, split
+into its values with one ``join`` and one ``split``, and coded by one
+``np.fromiter`` over ``map(dict.__getitem__, cycle(columns), values)``: one
+dict subscript per value, with no Python loop per value. The label's dict
+and each field's dict sit in that cycle. A field's dict gives a value it
+does not hold the next index (:func:`read_csv`, which builds the schema) or
+the OOV index (:func:`load_dataset`, which reads against a given one).
+:func:`read_csv` applies ``min_freq`` afterwards, with one ``np.bincount``
+and one remap per field, so a schema and its dataset take one parse.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from collections import Counter
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import compress, count, cycle, islice, repeat
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -143,7 +151,7 @@ class Dataset:
         return self.indices.shape[1]
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        return Dataset(self.indices[rows], self.labels[rows])
+        return Dataset(self.indices.take(rows, axis=0), self.labels.take(rows))
 
 
 @dataclass
@@ -189,13 +197,33 @@ def read_header(path) -> list[str]:
     return header[1:]
 
 
-def _blocks(path, m: int) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
-    """The data rows of a ``label`` + ``m``-field CSV, :data:`INGEST_ROWS`
-    lines at a time, as ``(labels, columns)``: the labels as an int64 array
-    and one list of raw values per field. Raises :class:`ParseError` for the
-    first malformed line, or when the file holds no data row."""
+class _Labels(dict):
+    """Raw label → 0 or 1, or -1 for a value that is no label; a raw value
+    is stripped of whitespace the first time it is seen."""
+
+    def __missing__(self, raw: str) -> int:
+        self[raw] = code = _LABELS.get(raw.strip(), -1)
+        return code
+
+
+def _codes(vocab: dict[str, int] | None = None) -> defaultdict:
+    """A field's value → index dict for the encoder. A value it does not hold
+    gets the next index (no ``vocab``: first-seen order) or the OOV index
+    ``len(vocab)``, and is kept, so each later sight of it is one subscript."""
+    if vocab is None:
+        return defaultdict(count().__next__)
+    return defaultdict(repeat(len(vocab)).__next__, vocab)
+
+
+def _encode(path, fields: list[defaultdict]) -> tuple[np.ndarray, np.ndarray]:
+    """The data rows of a ``label`` + ``len(fields)``-field CSV, as the int64
+    ``(indices, labels)`` of a :class:`Dataset`, field ``f``'s values coded
+    by ``fields[f]``. Raises :class:`ParseError` for the first malformed
+    line, or when the file holds no data row."""
+    m = len(fields)
     n_cols = m + 1
-    rows_read = 0
+    columns = [_Labels(_LABELS), *fields]
+    blocks = []
     with _text(path) as fh:
         next(fh, None)  # the header, line 1
         line_no = 2
@@ -208,18 +236,18 @@ def _blocks(path, m: int) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
                 # gives the block's values row-major; a trailing "" would be
                 # one more label, which ``count`` leaves out
                 values = "".join(rows).replace("\n", ",").split(",")
-                labels = np.fromiter(
-                    map(_LABELS.get, map(str.strip, values[::n_cols]), repeat(-1)),
+                codes = np.fromiter(
+                    map(dict.__getitem__, cycle(columns), values),
                     dtype=np.int64,
-                    count=len(rows),
-                )
-                if labels.min() < 0:
+                    count=len(rows) * n_cols,
+                ).reshape(len(rows), n_cols)
+                if codes[:, 0].min() < 0:
                     _raise_first_fault(block, line_no, n_cols)
-                rows_read += len(rows)
-                yield labels, [values[f::n_cols] for f in range(1, n_cols)]
+                blocks.append(codes)
             line_no += len(block)
-    if rows_read == 0:
+    if not blocks:
         raise ParseError(f"{path}: no data rows")
+    return np.concatenate([b[:, 1:] for b in blocks]), np.concatenate([b[:, 0] for b in blocks])
 
 
 def _raise_first_fault(block: list[str], line_no: int, n_cols: int) -> None:
@@ -235,39 +263,42 @@ def _raise_first_fault(block: list[str], line_no: int, n_cols: int) -> None:
                 raise ParseError(f"line {line_no}: label must be 0 or 1, got {label!r}")
 
 
-def build_vocab(csv_path, min_freq: int = 0) -> FieldSchema:
-    """Scan a CSV once and build per-field vocabularies.
+def read_csv(csv_path, min_freq: int = 0) -> tuple[FieldSchema, Dataset]:
+    """Read a CSV once into the schema it defines and its encoded dataset.
 
-    Values seen fewer than ``min_freq`` times map to the OOV bucket. Indices
-    are assigned in first-appearance order, which makes the schema a
-    deterministic function of the file.
+    Indices are assigned in first-appearance order, which makes the schema a
+    deterministic function of the file. Values seen fewer than ``min_freq``
+    times map to the OOV bucket. The result equals :func:`build_vocab`
+    followed by :func:`load_dataset`, at half the reading.
     """
     check_min_freq(min_freq)
     names = read_header(csv_path)
-    # a dict, Counter included, keeps its keys in first-insertion order
-    seen = [Counter() if min_freq > 1 else {} for _ in names]
-    for _, columns in _blocks(csv_path, len(names)):
-        for values, column in zip(seen, columns):
-            values.update(column if min_freq > 1 else dict.fromkeys(column))
-    if min_freq > 1:
-        seen = [[v for v, n in counts.items() if n >= min_freq] for counts in seen]
-    vocabs = [dict(zip(values, count())) for values in seen]
-    return FieldSchema(names=names, vocabs=vocabs, min_freq=min_freq)
+    fields = [_codes() for _ in names]
+    indices, labels = _encode(csv_path, fields)
+    vocabs = []
+    for f, codes in enumerate(fields):  # a dict keeps its keys in first-insertion order
+        if min_freq > 1:
+            keep = np.bincount(indices[:, f], minlength=len(codes)) >= min_freq
+            # the kept values close ranks; the others go to the OOV bucket
+            indices[:, f] = np.where(keep, np.cumsum(keep) - 1, keep.sum())[indices[:, f]]
+            codes = zip(compress(codes, keep), count())
+        vocabs.append(dict(codes))
+    return FieldSchema(names=names, vocabs=vocabs, min_freq=min_freq), Dataset(indices, labels)
+
+
+def build_vocab(csv_path, min_freq: int = 0) -> FieldSchema:
+    """The schema of :func:`read_csv`: per-field vocabularies in
+    first-appearance order, values seen fewer than ``min_freq`` times left out."""
+    return read_csv(csv_path, min_freq)[0]
 
 
 def load_dataset(csv_path, schema: FieldSchema) -> Dataset:
+    """Encode a CSV with a given schema; a value it does not hold is OOV."""
     names = read_header(csv_path)
     if names != schema.names:
         raise SchemaError(f"CSV fields {names} do not match schema fields {schema.names}")
-    labels, indices = [], []
-    for block_labels, columns in _blocks(csv_path, schema.m):
-        block = np.empty((len(block_labels), schema.m), dtype=np.int64)
-        for f, (vocab, column) in enumerate(zip(schema.vocabs, columns)):
-            oov = repeat(schema.oov_index(f))
-            block[:, f] = np.fromiter(map(vocab.get, column, oov), np.int64, len(column))
-        labels.append(block_labels)
-        indices.append(block)
-    return Dataset(np.concatenate(indices), np.concatenate(labels))
+    fields = [_codes(vocab) for vocab in schema.vocabs]
+    return Dataset(*_encode(csv_path, fields))
 
 
 def check_ratios(ratios) -> None:
@@ -325,5 +356,5 @@ def iterate_batches(
     order = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
     for start in range(0, n, batch_size):
         rows = order[start : start + batch_size]
-        batch = (dataset.indices[rows], dataset.labels[rows])
+        batch = (dataset.indices.take(rows, axis=0), dataset.labels.take(rows))
         yield (rows, *batch) if with_positions else batch

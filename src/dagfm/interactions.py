@@ -695,26 +695,26 @@ class DagfmModel(Model):
 
     # -- backward ---------------------------------------------------------------
 
-    def _backward(self, tape, dlogits: np.ndarray, extra_dstates=None) -> tuple[dict, np.ndarray]:
-        """See the module docstring. ``extra_dstates`` lets a wrapper (the
-        MLP-augmented variant) inject additional gradient into each state set
-        before the layer walk, one field-major (m, B, d) array or ``None`` per
-        state set. A frozen table (the distill stage's) takes no gradient: no
-        dE is formed, and layer 0's backward forms no d(state 0).
+    def _backward(self, tape, dlogits: np.ndarray, extra_dstate=None) -> tuple[dict, np.ndarray]:
+        """See the module docstring. ``extra_dstate`` lets a wrapper (the
+        MLP-augmented variant) inject additional gradient into state set
+        ``t``: ``extra_dstate(t)`` is called when the layer walk reaches that
+        set and returns a field-major (m, B, d) array or ``None``. A frozen
+        table (the distill stage's) takes no gradient: no dE is formed, and
+        layer 0's backward forms no d(state 0).
         """
         H, layer_tapes, pooled = tape
         n_states, m, B, _ = H.shape
         grads, dpool = self._head_backward(pooled.T, dlogits)
         dpool = dpool.T.reshape(n_states, m, B, 1)
-        if extra_dstates is None:
-            extra_dstates = [None] * n_states
 
         def dstate(t, dh):
             # d(loss)/d(state t): the head's share broadcast over d, plus the
             # share that flows back from layer t (dh, a fresh array) and from
             # a wrapper
             dh = dpool[t] if dh is None else np.add(dh, dpool[t], out=dh)
-            return dh if extra_dstates[t] is None else dh + extra_dstates[t]
+            extra = None if extra_dstate is None else extra_dstate(t)
+            return dh if extra is None else dh + extra
 
         gemms_backward = self._layer_gemms[1]
         E = H[0]
@@ -1042,16 +1042,20 @@ class MlpTower:
         return z[:, 0], (acts, pre) if keep else None
 
     def backward(self, x: np.ndarray, tape, dout: np.ndarray,
-                 grads: dict[str, np.ndarray]) -> np.ndarray:
+                 grads: dict[str, np.ndarray], to_input: bool = True) -> np.ndarray:
         """Store the tower's gradients in ``grads`` and return d(loss)/d(x),
         given the input ``x`` of the forward that made ``tape``. Each
-        layer's part of the tape goes once it is read."""
+        layer's part of the tape goes once it is read. With ``to_input``
+        false it returns the first layer's d(loss)/d(x @ W0 + b0) instead,
+        which times ``W0[cols].T`` is the gradient of ``x[:, cols]``."""
         acts, pre = tape
         delta = dout[:, None]
         for k in range(len(self.names) - 1, -1, -1):
             wname, bname = self.names[k]
             grads[wname] = (acts.pop() if k else x).T @ delta
             grads[bname] = delta.sum(axis=0)
+            if k == 0 and not to_input:
+                return delta
             delta = delta @ self.store[wname].T
             if k > 0:
                 delta = delta * self._grad(pre.pop())
@@ -1092,10 +1096,19 @@ class DagfmPlusModel(DagfmModel):
         *tape, tower = tape
         n_states, m, B, d = tape[0].shape
         grads: dict[str, np.ndarray] = {}
-        dx = self.mlp.backward(self._tower_input(tape[0]), tower, dlogits, grads)
-        extra = [None] * n_states
-        fed = self.spec.fed_states
-        extra[fed] = dx.reshape(B, len(extra[fed]), m, d).transpose(1, 2, 0, 3)
-        base, d_emb = super()._backward(tape, dlogits, extra_dstates=extra)
+        delta = self.mlp.backward(self._tower_input(tape[0]), tower, dlogits, grads,
+                                  to_input=False)
+        W0 = self.store[self.mlp.names[0][0]]
+        fed = range(n_states)[self.spec.fed_states]
+
+        def tower_dstate(t):
+            # state t's share of the tower's input gradient, formed only when
+            # the walk reaches it, so that one state's share lives at a time
+            if t not in fed:
+                return None
+            start = fed.index(t) * m * d
+            return (delta @ W0[start : start + m * d].T).reshape(B, m, d).transpose(1, 0, 2)
+
+        base, d_emb = super()._backward(tape, dlogits, extra_dstate=tower_dstate)
         base.update(grads)
         return base, d_emb

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, FieldSchema
+from .data import INGEST_ROWS, Dataset, FieldSchema
 
 
 def synthetic_schema(m: int, vocab_size: int) -> FieldSchema:
@@ -50,11 +50,14 @@ def generate_planted_dataset(
 
 
 def write_csv(path, schema: FieldSchema, dataset: Dataset) -> None:
-    """Materialize an encoded dataset back into the CSV interchange format."""
-    inverse = [[*schema.values(f), "<oov>"] for f in range(schema.m)]
+    """Materialize an encoded dataset back into the CSV interchange format,
+    :data:`~dagfm.data.INGEST_ROWS` rows at a time: each column's value
+    strings are looked up at once, then the rows are joined."""
+    inverse = [[*schema.values(f), "<oov>"].__getitem__ for f in range(schema.m)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["label", *schema.names]) + "\n")
-        for k in range(len(dataset)):
-            row = [str(int(dataset.labels[k]))]
-            row += [inverse[f][dataset.indices[k, f]] for f in range(schema.m)]
-            fh.write(",".join(row) + "\n")
+        for start in range(0, len(dataset), INGEST_ROWS):
+            rows = slice(start, start + INGEST_ROWS)
+            columns = [map(str, dataset.labels[rows].tolist()),
+                       *map(map, inverse, dataset.indices[rows].T.tolist())]
+            fh.write("".join(map("{}\n".format, map(",".join, zip(*columns)))))

@@ -32,7 +32,7 @@ from dagfm.checkpoint import (
     spec_from_dict,
     spec_to_dict,
 )
-from dagfm import checkpoint, cli
+from dagfm import checkpoint, cli, data
 from dagfm.cli import build_parser, main
 from dagfm.config import _KEYS, TEACHER_KINDS, RunConfig, load_config, parse_config
 from dagfm.data import Dataset, build_vocab, load_dataset, split_dataset
@@ -550,6 +550,18 @@ class TestCheckpointFiles:
             tracemalloc.stop()
         assert peak <= 1.2 * weights
 
+    def test_saving_copies_no_weight(self, tmp_path):
+        # each weight is written from its own buffer; the table is 10 MB
+        model = DagfmModel(DagfmSpec("outer", 39, 16, 3), [2000] * 39, seed=0)
+        assert model.store["emb"].nbytes > 9_000_000
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, tmp_path / "student.ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
 
 # ---------------------------------------------------------------------------
 # checkpoint bytes fuzzer
@@ -1062,6 +1074,34 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"auc", "logloss", "n", "params", "flops"}
         assert payload["n"] == 600
+
+    @pytest.mark.parametrize("given_schema", [False, True], ids=["built", "given"])
+    @pytest.mark.parametrize("command", ["train-teacher", "distill", "finetune", "eval"])
+    def test_a_stage_parses_its_csv_once(self, command, given_schema, cli_run, tmp_path,
+                                         monkeypatch):
+        # checkpoints with no schema.json beside them, so that without
+        # --schema the stage builds its schema from the CSV
+        _, csv, teacher_dir, student_dir = cli_run
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        shutil.copy(teacher_dir / "teacher.ckpt", lone)
+        shutil.copy(student_dir / "student.ckpt", lone)
+        argv = {
+            "train-teacher": ["--d", "4", "--depth", "1"],
+            "distill": ["--checkpoint", str(lone / "teacher.ckpt")],
+            "finetune": ["--checkpoint", str(lone / "student.ckpt")],
+            "eval": ["--checkpoint", str(lone / "teacher.ckpt")],
+        }[command]
+        if command != "eval":
+            argv += ["--out", str(tmp_path / "out"), "--epochs", "1", "--batch-size", "128"]
+        if given_schema:
+            argv += ["--schema", str(teacher_dir / "schema.json")]
+        parses = []
+        encode = data._encode
+        monkeypatch.setattr(data, "_encode", lambda path, fields: parses.append(path)
+                            or encode(path, fields))
+        assert main([command, "--data", str(csv), *argv]) == 0
+        assert parses == [str(csv)]
 
     def test_eval_without_data_skips_metrics(self, cli_run, capsys):
         _, _, teacher_dir, _ = cli_run

@@ -23,6 +23,7 @@ from dagfm.data import (
     build_vocab,
     iterate_batches,
     load_dataset,
+    read_csv,
     read_header,
     split_dataset,
 )
@@ -242,6 +243,18 @@ class TestSplitDataset:
         # same multiset of rows
         assert sorted(map(tuple, stacked)) == sorted(map(tuple, ds.indices))
 
+    def test_parts_equal_the_fancy_index_gathers(self):
+        # ``take`` copies each row whole; the arrays are those of indexing
+        ds = Dataset(np.random.default_rng(0).integers(0, 50, size=(1000, 8)),
+                     np.arange(1000) % 2)
+        split = split_dataset(ds, seed=11)
+        perm = np.random.default_rng(11).permutation(1000)
+        for part, rows in zip((split.train, split.val, split.test),
+                              (perm[:800], perm[800:900], perm[900:])):
+            for got, want in ((part.indices, ds.indices[rows]), (part.labels, ds.labels[rows])):
+                assert got.dtype == np.int64 and got.flags.c_contiguous
+                assert np.array_equal(got, want)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             split_dataset(Dataset(np.zeros((0, 2), np.int64), np.zeros(0)), seed=0)
@@ -299,6 +312,14 @@ class TestIterateBatches:
         for rows, idx, _ in iterate_batches(ds, 4, seed=1, with_positions=True):
             assert np.array_equal(ds.indices[rows], idx)
 
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_batches_equal_the_fancy_index_gathers(self, seed):
+        ds = Dataset(np.random.default_rng(1).integers(0, 50, size=(300, 8)), np.arange(300) % 2)
+        for rows, idx, labels in iterate_batches(ds, 64, seed=seed, with_positions=True):
+            for got, want in ((idx, ds.indices[rows]), (labels, ds.labels[rows])):
+                assert got.dtype == np.int64 and got.flags.c_contiguous
+                assert np.array_equal(got, want)
+
     @given(n=st.integers(1, 40), bs=st.integers(1, 50), seed=st.integers(0, 5))
     @settings(max_examples=30, deadline=None)
     def test_every_instance_once_per_epoch(self, n, bs, seed):
@@ -319,6 +340,76 @@ class TestLoadDataset:
         assert np.array_equal(loaded.labels, ds.labels)
 
 
+def reference_write_csv(path, schema: FieldSchema, dataset: Dataset) -> None:
+    """The per-value writer that the column writer replaced."""
+    inverse = [[*schema.values(f), "<oov>"] for f in range(schema.m)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["label", *schema.names]) + "\n")
+        for k in range(len(dataset)):
+            row = [str(int(dataset.labels[k]))]
+            row += [inverse[f][dataset.indices[k, f]] for f in range(schema.m)]
+            fh.write(",".join(row) + "\n")
+
+
+class TestWriteCsv:
+    # a partial block, exactly one block and blocks with a partial one after
+    @pytest.mark.parametrize("n", [1, INGEST_ROWS, 2 * INGEST_ROWS + 7])
+    def test_same_bytes_as_the_per_value_writer(self, n, tmp_path):
+        schema = FieldSchema(names=["user", "é item", "tag"],
+                             vocabs=[{"a": 0, "語": 1}, {"x y": 0}, {"": 0, "\v": 1, "z": 2}])
+        rng = np.random.default_rng(n)
+        # every index up to the OOV bucket's
+        indices = rng.integers(0, [3, 2, 4], size=(n, 3))
+        ds = Dataset(indices, rng.integers(0, 2, size=n))
+        write_csv(tmp_path / "column.csv", schema, ds)
+        reference_write_csv(tmp_path / "value.csv", schema, ds)
+        assert (tmp_path / "column.csv").read_bytes() == (tmp_path / "value.csv").read_bytes()
+
+
+class TestReadCsv:
+    """``read_csv`` reads a file once into what ``build_vocab`` and then
+    ``load_dataset`` read from it twice."""
+
+    TEXTS = {
+        "lf": "label,f1,f2\n1,a,x\n0,b,y\n1,a,y\n0,c,x\n",
+        "crlf": "label,f1,f2\r\n1,a,x\r\n0,b,y\r\n1,a,y\r\n",
+        "lone-cr": "label,f1,f2\r1,a,x\r0,b,y\r1,a,y",
+        "blank-lines": "label,f1,f2\n\n1,a,x\n \t\n0,b,y\n\v\n1,a,y\n\x1c\n",
+        "spaced-labels": "label,f1,f2\n 1,a,x\n0 ,b,y\n\t1,a,y\n",
+        "break-chars": "label,f1,f2\n1,a\vb,x\x1cy\n0,a\vb,y\n1,\x1c,x\x1cy\n0,\v,\x1c\n",
+    }
+
+    @pytest.mark.parametrize("min_freq", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", TEXTS)
+    def test_equals_build_vocab_then_load_dataset(self, name, min_freq, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(self.TEXTS[name].encode())
+        schema, ds = read_csv(path, min_freq)
+        want = build_vocab(path, min_freq)
+        assert (schema.names, schema.vocabs, schema.min_freq) == (
+            want.names, want.vocabs, want.min_freq)
+        want = load_dataset(path, want)
+        for got, ref in ((ds.indices, want.indices), (ds.labels, want.labels)):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, ref)
+
+    def test_min_freq_sends_rare_values_to_the_oov_bucket(self, tmp_path):
+        path = write(tmp_path, "label,f1,f2\n1,c,x\n0,a,y\n1,c,y\n0,b,y\n1,a,y\n")
+        schema, ds = read_csv(path, min_freq=2)
+        assert schema.vocabs == [{"c": 0, "a": 1}, {"y": 0}]
+        assert ds.indices.tolist() == [[0, 1], [1, 0], [0, 0], [2, 0], [1, 0]]
+
+    def test_values_a_given_schema_lacks_are_oov(self, tmp_path):
+        path = write(tmp_path, "label,f1,f2\n1,a,x\n0,new,x\n1,new,other\n")
+        schema = FieldSchema(names=["f1", "f2"], vocabs=[{"a": 0, "b": 1}, {"x": 0}])
+        ds = load_dataset(path, schema)
+        assert ds.indices.tolist() == [[0, 0], [2, 0], [2, 1]]
+        # the schema's own vocabularies take no OOV value
+        assert schema.vocabs == [{"a": 0, "b": 1}, {"x": 0}]
+
+
+# ---------------------------------------------------------------------------
+# The per-line reader that the block reader replaced, kept as the reference
 # ---------------------------------------------------------------------------
 # The per-line reader that the block reader replaced, kept as the reference
 # ---------------------------------------------------------------------------
@@ -472,15 +563,25 @@ def csv_files(draw):
     return encode(rows, bad if fault == "utf8" else None), encode(clean or [["1", *["a"] * m]])
 
 
-def _outcome(read, *args):
-    """What ``read`` returned, as plain values, or the class and text of its error."""
-    try:
-        result = read(*args)
-    except (ParseError, SchemaError) as e:
-        return type(e), str(e)
+def reference_read_csv(csv_path, min_freq: int = 0) -> tuple[FieldSchema, Dataset]:
+    schema = reference_build_vocab(csv_path, min_freq)
+    return schema, reference_load_dataset(csv_path, schema)
+
+
+def _plain(result):
+    if isinstance(result, tuple):
+        return tuple(map(_plain, result))
     if isinstance(result, FieldSchema):
         return result.names, [list(v.items()) for v in result.vocabs], result.min_freq
     return result.indices.dtype, result.indices.tolist(), result.labels.dtype, result.labels.tolist()
+
+
+def _outcome(read, *args):
+    """What ``read`` returned, as plain values, or the class and text of its error."""
+    try:
+        return _plain(read(*args))
+    except (ParseError, SchemaError) as e:
+        return type(e), str(e)
 
 
 @pytest.fixture(scope="module")
@@ -490,7 +591,7 @@ def fuzz_dir(tmp_path_factory):
 
 class TestBlockReaderMatchesPerLineReader:
     @pytest.mark.parametrize("block_rows", [1, 2, 3, INGEST_ROWS])
-    @given(files=csv_files(), min_freq=st.sampled_from([0, 1, 2]))
+    @given(files=csv_files(), min_freq=st.sampled_from([0, 1, 2, 3]))
     @settings(max_examples=150, deadline=None)
     def test_same_vocabularies_arrays_and_errors(self, block_rows, files, min_freq, fuzz_dir):
         text, clean = files
@@ -505,6 +606,8 @@ class TestBlockReaderMatchesPerLineReader:
                 reference_build_vocab, clean_path, min_freq)
             assert _outcome(load_dataset, path, schema) == _outcome(
                 reference_load_dataset, path, schema)
+            assert _outcome(read_csv, path, min_freq) == _outcome(
+                reference_read_csv, path, min_freq)
 
 
 # any JSON value, a few levels deep, and NaN and the infinities that
