@@ -41,10 +41,15 @@ The student works field-major: one contiguous (L+1, m, B, d) buffer holds
 every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
 steps. ``EmbeddingTable.lookup`` gathers every field's rows into ``H[0]``
 with one ``np.take``, and each layer writes ``agg * e`` straight into the
-next slot; without ``keep``, ``agg`` itself is written there and multiplied
-by ``e`` in place where its GEMM's layout allows (``outer``,
-``basic-inner``), and a layer's GEMM operands go before the next layer
-runs. ``outer`` runs two GEMMs per layer: per source ``j`` a
+next slot: ``agg`` itself is written there and multiplied by ``e`` in
+place where its GEMM's layout allows (``outer``, ``basic-inner``), and a
+layer's GEMM operands go before the next layer runs. No forward keeps an
+aggregate, whether or not the table is trainable: only the table's
+gradient reads it, and a backward that takes that gradient forms each
+layer's aggregate again when its walk reaches the layer, by the forward's
+own GEMM calls on the operands the tape holds (``outer`` from the ``S`` it
+forms again anyway, before ``dq``, and frees it before ``dS``), so bitwise
+as the forward did. ``outer`` runs two GEMMs per layer: per source ``j`` a
 (B, d) x (d, n) product of ``h[j]`` with the contiguous (d, m) block
 ``pT[j]`` gives the edge scalars ``S[j, i, b] = p[j, i] . h[j, b]`` over n
 targets, written F-ordered into ``S[j]``, and per target ``i`` a
@@ -80,14 +85,11 @@ every state set is one matrix-vector product of the buffer with
 ``ones(d)``, and the head is another. The combiner's GEMMs are resolved
 once, when the model is built; ``_forward`` resolves every layer's dense
 weights and the ``outer`` plan once per call, and its tape is the state
-buffer, each layer's dense weights (and ``outer``'s source plan), each
-layer's aggregate when the table takes a gradient, and the pooled values:
-at most (2L+1) m B d floats and the pooled values, and with a frozen table
-(L+1) m B d. A frozen table's forward writes each aggregate into its state
-slot, as a scoring run does. It builds no trace: ``forward_trace`` runs the
-core on a buffer of its own and returns a :class:`PropagationTrace` of
-views of it. Public shapes stay
-batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
+buffer, each layer's dense weights (and ``outer``'s plan) and the pooled
+values: (L+1) m B d floats and the pooled values, with the table trainable
+or frozen. It builds no trace: ``forward_trace`` runs the core on a buffer
+of its own and returns a :class:`PropagationTrace` of views of it. Public
+shapes stay batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
 arrays, as views where they can. The per-pair ``phi_*`` functions are the
 reference the layers are tested against.
 
@@ -342,9 +344,12 @@ class EmbeddingTable:
 
     def table_rows(self, idx: np.ndarray) -> np.ndarray:
         """The (B, m) table rows an index batch reads: ``offsets[i] + j`` for
-        field i's index j, once the batch's shape and every field's range are
-        checked."""
+        field i's index j, once the batch's integer dtype, its shape and every
+        field's range are checked. A bool matrix is not indices, and a float
+        or str one is rejected before any arithmetic reads it."""
         idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu":
+            raise ShapeError(f"index matrix must hold integers, got dtype {idx.dtype}")
         if idx.ndim != 2 or idx.shape[1] != self.num_fields:
             raise ShapeError(f"index matrix must be (batch, {self.num_fields}), got {idx.shape}")
         # the per-field check also keeps field i's indices off field i+1's rows
@@ -615,22 +620,21 @@ class DagfmModel(Model):
 
     def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         """The logits, and with ``keep`` a tape of the state buffer, each
-        layer's GEMM operands and, when the table is trainable, aggregate,
-        and the pooled values. It builds no :class:`PropagationTrace`; see
-        :meth:`forward_trace`."""
+        layer's GEMM operands and the pooled values. It builds no
+        :class:`PropagationTrace`; see :meth:`forward_trace`."""
         logits, tape = self._propagate(rows, keep)
         return logits, tape if keep else None
 
     def _propagate(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
-        """The logits and ``(H, layer_tapes, pooled)``, ``layer_tapes``
-        empty unless ``keep``: per layer its aggregate, ``None`` for a
-        frozen table, and its GEMM cache. The dense weights of every layer
-        and the ``outer`` plan are resolved once per call: below
-        :data:`SMALL_ROWS` rows each ``outer`` product is one dense GEMM,
-        from there on the block-triangular ones. Only the table's gradient
-        reads an aggregate, so unless ``keep`` and a trainable table keep it
-        a layer's GEMM writes its aggregate into the next slot where it can,
-        and its operands go before the next layer runs."""
+        """The logits and ``(H, layer_caches, pooled)``, ``layer_caches``
+        empty unless ``keep``: per layer the GEMM cache its backward reads.
+        The dense weights of every layer and the ``outer`` plan are resolved
+        once per call: below :data:`SMALL_ROWS` rows each ``outer`` product
+        is one dense GEMM, from there on the block-triangular ones. Each
+        layer's GEMM writes its aggregate into the next slot where its
+        layout allows, where it is multiplied by the embeddings in place, and
+        its operands go before the next layer runs: no aggregate outlives
+        its layer, whether or not the table is trainable."""
         L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
         B = len(rows)
         # every state set, field-major: H[t, i] is node i's (B, d) block after t steps
@@ -639,16 +643,15 @@ class DagfmModel(Model):
         self.embedding.lookup(rows, out=E)
         gemms = self._layer_gemms[0]
         plan = (self._sources, self._targets) if B >= SMALL_ROWS else (_ONE_BLOCK, _ONE_BLOCK)
-        keep_agg = keep and self.store.is_trainable("emb")
-        layer_tapes = []
+        layer_caches = []
         for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
-            agg, cache = gemms(self, H[t], w, plan, None if keep_agg else H[t + 1])
+            agg, cache = gemms(self, H[t], w, plan, H[t + 1])
             np.multiply(agg, E, out=H[t + 1])
             if keep:
-                layer_tapes.append((agg if keep_agg else None, cache))
-            del agg, cache  # else this layer's own aggregate would outlive the next one's
+                layer_caches.append(cache)
+            del agg, cache  # a pair GEMM's aggregate is an array of its own: free it now
         pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)  # state-major rows
-        return self._head(pooled.T), (H, layer_tapes, pooled)
+        return self._head(pooled.T), (H, layer_caches, pooled)
 
     def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
         """:meth:`forward`'s logits, and the states and pooled values of a
@@ -691,7 +694,7 @@ class DagfmModel(Model):
         # as it is, and so do the backward GEMMs
         agg = _tri_matmul(S.transpose(1, 2, 0), q, targets, "inner", out=out)
         # no S: backward forms it again from h, which the tape holds anyway
-        return agg, (pT, q, sources)
+        return agg, (pT, q, plan)
 
     # -- backward ---------------------------------------------------------------
 
@@ -700,10 +703,11 @@ class DagfmModel(Model):
         MLP-augmented variant) inject additional gradient into state set
         ``t``: ``extra_dstate(t)`` is called when the layer walk reaches that
         set and returns a field-major (m, B, d) array or ``None``. A frozen
-        table (the distill stage's) takes no gradient: no dE is formed, and
-        layer 0's backward forms no d(state 0).
+        table (the distill stage's) takes no gradient: no dE is formed, no
+        layer forms its aggregate again, and layer 0's backward forms no
+        d(state 0).
         """
-        H, layer_tapes, pooled = tape
+        H, layer_caches, pooled = tape
         n_states, m, B, _ = H.shape
         grads, dpool = self._head_backward(pooled.T, dlogits)
         dpool = dpool.T.reshape(n_states, m, B, 1)
@@ -721,13 +725,10 @@ class DagfmModel(Model):
         dh = dstate(n_states - 1, None)
         dE = np.zeros_like(E) if self.store.is_trainable("emb") else None
         for t in range(n_states - 2, -1, -1):
-            agg, cache = layer_tapes.pop()  # layer t's tape goes once it is read
-            if dE is not None:
-                dE += dh * agg
-            del agg
+            cache = layer_caches.pop()
             # only dE reads the embeddings' gradient d(state 0)
             wants_dh = t > 0 or dE is not None
-            dh = gemms_backward(self, t, H[t], dh * E, cache, grads, wants_dh)
+            dh = gemms_backward(self, t, H[t], dh, dh * E, cache, grads, dE, wants_dh)
             if wants_dh:
                 dh = dstate(t, dh)
         if dE is None:
@@ -737,27 +738,38 @@ class DagfmModel(Model):
 
     # Each layer's backward GEMMs: store the edge-weight gradients of layer
     # ``t`` and return d(loss)/d(h), or ``None`` unless ``wants_dh``, given
-    # ``dU`` = d(loss)/d(agg); all field-major (m, B, d) and ``dU``
-    # contiguous.
+    # ``dh`` = d(loss)/d(state t+1) and ``dU`` = d(loss)/d(agg) = dh * e;
+    # all field-major (m, B, d) and ``dU`` contiguous. Unless the table is
+    # frozen (``dE`` is ``None``), each first forms the layer's aggregate
+    # again by its forward's GEMM calls on the operands its cache holds, so
+    # bitwise as the forward did, and adds the table's share dh * agg to
+    # ``dE`` (:func:`_add_table_share`).
 
-    def _adjacency_gemm_backward(self, t, h, dU, A, grads, wants_dh):
+    def _adjacency_gemm_backward(self, t, h, dh, dU, A, grads, dE, wants_dh):
         m, B, d = h.shape
+        if dE is not None:
+            _add_table_share(dE, dh, self._adjacency_gemm(h, A, None)[0])
         return (A @ dU.reshape(m, B * d)).reshape(m, B, d) if wants_dh else None
 
-    def _pair_gemm_backward(self, t, h, dU, K, grads, wants_dh):
+    def _pair_gemm_backward(self, t, h, dh, dU, K, grads, dE, wants_dh):
+        if dE is not None:
+            _add_table_share(dE, dh, self._pair_gemm(h, K, None)[0])
         g = self._gemm
         dX = g.states(dU)
         grads[self._weights(t)] = g.at_pairs(g.states(h).transpose(0, 2, 1) @ dX)
         return g.fields(dX @ K.transpose(0, 2, 1)) if wants_dh else None
 
-    def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
-        # S again by the forward's own plan and calls, so bitwise the
-        # forward's; the rest run the block plan at every batch size: a small
-        # batch's dense S is whole, and they read only its lower blocks
+    def _outer_gemms_backward(self, t, h, dh, dU, cache, grads, dE, wants_dh):
+        # S and the aggregate again by the forward's own plan and calls, so
+        # bitwise the forward's; the rest run the block plan at every batch
+        # size: a small batch's dense S is whole, and they read only its
+        # lower blocks
         jj, ii = self._jj, self._ii
-        pT, q, sources = cache
+        pT, q, (sources, targets) = cache
         m, B, _ = h.shape
         S = _edge_scalars(h, pT, sources)
+        if dE is not None:
+            _add_table_share(dE, dh, _tri_matmul(S.transpose(1, 2, 0), q, targets, "inner"))
         dq = _tri_matmul(S.transpose(1, 0, 2), dU, self._targets, "rows")
         grads[f"dag.q{t}"] = dq[ii, jj]  # (i, j, e)
         del S, dq  # so that S and dS never coexist
@@ -774,6 +786,12 @@ class DagfmModel(Model):
         # GEMM over the contiguous p[j]
         p = np.ascontiguousarray(pT.transpose(0, 2, 1))
         return _tri_matmul(dS.transpose(1, 2, 0), p, self._sources, "inner")
+
+
+def _add_table_share(dE: np.ndarray, dh: np.ndarray, agg: np.ndarray) -> None:
+    """``dE += dh * agg``, the table's share through a layer's product
+    ``agg * e``, formed in the memory of ``agg``, a fresh array."""
+    dE += np.multiply(dh, agg, out=agg)
 
 
 # the plan of one dense GEMM per product: one block spans every field

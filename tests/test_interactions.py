@@ -276,6 +276,18 @@ class TestPropagation:
             with pytest.raises(IndexError, match=message):
                 build_model(spec, vocab).forward(np.array(rows))
 
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, str, object])
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_a_non_integer_index_matrix_is_a_shape_error(self, tag, dtype, rng):
+        # a bool matrix would otherwise read as indices 0 and 1, and a float
+        # or str one escape as a numpy TypeError
+        model, idx, _ = random_small_model(tag, rng)
+        bad = idx.astype(dtype)
+        for call in (model.forward, model.score, lambda x: predict_logits(model, x)):
+            with pytest.raises(ShapeError, match=rf"integers, got dtype {bad.dtype}"):
+                call(bad)
+        assert model.score(idx.astype(np.uint16)).tobytes() == model.score(idx).tobytes()
+
     @pytest.mark.parametrize("B", [0, 1, 9])
     def test_gather_is_lookup_batch_major(self, B, rng):
         vocab = [3, 5, 9]
@@ -788,10 +800,17 @@ class BlockLoopOuterGemms:
     """The ``outer`` layer's GEMMs as the per-block ``np.matmul`` calls that
     ``_tri_matmul`` makes, written out per product over the plan the model
     passes in (forward) or builds (backward), with the forward's edge
-    scalars ``S`` kept in the cache for backward to read. The model keeps no
-    ``S`` and forms it again in backward by the forward's plan; it makes the
-    same BLAS calls on the same operands, so it matches this bit for bit on
-    any kernel."""
+    scalars ``S`` kept in the cache for backward to read, and the aggregate
+    formed again from that ``S`` by the forward's calls when the table takes
+    a gradient. The model keeps no ``S`` and forms it again in backward by
+    the forward's plan; it makes the same BLAS calls on the same operands,
+    so it matches this bit for bit on any kernel."""
+
+    @staticmethod
+    def _aggregate(S, q, targets, out):
+        for f, reach in targets:
+            np.matmul(S.transpose(1, 2, 0)[f, :, reach], q[f, reach], out=out[f])
+        return out
 
     def _outer_gemms(self, h, w, plan, out=None):
         (pT, q), (sources, targets) = w, plan
@@ -799,15 +818,15 @@ class BlockLoopOuterGemms:
         S = np.empty((m, m, B))
         for f, reach in sources:
             np.matmul(h[f], pT[f, :, reach], out=S.transpose(0, 2, 1)[f, :, reach])
-        agg = np.empty((m, B, d)) if out is None else out
-        for f, reach in targets:
-            np.matmul(S.transpose(1, 2, 0)[f, :, reach], q[f, reach], out=agg[f])
-        return agg, (pT, q, S)
+        agg = self._aggregate(S, q, targets, np.empty((m, B, d)) if out is None else out)
+        return agg, (pT, q, S, targets)
 
-    def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
-        pT, q, S = cache
+    def _outer_gemms_backward(self, t, h, dh, dU, cache, grads, dE, wants_dh):
+        pT, q, S, targets = cache
         m, B, d = h.shape
-        dS, dh = np.empty((m, m, B)), np.empty((m, B, d))
+        if dE is not None:
+            dE += dh * self._aggregate(S, q, targets, np.empty((m, B, d)))
+        dS, dh_t = np.empty((m, m, B)), np.empty((m, B, d))
         dq, dp = np.empty((m, m, d)), np.empty((m, m, d))
         qT, p = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (q, pT))
         for f, reach in self._targets:
@@ -815,10 +834,10 @@ class BlockLoopOuterGemms:
             np.matmul(S.transpose(1, 0, 2)[f, reach], dU[f], out=dq[f, reach])
         for f, reach in self._sources:
             np.matmul(dS.transpose(1, 0, 2)[f, reach], h[f], out=dp[f, reach])
-            np.matmul(dS.transpose(1, 2, 0)[f, :, reach], p[f, reach], out=dh[f])
+            np.matmul(dS.transpose(1, 2, 0)[f, :, reach], p[f, reach], out=dh_t[f])
         grads[f"dag.q{t}"] = dq[self._ii, self._jj]
         grads[f"dag.p{t}"] = dp[self._jj, self._ii]
-        return dh if wants_dh else None
+        return dh_t if wants_dh else None
 
 
 class BlockLoopOuterModel(BlockLoopOuterGemms, DagfmModel):
@@ -894,9 +913,12 @@ class TestFieldBlocksAtCtrSize:
             assert ("emb" in grads) != frozen
             assert_same_bits(grads, loop.backward(dlogits))
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
     @pytest.mark.parametrize("batch", [1, 19, 20, 64])
-    def test_forward_plan_follows_the_batch_size(self, batch, rng, monkeypatch):
+    def test_forward_plan_follows_the_batch_size(self, batch, frozen, rng, monkeypatch):
         model, _ = self.models(39, False, rng, monkeypatch)
+        if frozen:
+            model.store.freeze("emb")
         blocks = []
         tri_matmul = interactions._tri_matmul
 
@@ -911,8 +933,13 @@ class TestFieldBlocksAtCtrSize:
         assert blocks == [plan] * 6  # two per layer
         blocks.clear()
         model.backward(np.ones(batch))
-        # per layer S again by the forward's plan, then four blocked GEMMs
-        assert blocks == [plan, 4, 4, 4, 4] * 3
+        # per layer S again by the forward's plan, and with a trainable table
+        # the aggregate too, then four blocked GEMMs; with a frozen one the
+        # walk ends at layer 0, which forms no d(state 0)
+        if frozen:
+            assert blocks == [plan, 4, 4, 4, 4] * 2 + [plan, 4, 4, 4]
+        else:
+            assert blocks == [plan, plan, 4, 4, 4, 4] * 3
 
 
 class BatchColumnOuterGemms:
@@ -938,9 +965,11 @@ class BatchColumnOuterGemms:
         S = np.matmul(p, h.transpose(0, 2, 1))
         return np.matmul(S.transpose(1, 2, 0), q, out=out), (p, q, S)
 
-    def _outer_gemms_backward(self, t, h, dU, cache, grads, wants_dh):
+    def _outer_gemms_backward(self, t, h, dh, dU, cache, grads, dE, wants_dh):
         jj, ii = self._jj, self._ii
         p, q, S = cache
+        if dE is not None:
+            dE += dh * np.matmul(S.transpose(1, 2, 0), q)
         dS = np.matmul(q, dU.transpose(0, 2, 1))
         grads[f"dag.q{t}"] = np.matmul(S.transpose(1, 0, 2), dU)[ii, jj]
         grads[f"dag.p{t}"] = np.matmul(dS.transpose(1, 0, 2), h)[jj, ii]
@@ -1023,22 +1052,117 @@ class TestOuterOrientation:
         assert_same_bits(model.backward(dlogits), fresh.backward(dlogits))
 
 
+class KeptAggregateModel(DagfmModel):
+    """The student as it ran when a forward with a trainable table kept each
+    layer's aggregate on its tape: a fresh array from the layer's GEMMs,
+    multiplied by the embeddings into the next slot, and read by backward
+    for the table's share ``dh * agg`` before the layer's backward GEMMs,
+    which then form no aggregate again. The model keeps no aggregate and
+    forms each one again from its tape by the forward's calls, so it
+    matches this bit for bit."""
+
+    def _propagate(self, rows, keep):
+        L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
+        B = len(rows)
+        H = np.empty((L + 1, m, B, d))
+        E = H[0]
+        self.embedding.lookup(rows, out=E)
+        gemms = self._layer_gemms[0]
+        one = interactions._ONE_BLOCK
+        plan = (self._sources, self._targets) if B >= interactions.SMALL_ROWS else (one, one)
+        keep_agg = keep and self.store.is_trainable("emb")
+        layer_tapes = []
+        for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
+            agg, cache = gemms(self, H[t], w, plan, None if keep_agg else H[t + 1])
+            np.multiply(agg, E, out=H[t + 1])
+            if keep:
+                layer_tapes.append((agg if keep_agg else None, cache))
+        pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)
+        return self._head(pooled.T), (H, layer_tapes, pooled)
+
+    def _backward(self, tape, dlogits, extra_dstate=None):
+        H, layer_tapes, pooled = tape
+        n_states, m, B, _ = H.shape
+        grads, dpool = self._head_backward(pooled.T, dlogits)
+        dpool = dpool.T.reshape(n_states, m, B, 1)
+
+        def dstate(t, dh):
+            dh = dpool[t] if dh is None else np.add(dh, dpool[t], out=dh)
+            extra = None if extra_dstate is None else extra_dstate(t)
+            return dh if extra is None else dh + extra
+
+        E = H[0]
+        dh = dstate(n_states - 1, None)
+        dE = np.zeros_like(E) if self.store.is_trainable("emb") else None
+        for t in range(n_states - 2, -1, -1):
+            agg, cache = layer_tapes.pop()
+            if dE is not None:
+                dE += dh * agg
+            wants_dh = t > 0 or dE is not None
+            dh = self._layer_gemms[1](self, t, H[t], dh, dh * E, cache, grads, None, wants_dh)
+            if wants_dh:
+                dh = dstate(t, dh)
+        if dE is None:
+            return grads, None
+        dE += dh
+        return grads, dE.transpose(1, 0, 2)
+
+
+class KeptAggregatePlusModel(DagfmPlusModel, KeptAggregateModel):
+    pass
+
+
+class TestAggregateFormedAgain:
+    """Every combiner, and DAGFM+, keeps no aggregate on its tape: a
+    backward that takes the table's gradient forms each layer's aggregate
+    again. Logits and every gradient are bitwise those of
+    :class:`KeptAggregateModel`, on both sides of ``SMALL_ROWS``, with the
+    table trainable or frozen."""
+
+    BATCHES = (1, interactions.SMALL_ROWS - 1, interactions.SMALL_ROWS, 300, 512)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("m", [8, 39])
+    @pytest.mark.parametrize("family", [*KINDS, "dagfm+"])
+    def test_matches_the_kept_aggregates_bitwise(self, family, m, frozen, rng):
+        spec = DagfmSpec("outer" if family == "dagfm+" else family, m, 16, 3)
+        if family == "dagfm+":
+            spec = DagfmPlusSpec(spec, mlp_hidden=(8,))
+        vocab = [4] * m
+        model = build_model(spec, vocab, seed=m)
+        perturb_params(model, rng)
+        kept = (KeptAggregatePlusModel if family == "dagfm+" else KeptAggregateModel).from_values(
+            spec, vocab, model.store.snapshot())
+        if frozen:
+            model.store.freeze("emb")
+            kept.store.freeze("emb")
+        for batch in self.BATCHES:
+            idx = rng.integers(0, 4, size=(batch, m))
+            assert model.forward(idx).tobytes() == kept.forward(idx).tobytes(), batch
+            dlogits = rng.normal(size=batch)
+            grads = model.backward(dlogits)
+            assert ("emb" in grads) != frozen
+            assert_same_bits(grads, kept.backward(dlogits))
+
+
 class TestTapeMemory:
-    """A forward's tape holds the student's state buffer, each layer's
-    aggregate only when the table is trainable, the pooled values and the
-    batch's table rows: within 1 MB of (2L+1) m B d floats, or (L+1) m B d
-    with the table frozen, and no (m, m, B) edge scalars or copy of DAGFM+'s
-    tower input. A backward consumes the tape of every family: the model
-    then holds nothing but the gradients it returned. Measured with
-    tracemalloc at m=39, d=16 and B=512, after a first step has laid out the
-    weights."""
+    """A forward's tape holds the student's state buffer, the pooled values
+    and the batch's table rows, whether or not the table is trainable: within
+    1 MB of (L+1) m B d floats, and no layer's aggregate, (m, m, B) edge
+    scalars or copy of DAGFM+'s tower input. A trainable step peaks at most
+    one state set (the table's gradient) and 0.5 MB above a frozen one. A
+    backward consumes the tape of every family: the model then holds nothing
+    but the gradients it returned. Measured with tracemalloc at m=39, d=16
+    and B=512, after a first step has laid out the weights."""
 
     M, D, B = 39, 16, 512
     VOCAB = [4] * M
+    STATE_SET = M * B * D * 8
 
     def traced_step(self, model, rng):
-        """The bytes a forward's tape holds, and those the model still holds
-        after its backward beyond the logits and the gradients returned."""
+        """The bytes a forward's tape holds, those the model still holds
+        after its backward beyond the logits and the gradients returned, and
+        the traced peak of the whole step."""
         idx = rng.integers(0, 4, size=(self.B, self.M))
         dlogits = rng.normal(size=self.B)
         model.forward(idx)
@@ -1050,25 +1174,36 @@ class TestTapeMemory:
             grads = model.backward(dlogits)
             returned = sum(g.rows.nbytes + g.values.nbytes if isinstance(g, RowGrad) else g.nbytes
                            for g in grads.values())
-            held = tracemalloc.get_traced_memory()[0] - logits.nbytes - returned
+            held, peak = tracemalloc.get_traced_memory()
+            held -= logits.nbytes + returned
         finally:
             tracemalloc.stop()
-        return tape, held
+        return tape, held, peak
+
+    @staticmethod
+    def student(plus, frozen, L=3):
+        spec = DagfmSpec("outer", TestTapeMemory.M, TestTapeMemory.D, L)
+        if plus:
+            spec = DagfmPlusSpec(spec, mlp_hidden=(8,))
+        model = build_model(spec, TestTapeMemory.VOCAB)
+        if frozen:
+            model.store.freeze("emb")
+        return model
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
     @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
     def test_the_student_tape_follows_the_state_width(self, plus, frozen, rng):
         L = 3
-        spec = DagfmSpec("outer", self.M, self.D, L)
-        if plus:
-            spec = DagfmPlusSpec(spec, mlp_hidden=(8,))
-        model = build_model(spec, self.VOCAB)
-        if frozen:
-            model.store.freeze("emb")
-        tape, held = self.traced_step(model, rng)
-        states = (L + 1 if frozen else 2 * L + 1) * self.M * self.B * self.D * 8
+        tape, held, _ = self.traced_step(self.student(plus, frozen, L), rng)
+        states = (L + 1) * self.STATE_SET
         assert states <= tape < states + 1_000_000, (tape, states)
         assert held < 1 << 16, held
+
+    @pytest.mark.parametrize("plus", [False, True], ids=["outer", "dagfm+"])
+    def test_a_trainable_table_costs_one_state_set_at_the_peak(self, plus, rng):
+        trainable, frozen = (self.traced_step(self.student(plus, f), rng) for f in (False, True))
+        assert abs(trainable[0] - frozen[0]) < 1_000_000, (trainable[0], frozen[0])
+        assert trainable[2] <= frozen[2] + self.STATE_SET + 500_000, (trainable[2], frozen[2])
 
     def traced_backward_peak(self, model, rng):
         """The traced peak of a backward, counted from the end of its forward."""
@@ -1099,7 +1234,7 @@ class TestTapeMemory:
         TinyMlpSpec(M, D, hidden=(64,)),
     ], ids=lambda spec: type(spec).__name__)
     def test_backward_leaves_only_its_gradients(self, spec, rng):
-        tape, held = self.traced_step(build_model(spec, self.VOCAB), rng)
+        tape, held, _ = self.traced_step(build_model(spec, self.VOCAB), rng)
         assert tape > 1 << 20
         assert held < 1 << 16, held
 
