@@ -24,6 +24,16 @@ moves only those rows, so a step costs what its batch touches, not what the
 vocabulary holds; a row that a batch misses keeps its value and moments
 through that step.
 
+A step's gradients last for that step: each tile's are summed into the
+batch's as its backward returns them, and the batch's are dropped once
+``adam_step`` has consumed them, so no forward runs while an earlier step's
+gradients are alive. A parameter's Adam moments last from its first update
+until a stage rewinds to its best epoch (the teacher and fine-tune stages):
+they describe the last epoch's weights, not the restored ones, so the stage
+releases them, and the model it hands back holds what its checkpoint holds.
+The distill stage keeps the final epoch and its moments, which fine-tuning
+continues.
+
 Each stage writes one JSON line per epoch: {"epoch", "loss", "val_auc",
 "val_logloss"} with sorted keys and no timestamps, so a seeded rerun
 produces byte-identical logs.
@@ -210,13 +220,16 @@ SCORE_ROWS = 256
 def predict_logits(model, indices: np.ndarray) -> np.ndarray:
     """Logits for every row of ``indices``, in input order, computed one
     ``score`` per tile of :data:`SCORE_ROWS` rows: ``forward``'s logits,
-    with no tape kept."""
+    with no tape kept. Empty ``indices`` are checked as ``score`` checks a
+    batch."""
     indices = np.asarray(indices)
-    chunks = [
+    if not len(indices):
+        model.embedding.table_rows(indices)
+        return np.zeros(0)
+    return np.concatenate([
         model.score(indices[start : start + SCORE_ROWS])
         for start in range(0, len(indices), SCORE_ROWS)
-    ]
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+    ])
 
 
 @dataclass(frozen=True)
@@ -257,7 +270,8 @@ def _tiled_step(model, idx, labels, rows, batch_loss_fn):
     sums are then the whole batch's. The table's row gradients sum over the
     union of the tiles' rows.
     A batch of one tile has share 1.0 and is computed exactly as a single
-    forward and backward.
+    forward and backward. No name holds a tile's gradients once they are
+    summed, so the next tile's forward runs without them.
     """
     n = len(labels)
     loss, grads = 0.0, None
@@ -266,13 +280,27 @@ def _tiled_step(model, idx, labels, rows, batch_loss_fn):
         share = (min(n, lo + TRAIN_ROWS) - lo) / n
         tile_loss, dlogits = batch_loss_fn(model.forward(idx[tile]), labels[tile], rows[tile])
         loss += share * tile_loss
-        tile_grads = model.backward(share * dlogits)
-        if grads is None:
-            grads = tile_grads
-        else:
-            for name, g in tile_grads.items():
-                grads[name] += g
+        grads = _summed(grads, model.backward(share * dlogits))
     return loss, grads
+
+
+def _summed(grads, tile_grads):
+    """``grads`` with ``tile_grads`` added in, or ``tile_grads`` for the
+    batch's first tile."""
+    if grads is None:
+        return tile_grads
+    for name, g in tile_grads.items():
+        grads[name] += g
+    return grads
+
+
+def _train_step(model, idx, labels, rows, batch_loss_fn, stage: StageConfig) -> float:
+    """One batch's loss, and, when it is finite, one Adam step on the
+    batch's gradients, which end with this call."""
+    loss, grads = _tiled_step(model, idx, labels, rows, batch_loss_fn)
+    if np.isfinite(loss):
+        adam_step(model.store, grads, stage.lr, weight_decay=stage.weight_decay)
+    return loss
 
 
 def _run_stage(
@@ -294,7 +322,8 @@ def _run_stage(
     the input model.  ``restore_best=False`` keeps the final epoch's state
     (the report still records the argmax-validation-AUC epoch); this is
     what the distillation stage uses, where the objective is matching the
-    teacher rather than maximising validation AUC.
+    teacher rather than maximising validation AUC. A restoring stage also
+    releases the moments, which describe the final epoch's weights.
     """
     t0 = time.perf_counter()
     report = TrainReport(stage=stage_name)
@@ -322,10 +351,9 @@ def _run_stage(
                 seed=stage.shuffle_seed + epoch,
                 with_positions=True,
             ):
-                loss, grads = _tiled_step(model, idx, labels, rows, batch_loss_fn)
+                loss = _train_step(model, idx, labels, rows, batch_loss_fn, stage)
                 if not np.isfinite(loss):
                     raise diverged("loss", epoch)
-                adam_step(model.store, grads, stage.lr, weight_decay=stage.weight_decay)
                 total += loss * len(labels)
             val = evaluate(model, split.val)
             record = EpochRecord(epoch, total / n_train, val.auc, val.logloss)
@@ -344,6 +372,7 @@ def _run_stage(
         if log is not None:
             log.close()
     if restore_best:
+        model.store.release_moments()  # before the restore copies the snapshot in
         model.store.restore(best_snap)
     report.best_epoch = best_epoch
     report.best_val_auc = best_auc

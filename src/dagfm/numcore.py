@@ -11,9 +11,12 @@ read-only array, and every write (``set``/``restore``, the one-coordinate
 store's ``version``. A value derived from the parameters, such as a model's
 dense edge-weight layout, is current for as long as ``version`` has not moved.
 
-A parameter's Adam moments are allocated by the first ``adam_step`` that
-updates it, so a model that is only loaded, frozen or served holds its
-weights and no optimizer state. A gradient that is zero outside some rows,
+A parameter's Adam moments last from the first ``adam_step`` that updates
+it until ``release_moments``, which a training stage calls when it rewinds
+to its best epoch, so a model that is only loaded, frozen or served, or
+handed back by such a stage, holds its weights and no optimizer state. A
+gradient lasts for one step: the stage loop drops it once ``adam_step`` has
+consumed it. A gradient that is zero outside some rows,
 as an embedding table's is outside the rows its batch touched, can be given
 as a :class:`RowGrad`, and ``adam_step`` then updates only those rows.
 
@@ -93,9 +96,9 @@ class ParamStore:
     ``version``, one integer for the whole store. A frozen parameter is
     bitwise untouched by ``adam_step``: neither its value nor its optimizer
     moments move. The moments of a parameter are allocated, as exact zeros,
-    by the first ``adam_step`` that updates it, and kept from then on
-    (through ``freeze`` and ``unfreeze_all`` too); until then the store
-    holds none.
+    by the first ``adam_step`` that updates it, and kept (through ``freeze``
+    and ``unfreeze_all`` too) until ``release_moments`` drops them with
+    every step count; outside that span the store holds none.
     """
 
     dtype = np.dtype(np.float64)  # of every parameter, gradient and model buffer
@@ -184,6 +187,13 @@ class ParamStore:
             m = v = np.zeros(self._public[name].shape)
         m.flags.writeable = v.flags.writeable = False
         return m, v
+
+    def release_moments(self) -> None:
+        """Drop every parameter's Adam moments and step count: the store then
+        holds what a checkpoint of it holds, and a later ``adam_step`` starts
+        each parameter from zero moments at step 1, as on a loaded model."""
+        self._moments.clear()
+        self._step = dict.fromkeys(self._step, 0)
 
     def n_scalars(self, names: Iterable[str] | None = None) -> int:
         names = self.names() if names is None else list(names)

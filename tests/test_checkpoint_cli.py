@@ -811,13 +811,21 @@ def test_stages_step_as_with_eager_zero_moments(spec, tmp_path, monkeypatch):
         distill_student(student, load_checkpoint(tmp_path / "teacher.ckpt"), split, teach)
         states.append(state(student.store))
         finetune_student(student, split, tune)
-        return [*states, state(student.store)], student.store
+        return [*states, state(student.store)], (teacher.store, student.store)
 
-    lazy, store = stages(adam_step, store_state)
+    lazy, rewound = stages(adam_step, store_state)
     eager = EagerAdam()
-    assert lazy == stages(eager, eager.store_state)[0]
-    assert held_moments(store) == set(store.names())
-    assert lazy[1]["emb"][3] == 0 < lazy[2]["emb"][3]  # frozen in distill, stepped in finetune
+    expected = stages(eager, eager.store_state)[0]
+    values = [{n: s[0] for n, s in states.items()} for states in (*lazy, *expected)]
+    assert values[:3] == values[3:]
+    # distill keeps its moments for fine-tuning, which continues them
+    assert lazy[1] == expected[1]
+    # the teacher and fine-tune stages rewind to their best epoch and hand
+    # back their weights alone
+    for store in rewound:
+        assert held_moments(store) == set()
+        assert all(store.step_count(n) == 0 for n in store.names())
+    assert lazy[1]["emb"][3] == 0 < expected[2]["emb"][3]  # frozen in distill, stepped in finetune
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from conftest import perturb_params, store_state
+from conftest import MODEL_TAGS, held_moments, perturb_params, store_state
 
-from dagfm.checkpoint import build_model
+from dagfm.checkpoint import build_model, load_checkpoint, save_checkpoint
 from dagfm.data import DatasetSplit, iterate_batches, split_dataset
 from dagfm.distill import (
     SCORE_ROWS,
@@ -31,7 +32,13 @@ from dagfm.distill import (
     train_teacher,
 )
 from dagfm.interactions import DagfmModel, DagfmPlusSpec, DagfmSpec
-from dagfm.numcore import ConfigurationError, TrainingDivergenceError, adam_step
+from dagfm.numcore import (
+    ConfigurationError,
+    RowGrad,
+    ShapeError,
+    TrainingDivergenceError,
+    adam_step,
+)
 from dagfm.synthetic import generate_planted_dataset
 from dagfm.teachers import (
     CinSpec,
@@ -284,10 +291,19 @@ class TestPredict:
             tracemalloc.stop()
         assert kept < 1 << 20
 
-    def test_empty_input(self, tiny):
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_empty_input(self, tiny, tag):
+        # no rows, checked as score checks a batch
         vocab_sizes, _ = tiny
-        model = fresh_student(vocab_sizes)
-        assert predict_logits(model, np.zeros((0, 4), dtype=np.int64)).shape == (0,)
+        model = build_model(TRAINED_FAMILIES[tag], vocab_sizes, seed=3)
+        for bad in (np.zeros((0, 4), dtype=bool), np.zeros((0, 5), dtype=np.int64),
+                    np.zeros((0, 4)), np.zeros(0, dtype=np.int64)):
+            with pytest.raises(ShapeError):
+                model.score(bad)
+            with pytest.raises(ShapeError):
+                predict_logits(model, bad)
+        logits = predict_logits(model, np.zeros((0, 4), dtype=np.int64))
+        assert (logits.dtype, logits.shape) == (np.float64, (0,))
 
     def test_evaluate_matches_metrics(self, tiny):
         from dagfm.metrics import auc, logloss
@@ -492,6 +508,91 @@ class TestTrainingTiles:
         finally:
             tracemalloc.stop()
         assert many_tiles < 1.5 * one_tile
+
+
+# ---------------------------------------------------------------------------
+# what a step and a stage leave alive
+# ---------------------------------------------------------------------------
+
+
+def grad_arrays(grads) -> list[np.ndarray]:
+    """Every array of a gradient dict: dense ones, and a RowGrad's rows and
+    values."""
+    return [a for g in grads.values()
+            for a in ((g.rows, g.values) if isinstance(g, RowGrad) else (g,))]
+
+
+class TestLifetimes:
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_rewinding_stages_hand_back_what_their_checkpoint_holds(
+        self, tiny, teacher, tag, tmp_path
+    ):
+        # the teacher and fine-tune stages rewind to their best epoch, and
+        # drop the moments of the epoch they rewound from; distill keeps its
+        # moments, which fine-tuning continues
+        vocab_sizes, split = tiny
+        split = one_batch(split, 512)
+        stage = StageConfig(epochs=2, lr=0.05, batch_size=128, patience=0)
+        model = perturbed(TRAINED_FAMILIES[tag], vocab_sizes)
+
+        def checkpoint_state():
+            save_checkpoint(model, tmp_path / "model.ckpt")
+            return store_state(load_checkpoint(tmp_path / "model.ckpt").store)
+
+        train_teacher(model, split, stage)
+        assert store_state(model.store) == checkpoint_state()
+        distill_student(model, teacher, split, stage)
+        trained = set(model.store.trainable_names())
+        assert held_moments(model.store) == trained and "emb" not in trained
+        assert all(model.store.step_count(n) == 8 for n in trained)
+        finetune_student(model, split, stage)
+        assert store_state(model.store) == checkpoint_state()
+
+    @pytest.mark.parametrize("tiles", [1, 4])
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_no_forward_runs_beside_an_earlier_steps_gradients(
+        self, tiny, tag, tiles, monkeypatch
+    ):
+        # weakrefs to each step's gradients, taken as adam_step receives
+        # them, and to each tile's but the first (whose arrays may hold the
+        # batch's sums), taken as backward returns them: all are dead when
+        # the next forward starts
+        vocab_sizes, split = tiny
+        # two one-tile batches an epoch, or one four-tile batch (the last
+        # tile ragged), for two epochs
+        n = TRAIN_ROWS if tiles == 1 else 3 * TRAIN_ROWS + 37
+        split = one_batch(split, 2 * n if tiles == 1 else n)
+        stage = StageConfig(epochs=2, lr=0.01, batch_size=n, patience=0)
+        model = perturbed(TRAINED_FAMILIES[tag], vocab_sizes)
+        forward, backward = model.forward, model.backward
+        gone, calls = [], {"forward": 0, "backward": 0, "step": 0, "step's tiles": 0}
+
+        def checked_forward(idx):
+            assert [r for r in gone if r() is not None] == []
+            calls["forward"] += 1
+            return forward(idx)
+
+        def recorded_backward(dlogits):
+            grads = backward(dlogits)
+            if calls["step's tiles"]:
+                gone.extend(weakref.ref(a) for a in grad_arrays(grads))
+            calls["step's tiles"] += 1
+            calls["backward"] += 1
+            return grads
+
+        def recorded_step(store, grads, lr, weight_decay):
+            adam_step(store, grads, lr, weight_decay=weight_decay)
+            gone.extend(weakref.ref(a) for a in grad_arrays(grads))
+            calls["step's tiles"] = 0
+            calls["step"] += 1
+
+        monkeypatch.setattr(model, "forward", checked_forward)
+        monkeypatch.setattr(model, "backward", recorded_backward)
+        monkeypatch.setattr("dagfm.distill.adam_step", recorded_step)
+        train_teacher(model, split, stage)
+        steps = 4 if tiles == 1 else 2
+        assert [calls[k] for k in ("forward", "backward", "step")] == [steps * tiles] * 2 + [steps]
+        assert len(gone) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import held_moments
+from conftest import held_moments, store_state
 from dagfm.numcore import (
     ADAM_EPS,
     ConfigurationError,
@@ -173,6 +173,21 @@ class TestMomentsOnFirstUpdate:
         for moment in store.moments("a"):
             with pytest.raises(ValueError):
                 moment[0] = 1.0
+
+    def test_release_drops_moments_and_step_counts_and_keeps_values(self):
+        store = make_store(a=[1.0, 2.0], b=[3.0])
+        adam_step(store, {"a": np.ones(2), "b": np.ones(1)}, lr=0.1)
+        values, version = [store[n].tobytes() for n in store.names()], store.version
+        store.release_moments()
+        assert held_moments(store) == set()
+        assert store.step_count("a") == store.step_count("b") == 0
+        assert [store[n].tobytes() for n in store.names()] == values
+        assert store.version == version  # the parameters did not move
+        # the next step starts afresh, as on a store that holds these values
+        fresh = make_store(a=store["a"], b=store["b"])
+        for s in (store, fresh):
+            adam_step(s, {"a": np.full(2, 0.5), "b": np.ones(1)}, lr=0.1)
+        assert store_state(store) == store_state(fresh)
 
     @pytest.mark.parametrize("bad", [np.array([1.0, np.inf]), np.ones(3)], ids=["inf", "shape"])
     def test_failed_first_step_allocates_none(self, bad):
