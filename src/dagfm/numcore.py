@@ -18,7 +18,11 @@ handed back by such a stage, holds its weights and no optimizer state. A
 gradient lasts for one step: the stage loop drops it once ``adam_step`` has
 consumed it. A gradient that is zero outside some rows,
 as an embedding table's is outside the rows its batch touched, can be given
-as a :class:`RowGrad`, and ``adam_step`` then updates only those rows.
+as a :class:`RowGrad`, and ``adam_step`` then updates only those rows. The
+moments of a parameter that only row gradients have updated are row-compact:
+they hold the rows that a step has moved and no others, so an embedding
+table's optimizer state grows with the rows its stage touches, not with the
+vocabulary. ``ParamStore.moments`` materialises the dense view.
 
 Every parameter, gradient and activation is float64 (``ParamStore.dtype``),
 in training and in verification alike. Batch reductions use numpy's
@@ -98,7 +102,9 @@ class ParamStore:
     moments move. The moments of a parameter are allocated, as exact zeros,
     by the first ``adam_step`` that updates it, and kept (through ``freeze``
     and ``unfreeze_all`` too) until ``release_moments`` drops them with
-    every step count; outside that span the store holds none.
+    every step count; outside that span the store holds none. A parameter
+    that only :class:`RowGrad` steps have updated holds the moments of the
+    rows they moved alone; ``moments`` reads them at the parameter's shape.
     """
 
     dtype = np.dtype(np.float64)  # of every parameter, gradient and model buffer
@@ -107,7 +113,7 @@ class ParamStore:
         self._values: dict[str, np.ndarray] = {}  # writable views, the store's own
         self._public: dict[str, np.ndarray] = {}  # the same memory, read-only
         self._trainable: dict[str, bool] = {}
-        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # (m, v) from the first update
+        self._moments: dict[str, _Moments] = {}  # from the first update
         self._step: dict[str, int] = {}
         self.version = 0
 
@@ -179,10 +185,13 @@ class ParamStore:
         return self._step[name]
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """The Adam moments ``(m, v)``, read-only; zeros, kept nowhere, for a
-        parameter that no ``adam_step`` has updated yet."""
+        """The Adam moments ``(m, v)`` at the parameter's shape, read-only;
+        zeros, kept nowhere, for a parameter that no ``adam_step`` has
+        updated yet. Row-compact moments are materialised: a new dense copy,
+        zero in every row that no step has moved."""
         if name in self._moments:
-            m, v = (a.view() for a in self._moments[name])
+            dense = self._moments[name].densify()
+            m, v = dense.m.view(), dense.v.view()
         else:
             m = v = np.zeros(self._public[name].shape)
         m.flags.writeable = v.flags.writeable = False
@@ -237,6 +246,52 @@ class RowGrad:
         return RowGrad(rows, values, self.shape)
 
 
+class _Moments:
+    """A parameter's Adam moments ``(m, v)``. Dense moments (``slot`` None)
+    have the parameter's shape. Row-compact ones, which a parameter keeps
+    while only :class:`RowGrad` steps have updated it, hold one row for each
+    table row that a step has moved, in first-touch order: table row ``r``'s
+    moments are ``m[slot[r] - 1]`` and ``v[slot[r] - 1]``, and ``slot[r]``
+    is 0 for a row that no step has moved, whose moments are zero."""
+
+    __slots__ = ("m", "v", "slot")
+
+    def __init__(self, shape, row_compact: bool):
+        if row_compact:
+            self.m = self.v = np.zeros((0, *shape[1:]))
+            self.slot = np.zeros(shape[0], dtype=np.intp)
+        else:
+            self.m, self.v, self.slot = np.zeros(shape), np.zeros(shape), None
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Where the moments of sorted unique ``rows`` sit in ``m`` and
+        ``v``. Rows no step has moved are given the next slots, with zero
+        moments appended by one exact concatenation."""
+        if self.slot is None:
+            return rows
+        pos = self.slot.take(rows)
+        fresh = pos == 0
+        if fresh.any():
+            n = len(self.m)
+            new = rows[fresh]
+            pos[fresh] = self.slot[new] = np.arange(n + 1, n + len(new) + 1)
+            pad = np.zeros((len(new), *self.m.shape[1:]))
+            self.m, self.v = (np.concatenate((a, pad)) for a in (self.m, self.v))
+        pos -= 1
+        return pos
+
+    def densify(self) -> "_Moments":
+        """These moments at the parameter's full shape (``self`` when they
+        are dense already): zeros in every row that no step has moved."""
+        if self.slot is None:
+            return self
+        dense = _Moments((len(self.slot), *self.m.shape[1:]), row_compact=False)
+        moved = np.flatnonzero(self.slot)
+        at = self.slot[moved] - 1
+        dense.m[moved], dense.v[moved] = self.m[at], self.v[at]
+        return dense
+
+
 def _adam_update(th, g, m, v, t: int, lr: float, weight_decay: float) -> None:
     """Bitwise textbook Adam, in place, on flat arrays of one chunk."""
     step, den = np.empty((2, th.size), dtype=th.dtype)
@@ -271,6 +326,14 @@ def adam_step(
     step count stays one per parameter, so a row that a step misses skips
     that step's momentum and decay. A row gradient over every row steps
     bitwise as the dense gradient does.
+
+    The moments of a parameter that only row gradients have updated are
+    row-compact: one (m, v) row for each row a step has moved, in the order
+    the rows were first moved, found through a slot index over the rows and
+    grown, by exact concatenation, only on a step that brings new rows. Every
+    row is gathered and scattered by its slot through the same arithmetic,
+    so values and moments are bitwise those of full-shape moments. A dense
+    gradient first turns a parameter's row-compact moments full-shape.
 
     Every gradient is checked before the first write, so a step that raises
     leaves values, moments, step counts and ``store.version`` untouched. A
@@ -316,26 +379,31 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError(f"non-finite gradient for parameter '{name}'")
         updates.append((name, theta, g, rows))
-    for name, theta, *_ in updates:
+    for name, theta, _, rows in updates:
         if name not in store._moments:
-            store._moments[name] = np.zeros(theta.shape), np.zeros(theta.shape)
+            store._moments[name] = _Moments(theta.shape, row_compact=rows is not None)
     store.version += 1
     for name, theta, g, rows in updates:
-        m, v = store._moments[name]
+        mom = store._moments[name]
         t = store.step_count(name) + 1
         if rows is None:
+            mom = store._moments[name] = mom.densify()
             for lo in range(0, theta.size, ADAM_CHUNK):
-                chunk = (a.reshape(-1)[lo : lo + ADAM_CHUNK] for a in (theta, g, m, v))
+                chunk = (a.reshape(-1)[lo : lo + ADAM_CHUNK] for a in (theta, g, mom.m, mom.v))
                 _adam_update(*chunk, t, lr, weight_decay)
         else:
-            # gather whole rows, update them as one flat chunk, scatter them back
+            # gather whole rows, their moments by slot, update them as one flat
+            # chunk, scatter them back
+            pos = mom.positions(rows)
+            m, v = mom.m, mom.v
             per_chunk = max(1, ADAM_CHUNK // max(1, math.prod(theta.shape[1:])))
             for lo in range(0, len(rows), per_chunk):
-                r = rows[lo : lo + per_chunk]
-                th, mc, vc = (a.take(r, axis=0) for a in (theta, m, v))
+                r, p = rows[lo : lo + per_chunk], pos[lo : lo + per_chunk]
+                th = theta.take(r, axis=0)
+                mc, vc = m.take(p, axis=0), v.take(p, axis=0)
                 gc = g[lo : lo + per_chunk]
                 _adam_update(*(a.reshape(-1) for a in (th, gc, mc, vc)), t, lr, weight_decay)
-                theta[r], m[r], v[r] = th, mc, vc
+                theta[r], m[p], v[p] = th, mc, vc
         store._step[name] = t
 
 

@@ -128,6 +128,17 @@ def held_moments(store) -> set[str]:
     return set(store._moments)
 
 
+def moment_rows(store, name: str) -> list[int] | None:
+    """The table rows whose Adam moments parameter ``name`` holds in
+    row-compact form, in the order of their slots; None for moments held
+    at the parameter's full shape."""
+    slot = store._moments[name].slot
+    if slot is None:
+        return None
+    moved = np.flatnonzero(slot)
+    return moved[np.argsort(slot[moved])].tolist()
+
+
 def field_rows(model, i: int) -> np.ndarray:
     """Field ``i``'s rows of the model's one ``emb`` table, as a view: they
     start after the rows of fields ``0..i-1``."""

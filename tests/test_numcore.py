@@ -1,9 +1,11 @@
 """Parameter store, Adam update rule, and the finite-difference harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import held_moments, store_state
+from conftest import held_moments, moment_rows, store_state
 from dagfm.numcore import (
     ADAM_EPS,
     ConfigurationError,
@@ -405,6 +407,59 @@ class TestLazyRowAdam:
             assert store.step_count("x") == t
         assert store["x"].tobytes() == theta.tobytes()
         assert moment_bytes(store, "x") == (m.tobytes(), v.tobytes())
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 3e-4])
+    def test_row_compact_moments_step_as_eager_dense_adam(self, weight_decay):
+        # row steps that bring new rows, repeat moved ones and touch only
+        # unmoved ones, then a dense step, a row step on the dense moments,
+        # a release and row steps afresh: after each, values, both moments
+        # and the step count are an eager dense-moment Adam's, bitwise, and
+        # row-compact moments hold the moved rows alone, in first-touch order
+        rng = np.random.default_rng(13)
+        n, d, lr = 40, 3, 1e-2
+        theta = rng.normal(size=(n, d))
+        store = make_store(x=theta.copy())
+        m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
+        held = []
+        schedule = [[3, 7, 8], [1, 7, 8, 20], [30, 31, 39], [1, 3, 7], "dense", [2, 5],
+                    "release", [0, 7, 39], [0, 39]]
+        for step in schedule:
+            if step == "release":
+                store.release_moments()
+                m, v, t, held = np.zeros_like(theta), np.zeros_like(theta), 0, []
+                assert held_moments(store) == set()
+            else:
+                rows = np.arange(n) if step == "dense" else np.asarray(step, dtype=np.intp)
+                g = rng.normal(size=(len(rows), d))
+                grad = g if step == "dense" else row_grad(rows, g, theta.shape)
+                adam_step(store, {"x": grad}, lr=lr, weight_decay=weight_decay)
+                t += 1
+                theta, m, v = textbook_lazy_adam(theta, m, v, rows, g, t, lr, weight_decay)
+                if step == "dense":
+                    held = None
+                elif held is not None:
+                    held += [r for r in step if r not in held]
+                assert moment_rows(store, "x") == held
+            assert store["x"].tobytes() == theta.tobytes()
+            assert moment_bytes(store, "x") == (m.tobytes(), v.tobytes())
+            assert store.step_count("x") == t
+
+    def test_a_row_step_on_a_wide_table_allocates_what_its_rows_need(self):
+        # a step touching 1,000 rows of a 2,000,000 x 16 table peaks below an
+        # eighth of one full-shape moment array (256 MB): the moments follow
+        # the rows moved, and the table's one slot index is 16 MB
+        n, d = 2_000_000, 16
+        store = make_store(emb=np.zeros((n, d)))  # untouched pages stay unmapped
+        rows = np.sort(np.random.default_rng(14).choice(n, size=1000, replace=False))
+        grad = row_grad(rows, np.ones((len(rows), d)), (n, d))
+        tracemalloc.start()
+        try:
+            adam_step(store, {"emb": grad}, lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 // 8
+        assert moment_rows(store, "emb") == rows.tolist()
 
     def test_a_row_step_touching_no_row_moves_only_the_step_count(self):
         store = make_store(x=np.ones((4, 2)))
