@@ -4,8 +4,11 @@ Input files are UTF-8 CSV with a header row ``label,<field names>``; every
 column after the label is one categorical field. Vocabulary discovery maps
 raw values to contiguous indices per field, in first-appearance order, with
 one out-of-vocabulary (OOV) bucket per field at index ``len(vocab)``.
-Splitting and batching are deterministic functions of their seeds, and they
-gather rows with ``take``, which copies each row whole.
+A :class:`Dataset` holds its codes as int32 and its labels as int8, so a
+field's vocabulary is limited to 2**31 - 1 values; a model's table rows,
+which may outnumber that, are int64. Splitting and batching are
+deterministic functions of their seeds, and they gather rows with ``take``,
+which copies each row whole and keeps those widths.
 
 A file is decoded as streamed UTF-8 text and read :data:`INGEST_ROWS` lines
 at a time. Lines end at ``\n``, ``\r\n`` or a lone ``\r`` (Python's
@@ -21,8 +24,10 @@ dict subscript per value, with no Python loop per value. The label's dict
 and each field's dict sit in that cycle. A field's dict gives a value it
 does not hold the next index (:func:`read_csv`, which builds the schema) or
 the OOV index (:func:`load_dataset`, which reads against a given one).
-:func:`read_csv` applies ``min_freq`` afterwards, with one ``np.bincount``
-and one remap per field, so a schema and its dataset take one parse.
+Each block is coded at the dataset's int32 width as it is read, so ingest
+never holds a wider matrix. :func:`read_csv` applies ``min_freq``
+afterwards, with one ``np.bincount`` and one remap per field, so a schema
+and its dataset take one parse.
 """
 
 from __future__ import annotations
@@ -132,12 +137,36 @@ class FieldSchema:
         return cls.from_json(text)
 
 
+def _exact(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array: the array itself when it has that
+    dtype, else one converted copy. A conversion that would change a value
+    (a fraction, NaN, or a value outside ``dtype``'s range, which a cast
+    would wrap) raises :class:`SchemaError`."""
+    arr = np.asarray(values)
+    if arr.dtype == dtype:
+        return arr
+    if arr.dtype.kind not in "biuf":
+        raise SchemaError(f"{what} must be numbers, got dtype {arr.dtype}")
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range floats cast to junk
+        out = arr.astype(dtype)
+    changed = out != arr
+    if changed.any():
+        raise SchemaError(
+            f"{what} must be whole numbers that {np.dtype(dtype)} holds, "
+            f"got {arr[changed][0].item()!r}"
+        )
+    return out
+
+
 class Dataset:
-    """Columnar store of encoded instances (labels plus an index matrix)."""
+    """Columnar store of encoded instances: an (n, m) int32 index matrix and
+    n int8 labels. Input of those dtypes is kept as given, other input is
+    converted once; a conversion that would change a value raises
+    :class:`SchemaError`."""
 
     def __init__(self, indices: np.ndarray, labels: np.ndarray):
-        indices = np.asarray(indices, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
+        indices = _exact(indices, np.int32, "indices")
+        labels = _exact(labels, np.int8, "labels")
         if indices.ndim != 2 or labels.ndim != 1 or len(indices) != len(labels):
             raise SchemaError("indices must be (n, m) and labels (n,)")
         self.indices = indices
@@ -216,10 +245,11 @@ def _codes(vocab: dict[str, int] | None = None) -> defaultdict:
 
 
 def _encode(path, fields: list[defaultdict]) -> tuple[np.ndarray, np.ndarray]:
-    """The data rows of a ``label`` + ``len(fields)``-field CSV, as the int64
-    ``(indices, labels)`` of a :class:`Dataset`, field ``f``'s values coded
+    """The data rows of a ``label`` + ``len(fields)``-field CSV, as the int32
+    indices and int8 labels of a :class:`Dataset`, field ``f``'s values coded
     by ``fields[f]``. Raises :class:`ParseError` for the first malformed
-    line, or when the file holds no data row."""
+    line, or when the file holds no data row, and :class:`SchemaError` when a
+    field's codes outgrow int32."""
     m = len(fields)
     n_cols = m + 1
     columns = [_Labels(_LABELS), *fields]
@@ -236,18 +266,25 @@ def _encode(path, fields: list[defaultdict]) -> tuple[np.ndarray, np.ndarray]:
                 # gives the block's values row-major; a trailing "" would be
                 # one more label, which ``count`` leaves out
                 values = "".join(rows).replace("\n", ",").split(",")
-                codes = np.fromiter(
-                    map(dict.__getitem__, cycle(columns), values),
-                    dtype=np.int64,
-                    count=len(rows) * n_cols,
-                ).reshape(len(rows), n_cols)
+                try:
+                    codes = np.fromiter(
+                        map(dict.__getitem__, cycle(columns), values),
+                        dtype=np.int32,
+                        count=len(rows) * n_cols,
+                    ).reshape(len(rows), n_cols)
+                except OverflowError:
+                    raise SchemaError(
+                        f"{path}: a field's codes outgrow int32; a vocabulary "
+                        f"holds at most {np.iinfo(np.int32).max} values"
+                    ) from None
                 if codes[:, 0].min() < 0:
                     _raise_first_fault(block, line_no, n_cols)
                 blocks.append(codes)
             line_no += len(block)
     if not blocks:
         raise ParseError(f"{path}: no data rows")
-    return np.concatenate([b[:, 1:] for b in blocks]), np.concatenate([b[:, 0] for b in blocks])
+    return (np.concatenate([b[:, 1:] for b in blocks]),
+            np.concatenate([b[:, 0] for b in blocks], dtype=np.int8))
 
 
 def _raise_first_fault(block: list[str], line_no: int, n_cols: int) -> None:

@@ -337,6 +337,13 @@ class EmbeddingTable:
         self._rows = np.array(vocab_sizes)
         self.offsets = np.concatenate(([0], np.cumsum(self._rows)[:-1]))
         self.dim = store["emb"].shape[1]
+        # each field's row count, as the bound of an unsigned view of the
+        # int32 or int64 indices that ``table_rows`` reads; no int32 index
+        # reaches 2**31, and a negative one reads as at least that
+        self._bounds = {
+            np.dtype(np.int32): np.minimum(self._rows, 2**31).astype(np.uint32),
+            np.dtype(np.int64): self._rows.astype(np.uint64),
+        }
 
     @property
     def num_fields(self) -> int:
@@ -346,14 +353,22 @@ class EmbeddingTable:
         """The (B, m) table rows an index batch reads: ``offsets[i] + j`` for
         field i's index j, once the batch's integer dtype, its shape and every
         field's range are checked. A bool matrix is not indices, and a float
-        or str one is rejected before any arithmetic reads it."""
+        or str one is rejected before any arithmetic reads it. int32 indices,
+        a :class:`~dagfm.data.Dataset`'s, are checked at their width, other
+        integers as int64; the rows are int64, as a table's row count may
+        exceed int32."""
         idx = np.asarray(idx)
         if idx.dtype.kind not in "iu":
             raise ShapeError(f"index matrix must hold integers, got dtype {idx.dtype}")
         if idx.ndim != 2 or idx.shape[1] != self.num_fields:
             raise ShapeError(f"index matrix must be (batch, {self.num_fields}), got {idx.shape}")
-        # the per-field check also keeps field i's indices off field i+1's rows
-        if idx.min(initial=0) < 0 or not (idx < self._rows).all():
+        if idx.dtype not in self._bounds:
+            idx = idx.astype(np.int64)
+        bound = self._bounds[idx.dtype]
+        # read unsigned, a negative index lies above every bound, so one
+        # compare checks both ends; the per-field bound also keeps field i's
+        # indices off field i+1's rows
+        if not (idx.view(bound.dtype) < bound).all():
             bad = (idx < 0) | (idx >= self._rows)
             i = int(np.argmax(bad.any(axis=0)))
             raise IndexError(

@@ -252,14 +252,17 @@ class _Moments:
     while only :class:`RowGrad` steps have updated it, hold one row for each
     table row that a step has moved, in first-touch order: table row ``r``'s
     moments are ``m[slot[r] - 1]`` and ``v[slot[r] - 1]``, and ``slot[r]``
-    is 0 for a row that no step has moved, whose moments are zero."""
+    is 0 for a row that no step has moved, whose moments are zero. ``slot``
+    is int32, 4 bytes per table row, so a parameter of more than
+    :attr:`MAX_ROWS` rows cannot hold row-compact moments."""
 
     __slots__ = ("m", "v", "slot")
+    MAX_ROWS = np.iinfo(np.int32).max
 
     def __init__(self, shape, row_compact: bool):
         if row_compact:
             self.m = self.v = np.zeros((0, *shape[1:]))
-            self.slot = np.zeros(shape[0], dtype=np.intp)
+            self.slot = np.zeros(shape[0], dtype=np.int32)
         else:
             self.m, self.v, self.slot = np.zeros(shape), np.zeros(shape), None
 
@@ -366,6 +369,11 @@ def adam_step(
                 raise ConfigurationError(
                     f"row gradient for '{name}': rows must be integers, sorted, unique "
                     f"and in range"
+                )
+            if name not in store._moments and len(theta) > _Moments.MAX_ROWS:
+                raise ConfigurationError(
+                    f"row gradient for '{name}': row-compact moments index at most "
+                    f"{_Moments.MAX_ROWS} rows, got {len(theta)}"
                 )
             if g.values.shape != (len(rows), *theta.shape[1:]):
                 raise ShapeError(

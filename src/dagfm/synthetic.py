@@ -39,13 +39,13 @@ def generate_planted_dataset(
         raise ValueError(f"rule_fields {rule_fields} out of range for m={m}")
     rng = np.random.default_rng(seed)
     schema = synthetic_schema(m, vocab_size)
-    idx = rng.integers(0, vocab_size, size=(n, m))
+    idx = rng.integers(0, vocab_size, size=(n, m), dtype=np.int32)
     latents = {f: rng.normal(size=vocab_size) for f in rule_fields}
     logits = np.full(n, float(signal))
     for f in rule_fields:
         logits = logits * latents[f][idx[:, f]]
     noisy = logits + noise * rng.normal(size=n)
-    labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-noisy))).astype(np.int64)
+    labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-noisy))).astype(np.int8)
     return schema, Dataset(idx, labels), logits
 
 

@@ -2,9 +2,10 @@
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -251,8 +252,9 @@ class TestSplitDataset:
         perm = np.random.default_rng(11).permutation(1000)
         for part, rows in zip((split.train, split.val, split.test),
                               (perm[:800], perm[800:900], perm[900:])):
-            for got, want in ((part.indices, ds.indices[rows]), (part.labels, ds.labels[rows])):
-                assert got.dtype == np.int64 and got.flags.c_contiguous
+            for got, want, dtype in ((part.indices, ds.indices[rows], np.int32),
+                                     (part.labels, ds.labels[rows], np.int8)):
+                assert got.dtype == dtype and got.flags.c_contiguous
                 assert np.array_equal(got, want)
 
     def test_empty_input_rejected(self):
@@ -316,8 +318,9 @@ class TestIterateBatches:
     def test_batches_equal_the_fancy_index_gathers(self, seed):
         ds = Dataset(np.random.default_rng(1).integers(0, 50, size=(300, 8)), np.arange(300) % 2)
         for rows, idx, labels in iterate_batches(ds, 64, seed=seed, with_positions=True):
-            for got, want in ((idx, ds.indices[rows]), (labels, ds.labels[rows])):
-                assert got.dtype == np.int64 and got.flags.c_contiguous
+            for got, want, dtype in ((idx, ds.indices[rows], np.int32),
+                                     (labels, ds.labels[rows], np.int8)):
+                assert got.dtype == dtype and got.flags.c_contiguous
                 assert np.array_equal(got, want)
 
     @given(n=st.integers(1, 40), bs=st.integers(1, 50), seed=st.integers(0, 5))
@@ -338,6 +341,88 @@ class TestLoadDataset:
         loaded = load_dataset(path, schema)
         assert np.array_equal(loaded.indices, ds.indices)
         assert np.array_equal(loaded.labels, ds.labels)
+
+
+class TestDatasetWidths:
+    """A dataset holds int32 codes and int8 labels; a conversion that would
+    change a value is a schema error, never a silent truncation or wrap."""
+
+    @pytest.mark.parametrize("indices, labels, bad", [
+        ([[1.7, 0.0]], [1], "indices must be whole numbers that int32 holds, got 1.7"),
+        ([[np.nan, 0.0]], [1], "indices must be whole numbers that int32 holds, got nan"),
+        (np.array([[2**31, 0]]), [1], "int32 holds, got 2147483648"),
+        (np.array([[-2**31 - 1, 0]]), [1], "int32 holds, got -2147483649"),
+        ([[0, 1]], [0.5], "labels must be whole numbers that int8 holds, got 0.5"),
+        ([[0, 1]], [300], "int8 holds, got 300"),  # a cast would wrap it to 44
+        ([[0, 1]], [np.inf], "int8 holds, got inf"),
+        ([["0", "1"]], [1], "indices must be numbers, got dtype <U1"),
+        ([[0, 1]], [2**70], "labels must be numbers, got dtype object"),
+    ], ids=["fraction", "nan", "2**31", "-2**31-1", "fractional-label", "label-300",
+            "inf-label", "str", "huge-int"])
+    def test_a_conversion_that_changes_a_value_is_a_schema_error(self, indices, labels, bad):
+        with pytest.raises(SchemaError, match=re.escape(bad)):
+            Dataset(indices, labels)
+
+    def test_int32_codes_and_int8_labels_are_kept_without_a_copy(self):
+        indices = np.arange(6, dtype=np.int32).reshape(3, 2)
+        labels = np.array([0, 1, 1], dtype=np.int8)
+        ds = Dataset(indices, labels)
+        assert np.shares_memory(ds.indices, indices) and np.shares_memory(ds.labels, labels)
+
+    def test_python_ints_and_exact_floats_build_at_the_dataset_widths(self):
+        ds = Dataset([[2**31 - 1, -2**31], [0, 7]], [True, 0.0])
+        assert ds.indices.dtype == np.int32 and ds.labels.dtype == np.int8
+        assert ds.indices.tolist() == [[2**31 - 1, -2**31], [0, 7]]
+        assert ds.labels.tolist() == [1, 0]
+
+    def test_every_producer_gives_c_contiguous_int32_codes_and_int8_labels(self, tmp_path):
+        schema, planted, _ = generate_planted_dataset(300, m=4, vocab_size=6, seed=2)
+        write_csv(tmp_path / "data.csv", schema, planted)
+        split = split_dataset(planted, seed=0)
+        produced = [planted, read_csv(tmp_path / "data.csv")[1],
+                    load_dataset(tmp_path / "data.csv", schema),
+                    split.train, split.val, split.test]
+        pairs = [(ds.indices, ds.labels) for ds in produced]
+        pairs += list(iterate_batches(split.train, 64, seed=1))
+        for indices, labels in pairs:
+            assert indices.dtype == np.int32 and indices.flags.c_contiguous
+            assert labels.dtype == np.int8 and labels.flags.c_contiguous
+
+    def test_a_vocabulary_that_outgrows_int32_in_ingest_is_a_schema_error(self, tmp_path):
+        # every field's first new value is code 2**31 - 1, so f1's second is 2**31
+        def codes(vocab=None):
+            return defaultdict(count(2**31 - 1).__next__)
+
+        path = write(tmp_path, "label,f1,f2\n1,a,x\n0,b,x\n")
+        with mock.patch.object(data, "_codes", codes):
+            with pytest.raises(SchemaError, match="codes outgrow int32"):
+                read_csv(path)
+
+
+def reference_planted(n, m, vocab_size, seed, rule_fields=(0, 1, 2), signal=3.0, noise=0.5):
+    """The planted generator as it drew its codes and made its labels at int64."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, vocab_size, size=(n, m))
+    latents = {f: rng.normal(size=vocab_size) for f in rule_fields}
+    logits = np.full(n, float(signal))
+    for f in rule_fields:
+        logits = logits * latents[f][idx[:, f]]
+    noisy = logits + noise * rng.normal(size=n)
+    labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-noisy))).astype(np.int64)
+    return idx, labels, logits
+
+
+@pytest.mark.parametrize("n, m, vocab_size, seed", [
+    (1, 3, 1, 0), (200, 8, 50, 0), (1000, 8, 50, 7), (333, 23, 10, 3),
+    (64, 39, 20_000, 11), (50, 4, 2**20, 5),
+])
+def test_planted_codes_and_labels_are_the_int64_draws(n, m, vocab_size, seed):
+    # the int32 draw reads the generator's stream as the int64 one did, so
+    # every later draw, and with them the labels, is unchanged too
+    _, ds, logits = generate_planted_dataset(n, m, vocab_size, seed)
+    want_idx, want_labels, want_logits = reference_planted(n, m, vocab_size, seed)
+    assert np.array_equal(ds.indices, want_idx) and np.array_equal(ds.labels, want_labels)
+    assert logits.tobytes() == want_logits.tobytes()
 
 
 def reference_write_csv(path, schema: FieldSchema, dataset: Dataset) -> None:
@@ -389,8 +474,9 @@ class TestReadCsv:
         assert (schema.names, schema.vocabs, schema.min_freq) == (
             want.names, want.vocabs, want.min_freq)
         want = load_dataset(path, want)
-        for got, ref in ((ds.indices, want.indices), (ds.labels, want.labels)):
-            assert got.dtype == np.int64 and got.flags.c_contiguous
+        for got, ref, dtype in ((ds.indices, want.indices, np.int32),
+                                (ds.labels, want.labels, np.int8)):
+            assert got.dtype == dtype and got.flags.c_contiguous
             assert np.array_equal(got, ref)
 
     def test_min_freq_sends_rare_values_to_the_oov_bucket(self, tmp_path):

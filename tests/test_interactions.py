@@ -27,7 +27,7 @@ from dagfm.interactions import (
     phi_outer,
 )
 from dagfm.numcore import (
-    ConfigurationError, RowGrad, ShapeError, adam_step, grad_check, stable_sigmoid,
+    ConfigurationError, ParamStore, RowGrad, ShapeError, adam_step, grad_check, stable_sigmoid,
 )
 from dagfm.oracle import _model_edge_weights, oracle_node_state_weighted
 from dagfm.teachers import (
@@ -268,13 +268,28 @@ class TestPropagation:
         ([[3, 0, 0]], r"field 0: index 3 outside vocab range \[0, 3\)"),
     ])
     def test_out_of_range_index_names_field_and_index(self, rows, message):
-        # the one check, and every family's forward, which makes it
+        # the one check, and every family's forward, which makes it, at the
+        # index widths it reads (int32 as given, the others as int64)
         vocab = [3, 5, 9]
-        with pytest.raises(IndexError, match=message):
-            DagfmModel(DagfmSpec("inner", 3, 2, 1), vocab).embedding.table_rows(np.array(rows))
-        for spec in FAMILY_SPECS:
+        for idx in (np.array(rows, dtype=dtype) for dtype in (np.int64, np.int32, np.int16)):
             with pytest.raises(IndexError, match=message):
-                build_model(spec, vocab).forward(np.array(rows))
+                DagfmModel(DagfmSpec("inner", 3, 2, 1), vocab).embedding.table_rows(idx)
+            for spec in FAMILY_SPECS:
+                with pytest.raises(IndexError, match=message):
+                    build_model(spec, vocab).forward(idx)
+
+    def test_int32_indices_read_int64_table_rows(self):
+        # a table may hold more rows than int32 counts, and the most negative
+        # int32 index fails the one unsigned compare as -1 does
+        store = ParamStore()
+        store.add("emb", np.zeros((1, 2)))
+        table = interactions.EmbeddingTable(store, [3, 2**31 + 5])
+        idx = np.array([[2, 2**31 - 1], [0, 0]], dtype=np.int32)
+        rows = table.table_rows(idx)
+        assert rows.dtype == np.int64 and rows.tolist() == [[2, 2**31 + 2], [0, 3]]
+        assert table.table_rows(idx.astype(np.int64)).tolist() == rows.tolist()
+        with pytest.raises(IndexError, match=r"field 1: index -2147483648 outside"):
+            table.table_rows(np.array([[0, -2**31]], dtype=np.int32))
 
     @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, str, object])
     @pytest.mark.parametrize("tag", MODEL_TAGS)

@@ -445,9 +445,9 @@ class TestLazyRowAdam:
             assert store.step_count("x") == t
 
     def test_a_row_step_on_a_wide_table_allocates_what_its_rows_need(self):
-        # a step touching 1,000 rows of a 2,000,000 x 16 table peaks below an
-        # eighth of one full-shape moment array (256 MB): the moments follow
-        # the rows moved, and the table's one slot index is 16 MB
+        # a step touching 1,000 rows of a 2,000,000 x 16 table peaks below a
+        # sixteenth of one full-shape moment array (256 MB): the moments follow
+        # the rows moved, and the table's one int32 slot index is 8 MB
         n, d = 2_000_000, 16
         store = make_store(emb=np.zeros((n, d)))  # untouched pages stay unmapped
         rows = np.sort(np.random.default_rng(14).choice(n, size=1000, replace=False))
@@ -458,8 +458,15 @@ class TestLazyRowAdam:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * d * 8 // 8
+        assert peak < n * d * 8 // 16
         assert moment_rows(store, "emb") == rows.tolist()
+
+    def test_a_table_too_tall_for_an_int32_slot_index_is_rejected(self):
+        # 2**31 rows of width 0 take no memory; an int32 slot would wrap
+        store = make_store(emb=np.zeros((2**31, 0)))
+        with pytest.raises(ConfigurationError, match="at most 2147483647 rows, got 2147483648"):
+            adam_step(store, {"emb": row_grad([0], np.zeros((1, 0)), (2**31, 0))}, lr=0.1)
+        assert store.step_count("emb") == 0 and held_moments(store) == set()
 
     def test_a_row_step_touching_no_row_moves_only_the_step_count(self):
         store = make_store(x=np.ones((4, 2)))
