@@ -160,15 +160,17 @@ def _exact(values, dtype, what: str) -> np.ndarray:
 
 class Dataset:
     """Columnar store of encoded instances: an (n, m) int32 index matrix and
-    n int8 labels. Input of those dtypes is kept as given, other input is
-    converted once; a conversion that would change a value raises
-    :class:`SchemaError`."""
+    n int8 labels, each 0 or 1. Input of those dtypes is kept as given,
+    other input is converted once; a conversion that would change a value,
+    or a label outside {0, 1}, raises :class:`SchemaError`."""
 
     def __init__(self, indices: np.ndarray, labels: np.ndarray):
         indices = _exact(indices, np.int32, "indices")
         labels = _exact(labels, np.int8, "labels")
         if indices.ndim != 2 or labels.ndim != 1 or len(indices) != len(labels):
             raise SchemaError("indices must be (n, m) and labels (n,)")
+        if len(labels) and labels.view(np.uint8).max() > 1:  # unsigned, -1 reads as 255
+            raise SchemaError(f"labels must be 0 or 1, got {np.unique(labels)}")
         self.indices = indices
         self.labels = labels
 

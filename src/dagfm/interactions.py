@@ -18,7 +18,9 @@ laid out as dense (m, m, ...) arrays, zero off the edge list, and run as
 batched BLAS GEMMs (``np.matmul``). A layout is built by
 :meth:`Model._layout` and kept until the store's next write
 (``ParamStore.version``), so a forward after no weight change, as in
-serving, scatters nothing.
+serving, scatters nothing. ``_layout`` is the one place any family's
+forward gets an operand derived from its weights, and its backward reads
+the same arrays back there.
 
 Every model family is a pure core under :class:`Model`: ``_forward(rows,
 keep) -> (logits, tape)`` over the table rows that ``Model.forward`` or
@@ -33,65 +35,57 @@ Only ``Model`` keeps a tape between calls; :class:`MlpTower` returns its own.
 ``Model.backward`` runs a core only against its own forward: on the weights
 that forward read (the store's ``version`` then), with the table trainable
 or frozen as it was then, and with one ``dlogits`` entry per row of its
-batch, so that no core checks any of these. A backward consumes its tape:
-``Model`` lets go of it before the core runs, and ``_backward`` drops each
-part of it once it has read it.
+batch, so that no core checks any of these. A tape holds only what its
+forward computed from the batch, never a weight or a layout of one. A
+backward consumes its tape: ``Model`` lets go of it before the core runs,
+and ``_backward`` may drop each part of it once it has read it.
 
 The student works field-major: one contiguous (L+1, m, B, d) buffer holds
 every state set, ``H[t, i]`` being node ``i``'s (B, d) block after ``t``
 steps. ``EmbeddingTable.lookup`` gathers every field's rows into ``H[0]``
 with one ``np.take``, and each layer writes ``agg * e`` straight into the
-next slot: ``agg`` itself is written there and multiplied by ``e`` in
-place where its GEMM's layout allows (``outer``, ``basic-inner``), and a
-layer's GEMM operands go before the next layer runs. No forward keeps an
-aggregate, whether or not the table is trainable: only the table's
-gradient reads it, and a backward that takes that gradient forms each
-layer's aggregate again when its walk reaches the layer, by the forward's
-own GEMM calls on the operands the tape holds (``outer`` from the ``S`` it
-forms again anyway, before ``dq``, and frees it before ``dS``), so bitwise
-as the forward did. ``outer`` runs two GEMMs per layer: per source ``j`` a
-(B, d) x (d, n) product of ``h[j]`` with the contiguous (d, m) block
-``pT[j]`` gives the edge scalars ``S[j, i, b] = p[j, i] . h[j, b]`` over n
-targets, written F-ordered into ``S[j]``, and per target ``i`` a
-(B, n) x (n, d) product reads ``S`` as an F-ordered operand over n sources.
-The tape keeps no ``S``, which is (m, m, B) a layer against the state's
-(m, B, d): backward forms it again by the forward's own calls, so bitwise
-as the forward did, and then runs four GEMMs over it and the same buffer,
-with no copy of either: ``dS`` is formed as ``S`` is, from ``qT[i]``, and
-the other three read ``S`` and ``dS`` as the forward's second GEMM reads
-``S``. ``qT`` and ``p`` are contiguous transposes of the tape's
-``(pT, q)``, so a backward reads the weights of the forward that made its
-tape. The
-edge-scalar GEMMs sum over only d terms, and BLAS runs them fastest with
-the batch as their rows: at m=39, d=16 and 16 rows one layer's ``S`` took
-11.4 us this way against 21.5 us as the (n, d) x (d, B) product over
-(m, m, d) ``p``, which gives ``S`` in the same layout (process time, one
-BLAS thread, 2-vCPU Xeon VM). Edges only run ``j -> i`` with ``j <= i``, so
-fields are cut into blocks of :data:`FIELD_BLOCK`, and a field of block
-[a, b) reads as a source only the targets ``i >= a`` and as a target only
-the sources ``j < b``: the GEMMs skip the upper block pairs, which are
-zero, and never read the parts of ``S`` they leave unwritten. With one
-block, n = m and each is one dense batched GEMM. A forward of fewer than
-:data:`SMALL_ROWS` rows runs its two GEMMs dense at any m, since there a
-block's call overhead outweighs the upper blocks' arithmetic; its backward
-forms ``S`` again densely and still reads only its lower blocks.
-``basic-inner`` is one
-(m, m) x (m, B*d) GEMM with the transposed adjacency matrix. ``inner`` and
-``kernel`` are the bilinear pair GEMM that :class:`PairGemm` lays out,
-shared with the FwFM and FmFM baselines: one (B, m) x (m, m) GEMM per
-embedding dim over a dim-major copy of the states (``inner``), or one
-(B, m*d) x (m*d, m*d) GEMM over a batch-major copy (``kernel``). Pooling
-every state set is one matrix-vector product of the buffer with
-``ones(d)``, and the head is another. The combiner's GEMMs are resolved
-once, when the model is built; ``_forward`` resolves every layer's dense
-weights and the ``outer`` plan once per call, and its tape is the state
-buffer, each layer's dense weights (and ``outer``'s plan) and the pooled
-values: (L+1) m B d floats and the pooled values, with the table trainable
-or frozen. It builds no trace: ``forward_trace`` runs the core on a buffer
-of its own and returns a :class:`PropagationTrace` of views of it. Public
-shapes stay batch-major: ``lookup`` and ``PropagationTrace`` give (B, m, d)
-arrays, as views where they can. The per-pair ``phi_*`` functions are the
-reference the layers are tested against.
+next slot: ``agg`` itself is written there and multiplied by ``e`` in place
+where its GEMM's layout allows (``outer``, ``basic-inner``), and a layer's
+GEMM operands go before the next layer runs. The tape is the state buffer
+and the pooled values, (L+1) m B d floats and the pooled values, with the
+table trainable or frozen: no aggregate and no ``outer`` edge scalars. Only
+the table's gradient reads an aggregate, and a backward that takes that
+gradient forms each layer's aggregate again when its walk reaches the
+layer; an ``outer`` backward forms each layer's ``S`` again before ``dq``
+and frees it before ``dS``. Each is formed by the forward's own GEMM calls
+on the tape's states, the layouts the forward read (``_layout``) and its
+plan (:meth:`DagfmModel._plan`), so bitwise as the forward did. ``outer``
+runs two GEMMs per layer: per source ``j`` a (B, d) x (d, n) product of
+``h[j]`` with the contiguous (d, m) block ``pT[j]`` gives the edge scalars
+``S[j, i, b] = p[j, i] . h[j, b]`` over n targets, written F-ordered into
+``S[j]``, and per target ``i`` a (B, n) x (n, d) product reads ``S`` as an
+F-ordered operand over n sources. Its backward runs four GEMMs over ``S``
+and the same buffer, with no copy of either: ``dS`` is formed as ``S`` is,
+from ``qT[i]``, and the other three read ``S`` and ``dS`` as the forward's
+second GEMM reads ``S``; ``qT`` and ``p`` are contiguous transposes of the
+kept ``(pT, q)``. The edge-scalar GEMMs sum over only d terms, and BLAS
+runs them fastest with the batch as their rows (README gives the timing).
+Edges only run ``j -> i`` with ``j <= i``, so fields are cut into blocks of
+:data:`FIELD_BLOCK`, and a field of block [a, b) reads as a source only the
+targets ``i >= a`` and as a target only the sources ``j < b``: the GEMMs
+skip the upper block pairs, which are zero, and never read the parts of
+``S`` they leave unwritten. With one block, n = m and each is one dense
+batched GEMM. A forward of fewer than :data:`SMALL_ROWS` rows runs its two
+GEMMs dense at any m, since there a block's call overhead outweighs the
+upper blocks' arithmetic; its backward forms ``S`` again densely and still
+reads only its lower blocks. ``basic-inner`` is one (m, m) x (m, B*d) GEMM
+with the transposed adjacency matrix. ``inner`` and ``kernel`` are the
+bilinear pair GEMM that :class:`PairGemm` lays out, shared with the FwFM
+and FmFM baselines: one (B, m) x (m, m) GEMM per embedding dim over a
+dim-major copy of the states (``inner``), or one (B, m*d) x (m*d, m*d) GEMM
+over a batch-major copy (``kernel``). Pooling every state set is one
+matrix-vector product of the buffer with ``ones(d)``, and the head is
+another. The combiner's GEMMs are resolved once, when the model is built.
+``_forward`` builds no trace: ``forward_trace`` runs the core on a buffer
+of its own and returns a :class:`PropagationTrace` of views of that run's
+tape. Public shapes stay batch-major: ``lookup`` and ``PropagationTrace``
+give (B, m, d) arrays, as views where they can. The per-pair ``phi_*``
+functions are the reference the layers are tested against.
 
 :class:`DagfmPlusModel` adds an MLP tower to the logit. The tower reads one
 slice of the state axis, every state set or the last one
@@ -127,13 +121,9 @@ FIELD_BLOCK = 10
 
 # Rows from which an ``outer`` forward runs the block plan. A smaller batch
 # runs each product as one dense GEMM: there a block's extra ``np.matmul``
-# call and slicing cost more than the upper blocks' arithmetic. A depth-3
-# forward at m=39, d=16, dense against blocked, medians of 7 sweeps (process
-# time, one BLAS thread, malloc pinned, 2-vCPU Xeon VM): 106.4 against
-# 118.1 us at 12 rows, 156.1 against 160.2 us at 20 rows, 170.6 against
-# 171.3 us at 21 rows, 175.5 against 175.0 us at 22 rows and 189.2 against
-# 183.8 us at 24 rows, interquartile ranges 0.4 to 2.8 us. The two are even
-# at 21 and 22 rows.
+# call and slicing cost more than the upper blocks' arithmetic. In a depth-3
+# forward at m=39, d=16 the two are even at 21 and 22 rows (README gives the
+# sweep).
 SMALL_ROWS = 21
 
 
@@ -471,14 +461,16 @@ class Model:
         """Derive what ``_forward`` reads besides the store."""
 
     def _layout(self, key: str, lay_out):
-        """``lay_out()``, dense layouts of parameters built once and kept
-        under ``key`` until the store's version moves (``_scatter`` makes
-        them read-only)."""
+        """``lay_out()``, the arrays (or lists and tuples of them) that the
+        family's forward lays out from its weights, built once, made
+        read-only and kept under ``key`` until the store's version moves, so
+        that a backward, run on its forward's version, reads them back."""
         if self._layouts_at != self.store.version:
             self._layouts, self._layouts_at = {}, self.store.version
         dense = self._layouts.get(key)
         if dense is None:
             dense = self._layouts[key] = lay_out()
+            _lock(dense)
         return dense
 
     def _head(self, x: np.ndarray) -> np.ndarray:
@@ -620,7 +612,7 @@ class DagfmModel(Model):
         adjacency matrix (``basic-inner``), the pair GEMM's blocks
         (``inner``, ``kernel``), or ``outer``'s pair, the (m, d, m)
         ``pT[j, :, i] = p[j, i]`` and the (m, m, d) ``q[i, j]``; an
-        ``outer`` backward transposes the pair its tape holds."""
+        ``outer`` backward transposes the pair its forward read."""
         kind, L = self.dag.kind, self.dag.num_layers
         if kind == "basic-inner":
             return [self._adjacency] * L
@@ -633,46 +625,35 @@ class DagfmModel(Model):
             for t in range(L)
         ]
 
-    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
-        """The logits, and with ``keep`` a tape of the state buffer, each
-        layer's GEMM operands and the pooled values. It builds no
-        :class:`PropagationTrace`; see :meth:`forward_trace`."""
-        logits, tape = self._propagate(rows, keep)
-        return logits, tape if keep else None
+    def _plan(self, B: int) -> tuple:
+        """The ``outer`` GEMMs' plan of a forward of ``B`` rows, which its
+        backward forms again: below :data:`SMALL_ROWS` rows each product is
+        one dense GEMM, from there on the block-triangular ones."""
+        return (self._sources, self._targets) if B >= SMALL_ROWS else (_ONE_BLOCK, _ONE_BLOCK)
 
-    def _propagate(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
-        """The logits and ``(H, layer_caches, pooled)``, ``layer_caches``
-        empty unless ``keep``: per layer the GEMM cache its backward reads.
-        The dense weights of every layer and the ``outer`` plan are resolved
-        once per call: below :data:`SMALL_ROWS` rows each ``outer`` product
-        is one dense GEMM, from there on the block-triangular ones. Each
-        layer's GEMM writes its aggregate into the next slot where its
-        layout allows, where it is multiplied by the embeddings in place, and
-        its operands go before the next layer runs: no aggregate outlives
-        its layer, whether or not the table is trainable."""
+    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
+        """The logits, and with ``keep`` the tape ``(H, pooled)``, the state
+        buffer and the pooled values: no aggregate outlives its layer (see
+        the module docstring)."""
         L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
         B = len(rows)
         # every state set, field-major: H[t, i] is node i's (B, d) block after t steps
         H = np.empty((L + 1, m, B, d))
         E = H[0]
         self.embedding.lookup(rows, out=E)
-        gemms = self._layer_gemms[0]
-        plan = (self._sources, self._targets) if B >= SMALL_ROWS else (_ONE_BLOCK, _ONE_BLOCK)
-        layer_caches = []
+        gemm, plan = self._layer_gemms[0], self._plan(B)
         for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
-            agg, cache = gemms(self, H[t], w, plan, H[t + 1])
+            agg = gemm(self, H[t], w, plan, H[t + 1])
             np.multiply(agg, E, out=H[t + 1])
-            if keep:
-                layer_caches.append(cache)
-            del agg, cache  # a pair GEMM's aggregate is an array of its own: free it now
+            del agg  # a pair GEMM's aggregate is an array of its own: free it now
         pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)  # state-major rows
-        return self._head(pooled.T), (H, layer_caches, pooled)
+        return self._head(pooled.T), (H, pooled) if keep else None
 
     def forward_trace(self, idx: np.ndarray) -> tuple[np.ndarray, PropagationTrace]:
         """:meth:`forward`'s logits, and the states and pooled values of a
-        run of its own, with no tape, as a trace of views. The live tape,
+        run of its own as a trace of views of its tape. The live tape,
         which ``backward`` reads, is left as it was."""
-        logits, (H, _, pooled, *_) = self._propagate(self.embedding.table_rows(idx), keep=False)
+        logits, (H, pooled, *_) = self._forward(self.embedding.table_rows(idx), keep=True)
         n_states, m, B, _ = H.shape
         trace = PropagationTrace(
             list(H.transpose(0, 2, 1, 3)),
@@ -684,22 +665,20 @@ class DagfmModel(Model):
     # Each layer's GEMMs: ``agg[i, b] = sum over edges j -> i of phi(h[j, b],
     # .)`` without the final ``* e_i``, for contiguous field-major states
     # ``h`` (m, B, d), given the layer's dense weights ``w`` and the forward's
-    # ``outer`` plan. Each returns ``(agg, cache)``: ``agg`` is (m, B, d),
-    # maybe a transposed view, written into ``out`` (contiguous, field-major)
-    # where the GEMM's layout allows, and the cache holds what the backward
-    # GEMMs read, in the layout they read it, or what forms it again
-    # (``outer``'s edge scalars).
+    # ``outer`` plan. Each returns ``agg``, (m, B, d), maybe a transposed
+    # view, written into ``out`` (contiguous, field-major) where the GEMM's
+    # layout allows.
 
     def _adjacency_gemm(self, h, A, plan, out=None):
         m, B, d = h.shape
         flat = None if out is None else out.reshape(m, B * d)
-        return np.matmul(A.T, h.reshape(m, B * d), out=flat).reshape(m, B, d), A
+        return np.matmul(A.T, h.reshape(m, B * d), out=flat).reshape(m, B, d)
 
     def _pair_gemm(self, h, K, plan, out=None):
         # the pair GEMM, sources j as rows and targets i as columns; its
         # output is laid out as its states, not field-major
         g = self._gemm
-        return g.fields(g.states(h) @ K), K
+        return g.fields(g.states(h) @ K)
 
     def _outer_gemms(self, h, w, plan, out=None):
         (pT, q), (sources, targets) = w, plan  # pT[j, :, i] = p[j, i], q[i, j]
@@ -707,9 +686,7 @@ class DagfmModel(Model):
         # agg[i, b] = sum_j S[j, i, b] q[i, j]: per target i a (B, n) x (n, d)
         # GEMM; S.transpose(1, 2, 0) is F-ordered per target, so BLAS reads S
         # as it is, and so do the backward GEMMs
-        agg = _tri_matmul(S.transpose(1, 2, 0), q, targets, "inner", out=out)
-        # no S: backward forms it again from h, which the tape holds anyway
-        return agg, (pT, q, plan)
+        return _tri_matmul(S.transpose(1, 2, 0), q, targets, "inner", out=out)
 
     # -- backward ---------------------------------------------------------------
 
@@ -722,7 +699,7 @@ class DagfmModel(Model):
         layer forms its aggregate again, and layer 0's backward forms no
         d(state 0).
         """
-        H, layer_caches, pooled = tape
+        H, pooled = tape
         n_states, m, B, _ = H.shape
         grads, dpool = self._head_backward(pooled.T, dlogits)
         dpool = dpool.T.reshape(n_states, m, B, 1)
@@ -735,15 +712,16 @@ class DagfmModel(Model):
             extra = None if extra_dstate is None else extra_dstate(t)
             return dh if extra is None else dh + extra
 
-        gemms_backward = self._layer_gemms[1]
+        # the forward's layouts, as Model.backward runs on the weights it read
+        gemms_backward, plan = self._layer_gemms[1], self._plan(B)
+        layouts = self._layout("dag", self._lay_out_layers)
         E = H[0]
         dh = dstate(n_states - 1, None)
         dE = np.zeros_like(E) if self.store.is_trainable("emb") else None
         for t in range(n_states - 2, -1, -1):
-            cache = layer_caches.pop()
             # only dE reads the embeddings' gradient d(state 0)
             wants_dh = t > 0 or dE is not None
-            dh = gemms_backward(self, t, H[t], dh, dh * E, cache, grads, dE, wants_dh)
+            dh = gemms_backward(self, t, H[t], dh, dh * E, layouts[t], plan, grads, dE, wants_dh)
             if wants_dh:
                 dh = dstate(t, dh)
         if dE is None:
@@ -754,33 +732,33 @@ class DagfmModel(Model):
     # Each layer's backward GEMMs: store the edge-weight gradients of layer
     # ``t`` and return d(loss)/d(h), or ``None`` unless ``wants_dh``, given
     # ``dh`` = d(loss)/d(state t+1) and ``dU`` = d(loss)/d(agg) = dh * e;
-    # all field-major (m, B, d) and ``dU`` contiguous. Unless the table is
-    # frozen (``dE`` is ``None``), each first forms the layer's aggregate
-    # again by its forward's GEMM calls on the operands its cache holds, so
-    # bitwise as the forward did, and adds the table's share dh * agg to
-    # ``dE`` (:func:`_add_table_share`).
+    # all field-major (m, B, d) and ``dU`` contiguous, and the forward's
+    # layer weights ``w`` and plan. Unless the table is frozen (``dE`` is
+    # ``None``), each first forms the layer's aggregate again by its
+    # forward's GEMM calls on those operands, so bitwise as the forward did,
+    # and adds the table's share dh * agg to ``dE`` (:func:`_add_table_share`).
 
-    def _adjacency_gemm_backward(self, t, h, dh, dU, A, grads, dE, wants_dh):
+    def _adjacency_gemm_backward(self, t, h, dh, dU, A, plan, grads, dE, wants_dh):
         m, B, d = h.shape
         if dE is not None:
-            _add_table_share(dE, dh, self._adjacency_gemm(h, A, None)[0])
+            _add_table_share(dE, dh, self._adjacency_gemm(h, A, plan))
         return (A @ dU.reshape(m, B * d)).reshape(m, B, d) if wants_dh else None
 
-    def _pair_gemm_backward(self, t, h, dh, dU, K, grads, dE, wants_dh):
+    def _pair_gemm_backward(self, t, h, dh, dU, K, plan, grads, dE, wants_dh):
         if dE is not None:
-            _add_table_share(dE, dh, self._pair_gemm(h, K, None)[0])
+            _add_table_share(dE, dh, self._pair_gemm(h, K, plan))
         g = self._gemm
         dX = g.states(dU)
         grads[self._weights(t)] = g.at_pairs(g.states(h).transpose(0, 2, 1) @ dX)
         return g.fields(dX @ K.transpose(0, 2, 1)) if wants_dh else None
 
-    def _outer_gemms_backward(self, t, h, dh, dU, cache, grads, dE, wants_dh):
+    def _outer_gemms_backward(self, t, h, dh, dU, w, plan, grads, dE, wants_dh):
         # S and the aggregate again by the forward's own plan and calls, so
         # bitwise the forward's; the rest run the block plan at every batch
         # size: a small batch's dense S is whole, and they read only its
         # lower blocks
         jj, ii = self._jj, self._ii
-        pT, q, (sources, targets) = cache
+        (pT, q), (sources, targets) = w, plan
         m, B, _ = h.shape
         S = _edge_scalars(h, pT, sources)
         if dE is not None:
@@ -855,8 +833,16 @@ def _scatter(shape, index, values) -> np.ndarray:
     compact pair weights laid out for the GEMMs (zero off the pair list)."""
     dense = np.zeros(shape)
     dense[index] = values
-    dense.flags.writeable = False
     return dense
+
+
+def _lock(nest) -> None:
+    """Make every array of a nest of lists and tuples read-only."""
+    if isinstance(nest, np.ndarray):
+        nest.flags.writeable = False
+    elif isinstance(nest, (list, tuple)):
+        for item in nest:
+            _lock(item)
 
 
 class PairGemm:
@@ -1098,10 +1084,9 @@ class MlpTower:
 class DagfmPlusModel(DagfmModel):
     """DAG student with an MLP tower added to the logit (for distilling
     teachers that also carry implicit interactions). Its tape is the
-    student's with the tower's appended; the tower reads the fed slice of
-    the state buffer, which the core returns with or without ``keep``, as a
-    batch-major array that the tape does not keep: backward forms it again
-    from the state buffer."""
+    student's with the tower's appended. The tower reads the fed slice of
+    the state buffer as a batch-major array that the tape does not keep:
+    backward forms it again from the state buffer."""
 
     kind = "dagfm+"
     spec_type = DagfmPlusSpec
@@ -1120,10 +1105,11 @@ class DagfmPlusModel(DagfmModel):
         fed = H[self.spec.fed_states]
         return fed.transpose(2, 0, 1, 3).reshape(H.shape[2], self.spec.mlp_input_width)
 
-    def _propagate(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple]:
-        logits, tape = super()._propagate(rows, keep)
+    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
+        # the tower reads the state buffer, which the student's tape is
+        logits, tape = super()._forward(rows, keep=True)
         out, tower = self.mlp.forward(self._tower_input(tape[0]), keep)
-        return logits + out, (*tape, tower)
+        return logits + out, (*tape, tower) if keep else None
 
     def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray | None]:
         *tape, tower = tape

@@ -61,7 +61,8 @@ def auc(labels, scores) -> float:
     Computed from rank sums with average ranks on tied scores, so it is
     exact and invariant under strictly increasing score transforms. Any NaN
     or infinite score (the mark of a diverged model) raises
-    :class:`UndefinedMetricError`.
+    :class:`UndefinedMetricError`, and a label outside {0, 1}
+    :class:`ConfigurationError`.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
@@ -69,6 +70,7 @@ def auc(labels, scores) -> float:
         raise ConfigurationError(
             f"labels {labels.shape} and scores {scores.shape} must be equal-length vectors"
         )
+    _check_labels(labels)
     if not np.isfinite(scores).all():
         raise UndefinedMetricError(
             f"AUC undefined: {int((~np.isfinite(scores)).sum())} non-finite scores"
@@ -95,14 +97,21 @@ def auc(labels, scores) -> float:
 
 
 def logloss(labels, probs, eps: float = 1e-12) -> float:
-    """Mean binary cross entropy against predicted probabilities."""
+    """Mean binary cross entropy against predicted probabilities; a label
+    outside {0, 1} raises :class:`ConfigurationError`."""
     labels = np.asarray(labels, dtype=np.float64)
     probs = np.clip(np.asarray(probs, dtype=np.float64), eps, 1.0 - eps)
     if labels.shape != probs.shape or labels.ndim != 1:
         raise ConfigurationError(
             f"labels {labels.shape} and probs {probs.shape} must be equal-length vectors"
         )
+    _check_labels(labels)
     return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
+
+
+def _check_labels(labels: np.ndarray) -> None:
+    if ((labels != 0) & (labels != 1)).any():
+        raise ConfigurationError(f"labels must be 0 or 1, got {np.unique(labels)}")
 
 
 # ---------------------------------------------------------------------------

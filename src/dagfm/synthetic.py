@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import INGEST_ROWS, Dataset, FieldSchema
+from .numcore import ConfigurationError
 
 
 def synthetic_schema(m: int, vocab_size: int) -> FieldSchema:
@@ -35,8 +36,8 @@ def generate_planted_dataset(
     label noise) are handy for measuring how close a trained model gets to
     the generative rule.
     """
-    if not rule_fields or max(rule_fields) >= m:
-        raise ValueError(f"rule_fields {rule_fields} out of range for m={m}")
+    if not rule_fields or not all(0 <= f < m for f in rule_fields):
+        raise ConfigurationError(f"rule_fields {rule_fields} out of range for m={m}")
     rng = np.random.default_rng(seed)
     schema = synthetic_schema(m, vocab_size)
     idx = rng.integers(0, vocab_size, size=(n, m), dtype=np.int32)

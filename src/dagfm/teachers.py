@@ -13,9 +13,11 @@ keeps no tape. Each family here is only the pure core under it:
 ``_forward(rows, keep) -> (logits, tape)`` over the table rows that
 ``Model.forward`` or ``Model.score`` checked, the tape ``None`` unless
 ``keep``, and ``_backward(tape, dlogits) -> (grads, d_emb)``, whose
-``d_emb`` ``Model.backward`` scatters into the table. A backward consumes
-its tape: the cross network's drops each layer's activations, and CIN's
-each row tile's maps, once it has read them.
+``d_emb`` ``Model.backward`` scatters into the table. A tape holds only
+what the forward computed from the batch: FwFM's and FmFM's is their GEMM
+states, and their weights, like CIN's, are laid out by ``Model._layout``,
+where backward reads them back. A backward consumes its tape: the cross
+network's drops each layer's activations, and CIN's each row tile's maps.
 
 CIN reads the embeddings field-major (``EmbeddingTable.lookup``); the cross
 network, FwFM, FmFM and the tiny MLP read them batch-major
@@ -166,14 +168,16 @@ class CinModel(Model):
     # the order in which those GEMMs run fastest; a narrow layer is bound by
     # memory traffic, which the rows-inner order keeps contiguous.
 
-    def _layers(self) -> tuple[list[tuple], np.ndarray]:
-        """Per layer before the last: W, whether u is the previous map, and
-        its kind ("wide", "narrow", or "symmetric" for a narrow first
-        layer); and the last layer's W as (H, H_prev*m)."""
+    def _lay_out_layers(self) -> tuple[list[tuple], np.ndarray]:
+        """Per layer before the last: W, W as the (U, H*V) GEMM operand of
+        u, whether u is the previous map, and its kind ("wide", "narrow", or
+        "symmetric" for a narrow first layer); and the last layer's W as
+        (H, H_prev*m)."""
         m = self.spec.num_fields
         *first, last = (self.store[f"cin.W{k}"] for k in range(self.spec.num_layers))
         layers = [(W, W.shape[1] >= m, "wide" if W.shape[0] >= max(W.shape[1], m)
                    else "narrow" if k else "symmetric") for k, W in enumerate(first)]
+        layers = [(W, self._w_u(W, prev_first), prev_first, kind) for W, prev_first, kind in layers]
         return layers, last.reshape(len(last), -1)
 
     @staticmethod
@@ -198,8 +202,7 @@ class CinModel(Model):
     def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         emb = self.embedding.lookup(rows).transpose(1, 0, 2)  # field-major (m, B, d)
         m, B, d = emb.shape
-        layers, W_last = self._layers()
-        layers = [(W, self._w_u(W, prev_first), prev_first, kind) for W, prev_first, kind in layers]
+        layers, W_last = self._layout("cin", self._lay_out_layers)
         ones = np.ones(d)
         feats = np.empty((B, self.spec.pooled_width))
         tiles = []
@@ -228,11 +231,10 @@ class CinModel(Model):
         tiles, feats = tape
         m, d = self.spec.num_fields, self.spec.embed_dim
         grads, dfeat = self._head_backward(feats, dlogits)
-        layers, W_last = self._layers()
-        # a symmetric layer reads W only as Ws = W + W^T
-        layers = [(W, None if kind == "wide" else self._w_u(W + W.transpose(0, 2, 1), True)
-                   if kind == "symmetric" else self._w_u(W, prev_first), prev_first, kind)
-                  for W, prev_first, kind in layers]
+        layers, W_last = self._layout("cin", self._lay_out_layers)
+        # a symmetric layer reads W only as Ws = W + W^T, a backward temporary
+        layers = [(W, self._w_u(W + W.transpose(0, 2, 1), True) if kind == "symmetric" else Wu,
+                   prev_first, kind) for W, Wu, prev_first, kind in layers]
         dWs = [np.zeros(W.shape if kind == "wide" else Wu.shape) for W, Wu, _, kind in layers]
         dW_last = np.zeros_like(W_last)
         offsets = np.cumsum((0, *self.spec.layer_sizes))
@@ -284,7 +286,7 @@ class CinModel(Model):
                 dW = dW.reshape(len(Wu), len(W), -1).transpose(1, 0, 2)
                 dW = dW if prev_first else dW.transpose(0, 2, 1)
             grads[f"cin.W{k}"] = dW
-        grads[f"cin.W{len(layers)}"] = dW_last.reshape(self.store[f"cin.W{len(layers)}"].shape)
+        grads[f"cin.W{len(layers)}"] = dW_last.reshape(len(W_last), -1, m)
         return grads, dE_all.transpose(1, 0, 2)
 
 
@@ -480,18 +482,21 @@ class _PairwiseModel(Model):
         self.pairs = upper_pairs(m)
         self._gemm = PairGemm(*np.triu_indices(m, 1), m, self.spec.embed_dim, self.per_dim)
 
-    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
+    def _lay_out(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense pair weights K, and the linear weights u as one row."""
         g = self._gemm
+        return g.dense(self.store[self.weights]), g.states(self.store["linear.u"][:, None, :])
+
+    def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
         # FmFM's batch-major states are a view of the gather, FwFM's dim-major
         # ones a copy
-        X = g.states(self.embedding.gather(rows).transpose(1, 0, 2))
-        K = self._layout(self.weights, lambda: g.dense(self.store[self.weights]))
-        u = g.states(self.store["linear.u"][:, None, :])
+        X = self._gemm.states(self.embedding.gather(rows).transpose(1, 0, 2))
+        K, u = self._layout("pairwise", self._lay_out)
         logits = np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0]
-        return logits, (X, K, u) if keep else None
+        return logits, X if keep else None
 
-    def _backward(self, tape, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
-        X, K, u = tape
+    def _backward(self, X, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
+        K, u = self._layout("pairwise", self._lay_out)
         g = self._gemm
         gX = X * dlogits[:, None]  # X diag(dlogits), block by block
         grads = {

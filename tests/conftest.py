@@ -161,6 +161,17 @@ def field_major_row_grads(table, rows, d_emb) -> dict:
     return {"emb": RowGrad(touched, g.reshape(-1, d), shape)}
 
 
+def arrays_in(nest) -> list[np.ndarray]:
+    """Every array in a nest of tuples, lists and dicts."""
+    if isinstance(nest, np.ndarray):
+        return [nest]
+    if isinstance(nest, dict):
+        nest = nest.values()
+    elif not isinstance(nest, (tuple, list)):
+        return []
+    return [a for item in nest for a in arrays_in(item)]
+
+
 def assert_same_bits(got: dict, expected: dict) -> None:
     """Both dicts hold the same names, and each array (or RowGrad's rows and
     values) the same shape and bytes."""

@@ -28,6 +28,7 @@ from dagfm.data import (
     read_header,
     split_dataset,
 )
+from dagfm.numcore import ConfigurationError
 from dagfm.synthetic import generate_planted_dataset, write_csv
 
 
@@ -363,6 +364,14 @@ class TestDatasetWidths:
         with pytest.raises(SchemaError, match=re.escape(bad)):
             Dataset(indices, labels)
 
+    @pytest.mark.parametrize("labels, bad", [([0, 2, 1, 2], 2), ([-1, 1, 1, 0], -1),
+                                             ([1, 0, 127, 0], 127), ([0, -128, 1, 1], -128)])
+    def test_a_label_outside_0_and_1_is_a_schema_error(self, labels, bad):
+        # int8 holds each of these, but no label is other than 0 or 1
+        with pytest.raises(SchemaError, match=rf"labels must be 0 or 1, got \[.*{bad}\b"):
+            Dataset(np.zeros((4, 2), np.int32), np.array(labels, np.int8))
+        assert len(Dataset(np.zeros((0, 2), np.int32), np.zeros(0, np.int8))) == 0
+
     def test_int32_codes_and_int8_labels_are_kept_without_a_copy(self):
         indices = np.arange(6, dtype=np.int32).reshape(3, 2)
         labels = np.array([0, 1, 1], dtype=np.int8)
@@ -397,6 +406,14 @@ class TestDatasetWidths:
         with mock.patch.object(data, "_codes", codes):
             with pytest.raises(SchemaError, match="codes outgrow int32"):
                 read_csv(path)
+
+
+@pytest.mark.parametrize("rule_fields", [(-1,), (0, -3), (4,), (1, 9), ()])
+def test_planted_rule_fields_outside_the_fields_are_rejected(rule_fields):
+    # numpy would wrap a negative field onto field m - 1
+    with pytest.raises(ConfigurationError, match="out of range for m=4"):
+        generate_planted_dataset(10, m=4, rule_fields=rule_fields)
+    assert issubclass(ConfigurationError, ValueError)
 
 
 def reference_planted(n, m, vocab_size, seed, rule_fields=(0, 1, 2), signal=3.0, noise=0.5):

@@ -36,6 +36,7 @@ from dagfm.teachers import (
 
 from conftest import (
     MODEL_TAGS,
+    arrays_in,
     assert_same_bits,
     field_major_row_grads,
     grad_error,
@@ -814,12 +815,21 @@ class TestBlockTriangularOuter:
 class BlockLoopOuterGemms:
     """The ``outer`` layer's GEMMs as the per-block ``np.matmul`` calls that
     ``_tri_matmul`` makes, written out per product over the plan the model
-    passes in (forward) or builds (backward), with the forward's edge
-    scalars ``S`` kept in the cache for backward to read, and the aggregate
-    formed again from that ``S`` by the forward's calls when the table takes
-    a gradient. The model keeps no ``S`` and forms it again in backward by
-    the forward's plan; it makes the same BLAS calls on the same operands,
-    so it matches this bit for bit on any kernel."""
+    passes in (the forward's) or builds (the rest of backward), with the
+    forward's edge scalars ``S`` kept on its tape for backward to read, and
+    the aggregate formed again from that ``S`` by the forward's calls when
+    the table takes a gradient. The model keeps no ``S`` and forms it
+    again in backward by the forward's plan; it makes the same BLAS calls on
+    the same operands, so it matches this bit for bit on any kernel."""
+
+    def _forward(self, rows, keep):
+        self.S = []  # each layer's S, which the tape keeps
+        logits, tape = super()._forward(rows, keep)
+        return logits, (*tape, self.S) if keep else None
+
+    def _backward(self, tape, dlogits, extra_dstate=None):
+        *tape, self.S = tape
+        return super()._backward(tape, dlogits, extra_dstate)
 
     @staticmethod
     def _aggregate(S, q, targets, out):
@@ -833,11 +843,12 @@ class BlockLoopOuterGemms:
         S = np.empty((m, m, B))
         for f, reach in sources:
             np.matmul(h[f], pT[f, :, reach], out=S.transpose(0, 2, 1)[f, :, reach])
-        agg = self._aggregate(S, q, targets, np.empty((m, B, d)) if out is None else out)
-        return agg, (pT, q, S, targets)
+        self.S.append(S)
+        return self._aggregate(S, q, targets, np.empty((m, B, d)) if out is None else out)
 
-    def _outer_gemms_backward(self, t, h, dh, dU, cache, grads, dE, wants_dh):
-        pT, q, S, targets = cache
+    def _outer_gemms_backward(self, t, h, dh, dU, w, plan, grads, dE, wants_dh):
+        (pT, q), (_, targets) = w, plan
+        S = self.S.pop()
         m, B, d = h.shape
         if dE is not None:
             dE += dh * self._aggregate(S, q, targets, np.empty((m, B, d)))
@@ -859,7 +870,7 @@ class BlockLoopOuterModel(BlockLoopOuterGemms, DagfmModel):
     pass
 
 
-class BlockLoopOuterPlusModel(BlockLoopOuterGemms, DagfmPlusModel):
+class BlockLoopOuterPlusModel(DagfmPlusModel, BlockLoopOuterModel):
     pass
 
 
@@ -978,11 +989,12 @@ class BatchColumnOuterGemms:
     def _outer_gemms(self, h, w, plan, out=None):
         p, q = w
         S = np.matmul(p, h.transpose(0, 2, 1))
-        return np.matmul(S.transpose(1, 2, 0), q, out=out), (p, q, S)
+        return np.matmul(S.transpose(1, 2, 0), q, out=out)
 
-    def _outer_gemms_backward(self, t, h, dh, dU, cache, grads, dE, wants_dh):
+    def _outer_gemms_backward(self, t, h, dh, dU, w, plan, grads, dE, wants_dh):
         jj, ii = self._jj, self._ii
-        p, q, S = cache
+        p, q = w
+        S = np.matmul(p, h.transpose(0, 2, 1))
         if dE is not None:
             dE += dh * np.matmul(S.transpose(1, 2, 0), q)
         dS = np.matmul(q, dU.transpose(0, 2, 1))
@@ -1007,7 +1019,7 @@ class TestOuterOrientation:
     ``BatchColumnOuterGemms``, so the two agree within 1e-13 of the largest
     entry (the numerics contract in README). A layer's pair ``(pT, q)`` is
     laid out once per store version; its backward transposes the pair that
-    the tape holds."""
+    the forward read."""
 
     @staticmethod
     def models(plus, m, d, rng, layers=3):
@@ -1076,27 +1088,24 @@ class KeptAggregateModel(DagfmModel):
     forms each one again from its tape by the forward's calls, so it
     matches this bit for bit."""
 
-    def _propagate(self, rows, keep):
+    def _forward(self, rows, keep):
         L, m, d = self.dag.num_layers, self.num_fields, self.embed_dim
         B = len(rows)
         H = np.empty((L + 1, m, B, d))
         E = H[0]
         self.embedding.lookup(rows, out=E)
-        gemms = self._layer_gemms[0]
-        one = interactions._ONE_BLOCK
-        plan = (self._sources, self._targets) if B >= interactions.SMALL_ROWS else (one, one)
+        gemm, plan = self._layer_gemms[0], self._plan(B)
         keep_agg = keep and self.store.is_trainable("emb")
-        layer_tapes = []
+        aggs = []
         for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
-            agg, cache = gemms(self, H[t], w, plan, None if keep_agg else H[t + 1])
+            agg = gemm(self, H[t], w, plan, None if keep_agg else H[t + 1])
             np.multiply(agg, E, out=H[t + 1])
-            if keep:
-                layer_tapes.append((agg if keep_agg else None, cache))
+            aggs.append(agg if keep_agg else None)
         pooled = (H.reshape(-1, d) @ np.ones(d)).reshape((L + 1) * m, B)
-        return self._head(pooled.T), (H, layer_tapes, pooled)
+        return self._head(pooled.T), (H, pooled, aggs) if keep else None
 
     def _backward(self, tape, dlogits, extra_dstate=None):
-        H, layer_tapes, pooled = tape
+        H, pooled, aggs = tape
         n_states, m, B, _ = H.shape
         grads, dpool = self._head_backward(pooled.T, dlogits)
         dpool = dpool.T.reshape(n_states, m, B, 1)
@@ -1107,14 +1116,16 @@ class KeptAggregateModel(DagfmModel):
             return dh if extra is None else dh + extra
 
         E = H[0]
+        layouts, plan = self._layout("dag", self._lay_out_layers), self._plan(B)
         dh = dstate(n_states - 1, None)
         dE = np.zeros_like(E) if self.store.is_trainable("emb") else None
         for t in range(n_states - 2, -1, -1):
-            agg, cache = layer_tapes.pop()
+            agg = aggs.pop()
             if dE is not None:
                 dE += dh * agg
             wants_dh = t > 0 or dE is not None
-            dh = self._layer_gemms[1](self, t, H[t], dh, dh * E, cache, grads, None, wants_dh)
+            dh = self._layer_gemms[1](self, t, H[t], dh, dh * E, layouts[t], plan, grads, None,
+                                      wants_dh)
             if wants_dh:
                 dh = dstate(t, dh)
         if dE is None:
@@ -1411,6 +1422,20 @@ class TestTape:
         for batch in (0, 1, interactions.SMALL_ROWS - 1, 2 * SCORE_ROWS + 37):
             idx = np.stack([rng.integers(0, v, size=batch) for v in model.vocab_sizes], axis=1)
             assert model.score(idx).tobytes() == model.forward(idx).tobytes(), batch
+
+    @pytest.mark.parametrize("tag", SCORED)
+    def test_no_tape_carries_a_weight(self, tag, rng):
+        # a tape holds only what its forward computed from the batch; a
+        # backward reads the weights and their layouts again
+        model = self.scored_model(tag, rng)
+        rows = interactions.SMALL_ROWS
+        model.forward(np.stack([rng.integers(0, v, size=rows) for v in model.vocab_sizes], axis=1))
+        weights = [model.store[name] for name in model.store.names()]
+        weights += arrays_in(getattr(model, "_layouts", {}))
+        tape = arrays_in(model._cache[1])
+        assert tape
+        for a in tape:
+            assert not any(np.shares_memory(a, w) for w in weights)
 
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_scoring_leaves_the_live_tape_alone(self, tag, rng):

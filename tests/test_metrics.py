@@ -87,6 +87,12 @@ class TestAuc:
         with pytest.raises(ConfigurationError):
             auc([1, 0], [0.5])
 
+    @pytest.mark.parametrize("labels", [[0, 2, 1, 2], [-1, 1, 1, 0], [0, 1, 0.5, 1], [0, 1, np.nan, 1]])
+    def test_a_label_outside_0_and_1_is_rejected(self, labels):
+        # counted as negatives, these would give 0.667 and 1.0
+        with pytest.raises(ConfigurationError, match="labels must be 0 or 1"):
+            auc(labels, [0.1, 0.9, 0.8, 0.2])
+
     @pytest.mark.parametrize("levels", [None, 7, 300])
     def test_matches_brute_force_pairs_with_ties(self, levels):
         # every positive/negative pair at n = 2000: concordant 1, tied 1/2
@@ -156,6 +162,11 @@ class TestLogloss:
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
             logloss([1, 0], [0.5])
+
+    @pytest.mark.parametrize("labels", [[0, 2, 1, 2], [-1, 1, 1, 0], [0, 1, 0.5, 1], [0, 1, np.nan, 1]])
+    def test_a_label_outside_0_and_1_is_rejected(self, labels):
+        with pytest.raises(ConfigurationError, match="labels must be 0 or 1"):
+            logloss(labels, [0.1, 0.9, 0.8, 0.2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The parameter write contract: every write goes through the ParamStore and
-moves its version, and the dense edge-weight layouts a model keeps between
-forwards follow every write path bitwise."""
+moves its version, and the weight layouts a model keeps between forwards
+(``Model._layout``) follow every write path bitwise."""
 
 import numpy as np
 import pytest
@@ -8,31 +8,44 @@ import pytest
 from dagfm import interactions
 from dagfm.interactions import DagfmModel, DagfmPlusModel, DagfmPlusSpec, DagfmSpec
 from dagfm.numcore import adam_step, grad_check
-from dagfm.teachers import FwfmModel, FwfmSpec
+from dagfm.teachers import CinModel, CinSpec, FwfmModel, FwfmSpec
 
-from conftest import perturb_params, random_small_model, squared_logit_closure
+from conftest import arrays_in, perturb_params, random_small_model, squared_logit_closure
 
-# the families whose forward reads a dense layout of compact pair weights;
-# the "-blocked" students run their outer layers in field blocks
+# the families whose forward reads a kept layout of its weights; the
+# "-blocked" students run their outer layers in field blocks
 TAGS = ("dagfm-basic-inner", "dagfm-inner", "dagfm-kernel", "dagfm-outer", "dagfm+", "fwfm", "fmfm",
-        "dagfm-outer-blocked", "dagfm+-blocked")
+        "cin", "cin-symmetric", "dagfm-outer-blocked", "dagfm+-blocked")
+
+# two m=4 CIN stacks that between them run every layer kind: a wide and a
+# narrow layer on the previous map, then a wide one on the embeddings; and a
+# symmetric first layer, then a narrow one on the embeddings
+CIN_KINDS = {
+    "cin": ((5, 2, 4, 2), [(True, "wide"), (True, "narrow"), (False, "wide")]),
+    "cin-symmetric": ((2, 3, 2), [(True, "symmetric"), (False, "narrow")]),
+}
 
 
 def small_model(tag, rng, monkeypatch):
-    """``random_small_model``, or for a "-blocked" tag an m=5 ``outer``
-    student (plain or DAGFM+) built and run with blocks of two fields."""
-    if not tag.endswith("-blocked"):
-        return random_small_model(tag, rng)
-    monkeypatch.setattr(interactions, "FIELD_BLOCK", 2)
-    m, vocab = 5, [int(v) for v in rng.integers(2, 6, size=5)]
-    spec = DagfmSpec("outer", m, 3, 2)
-    if tag == "dagfm+-blocked":
-        model = DagfmPlusModel(DagfmPlusSpec(spec, mlp_hidden=(4,), activation="tanh"), vocab)
+    """``random_small_model``; for a CIN tag its stack of :data:`CIN_KINDS`,
+    and for a "-blocked" tag an m=5 ``outer`` student (plain or DAGFM+)
+    built and run with blocks of two fields."""
+    if tag in CIN_KINDS:
+        sizes, kinds = CIN_KINDS[tag]
+        model = CinModel(CinSpec(4, 3, sizes), [int(v) for v in rng.integers(2, 6, size=4)])
+        assert [(prev_first, kind) for _, _, prev_first, kind in model._lay_out_layers()[0]] == kinds
+    elif tag.endswith("-blocked"):
+        monkeypatch.setattr(interactions, "FIELD_BLOCK", 2)
+        spec, vocab = DagfmSpec("outer", 5, 3, 2), [int(v) for v in rng.integers(2, 6, size=5)]
+        if tag == "dagfm+-blocked":
+            model = DagfmPlusModel(DagfmPlusSpec(spec, mlp_hidden=(4,), activation="tanh"), vocab)
+        else:
+            model = DagfmModel(spec, vocab)
+        assert len(model._sources) == 3
     else:
-        model = DagfmModel(spec, vocab)
-    assert len(model._sources) == 3
+        return random_small_model(tag, rng)
     perturb_params(model, rng)
-    idx = np.stack([rng.integers(0, v, size=4) for v in vocab], axis=1)
+    idx = np.stack([rng.integers(0, v, size=4) for v in model.vocab_sizes], axis=1)
     return model, idx, None
 
 
@@ -94,20 +107,26 @@ def test_from_values_keeps_its_inputs_and_locks_them(tag, rng, monkeypatch):
 @pytest.mark.parametrize("tag", TAGS)
 def test_forwards_with_no_write_between_reuse_the_layouts(tag, rng, monkeypatch):
     model, idx, _ = small_model(tag, rng, monkeypatch)
-    scatters = []
-    scatter = interactions._scatter
-    monkeypatch.setattr(interactions, "_scatter", lambda *a: scatters.append(a) or scatter(*a))
+    builds = []
+    original = interactions.Model._layout
+
+    def counted(self, key, lay_out):
+        return original(self, key, lambda: builds.append(key) or lay_out())
+
+    monkeypatch.setattr(interactions.Model, "_layout", counted)
     model.store.set("emb", model.store["emb"])  # a write: whatever was laid out is stale
     model.forward(idx)
-    built = len(scatters)
-    kept = dict(getattr(model, "_layouts", {}))
+    built = len(builds)
+    assert built > 0
+    kept = dict(model._layouts)
+    assert not any(a.flags.writeable for a in arrays_in(kept))
     model.forward(idx)
-    assert len(scatters) == built
+    model.backward(np.ones(len(idx)))  # backward reads its forward's layouts
+    assert len(builds) == built
     assert all(model._layouts[name] is layout for name, layout in kept.items())
     model.store.set("emb", model.store["emb"])
     model.forward(idx)
-    assert len(scatters) == 2 * built  # a write lays every parameter out again
-    assert (built > 0) == (tag != "dagfm-basic-inner")  # its adjacency is built once, in setup
+    assert len(builds) == 2 * built  # a write lays every parameter out again
 
 
 def corrupted(closure, name):
