@@ -829,10 +829,11 @@ def _tri_matmul(x, y, cuts, mode: str, out=None) -> np.ndarray:
 
 
 def _scatter(shape, index, values) -> np.ndarray:
-    """Zeros of ``shape`` with the per-pair ``values`` written at ``index``:
-    compact pair weights laid out for the GEMMs (zero off the pair list)."""
+    """Zeros of ``shape`` with the per-pair ``values`` written at ``index``,
+    read-only: compact pair weights laid out for the GEMMs (zero off the pair list)."""
     dense = np.zeros(shape)
     dense[index] = values
+    dense.flags.writeable = False
     return dense
 
 

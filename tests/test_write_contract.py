@@ -107,6 +107,8 @@ def test_from_values_keeps_its_inputs_and_locks_them(tag, rng, monkeypatch):
 @pytest.mark.parametrize("tag", TAGS)
 def test_forwards_with_no_write_between_reuse_the_layouts(tag, rng, monkeypatch):
     model, idx, _ = small_model(tag, rng, monkeypatch)
+    if tag == "dagfm-basic-inner":  # read-only from setup, before any forward
+        assert not model._adjacency.flags.writeable
     builds = []
     original = interactions.Model._layout
 
@@ -127,6 +129,8 @@ def test_forwards_with_no_write_between_reuse_the_layouts(tag, rng, monkeypatch)
     model.store.set("emb", model.store["emb"])
     model.forward(idx)
     assert len(builds) == 2 * built  # a write lays every parameter out again
+    if tag == "dagfm-basic-inner":  # every version reads the adjacency built in setup
+        assert all(A is model._adjacency for A in (*kept["dag"], *model._layouts["dag"]))
 
 
 def corrupted(closure, name):
