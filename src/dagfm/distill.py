@@ -220,15 +220,12 @@ SCORE_ROWS = 256
 def predict_logits(model, indices: np.ndarray) -> np.ndarray:
     """Logits for every row of ``indices``, in input order, computed one
     ``score`` per tile of :data:`SCORE_ROWS` rows: ``forward``'s logits,
-    with no tape kept. Empty ``indices`` are checked as ``score`` checks a
-    batch."""
+    with no tape kept. Empty ``indices`` are one empty tile, which
+    ``score`` checks as it checks any batch."""
     indices = np.asarray(indices)
-    if not len(indices):
-        model.embedding.table_rows(indices)
-        return np.zeros(0)
     return np.concatenate([
         model.score(indices[start : start + SCORE_ROWS])
-        for start in range(0, len(indices), SCORE_ROWS)
+        for start in range(0, max(len(indices), 1), SCORE_ROWS)
     ])
 
 

@@ -431,7 +431,7 @@ class Model:
     # the table rows, tape, ``store.version`` and table trainability of the
     # latest ``forward``, until a ``backward`` takes them
     _cache = None
-    _layouts_at = None  # the ``store.version`` that ``_layouts`` were built at
+    _kept_layout = None  # ``(store.version, _lay_out())`` of the latest ``_layout``
 
     def __init__(self, spec, vocab_sizes, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -460,18 +460,17 @@ class Model:
     def _setup(self) -> None:
         """Derive what ``_forward`` reads besides the store."""
 
-    def _layout(self, key: str, lay_out):
-        """``lay_out()``, the arrays (or lists and tuples of them) that the
-        family's forward lays out from its weights, built once, made
-        read-only and kept under ``key`` until the store's version moves, so
-        that a backward, run on its forward's version, reads them back."""
-        if self._layouts_at != self.store.version:
-            self._layouts, self._layouts_at = {}, self.store.version
-        dense = self._layouts.get(key)
-        if dense is None:
-            dense = self._layouts[key] = lay_out()
-            _lock(dense)
-        return dense
+    def _layout(self):
+        """The family's ``_lay_out()``, the arrays (or lists and tuples of
+        them) that its forward lays out from its weights, built once, made
+        read-only and kept until the store's version moves, so that a
+        backward, run on its forward's version, reads them back."""
+        version = self.store.version
+        if self._kept_layout is None or self._kept_layout[0] != version:
+            layout = self._lay_out()
+            _lock(layout)
+            self._kept_layout = (version, layout)
+        return self._kept_layout[1]
 
     def _head(self, x: np.ndarray) -> np.ndarray:
         """The linear head: ``x @ head.w + head.b``, one logit per row."""
@@ -607,7 +606,7 @@ class DagfmModel(Model):
 
     # -- forward ----------------------------------------------------------------
 
-    def _lay_out_layers(self) -> list:
+    def _lay_out(self) -> list:
         """Per layer, the dense edge weights its forward GEMMs read: the
         adjacency matrix (``basic-inner``), the pair GEMM's blocks
         (``inner``, ``kernel``), or ``outer``'s pair, the (m, d, m)
@@ -642,7 +641,7 @@ class DagfmModel(Model):
         E = H[0]
         self.embedding.lookup(rows, out=E)
         gemm, plan = self._layer_gemms[0], self._plan(B)
-        for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
+        for t, w in enumerate(self._layout()):
             agg = gemm(self, H[t], w, plan, H[t + 1])
             np.multiply(agg, E, out=H[t + 1])
             del agg  # a pair GEMM's aggregate is an array of its own: free it now
@@ -714,7 +713,7 @@ class DagfmModel(Model):
 
         # the forward's layouts, as Model.backward runs on the weights it read
         gemms_backward, plan = self._layer_gemms[1], self._plan(B)
-        layouts = self._layout("dag", self._lay_out_layers)
+        layouts = self._layout()
         E = H[0]
         dh = dstate(n_states - 1, None)
         dE = np.zeros_like(E) if self.store.is_trainable("emb") else None

@@ -168,17 +168,30 @@ class CinModel(Model):
     # the order in which those GEMMs run fastest; a narrow layer is bound by
     # memory traffic, which the rows-inner order keeps contiguous.
 
-    def _lay_out_layers(self) -> tuple[list[tuple], np.ndarray]:
-        """Per layer before the last: W, W as the (U, H*V) GEMM operand of
-        u, whether u is the previous map, and its kind ("wide", "narrow", or
-        "symmetric" for a narrow first layer); and the last layer's W as
-        (H, H_prev*m)."""
-        m = self.spec.num_fields
+    def _setup(self) -> None:
+        """Per layer before the last, whether u is the previous map, and its
+        kind ("wide", "narrow", or "symmetric" for a narrow first layer);
+        and a tile's batch rows: CIN_TILE_ROWS, fewer where an earlier
+        layer's elementwise products would outgrow CIN_CACHE_ELEMENTS, but
+        never fewer than CIN_GEMM_ROWS flat rows."""
+        m, d = self.spec.num_fields, self.spec.embed_dim
+        widths = (m, *self.spec.layer_sizes)
+        shapes = list(zip(widths[:-2], widths[1:-1]))  # (H_prev, H) per layer before the last
+        self._kinds = tuple(
+            (h_prev >= m, "wide" if h >= max(h_prev, m) else "narrow" if k else "symmetric")
+            for k, (h_prev, h) in enumerate(shapes)
+        )
+        # per batch row and layer before the last: its S and O, or its Z and dZ
+        per_row = [d * math.prod(sorted((h_prev, h, m))[:2]) for h_prev, h in shapes]
+        self._tile_rows = max(min([CIN_TILE_ROWS, *(CIN_CACHE_ELEMENTS // n for n in per_row)]),
+                              -(-CIN_GEMM_ROWS // d))
+
+    def _lay_out(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per layer before the last, W as the (U, H*V) GEMM operand of u;
+        and the last layer's W as (H, H_prev*m)."""
         *first, last = (self.store[f"cin.W{k}"] for k in range(self.spec.num_layers))
-        layers = [(W, W.shape[1] >= m, "wide" if W.shape[0] >= max(W.shape[1], m)
-                   else "narrow" if k else "symmetric") for k, W in enumerate(first)]
-        layers = [(W, self._w_u(W, prev_first), prev_first, kind) for W, prev_first, kind in layers]
-        return layers, last.reshape(len(last), -1)
+        Wus = [self._w_u(W, prev_first) for W, (prev_first, _) in zip(first, self._kinds)]
+        return Wus, last.reshape(len(last), -1)
 
     @staticmethod
     def _w_u(W: np.ndarray, prev_first: bool) -> np.ndarray:
@@ -186,23 +199,13 @@ class CinModel(Model):
         W_uv = W if prev_first else W.transpose(0, 2, 1)
         return W_uv.transpose(1, 0, 2).reshape(W_uv.shape[1], -1)
 
-    def _tiles(self, B: int) -> list[slice]:
-        """Batch-row slices of CIN_TILE_ROWS rows, fewer where an earlier
-        layer's elementwise products would outgrow CIN_CACHE_ELEMENTS, but
-        never fewer than CIN_GEMM_ROWS flat rows."""
-        m, d = self.spec.num_fields, self.spec.embed_dim
-        widths = (m, *self.spec.layer_sizes)
-        # per batch row and layer before the last: its S and O, or its Z and dZ
-        per_row = [d * math.prod(sorted((h_prev, h, m))[:2])
-                   for h_prev, h in zip(widths[:-2], widths[1:-1])]
-        rows = max(min([CIN_TILE_ROWS, *(CIN_CACHE_ELEMENTS // n for n in per_row)]),
-                   -(-CIN_GEMM_ROWS // d))
-        return [slice(a, min(a + rows, B)) for a in range(0, B, rows)]
+    def _tiles(self, B: int) -> list[slice]:  # batch-row slices of _tile_rows rows
+        return [slice(a, min(a + self._tile_rows, B)) for a in range(0, B, self._tile_rows)]
 
     def _forward(self, rows: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         emb = self.embedding.lookup(rows).transpose(1, 0, 2)  # field-major (m, B, d)
         m, B, d = emb.shape
-        layers, W_last = self._layout("cin", self._lay_out_layers)
+        Wus, W_last = self._layout()
         ones = np.ones(d)
         feats = np.empty((B, self.spec.pooled_width))
         tiles = []
@@ -211,13 +214,13 @@ class CinModel(Model):
             r = E.shape[1]
             maps = [E]
             col = 0
-            for W, Wu, prev_first, kind in layers:
+            for Wu, (prev_first, kind), h in zip(Wus, self._kinds, self.spec.layer_sizes):
                 u, v = (maps[-1], E) if prev_first else (E, maps[-1])
-                x = np.empty((len(W), r))
+                x = np.empty((h, r))
                 if kind == "wide":
-                    np.einsum("rhv,rv->hr", (u.T @ Wu).reshape(r, len(W), -1), v.T.copy(), out=x)
+                    np.einsum("rhv,rv->hr", (u.T @ Wu).reshape(r, h, -1), v.T.copy(), out=x)
                 else:
-                    np.einsum("hvr,vr->hr", (Wu.T @ u).reshape(len(W), -1, r), v, out=x)
+                    np.einsum("hvr,vr->hr", (Wu.T @ u).reshape(h, -1, r), v, out=x)
                 maps.append(x)
                 feats[tile, col : col + len(x)] = (x.reshape(-1, d) @ ones).reshape(len(x), -1).T
                 col += len(x)
@@ -231,10 +234,12 @@ class CinModel(Model):
         tiles, feats = tape
         m, d = self.spec.num_fields, self.spec.embed_dim
         grads, dfeat = self._head_backward(feats, dlogits)
-        layers, W_last = self._layout("cin", self._lay_out_layers)
+        Wus, W_last = self._layout()
+        weights = (self.store[f"cin.W{k}"] for k in range(len(Wus)))
         # a symmetric layer reads W only as Ws = W + W^T, a backward temporary
         layers = [(W, self._w_u(W + W.transpose(0, 2, 1), True) if kind == "symmetric" else Wu,
-                   prev_first, kind) for W, Wu, prev_first, kind in layers]
+                   prev_first, kind)
+                  for W, Wu, (prev_first, kind) in zip(weights, Wus, self._kinds)]
         dWs = [np.zeros(W.shape if kind == "wide" else Wu.shape) for W, Wu, _, kind in layers]
         dW_last = np.zeros_like(W_last)
         offsets = np.cumsum((0, *self.spec.layer_sizes))
@@ -491,12 +496,12 @@ class _PairwiseModel(Model):
         # FmFM's batch-major states are a view of the gather, FwFM's dim-major
         # ones a copy
         X = self._gemm.states(self.embedding.gather(rows).transpose(1, 0, 2))
-        K, u = self._layout("pairwise", self._lay_out)
+        K, u = self._layout()
         logits = np.einsum("gbn,gbn->b", X, X @ K + u) + self.store["head.b"][0]
         return logits, X if keep else None
 
     def _backward(self, X, dlogits: np.ndarray) -> tuple[dict, np.ndarray]:
-        K, u = self._layout("pairwise", self._lay_out)
+        K, u = self._layout()
         g = self._gemm
         gX = X * dlogits[:, None]  # X diag(dlogits), block by block
         grads = {

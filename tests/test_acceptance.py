@@ -251,29 +251,16 @@ def test_criterion_7_movielens_stretch(tmp_path):
             "[criterion 7] SKIP - MovieLens-1M not present (set DAGFM_ML1M_DIR "
             "or place it under data/ml-1m); informational only, never gates"
         )
-    t0 = time.perf_counter()
-    from dagfm.movielens import convert_movielens
-    from dagfm.data import build_vocab, load_dataset, split_dataset
-    from dagfm.distill import StageConfig, distill_student, evaluate, finetune_student, train_teacher
-    from dagfm.interactions import DagfmModel
-    from dagfm.teachers import CrossNetModel
+    from dagfm.movielens import REFERENCE_AUC, run_experiment
 
-    csv = tmp_path / "ml1m.csv"
-    convert_movielens(ml_dir, csv)
-    schema = build_vocab(csv, min_freq=0)
-    split = split_dataset(load_dataset(csv, schema), seed=42)
-    teacher = CrossNetModel(CrossNetSpec(7, 16, 3), schema.vocab_sizes(), seed=0)
-    train_teacher(teacher, split, StageConfig(epochs=6, lr=1e-3, batch_size=2048, weight_decay=3e-4))
-    student = DagfmModel(DagfmSpec("outer", 7, 16, 3), schema.vocab_sizes(), seed=0)
-    distill_student(student, teacher, split, StageConfig(epochs=8, lr=3e-3, batch_size=2048, patience=0))
-    finetune_student(student, split, StageConfig(epochs=3, lr=1e-4, batch_size=2048))
-    auc = evaluate(student, split.test).auc
+    t0 = time.perf_counter()
+    auc = run_experiment(ml_dir, tmp_path).finetuned_auc
     elapsed = time.perf_counter() - t0
-    gap = abs(auc - 0.8976)
+    gap = abs(auc - REFERENCE_AUC)
     report(
         7,
         True,
-        f"fine-tuned test AUC {auc:.4f}, |gap to 0.8976| = {gap:.4f} "
+        f"fine-tuned test AUC {auc:.4f}, |gap to {REFERENCE_AUC}| = {gap:.4f} "
         f"(target within 0.03, informational only) in {elapsed/60:.1f} min",
     )
 

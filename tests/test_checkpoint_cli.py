@@ -1740,6 +1740,33 @@ class TestMovielens:
         assert rc == 1
         assert "unknown user" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rating", ["x", "4.5", "", "0", "6", "7"])
+    def test_a_rating_outside_one_to_five_stars_exits_one(self, rating, ml_dir, tmp_path, capsys):
+        (ml_dir / "ratings.dat").write_text(f"1::10::5::1\n2::20::{rating}::1\n", encoding="latin-1")
+        out = tmp_path / "x.csv"
+        rc = main(["convert-movielens", "--dir", str(ml_dir), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"ratings line 2: rating {rating!r} is not an integer from 1 to 5" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what, text", [
+        ("users", "1::F::1::10::48067\n2::M::56::16::70072\n1::M::25::3::55117\n"),
+        ("movies", "10::One (1995)::Drama\n20::Two, The (1996)::Drama\n\n20::Again (1997)::Comedy\n"),
+    ], ids=["users", "movies"])
+    def test_an_id_listed_twice_exits_one(self, what, text, ml_dir, tmp_path, capsys):
+        # the second line of the id is named, counted past a blank line
+        (ml_dir / f"{what}.dat").write_text(text, encoding="latin-1")
+        out = tmp_path / "x.csv"
+        rc = main(["convert-movielens", "--dir", str(ml_dir), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        line, key = (3, 1) if what == "users" else (4, 20)
+        assert f"{what} line {line}: id {key} is listed twice" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("existing", [False, True], ids=["no-out", "out-exists"])
     def test_a_bad_rating_writes_no_partial_out(self, existing, ml_dir, tmp_path, capsys):
         # the first rating joins, the second names a user users.dat lacks

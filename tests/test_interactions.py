@@ -976,7 +976,7 @@ class BatchColumnOuterGemms:
     reference that shares neither the model's operand orientation nor its
     layouts."""
 
-    def _lay_out_layers(self):
+    def _lay_out(self):
         m, d, jj, ii = self.num_fields, self.embed_dim, self._jj, self._ii
         layouts = []
         for t in range(self.dag.num_layers):
@@ -1050,13 +1050,13 @@ class TestOuterOrientation:
         model, _ = self.models(False, 23, 4, rng, layers=2)
         idx = rng.integers(0, 4, size=(30, 23))
         model.forward(idx)
-        before = model._layouts["dag"]
+        before = model._kept_layout[1]
         adam_step(model.store, model.backward(np.ones(30)), lr=1e-2)
         model.forward(idx)
-        after = model._layouts["dag"]
+        after = model._kept_layout[1]
         stepped = BatchColumnOuterModel.from_values(model.spec, model.vocab_sizes,
                                                      model.store.snapshot())
-        for (old_pT, _), (pT, q), (p_ref, q_ref) in zip(before, after, stepped._lay_out_layers()):
+        for (old_pT, _), (pT, q), (p_ref, q_ref) in zip(before, after, stepped._lay_out()):
             np.testing.assert_array_equal(pT, p_ref.transpose(0, 2, 1))
             np.testing.assert_array_equal(q, q_ref)
             assert not np.array_equal(pT, old_pT)
@@ -1097,7 +1097,7 @@ class KeptAggregateModel(DagfmModel):
         gemm, plan = self._layer_gemms[0], self._plan(B)
         keep_agg = keep and self.store.is_trainable("emb")
         aggs = []
-        for t, w in enumerate(self._layout("dag", self._lay_out_layers)):
+        for t, w in enumerate(self._layout()):
             agg = gemm(self, H[t], w, plan, None if keep_agg else H[t + 1])
             np.multiply(agg, E, out=H[t + 1])
             aggs.append(agg if keep_agg else None)
@@ -1116,7 +1116,7 @@ class KeptAggregateModel(DagfmModel):
             return dh if extra is None else dh + extra
 
         E = H[0]
-        layouts, plan = self._layout("dag", self._lay_out_layers), self._plan(B)
+        layouts, plan = self._layout(), self._plan(B)
         dh = dstate(n_states - 1, None)
         dE = np.zeros_like(E) if self.store.is_trainable("emb") else None
         for t in range(n_states - 2, -1, -1):
@@ -1431,7 +1431,7 @@ class TestTape:
         rows = interactions.SMALL_ROWS
         model.forward(np.stack([rng.integers(0, v, size=rows) for v in model.vocab_sizes], axis=1))
         weights = [model.store[name] for name in model.store.names()]
-        weights += arrays_in(getattr(model, "_layouts", {}))
+        weights += arrays_in(model._kept_layout)
         tape = arrays_in(model._cache[1])
         assert tape
         for a in tape:

@@ -2,11 +2,14 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from dagfm import movielens
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -59,20 +62,33 @@ def test_run_movielens_rejects_a_directory_without_ratings(tmp_path, capsys):
     assert "ratings.dat" in capsys.readouterr().err
 
 
+def test_run_movielens_help_lists_only_its_two_options():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_movielens.py"), "--help"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert sorted(set(re.findall(r"--[a-z][a-z-]*", proc.stdout))) == ["--help", "--ml-dir", "--out"]
+
+
 def test_run_movielens_end_to_end(tmp_path):
-    write_movielens(tmp_path / "ml")
+    # the script and movielens.run_experiment are one recipe: the same AUCs,
+    # the same epoch logs, and each as long as its stage of the plan
+    write_movielens(tmp_path / "ml", n_ratings=3000)
     out = tmp_path / "out"
     main = load_script("run_movielens").main
-    rc = main([
-        "--ml-dir", str(tmp_path / "ml"), "--out", str(out),
-        "--embed-dim", "2", "--depth", "1",
-        "--teacher-epochs", "1", "--distill-epochs", "1", "--finetune-epochs", "1",
-    ])
-    assert rc == 0
+    assert main(["--ml-dir", str(tmp_path / "ml"), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
+    result = movielens.run_experiment(tmp_path / "ml", tmp_path / "lib")
     for key in ("teacher_auc", "distilled_auc", "finetuned_auc"):
-        assert 0.0 <= report[key] <= 1.0
+        assert report[key] == getattr(result, key)
+    assert report["reference_auc"] == movielens.REFERENCE_AUC
     assert report["abs_gap"] == abs(report["finetuned_auc"] - report["reference_auc"])
-    for stem in ("teacher", "distill", "finetune"):
-        lines = (out / f"{stem}_epochs.jsonl").read_text().splitlines()
-        assert len(lines) == 1
+    plan = movielens.PLAN
+    stages = {"teacher": plan.teacher_stage, "distill": plan.distill_stages[0],
+              "finetune": plan.finetune_stage}
+    for stem, stage in stages.items():
+        log = (out / f"{stem}_epochs.jsonl").read_bytes()
+        assert log == (tmp_path / "lib" / f"{stem}_epochs.jsonl").read_bytes()
+        assert len(log.splitlines()) == stage.epochs
+    assert stages["distill"].epochs == 8

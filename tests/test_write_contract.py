@@ -33,7 +33,7 @@ def small_model(tag, rng, monkeypatch):
     if tag in CIN_KINDS:
         sizes, kinds = CIN_KINDS[tag]
         model = CinModel(CinSpec(4, 3, sizes), [int(v) for v in rng.integers(2, 6, size=4)])
-        assert [(prev_first, kind) for _, _, prev_first, kind in model._lay_out_layers()[0]] == kinds
+        assert list(model._kinds) == kinds
     elif tag.endswith("-blocked"):
         monkeypatch.setattr(interactions, "FIELD_BLOCK", 2)
         spec, vocab = DagfmSpec("outer", 5, 3, 2), [int(v) for v in rng.integers(2, 6, size=5)]
@@ -110,27 +110,22 @@ def test_forwards_with_no_write_between_reuse_the_layouts(tag, rng, monkeypatch)
     if tag == "dagfm-basic-inner":  # read-only from setup, before any forward
         assert not model._adjacency.flags.writeable
     builds = []
-    original = interactions.Model._layout
-
-    def counted(self, key, lay_out):
-        return original(self, key, lambda: builds.append(key) or lay_out())
-
-    monkeypatch.setattr(interactions.Model, "_layout", counted)
+    lay_out = model._lay_out
+    monkeypatch.setattr(model, "_lay_out", lambda: builds.append(None) or lay_out())
     model.store.set("emb", model.store["emb"])  # a write: whatever was laid out is stale
     model.forward(idx)
-    built = len(builds)
-    assert built > 0
-    kept = dict(model._layouts)
+    assert len(builds) == 1
+    kept = model._kept_layout[1]
     assert not any(a.flags.writeable for a in arrays_in(kept))
     model.forward(idx)
-    model.backward(np.ones(len(idx)))  # backward reads its forward's layouts
-    assert len(builds) == built
-    assert all(model._layouts[name] is layout for name, layout in kept.items())
+    model.backward(np.ones(len(idx)))  # backward reads its forward's layout
+    assert len(builds) == 1
+    assert model._kept_layout[1] is kept
     model.store.set("emb", model.store["emb"])
     model.forward(idx)
-    assert len(builds) == 2 * built  # a write lays every parameter out again
+    assert len(builds) == 2  # a write lays every parameter out again
     if tag == "dagfm-basic-inner":  # every version reads the adjacency built in setup
-        assert all(A is model._adjacency for A in (*kept["dag"], *model._layouts["dag"]))
+        assert all(A is model._adjacency for A in (*kept, *model._kept_layout[1]))
 
 
 def corrupted(closure, name):
